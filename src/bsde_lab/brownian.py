@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -62,20 +63,22 @@ class PathEnsemble:
             object.__setattr__(self, "initial_state", np.zeros((self.paths, self.d)))
         self.increments.setflags(write=False)
 
-    @property
+    @cached_property
     def states(self) -> np.ndarray:
-        """Brownian states at grid nodes, shape (paths, steps + 1, d)."""
+        """Brownian states at grid nodes, shape (paths, steps + 1, d).
+
+        Computed once per ensemble and read-only, since every caller shares it.
+        """
         out = np.empty((self.paths, self.grid.steps + 1, self.d))
         out[:, 0] = self.initial_state
         np.cumsum(self.increments, axis=1, out=out[:, 1:])
         out[:, 1:] += self.initial_state[:, None, :]
+        out.setflags(write=False)
         return out
 
     def state_at(self, k: int) -> np.ndarray:
-        """Brownian state at node k, shape (paths, d)."""
-        if k == 0:
-            return self.initial_state.copy()
-        return self.initial_state + self.increments[:, :k].sum(axis=1)
+        """Brownian state at node k, shape (paths, d); a read-only view."""
+        return self.states[:, k]
 
     def subset(self, index: np.ndarray) -> "PathEnsemble":
         """Sub-ensemble of the selected paths (used for batch error bars)."""

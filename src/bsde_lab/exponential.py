@@ -44,17 +44,20 @@ class ExponentialEnsemble:
 
     def inverse_residual(self) -> np.ndarray:
         """max over grid nodes of |S_k X_k - I| (operator norm), per path."""
-        if self.s_inv is None:
-            raise ValueError("ensemble was integrated without the inverse part")
-        eye = np.eye(self.n)
-        prod = np.einsum("mkij,mkjl->mkil", self.s, self.s_inv)
-        return operator_norm(prod - eye).max(axis=1)
+        return self._residual_norms().max(axis=1)
 
     def inverse_residual_profile(self) -> np.ndarray:
         """Mean over paths of |S_k X_k - I| at each grid node."""
-        eye = np.eye(self.n)
-        prod = np.einsum("mkij,mkjl->mkil", self.s, self.s_inv)
-        return operator_norm(prod - eye).mean(axis=0)
+        return self._residual_norms().mean(axis=0)
+
+    def _residual_norms(self) -> np.ndarray:
+        """|S_k X_k - I| (operator norm) per path and grid node."""
+        if self.s_inv is None:
+            raise ValueError("ensemble was integrated without the inverse part")
+        prod = self.s @ self.s_inv
+        idx = np.arange(self.n)
+        prod[..., idx, idx] -= 1.0
+        return operator_norm(prod)
 
 
 def integrate_exponential(field: CoefficientField, paths: PathEnsemble) -> np.ndarray:
@@ -66,7 +69,7 @@ def integrate_exponential(field: CoefficientField, paths: PathEnsemble) -> np.nd
     inc = paths.increments
     for k in range(k_steps):
         a_db = contract_adb(field.values(paths, k), inc[:, k])
-        s[:, k + 1] = s[:, k] + np.einsum("mij,mjl->mil", s[:, k], a_db)
+        s[:, k + 1] = s[:, k] + s[:, k] @ a_db
     return s
 
 
@@ -80,8 +83,8 @@ def integrate_inverse(field: CoefficientField, paths: PathEnsemble) -> np.ndarra
     inc = paths.increments
     for k in range(k_steps):
         a = field.values(paths, k)
-        drift = np.einsum("mij,mjl->mil", mat_square(a), x[:, k]) * dt[k]
-        noise = np.einsum("mij,mjl->mil", contract_adb(a, inc[:, k]), x[:, k])
+        drift = (mat_square(a) @ x[:, k]) * dt[k]
+        noise = contract_adb(a, inc[:, k]) @ x[:, k]
         x[:, k + 1] = x[:, k] + drift - noise
     return x
 
@@ -119,7 +122,7 @@ def _ratio_matrices(expo: ExponentialEnsemble, k: int) -> np.ndarray:
     """S_{t_k}^{-1} S_T for every path, via the integrated inverse if present."""
     s_t = expo.s[:, -1]
     if expo.s_inv is not None:
-        return np.einsum("mij,mjl->mil", expo.s_inv[:, k], s_t)
+        return expo.s_inv[:, k] @ s_t
     return np.linalg.solve(expo.s[:, k], s_t)
 
 
@@ -240,12 +243,11 @@ def martingale_defect(expo: ExponentialEnsemble, groups: int = 8) -> MartingaleD
     single wild path (strict-local-martingale ensembles are heavy-tailed)
     inflates both the plain defect and its error bar, but not the median.
     """
-    s = expo.s[~expo.bad_paths]
+    s = expo.s[~expo.bad_paths]  # boolean indexing: a private copy
     if s.shape[0] == 0:
         raise ValueError("no finite paths in the ensemble")
     m = s.shape[0]
     mean = s.mean(axis=0)
-    se = s.std(axis=0, ddof=1) / np.sqrt(m)
     eye = np.eye(expo.n)
     idx = np.arange(expo.n)
     diag_gap = np.abs(mean[:, idx, idx] - 1.0)
@@ -254,6 +256,11 @@ def martingale_defect(expo: ExponentialEnsemble, groups: int = 8) -> MartingaleD
     parts = np.array_split(np.arange(m), min(groups, m))
     group = np.median(np.stack(
         [operator_norm(s[g].mean(axis=0) - eye) for g in parts]), axis=0)
+    # s.std(axis=0, ddof=1) step for step, in place on the copy to save a
+    # second (M, K+1, n, n) array.
+    s -= mean
+    s *= s
+    se = np.sqrt(s.sum(axis=0) / (m - 1)) / np.sqrt(m)
     return MartingaleDefectReport(
         defect=operator_norm(mean - eye),
         std_error=np.sqrt((se**2).sum(axis=(1, 2))),
@@ -286,8 +293,7 @@ def doob_sup_check(expo: ExponentialEnsemble, p: float, degree: int = 3,
     worst, worst_k = 0.0, 0
     for k in times:
         if expo.s_inv is not None:
-            s_inv_k = expo.s_inv[:, k]
-            ratios = np.einsum("mij,mkjl->mkil", s_inv_k, expo.s[:, k:])
+            ratios = expo.s_inv[:, k, None] @ expo.s[:, k:]
         else:
             ratios = np.linalg.solve(expo.s[:, k][:, None], expo.s[:, k:])
         target = (operator_norm(ratios) ** p).max(axis=1)

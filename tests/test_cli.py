@@ -48,10 +48,11 @@ def test_config_comments_and_seed_override(tmp_path):
     assert loaded["seed"] == 9 and loaded["M"] == 100
 
 
-def test_schemas_reject_bad_types():
-    with pytest.raises(ConfigurationError):
-        load_config(None, "reverse-holder", seed_override=None) \
-            if False else (_ for _ in ()).throw(ConfigurationError("x"))
+def test_schemas_reject_bad_types(tmp_path):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text('{"seed": 1, "p": 0.5}')
+    with pytest.raises(ConfigurationError, match=r"\bp: "):
+        load_config(str(cfg), "reverse-holder")
     # direct check: p below 1 fails the schema
     import jsonschema
     bad = dict(seed=1, p=0.5)

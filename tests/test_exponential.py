@@ -23,6 +23,28 @@ def test_zero_field_gives_identity(paths_256):
     assert np.array_equal(x, np.broadcast_to(np.eye(2), x.shape))
 
 
+def test_integrators_match_einsum_reference():
+    # Reference Euler steps with every contraction written out as einsum,
+    # independent of the matmul kernels the integrators use.
+    from bsde_lab.instances import triangular_3d
+    from bsde_lab.tensors import contract_adb
+    fld = triangular_3d()
+    paths = generate_brownian(TimeGrid(1.0, 64), 1, 500, seed=21)
+    s_ref = np.empty((500, 65, 3, 3))
+    x_ref = np.empty_like(s_ref)
+    s_ref[:, 0] = x_ref[:, 0] = np.eye(3)
+    for k in range(64):
+        a = fld.values(paths, k)
+        a_db = contract_adb(a, paths.increments[:, k])
+        s_ref[:, k + 1] = s_ref[:, k] + np.einsum("mij,mjl->mil", s_ref[:, k], a_db)
+        a_sq = np.einsum("mikd,mkjd->mij", a, a)
+        drift = np.einsum("mij,mjl->mil", a_sq, x_ref[:, k]) * paths.grid.dt[k]
+        noise = np.einsum("mij,mjl->mil", a_db, x_ref[:, k])
+        x_ref[:, k + 1] = x_ref[:, k] + drift - noise
+    assert np.allclose(integrate_exponential(fld, paths), s_ref, rtol=0.0, atol=1e-13)
+    assert np.allclose(integrate_inverse(fld, paths), x_ref, rtol=0.0, atol=1e-13)
+
+
 def test_scalar_strong_error_halves(paths_256):
     # Euler vs the exact scalar exponential exp(aB_T - a^2 T/2): strong error
     # decreases by ~sqrt(2) per halving of dt

@@ -86,6 +86,22 @@ def test_states_cumulative_and_subset():
     assert np.array_equal(sub.increments, p.increments[10:20])
 
 
+@pytest.mark.parametrize("initial_state", [None, [0.5, -1.25]])
+def test_states_cached_read_only_and_match_state_at(initial_state):
+    p = generate_brownian(TimeGrid(1.0, 6), 2, 30, seed=4, initial_state=initial_state)
+    states = p.states
+    assert p.states is states
+    assert not states.flags.writeable
+    with pytest.raises(ValueError):
+        states[0, 0, 0] = 1.0
+    start = np.zeros(2) if initial_state is None else np.asarray(initial_state)
+    assert np.array_equal(states[:, 0], np.broadcast_to(start, (30, 2)))
+    for k in range(p.grid.steps + 1):
+        assert np.array_equal(p.state_at(k), states[:, k])
+        assert np.allclose(p.state_at(k), start + p.increments[:, :k].sum(axis=1),
+                           rtol=0.0, atol=1e-14)
+
+
 def test_initial_state_offset():
     g = TimeGrid(1.0, 2)
     p = generate_brownian(g, 1, 10, seed=2, initial_state=[1.5])

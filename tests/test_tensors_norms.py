@@ -62,6 +62,58 @@ def test_operator_norm_known_values():
     assert np.allclose(operator_norm(batch), [1.0, 2.0])
 
 
+def _operator_norm_inputs(n, rng):
+    """Matrices on which a closed-form norm is most likely to lose accuracy."""
+    q = np.linalg.qr(rng.normal(size=(50, n, n)))[0]
+    scales = np.exp(np.linspace(-5.0, 5.0, 50))[:, None, None]
+    cases = {
+        "gaussian": rng.normal(size=(200, n, n)),
+        "near_identity": np.eye(n) + 1e-9 * rng.normal(size=(200, n, n)),
+        "scaled_orthogonal": scales * q,
+        "rank_one": rng.normal(size=(50, n, 1)) * rng.normal(size=(50, 1, n)),
+        "zero": np.zeros((3, n, n)),
+        "tiny_and_huge": np.array([1e-150, 1e150])[:, None, None, None]
+        * rng.normal(size=(2, 20, n, n)),
+    }
+    if n == 2:
+        th = rng.uniform(0.0, 2.0 * np.pi, 50)
+        rot = np.stack([np.stack([np.cos(th), np.sin(th)], -1),
+                        np.stack([-np.sin(th), np.cos(th)], -1)], -2)
+        cases["scaled_rotation"] = scales * rot
+    if n == 3:
+        # Two equal (or nearly equal) largest singular values, where the
+        # trigonometric closed form loses accuracy.
+        gap = np.concatenate([[0.0], np.logspace(-16, -1, 49)])
+        sv = np.stack([np.ones(50), 1.0 - gap, rng.uniform(0.0, 0.9, 50)], -1)
+        q2 = np.linalg.qr(rng.normal(size=(50, n, n)))[0]
+        cases["double_top"] = (q * sv[:, None, :]) @ q2
+    return cases
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_operator_norm_matches_svd(n):
+    rng = np.random.default_rng(10 + n)
+    for name, m in _operator_norm_inputs(n, rng).items():
+        ref = np.linalg.svd(m, compute_uv=False)[..., 0]
+        got = operator_norm(m)
+        assert got.shape == ref.shape
+        assert np.allclose(got, ref, rtol=1e-13, atol=0.0), name
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_operator_norm_batch_shapes(n):
+    from bsde_lab.tensors import _NORM3_BLOCK
+    rng = np.random.default_rng(20 + n)
+    for shape in [(), (7,), (5, 9), (2 * _NORM3_BLOCK + 3,)]:
+        m = rng.normal(size=shape + (n, n))
+        before = m.copy()
+        ref = np.linalg.svd(m, compute_uv=False)[..., 0]
+        got = operator_norm(m)
+        assert np.array_equal(m, before)
+        assert got.shape == shape
+        assert np.allclose(got, ref, rtol=1e-13, atol=0.0), shape
+
+
 def test_poly_features_counts():
     x = np.random.default_rng(2).normal(size=(10, 2))
     f = poly_features(x, 3)
