@@ -76,6 +76,11 @@ class PathEnsemble:
         out.setflags(write=False)
         return out
 
+    @cached_property
+    def conditionals(self) -> dict:
+        """Regression operators on these paths by degree (norms.RegressionConditional.of)."""
+        return {}
+
     def state_at(self, k: int) -> np.ndarray:
         """Brownian state at node k, shape (paths, d); a read-only view."""
         return self.states[:, k]

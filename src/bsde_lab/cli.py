@@ -75,7 +75,6 @@ CONFIG_SCHEMAS = {
         "method": {"type": "string",
                    "enum": ["auto", "regression", "representation",
                             "lower_triangular", "right_outer", "left_outer"]},
-        "structure": {"type": "string"},
         "degree": {"type": "integer", "minimum": 1},
         "q": {"type": ["number", "string"]},
         "perturbation": {
@@ -640,7 +639,6 @@ def main(argv=None) -> int:
                 cfg["q"] = args.q
             if args.perturbation and "perturbation" not in cfg:
                 cfg["perturbation"] = {"scale": 0.05, "alpha": 0.1}
-        cfg.pop("structure", None)
         return runner(cfg, Path(args.out), threads=max(1, args.threads))
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -107,11 +107,6 @@ class ReverseHolderReport:
     estimator: str
     doob_sup_estimate: float | None = None
 
-    def __post_init__(self):
-        if self.rp_estimate < 1.0 - 3.0 * max(self.std_error, 1e-300):
-            raise ValueError("reverse Holder estimate below 1 beyond noise; "
-                             "the tau = T term makes the true constant >= 1")
-
     def to_csv(self, path, grid: TimeGrid) -> None:
         rows = np.column_stack([grid.nodes, self.profile, self.profile_std_error])
         np.savetxt(path, rows, delimiter=",", header="t,estimate,std_error",
@@ -153,14 +148,13 @@ def estimate_reverse_holder(expo: ExponentialEnsemble, p: float,
     profile_se = np.zeros(k_grid + 1)
     profile[k_grid] = 1.0  # E_T[|I|^p] exactly
 
-    reg = RegressionConditional(degree)
-    states = paths.states
+    reg = RegressionConditional.of(paths, degree)
     for k in times:
         if k == k_grid:
             continue
         if method == "regression":
             target = operator_norm(_ratio_matrices(expo, k)) ** p
-            fitted = reg.fit_predict(states[:, k], target)
+            fitted = reg.fit_predict(k, target)
             profile[k] = float(fitted.max())
             profile_se[k] = float(np.std(target - fitted, ddof=1) / np.sqrt(paths.paths))
         elif method == "nested":
@@ -288,8 +282,7 @@ def doob_sup_check(expo: ExponentialEnsemble, p: float, degree: int = 3,
     doob_factor = (p / (p - 1.0)) ** p
     bound = doob_factor * rp.rp_estimate
 
-    reg = RegressionConditional(degree)
-    states = paths.states
+    reg = RegressionConditional.of(paths, degree)
     worst, worst_k = 0.0, 0
     for k in times:
         if expo.s_inv is not None:
@@ -297,7 +290,7 @@ def doob_sup_check(expo: ExponentialEnsemble, p: float, degree: int = 3,
         else:
             ratios = np.linalg.solve(expo.s[:, k][:, None], expo.s[:, k:])
         target = (operator_norm(ratios) ** p).max(axis=1)
-        fitted = reg.fit_predict(states[:, k], target)
+        fitted = reg.fit_predict(k, target)
         val = float(fitted.max())
         if val > worst:
             worst, worst_k = val, int(k)

@@ -109,7 +109,7 @@ def _increment_regression(reg: RegressionConditional, paths: PathEnsemble,
     db = paths.increments[:, k]                      # (M, d)
     centered = next_values if base_values is None else next_values - base_values
     target = centered[..., None] * db[(slice(None),) + (None,) * (centered.ndim - 1)]
-    return reg.fit_predict(paths.state_at(k), target) / paths.grid.dt[k]
+    return reg.fit_predict(k, target) / paths.grid.dt[k]
 
 
 def _martingale_residuals(paths: PathEnsemble, y: np.ndarray, z: np.ndarray,
@@ -141,14 +141,13 @@ def solve_by_regression(spec: LinearBsdeSpec, paths: PathEnsemble,
     m, ksteps, n, d = paths.paths, paths.grid.steps, spec.n, paths.d
     dt = paths.grid.dt
     beta = _beta_array(spec, paths)
-    reg = RegressionConditional(degree)
+    reg = RegressionConditional.of(paths, degree)
     y = np.empty((m, ksteps + 1, n))
     z = np.empty((m, ksteps, n, d))
     y[:, ksteps] = np.asarray(spec.terminal(paths), dtype=float).reshape(m, n)
     drift = np.empty((m, ksteps, n))
     for k in range(ksteps - 1, -1, -1):
-        x_k = paths.state_at(k)
-        ey = reg.fit_predict(x_k, y[:, k + 1])
+        ey = reg.fit_predict(k, y[:, k + 1])
         z[:, k] = _increment_regression(reg, paths, y[:, k + 1], k, base_values=ey)
         a_k = spec.field.values(paths, k)
         drift[:, k] = contract_az(a_k, z[:, k])
@@ -176,11 +175,11 @@ def _representation_from_expo(spec: LinearBsdeSpec, expo: ExponentialEnsemble,
         h += np.einsum("mkij,mkj->mi", expo.s[:, :-1],
                        beta * paths.grid.dt[None, :, None])
 
-    reg = RegressionConditional(degree)
+    reg = RegressionConditional.of(paths, degree)
     n_fit = np.empty((m, ksteps + 1, n))
     n_fit[:, ksteps] = h
     for k in range(ksteps):
-        n_fit[:, k] = reg.fit_predict(paths.state_at(k), h)
+        n_fit[:, k] = reg.fit_predict(k, h)
 
     y = np.einsum("mkij,mkj->mki", expo.s_inv, n_fit) - prefix
     terminal_mismatch = float(np.abs(y[:, ksteps] - xi).max())
@@ -250,11 +249,11 @@ def _scalar_weighted_solve(paths: PathEnsemble, coeff: np.ndarray, xi: np.ndarra
     if beta is not None:
         h += (weights[:, :-1] * beta * dt[None, :]).sum(axis=1)
 
-    reg = RegressionConditional(degree)
+    reg = RegressionConditional.of(paths, degree)
     n_fit = np.empty((m, ksteps + 1))
     n_fit[:, ksteps] = h
     for k in range(ksteps):
-        n_fit[:, k] = reg.fit_predict(paths.state_at(k), h)
+        n_fit[:, k] = reg.fit_predict(k, h)
     u = n_fit / weights - prefix
     u[:, ksteps] = xi
     v = np.empty((m, ksteps, d))
@@ -335,11 +334,11 @@ def solve_right_outer(spec: LinearBsdeSpec, paths: PathEnsemble,
     h = xi + (tilde * dt[None, :, None]).sum(axis=1)
     prefix = np.zeros((m, ksteps + 1, n))
     np.cumsum(tilde * dt[None, :, None], axis=1, out=prefix[:, 1:])
-    reg = RegressionConditional(degree)
+    reg = RegressionConditional.of(paths, degree)
     n_fit = np.empty((m, ksteps + 1, n))
     n_fit[:, ksteps] = h
     for k in range(ksteps):
-        n_fit[:, k] = reg.fit_predict(paths.state_at(k), h)
+        n_fit[:, k] = reg.fit_predict(k, h)
     y = n_fit - prefix
     y[:, ksteps] = xi
     z = np.empty((m, ksteps, n, d))

@@ -49,32 +49,65 @@ def poly_features(x: np.ndarray, degree: int) -> np.ndarray:
 
 
 class RegressionConditional:
-    """Least-squares conditional expectation given the Brownian state.
+    """Least-squares conditional expectation E[. | B_{t_k}] on one path ensemble.
 
-    Valid for Markovian functionals (dependence through (t, B_t)).  Degenerate
-    feature matrices (e.g. at t = 0 where B_0 is constant) fall back to lower
-    degree automatically; a genuine rank deficiency raises a warning once.
+    Valid for Markovian functionals (dependence through (t, B_t)).  The
+    polynomial basis of each grid step is built once, on first use, as an
+    orthonormal basis Q_k of the column space of `poly_features(B_{t_k})`
+    (thin SVD with lstsq's default cutoff eps * max(M, p), so rank and fitted
+    values match lstsq up to rounding); every fit is then Q_k (Q_k^T y).  A
+    step whose states are all equal (t = 0) fits the sample mean.  A rank
+    deficiency warns once per operator.
+
+    Use `RegressionConditional.of(paths, degree)`: it keeps one operator per
+    (ensemble, degree) on the ensemble, so every solver and diagnostic on the
+    same paths shares the bases, which are freed with the ensemble.  The cache
+    holds up to (K+1) * M * r * 8 bytes per ensemble and degree, with r the
+    basis rank (at most the number of monomials, C(d + degree, degree)).
     """
 
-    def __init__(self, degree: int = 3):
+    def __init__(self, states: np.ndarray, degree: int = 3):
+        self.states = states            # (M, K+1, d) Brownian states
         self.degree = degree
+        self._bases: dict = {}          # k -> (Q_k, full column count) or None
         self._warned = False
 
-    def fit_predict(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Fitted E[y | x] at the sample points.  y may have trailing axes."""
+    @classmethod
+    def of(cls, paths: PathEnsemble, degree: int = 3) -> "RegressionConditional":
+        """The operator of `paths` at `degree`, created on first use."""
+        op = paths.conditionals.get(degree)
+        if op is None:
+            op = paths.conditionals[degree] = cls(paths.states, degree)
+        return op
+
+    def _basis(self, k: int):
+        if k not in self._bases:
+            x = self.states[:, k]
+            if np.allclose(x, x[0]):
+                self._bases[k] = None
+            else:
+                feats = poly_features(x, self.degree)
+                u, s, _ = np.linalg.svd(feats, full_matrices=False)
+                cutoff = np.finfo(float).eps * max(feats.shape) * s[0]
+                rank = int(np.count_nonzero(s > cutoff))
+                self._bases[k] = (np.ascontiguousarray(u[:, :rank]), feats.shape[1])
+        return self._bases[k]
+
+    def fit_predict(self, k: int, y: np.ndarray) -> np.ndarray:
+        """Fitted E[y | B_{t_k}] at the sample points.  y may have trailing axes."""
         y = np.asarray(y, dtype=float)
         flat = y.reshape(y.shape[0], -1)
-        if np.allclose(x, x[0]):
+        basis = self._basis(k)
+        if basis is None:
             out = np.broadcast_to(flat.mean(axis=0), flat.shape)
             return out.reshape(y.shape).copy()
-        feats = poly_features(x, self.degree)
-        coef, _, rank, _ = np.linalg.lstsq(feats, flat, rcond=None)
-        if rank < feats.shape[1] and not self._warned:
+        q, columns = basis
+        if q.shape[1] < columns and not self._warned:
             warnings.warn(
-                f"regression basis rank-deficient (rank {rank} < {feats.shape[1]}); "
-                "fit downgraded by lstsq", RuntimeWarning)
+                f"regression basis rank-deficient (rank {q.shape[1]} < {columns}); "
+                "fit on the spanned column space", RuntimeWarning)
             self._warned = True
-        return (feats @ coef).reshape(y.shape)
+        return (q @ (q.T @ flat)).reshape(y.shape)
 
 
 def _integrand_sizes(values: np.ndarray, grid_steps: int) -> np.ndarray:
@@ -161,13 +194,12 @@ def estimate_norm(kind: str, values: np.ndarray, paths: PathEnsemble,
     remaining[:, :-1] = contrib[:, ::-1].cumsum(axis=1)[:, ::-1]
     if times is None:
         times = range(k_steps + 1)
-    reg = RegressionConditional(degree)
-    states = paths.states
+    reg = RegressionConditional.of(paths, degree)
     best, best_k, best_se = 0.0, 0, 0.0
     used = []
     for k in times:
         used.append(float(paths.grid.nodes[k]))
-        fitted = reg.fit_predict(states[:, k], remaining[:, k])
+        fitted = reg.fit_predict(k, remaining[:, k])
         node = float(np.max(fitted))
         if node > best:
             resid = remaining[:, k] - fitted

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .brownian import PathEnsemble
 from .grids import ConfigurationError
@@ -240,14 +239,14 @@ def _backward_quadratic(driver, terminal_fn, paths: PathEnsemble, degree: int,
                         picard_tol: float, max_picard: int, init: str) -> tuple:
     m, ksteps, n, d = paths.paths, paths.grid.steps, driver.n, driver.d
     dt = paths.grid.dt
-    reg = RegressionConditional(degree)
+    reg = RegressionConditional.of(paths, degree)
     y = np.empty((m, ksteps + 1, n))
     z = np.empty((m, ksteps, n, d))
     y[:, ksteps] = np.asarray(terminal_fn(paths), dtype=float).reshape(m, n)
     drift = np.empty((m, ksteps, n))
     for k in range(ksteps - 1, -1, -1):
         x_k = paths.state_at(k)
-        ey = reg.fit_predict(x_k, y[:, k + 1])
+        ey = reg.fit_predict(k, y[:, k + 1])
         z[:, k] = _increment_regression(reg, paths, y[:, k + 1], k, base_values=ey)
         t_k = float(paths.grid.nodes[k])
         cur = np.zeros_like(ey) if init == "zero" else ey.copy()
@@ -330,6 +329,8 @@ class AbCondition:
 def positively_spans(vectors: np.ndarray) -> tuple[bool, dict]:
     """Exact LP test: the cone of {a_m} is all of R^n iff every +-e_i is a
     nonnegative combination.  Returns (flag, certificate of LP weights)."""
+    from scipy.optimize import linprog    # here, so importing the package skips scipy
+
     vecs = np.atleast_2d(np.asarray(vectors, dtype=float))
     mcount, n = vecs.shape
     cert = {}
@@ -487,7 +488,7 @@ def linearized_difference_check(driver, sol1: SolutionEnsemble, sol2: SolutionEn
     dt = paths.grid.dt
     dy = sol1.y - sol2.y
     dz = sol1.z - sol2.z
-    reg = RegressionConditional(degree)
+    reg = RegressionConditional.of(paths, degree)
 
     equation_residual = 0.0
     drift = np.empty((m, ksteps, n))
@@ -524,7 +525,7 @@ def linearized_difference_check(driver, sol1: SolutionEnsemble, sol2: SolutionEn
                        + contract_az(struct + da, dz[:, k]))
         # dY_k - E_k[dY_{k+1}] - drift dt vanishes to the per-step fixed-point
         # tolerance because the conditional operator is shared and linear
-        fitted = reg.fit_predict(x_k, dy[:, k + 1])
+        fitted = reg.fit_predict(k, dy[:, k + 1])
         step_res = dy[:, k] - fitted - drift[:, k] * dt[k]
         equation_residual = max(equation_residual, float(np.abs(step_res).max()))
     resid = _martingale_residuals(paths, dy, dz, drift)

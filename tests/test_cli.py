@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bsde_lab
 from bsde_lab.cli import CONFIG_SCHEMAS, load_config, main
 from bsde_lab.grids import ConfigurationError
 
@@ -39,6 +43,25 @@ def test_unknown_config_key_rejected(tmp_path):
     cfg.write_text('{"seed": 1, "wat": 2}')
     with pytest.raises(ConfigurationError, match="wat"):
         load_config(str(cfg), "exponential")
+
+
+def test_linear_config_rejects_structure_key(tmp_path):
+    # the solver follows the instance's field; --structure picks the instance
+    cfg = tmp_path / "structure.json"
+    cfg.write_text('{"seed": 1, "structure": "triangular"}')
+    with pytest.raises(ConfigurationError, match="structure"):
+        load_config(str(cfg), "linear")
+
+
+def test_import_does_not_load_scipy():
+    # scipy.optimize costs about half a second of start-up and only
+    # quadratic.positively_spans uses it
+    src = Path(bsde_lab.__file__).resolve().parents[1]
+    code = ("import sys, bsde_lab, bsde_lab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_config_comments_and_seed_override(tmp_path):

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from bsde_lab import TimeGrid, generate_brownian, scalar_field
+from bsde_lab import norms
 from bsde_lab.brownian import PathEnsemble
 from bsde_lab.counterexamples import EmerySpec
 from bsde_lab.fields import constant_field
 from bsde_lab.grids import ConfigurationError
 from bsde_lab.instances import (left_outer_3d, linear_terminal, right_outer_3d,
                                 triangular_3d)
+from bsde_lab.norms import RegressionConditional, poly_features
 from bsde_lab.linear import (LinearBsdeSpec, PicardDivergenceError,
                              RepresentationInvalidError, batch_y0,
                              estimate_solution_operator_norm, left_outer_exponential,
@@ -211,6 +213,77 @@ def test_regression_solver_exact_on_enumerated_tree():
     for k in range(filt.steps):
         worst = max(worst, float(np.abs(sol.z[:, k] - z_tree[k][paths_idx[:, k]]).max()))
     assert worst < 1e-9
+
+
+def _lstsq_fit(x, y, degree):
+    feats = poly_features(x, degree)
+    flat = y.reshape(y.shape[0], -1)
+    return (feats @ np.linalg.lstsq(feats, flat, rcond=None)[0]).reshape(y.shape)
+
+
+def test_rank_deficient_basis_warns_once_per_operator():
+    # on the enumerated tree the state at step k takes k + 1 values, so the
+    # degree-4 basis has rank k + 1 < 5 for k < 4
+    filt = FiniteFiltration(4, 1, 0.1)
+    fld = constant_field(np.array([[[0.4], [0.1]], [[-0.2], [0.3]]]))
+
+    def terminal(pp):
+        return np.stack([np.sin(pp.states[:, -1, 0]), np.cos(pp.states[:, -1, 0])], axis=1)
+
+    p = exhaustive_tree_paths(filt)
+    spec = LinearBsdeSpec(fld, terminal)
+    with pytest.warns(RuntimeWarning, match=r"rank-deficient \(rank 4 < 5\)") as rec:
+        solve_by_regression(spec, p, degree=filt.steps)
+        solve_by_regression(spec, p, degree=filt.steps)
+    assert sum("rank-deficient" in str(w.message) for w in rec) == 1
+
+    op = RegressionConditional.of(p, filt.steps)
+    y = terminal(p)
+    for k in range(1, filt.steps + 1):
+        ref = _lstsq_fit(p.states[:, k], y, filt.steps)
+        assert np.abs(op.fit_predict(k, y) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    # another ensemble has its own operator, which warns once of its own
+    fresh = RegressionConditional.of(exhaustive_tree_paths(filt), filt.steps)
+    with pytest.warns(RuntimeWarning, match="rank-deficient") as rec:
+        for k in range(filt.steps + 1):
+            fresh.fit_predict(k, y)
+    assert sum("rank-deficient" in str(w.message) for w in rec) == 1
+
+
+def test_shared_operator_matches_lstsq_at_every_step(paths):
+    op = RegressionConditional.of(paths, 3)
+    xi = TERMINAL3(paths)
+    y = np.stack([xi, xi**2], axis=-1)          # trailing axes (M, 3, 2)
+    np.testing.assert_array_equal(
+        op.fit_predict(0, y), np.broadcast_to(y.mean(axis=0), y.shape))
+    for k in range(1, paths.grid.steps + 1):
+        ref = _lstsq_fit(paths.states[:, k], y, 3)
+        assert np.abs(op.fit_predict(k, y) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_shared_operator_builds_each_basis_once(monkeypatch):
+    paths = generate_brownian(TimeGrid(1.0, 8), 1, 2000, seed=7)
+    degrees = []
+
+    def counting(x, degree):
+        degrees.append(degree)
+        return poly_features(x, degree)
+
+    monkeypatch.setattr(norms, "poly_features", counting)
+    spec = LinearBsdeSpec(triangular_3d(), TERMINAL3)
+    first = solve_triangular(spec, paths)
+    built = len(degrees)
+    assert built == paths.grid.steps - 1       # steps 1..K-1; t = 0 fits the mean
+    second = solve_triangular(spec, paths)
+    solve_by_regression(spec, paths)
+    assert len(degrees) == built
+    np.testing.assert_array_equal(first.y, second.y)
+    first.norm_report()                        # the bmo fit adds step K only
+    assert len(degrees) == built + 1
+    assert RegressionConditional.of(paths, 3) is RegressionConditional.of(paths, 3)
+    RegressionConditional.of(paths, 2).fit_predict(1, first.y[:, 2])
+    assert degrees[-1] == 2 and len(degrees) == built + 2
 
 
 def test_solve_auto_dispatch(paths):
