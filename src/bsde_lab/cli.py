@@ -26,7 +26,8 @@ from .counterexamples import (EmerySpec, NonexistenceSpec, emery_closed_form,
                               emery_defect_at_horizon, exit_time_exponential,
                               nonexistence_blowup)
 from .exponential import (estimate_reverse_holder, martingale_defect,
-                          simulate_exponential, terminal_moment_truncation_curve)
+                          simulate_exponential, terminal_moment_truncation_curve,
+                          truncation_curve)
 from .grids import ConfigurationError, TimeGrid
 from .instances import (LINEAR_FIELDS, QUADRATIC_DRIVERS, REGISTRY, describe,
                         linear_terminal, quadratic_terminal)
@@ -417,15 +418,12 @@ def run_counterexample(cfg: dict, out: Path, threads: int = 1) -> int:
         defect = martingale_defect(expo)
         horizon = emery_defect_at_horizon(cfg["M"], cfg["effective_horizon"],
                                           seed=cfg["seed"] + 1)
-        vals = horizon["terminal_opnorm_samples"]
-        levels = np.geomspace(1.0, float(vals.max()), 13)
-        curve = np.array([np.mean(np.minimum(vals, lv)) for lv in levels])
-        tail_gain = float((curve[-1] - curve[-2]) / max(curve[-2], 1e-300))
+        curve = truncation_curve(horizon["terminal_opnorm_samples"])
         results = {
             "diag_defect_at_horizon": horizon["diag_defect"],
             "significance_vs_half": horizon["significance_vs_half"],
             "survivors_at_horizon": horizon["survivors"],
-            "moment_divergence_flag": bool(tail_gain > 0.01),
+            "moment_divergence_flag": curve["diverging"],
         }
         tables = {
             "defect_profile": ("t,defect,std_error,diag_defect,diag_std_error",
@@ -433,7 +431,7 @@ def run_counterexample(cfg: dict, out: Path, threads: int = 1) -> int:
                                                 defect.std_error, defect.diagonal_defect,
                                                 defect.diagonal_std_error])),
             "truncation_curve": ("level,truncated_mean",
-                                 np.column_stack([levels, curve])),
+                                 np.column_stack([curve["levels"], curve["curve"]])),
         }
     else:
         spec = NonexistenceSpec()

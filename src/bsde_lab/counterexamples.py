@@ -18,11 +18,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .brownian import PathEnsemble, substream
-from .exponential import ExponentialEnsemble
+from .exponential import ExponentialEnsemble, truncation_curve
 from .fields import StoppedRotationField
 from .grids import ConfigurationError
 
-HEAVY_TAIL_LEVEL = np.pi / 3  # beyond this exit level, exp(sigma/2) has no useful variance
+# Exit level above which an exit-time estimate carries `heavy_tail_warning`.
+# Var exp(sigma_b/2) = 1/cos(b sqrt 2) - 1/cos(b)^2 is finite only for
+# b < pi / (2 sqrt 2) ~ 1.11, and the estimated standard error is unreliable
+# from pi/4 on; pi/3 sits between the two.  The flag is part of summary.json.
+HEAVY_TAIL_LEVEL = np.pi / 3
 
 
 @dataclass(frozen=True)
@@ -87,34 +91,18 @@ def emery_defect_at_horizon(paths: int, horizon: float = 48.0, dt: float = 0.01,
     failure: the true per-time expectation stays 1, carried by survivors of
     vanishing probability, while the stopped terminal has expectation 0.
     """
-    rng = substream(seed, 23)
-    sqdt = np.sqrt(dt)
     max_steps = int(np.ceil(horizon / dt))
-    w = np.zeros(paths)
-    exit_steps = np.full(paths, max_steps, dtype=float)
-    alive_idx = np.arange(paths)
-    step = 0
-    while alive_idx.size and step < max_steps:
-        n_now = min(chunk, max_steps - step)
-        z = rng.standard_normal((alive_idx.size, n_now)) * sqdt
-        w_path = w[alive_idx, None] + np.cumsum(z, axis=1)
-        crossed = np.abs(w_path) >= level
-        any_cross = crossed.any(axis=1)
-        newly = np.nonzero(any_cross)[0]
-        exit_steps[alive_idx[newly]] = step + crossed[newly].argmax(axis=1) + 1
-        keep = ~any_cross
-        w[alive_idx[keep]] = w_path[keep, -1]
-        alive_idx = alive_idx[keep]
-        step += n_now
+    exit_steps, alive, w = _exit_walk(substream(seed, 23), paths, level, dt, max_steps,
+                                      chunk, bridge=False)
     contrib = np.zeros(paths)
-    contrib[alive_idx] = np.exp(horizon / 2.0) * np.cos(w[alive_idx])
+    contrib[alive] = np.exp(horizon / 2.0) * np.cos(w)
     mean = float(contrib.mean())
     se = float(contrib.std(ddof=1) / np.sqrt(paths))
     defect = abs(1.0 - mean)
     return {
         "diag_defect": defect,
         "std_error": se,
-        "survivors": int(alive_idx.size),
+        "survivors": int(alive.size),
         "significance_vs_half": float("inf") if se == 0 else (defect - 0.5) / se,
         "horizon": horizon,
         # |S_{tau ^ horizon}| = exp((tau ^ horizon)/2): rotation times scalar
@@ -147,16 +135,111 @@ def _default_horizon(b: float) -> float:
     return float(min(18.0 / rate, 2000.0))
 
 
+# Paths per block of the exit walk.  A block's normals and their time-major
+# copy, _WALK_BLOCK x chunk doubles each (1 MB apiece at chunk 64), stay in
+# cache while the block is summed and screened.
+_WALK_BLOCK = 2048
+
+
+def _exit_walk(rng: np.random.Generator, paths: int, b: float, dt: float,
+               max_steps: int, chunk: int, bridge: bool):
+    """Random walks W on the grid dt, run until |W| reaches b or max_steps.
+
+    Returns (exit_steps, alive, w): the exit step of every path as a float
+    array (max_steps for a path still alive at the end), the indices of
+    those survivors in increasing order, and their final W.
+
+    With `bridge` on, a Brownian bridge crossing test per step removes the
+    O(sqrt(dt)) discrete-monitoring bias: an increment that stays inside
+    (-b, b) at both ends still crosses with probability
+    exp(-2 (b - w0)(b - w1) / dt) + exp(-2 (b + w0)(b + w1) / dt).
+
+    Draw order, which fixes every output bit: each chunk of at most `chunk`
+    steps draws alive x steps normals, row-major over the alive paths in
+    increasing index order; with `bridge` on it then draws one uniform per
+    uncrossed increment within 5 sqrt(dt) of a barrier, row-major as well.
+    """
+    sqdt = np.sqrt(dt)
+    # The bridge test only matters within ~5 sqrt(dt) of a barrier: beyond
+    # that the crossing probability is below exp(-50).
+    band = 5.0 * sqdt if bridge else 0.0
+    exit_steps = np.full(paths, max_steps, dtype=float)
+    alive = np.arange(paths)
+    w = np.zeros(paths)
+    normals = np.empty(min(paths, _WALK_BLOCK) * min(chunk, max_steps))
+    columns = np.empty_like(normals)
+    step = 0
+    while alive.size and step < max_steps:
+        n_now = min(chunk, max_steps - step)
+        w_end = np.empty(alive.size)
+        rows, near_paths = [], []
+        for start in range(0, alive.size, _WALK_BLOCK):
+            w_blk = w[start:start + _WALK_BLOCK]
+            z = normals[:w_blk.size * n_now].reshape(w_blk.size, n_now)
+            rng.standard_normal(out=z)
+            if w_blk.size >= n_now:
+                # Time-major copy: the running sum is then n_now vectorised
+                # row additions instead of one short accumulate per path.
+                walk = columns[:z.size].reshape(n_now, w_blk.size)
+                np.copyto(walk, z.T)
+                walk *= sqdt
+                for j in range(1, n_now):
+                    np.add(walk[j - 1], walk[j], out=walk[j])
+            else:
+                z *= sqdt
+                walk = np.cumsum(z, axis=1, out=z).T
+            # W = w + running sum.  Rounding is monotone, so the extremes of
+            # W are w + the extremes of the running sum, bit for bit, and W
+            # itself is formed only where it is needed.
+            w_end[start:start + w_blk.size] = walk[-1] + w_blk
+            hi = np.maximum(walk.max(axis=0) + w_blk, w_blk)
+            lo = np.minimum(walk.min(axis=0) + w_blk, w_blk)
+            # Only a path that comes within `band` of a barrier, its start
+            # included, can cross or need the bridge test (about 1% of paths
+            # per chunk at b = pi/3); the tests below run on those alone.
+            near_rows = np.flatnonzero((hi >= b - band) | (lo <= band - b))
+            rows.append(near_rows + start)
+            near_paths.append(walk[:, near_rows].T + w_blk[near_rows, None])
+        rows = np.concatenate(rows)
+        keep = np.ones(alive.size, dtype=bool)
+        if rows.size:
+            near_path = np.concatenate(near_paths)
+            crossed = np.abs(near_path) >= b
+            if bridge:
+                prev = np.concatenate([w[rows, None], near_path[:, :-1]], axis=1)
+                near = ((np.maximum(prev, near_path) > b - band)
+                        | (np.minimum(prev, near_path) < band - b)) & ~crossed
+                sel = np.nonzero(near)
+                if sel[0].size:
+                    wp, wn = prev[sel], near_path[sel]
+                    p_up = np.exp(-2.0 * np.maximum(b - wp, 0) * np.maximum(b - wn, 0) / dt)
+                    p_dn = np.exp(-2.0 * np.maximum(b + wp, 0) * np.maximum(b + wn, 0) / dt)
+                    u = rng.random(sel[0].size)
+                    crossed[sel] |= u < p_up + p_dn
+            hit = crossed.any(axis=1)
+            exit_steps[alive[rows[hit]]] = step + crossed[hit].argmax(axis=1) + 1
+            keep[rows[hit]] = False
+        w = w_end[keep]
+        alive = alive[keep]
+        step += n_now
+    return exit_steps, alive, w
+
+
 def exit_time_exponential(b: float, paths: int, dt: float, seed: int = 0,
                           horizon: float | None = None, bridge: bool = True,
                           chunk: int = 64) -> ExitTimeResult:
     """Monte Carlo estimate of E[exp(sigma_b / 2)], sigma_b = exit of |W| from b.
 
-    The walk is monitored at resolution dt; with `bridge` on, a Brownian
-    bridge crossing test per step removes the O(sqrt(dt)) discrete-monitoring
-    bias.  Paths alive at the horizon contribute the floor exp(horizon/2) and
-    are counted in `truncated_paths`.  For b > pi/3 the exponential has heavy
-    tails and the single number comes with a warning plus truncation curves.
+    The walk is monitored at resolution dt, with the Brownian bridge
+    correction when `bridge` is on; `_exit_walk` gives the draw order that
+    fixes every output bit.  Paths alive at the horizon contribute the floor
+    exp(horizon/2) and are counted in `truncated_paths`.
+
+    The estimator has finite variance only for b < pi / (2 sqrt 2) ~ 1.11,
+    since E[exp(sigma_b)] = 1/cos(b sqrt 2), and its standard error is
+    itself unreliable from b >= pi/4 on (E[exp(2 sigma_b)] = 1/cos(2b) is
+    infinite there).  Above HEAVY_TAIL_LEVEL the result carries
+    `heavy_tail_warning`; every result carries a truncation curve.
     """
     if not 0 < b < np.pi / 2:
         raise ConfigurationError("exit level must lie in (0, pi/2); "
@@ -164,54 +247,15 @@ def exit_time_exponential(b: float, paths: int, dt: float, seed: int = 0,
     if horizon is None:
         horizon = _default_horizon(b)
     max_steps = int(np.ceil(horizon / dt))
-    sqdt = np.sqrt(dt)
-    rng = substream(seed, 11)
-
-    exit_steps = np.empty(paths)        # sigma / dt, fractional after bridge hits
-    alive_idx = np.arange(paths)
-    w = np.zeros(paths)
-    step = 0
-    # The bridge crossing test only matters within ~5 sqrt(dt) of a barrier:
-    # beyond that the crossing probability is below exp(-50).  Restricting the
-    # exp evaluations and uniform draws to that band keeps the cost near the
-    # raw cost of the normal increments.
-    band = 5.0 * sqdt
-    while alive_idx.size and step < max_steps:
-        n_now = min(chunk, max_steps - step)
-        z = rng.standard_normal((alive_idx.size, n_now)) * sqdt
-        w_path = w[alive_idx, None] + np.cumsum(z, axis=1)
-        crossed = np.abs(w_path) >= b
-        if bridge:
-            w_prev = np.concatenate([w[alive_idx, None], w_path[:, :-1]], axis=1)
-            near = ((np.maximum(w_prev, w_path) > b - band)
-                    | (np.minimum(w_prev, w_path) < band - b)) & ~crossed
-            sel = np.nonzero(near)
-            if sel[0].size:
-                wp, wn = w_prev[sel], w_path[sel]
-                p_up = np.exp(-2.0 * np.maximum(b - wp, 0) * np.maximum(b - wn, 0) / dt)
-                p_dn = np.exp(-2.0 * np.maximum(b + wp, 0) * np.maximum(b + wn, 0) / dt)
-                u = rng.random(sel[0].size)
-                crossed[sel] |= u < p_up + p_dn
-        any_cross = crossed.any(axis=1)
-        first = crossed.argmax(axis=1)
-        newly = np.nonzero(any_cross)[0]
-        exit_steps[alive_idx[newly]] = step + first[newly] + 1
-        keep = ~any_cross
-        w[alive_idx[keep]] = w_path[keep, -1]
-        alive_idx = alive_idx[keep]
-        step += n_now
-
-    truncated = alive_idx.size
-    exit_steps[alive_idx] = max_steps
-    sigma = exit_steps * dt
-    vals = np.exp(sigma / 2.0)
+    exit_steps, alive, _ = _exit_walk(substream(seed, 11), paths, b, dt, max_steps,
+                                      chunk, bridge)
+    vals = np.exp(exit_steps * dt / 2.0)
     estimate = float(vals.mean())
     se = float(vals.std(ddof=1) / np.sqrt(paths))
     heavy = bool(b > HEAVY_TAIL_LEVEL)
-    levels = np.geomspace(1.0, vals.max(), 9)
-    curve = np.array([np.mean(np.minimum(vals, lv)) for lv in levels])
-    return ExitTimeResult(b, estimate, se, paths, dt, truncated, horizon, heavy,
-                          levels, curve)
+    trunc = truncation_curve(vals, count=9)
+    return ExitTimeResult(b, estimate, se, paths, dt, alive.size, horizon, heavy,
+                          trunc["levels"], trunc["curve"])
 
 
 def default_level_sequence(count: int, c: float = 0.9) -> np.ndarray:

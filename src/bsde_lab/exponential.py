@@ -304,17 +304,15 @@ def doob_sup_check(expo: ExponentialEnsemble, p: float, degree: int = 3,
     }
 
 
-def terminal_moment_truncation_curve(expo: ExponentialEnsemble, p: float = 1.0,
-                                     levels=None) -> dict:
-    """Truncation curve E[min(|S_T|^p, L)] for increasing L.
+def truncation_curve(vals: np.ndarray, levels=None, count: int = 13) -> dict:
+    """Truncated means E[min(vals, L)] over the levels L.
 
-    When the underlying moment is infinite (the rotation counterexample at
-    p = 1) the curve keeps climbing; `diverging` flags a tail slope that has
-    not flattened between the last two levels.
+    The default levels are `count` geometric steps from 1 to max(vals).
+    `diverging` flags a tail slope that has not flattened between the last
+    two levels, the sign of an infinite underlying moment.
     """
-    vals = operator_norm(expo.s[~expo.bad_paths][:, -1]) ** p
     if levels is None:
-        levels = np.geomspace(1.0, max(float(vals.max()), 2.0), 13)
+        levels = np.geomspace(1.0, float(vals.max()), count)
     levels = np.asarray(levels, dtype=float)
     curve = np.array([np.mean(np.minimum(vals, lv)) for lv in levels])
     tail_gain = (curve[-1] - curve[-2]) / max(curve[-2], 1e-300)
@@ -324,3 +322,16 @@ def terminal_moment_truncation_curve(expo: ExponentialEnsemble, p: float = 1.0,
         "diverging": bool(tail_gain > 0.01),
         "tail_gain": float(tail_gain),
     }
+
+
+def terminal_moment_truncation_curve(expo: ExponentialEnsemble, p: float = 1.0,
+                                     levels=None) -> dict:
+    """Truncation curve E[min(|S_T|^p, L)] for increasing L.
+
+    When the underlying moment is infinite (the rotation counterexample at
+    p = 1) the curve keeps climbing and `diverging` is set.
+    """
+    vals = operator_norm(expo.s[~expo.bad_paths][:, -1]) ** p
+    if levels is None:
+        levels = np.geomspace(1.0, max(float(vals.max()), 2.0), 13)
+    return truncation_curve(vals, levels)

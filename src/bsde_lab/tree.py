@@ -151,21 +151,27 @@ def discrete_linear_bsde_solve(filt: FiniteFiltration, xi_leaf: np.ndarray,
     for every d they reproduce the representation formula exactly.
 
     Returns (Y levels 0..K, Z levels 0..K-1) with Y[k]: (2^{dk}, n) and
-    Z[k]: (2^{dk}, n, d).
+    Z[k]: (2^{dk}, n, d).  A terminal of shape (..., leaves, n) solves a
+    batch of terminals at once, each as it would be solved alone.
     """
     xi = np.asarray(xi_leaf, dtype=float)
     if xi.ndim == 1:
         xi = xi[:, None]
-    n = xi.shape[1]
+    lead, n = xi.shape[:-2], xi.shape[-1]
     inc = filt.child_increments
     y_levels = [None] * (filt.steps + 1)
     z_levels = [None] * filt.steps
     y_levels[filt.steps] = xi
     for k in range(filt.steps - 1, -1, -1):
-        y_next = y_levels[k + 1].reshape(filt.nodes_at(k), filt.branching, n)
-        ey = y_next.mean(axis=1)
-        z = np.einsum("mcj,ce->mje", y_next, inc) / (filt.branching * filt.dt)
-        drift = np.zeros((filt.nodes_at(k), n))
+        nodes = lead + (filt.nodes_at(k),)
+        y_next = y_levels[k + 1].reshape(nodes + (filt.branching, n))
+        ey = y_next.mean(axis=-2)
+        # A batch folds into the node axis, so each contraction sums in the
+        # order of a single solve, bit for bit.
+        z = np.einsum("mcj,ce->mje", y_next.reshape(-1, filt.branching, n),
+                      inc) / (filt.branching * filt.dt)
+        z = z.reshape(nodes + (n, filt.d))
+        drift = np.zeros(nodes + (n,))
         if a_nodes is not None:
             drift += contract_az(np.asarray(a_nodes[k], dtype=float), z)
         if beta_nodes is not None:
@@ -332,20 +338,43 @@ def verify_duality_matrix(filt: FiniteFiltration, a_leaf: np.ndarray, level: int
 def solution_pathwise_norms(filt: FiniteFiltration, y_levels: list, z_levels: list,
                             q: float) -> tuple[float, float]:
     """Exact ||Y||_{S^q} and ||Z||_{L^{2,q}} on the tree (q = inf allowed)."""
-    paths = filt.leaf_paths()
-    leaves = filt.leaves
-    ymax = np.zeros(leaves)
-    zsum = np.zeros(leaves)
+    ynorm, znorm = _pathwise_norms(filt, y_levels, z_levels, q)
+    return float(ynorm), float(znorm)
+
+
+def _pathwise_norms(filt: FiniteFiltration, y_levels: list, z_levels: list,
+                    q: float) -> tuple[np.ndarray, np.ndarray]:
+    """||Y||_{S^q} and ||Z||_{L^{2,q}} for each index of the leading axes.
+
+    The running max of |Y| and the running sum of |Z|^2 dt along a path are
+    carried down the tree level by level, each node extending its parent's,
+    so every node is visited once; along each path the maxima and the sum
+    order are those of a leaf-by-leaf pass.
+    """
+    ymax = zsum = None
     for k in range(filt.steps + 1):
-        yk = np.asarray(y_levels[k], dtype=float)[paths[:, k]]
-        ymax = np.maximum(ymax, np.sqrt((yk * yk).sum(axis=1)))
+        y = np.asarray(y_levels[k], dtype=float)
+        size = np.sqrt((y * y).sum(axis=-1))
+        ymax = size if k == 0 else np.maximum(np.repeat(ymax, filt.branching, axis=-1), size)
         if k < filt.steps:
-            zk = np.asarray(z_levels[k], dtype=float)[paths[:, k]]
-            zsum += (zk * zk).reshape(leaves, -1).sum(axis=1) * filt.dt
+            z = np.asarray(z_levels[k], dtype=float)
+            term = (z * z).reshape(z.shape[:-2] + (-1,)).sum(axis=-1) * filt.dt
+            zsum = term if k == 0 else np.repeat(zsum, filt.branching, axis=-1) + term
+    zsum = np.repeat(zsum, filt.branching, axis=-1)
     if np.isinf(q):
-        return float(ymax.max()), float(np.sqrt(zsum).max())
-    return (float((ymax**q).mean() ** (1.0 / q)),
-            float((zsum ** (q / 2.0)).mean() ** (1.0 / q)))
+        return ymax.max(axis=-1), np.sqrt(zsum).max(axis=-1)
+    return _root((ymax**q).mean(axis=-1), q), _root((zsum ** (q / 2.0)).mean(axis=-1), q)
+
+
+def _root(means: np.ndarray, q: float) -> np.ndarray:
+    """means ** (1/q) by numpy's scalar power, one element at a time: the
+    vectorised power may differ from it in the last bit."""
+    return np.array([m ** (1.0 / q) for m in np.ravel(means)]).reshape(np.shape(means))
+
+
+# Working memory of one block of terminals in hbsde_operator_norm.  The
+# terminal solves are independent, so the results do not depend on it.
+_TERMINAL_BLOCK_BYTES = 32 << 20
 
 
 def hbsde_operator_norm(filt: FiniteFiltration, a_nodes: list, q: float,
@@ -357,31 +386,41 @@ def hbsde_operator_norm(filt: FiniteFiltration, a_nodes: list, q: float,
     optionally random terminals, and maximizes
     (||Y||_{S^q} + ||Z||_{L^{2,q}}) / ||xi||_{L^q}.  The maximum over a
     spanning family is a lower bound on the true operator norm; it is exact
-    for the family itself.
+    for the family itself.  The terminals are solved as batches, in blocks
+    of about _TERMINAL_BLOCK_BYTES of working memory.
     """
     n = a_nodes[0].shape[1]
     leaves = filt.leaves
-    best, best_tag = 0.0, None
-    terminals = []
-    for leaf in range(leaves):
-        for i in range(n):
-            xi = np.zeros((leaves, n))
-            xi[leaf, i] = 1.0
-            terminals.append((f"e{i}@leaf{leaf}", xi))
-    if rng is not None:
-        for r in range(random_terminals):
-            terminals.append((f"random{r}", rng.standard_normal((leaves, n))))
-    for tag, xi in terminals:
+    basis = leaves * n          # terminal t < basis is e_{t % n} 1_{leaf t // n}
+    randoms = ([rng.standard_normal((leaves, n)) for _ in range(random_terminals)]
+               if rng is not None else [])
+    family = basis + len(randoms)
+    # Per terminal: xi, Y and Z on every level, and the running path norms.
+    block = max(1, _TERMINAL_BLOCK_BYTES // (8 * leaves * (2 * n + n * filt.d + 4)))
+    best, best_t = 0.0, None
+    for start in range(0, family, block):
+        ts = np.arange(start, min(start + block, family))
+        xi = np.zeros((ts.size, leaves * n))
+        unit = ts < basis
+        xi[np.flatnonzero(unit), ts[unit]] = 1.0
+        for row in np.flatnonzero(~unit):
+            xi[row] = randoms[ts[row] - basis].ravel()
+        xi = xi.reshape(ts.size, leaves, n)
         y, z = discrete_linear_bsde_solve(filt, xi, None, a_nodes)
-        ynorm, znorm = solution_pathwise_norms(filt, y, z, q)
-        if np.isinf(q):
-            xinorm = float(np.sqrt((xi * xi).sum(axis=1)).max())
-        else:
-            xinorm = float((np.sqrt((xi * xi).sum(axis=1)) ** q).mean() ** (1.0 / q))
-        if xinorm == 0:
-            continue
-        ratio = (ynorm + znorm) / xinorm
-        if ratio > best:
-            best, best_tag = ratio, tag
-    return {"operator_norm": best, "attained_by": best_tag, "q": q,
-            "family_size": len(terminals)}
+        ynorm, znorm = _pathwise_norms(filt, y, z, q)
+        sizes = np.sqrt((xi * xi).sum(axis=-1))
+        xinorm = sizes.max(axis=-1) if np.isinf(q) else _root((sizes**q).mean(axis=-1), q)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = (ynorm + znorm) / xinorm
+        # The first terminal of the family that attains the maximum wins.
+        cand = np.where((xinorm != 0) & (ratio > best), ratio, -np.inf)
+        i = int(cand.argmax())
+        if cand[i] > best:
+            best, best_t = float(cand[i]), int(ts[i])
+    if best_t is None:
+        tag = None
+    elif best_t < basis:
+        tag = f"e{best_t % n}@leaf{best_t // n}"
+    else:
+        tag = f"random{best_t - basis}"
+    return {"operator_norm": best, "attained_by": tag, "q": q, "family_size": family}

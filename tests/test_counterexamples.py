@@ -139,3 +139,91 @@ def test_blowup_j1_with_pi_third_level():
 def test_emery_spec_field_roundtrip():
     fld = EmerySpec().field()
     assert fld.n == 2 and fld.d == 1 and not fld.markovian
+
+
+def _reference_walk(b, paths, dt, seed, horizon, bridge, chunk=64, substream_id=11):
+    """The chunked exit walk as first written: every chunk gathers, scans
+    and tests the whole (alive, chunk) block.  Frozen here as the
+    bit-for-bit reference for the lean walk."""
+    from bsde_lab.brownian import substream
+    max_steps = int(np.ceil(horizon / dt))
+    sqdt = np.sqrt(dt)
+    rng = substream(seed, substream_id)
+    exit_steps = np.full(paths, max_steps, dtype=float)
+    alive_idx = np.arange(paths)
+    w = np.zeros(paths)
+    step = 0
+    band = 5.0 * sqdt
+    while alive_idx.size and step < max_steps:
+        n_now = min(chunk, max_steps - step)
+        z = rng.standard_normal((alive_idx.size, n_now)) * sqdt
+        w_path = w[alive_idx, None] + np.cumsum(z, axis=1)
+        crossed = np.abs(w_path) >= b
+        if bridge:
+            w_prev = np.concatenate([w[alive_idx, None], w_path[:, :-1]], axis=1)
+            near = ((np.maximum(w_prev, w_path) > b - band)
+                    | (np.minimum(w_prev, w_path) < band - b)) & ~crossed
+            sel = np.nonzero(near)
+            if sel[0].size:
+                wp, wn = w_prev[sel], w_path[sel]
+                p_up = np.exp(-2.0 * np.maximum(b - wp, 0) * np.maximum(b - wn, 0) / dt)
+                p_dn = np.exp(-2.0 * np.maximum(b + wp, 0) * np.maximum(b + wn, 0) / dt)
+                u = rng.random(sel[0].size)
+                crossed[sel] |= u < p_up + p_dn
+        any_cross = crossed.any(axis=1)
+        first = crossed.argmax(axis=1)
+        newly = np.nonzero(any_cross)[0]
+        exit_steps[alive_idx[newly]] = step + first[newly] + 1
+        keep = ~any_cross
+        w[alive_idx[keep]] = w_path[keep, -1]
+        alive_idx = alive_idx[keep]
+        step += n_now
+    return exit_steps, alive_idx, w[alive_idx]
+
+
+@pytest.mark.parametrize("b, paths, dt, horizon, bridge", [
+    (np.pi / 3, 3000, 1e-4, None, True),    # the bench case: some chunks span two blocks
+    (np.pi / 3, 300, 1e-3, None, False),
+    (1.2, 400, 1e-3, 3.0, True),            # the horizon truncates some paths
+    (1.2, 400, 1e-3, 3.0, False),
+    (0.05, 500, 1e-4, None, True),          # every path exits in the first chunk
+    (0.05, 500, 1e-4, None, False),
+    (1.0, 1, 1e-3, None, True),
+    (1.0, 1, 1e-3, 0.05, False),
+])
+@pytest.mark.filterwarnings("ignore:Degrees of freedom:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_exit_walk_matches_frozen_reference(b, paths, dt, horizon, bridge):
+    from bsde_lab.counterexamples import _default_horizon
+    horizon = _default_horizon(b) if horizon is None else horizon
+    res = exit_time_exponential(b, paths, dt, seed=5, horizon=horizon, bridge=bridge)
+    exit_steps, alive, _ = _reference_walk(b, paths, dt, 5, horizon, bridge)
+    vals = np.exp(exit_steps * dt / 2.0)
+    se = vals.std(ddof=1) / np.sqrt(paths)
+    levels = np.geomspace(1.0, vals.max(), 9)
+    curve = np.array([np.mean(np.minimum(vals, lv)) for lv in levels])
+    assert res.estimate == vals.mean()
+    np.testing.assert_array_equal(res.std_error, se)      # NaN at paths = 1
+    assert res.truncated_paths == alive.size
+    np.testing.assert_array_equal(res.truncation_levels, levels)
+    np.testing.assert_array_equal(res.truncation_curve, curve)
+    if horizon == 3.0:
+        assert 0 < res.truncated_paths < paths
+
+
+@pytest.mark.parametrize("paths, horizon", [(2000, 48.0), (300, 2.0), (1, 0.5)])
+@pytest.mark.filterwarnings("ignore:Degrees of freedom:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_emery_walk_matches_frozen_reference(paths, horizon):
+    res = emery_defect_at_horizon(paths, horizon=horizon, seed=3)
+    exit_steps, alive, w = _reference_walk(np.pi / 2, paths, 0.01, 3, horizon,
+                                           bridge=False, chunk=256, substream_id=23)
+    contrib = np.zeros(paths)
+    contrib[alive] = np.exp(horizon / 2.0) * np.cos(w)
+    assert res["survivors"] == alive.size
+    assert res["diag_defect"] == abs(1.0 - contrib.mean())
+    np.testing.assert_array_equal(res["std_error"], contrib.std(ddof=1) / np.sqrt(paths))
+    np.testing.assert_array_equal(res["terminal_opnorm_samples"],
+                                  np.exp(np.minimum(exit_steps * 0.01, horizon) / 2.0))
+    if horizon == 2.0:
+        assert 0 < res["survivors"] < paths

@@ -270,3 +270,79 @@ def test_golden_tree_dump():
     blob = filt.to_json({"S": list(s)})
     golden = (Path(__file__).parent / "data" / "tree_golden.json").read_text()
     assert blob == golden
+
+
+def _operator_norm_by_loop(filt, a_nodes, q, rng, random_terminals):
+    """hbsde_operator_norm as one backward solve and one pathwise-norm pass
+    per terminal, keeping the first maximum."""
+    n = a_nodes[0].shape[1]
+    terminals = []
+    for leaf in range(filt.leaves):
+        for i in range(n):
+            xi = np.zeros((filt.leaves, n))
+            xi[leaf, i] = 1.0
+            terminals.append((f"e{i}@leaf{leaf}", xi))
+    if rng is not None:
+        for r in range(random_terminals):
+            terminals.append((f"random{r}", rng.standard_normal((filt.leaves, n))))
+    best, best_tag = 0.0, None
+    for tag, xi in terminals:
+        y, z = discrete_linear_bsde_solve(filt, xi, None, a_nodes)
+        ynorm, znorm = solution_pathwise_norms(filt, y, z, q)
+        size = np.sqrt((xi * xi).sum(axis=1))
+        xinorm = float(size.max() if np.isinf(q) else (size**q).mean() ** (1.0 / q))
+        ratio = (ynorm + znorm) / xinorm
+        if ratio > best:
+            best, best_tag = ratio, tag
+    return {"operator_norm": best, "attained_by": best_tag, "q": q,
+            "family_size": len(terminals)}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_batched_operator_norm_matches_per_terminal_loop(d, n, monkeypatch):
+    import bsde_lab.tree as tree
+    rng = np.random.default_rng(10 * d + n)
+    filt = FiniteFiltration(4 if d == 1 else 2, d, 0.2)
+    rotation = np.zeros((n, n, d))
+    if n > 1:
+        rotation[0, 1], rotation[1, 0] = 1.0, -1.0
+    fields = {   # the rotation field makes many terminals tie for the maximum
+        "random": [rng.normal(scale=0.5, size=(filt.nodes_at(k), n, n, d))
+                   for k in range(filt.steps)],
+        "rotation": [np.broadcast_to(rotation, (filt.nodes_at(k), n, n, d)).copy()
+                     for k in range(filt.steps)],
+    }
+    for a_nodes in fields.values():
+        for q in (2.0, np.inf):
+            for seed, randoms in ((None, 0), (None, 8), (7, 0), (7, 8)):
+                make = lambda: None if seed is None else np.random.default_rng(seed)
+                want = _operator_norm_by_loop(filt, a_nodes, q, make(), randoms)
+                # one block; blocks of a few terminals; one terminal per block
+                for budget in (tree._TERMINAL_BLOCK_BYTES, 20_000, 3000):
+                    monkeypatch.setattr(tree, "_TERMINAL_BLOCK_BYTES", budget)
+                    got = hbsde_operator_norm(filt, a_nodes, q, rng=make(),
+                                              random_terminals=randoms)
+                    assert got == want
+
+
+def test_pathwise_norms_match_leaf_by_leaf():
+    rng = np.random.default_rng(43)
+    for _ in range(10):
+        filt, a_nodes, beta, xi = random_instance(rng)
+        y, z = discrete_linear_bsde_solve(filt, xi, beta, a_nodes)
+        paths = filt.leaf_paths()
+        ymax = np.zeros(filt.leaves)
+        zsum = np.zeros(filt.leaves)
+        for k in range(filt.steps + 1):
+            yk = y[k][paths[:, k]]
+            ymax = np.maximum(ymax, np.sqrt((yk * yk).sum(axis=1)))
+            if k < filt.steps:
+                zk = z[k][paths[:, k]]
+                zsum += (zk * zk).reshape(filt.leaves, -1).sum(axis=1) * filt.dt
+        assert solution_pathwise_norms(filt, y, z, np.inf) == (
+            float(ymax.max()), float(np.sqrt(zsum).max()))
+        for q in (1.5, 2.0, 3.0):
+            assert solution_pathwise_norms(filt, y, z, q) == (
+                float((ymax**q).mean() ** (1.0 / q)),
+                float((zsum ** (q / 2.0)).mean() ** (1.0 / q)))
