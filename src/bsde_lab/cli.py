@@ -77,7 +77,7 @@ CONFIG_SCHEMAS = {
                    "enum": ["auto", "regression", "representation",
                             "lower_triangular", "right_outer", "left_outer"]},
         "degree": {"type": "integer", "minimum": 1},
-        "q": {"type": ["number", "string"]},
+        "q": {"anyOf": [{"type": "number", "minimum": 1}, {"const": "inf"}]},
         "perturbation": {
             "type": "object",
             "properties": {"scale": {"type": "number"},
@@ -321,6 +321,17 @@ def run_reverse_holder(cfg: dict, out: Path, threads: int = 1) -> int:
     return 0
 
 
+def _q_value(q) -> float:
+    """The norm exponent: a number >= 1 or "inf" (the --q flag gives text)."""
+    try:
+        value = float(q)
+    except (TypeError, ValueError):
+        value = np.nan
+    if not value >= 1.0:
+        raise ConfigurationError(f"q must be a number >= 1 or 'inf', got {q!r}")
+    return value
+
+
 def run_linear(cfg: dict, out: Path, threads: int = 1) -> int:
     fld = LINEAR_FIELDS[cfg["instance"]]()
     grid = TimeGrid(cfg["T"], cfg["K"])
@@ -338,7 +349,7 @@ def run_linear(cfg: dict, out: Path, threads: int = 1) -> int:
     spec = LinearBsdeSpec(fld, linear_terminal(cfg["instance"]),
                           alpha=alpha, delta_field=delta)
     sol = solve_auto(spec, paths, degree=cfg["degree"], method=cfg["method"])
-    q = np.inf if cfg["q"] == "inf" else float(cfg["q"])
+    q = _q_value(cfg["q"])
     norms = sol.norm_report(q)
     results = {
         "solver": sol.solver,
@@ -634,6 +645,7 @@ def main(argv=None) -> int:
             if args.method:
                 cfg["method"] = args.method
             if args.q:
+                _q_value(args.q)
                 cfg["q"] = args.q
             if args.perturbation and "perturbation" not in cfg:
                 cfg["perturbation"] = {"scale": 0.05, "alpha": 0.1}

@@ -53,8 +53,8 @@ def emery_closed_form(paths: PathEnsemble, level: float = np.pi / 2) -> Exponent
     if paths.d != 1:
         raise ConfigurationError("the rotation example lives on a 1-d Brownian motion")
     b = paths.states[:, :, 0]
-    hit = np.abs(b) >= level
-    stopped = np.maximum.accumulate(hit, axis=1)
+    stopped = np.abs(b) >= level
+    np.maximum.accumulate(stopped, axis=1, out=stopped)
     # state frozen at the (clamped) exit value once stopped
     m = paths.paths
     k1 = paths.grid.steps + 1
@@ -62,16 +62,23 @@ def emery_closed_form(paths: PathEnsemble, level: float = np.pi / 2) -> Exponent
     rows = np.arange(m)
     exit_sign = np.sign(b[rows, first])
     angle = np.where(stopped, (exit_sign * level)[:, None], b)
-    tau_t = np.where(stopped, paths.grid.nodes[first][:, None],
-                     paths.grid.nodes[None, :])
-    scale = np.exp(tau_t / 2.0)
-    c, s_ = np.cos(angle), np.sin(angle)
+    scale = np.where(stopped, paths.grid.nodes[first][:, None],
+                     paths.grid.nodes[None, :])          # tau ^ t
+    scale /= 2.0
+    np.exp(scale, out=scale)
+    # S is filled in place, one (M, K+1) buffer per factor: cos, then sin
+    # over the angle buffer; -scale sin is exactly -(scale sin)
     s = np.empty((m, k1, 2, 2))
-    s[..., 0, 0] = scale * c
-    s[..., 0, 1] = scale * s_
-    s[..., 1, 0] = -scale * s_
-    s[..., 1, 1] = scale * c
-    s_inv = np.swapaxes(s, -1, -2) / (scale**2)[..., None, None]
+    c = np.cos(angle)
+    np.multiply(scale, c, out=s[..., 0, 0])
+    s[..., 1, 1] = s[..., 0, 0]
+    del c
+    np.sin(angle, out=angle)
+    np.multiply(scale, angle, out=s[..., 0, 1])
+    np.negative(s[..., 0, 1], out=s[..., 1, 0])
+    del angle
+    np.square(scale, out=scale)
+    s_inv = np.swapaxes(s, -1, -2) / scale[..., None, None]
     expo = ExponentialEnsemble(StoppedRotationField(level), paths, s, s_inv,
                                scheme="closed_form")
     expo.bad_paths = ~stopped[:, -1]  # never exited: truncation bias contributors

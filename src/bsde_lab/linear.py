@@ -130,14 +130,38 @@ def _martingale_residuals(paths: PathEnsemble, y: np.ndarray, z: np.ndarray,
     return {"moment_residual": float(mean_r), "moment_db_residual": float(mean_rdb)}
 
 
-def solve_by_regression(spec: LinearBsdeSpec, paths: PathEnsemble,
-                        degree: int = 3) -> SolutionEnsemble:
-    """Backward least-squares induction on the discretized equation.
+def _finish(spec: LinearBsdeSpec, paths: PathEnsemble, solver: str, y: np.ndarray,
+            z: np.ndarray, beta: np.ndarray | None, extras: dict) -> SolutionEnsemble:
+    """Drift A Z + beta, moment residuals and terminal mismatch of a solve.
 
-    Z_k = fitted E_k[(Y_{k+1} - E_k[Y_{k+1}]) dB_k]/dt (centered target for
-    variance), Y_k = fitted E_k[Y_{k+1}] + (A_k Z_k + beta_k) dt; terminal
-    condition exact by construction.
+    Every solver is a core, which returns (y, z, beta, extras), followed by
+    this step; the Picard loop of `solve_perturbed` runs the core once per
+    pass and this step once.  Keys of `extras` that it reads: "drift" (a
+    drift the core already formed), "a_vals" (field values the core already
+    holds, one array per step), "terminal_mismatch" (0 if absent) and
+    "scalar_v" (the scalar V = b^T Z of the right-outer reduction, checked
+    on the solution as "outer_identity_residual").  Every other key is a
+    diagnostic of its own.
     """
+    extras = dict(extras)
+    drift = extras.pop("drift", None)
+    a_vals = extras.pop("a_vals", None)
+    if drift is None:
+        if a_vals is None:
+            a_vals = (spec.field.values(paths, k) for k in range(paths.grid.steps))
+        drift = np.stack([contract_az(a_k, z[:, k]) for k, a_k in enumerate(a_vals)], axis=1)
+        if beta is not None:
+            drift += beta
+    diags = _martingale_residuals(paths, y, z, drift)
+    diags["terminal_mismatch"] = extras.pop("terminal_mismatch", 0.0)
+    if "scalar_v" in extras:
+        diags["outer_identity_residual"] = float(np.abs(
+            np.einsum("j,mkjd->mkd", spec.field.b, z) - extras["scalar_v"]).mean())
+    diags.update(extras)
+    return SolutionEnsemble(spec, paths, y, z, solver, diags)
+
+
+def _regression_core(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int) -> tuple:
     m, ksteps, n, d = paths.paths, paths.grid.steps, spec.n, paths.d
     dt = paths.grid.dt
     beta = _beta_array(spec, paths)
@@ -154,14 +178,22 @@ def solve_by_regression(spec: LinearBsdeSpec, paths: PathEnsemble,
         if beta is not None:
             drift[:, k] += beta[:, k]
         y[:, k] = ey + drift[:, k] * dt[k]
-    diags = _martingale_residuals(paths, y, z, drift)
-    diags["terminal_mismatch"] = 0.0
-    return SolutionEnsemble(spec, paths, y, z, "regression", diags)
+    return y, z, beta, {"drift": drift}
 
 
-def _representation_from_expo(spec: LinearBsdeSpec, expo: ExponentialEnsemble,
-                              degree: int = 3) -> SolutionEnsemble:
-    """Shared representation pipeline given simulated (S, S^{-1})."""
+def solve_by_regression(spec: LinearBsdeSpec, paths: PathEnsemble,
+                        degree: int = 3) -> SolutionEnsemble:
+    """Backward least-squares induction on the discretized equation.
+
+    Z_k = fitted E_k[(Y_{k+1} - E_k[Y_{k+1}]) dB_k]/dt (centered target for
+    variance), Y_k = fitted E_k[Y_{k+1}] + (A_k Z_k + beta_k) dt; terminal
+    condition exact by construction.
+    """
+    return _finish(spec, paths, "regression", *_regression_core(spec, paths, degree))
+
+
+def _expo_core(spec: LinearBsdeSpec, expo: ExponentialEnsemble, degree: int) -> tuple:
+    """Representation core given simulated (S, S^{-1})."""
     paths = expo.paths
     m, ksteps, n, d = paths.paths, paths.grid.steps, spec.n, paths.d
     if expo.s_inv is None:
@@ -193,13 +225,23 @@ def _representation_from_expo(spec: LinearBsdeSpec, expo: ExponentialEnsemble,
         xn = np.einsum("mij,mj->mi", expo.s_inv[:, k], n_fit[:, k])      # Y + int beta
         z[:, k] = (np.einsum("mij,mjd->mid", expo.s_inv[:, k], z_tilde)
                    - np.einsum("mijd,mj->mid", a_k, xn))
-    drift = np.stack([contract_az(spec.field.values(paths, k), z[:, k])
-                      for k in range(ksteps)], axis=1)
-    if beta is not None:
-        drift += beta
-    diags = _martingale_residuals(paths, y, z, drift)
-    diags["terminal_mismatch"] = terminal_mismatch
-    return SolutionEnsemble(spec, paths, y, z, "representation", diags)
+    return y, z, beta, {"terminal_mismatch": terminal_mismatch}
+
+
+def _representation_core(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int,
+                         expo: ExponentialEnsemble | None = None,
+                         defect_tol: float = 0.1, force: bool = False) -> tuple:
+    if expo is None:
+        expo = simulate_exponential(spec.field, paths, inverse=True)
+    report = martingale_defect(expo)
+    worst = float(report.group_defect.max())
+    if worst > defect_tol and not force:
+        raise RepresentationInvalidError(
+            f"representation invalid: S not a martingale at tolerance "
+            f"(median group defect {worst:.4f} > {defect_tol})")
+    y, z, beta, extras = _expo_core(spec, expo, degree)
+    extras["martingale_defect"] = worst
+    return y, z, beta, extras
 
 
 def solve_by_representation(spec: LinearBsdeSpec, paths: PathEnsemble,
@@ -212,17 +254,8 @@ def solve_by_representation(spec: LinearBsdeSpec, paths: PathEnsemble,
     martingale defect beyond `defect_tol` (the formula then solves the wrong
     equation); pass force=True to bypass for diagnostics.
     """
-    if expo is None:
-        expo = simulate_exponential(spec.field, paths, inverse=True)
-    report = martingale_defect(expo)
-    worst = float(report.group_defect.max())
-    if worst > defect_tol and not force:
-        raise RepresentationInvalidError(
-            f"representation invalid: S not a martingale at tolerance "
-            f"(median group defect {worst:.4f} > {defect_tol})")
-    sol = _representation_from_expo(spec, expo, degree)
-    sol.diagnostics["martingale_defect"] = worst
-    return sol
+    return _finish(spec, paths, "representation",
+                   *_representation_core(spec, paths, degree, expo, defect_tol, force))
 
 
 def _scalar_weighted_solve(paths: PathEnsemble, coeff: np.ndarray, xi: np.ndarray,
@@ -265,13 +298,7 @@ def _scalar_weighted_solve(paths: PathEnsemble, coeff: np.ndarray, xi: np.ndarra
     return u, v
 
 
-def solve_triangular(spec: LinearBsdeSpec, paths: PathEnsemble,
-                     degree: int = 3) -> SolutionEnsemble:
-    """Sequential scalar reduction for lower-triangular fields.
-
-    Row i sees sum_{j<i} A^i_j . Z^j as a known inhomogeneity, so each
-    component is a scalar equation solved by exponential weights.
-    """
+def _triangular_core(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int) -> tuple:
     if spec.field.structure != "lower_triangular":
         raise ConfigurationError(
             f"triangular solver needs a lower_triangular field, got "
@@ -297,22 +324,20 @@ def solve_triangular(spec: LinearBsdeSpec, paths: PathEnsemble,
         u, v = _scalar_weighted_solve(paths, coeff, xi[:, i], known, degree)
         y[:, :, i] = u
         z[:, :, i, :] = v
-    drift = np.stack([contract_az(a_vals[k], z[:, k]) for k in range(ksteps)], axis=1)
-    if beta is not None:
-        drift += beta
-    diags = _martingale_residuals(paths, y, z, drift)
-    diags["terminal_mismatch"] = 0.0
-    return SolutionEnsemble(spec, paths, y, z, "triangular", diags)
+    return y, z, beta, {"a_vals": a_vals}
 
 
-def solve_right_outer(spec: LinearBsdeSpec, paths: PathEnsemble,
-                      degree: int = 3) -> SolutionEnsemble:
-    """Reduction for A = a-field b^T: scalar solve for (U, V) = (b^T Y, b^T Z),
-    then the lifted driverless equation with known drift a V.
+def solve_triangular(spec: LinearBsdeSpec, paths: PathEnsemble,
+                     degree: int = 3) -> SolutionEnsemble:
+    """Sequential scalar reduction for lower-triangular fields.
 
-    The identity V = b^T Z is re-checked on the produced solution and
-    reported in diagnostics["outer_identity_residual"].
+    Row i sees sum_{j<i} A^i_j . Z^j as a known inhomogeneity, so each
+    component is a scalar equation solved by exponential weights.
     """
+    return _finish(spec, paths, "triangular", *_triangular_core(spec, paths, degree))
+
+
+def _right_outer_core(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int) -> tuple:
     fld = spec.field
     if not isinstance(fld, RightOuterField) or fld.structure != "right_outer":
         raise ConfigurationError("right-outer solver needs a RightOuterField")
@@ -345,16 +370,18 @@ def solve_right_outer(spec: LinearBsdeSpec, paths: PathEnsemble,
     for k in range(ksteps):
         z[:, k] = _increment_regression(reg, paths, n_fit[:, k + 1], k,
                                         base_values=n_fit[:, k])
-    identity_resid = float(np.abs(np.einsum("j,mkjd->mkd", b, z) - v).mean())
-    drift = np.stack([contract_az(fld.values(paths, k), z[:, k])
-                      for k in range(ksteps)], axis=1)
-    if beta is not None:
-        drift += beta
-    diags = _martingale_residuals(paths, y, z, drift)
-    diags["terminal_mismatch"] = 0.0
-    diags["outer_identity_residual"] = identity_resid
-    diags["scalar_v"] = v
-    return SolutionEnsemble(spec, paths, y, z, "right_outer", diags)
+    return y, z, beta, {"scalar_v": v}
+
+
+def solve_right_outer(spec: LinearBsdeSpec, paths: PathEnsemble,
+                      degree: int = 3) -> SolutionEnsemble:
+    """Reduction for A = a-field b^T: scalar solve for (U, V) = (b^T Y, b^T Z),
+    then the lifted driverless equation with known drift a V.
+
+    The identity V = b^T Z is re-checked on the produced solution and
+    reported in diagnostics["outer_identity_residual"].
+    """
+    return _finish(spec, paths, "right_outer", *_right_outer_core(spec, paths, degree))
 
 
 def left_outer_exponential(fld: LeftOuterField, paths: PathEnsemble) -> ExponentialEnsemble:
@@ -384,17 +411,19 @@ def left_outer_exponential(fld: LeftOuterField, paths: PathEnsemble) -> Exponent
     return expo
 
 
-def solve_left_outer(spec: LinearBsdeSpec, paths: PathEnsemble,
-                     degree: int = 3) -> SolutionEnsemble:
-    """Representation solve with the closed-form exponential of a left-outer field."""
+def _left_outer_core(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int) -> tuple:
     fld = spec.field
     if not isinstance(fld, LeftOuterField) or fld.structure != "left_outer":
         raise ConfigurationError("left-outer solver needs a LeftOuterField")
-    expo = left_outer_exponential(fld, paths)
-    sol = _representation_from_expo(spec, expo, degree)
-    sol.solver = "left_outer"
-    sol.diagnostics["scheme"] = "closed_form"
-    return sol
+    y, z, beta, extras = _expo_core(spec, left_outer_exponential(fld, paths), degree)
+    extras["scheme"] = "closed_form"
+    return y, z, beta, extras
+
+
+def solve_left_outer(spec: LinearBsdeSpec, paths: PathEnsemble,
+                     degree: int = 3) -> SolutionEnsemble:
+    """Representation solve with the closed-form exponential of a left-outer field."""
+    return _finish(spec, paths, "left_outer", *_left_outer_core(spec, paths, degree))
 
 
 _STRUCTURAL = {
@@ -403,9 +432,14 @@ _STRUCTURAL = {
     "left_outer": solve_left_outer,
 }
 
-
-def base_solver_for(fld: CoefficientField):
-    return _STRUCTURAL.get(fld.structure, solve_by_representation)
+# The core of each method; its public solver is the core followed by `_finish`.
+_CORES = {
+    "regression": _regression_core,
+    "representation": _representation_core,
+    "lower_triangular": _triangular_core,
+    "right_outer": _right_outer_core,
+    "left_outer": _left_outer_core,
+}
 
 
 def solve_perturbed(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int = 3,
@@ -414,16 +448,16 @@ def solve_perturbed(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int = 3,
     """Picard iteration for BSDE(A + dA) with an optional alpha Y term.
 
     Each pass solves BSDE(A) with inhomogeneity beta + alpha Y^m + dA Z^m
-    using the structural solver matched to A's tag.  Stops at relative
-    residual < tol; a growing residual raises PicardDivergenceError, which is
-    the numerical mirror of the perturbation being too large to slice.
+    using the core of the structural solver matched to A's tag; the drift
+    and the residual diagnostics are computed once, for the last pass.
+    Stops at relative residual < tol; a growing residual raises
+    PicardDivergenceError, which is the numerical mirror of the perturbation
+    being too large to slice.
     """
     if base == "auto":
-        solver = base_solver_for(spec.field)
-    else:
-        solver = {"regression": solve_by_regression,
-                  "representation": solve_by_representation,
-                  **_STRUCTURAL}[base]
+        base = spec.field.structure if spec.field.structure in _STRUCTURAL \
+            else "representation"
+    core = _CORES[base]
     m, ksteps, n, d = paths.paths, paths.grid.steps, spec.n, paths.d
     beta = _beta_array(spec, paths)
     alpha = None
@@ -437,7 +471,6 @@ def solve_perturbed(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int = 3,
     y_prev = np.zeros((m, ksteps + 1, n))
     z_prev = np.zeros((m, ksteps, n, d))
     history = []
-    sol = None
     for it in range(max_iters):
         mod = np.zeros((m, ksteps, n))
         if beta is not None:
@@ -449,8 +482,8 @@ def solve_perturbed(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int = 3,
                 mod[:, k] += contract_az(da_vals[k], z_prev[:, k])
         mod_spec = LinearBsdeSpec(spec.field, spec.terminal,
                                   beta=lambda p, k, _m=mod: _m[:, k])
-        sol = solver(mod_spec, paths, degree=degree)
-        resid = float(np.abs(sol.y - y_prev).max() / (1.0 + np.abs(sol.y).max()))
+        y, z, mod_beta, extras = core(mod_spec, paths, degree)
+        resid = float(np.abs(y - y_prev).max() / (1.0 + np.abs(y).max()))
         history.append(resid)
         if resid < tol:
             break
@@ -458,13 +491,13 @@ def solve_perturbed(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int = 3,
             raise PicardDivergenceError(
                 f"perturbation too large (not sliceable at this scale); "
                 f"residual history {history}")
-        y_prev, z_prev = sol.y, sol.z
+        y_prev, z_prev = y, z
     else:
         if history[-1] >= tol:
             raise PicardDivergenceError(
                 f"no convergence in {max_iters} iterations; history tail "
                 f"{history[-3:]}")
-    sol.solver = "perturbed"
+    sol = _finish(mod_spec, paths, "perturbed", y, z, mod_beta, extras)
     sol.diagnostics["picard_history"] = history
     sol.diagnostics["picard_iterations"] = len(history)
     return sol

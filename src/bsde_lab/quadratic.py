@@ -142,9 +142,17 @@ def _clamp_profile(r: np.ndarray, k: float) -> np.ndarray:
 
 
 def _apply_radial(v: np.ndarray, r: np.ndarray, k: float) -> np.ndarray:
-    psi = _clamp_profile(r, k)
-    scale = np.where(r > 0, psi / np.where(r > 0, r, 1.0), 1.0)
-    return v * scale.reshape(scale.shape + (1,) * (v.ndim - scale.ndim))
+    # Rows with r <= k have scale r / r = 1 exactly (or 1 at r = 0), so only
+    # the rows outside the identity region, non-finite ones included, are
+    # scaled; the others are copied.
+    out = v.copy()
+    outside = ~(r <= k)
+    if outside.any():
+        ro = r[outside]
+        psi = _clamp_profile(ro, k)
+        scale = np.where(ro > 0, psi / np.where(ro > 0, ro, 1.0), 1.0)
+        out[outside] = v[outside] * scale.reshape(scale.shape + (1,) * (v.ndim - r.ndim))
+    return out
 
 
 def clamp_vector(v: np.ndarray, k: float) -> np.ndarray:
@@ -170,6 +178,10 @@ class TruncatedDriver:
     Unidirectional: the whole z argument of both g and h is clamped, which
     preserves the spanning a-priori bound because the clamp is radial with
     |phi_k(z)| <= |z|.
+
+    `at_z(z)` fixes z and returns f(t, x, y): the clamp and the z-part are
+    paid once per z, which is what a backward step with its inner y
+    iteration needs.  `__call__` is `at_z(z)(t, x, y)`, the same code path.
     """
 
     base: object
@@ -187,20 +199,29 @@ class TruncatedDriver:
     def kind(self):
         return self.base.kind
 
-    def __call__(self, t, x, y, z):
+    def at_z(self, z: np.ndarray) -> Callable:
+        """The truncated driver at a fixed z, as a function of (t, x, y).
+
+        The clamp and the z-part (z phi_k(b^T z), or h(phi_k(z)) a) are
+        computed here, once; each call adds only g(t, x, y, z_eff), with
+        z_eff the z that g sees (z for ql, the clamped z otherwise).
+        """
         z = np.asarray(z, dtype=float)
         if self.base.kind == "ql":
             bz = np.einsum("j,...jd->...d", self.base.b, z)
-            quad = np.einsum("...id,...d->...i", z, clamp_vector(bz, self.level))
-            if self.base.g is not None:
-                quad = quad + self.base.g(t, x, y, z)
-            return quad
-        zc = clamp_vecd(z, self.level)
-        hv = np.asarray(self.base.h(zc), dtype=float)
-        out = hv[..., None] * self.base.a
-        if self.base.g is not None:
-            out = out + self.base.g(t, x, y, zc)
-        return out
+            part = np.einsum("...id,...d->...i", z, clamp_vector(bz, self.level))
+            z_eff = z
+        else:
+            z_eff = clamp_vecd(z, self.level)
+            hv = np.asarray(self.base.h(z_eff), dtype=float)
+            part = hv[..., None] * self.base.a
+        g = self.base.g
+        if g is None:
+            return lambda t, x, y: part
+        return lambda t, x, y: part + g(t, x, y, z_eff)
+
+    def __call__(self, t, x, y, z):
+        return self.at_z(z)(t, x, y)
 
     def active_magnitude(self, z: np.ndarray) -> np.ndarray:
         """The norm the clamp acts on: |b^T z| (ql) or |z| (unidirectional)."""
@@ -237,6 +258,15 @@ class QuadraticSolveReport:
 
 def _backward_quadratic(driver, terminal_fn, paths: PathEnsemble, degree: int,
                         picard_tol: float, max_picard: int, init: str) -> tuple:
+    """Backward Euler for the truncated driver; returns (y, z, drift).
+
+    Z_k is the increment regression of Y_{k+1}; Y_k is the fixed point of
+    y = E_k[Y_{k+1}] + f(t_k, X_k, y, Z_k) dt, iterated from E_k[Y_{k+1}]
+    (init "mean") or 0 (init "zero") and damped by 1/2 once the update
+    grows.  Z_k is fixed within a step, so the driver's clamp and z-part are
+    computed once per step (`TruncatedDriver.at_z`) and each inner iteration
+    pays only for g.
+    """
     m, ksteps, n, d = paths.paths, paths.grid.steps, driver.n, driver.d
     dt = paths.grid.dt
     reg = RegressionConditional.of(paths, degree)
@@ -249,11 +279,12 @@ def _backward_quadratic(driver, terminal_fn, paths: PathEnsemble, degree: int,
         ey = reg.fit_predict(k, y[:, k + 1])
         z[:, k] = _increment_regression(reg, paths, y[:, k + 1], k, base_values=ey)
         t_k = float(paths.grid.nodes[k])
+        f_k = driver.at_z(z[:, k])
         cur = np.zeros_like(ey) if init == "zero" else ey.copy()
         damp = 1.0
         prev_delta = np.inf
         for it in range(max_picard):
-            f_val = driver(t_k, x_k, cur, z[:, k])
+            f_val = f_k(t_k, x_k, cur)
             nxt = ey + f_val * dt[k]
             delta = float(np.abs(nxt - cur).max())
             if delta > prev_delta:            # oscillation / growth: damp updates
@@ -266,7 +297,7 @@ def _backward_quadratic(driver, terminal_fn, paths: PathEnsemble, degree: int,
             raise StepPicardError(
                 f"inner Picard did not converge at step {k} (last delta {delta:.3e})")
         y[:, k] = cur
-        drift[:, k] = driver(t_k, x_k, cur, z[:, k])
+        drift[:, k] = f_k(t_k, x_k, cur)
     return y, z, drift
 
 

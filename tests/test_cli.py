@@ -84,6 +84,33 @@ def test_schemas_reject_bad_types(tmp_path):
         jsonschema.validate(bad, CONFIG_SCHEMAS["reverse-holder"])
 
 
+@pytest.mark.parametrize("q", ['"abc"', "0.5", "0"])
+def test_linear_config_rejects_bad_q(tmp_path, q):
+    cfg = tmp_path / "bad_q.json"
+    cfg.write_text(f'{{"seed": 1, "M": 200, "K": 4, "q": {q}}}')
+    with pytest.raises(ConfigurationError, match=r"\bq: "):
+        load_config(str(cfg), "linear")
+    # refused before any path is simulated, with the configuration exit code
+    out = tmp_path / "never"
+    assert run(["solve-linear", "--config", cfg, "--out", out]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("q", ['"inf"', "1", "2.5"])
+def test_linear_config_accepts_q(tmp_path, q):
+    cfg = tmp_path / "q.json"
+    cfg.write_text(f'{{"seed": 1, "q": {q}}}')
+    assert load_config(str(cfg), "linear")["q"] == json.loads(q)
+
+
+def test_linear_q_flag_refused_up_front(tmp_path, capsys):
+    out = tmp_path / "never"
+    for bad in ("abc", "0.5", "nan"):
+        assert run(["solve-linear", "--q", bad, "--out", out]) == 2
+        assert "q must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exponential_run_byte_reproducible(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"M": 500, "K": 32, "seed": 4}')

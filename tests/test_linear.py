@@ -320,3 +320,154 @@ def test_solution_norm_report(paths):
     # only by regression tails at extreme states
     assert 0.5 < rep["y"].value <= 2.5
     assert rep["z"].value > 0
+
+
+# ------------------------------------- perturbed loop and shared finish step
+
+def _reference_perturbed(spec, paths, solver, degree=3, tol=1e-6, max_iters=50):
+    """The Picard loop as it was: the public solver, diagnostics included,
+    in every pass."""
+    from bsde_lab.linear import _beta_array
+    from bsde_lab.tensors import contract_az
+    m, ksteps, n, d = paths.paths, paths.grid.steps, spec.n, paths.d
+    beta = _beta_array(spec, paths)
+    alpha = None
+    if spec.alpha is not None:
+        alpha = np.stack([np.asarray(spec.alpha(paths, k), dtype=float)
+                          for k in range(ksteps)], axis=1)
+    da_vals = None
+    if spec.delta_field is not None:
+        da_vals = [spec.delta_field.values(paths, k) for k in range(ksteps)]
+    y_prev = np.zeros((m, ksteps + 1, n))
+    z_prev = np.zeros((m, ksteps, n, d))
+    history = []
+    for it in range(max_iters):
+        mod = np.zeros((m, ksteps, n))
+        if beta is not None:
+            mod += beta
+        if alpha is not None:
+            mod += np.einsum("mkij,mkj->mki", alpha, y_prev[:, :-1])
+        if da_vals is not None:
+            for k in range(ksteps):
+                mod[:, k] += contract_az(da_vals[k], z_prev[:, k])
+        mod_spec = LinearBsdeSpec(spec.field, spec.terminal,
+                                  beta=lambda p, k, _m=mod: _m[:, k])
+        sol = solver(mod_spec, paths, degree=degree)
+        resid = float(np.abs(sol.y - y_prev).max() / (1.0 + np.abs(sol.y).max()))
+        history.append(resid)
+        if resid < tol:
+            break
+        y_prev, z_prev = sol.y, sol.z
+    else:
+        raise AssertionError("reference loop did not converge")
+    sol.solver = "perturbed"
+    sol.diagnostics["picard_history"] = history
+    sol.diagnostics["picard_iterations"] = len(history)
+    return sol
+
+
+def _perturbed_spec(instance):
+    """The instance with the CLI's --perturbation: dA = 0.05, alpha = 0.1 I."""
+    fld = {"right-outer-3d": right_outer_3d, "triangular-3d": triangular_3d,
+           "left-outer-3d": left_outer_3d}[instance]()
+    delta = constant_field(np.full((3, 3, 1), 0.05), name="delta")
+    return LinearBsdeSpec(fld, linear_terminal(instance), delta_field=delta,
+                          alpha=lambda p, k: np.broadcast_to(
+                              0.1 * np.eye(3), (p.paths, 3, 3)))
+
+
+def _assert_same_solution(got, want):
+    assert got.solver == want.solver
+    assert got.y.tobytes() == want.y.tobytes() and got.z.tobytes() == want.z.tobytes()
+    assert set(got.diagnostics) == set(want.diagnostics)
+    for key, value in want.diagnostics.items():
+        if isinstance(value, np.ndarray):
+            assert got.diagnostics[key].tobytes() == value.tobytes(), key
+        else:
+            assert got.diagnostics[key] == value, key
+
+
+@pytest.fixture(scope="module")
+def small_paths():
+    return generate_brownian(TimeGrid(1.0, 16), 1, 3000, seed=5)
+
+
+@pytest.mark.parametrize("instance, base, solver", [
+    ("right-outer-3d", "auto", solve_right_outer),
+    ("triangular-3d", "auto", solve_triangular),
+    ("left-outer-3d", "auto", solve_left_outer),
+    ("triangular-3d", "regression", solve_by_regression),
+    ("triangular-3d", "representation", solve_by_representation),
+])
+def test_perturbed_loop_matches_per_pass_public_solver(small_paths, instance, base,
+                                                       solver):
+    spec = _perturbed_spec(instance)
+    want = _reference_perturbed(spec, small_paths, solver)
+    got = solve_perturbed(spec, small_paths, base=base)
+    assert got.diagnostics["picard_iterations"] >= 3
+    _assert_same_solution(got, want)
+
+
+def test_perturbed_evaluates_base_field_once_per_step(small_paths):
+    ksteps = small_paths.grid.steps
+    passes_seen = set()
+    for tol in (1e-2, 1e-6, 1e-9):
+        spec = _perturbed_spec("right-outer-3d")
+        fld, calls = spec.field, {"values": 0, "a_values": 0}
+        for name in calls:
+            method = getattr(fld, name)
+
+            def counted(*args, _method=method, _name=name):
+                calls[_name] += 1
+                return _method(*args)
+            setattr(fld, name, counted)
+        sol = solve_perturbed(spec, small_paths, tol=tol)
+        passes = sol.diagnostics["picard_iterations"]
+        passes_seen.add(passes)
+        assert calls["values"] == ksteps            # the drift, once per solve
+        assert calls["a_values"] == ksteps * passes  # the reduction, once per pass
+    assert len(passes_seen) == 3
+
+
+def _moment_residuals(paths, y, z, drift):
+    dt = paths.grid.dt
+    r = y[:, :-1] - y[:, 1:] - drift * dt[None, :, None] \
+        + np.einsum("mkjd,mkd->mkj", z, paths.increments)
+    rdb = np.einsum("mkj,mkd->mkjd", r, paths.increments)
+    return (float(np.abs(r.mean(axis=0)).max()),
+            float(np.abs(rdb.mean(axis=0)).max() / dt.min()))
+
+
+@pytest.mark.parametrize("instance, solver, keys", [
+    ("triangular-3d", solve_by_regression, set()),
+    ("triangular-3d", solve_triangular, set()),
+    ("triangular-3d", solve_by_representation, {"martingale_defect"}),
+    ("right-outer-3d", solve_right_outer, {"outer_identity_residual", "scalar_v"}),
+    ("left-outer-3d", solve_left_outer, {"scheme"}),
+])
+def test_solver_diagnostics_match_recomputed_drift(small_paths, instance, solver, keys):
+    from bsde_lab.tensors import contract_az
+    paths = small_paths
+    fld = _perturbed_spec(instance).field
+    beta_fn = lambda p, k: 0.2 * np.sin(p.state_at(k)) * np.array([1.0, -0.5, 0.25])
+    sol = solver(LinearBsdeSpec(fld, linear_terminal(instance), beta=beta_fn), paths)
+    assert set(sol.diagnostics) == {"moment_residual", "moment_db_residual",
+                                    "terminal_mismatch"} | keys
+    beta = np.stack([beta_fn(paths, k) for k in range(paths.grid.steps)], axis=1)
+    drift = np.stack([contract_az(fld.values(paths, k), sol.z[:, k])
+                      for k in range(paths.grid.steps)], axis=1)
+    drift += beta
+    mean_r, mean_rdb = _moment_residuals(paths, sol.y, sol.z, drift)
+    assert sol.diagnostics["moment_residual"] == mean_r
+    assert sol.diagnostics["moment_db_residual"] == mean_rdb
+    mismatch = sol.diagnostics["terminal_mismatch"]
+    if solver is solve_left_outer or solver is solve_by_representation:
+        assert np.isfinite(mismatch) and mismatch >= 0.0   # formed by the core
+    else:
+        assert mismatch == 0.0
+    if "scalar_v" in keys:
+        v = sol.diagnostics["scalar_v"]
+        assert sol.diagnostics["outer_identity_residual"] == float(
+            np.abs(np.einsum("j,mkjd->mkd", fld.b, sol.z) - v).mean())
+    if "scheme" in keys:
+        assert sol.diagnostics["scheme"] == "closed_form"

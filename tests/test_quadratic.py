@@ -314,3 +314,225 @@ def test_fd_coefficients_approach_derivatives(paths):
         denom = np.abs(rhs).mean() + 1e-12
         errs.append(np.abs(lhs - rhs).mean() / denom)
     assert errs[1] < max(errs[0], 0.05)
+
+
+# ------------------------------------------------ frozen reference of the loop
+# The backward loop, the truncated driver and the radial clamp as they were
+# before the per-step z-part and the row-subset clamp; the solver must keep
+# reproducing them bit for bit.
+
+def _ref_clamp_profile(r, k):
+    s = np.clip((r - k) / k, 0.0, 1.0)
+    mid = k * (1.0 + s - s**3 + 0.5 * s**4)
+    return np.where(r <= k, r, np.where(r >= 2 * k, 1.5 * k, mid))
+
+
+def _ref_apply_radial(v, r, k):
+    psi = _ref_clamp_profile(r, k)
+    scale = np.where(r > 0, psi / np.where(r > 0, r, 1.0), 1.0)
+    return v * scale.reshape(scale.shape + (1,) * (v.ndim - scale.ndim))
+
+
+def _ref_clamp_vector(v, k):
+    return _ref_apply_radial(v, np.sqrt((v * v).sum(axis=-1)), k)
+
+
+def _ref_clamp_vecd(z, k):
+    r = np.sqrt((z * z).reshape(z.shape[:-2] + (-1,)).sum(axis=-1))
+    return _ref_apply_radial(z, r, k)
+
+
+def _ref_truncated_call(base, level, t, x, y, z):
+    z = np.asarray(z, dtype=float)
+    if base.kind == "ql":
+        bz = np.einsum("j,...jd->...d", base.b, z)
+        quad = np.einsum("...id,...d->...i", z, _ref_clamp_vector(bz, level))
+        if base.g is not None:
+            quad = quad + base.g(t, x, y, z)
+        return quad
+    zc = _ref_clamp_vecd(z, level)
+    hv = np.asarray(base.h(zc), dtype=float)
+    out = hv[..., None] * base.a
+    if base.g is not None:
+        out = out + base.g(t, x, y, zc)
+    return out
+
+
+def _ref_backward(base, level, terminal_fn, paths, degree, picard_tol, max_picard, init):
+    from bsde_lab.linear import _increment_regression
+    from bsde_lab.norms import RegressionConditional
+
+    def driver(t, x, y, z):
+        return _ref_truncated_call(base, level, t, x, y, z)
+
+    m, ksteps, n, d = paths.paths, paths.grid.steps, base.n, base.d
+    dt = paths.grid.dt
+    reg = RegressionConditional.of(paths, degree)
+    y = np.empty((m, ksteps + 1, n))
+    z = np.empty((m, ksteps, n, d))
+    y[:, ksteps] = np.asarray(terminal_fn(paths), dtype=float).reshape(m, n)
+    drift = np.empty((m, ksteps, n))
+    for k in range(ksteps - 1, -1, -1):
+        x_k = paths.state_at(k)
+        ey = reg.fit_predict(k, y[:, k + 1])
+        z[:, k] = _increment_regression(reg, paths, y[:, k + 1], k, base_values=ey)
+        t_k = float(paths.grid.nodes[k])
+        cur = np.zeros_like(ey) if init == "zero" else ey.copy()
+        damp = 1.0
+        prev_delta = np.inf
+        for it in range(max_picard):
+            f_val = driver(t_k, x_k, cur, z[:, k])
+            nxt = ey + f_val * dt[k]
+            delta = float(np.abs(nxt - cur).max())
+            if delta > prev_delta:
+                damp = 0.5
+            cur = cur + damp * (nxt - cur)
+            if delta < picard_tol:
+                break
+            prev_delta = delta
+        else:
+            raise AssertionError("reference inner Picard did not converge")
+        y[:, k] = cur
+        drift[:, k] = driver(t_k, x_k, cur, z[:, k])
+    return y, z, drift
+
+
+def _ref_solve(base, terminal_fn, paths, init, degree=3, picard_tol=1e-10,
+               max_picard=60, levels=(2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0),
+               margin=0.2):
+    log = []
+    for level in levels:
+        y, z, drift = _ref_backward(base, float(level), terminal_fn, paths, degree,
+                                    picard_tol, max_picard, init)
+        if base.kind == "ql":
+            bz = np.einsum("j,...jd->...d", base.b, z)
+            zmag = float(np.sqrt((bz * bz).sum(axis=-1)).max())
+        else:
+            zmag = float(np.sqrt((z * z).reshape(z.shape[:-2] + (-1,)).sum(axis=-1)).max())
+        accepted = zmag < (1.0 - margin) * level
+        log.append({"level": float(level), "max_magnitude": zmag, "accepted": accepted})
+        if accepted:
+            return y, z, drift, log
+    raise AssertionError("reference found no level")
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+_DRIVERS = {"cole-hopf-1d": cole_hopf_1d, "cole-hopf-1d-ud": cole_hopf_1d_ud,
+            "ql-coupled-2d": ql_coupled_2d, "unidirectional-2d": unidirectional_2d}
+
+
+@pytest.mark.parametrize("init", ["mean", "zero"])
+@pytest.mark.parametrize("name", sorted(_DRIVERS))
+def test_quadratic_solve_matches_frozen_reference(name, init):
+    from bsde_lab.linear import _martingale_residuals
+    from bsde_lab.quadratic import _backward_quadratic
+
+    paths = generate_brownian(TimeGrid(1.0, 16), 1, 1500, seed=1)
+    drv, term = _DRIVERS[name](), quadratic_terminal(name)
+    y, z, drift, log = _ref_solve(drv, term, paths, init)
+    if name in ("unidirectional-2d", "cole-hopf-1d-ud"):
+        assert len(log) >= 2          # the escalating path is exercised
+    rep = solve_quadratic(drv, term, paths, init=init)
+    assert rep.escalation_log == log
+    assert _same_bits(rep.solution.y, y) and _same_bits(rep.solution.z, z)
+    assert rep.solution.diagnostics["moment_residual"] == \
+        _martingale_residuals(paths, y, z, drift)["moment_residual"]
+    for entry in log:                 # every level tried, drift included
+        got = _backward_quadratic(truncate_driver(drv, entry["level"]), term, paths,
+                                  3, 1e-10, 60, init)
+        want = _ref_backward(drv, entry["level"], term, paths, 3, 1e-10, 60, init)
+        assert all(_same_bits(g, w) for g, w in zip(got, want))
+
+
+def test_quadratic_bench_size_escalation_matches_frozen_reference():
+    paths = generate_brownian(TimeGrid(1.0, 48), 1, 5000, seed=2)
+    drv, term = unidirectional_2d(), quadratic_terminal("unidirectional-2d")
+    y, z, drift, log = _ref_solve(drv, term, paths, "mean")
+    assert len(log) >= 2
+    rep = solve_quadratic(drv, term, paths)
+    assert rep.escalation_log == log
+    assert _same_bits(rep.solution.y, y) and _same_bits(rep.solution.z, z)
+
+
+def _z_dependent_g(t, x, y, z):
+    return 0.2 * np.tanh(z[:, :, 0]) + 0.1 * y * np.cos(t + x[:, :1])
+
+
+_PER_Z_DRIVERS = {
+    **_DRIVERS,
+    # g depends on z, so the clamped z that g sees (unidirectional) matters
+    "ql-z-dependent-g": lambda: QuadraticLinearDriver(2, 1, _z_dependent_g, [0.5, 0.25], 1.0),
+    "unidirectional-z-dependent-g": lambda: UnidirectionalDriver(
+        2, 1, _z_dependent_g, [1.0, 0.0], lambda z: 0.5 * (z[:, 0, :] ** 2).sum(axis=1), 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PER_Z_DRIVERS))
+def test_per_z_driver_equals_call(name):
+    drv = _PER_Z_DRIVERS[name]()
+    rng = np.random.default_rng(17)
+    for level in (0.5, 2.0, 8.0):
+        trunc = truncate_driver(drv, level)
+        for scale in (0.1, 1.0, 5.0, 50.0):
+            z = rng.normal(scale=scale, size=(64, drv.n, drv.d))
+            y = rng.normal(size=(64, drv.n))
+            x = rng.normal(size=(64, drv.d))
+            want = _ref_truncated_call(drv, level, 0.3, x, y, z)
+            f = trunc.at_z(z)
+            assert _same_bits(f(0.3, x, y), want)
+            assert _same_bits(f(0.3, x, 2.0 * y), _ref_truncated_call(drv, level, 0.3, x,
+                                                                      2.0 * y, z))
+            assert _same_bits(trunc(0.3, x, y, z), want)
+
+
+def _rows_at_radii(radii, width, rng):
+    """Rows of `width` entries with the given norms: odd rows lie along a
+    random signed axis, so their norms are exact; even rows point in a
+    random direction; zero rows carry a -0.0."""
+    out = np.zeros((2 * len(radii), width))
+    for i, radius in enumerate(radii):
+        out[2 * i, rng.integers(width)] = rng.choice([-1.0, 1.0]) * radius
+        direction = rng.normal(size=width)
+        out[2 * i + 1] = direction / np.sqrt(direction @ direction) * radius
+    out[(out == 0).all(axis=1), 0] = -0.0
+    return out
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_row_subset_clamp_matches_full_formula():
+    rng = np.random.default_rng(23)
+    k = 1.7
+    radii = [0.0, 1e-300, 0.3 * k, k * (1 - 1e-16), k, k * (1 + 1e-16), 1.2 * k, 1.5 * k,
+             2 * k * (1 - 1e-16), 2 * k, 2.5 * k, 1e6 * k, np.inf, np.nan]
+    for width in (1, 2, 3):
+        v = _rows_at_radii(radii, width, rng)
+        special = np.full((2, width), 0.5)
+        special[:, 0] = [np.inf, np.nan]        # one non-finite entry among finite ones
+        v = np.vstack([v, special])
+        got, want = clamp_vector(v, k), _ref_clamp_vector(v, k)
+        assert got.tobytes() == want.tobytes()
+        r = np.sqrt((v * v).sum(axis=-1))
+        # the rows exist on both sides of each threshold
+        assert (r == 0).any() and (r == k).any() and (r == 2 * k).any()
+        assert ((r > k) & (r < 2 * k)).any() and (r > 2 * k).any()
+        assert np.isnan(r).any() and np.isinf(r).any()
+        # single vectors, one inside and one outside
+        for row in v:
+            assert clamp_vector(row, k).tobytes() == _ref_clamp_vector(row, k).tobytes()
+    # batched VecD arrays, radial in the full norm, with a leading batch axis
+    z = _rows_at_radii(radii * 3, 6, rng).reshape(3, 2 * len(radii), 3, 2)
+    z[:, 0, 1, 0] = np.nan                      # a NaN in an otherwise zero row
+    assert clamp_vecd(z, k).tobytes() == _ref_clamp_vecd(z, k).tobytes()
+    # entrywise radial_clamp of a plain vector
+    from bsde_lab.quadratic import radial_clamp
+    flat = np.array([0.0, -0.0, 0.5 * k, -k, k, 1.5 * k, -2 * k, 3 * k, np.inf, np.nan])
+    assert radial_clamp(flat, k).tobytes() == \
+        _ref_apply_radial(flat, np.abs(flat), k).tobytes()
+    # many random sizes: the subset has every length and alignment
+    for size in range(1, 40):
+        v = rng.normal(scale=2 * k, size=(size, 2))
+        assert clamp_vector(v, k).tobytes() == _ref_clamp_vector(v, k).tobytes()
