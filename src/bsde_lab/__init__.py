@@ -10,7 +10,6 @@ from .norms import NormEstimate, estimate_norm
 from .fields import (
     CoefficientField,
     constant_field,
-    diagonal_field,
     left_outer_field,
     right_outer_field,
     scalar_field,
@@ -30,6 +29,7 @@ from .counterexamples import (
     EmerySpec,
     NonexistenceSpec,
     emery_closed_form,
+    exit_time_exact,
     exit_time_exponential,
     nonexistence_blowup,
 )

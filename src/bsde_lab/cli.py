@@ -447,7 +447,7 @@ def run_counterexample(cfg: dict, out: Path, threads: int = 1) -> int:
     else:
         spec = NonexistenceSpec()
         diag = nonexistence_blowup(spec, cfg["j_max"], cfg["paths_per_level"],
-                                   dt=max(cfg["dt"], 1e-4), seed=cfg["seed"])
+                                   seed=cfg["seed"])
         results = {
             "condition_report": spec.condition_report(),
             "heavy_levels": diag.heavy_levels,

@@ -8,12 +8,16 @@ Both reduce computationally to the exit-time identity
 
     E[exp(sigma_b / 2)] = 1 / cos(b),   sigma_b = exit time of |W| from b,
 
-for 0 < b < pi/2, which this module also estimates directly.
+for 0 < b < pi/2, which this module also estimates directly: with a
+bridge-corrected random walk (`exit_time_exponential`, the gated method) and
+by exact sampling, sigma_b = b^2 J with J drawn by inverting its CDF
+(`exit_time_exact`, the engine of the nonexistence diagnostics).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -232,6 +236,23 @@ def _exit_walk(rng: np.random.Generator, paths: int, b: float, dt: float,
     return exit_steps, alive, w
 
 
+def _check_level(b: float) -> None:
+    if not 0 < b < np.pi / 2:
+        raise ConfigurationError("exit level must lie in (0, pi/2); "
+                                 "E[exp(sigma/2)] diverges at pi/2")
+
+
+def _exit_result(b: float, vals: np.ndarray, dt: float, truncated: int,
+                 horizon: float) -> ExitTimeResult:
+    """Sample mean, standard error and truncation curve of exp(sigma_b/2)."""
+    paths = vals.size
+    estimate = float(vals.mean())
+    se = float(vals.std(ddof=1) / np.sqrt(paths))
+    trunc = truncation_curve(vals, count=9)
+    return ExitTimeResult(b, estimate, se, paths, dt, truncated, horizon,
+                          bool(b > HEAVY_TAIL_LEVEL), trunc["levels"], trunc["curve"])
+
+
 def exit_time_exponential(b: float, paths: int, dt: float, seed: int = 0,
                           horizon: float | None = None, bridge: bool = True,
                           chunk: int = 64) -> ExitTimeResult:
@@ -248,21 +269,84 @@ def exit_time_exponential(b: float, paths: int, dt: float, seed: int = 0,
     infinite there).  Above HEAVY_TAIL_LEVEL the result carries
     `heavy_tail_warning`; every result carries a truncation curve.
     """
-    if not 0 < b < np.pi / 2:
-        raise ConfigurationError("exit level must lie in (0, pi/2); "
-                                 "E[exp(sigma/2)] diverges at pi/2")
+    _check_level(b)
     if horizon is None:
         horizon = _default_horizon(b)
     max_steps = int(np.ceil(horizon / dt))
     exit_steps, alive, _ = _exit_walk(substream(seed, 11), paths, b, dt, max_steps,
                                       chunk, bridge)
-    vals = np.exp(exit_steps * dt / 2.0)
-    estimate = float(vals.mean())
-    se = float(vals.std(ddof=1) / np.sqrt(paths))
-    heavy = bool(b > HEAVY_TAIL_LEVEL)
-    trunc = truncation_curve(vals, count=9)
-    return ExitTimeResult(b, estimate, se, paths, dt, alive.size, horizon, heavy,
-                          trunc["levels"], trunc["curve"])
+    return _exit_result(b, np.exp(exit_steps * dt / 2.0), dt, alive.size, horizon)
+
+
+# J, the exit time of a standard Brownian motion from (-1, 1), has the
+# survival function P(J > t) = (4/pi) sum_k (-1)^k / (2k+1) exp(-r_k t) with
+# r_k = (2k+1)^2 pi^2 / 8.  From _J_TERMS terms on, every term is below
+# 1e-22 for t >= _J_LO; P(J <= _J_LO) < 1e-40 and P(J > _J_HI) < 1e-21, so
+# [_J_LO, _J_HI] holds the inverse of every double u in [0, 1).
+_J_LO, _J_HI, _J_TERMS, _J_TABLE = 5e-3, 40.0, 48, 2048
+_J_ODD = 2.0 * np.arange(_J_TERMS) + 1.0
+_J_RATE = _J_ODD**2 * np.pi**2 / 8.0
+_J_SURVIVAL = 4.0 / np.pi * (-1.0) ** np.arange(_J_TERMS) / _J_ODD
+_J_DENSITY = _J_SURVIVAL * _J_RATE
+
+
+def _exit_survival(t: np.ndarray) -> tuple:
+    """P(J > t) and the density of J at t, from the large-time series."""
+    surv = np.zeros_like(t)
+    dens = np.zeros_like(t)
+    for rate, c_surv, c_dens in zip(_J_RATE, _J_SURVIVAL, _J_DENSITY):
+        e = np.exp(-rate * t)
+        surv += c_surv * e
+        dens += c_dens * e
+    return surv, dens
+
+
+@cache
+def _exit_table() -> tuple:
+    """Nodes t, decreasing and geometric over [_J_LO, _J_HI], and P(J > t),
+    made nondecreasing along them (rounding can break that by an ulp where
+    the survival rounds to 1)."""
+    t = np.geomspace(_J_HI, _J_LO, _J_TABLE)
+    surv = np.maximum.accumulate(np.minimum(_exit_survival(t)[0], 1.0))
+    t.flags.writeable = surv.flags.writeable = False   # shared by every caller
+    return t, surv
+
+
+def exit_time_quantile(u: np.ndarray) -> np.ndarray:
+    """J = F^{-1}(u) for u in [0, 1), F the CDF of J.
+
+    Solves P(J > t) = 1 - u, which is exact for u >= 1/2, so the upper tail,
+    where exp(b^2 J / 2) is large, keeps full relative precision.  The
+    start is `np.interp` in the tabulated survival; four Newton steps with
+    the density follow, each kept inside the table cell that brackets the
+    root.  |F(J) - u| is then at the 1e-16 rounding level of F.
+    """
+    t_tab, s_tab = _exit_table()
+    q = 1.0 - np.asarray(u, dtype=float)
+    cell = np.clip(np.searchsorted(s_tab, q), 1, s_tab.size - 1)
+    lo, hi = t_tab[cell], t_tab[cell - 1]
+    t = np.interp(q, s_tab, t_tab)
+    for _ in range(4):
+        surv, dens = _exit_survival(t)
+        # the density floor only acts where rounding swamps the density
+        # (u below ~1e-15); the cell then bounds the step
+        t = np.clip(t + (surv - q) / np.maximum(dens, 1e-300), lo, hi)
+    return t
+
+
+def exit_time_exact(b: float, paths: int, seed: int = 0) -> ExitTimeResult:
+    """Estimate of E[exp(sigma_b / 2)] from exact draws of sigma_b.
+
+    By Brownian scaling sigma_b = b^2 J, with J the exit time from (-1, 1);
+    each path draws one uniform u from `substream(seed, 29)`, in path order,
+    and takes J = `exit_time_quantile(u)`.  There is no time grid, no
+    discretisation bias and no horizon, so `dt` is 0, `horizon` is inf and
+    no path is truncated.  The variance caveats and `heavy_tail_warning` of
+    `exit_time_exponential` apply unchanged.
+    """
+    _check_level(b)
+    j = exit_time_quantile(substream(seed, 29).random(paths))
+    return _exit_result(b, np.exp(b * b / 2.0 * j), 0.0, 0, np.inf)
 
 
 def default_level_sequence(count: int, c: float = 0.9) -> np.ndarray:
@@ -359,22 +443,22 @@ class BlowupDiagnostics:
 
 
 def nonexistence_blowup(spec: NonexistenceSpec, j_max: int, paths_per_level: int = 20_000,
-                        dt: float = 1e-3, seed: int = 0) -> BlowupDiagnostics:
+                        *, seed: int = 0) -> BlowupDiagnostics:
     """Divergence diagnostics for the no-solution construction.
 
     In the changed clock, E[exp(.5 int_0^{sigma_j} f^2 ds)] =
     sum_{k <= j} 2^{-k} E[exp(sigma_{b_k}/2)] + 2^{-j} E[exp(sigma_{b_j}/2)],
     so the mixture estimate combines per-level exit-time estimates; the
-    analytic column uses the identity 1/cos(b_k).  Levels beyond pi/3 carry
-    the heavy-tail warning and make the simulated column a truncation-biased
-    lower estimate.
+    analytic column uses the identity 1/cos(b_k).  Level k is estimated by
+    `exit_time_exact` with seed `seed + 101 k`: exact draws, so the
+    simulated column carries neither discretisation bias nor horizon
+    truncation.  Levels beyond HEAVY_TAIL_LEVEL carry the heavy-tail
+    warning, since their standard errors are unreliable there.
     """
     if j_max < 1 or j_max > spec.levels.size:
         raise ConfigurationError(f"j_max must be in [1, {spec.levels.size}]")
-    per_level = []
-    for k in range(j_max):
-        per_level.append(exit_time_exponential(
-            float(spec.levels[k]), paths_per_level, dt, seed=seed + 101 * k))
+    per_level = [exit_time_exact(float(spec.levels[k]), paths_per_level, seed=seed + 101 * k)
+                 for k in range(j_max)]
     est = np.array([r.estimate for r in per_level])
     ses = np.array([r.std_error for r in per_level])
     j = np.arange(1, j_max + 1)

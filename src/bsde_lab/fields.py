@@ -87,22 +87,6 @@ def scalar_field(a: float, d: int = 1, name: str = "scalar") -> CoefficientField
     return constant_field(a0, structure="diagonal", name=name)
 
 
-def diagonal_field(lam: Callable[[float, np.ndarray], np.ndarray], n: int, d: int,
-                   name: str = "diagonal") -> CoefficientField:
-    """Diag(lambda) field; lam(t, x) returns (paths, d) or (d,)."""
-
-    def ev(t, x):
-        lv = np.asarray(lam(t, x), dtype=float)
-        if lv.ndim == 1:
-            lv = np.broadcast_to(lv, (x.shape[0], d))
-        out = np.zeros((x.shape[0], n, n, d))
-        idx = np.arange(n)
-        out[:, idx, idx, :] = lv[:, None, :]
-        return out
-
-    return CoefficientField(n, d, ev, "diagonal", None, True, name)
-
-
 @dataclass
 class RightOuterField(CoefficientField):
     """A^i_j = a^i b_j with an adapted VecD a-field and constant b in R^n."""

@@ -14,6 +14,7 @@ expectation operator, so cross-solver comparisons see correlated noise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -228,17 +229,25 @@ def _expo_core(spec: LinearBsdeSpec, expo: ExponentialEnsemble, degree: int) -> 
     return y, z, beta, {"terminal_mismatch": terminal_mismatch}
 
 
-def _representation_core(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int,
-                         expo: ExponentialEnsemble | None = None,
-                         defect_tol: float = 0.1, force: bool = False) -> tuple:
+def _gated_exponential(fld: CoefficientField, paths: PathEnsemble,
+                       expo: ExponentialEnsemble | None = None, defect_tol: float = 0.1,
+                       force: bool = False) -> tuple:
+    """(S with S^{-1}, worst group defect), simulated unless `expo` is given;
+    raises RepresentationInvalidError past `defect_tol` unless `force`."""
     if expo is None:
-        expo = simulate_exponential(spec.field, paths, inverse=True)
-    report = martingale_defect(expo)
-    worst = float(report.group_defect.max())
+        expo = simulate_exponential(fld, paths, inverse=True)
+    worst = float(martingale_defect(expo).group_defect.max())
     if worst > defect_tol and not force:
         raise RepresentationInvalidError(
             f"representation invalid: S not a martingale at tolerance "
             f"(median group defect {worst:.4f} > {defect_tol})")
+    return expo, worst
+
+
+def _representation_core(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int,
+                         gated: tuple) -> tuple:
+    """Representation core given `_gated_exponential`'s (S, worst defect)."""
+    expo, worst = gated
     y, z, beta, extras = _expo_core(spec, expo, degree)
     extras["martingale_defect"] = worst
     return y, z, beta, extras
@@ -255,7 +264,8 @@ def solve_by_representation(spec: LinearBsdeSpec, paths: PathEnsemble,
     equation); pass force=True to bypass for diagnostics.
     """
     return _finish(spec, paths, "representation",
-                   *_representation_core(spec, paths, degree, expo, defect_tol, force))
+                   *_representation_core(spec, paths, degree, _gated_exponential(
+                       spec.field, paths, expo, defect_tol, force)))
 
 
 def _scalar_weighted_solve(paths: PathEnsemble, coeff: np.ndarray, xi: np.ndarray,
@@ -432,10 +442,11 @@ _STRUCTURAL = {
     "left_outer": solve_left_outer,
 }
 
-# The core of each method; its public solver is the core followed by `_finish`.
+# The core of each structural method and of regression; its public solver is
+# the core followed by `_finish`.  The representation core also takes the
+# gated exponential, which `solve_perturbed` forms once per solve.
 _CORES = {
     "regression": _regression_core,
-    "representation": _representation_core,
     "lower_triangular": _triangular_core,
     "right_outer": _right_outer_core,
     "left_outer": _left_outer_core,
@@ -449,7 +460,8 @@ def solve_perturbed(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int = 3,
 
     Each pass solves BSDE(A) with inhomogeneity beta + alpha Y^m + dA Z^m
     using the core of the structural solver matched to A's tag; the drift
-    and the residual diagnostics are computed once, for the last pass.
+    and the residual diagnostics are computed once, for the last pass, and
+    a representation base simulates and gates its exponential once.
     Stops at relative residual < tol; a growing residual raises
     PicardDivergenceError, which is the numerical mirror of the perturbation
     being too large to slice.
@@ -457,7 +469,11 @@ def solve_perturbed(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int = 3,
     if base == "auto":
         base = spec.field.structure if spec.field.structure in _STRUCTURAL \
             else "representation"
-    core = _CORES[base]
+    if base == "representation":
+        # S and its defect gate do not depend on the pass
+        core = partial(_representation_core, gated=_gated_exponential(spec.field, paths))
+    else:
+        core = _CORES[base]
     m, ksteps, n, d = paths.paths, paths.grid.steps, spec.n, paths.d
     beta = _beta_array(spec, paths)
     alpha = None

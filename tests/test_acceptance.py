@@ -11,7 +11,7 @@ import pytest
 
 import bsde_lab as bl
 from bsde_lab.counterexamples import (NonexistenceSpec, emery_closed_form,
-                                      emery_defect_at_horizon,
+                                      emery_defect_at_horizon, exit_time_exact,
                                       exit_time_exponential)
 from bsde_lab.fields import StoppedRotationField
 from bsde_lab.instances import (cole_hopf_1d, cole_hopf_1d_ud, left_outer_3d,
@@ -35,15 +35,21 @@ def gate(num: int, ok: bool, detail: str) -> None:
 
 def test_criterion_01_exit_time_identity():
     # E[exp(sigma_b/2)] = 1/cos(b) within 2% relative error, 1e5 paths,
-    # dt = 1e-4 T (T = 1 time unit), <= 2 minutes per level
+    # dt = 1e-4 T (T = 1 time unit), <= 2 minutes per level.  The exact
+    # sampler is an independent oracle beside the walk: within 3 exact
+    # standard errors, Var exp(sigma_b/2) = 1/cos(b sqrt 2) - 1/cos(b)^2.
     for b, exact in ((np.pi / 4, np.sqrt(2.0)), (np.pi / 3, 2.0)):
         t0 = time.time()
         res = exit_time_exponential(b, paths=100_000, dt=1e-4, seed=42)
         elapsed = time.time() - t0
         rel = abs(res.estimate - exact) / exact
-        gate(1, rel <= 0.02 and elapsed <= 120.0,
+        oracle = exit_time_exact(b, paths=100_000, seed=42)
+        exact_se = np.sqrt((1.0 / np.cos(b * np.sqrt(2.0)) - exact**2) / 100_000)
+        z = (oracle.estimate - exact) / exact_se
+        gate(1, rel <= 0.02 and elapsed <= 120.0 and abs(z) <= 3.0,
              f"b={b:.4f}: estimate {res.estimate:.5f} vs {exact:.5f} "
-             f"(rel err {rel:.4%}, {elapsed:.1f}s, truncated {res.truncated_paths})")
+             f"(rel err {rel:.4%}, {elapsed:.1f}s, truncated {res.truncated_paths}); "
+             f"exact sampler {oracle.estimate:.5f} ({z:+.2f} exact se)")
 
 
 def test_criterion_02_scalar_reverse_holder():

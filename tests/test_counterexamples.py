@@ -1,11 +1,22 @@
+import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import bsde_lab
 from bsde_lab import ConfigurationError, TimeGrid, generate_brownian
+from bsde_lab.brownian import substream
 from bsde_lab.counterexamples import (EmerySpec, NonexistenceSpec,
                                       default_level_sequence, emery_closed_form,
-                                      emery_defect_at_horizon,
-                                      exit_time_exponential, nonexistence_blowup)
+                                      emery_defect_at_horizon, exit_time_exact,
+                                      exit_time_exponential, exit_time_quantile,
+                                      nonexistence_blowup)
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +128,7 @@ def test_time_change_integrand():
 
 def test_blowup_partial_sums_match_simulation():
     spec = NonexistenceSpec()
-    diag = nonexistence_blowup(spec, j_max=3, paths_per_level=4000, dt=5e-4, seed=83)
+    diag = nonexistence_blowup(spec, j_max=3, paths_per_level=4000, seed=83)
     # first term: b_1 = arccos(0.9), weight 1/2 -> 1/(2 * 0.9)
     assert np.isclose(diag.partial_sum[0], 1.0 / 1.8)
     for j in range(3):
@@ -227,3 +238,105 @@ def test_emery_walk_matches_frozen_reference(paths, horizon):
                                   np.exp(np.minimum(exit_steps * 0.01, horizon) / 2.0))
     if horizon == 2.0:
         assert 0 < res["survivors"] < paths
+
+
+# ------------------------------------------------ exact exit-time sampling
+
+def _exit_cdf(t):
+    """P(J <= t) for the exit time J of Brownian motion from (-1, 1), in
+    scalar math: the small-time erfc series below 0.6, the large-time
+    series from 0.6 on.  Both have converged to rounding with these terms."""
+    if t < 0.6:
+        return 2.0 * sum((-1) ** k * math.erfc((2 * k + 1) / math.sqrt(2.0 * t))
+                         for k in range(8))
+    return 1.0 - 4.0 / math.pi * sum(
+        (-1) ** k / (2 * k + 1) * math.exp(-(2 * k + 1) ** 2 * math.pi ** 2 * t / 8.0)
+        for k in range(12))
+
+
+def _exact_std_error(b, paths):
+    # Var exp(sigma_b/2) = E[exp(sigma_b)] - E[exp(sigma_b/2)]^2
+    return math.sqrt((1.0 / math.cos(b * math.sqrt(2.0)) - 1.0 / math.cos(b) ** 2) / paths)
+
+
+def test_exit_table_matches_small_time_series():
+    from bsde_lab.counterexamples import _J_LO, _exit_table
+    t, surv = _exit_table()
+    near = t <= 0.6
+    assert t.min() == pytest.approx(_J_LO) and near.sum() > 1000
+    worst = max(abs((1.0 - s) - _exit_cdf(x)) for x, s in zip(t[near], surv[near]))
+    assert worst <= 1e-15
+
+
+_UNIFORMS = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_UNIFORMS, min_size=1, max_size=50))
+def test_exit_quantile_inverts_the_cdf(u):
+    j = exit_time_quantile(np.array(u))
+    assert np.all(np.isfinite(j)) and np.all(j > 0)
+    for x, ji in zip(u, j):
+        assert abs(_exit_cdf(float(ji)) - x) <= 1e-14
+
+
+@settings(max_examples=200, deadline=None)
+@given(_UNIFORMS, st.floats(min_value=1e-15, max_value=1.0))
+def test_exit_quantile_is_nondecreasing(u, gap):
+    # |F(J) - u| sits at the 1e-16 rounding of F, so two uniforms at least
+    # 1e-15 apart are ordered by their exit times
+    hi = u + gap
+    if hi >= 1.0:
+        hi = np.nextafter(1.0, 0.0)
+    j = exit_time_quantile(np.array([u, hi, u]))
+    assert j[0] <= j[1] and j[0] == j[2]
+
+
+def test_exit_quantile_nondecreasing_on_sorted_draws():
+    u = np.sort(np.random.default_rng(0).random(200_000))
+    assert np.all(np.diff(exit_time_quantile(u)) >= 0)
+
+
+@pytest.mark.filterwarnings("ignore:Degrees of freedom:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("paths", [1, 5, 257])
+def test_exact_draws_one_uniform_per_path(paths):
+    b, seed = 0.9, 12
+    res = exit_time_exact(b, paths, seed=seed)
+    u = substream(seed, 29).random(paths)
+    vals = np.exp(b * b / 2.0 * exit_time_quantile(u))
+    assert res.estimate == vals.mean()
+    np.testing.assert_array_equal(res.std_error, vals.std(ddof=1) / np.sqrt(paths))
+    np.testing.assert_array_equal(res.truncation_levels, np.geomspace(1.0, vals.max(), 9))
+    assert (res.truncated_paths, res.dt, res.horizon) == (0, 0.0, math.inf)
+    # frozen reference: the first uniforms of substream (12, 29) and their
+    # exit times, from a scalar bisection on the erfc series
+    frozen = [(0.19366700265915593, 0.3627228130370046),
+              (0.9755686838578338, 3.204549107142401),
+              (0.1970655469091429, 0.3664183254328579)]
+    assert [float(x) for x in u[:3]] == [u_ref for u_ref, _ in frozen[:paths]]
+    j = exit_time_quantile(u[:3])
+    for (u_ref, j_ref), ji in zip(frozen, j):
+        assert ji == pytest.approx(j_ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("b", [np.pi / 4, np.pi / 3])
+def test_exact_exit_time_identity(b):
+    t0 = time.perf_counter()
+    res = exit_time_exact(b, 100_000, seed=7)
+    elapsed = time.perf_counter() - t0
+    assert abs(res.estimate - 1.0 / math.cos(b)) <= 3 * _exact_std_error(b, 100_000)
+    assert elapsed < 1.0
+    assert res.heavy_tail_warning is False
+    with pytest.raises(ConfigurationError):
+        exit_time_exact(np.pi / 2, 10)
+
+
+def test_nonexistence_does_not_load_scipy_special():
+    src = Path(bsde_lab.__file__).resolve().parents[1]
+    code = ("import sys; from bsde_lab.counterexamples import NonexistenceSpec, "
+            "nonexistence_blowup; nonexistence_blowup(NonexistenceSpec(), 3, 200, seed=1); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert done.stdout.strip() == "[]"

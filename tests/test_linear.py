@@ -366,12 +366,20 @@ def _reference_perturbed(spec, paths, solver, degree=3, tol=1e-6, max_iters=50):
     return sol
 
 
+def _generic_3d():
+    """A constant field with no structural tag: `auto` picks the
+    representation base for it."""
+    a0 = np.array([[0.2, 0.1, 0.0], [0.0, 0.1, 0.2], [0.1, 0.0, 0.3]])[..., None]
+    return constant_field(a0, name="generic")
+
+
 def _perturbed_spec(instance):
     """The instance with the CLI's --perturbation: dA = 0.05, alpha = 0.1 I."""
     fld = {"right-outer-3d": right_outer_3d, "triangular-3d": triangular_3d,
-           "left-outer-3d": left_outer_3d}[instance]()
+           "left-outer-3d": left_outer_3d, "generic-3d": _generic_3d}[instance]()
+    terminal = linear_terminal("triangular-3d" if instance == "generic-3d" else instance)
     delta = constant_field(np.full((3, 3, 1), 0.05), name="delta")
-    return LinearBsdeSpec(fld, linear_terminal(instance), delta_field=delta,
+    return LinearBsdeSpec(fld, terminal, delta_field=delta,
                           alpha=lambda p, k: np.broadcast_to(
                               0.1 * np.eye(3), (p.paths, 3, 3)))
 
@@ -398,6 +406,7 @@ def small_paths():
     ("left-outer-3d", "auto", solve_left_outer),
     ("triangular-3d", "regression", solve_by_regression),
     ("triangular-3d", "representation", solve_by_representation),
+    ("generic-3d", "auto", solve_by_representation),
 ])
 def test_perturbed_loop_matches_per_pass_public_solver(small_paths, instance, base,
                                                        solver):
@@ -426,6 +435,24 @@ def test_perturbed_evaluates_base_field_once_per_step(small_paths):
         passes_seen.add(passes)
         assert calls["values"] == ksteps            # the drift, once per solve
         assert calls["a_values"] == ksteps * passes  # the reduction, once per pass
+    assert len(passes_seen) == 3
+
+
+def test_perturbed_representation_simulates_and_gates_once(small_paths, monkeypatch):
+    import bsde_lab.linear as lin
+    calls = {"simulate_exponential": 0, "martingale_defect": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(lin, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(lin, name, counted)
+    passes_seen = set()
+    for tol in (1e-2, 1e-6, 1e-9):
+        calls.update(simulate_exponential=0, martingale_defect=0)
+        sol = solve_perturbed(_perturbed_spec("generic-3d"), small_paths, tol=tol)
+        passes_seen.add(sol.diagnostics["picard_iterations"])
+        assert sol.diagnostics["martingale_defect"] <= 0.1
+        assert calls == {"simulate_exponential": 1, "martingale_defect": 1}
     assert len(passes_seen) == 3
 
 

@@ -2,6 +2,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -34,3 +36,20 @@ def test_compare_file_reports_largest_relative_difference(tmp_path):
     ja.write_text(json.dumps({"x": [1.0, "inf"], "name": "s"}))
     jb.write_text(json.dumps({"x": [1.5, "inf"], "name": "s"}))
     assert tool.compare_file(ja, jb) == "max relative difference 3.333e-01"
+
+
+def test_case_filter_keeps_only_named_cases(capsys):
+    tool = _compare_outputs()
+    every = tool.select_cases(["closed-form"], None)
+    kept = tool.select_cases(["closed-form"], ["oracle-bsde", "exit-pi4"])
+    assert [c.name for c in kept] == ["exit-pi4", "oracle-bsde"]   # workload order
+    assert [c.name for c in every] == [c.name for c in tool.WORKLOADS["closed-form"]]
+    with pytest.raises(ValueError, match="no case nonexistent"):
+        tool.select_cases(["closed-form"], ["nonexistent"])
+    src = str(ROOT / "src")
+    assert tool.main([src, src, "--workload", "backward", "--seed", "3",
+                      "--case", "quadratic-cole-hopf"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "0 differing output(s) in 1 case(s), seed 3, threads 1"
+    with pytest.raises(SystemExit):
+        tool.main([src, src, "--workload", "backward", "--seed", "3", "--case", "emery"])

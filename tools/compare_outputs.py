@@ -2,11 +2,14 @@
 
     python3 tools/compare_outputs.py SRC_A SRC_B --workload backward --seed 1
     python3 tools/compare_outputs.py SRC_A SRC_B --workload all --seed 2 --threads 4
+    python3 tools/compare_outputs.py SRC_A SRC_B --workload closed-form --seed 1 \
+        --case exit-pi4 --case emery
 
 SRC_A and SRC_B are directories that hold a `bsde_lab` package (the `src/`
 directory of two checkouts).  Every case of the workload (bench/workloads.py,
 imported read-only) runs once as a `bsde-lab` command from each tree, at the
-given seed and thread count, with BLAS pinned to one thread.  For each output
+given seed and thread count, with BLAS pinned to one thread; repeated
+`--case NAME` options keep only the named cases.  For each output
 file the script prints `identical` when the bytes agree, and otherwise the
 largest relative difference over the numbers in the file.  It exits with
 status 1 on any difference, a missing file or a failed command.
@@ -112,6 +115,17 @@ def compare_case(case, src_a: Path, src_b: Path, seed: int, threads: int,
     return rows
 
 
+def select_cases(workloads: list, names: list | None) -> list:
+    """The cases of `workloads`, in order, or only those named in `names`."""
+    cases = [c for w in workloads for c in WORKLOADS[w]]
+    if not names:
+        return cases
+    unknown = sorted(set(names) - {c.name for c in cases})
+    if unknown:
+        raise ValueError(f"no case {', '.join(unknown)} in workload(s) {', '.join(workloads)}")
+    return [c for c in cases if c.name in names]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("src_a", type=Path)
@@ -119,9 +133,14 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True, choices=sorted(WORKLOADS) + ["all"])
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--threads", type=int, default=1)
+    ap.add_argument("--case", action="append", metavar="NAME",
+                    help="compare only this case (repeatable)")
     args = ap.parse_args(argv)
     names = sorted(WORKLOADS) if args.workload == "all" else [args.workload]
-    cases = [c for name in names for c in WORKLOADS[name]]
+    try:
+        cases = select_cases(names, args.case)
+    except ValueError as err:
+        ap.error(str(err))
     workdir = Path(tempfile.mkdtemp(prefix="compare-outputs-"))
     differing = 0
     try:
