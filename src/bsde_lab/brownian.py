@@ -8,7 +8,6 @@ bit-identical for any thread count.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -23,6 +22,19 @@ _BLOCK = 1 << 14
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed).jumped(block))
+
+
+def block_increments(grid: TimeGrid, d: int, seed: int, block: int,
+                     out: np.ndarray) -> np.ndarray:
+    """Fill `out` with the increments of path block `block`, in place.
+
+    out has shape (paths in the block, grid.steps, d): _BLOCK paths, or fewer
+    in the last block.  generate_brownian and the nested R_p estimator both
+    draw through here, so a block's numbers never depend on who draws them.
+    """
+    _block_rng(seed, block).standard_normal(out=out)
+    out *= np.sqrt(grid.dt)[None, :, None]
+    return out
 
 
 def substream(seed: int, *tags: int) -> np.random.Generator:
@@ -116,18 +128,14 @@ def generate_brownian(grid: TimeGrid, d: int, paths: int, seed: int,
     """
     if d < 1 or paths < 1:
         raise ConfigurationError(f"d and paths must be >= 1, got d={d}, paths={paths}")
-    k = grid.steps
-    sqrt_dt = np.sqrt(grid.dt)
-    inc = np.empty((paths, k, d))
+    inc = np.empty((paths, grid.steps, d))
     blocks = range((paths + _BLOCK - 1) // _BLOCK)
 
     def fill(b: int) -> None:
-        lo, hi = b * _BLOCK, min((b + 1) * _BLOCK, paths)
-        rng = _block_rng(seed, b)
-        z = rng.standard_normal((hi - lo, k, d))
-        inc[lo:hi] = z * sqrt_dt[None, :, None]
+        block_increments(grid, d, seed, b, inc[b * _BLOCK:(b + 1) * _BLOCK])
 
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor   # off the start-up path
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(fill, blocks))
     else:

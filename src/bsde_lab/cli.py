@@ -18,7 +18,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from . import __version__
 from .brownian import generate_brownian
@@ -142,6 +141,59 @@ DEFAULTS = {
 }
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": _is_number,
+    "integer": lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
+}
+
+
+def schema_errors(schema: dict, value, path: str = "") -> list[str]:
+    """Messages "<key path>: <reason>" for every way `value` breaks `schema`.
+
+    Covers the JSON Schema subset the schemas in this module use (type,
+    minimum, exclusiveMinimum, enum, const, anyOf, items, properties,
+    required, additionalProperties), with the 2020-12 meaning: integers may
+    be written as 2.0, booleans are not numbers, and numeric bounds, items
+    and object keywords apply only to values of their own type.
+    """
+    where = path or "<root>"
+    if "type" in schema and not _TYPES[schema["type"]](value):
+        return [f"{where}: {value!r} is not of type {schema['type']!r}"]
+    errors = []
+    if "enum" in schema and value not in schema["enum"]:
+        errors.append(f"{where}: {value!r} is not one of {schema['enum']}")
+    if "const" in schema and value != schema["const"]:
+        errors.append(f"{where}: {value!r} is not {schema['const']!r}")
+    if "anyOf" in schema and all(schema_errors(sub, value, path) for sub in schema["anyOf"]):
+        errors.append(f"{where}: {value!r} is not valid under any of the given schemas")
+    if _is_number(value):
+        if "minimum" in schema and value < schema["minimum"]:
+            errors.append(f"{where}: {value!r} is less than the minimum {schema['minimum']!r}")
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            errors.append(f"{where}: {value!r} is not greater than {schema['exclusiveMinimum']!r}")
+    prefix = f"{path}/" if path else ""
+    if isinstance(value, list) and "items" in schema:
+        for i, item in enumerate(value):
+            errors += schema_errors(schema["items"], item, f"{prefix}{i}")
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        errors += [f"{where}: missing required key {key!r}"
+                   for key in schema.get("required", ()) if key not in value]
+        for key, item in value.items():
+            if key in props:
+                errors += schema_errors(props[key], item, f"{prefix}{key}")
+            elif schema.get("additionalProperties") is False:
+                errors.append(f"{where}: unknown key {key!r}")
+    return errors
+
+
 def load_config(path: str | None, kind: str, seed_override=None) -> dict:
     raw = {}
     if path:
@@ -154,12 +206,9 @@ def load_config(path: str | None, kind: str, seed_override=None) -> dict:
     cfg["kind"] = kind
     if seed_override is not None:
         cfg["seed"] = int(seed_override)
-    validator = Draft202012Validator(CONFIG_SCHEMAS[kind])
-    errors = sorted(validator.iter_errors(cfg), key=lambda e: e.path)
+    errors = schema_errors(CONFIG_SCHEMAS[kind], cfg)
     if errors:
-        msgs = "; ".join(f"{'/'.join(map(str, e.path)) or '<root>'}: {e.message}"
-                         for e in errors)
-        raise ConfigurationError(f"invalid config for {kind}: {msgs}")
+        raise ConfigurationError(f"invalid config for {kind}: {'; '.join(errors)}")
     return cfg
 
 
@@ -208,7 +257,9 @@ def write_outputs(out_dir: Path, cfg: dict, results: dict, tables: dict) -> None
         "results": _to_jsonable(results),
         "artifacts": sorted(artifacts),
     }
-    Draft202012Validator(SUMMARY_SCHEMA).validate(summary)
+    errors = schema_errors(SUMMARY_SCHEMA, summary)
+    if errors:
+        raise ValueError(f"invalid summary: {'; '.join(errors)}")
     (out_dir / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=1))
 
 
@@ -299,7 +350,8 @@ def run_reverse_holder(cfg: dict, out: Path, threads: int = 1) -> int:
     fld = _get_field(cfg["field"])
     grid = TimeGrid(cfg["T"], cfg["K"])
     paths = generate_brownian(grid, fld.d, cfg["M"], cfg["seed"], threads=threads)
-    expo = simulate_exponential(fld, paths)
+    # Only the regression estimator reads S^{-1} (for S_t^{-1} S_T).
+    expo = simulate_exponential(fld, paths, inverse=cfg["method"] == "regression")
     rep = estimate_reverse_holder(expo, cfg["p"], method=cfg["method"],
                                   degree=cfg["degree"], inner_paths=cfg["inner_paths"])
     results = {

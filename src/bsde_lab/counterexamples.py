@@ -465,7 +465,7 @@ def nonexistence_blowup(spec: NonexistenceSpec, j_max: int, paths_per_level: int
     w = 0.5 ** np.arange(1, j_max + 1)
     partial = np.array([spec.partial_sum(int(x)) for x in j])
     sim = np.cumsum(w * est)
-    sim_se = np.sqrt(np.cumsum((w * ses) ** 2) + (w * ses) ** 2)
+    sim_se = np.sqrt(np.cumsum((w * ses) ** 2))     # levels are independent
     full = sim + w * est                          # tail of the mixture sits at level j
     remainder = np.array([spec.remainder_bound(int(x)) for x in j])
     heavy = [float(spec.levels[k]) for k in range(j_max) if per_level[k].heavy_tail_warning]

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .brownian import PathEnsemble, generate_brownian, substream
+from .brownian import _BLOCK, PathEnsemble, block_increments, substream
 from .fields import CoefficientField
 from .grids import TimeGrid
 from .norms import RegressionConditional
@@ -70,6 +70,22 @@ def integrate_exponential(field: CoefficientField, paths: PathEnsemble) -> np.nd
     for k in range(k_steps):
         a_db = contract_adb(field.values(paths, k), inc[:, k])
         s[:, k + 1] = s[:, k] + s[:, k] @ a_db
+    return s
+
+
+def integrate_terminal(field: CoefficientField, paths: PathEnsemble) -> np.ndarray:
+    """S_T alone, shape (paths, n, n): integrate_exponential's last node, bit for bit.
+
+    One (paths, n, n) state and one product buffer replace the whole path.
+    """
+    n = field.n
+    s = np.empty((paths.paths, n, n))
+    s[:] = np.eye(n)
+    tmp = np.empty_like(s)
+    inc = paths.increments
+    for k in range(paths.grid.steps):
+        np.matmul(s, contract_adb(field.values(paths, k), inc[:, k]), out=tmp)
+        s += tmp
     return s
 
 
@@ -185,26 +201,37 @@ def _nested_ratio_moment(expo: ExponentialEnsemble, k: int, p: float,
     if not field.markovian:
         raise ValueError("nested estimator requires a Markovian field; use regression")
     paths = expo.paths
-    m = paths.paths
+    m, d = paths.paths, paths.d
     nodes = paths.grid.nodes
     rest_steps = paths.grid.steps - k
     sub_grid = TimeGrid(nodes[-1] - nodes[k], rest_steps, nodes[k:] - nodes[k])
-    x0 = np.repeat(paths.state_at(k), inner_paths, axis=0)
+    x_k = paths.state_at(k)
 
     rng = substream(paths.seed, salt, k)
     inner_seed = int(rng.integers(0, 2**63 - 1))
-    inner = generate_brownian(sub_grid, paths.d, m * inner_paths, inner_seed,
-                              initial_state=x0)
 
     # Shift eval times so the restarted field sees absolute time t_k + s.
     shifted = CoefficientField(
         field.n, field.d,
         lambda t, x, _t0=float(nodes[k]): field.eval(_t0 + t, x),
         field.structure, field.bmo_bound, True, field.name)
-    r_t = integrate_exponential(shifted, inner)[:, -1]
-    vals = (operator_norm(r_t) ** p).reshape(m, inner_paths)
+    # Inner path i restarts outer path i // inner_paths.  One Philox block of
+    # inner paths at a time: the same draws as generate_brownian over all
+    # m * inner_paths paths, but only S_T and then |S_T|^p are kept.
+    total = m * inner_paths
+    vals = np.empty(total)
+    for b, lo in enumerate(range(0, total, _BLOCK)):
+        hi = min(lo + _BLOCK, total)
+        inc = block_increments(sub_grid, d, inner_seed, b, np.empty((hi - lo, rest_steps, d)))
+        x0 = x_k[np.arange(lo, hi) // inner_paths]
+        block = PathEnsemble(sub_grid, d, hi - lo, inner_seed, inc, x0)
+        vals[lo:hi] = operator_norm(integrate_terminal(shifted, block)) ** p
+    vals = vals.reshape(m, inner_paths)
     means = vals.mean(axis=1)
-    ses = vals.std(axis=1, ddof=1) / np.sqrt(inner_paths)
+    # vals.std(axis=1, ddof=1) step for step, in place to save a second array.
+    vals -= means[:, None]
+    vals *= vals
+    ses = np.sqrt(vals.sum(axis=1) / (inner_paths - 1)) / np.sqrt(inner_paths)
     return means, ses
 
 

@@ -6,9 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 import bsde_lab
-from bsde_lab.cli import CONFIG_SCHEMAS, load_config, main
+from bsde_lab.cli import CONFIG_SCHEMAS, SUMMARY_SCHEMA, load_config, main, schema_errors
 from bsde_lab.grids import ConfigurationError
 
 
@@ -53,15 +54,106 @@ def test_linear_config_rejects_structure_key(tmp_path):
         load_config(str(cfg), "linear")
 
 
+def _loaded_by_import(*packages: str) -> str:
+    """Modules of `packages` that `import bsde_lab, bsde_lab.cli` loads, as printed."""
+    src = Path(bsde_lab.__file__).resolve().parents[1]
+    code = ("import sys, bsde_lab, bsde_lab.cli; print(sorted(m for m in sys.modules "
+            f"if m.split('.')[0] in {packages!r}))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    return done.stdout.strip()
+
+
 def test_import_does_not_load_scipy():
     # scipy.optimize costs about half a second of start-up and only
     # quadratic.positively_spans uses it
-    src = Path(bsde_lab.__file__).resolve().parents[1]
-    code = ("import sys, bsde_lab, bsde_lab.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-    assert done.stdout.strip() == "[]"
+    assert _loaded_by_import("scipy") == "[]"
+
+
+def test_import_loads_no_jsonschema_or_thread_pool():
+    # the config validator is cli.schema_errors; the thread pool is imported
+    # only when generate_brownian runs with threads > 1
+    assert _loaded_by_import("jsonschema", "concurrent") == "[]"
+
+
+_LEAVES = (st.none() | st.booleans() | st.integers(-3, 10) | st.floats(-3.0, 10.0)
+           | st.floats() | st.text(max_size=4)
+           | st.sampled_from(["inf", "-inf", "mean", "nested", "ql", "emery", "bsde"]))
+_JSON_VALUES = st.recursive(
+    _LEAVES,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(
+        st.sampled_from(["class", "n", "d", "scale"]) | st.text(max_size=3), kids, max_size=4),
+    max_leaves=8)
+_BLOCK_VALUES = (st.integers(0, 3) | st.sampled_from(["ql", "unidirectional", "x**2"])
+                 | st.lists(st.floats(-1.0, 1.0) | _LEAVES, max_size=3) | _LEAVES)
+
+
+def _object_block(props: dict):
+    """A dict for one of the object-valued config keys: known keys, maybe a stray one."""
+    keys = st.sampled_from(sorted(props) + ["wat"])
+    return st.dictionaries(keys, _BLOCK_VALUES, max_size=len(props) + 1)
+
+
+@settings(max_examples=400, deadline=None)
+@given(kind=st.sampled_from(sorted(CONFIG_SCHEMAS)),
+       how=st.sampled_from(["valid", "type", "minimum", "unknown", "enum", "q",
+                            "items", "nested", "drop", "any"]),
+       data=st.data())
+def test_schema_errors_agree_with_jsonschema(kind, how, data):
+    from jsonschema import Draft202012Validator
+    schema = CONFIG_SCHEMAS[kind]
+    props = schema["properties"]
+    cfg = load_config(None, kind)
+    pick = lambda keys: data.draw(st.sampled_from(sorted(keys)))
+    bounded = [k for k, v in props.items() if {"minimum", "exclusiveMinimum"} & set(v)]
+    enums = [k for k, v in props.items() if "enum" in v]
+    blocks = [k for k, v in props.items() if v.get("type") == "object"]
+    arrays = [k for k, v in props.items() if v.get("type") == "array"]
+    if how == "type":
+        cfg[pick(props)] = data.draw(st.none() | st.booleans() | st.text(max_size=3)
+                                     | st.lists(st.integers(), max_size=2)
+                                     | st.dictionaries(st.text(max_size=2), st.integers(),
+                                                       max_size=2))
+    elif how == "minimum" and bounded:
+        key = pick(bounded)
+        bound = props[key].get("minimum", props[key].get("exclusiveMinimum"))
+        cfg[key] = data.draw(st.sampled_from([bound - 1, bound - 0.5, bound, float(bound),
+                                              bound + 0.5, bound + 1, float(bound + 2)]))
+    elif how == "unknown":
+        cfg[data.draw(st.text(min_size=1, max_size=5).filter(lambda k: k not in props))] = 1
+    elif how == "enum" and enums:
+        cfg[pick(enums)] = data.draw(st.text(max_size=8) | st.sampled_from(
+            ["mean", "nested", "regression", "emery", "ql", "duality"]))
+    elif how == "q":
+        cfg["q"] = data.draw(_LEAVES | st.sampled_from(["inf", "INF", "Infinity", 1, 1.0, 0.99]))
+    elif how == "items" and arrays:
+        cfg[pick(arrays)] = data.draw(st.lists(st.integers(0, 9) | st.floats(0.1, 1.5)
+                                               | _LEAVES, max_size=4))
+    elif how == "nested" and blocks:
+        key = pick(blocks)
+        cfg[key] = data.draw(_object_block(props[key]["properties"]))
+    elif how == "drop":
+        del cfg[pick(cfg)]
+    elif how == "any":
+        for key in data.draw(st.lists(st.sampled_from(sorted(props)) | st.text(max_size=3),
+                                      max_size=3)):
+            cfg[key] = data.draw(_JSON_VALUES)
+    accepted = Draft202012Validator(schema).is_valid(cfg)
+    event(f"{how}: {'accepted' if accepted else 'rejected'}")
+    assert (schema_errors(schema, cfg) == []) == accepted
+
+
+def test_schema_errors_name_each_broken_key():
+    cfg = {"kind": "quadratic", "seed": 1, "degree": 0, "M": True, "wat": 2,
+           "custom": {"class": "ql", "n": 1, "b": [0.5, "x"]}}
+    errors = schema_errors(CONFIG_SCHEMAS["quadratic"], cfg)
+    assert errors == ["degree: 0 is less than the minimum 1",
+                      "M: True is not of type 'integer'",
+                      "<root>: unknown key 'wat'",
+                      "custom: missing required key 'd'",
+                      "custom/b/1: 'x' is not of type 'number'"]
+    assert schema_errors(SUMMARY_SCHEMA, {"config": {}, "config_hash": "",
+                                          "version": "0", "results": {}}) == []
 
 
 def test_config_comments_and_seed_override(tmp_path):

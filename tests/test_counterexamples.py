@@ -139,6 +139,16 @@ def test_blowup_partial_sums_match_simulation():
     assert np.all(diag.full_value >= diag.simulated)
 
 
+def test_blowup_std_error_counts_each_level_once():
+    # the levels use independent seeds, so Var(sum_k w_k est_k) = sum_k (w_k se_k)^2
+    diag = nonexistence_blowup(NonexistenceSpec(), j_max=3, paths_per_level=500, seed=5)
+    w = 0.5 ** np.arange(1, 4)
+    se = np.array([r.std_error for r in diag.per_level])
+    assert diag.simulated_std_error[0] == w[0] * se[0]
+    assert np.allclose(diag.simulated_std_error, np.sqrt(np.cumsum((w * se) ** 2)),
+                       rtol=1e-15, atol=0)
+
+
 def test_blowup_j1_with_pi_third_level():
     # j = 1 with b_1 = pi/3: term 2^{-1} * 2 = 1
     spec = NonexistenceSpec(levels=np.concatenate(

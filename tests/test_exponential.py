@@ -188,3 +188,61 @@ def test_truncation_curve_flags_divergence():
     bounded = simulate_exponential(scalar_field(0.3), generate_brownian(
         TimeGrid(1.0, 16), 1, 3000, seed=54))
     assert not terminal_moment_truncation_curve(bounded, p=1.0)["diverging"]
+
+
+def _nested_reference(expo, k, p, inner_paths, salt=7_001):
+    """The nested estimator over the whole inner ensemble at once: every
+    inner path generated by generate_brownian and integrated along its full
+    path by integrate_exponential, of which only S_T is read."""
+    from bsde_lab.brownian import substream
+    from bsde_lab.fields import CoefficientField
+    from bsde_lab.tensors import operator_norm
+    paths, fld = expo.paths, expo.field
+    nodes = paths.grid.nodes
+    sub_grid = TimeGrid(nodes[-1] - nodes[k], paths.grid.steps - k, nodes[k:] - nodes[k])
+    x0 = np.repeat(paths.state_at(k), inner_paths, axis=0)
+    seed = int(substream(paths.seed, salt, k).integers(0, 2**63 - 1))
+    inner = generate_brownian(sub_grid, paths.d, paths.paths * inner_paths, seed,
+                              initial_state=x0)
+    shifted = CoefficientField(fld.n, fld.d, lambda t, x: fld.eval(nodes[k] + t, x))
+    vals = (operator_norm(integrate_exponential(shifted, inner)[:, -1]) ** p)
+    vals = vals.reshape(paths.paths, inner_paths)
+    return vals.mean(axis=1), vals.std(axis=1, ddof=1) / np.sqrt(inner_paths)
+
+
+@pytest.mark.parametrize("name", ["scalar-half", "triangular-3d"])
+def test_streamed_nested_matches_whole_ensemble_bitwise(name):
+    from bsde_lab.brownian import _BLOCK
+    from bsde_lab.exponential import _nested_ratio_moment
+    from bsde_lab.instances import LINEAR_FIELDS
+    fld = LINEAR_FIELDS[name]()
+    m, inner = 100, 200                 # 20000 inner paths: two Philox blocks
+    assert _BLOCK < m * inner < 2 * _BLOCK
+    expo = simulate_exponential(fld, generate_brownian(TimeGrid(1.0, 4), fld.d, m, seed=5),
+                                inverse=False)
+    for k in (0, 2, 3):
+        for p in (1.0, 2.5):
+            got = _nested_ratio_moment(expo, k, p, inner, 7_001)
+            want = _nested_reference(expo, k, p, inner)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+
+
+def test_streamed_nested_memory_grows_by_one_float_per_inner_path():
+    import tracemalloc
+    from bsde_lab.exponential import _nested_ratio_moment
+    inner = 256
+
+    def peak(m):
+        expo = simulate_exponential(scalar_field(0.5), generate_brownian(
+            TimeGrid(1.0, 16), 1, m, seed=3), inverse=False)
+        tracemalloc.start()
+        try:
+            _nested_ratio_moment(expo, 0, 2.0, inner, 7_001)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # the whole-ensemble estimator adds about 430 bytes per inner path
+    added = (peak(1200) - peak(300)) / ((1200 - 300) * inner)
+    assert added <= 32
