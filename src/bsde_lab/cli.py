@@ -43,7 +43,7 @@ def _base_properties(extra: dict) -> dict:
         "seed": {"type": "integer"},
         "T": {"type": "number", "exclusiveMinimum": 0},
         "K": {"type": "integer", "minimum": 1},
-        "M": {"type": "integer", "minimum": 1},
+        "M": {"type": "integer", "minimum": 2},
     }
     props.update(extra)
     return props
@@ -477,7 +477,7 @@ def run_counterexample(cfg: dict, out: Path, threads: int = 1) -> int:
     elif which == "emery":
         grid = TimeGrid(cfg["T"], cfg["K"])
         paths = generate_brownian(grid, 1, min(cfg["M"], 4000), cfg["seed"])
-        expo = emery_closed_form(paths)
+        expo = emery_closed_form(paths, inverse=False)
         defect = martingale_defect(expo)
         horizon = emery_defect_at_horizon(cfg["M"], cfg["effective_horizon"],
                                           seed=cfg["seed"] + 1)

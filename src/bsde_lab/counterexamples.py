@@ -22,7 +22,7 @@ from functools import cache
 import numpy as np
 
 from .brownian import PathEnsemble, substream
-from .exponential import ExponentialEnsemble, truncation_curve
+from .exponential import ExponentialEnsemble, node_blocks, truncation_curve
 from .fields import StoppedRotationField
 from .grids import ConfigurationError
 
@@ -44,49 +44,52 @@ class EmerySpec:
         return StoppedRotationField(self.level)
 
 
-def emery_closed_form(paths: PathEnsemble, level: float = np.pi / 2) -> ExponentialEnsemble:
+def emery_closed_form(paths: PathEnsemble, level: float = np.pi / 2,
+                      inverse: bool = True) -> ExponentialEnsemble:
     """Exact rotation-times-scalar form of the stopped exponential.
 
     S_t = exp((tau ^ t)/2) [[cos, sin], [-sin, cos]](B_{tau ^ t}) with tau the
     first grid node where |B| >= level; the state is clamped to +-level from
     then on, so every S_t is exactly a scalar multiple of an orthogonal
-    matrix.  S^{-1} = exp(-(tau ^ t)) S^T is filled in closed form as well.
-    Paths that never exit within the grid horizon are flagged (truncation
-    bias), not dropped.
+    matrix.  With `inverse`, S^{-1} = exp(-(tau ^ t)) S^T is filled in closed
+    form as well.  Paths that never exit within the grid horizon are flagged
+    (truncation bias), not dropped.
     """
     if paths.d != 1:
         raise ConfigurationError("the rotation example lives on a 1-d Brownian motion")
     b = paths.states[:, :, 0]
-    stopped = np.abs(b) >= level
-    np.maximum.accumulate(stopped, axis=1, out=stopped)
-    # state frozen at the (clamped) exit value once stopped
+    hit = np.abs(b) >= level
+    exited = hit.any(axis=1)
     m = paths.paths
     k1 = paths.grid.steps + 1
-    first = np.where(stopped.any(axis=1), stopped.argmax(axis=1), k1 - 1)
-    rows = np.arange(m)
-    exit_sign = np.sign(b[rows, first])
-    angle = np.where(stopped, (exit_sign * level)[:, None], b)
-    scale = np.where(stopped, paths.grid.nodes[first][:, None],
-                     paths.grid.nodes[None, :])          # tau ^ t
-    scale /= 2.0
-    np.exp(scale, out=scale)
-    # S is filled in place, one (M, K+1) buffer per factor: cos, then sin
-    # over the angle buffer; -scale sin is exactly -(scale sin)
+    first = np.where(exited, hit.argmax(axis=1), k1 - 1)
+    del hit
+    stop = np.where(exited, first, k1)       # stopped at nodes k >= stop
+    exit_angle = (np.sign(b[np.arange(m), first]) * level)[:, None]
+    exit_time = paths.grid.nodes[first][:, None]
     s = np.empty((m, k1, 2, 2))
-    c = np.cos(angle)
-    np.multiply(scale, c, out=s[..., 0, 0])
-    s[..., 1, 1] = s[..., 0, 0]
-    del c
-    np.sin(angle, out=angle)
-    np.multiply(scale, angle, out=s[..., 0, 1])
-    np.negative(s[..., 0, 1], out=s[..., 1, 0])
-    del angle
-    np.square(scale, out=scale)
-    s_inv = np.swapaxes(s, -1, -2) / scale[..., None, None]
-    expo = ExponentialEnsemble(StoppedRotationField(level), paths, s, s_inv,
-                               scheme="closed_form")
-    expo.bad_paths = ~stopped[:, -1]  # never exited: truncation bias contributors
-    return expo
+    s_inv = np.empty_like(s) if inverse else None
+    for lo, hi in node_blocks(k1, m * 4 * 8, 4):
+        # state frozen at the (clamped) exit value once stopped
+        stopped = np.arange(lo, hi)[None, :] >= stop[:, None]
+        angle = np.where(stopped, exit_angle, b[:, lo:hi])
+        scale = np.where(stopped, exit_time, paths.grid.nodes[None, lo:hi])  # tau ^ t
+        del stopped
+        scale /= 2.0
+        np.exp(scale, out=scale)
+        # cos, then sin over the angle buffer; -scale sin is exactly -(scale sin)
+        blk = s[:, lo:hi]
+        np.multiply(scale, np.cos(angle), out=blk[..., 0, 0])
+        blk[..., 1, 1] = blk[..., 0, 0]
+        np.sin(angle, out=angle)
+        np.multiply(scale, angle, out=blk[..., 0, 1])
+        np.negative(blk[..., 0, 1], out=blk[..., 1, 0])
+        if inverse:
+            np.square(scale, out=scale)
+            np.divide(np.swapaxes(blk, -1, -2), scale[..., None, None], out=s_inv[:, lo:hi])
+    # bad paths never exited: truncation bias contributors
+    return ExponentialEnsemble(StoppedRotationField(level), paths, s, s_inv,
+                               scheme="closed_form", bad_paths=~exited)
 
 
 def emery_defect_at_horizon(paths: int, horizon: float = 48.0, dt: float = 0.01,

@@ -19,12 +19,33 @@ from .norms import RegressionConditional
 from .tensors import contract_adb, mat_square, operator_norm
 
 
+# Working-memory budget of one block of grid nodes in the forward diagnostics.
+_NODE_BLOCK_BYTES = 4 << 20
+
+
+def node_blocks(nodes: int, node_bytes: int, node_entries: int):
+    """(lo, hi) ranges covering `nodes` grid nodes, about _NODE_BLOCK_BYTES each.
+
+    node_bytes is the size of one node's slice of the block's largest array.
+    Every statistic is per node and an axis-0 reduction adds the paths in
+    order, so results do not depend on the blocks, with one exception: numpy
+    sums a reduction whose rows hold a single entry pairwise, not in path
+    order.  Blocks therefore hold at least two entries per path, where a node
+    holds `node_entries` of them.
+    """
+    step = max(1, _NODE_BLOCK_BYTES // node_bytes, -(-2 // node_entries))
+    bounds = list(range(0, nodes, step)) + [nodes]
+    if len(bounds) > 2 and (bounds[-1] - bounds[-2]) * node_entries < 2:
+        del bounds[-2]
+    return zip(bounds[:-1], bounds[1:])
+
+
 @dataclass
 class ExponentialEnsemble:
     """Simulated S (and optionally S^{-1}) along a path ensemble.
 
     s[m, k] is the n x n matrix at node k of path m; s[all, 0] = I.  The
-    inverse residual max_k |S_k X_k - I| is reported per path, not assumed.
+    inverse residual |S_k X_k - I| is measured per grid node, not assumed.
     """
 
     field: CoefficientField
@@ -42,22 +63,18 @@ class ExponentialEnsemble:
     def n(self) -> int:
         return self.field.n
 
-    def inverse_residual(self) -> np.ndarray:
-        """max over grid nodes of |S_k X_k - I| (operator norm), per path."""
-        return self._residual_norms().max(axis=1)
-
     def inverse_residual_profile(self) -> np.ndarray:
-        """Mean over paths of |S_k X_k - I| at each grid node."""
-        return self._residual_norms().mean(axis=0)
-
-    def _residual_norms(self) -> np.ndarray:
-        """|S_k X_k - I| (operator norm) per path and grid node."""
+        """Mean over paths of |S_k X_k - I| (operator norm) at each grid node."""
         if self.s_inv is None:
             raise ValueError("ensemble was integrated without the inverse part")
-        prod = self.s @ self.s_inv
+        m, k1 = self.s.shape[:2]
         idx = np.arange(self.n)
-        prod[..., idx, idx] -= 1.0
-        return operator_norm(prod)
+        out = np.empty(k1)
+        for lo, hi in node_blocks(k1, m * self.n * self.n * 8, 1):
+            prod = self.s[:, lo:hi] @ self.s_inv[:, lo:hi]
+            prod[..., idx, idx] -= 1.0
+            out[lo:hi] = operator_norm(prod).mean(axis=0)
+        return out
 
 
 def integrate_exponential(field: CoefficientField, paths: PathEnsemble) -> np.ndarray:
@@ -69,22 +86,36 @@ def integrate_exponential(field: CoefficientField, paths: PathEnsemble) -> np.nd
     inc = paths.increments
     for k in range(k_steps):
         a_db = contract_adb(field.values(paths, k), inc[:, k])
-        s[:, k + 1] = s[:, k] + s[:, k] @ a_db
+        # the product lands in node k + 1, then S_k is added: IEEE addition
+        # commutes, so this is S_k + S_k (A dB) bit for bit
+        np.matmul(s[:, k], a_db, out=s[:, k + 1])
+        s[:, k + 1] += s[:, k]
     return s
 
 
-def integrate_terminal(field: CoefficientField, paths: PathEnsemble) -> np.ndarray:
-    """S_T alone, shape (paths, n, n): integrate_exponential's last node, bit for bit.
+def integrate_terminal(field: CoefficientField, grid: TimeGrid, inc: np.ndarray,
+                       x0: np.ndarray) -> np.ndarray:
+    """S_T alone, shape (paths, n, n), for the paths with increments `inc`
+    started from the Brownian states x0.
 
-    One (paths, n, n) state and one product buffer replace the whole path.
+    integrate_exponential's last node on the PathEnsemble(grid, ..., inc, x0),
+    bit for bit: the state is carried as a running sum instead of the
+    ensemble's (paths, steps + 1, d) states, and one (paths, n, n) state and
+    one product buffer replace the whole path of S.
     """
     n = field.n
-    s = np.empty((paths.paths, n, n))
+    s = np.empty((inc.shape[0], n, n))
     s[:] = np.eye(n)
     tmp = np.empty_like(s)
-    inc = paths.increments
-    for k in range(paths.grid.steps):
-        np.matmul(s, contract_adb(field.values(paths, k), inc[:, k]), out=tmp)
+    # -0.0 + y == y for every y, so run is the cumsum of the increments exactly
+    run = np.full_like(x0, -0.0)
+    x = x0.copy()
+    for k in range(grid.steps):
+        if k:
+            run += inc[:, k - 1]
+            np.add(run, x0, out=x)
+        a = field.at(float(grid.nodes[k]), x)
+        np.matmul(s, contract_adb(a, inc[:, k]), out=tmp)
         s += tmp
     return s
 
@@ -96,12 +127,16 @@ def integrate_inverse(field: CoefficientField, paths: PathEnsemble) -> np.ndarra
     dt = paths.grid.dt
     x = np.empty((m, k_steps + 1, n, n))
     x[:, 0] = np.eye(n)
+    drift = np.empty((m, n, n))
+    noise = np.empty((m, n, n))
     inc = paths.increments
     for k in range(k_steps):
         a = field.values(paths, k)
-        drift = (mat_square(a) @ x[:, k]) * dt[k]
-        noise = contract_adb(a, inc[:, k]) @ x[:, k]
-        x[:, k + 1] = x[:, k] + drift - noise
+        np.matmul(mat_square(a), x[:, k], out=drift)
+        drift *= dt[k]
+        np.matmul(contract_adb(a, inc[:, k]), x[:, k], out=noise)
+        np.add(x[:, k], drift, out=x[:, k + 1])
+        x[:, k + 1] -= noise
     return x
 
 
@@ -224,8 +259,7 @@ def _nested_ratio_moment(expo: ExponentialEnsemble, k: int, p: float,
         hi = min(lo + _BLOCK, total)
         inc = block_increments(sub_grid, d, inner_seed, b, np.empty((hi - lo, rest_steps, d)))
         x0 = x_k[np.arange(lo, hi) // inner_paths]
-        block = PathEnsemble(sub_grid, d, hi - lo, inner_seed, inc, x0)
-        vals[lo:hi] = operator_norm(integrate_terminal(shifted, block)) ** p
+        vals[lo:hi] = operator_norm(integrate_terminal(shifted, sub_grid, inc, x0)) ** p
     vals = vals.reshape(m, inner_paths)
     means = vals.mean(axis=1)
     # vals.std(axis=1, ddof=1) step for step, in place to save a second array.
@@ -264,24 +298,29 @@ def martingale_defect(expo: ExponentialEnsemble, groups: int = 8) -> MartingaleD
     single wild path (strict-local-martingale ensembles are heavy-tailed)
     inflates both the plain defect and its error bar, but not the median.
     """
-    s = expo.s[~expo.bad_paths]  # boolean indexing: a private copy
-    if s.shape[0] == 0:
+    keep = ~expo.bad_paths
+    m = int(keep.sum())
+    if m == 0:
         raise ValueError("no finite paths in the ensemble")
-    m = s.shape[0]
-    mean = s.mean(axis=0)
-    eye = np.eye(expo.n)
-    idx = np.arange(expo.n)
+    n, k1 = expo.n, expo.s.shape[1]
+    mean = np.empty((k1, n, n))
+    se = np.empty((k1, n, n))
+    group = np.empty(k1)
+    eye = np.eye(n)
+    parts = np.array_split(np.arange(m), min(groups, m))
+    for lo, hi in node_blocks(k1, m * n * n * 8, n * n):
+        s = expo.s[keep, lo:hi]  # boolean indexing: a private copy of the block
+        mean[lo:hi] = s.mean(axis=0)
+        group[lo:hi] = np.median(np.stack(
+            [operator_norm(s[g].mean(axis=0) - eye) for g in parts]), axis=0)
+        # s.std(axis=0, ddof=1) step for step, in place on the copy
+        s -= mean[lo:hi]
+        s *= s
+        se[lo:hi] = np.sqrt(s.sum(axis=0) / (m - 1)) / np.sqrt(m)
+    idx = np.arange(n)
     diag_gap = np.abs(mean[:, idx, idx] - 1.0)
     which = diag_gap.argmax(axis=1)
-    rows = np.arange(mean.shape[0])
-    parts = np.array_split(np.arange(m), min(groups, m))
-    group = np.median(np.stack(
-        [operator_norm(s[g].mean(axis=0) - eye) for g in parts]), axis=0)
-    # s.std(axis=0, ddof=1) step for step, in place on the copy to save a
-    # second (M, K+1, n, n) array.
-    s -= mean
-    s *= s
-    se = np.sqrt(s.sum(axis=0) / (m - 1)) / np.sqrt(m)
+    rows = np.arange(k1)
     return MartingaleDefectReport(
         defect=operator_norm(mean - eye),
         std_error=np.sqrt((se**2).sum(axis=(1, 2))),
@@ -358,7 +397,7 @@ def terminal_moment_truncation_curve(expo: ExponentialEnsemble, p: float = 1.0,
     When the underlying moment is infinite (the rotation counterexample at
     p = 1) the curve keeps climbing and `diverging` is set.
     """
-    vals = operator_norm(expo.s[~expo.bad_paths][:, -1]) ** p
+    vals = operator_norm(expo.s[:, -1][~expo.bad_paths]) ** p
     if levels is None:
         levels = np.geomspace(1.0, max(float(vals.max()), 2.0), 13)
     return truncation_curve(vals, levels)

@@ -45,14 +45,18 @@ class CoefficientField:
 
     def values(self, paths: PathEnsemble, k: int) -> np.ndarray:
         """A at grid step k for every path, shape (paths, n, n, d)."""
-        t = float(paths.grid.nodes[k])
-        out = np.asarray(self.eval(t, paths.state_at(k)), dtype=float)
+        return self.at(float(paths.grid.nodes[k]), paths.state_at(k))
+
+    def at(self, t: float, x: np.ndarray) -> np.ndarray:
+        """A(t, x) for a batch of states x of shape (paths, d): (paths, n, n, d)."""
+        m = x.shape[0]
+        out = np.asarray(self.eval(t, x), dtype=float)
         if out.shape == (self.n, self.n, self.d):
-            out = np.broadcast_to(out, (paths.paths, self.n, self.n, self.d))
-        if out.shape != (paths.paths, self.n, self.n, self.d):
+            out = np.broadcast_to(out, (m, self.n, self.n, self.d))
+        if out.shape != (m, self.n, self.n, self.d):
             raise ConfigurationError(
                 f"field eval returned shape {out.shape}, expected "
-                f"({paths.paths}, {self.n}, {self.n}, {self.d})")
+                f"({m}, {self.n}, {self.n}, {self.d})")
         return out
 
     def check_structure(self, sample: np.ndarray, atol: float = 1e-12) -> bool:

@@ -188,6 +188,25 @@ def test_linear_config_rejects_bad_q(tmp_path, q):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", sorted(CONFIG_SCHEMAS))
+def test_single_path_config_refused(tmp_path, kind):
+    # Every standard error divides by M - 1, so M = 1 is refused up front.
+    cfg = tmp_path / "one_path.json"
+    cfg.write_text('{"seed": 1, "M": 1}')
+    with pytest.raises(ConfigurationError, match="M: 1 is less than the minimum 2"):
+        load_config(str(cfg), kind)
+    cfg.write_text('{"seed": 1, "M": 2}')
+    load_config(str(cfg), kind)
+
+
+def test_single_path_run_writes_nothing(tmp_path):
+    cfg = tmp_path / "one_path.json"
+    cfg.write_text('{"seed": 1, "M": 1, "K": 4}')
+    out = tmp_path / "never"
+    assert run(["simulate-exponential", "--config", cfg, "--out", out]) == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("q", ['"inf"', "1", "2.5"])
 def test_linear_config_accepts_q(tmp_path, q):
     cfg = tmp_path / "q.json"

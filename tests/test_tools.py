@@ -53,3 +53,17 @@ def test_case_filter_keeps_only_named_cases(capsys):
         "0 differing output(s) in 1 case(s), seed 3, threads 1"
     with pytest.raises(SystemExit):
         tool.main([src, src, "--workload", "backward", "--seed", "3", "--case", "emery"])
+
+
+def test_main_prints_peak_rss_of_each_tree(capsys):
+    tool = _compare_outputs()
+    src = str(ROOT / "src")
+    assert tool.main([src, src, "--workload", "backward", "--seed", "3",
+                      "--case", "quadratic-cole-hopf"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rss = [line for line in lines if line.startswith("quadratic-cole-hopf: peak RSS ")]
+    assert len(rss) == 1
+    values = [float(part.split(" MB in ")[0])
+              for part in rss[0].removeprefix("quadratic-cole-hopf: peak RSS ").split(", ")]
+    assert len(values) == 2 and all(v > 0 for v in values)
+    assert lines[-1] == "0 differing output(s) in 1 case(s), seed 3, threads 1"

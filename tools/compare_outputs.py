@@ -11,8 +11,10 @@ imported read-only) runs once as a `bsde-lab` command from each tree, at the
 given seed and thread count, with BLAS pinned to one thread; repeated
 `--case NAME` options keep only the named cases.  For each output
 file the script prints `identical` when the bytes agree, and otherwise the
-largest relative difference over the numbers in the file.  It exits with
-status 1 on any difference, a missing file or a failed command.
+largest relative difference over the numbers in the file, then one line
+with the peak RSS of the command in each tree, which never counts as a
+difference.  It exits with status 1 on any difference, a missing file or a
+failed command.
 """
 
 from __future__ import annotations
@@ -34,8 +36,11 @@ from workloads import WORKLOADS  # noqa: E402
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def run_case(case, src: Path, seed: int, threads: int, out: Path) -> subprocess.CompletedProcess:
-    """Run one case's CLI command with `src` first on the module path."""
+def run_case(case, src: Path, seed: int, threads: int, out: Path):
+    """Run one case's CLI command with `src` first on the module path.
+
+    Returns the finished process and its peak RSS in MB, read with wait4.
+    """
     out.mkdir(parents=True)
     cfg = out.parent / f"{out.name}.cfg.json"
     cfg.write_text(json.dumps(case.config))
@@ -46,7 +51,16 @@ def run_case(case, src: Path, seed: int, threads: int, out: Path) -> subprocess.
     env.update({var: "1" for var in THREAD_VARS})
     argv = [sys.executable, "-m", "bsde_lab.cli", *case.command, "--config", str(cfg),
             "--seed", str(seed), "--threads", str(threads), "--out", str(out)]
-    return subprocess.run(argv, env=env, capture_output=True, text=True)
+    # Output goes to files, so the child can be reaped with wait4 rather than
+    # by Popen, which would discard its resource usage.
+    with tempfile.TemporaryFile("w+") as stdout, tempfile.TemporaryFile("w+") as stderr:
+        proc = subprocess.Popen(argv, env=env, stdout=stdout, stderr=stderr)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        stdout.seek(0)
+        stderr.seek(0)
+        done = subprocess.CompletedProcess(argv, proc.returncode, stdout.read(), stderr.read())
+    return done, usage.ru_maxrss / 1024.0   # ru_maxrss is in KiB on Linux
 
 
 def _numbers(path: Path) -> list:
@@ -94,12 +108,17 @@ def compare_file(a: Path, b: Path) -> str:
 
 
 def compare_case(case, src_a: Path, src_b: Path, seed: int, threads: int,
-                 workdir: Path) -> list:
-    """[(file name, verdict)] for one case; a failed command is one entry."""
+                 workdir: Path, peaks: list | None = None) -> list:
+    """[(file name, verdict)] for one case; a failed command is one entry.
+
+    The peak RSS in MB of each command that ran is appended to `peaks`.
+    """
     outs = []
     for tag, src in (("a", src_a), ("b", src_b)):
         out = workdir / f"{case.name}-{tag}"
-        proc = run_case(case, src, seed, threads, out)
+        proc, peak = run_case(case, src, seed, threads, out)
+        if peaks is not None:
+            peaks.append(peak)
         if proc.returncode != 0:
             return [("<command>", f"failed in {src} with status {proc.returncode}: "
                                   f"{proc.stderr.strip()[-300:]}")]
@@ -145,10 +164,14 @@ def main(argv=None) -> int:
     differing = 0
     try:
         for case in cases:
+            peaks = []
             for name, verdict in compare_case(case, args.src_a, args.src_b, args.seed,
-                                              args.threads, workdir):
+                                              args.threads, workdir, peaks):
                 print(f"{case.name}/{name}: {verdict}", flush=True)
                 differing += verdict != "identical"
+            print(f"{case.name}: peak RSS " + ", ".join(
+                f"{mb:.1f} MB in {src}" for mb, src in zip(peaks, (args.src_a, args.src_b))),
+                flush=True)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     print(f"{differing} differing output(s) in {len(cases)} case(s), seed {args.seed}, "
