@@ -336,10 +336,7 @@ def run_exponential(cfg: dict, out: Path, threads: int = 1) -> int:
         "bad_paths": int(expo.bad_paths.sum()),
     }
     tables = {
-        "defect_profile": ("t,defect,std_error,diag_defect,diag_std_error",
-                           np.column_stack([grid.nodes, defect.defect, defect.std_error,
-                                            defect.diagonal_defect,
-                                            defect.diagonal_std_error])),
+        "defect_profile": defect.table(grid),
         "inverse_residual": ("t,mean_residual", np.column_stack([grid.nodes, resid])),
     }
     write_outputs(out, cfg, results, tables)
@@ -384,6 +381,19 @@ def _q_value(q) -> float:
     return value
 
 
+def _solution_table(sol, grid: TimeGrid, *extra) -> tuple:
+    """solution.csv of a solve: t, the path means of Y and of Z (NaN at T),
+    then one column per (name, values) pair of `extra`."""
+    _, ksteps, n, d = sol.z.shape
+    zmean = np.concatenate([sol.z.mean(axis=0).reshape(ksteps, n * d),
+                            np.full((1, n * d), np.nan)])
+    header = ",".join(["t"] + [f"Y{i}" for i in range(n)]
+                      + [f"Z{i}_{e}" for i in range(n) for e in range(d)]
+                      + [name for name, _ in extra])
+    return header, np.column_stack([grid.nodes, sol.y.mean(axis=0), zmean,
+                                    *(values for _, values in extra)])
+
+
 def run_linear(cfg: dict, out: Path, threads: int = 1) -> int:
     fld = LINEAR_FIELDS[cfg["instance"]]()
     grid = TimeGrid(cfg["T"], cfg["K"])
@@ -413,15 +423,9 @@ def run_linear(cfg: dict, out: Path, threads: int = 1) -> int:
         "diagnostics": {k: v for k, v in sol.diagnostics.items()
                         if isinstance(v, (int, float, str, list))},
     }
-    n, d = fld.n, fld.d
-    ymean = sol.y.mean(axis=0)
-    zmean = np.concatenate([sol.z.mean(axis=0).reshape(grid.steps, n * d),
-                            np.full((1, n * d), np.nan)])
     resid = np.full(grid.steps + 1, sol.diagnostics["moment_residual"])
-    header = ("t," + ",".join(f"Y{i}" for i in range(n)) + ","
-              + ",".join(f"Z{i}_{e}" for i in range(n) for e in range(d)) + ",residual")
-    tables = {"solution": (header, np.column_stack([grid.nodes, ymean, zmean, resid]))}
-    write_outputs(out, cfg, results, tables)
+    write_outputs(out, cfg, results,
+                  {"solution": _solution_table(sol, grid, ("residual", resid))})
     return 0
 
 
@@ -446,14 +450,7 @@ def run_quadratic(cfg: dict, out: Path, threads: int = 1) -> int:
         "y_sup_norm": norms["y"].value,
         "z_bmo_norm": norms["z"].value,
     }
-    n, d = drv.n, drv.d
-    ymean = sol.y.mean(axis=0)
-    zmean = np.concatenate([sol.z.mean(axis=0).reshape(grid.steps, n * d),
-                            np.full((1, n * d), np.nan)])
-    header = ("t," + ",".join(f"Y{i}" for i in range(n)) + ","
-              + ",".join(f"Z{i}_{e}" for i in range(n) for e in range(d)))
-    tables = {"solution": (header, np.column_stack([grid.nodes, ymean, zmean]))}
-    write_outputs(out, cfg, results, tables)
+    write_outputs(out, cfg, results, {"solution": _solution_table(sol, grid)})
     return 0
 
 
@@ -489,10 +486,7 @@ def run_counterexample(cfg: dict, out: Path, threads: int = 1) -> int:
             "moment_divergence_flag": curve["diverging"],
         }
         tables = {
-            "defect_profile": ("t,defect,std_error,diag_defect,diag_std_error",
-                               np.column_stack([grid.nodes, defect.defect,
-                                                defect.std_error, defect.diagonal_defect,
-                                                defect.diagonal_std_error])),
+            "defect_profile": defect.table(grid),
             "truncation_curve": ("level,truncated_mean",
                                  np.column_stack([curve["levels"], curve["curve"]])),
         }

@@ -158,11 +158,6 @@ class ReverseHolderReport:
     estimator: str
     doob_sup_estimate: float | None = None
 
-    def to_csv(self, path, grid: TimeGrid) -> None:
-        rows = np.column_stack([grid.nodes, self.profile, self.profile_std_error])
-        np.savetxt(path, rows, delimiter=",", header="t,estimate,std_error",
-                   comments="", fmt="%.17g")
-
 
 def _ratio_matrices(expo: ExponentialEnsemble, k: int) -> np.ndarray:
     """S_{t_k}^{-1} S_T for every path, via the integrated inverse if present."""
@@ -277,18 +272,11 @@ class MartingaleDefectReport:
     diagonal_std_error: np.ndarray
     group_defect: np.ndarray = None   # median over path groups: robust to heavy tails
 
-    def significance(self, threshold: float, k: int = -1) -> float:
-        """(diagonal defect - threshold) / std error at node k; inf if se = 0."""
-        d = self.diagonal_defect[k] - threshold
-        se = self.diagonal_std_error[k]
-        return float("inf") if se == 0 else float(d / se)
-
-    def to_csv(self, path, grid: TimeGrid) -> None:
-        rows = np.column_stack([grid.nodes, self.defect, self.std_error,
-                                self.diagonal_defect, self.diagonal_std_error])
-        np.savetxt(path, rows, delimiter=",",
-                   header="t,defect,std_error,diag_defect,diag_std_error",
-                   comments="", fmt="%.17g")
+    def table(self, grid: TimeGrid) -> tuple:
+        """The profile per grid node as a (header, rows) table."""
+        return ("t,defect,std_error,diag_defect,diag_std_error",
+                np.column_stack([grid.nodes, self.defect, self.std_error,
+                                 self.diagonal_defect, self.diagonal_std_error]))
 
 
 def martingale_defect(expo: ExponentialEnsemble, groups: int = 8) -> MartingaleDefectReport:

@@ -91,6 +91,14 @@ def scalar_field(a: float, d: int = 1, name: str = "scalar") -> CoefficientField
     return constant_field(a0, structure="diagonal", name=name)
 
 
+def _vecd_at(fn: Callable, t: float, x: np.ndarray, n: int, d: int) -> np.ndarray:
+    """fn(t, x) as a VecD batch (paths, n, d); a constant (n, d) is broadcast."""
+    v = np.asarray(fn(t, x), dtype=float)
+    if v.shape == (n, d):
+        v = np.broadcast_to(v, (x.shape[0], n, d))
+    return v
+
+
 @dataclass
 class RightOuterField(CoefficientField):
     """A^i_j = a^i b_j with an adapted VecD a-field and constant b in R^n."""
@@ -99,11 +107,8 @@ class RightOuterField(CoefficientField):
     b: np.ndarray = None
 
     def a_values(self, paths: PathEnsemble, k: int) -> np.ndarray:
-        t = float(paths.grid.nodes[k])
-        av = np.asarray(self.a_eval(t, paths.state_at(k)), dtype=float)
-        if av.shape == (self.n, self.d):
-            av = np.broadcast_to(av, (paths.paths, self.n, self.d))
-        return av
+        return _vecd_at(self.a_eval, float(paths.grid.nodes[k]), paths.state_at(k),
+                        self.n, self.d)
 
 
 def right_outer_field(a_eval, b, d: int, name: str = "right_outer") -> RightOuterField:
@@ -111,10 +116,7 @@ def right_outer_field(a_eval, b, d: int, name: str = "right_outer") -> RightOute
     n = b.shape[0]
 
     def ev(t, x):
-        av = np.asarray(a_eval(t, x), dtype=float)
-        if av.shape == (n, d):
-            av = np.broadcast_to(av, (x.shape[0], n, d))
-        return np.einsum("mie,j->mije", av, b)
+        return np.einsum("mie,j->mije", _vecd_at(a_eval, t, x, n, d), b)
 
     fld = RightOuterField(n, d, ev, "right_outer", None, True, name)
     fld.a_eval = a_eval
@@ -130,11 +132,8 @@ class LeftOuterField(CoefficientField):
     b_eval: Callable[[float, np.ndarray], np.ndarray] = None
 
     def b_values(self, paths: PathEnsemble, k: int) -> np.ndarray:
-        t = float(paths.grid.nodes[k])
-        bv = np.asarray(self.b_eval(t, paths.state_at(k)), dtype=float)
-        if bv.shape == (self.n, self.d):
-            bv = np.broadcast_to(bv, (paths.paths, self.n, self.d))
-        return bv
+        return _vecd_at(self.b_eval, float(paths.grid.nodes[k]), paths.state_at(k),
+                        self.n, self.d)
 
 
 def left_outer_field(a, b_eval, d: int, name: str = "left_outer") -> LeftOuterField:
@@ -142,10 +141,7 @@ def left_outer_field(a, b_eval, d: int, name: str = "left_outer") -> LeftOuterFi
     n = a.shape[0]
 
     def ev(t, x):
-        bv = np.asarray(b_eval(t, x), dtype=float)
-        if bv.shape == (n, d):
-            bv = np.broadcast_to(bv, (x.shape[0], n, d))
-        return np.einsum("i,mje->mije", a, bv)
+        return np.einsum("i,mje->mije", a, _vecd_at(b_eval, t, x, n, d))
 
     fld = LeftOuterField(n, d, ev, "left_outer", None, True, name)
     fld.a = a

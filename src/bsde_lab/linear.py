@@ -8,7 +8,12 @@ Four routes to the same solution:
   - Picard iteration for a sliceable perturbation A + dA plus an alpha Y term.
 
 All solvers share one path ensemble and the same least-squares conditional
-expectation operator, so cross-solver comparisons see correlated noise.
+expectation operator, so cross-solver comparisons see correlated noise.  They
+are built from the same pieces: one martingale-representation step
+(`_represent`: N_k = E_k[h] and the centred increment regression Z~), one
+scalar exponential (`_scalar_exponential`) for the triangular, right-outer
+and left-outer reductions, and one backward-induction loop (`_backward`),
+which the quadratic solver runs with its inner Picard step.
 """
 
 from __future__ import annotations
@@ -78,24 +83,33 @@ class SolutionEnsemble:
         return {"y": ynorm, "z": znorm}
 
 
-def _beta_array(spec: LinearBsdeSpec, paths: PathEnsemble) -> np.ndarray | None:
-    if spec.beta is None:
-        return None
-    return np.stack([np.asarray(spec.beta(paths, k), dtype=float)
+def _per_step(fn, paths: PathEnsemble) -> np.ndarray:
+    """fn(paths, k) for every grid step k, stacked on axis 1: (M, K, ...)."""
+    return np.stack([np.asarray(fn(paths, k), dtype=float)
                      for k in range(paths.grid.steps)], axis=1)
 
 
-def _beta_prefix(beta: np.ndarray | None, paths: PathEnsemble, n: int) -> np.ndarray:
-    """sum_{j < k} beta_j dt, shape (M, K+1, n)."""
-    m, ksteps = paths.paths, paths.grid.steps
-    out = np.zeros((m, ksteps + 1, n))
-    if beta is not None:
-        np.cumsum(beta * paths.grid.dt[None, :, None], axis=1, out=out[:, 1:])
+def _beta_array(spec: LinearBsdeSpec, paths: PathEnsemble) -> np.ndarray | None:
+    return None if spec.beta is None else _per_step(spec.beta, paths)
+
+
+def _prefix(paths: PathEnsemble, x: np.ndarray | None, tail: tuple) -> np.ndarray:
+    """sum_{j < k} x_j dt_j at every node, shape (M, K+1) + tail; zero if x is None."""
+    out = np.zeros((paths.paths, paths.grid.steps + 1) + tail)
+    if x is not None:
+        dt = paths.grid.dt.reshape((1, -1) + (1,) * len(tail))
+        np.cumsum(x * dt, axis=1, out=out[:, 1:])
     return out
 
 
-def _field_values(fld: CoefficientField, paths: PathEnsemble) -> list:
-    return [fld.values(paths, k) for k in range(paths.grid.steps)]
+def _scalar_exponential(paths: PathEnsemble, coeff: np.ndarray) -> np.ndarray:
+    """exp(int coeff dB - 1/2 int |coeff|^2 dt) at every node; coeff (M, K, d) -> (M, K+1)."""
+    m, ksteps, _ = coeff.shape
+    log_e = np.zeros((m, ksteps + 1))
+    incr = np.einsum("mkd,mkd->mk", coeff, paths.increments) \
+        - 0.5 * (coeff**2).sum(axis=2) * paths.grid.dt[None, :]
+    np.cumsum(incr, axis=1, out=log_e[:, 1:])
+    return np.exp(log_e)
 
 
 def _increment_regression(reg: RegressionConditional, paths: PathEnsemble,
@@ -111,6 +125,47 @@ def _increment_regression(reg: RegressionConditional, paths: PathEnsemble,
     centered = next_values if base_values is None else next_values - base_values
     target = centered[..., None] * db[(slice(None),) + (None,) * (centered.ndim - 1)]
     return reg.fit_predict(k, target) / paths.grid.dt[k]
+
+
+def _represent(paths: PathEnsemble, degree: int, h: np.ndarray) -> tuple:
+    """The martingale representation of an F_T-measurable h: (N, Z~).
+
+    N_k is the fitted E_k[h] with N_K = h, shape (M, K+1, ...), and Z~_k is
+    the increment regression of N_{k+1} centred at N_k, written into one
+    (M, K, ..., d) array that callers turn into their Z in place.
+    """
+    m, ksteps = paths.paths, paths.grid.steps
+    reg = RegressionConditional.of(paths, degree)
+    n_fit = np.empty((m, ksteps + 1) + h.shape[1:])
+    n_fit[:, ksteps] = h
+    for k in range(ksteps):
+        n_fit[:, k] = reg.fit_predict(k, h)
+    z_tilde = np.empty((m, ksteps) + h.shape[1:] + (paths.d,))
+    for k in range(ksteps):
+        z_tilde[:, k] = _increment_regression(reg, paths, n_fit[:, k + 1], k,
+                                              base_values=n_fit[:, k])
+    return n_fit, z_tilde
+
+
+def _backward(paths: PathEnsemble, degree: int, terminal: np.ndarray,
+              step: Callable) -> tuple:
+    """Backward induction from Y_K = terminal (M, n); returns (y, z, drift).
+
+    At each k from K-1 down, Z_k is the increment regression of Y_{k+1}
+    centred at E_k[Y_{k+1}], and `step(k, E_k[Y_{k+1}], Z_k)` returns
+    (Y_k, drift_k).
+    """
+    m, ksteps, n = paths.paths, paths.grid.steps, terminal.shape[-1]
+    reg = RegressionConditional.of(paths, degree)
+    y = np.empty((m, ksteps + 1, n))
+    z = np.empty((m, ksteps, n, paths.d))
+    drift = np.empty((m, ksteps, n))
+    y[:, ksteps] = terminal
+    for k in range(ksteps - 1, -1, -1):
+        ey = reg.fit_predict(k, y[:, k + 1])
+        z[:, k] = _increment_regression(reg, paths, y[:, k + 1], k, base_values=ey)
+        y[:, k], drift[:, k] = step(k, ey, z[:, k])
+    return y, z, drift
 
 
 def _martingale_residuals(paths: PathEnsemble, y: np.ndarray, z: np.ndarray,
@@ -163,22 +218,18 @@ def _finish(spec: LinearBsdeSpec, paths: PathEnsemble, solver: str, y: np.ndarra
 
 
 def _regression_core(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int) -> tuple:
-    m, ksteps, n, d = paths.paths, paths.grid.steps, spec.n, paths.d
+    m, n = paths.paths, spec.n
     dt = paths.grid.dt
     beta = _beta_array(spec, paths)
-    reg = RegressionConditional.of(paths, degree)
-    y = np.empty((m, ksteps + 1, n))
-    z = np.empty((m, ksteps, n, d))
-    y[:, ksteps] = np.asarray(spec.terminal(paths), dtype=float).reshape(m, n)
-    drift = np.empty((m, ksteps, n))
-    for k in range(ksteps - 1, -1, -1):
-        ey = reg.fit_predict(k, y[:, k + 1])
-        z[:, k] = _increment_regression(reg, paths, y[:, k + 1], k, base_values=ey)
-        a_k = spec.field.values(paths, k)
-        drift[:, k] = contract_az(a_k, z[:, k])
+
+    def step(k, ey, z_k):
+        drift = contract_az(spec.field.values(paths, k), z_k)
         if beta is not None:
-            drift[:, k] += beta[:, k]
-        y[:, k] = ey + drift[:, k] * dt[k]
+            drift += beta[:, k]
+        return ey + drift * dt[k], drift
+
+    y, z, drift = _backward(paths, degree,
+                            np.asarray(spec.terminal(paths), dtype=float).reshape(m, n), step)
     return y, z, beta, {"drift": drift}
 
 
@@ -196,35 +247,26 @@ def solve_by_regression(spec: LinearBsdeSpec, paths: PathEnsemble,
 def _expo_core(spec: LinearBsdeSpec, expo: ExponentialEnsemble, degree: int) -> tuple:
     """Representation core given simulated (S, S^{-1})."""
     paths = expo.paths
-    m, ksteps, n, d = paths.paths, paths.grid.steps, spec.n, paths.d
+    m, ksteps, n = paths.paths, paths.grid.steps, spec.n
     if expo.s_inv is None:
         raise ConfigurationError("representation solve needs the inverse ensemble")
     beta = _beta_array(spec, paths)
-    prefix = _beta_prefix(beta, paths, n)
     xi = np.asarray(spec.terminal(paths), dtype=float).reshape(m, n)
 
     h = np.einsum("mij,mj->mi", expo.s[:, -1], xi)
     if beta is not None:
         h += np.einsum("mkij,mkj->mi", expo.s[:, :-1],
                        beta * paths.grid.dt[None, :, None])
+    n_fit, z = _represent(paths, degree, h)
 
-    reg = RegressionConditional.of(paths, degree)
-    n_fit = np.empty((m, ksteps + 1, n))
-    n_fit[:, ksteps] = h
-    for k in range(ksteps):
-        n_fit[:, k] = reg.fit_predict(k, h)
-
-    y = np.einsum("mkij,mkj->mki", expo.s_inv, n_fit) - prefix
+    y = np.einsum("mkij,mkj->mki", expo.s_inv, n_fit) - _prefix(paths, beta, (n,))
     terminal_mismatch = float(np.abs(y[:, ksteps] - xi).max())
     y[:, ksteps] = xi
 
-    z = np.empty((m, ksteps, n, d))
     for k in range(ksteps):
-        z_tilde = _increment_regression(reg, paths, n_fit[:, k + 1], k,
-                                        base_values=n_fit[:, k])         # (M, n, d)
         a_k = spec.field.values(paths, k)                                # (M, n, n, d)
         xn = np.einsum("mij,mj->mi", expo.s_inv[:, k], n_fit[:, k])      # Y + int beta
-        z[:, k] = (np.einsum("mij,mjd->mid", expo.s_inv[:, k], z_tilde)
+        z[:, k] = (np.einsum("mij,mjd->mid", expo.s_inv[:, k], z[:, k])
                    - np.einsum("mijd,mj->mid", a_k, xn))
     return y, z, beta, {"terminal_mismatch": terminal_mismatch}
 
@@ -277,34 +319,16 @@ def _scalar_weighted_solve(paths: PathEnsemble, coeff: np.ndarray, xi: np.ndarra
     Returns (U (M, K+1), V (M, K, d)).  The weight is the closed-form scalar
     exponential of int coeff dB, which is strictly positive pathwise.
     """
-    m, ksteps, d = coeff.shape
-    dt = paths.grid.dt
-    log_e = np.zeros((m, ksteps + 1))
-    incr = np.einsum("mkd,mkd->mk", coeff, paths.increments) \
-        - 0.5 * (coeff**2).sum(axis=2) * dt[None, :]
-    np.cumsum(incr, axis=1, out=log_e[:, 1:])
-    weights = np.exp(log_e)
-
-    prefix = np.zeros((m, ksteps + 1))
-    if beta is not None:
-        np.cumsum(beta * dt[None, :], axis=1, out=prefix[:, 1:])
+    ksteps = paths.grid.steps
+    weights = _scalar_exponential(paths, coeff)
     h = weights[:, -1] * xi
     if beta is not None:
-        h += (weights[:, :-1] * beta * dt[None, :]).sum(axis=1)
-
-    reg = RegressionConditional.of(paths, degree)
-    n_fit = np.empty((m, ksteps + 1))
-    n_fit[:, ksteps] = h
-    for k in range(ksteps):
-        n_fit[:, k] = reg.fit_predict(k, h)
-    u = n_fit / weights - prefix
+        h += (weights[:, :-1] * beta * paths.grid.dt[None, :]).sum(axis=1)
+    n_fit, v = _represent(paths, degree, h)
+    u = n_fit / weights - _prefix(paths, beta, ())
     u[:, ksteps] = xi
-    v = np.empty((m, ksteps, d))
-    for k in range(ksteps):
-        z_tilde = _increment_regression(reg, paths, n_fit[:, k + 1], k,
-                                        base_values=n_fit[:, k])         # (M, d)
-        v[:, k] = z_tilde / weights[:, k, None] \
-            - coeff[:, k] * (n_fit[:, k] / weights[:, k])[:, None]
+    v /= weights[:, :-1, None]
+    v -= coeff * (n_fit[:, :-1] / weights[:, :-1])[:, :, None]
     return u, v
 
 
@@ -314,9 +338,8 @@ def _triangular_core(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int) -> 
             f"triangular solver needs a lower_triangular field, got "
             f"{spec.field.structure!r}")
     m, ksteps, n, d = paths.paths, paths.grid.steps, spec.n, paths.d
-    a_vals = _field_values(spec.field, paths)
-    sample = a_vals[0]
-    if not spec.field.check_structure(sample, atol=1e-10):
+    a_vals = [spec.field.values(paths, k) for k in range(ksteps)]
+    if not spec.field.check_structure(a_vals[0], atol=1e-10):
         raise ConfigurationError("field values are not lower triangular")
     beta = _beta_array(spec, paths)
     xi = np.asarray(spec.terminal(paths), dtype=float).reshape(m, n)
@@ -351,10 +374,10 @@ def _right_outer_core(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int) ->
     fld = spec.field
     if not isinstance(fld, RightOuterField) or fld.structure != "right_outer":
         raise ConfigurationError("right-outer solver needs a RightOuterField")
-    m, ksteps, n, d = paths.paths, paths.grid.steps, spec.n, paths.d
+    m, ksteps, n = paths.paths, paths.grid.steps, spec.n
     dt = paths.grid.dt
     b = fld.b
-    a_vals = np.stack([fld.a_values(paths, k) for k in range(ksteps)], axis=1)  # (M,K,n,d)
+    a_vals = _per_step(fld.a_values, paths)                          # (M, K, n, d)
     coeff = np.einsum("i,mkid->mkd", b, a_vals)
     beta = _beta_array(spec, paths)
     xi = np.asarray(spec.terminal(paths), dtype=float).reshape(m, n)
@@ -367,19 +390,9 @@ def _right_outer_core(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int) ->
     if beta is not None:
         tilde += beta
     h = xi + (tilde * dt[None, :, None]).sum(axis=1)
-    prefix = np.zeros((m, ksteps + 1, n))
-    np.cumsum(tilde * dt[None, :, None], axis=1, out=prefix[:, 1:])
-    reg = RegressionConditional.of(paths, degree)
-    n_fit = np.empty((m, ksteps + 1, n))
-    n_fit[:, ksteps] = h
-    for k in range(ksteps):
-        n_fit[:, k] = reg.fit_predict(k, h)
-    y = n_fit - prefix
+    n_fit, z = _represent(paths, degree, h)
+    y = n_fit - _prefix(paths, tilde, (n,))
     y[:, ksteps] = xi
-    z = np.empty((m, ksteps, n, d))
-    for k in range(ksteps):
-        z[:, k] = _increment_regression(reg, paths, n_fit[:, k + 1], k,
-                                        base_values=n_fit[:, k])
     return y, z, beta, {"scalar_v": v}
 
 
@@ -401,16 +414,10 @@ def left_outer_exponential(fld: LeftOuterField, paths: PathEnsemble) -> Exponent
     S = I + a m^T with dm = (scalar exponential) b dB; the inverse is the
     rank-one Sherman-Morrison form I - a m^T / (scalar exponential).
     """
-    m, ksteps, n, d = paths.paths, paths.grid.steps, fld.n, paths.d
-    dt = paths.grid.dt
+    m, ksteps, n = paths.paths, paths.grid.steps, fld.n
     a = fld.a
-    b_vals = np.stack([fld.b_values(paths, k) for k in range(ksteps)], axis=1)  # (M,K,n,d)
-    coeff = np.einsum("i,mkid->mkd", a, b_vals)
-    log_e = np.zeros((m, ksteps + 1))
-    incr = np.einsum("mkd,mkd->mk", coeff, paths.increments) \
-        - 0.5 * (coeff**2).sum(axis=2) * dt[None, :]
-    np.cumsum(incr, axis=1, out=log_e[:, 1:])
-    scal = np.exp(log_e)                              # scalar exponential, > 0
+    b_vals = _per_step(fld.b_values, paths)                          # (M, K, n, d)
+    scal = _scalar_exponential(paths, np.einsum("i,mkid->mkd", a, b_vals))      # > 0
     m_vec = np.zeros((m, ksteps + 1, n))
     bdb = np.einsum("mkjd,mkd->mkj", b_vals, paths.increments)
     np.cumsum(scal[:, :-1, None] * bdb, axis=1, out=m_vec[:, 1:])
@@ -436,20 +443,24 @@ def solve_left_outer(spec: LinearBsdeSpec, paths: PathEnsemble,
     return _finish(spec, paths, "left_outer", *_left_outer_core(spec, paths, degree))
 
 
-_STRUCTURAL = {
-    "lower_triangular": solve_triangular,
-    "right_outer": solve_right_outer,
-    "left_outer": solve_left_outer,
-}
-
 # The core of each structural method and of regression; its public solver is
 # the core followed by `_finish`.  The representation core also takes the
-# gated exponential, which `solve_perturbed` forms once per solve.
+# gated exponential, which `solve_perturbed` forms once per solve.  No
+# structure tag is called "regression", so `structure in _CORES` asks whether
+# the field has a structural solver.
 _CORES = {
     "regression": _regression_core,
     "lower_triangular": _triangular_core,
     "right_outer": _right_outer_core,
     "left_outer": _left_outer_core,
+}
+
+_SOLVERS = {
+    "regression": solve_by_regression,
+    "representation": solve_by_representation,
+    "lower_triangular": solve_triangular,
+    "right_outer": solve_right_outer,
+    "left_outer": solve_left_outer,
 }
 
 
@@ -467,7 +478,7 @@ def solve_perturbed(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int = 3,
     being too large to slice.
     """
     if base == "auto":
-        base = spec.field.structure if spec.field.structure in _STRUCTURAL \
+        base = spec.field.structure if spec.field.structure in _CORES \
             else "representation"
     if base == "representation":
         # S and its defect gate do not depend on the pass
@@ -476,10 +487,7 @@ def solve_perturbed(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int = 3,
         core = _CORES[base]
     m, ksteps, n, d = paths.paths, paths.grid.steps, spec.n, paths.d
     beta = _beta_array(spec, paths)
-    alpha = None
-    if spec.alpha is not None:
-        alpha = np.stack([np.asarray(spec.alpha(paths, k), dtype=float)
-                          for k in range(ksteps)], axis=1)
+    alpha = None if spec.alpha is None else _per_step(spec.alpha, paths)
     da_vals = None
     if spec.delta_field is not None:
         da_vals = [spec.delta_field.values(paths, k) for k in range(ksteps)]
@@ -521,16 +529,16 @@ def solve_perturbed(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int = 3,
 
 def solve_auto(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int = 3,
                method: str = "auto") -> SolutionEnsemble:
-    """Dispatch on the declared structure / requested method."""
+    """Dispatch on the declared structure / requested method.
+
+    A spec with a perturbation (alpha or delta_field) is solved by
+    `solve_perturbed` with the requested method as its base.
+    """
     if spec.delta_field is not None or spec.alpha is not None:
-        return solve_perturbed(spec, paths, degree=degree)
+        return solve_perturbed(spec, paths, degree=degree, base=method)
     if method == "auto":
-        if spec.field.structure in _STRUCTURAL:
-            return _STRUCTURAL[spec.field.structure](spec, paths, degree=degree)
-        return solve_by_regression(spec, paths, degree=degree)
-    table = {"regression": solve_by_regression,
-             "representation": solve_by_representation, **_STRUCTURAL}
-    return table[method](spec, paths, degree=degree)
+        method = spec.field.structure if spec.field.structure in _CORES else "regression"
+    return _SOLVERS[method](spec, paths, degree=degree)
 
 
 def batch_y0(solver, spec: LinearBsdeSpec, paths: PathEnsemble, batches: int = 8,
@@ -578,9 +586,7 @@ def estimate_solution_operator_norm(solver, make_spec, family, paths: PathEnsemb
             znorm = estimate_norm("l2q", sol.z, paths, q=q).value
         bnorm = 0.0
         if beta_fn is not None:
-            beta = np.stack([np.asarray(beta_fn(paths, k), dtype=float)
-                             for k in range(paths.grid.steps)], axis=1)
-            bnorm = estimate_norm("l1q", beta, paths, q=q).value
+            bnorm = estimate_norm("l1q", _per_step(beta_fn, paths), paths, q=q).value
         denom = xin + bnorm
         rows.append({"name": name, "ratio": (ynorm + znorm) / denom if denom else np.inf,
                      "y_norm": ynorm, "z_norm": znorm, "xi_norm": xin, "beta_norm": bnorm})

@@ -17,7 +17,7 @@ import numpy as np
 
 from .brownian import PathEnsemble
 from .grids import ConfigurationError
-from .linear import (LinearBsdeSpec, SolutionEnsemble, _increment_regression,
+from .linear import (LinearBsdeSpec, SolutionEnsemble, _backward, _finish,
                      _martingale_residuals)
 from .norms import RegressionConditional, estimate_norm
 from .tensors import contract_az
@@ -123,13 +123,16 @@ def sampled_lipschitz(driver, rng: np.random.Generator, samples: int = 200,
 # ---------------------------------------------------------------------------
 # truncation
 
+def _vecd_norm(z: np.ndarray) -> np.ndarray:
+    """Full (Frobenius) norm of batched VecD arrays (..., n, d)."""
+    return np.sqrt((z * z).reshape(z.shape[:-2] + (-1,)).sum(axis=-1))
+
+
 def radial_clamp(v: np.ndarray, k: float) -> np.ndarray:
     """Smooth radial clamp: identity for |v| <= k, C^2 flattening to radius
     1.5 k by |v| = 2k; 1-Lipschitz and |clamp(v)| <= |v|."""
     v = np.asarray(v, dtype=float)
-    r = np.sqrt((v * v).reshape(v.shape[:-2] + (-1,)).sum(axis=-1)) if v.ndim >= 2 \
-        else np.abs(v)
-    return _apply_radial(v, r, k)
+    return _apply_radial(v, _vecd_norm(v) if v.ndim >= 2 else np.abs(v), k)
 
 
 def _clamp_profile(r: np.ndarray, k: float) -> np.ndarray:
@@ -165,8 +168,7 @@ def clamp_vector(v: np.ndarray, k: float) -> np.ndarray:
 def clamp_vecd(z: np.ndarray, k: float) -> np.ndarray:
     """Radial clamp of batched VecD arrays (..., n, d), radial in the full norm."""
     z = np.asarray(z, dtype=float)
-    r = np.sqrt((z * z).reshape(z.shape[:-2] + (-1,)).sum(axis=-1))
-    return _apply_radial(z, r, k)
+    return _apply_radial(z, _vecd_norm(z), k)
 
 
 @dataclass
@@ -228,7 +230,7 @@ class TruncatedDriver:
         if self.base.kind == "ql":
             bz = np.einsum("j,...jd->...d", self.base.b, z)
             return np.sqrt((bz * bz).sum(axis=-1))
-        return np.sqrt((z * z).reshape(z.shape[:-2] + (-1,)).sum(axis=-1))
+        return _vecd_norm(z)
 
 
 def truncate_driver(driver, level: float) -> TruncatedDriver:
@@ -267,19 +269,12 @@ def _backward_quadratic(driver, terminal_fn, paths: PathEnsemble, degree: int,
     computed once per step (`TruncatedDriver.at_z`) and each inner iteration
     pays only for g.
     """
-    m, ksteps, n, d = paths.paths, paths.grid.steps, driver.n, driver.d
     dt = paths.grid.dt
-    reg = RegressionConditional.of(paths, degree)
-    y = np.empty((m, ksteps + 1, n))
-    z = np.empty((m, ksteps, n, d))
-    y[:, ksteps] = np.asarray(terminal_fn(paths), dtype=float).reshape(m, n)
-    drift = np.empty((m, ksteps, n))
-    for k in range(ksteps - 1, -1, -1):
+
+    def step(k, ey, z_k):
         x_k = paths.state_at(k)
-        ey = reg.fit_predict(k, y[:, k + 1])
-        z[:, k] = _increment_regression(reg, paths, y[:, k + 1], k, base_values=ey)
         t_k = float(paths.grid.nodes[k])
-        f_k = driver.at_z(z[:, k])
+        f_k = driver.at_z(z_k)
         cur = np.zeros_like(ey) if init == "zero" else ey.copy()
         damp = 1.0
         prev_delta = np.inf
@@ -296,9 +291,10 @@ def _backward_quadratic(driver, terminal_fn, paths: PathEnsemble, degree: int,
         else:
             raise StepPicardError(
                 f"inner Picard did not converge at step {k} (last delta {delta:.3e})")
-        y[:, k] = cur
-        drift[:, k] = f_k(t_k, x_k, cur)
-    return y, z, drift
+        return cur, f_k(t_k, x_k, cur)
+
+    terminal = np.asarray(terminal_fn(paths), dtype=float).reshape(paths.paths, driver.n)
+    return _backward(paths, degree, terminal, step)
 
 
 def solve_quadratic(driver, terminal_fn, paths: PathEnsemble, degree: int = 3,
@@ -324,12 +320,10 @@ def solve_quadratic(driver, terminal_fn, paths: PathEnsemble, degree: int = 3,
         accepted = zmag < (1.0 - margin) * level
         log.append({"level": float(level), "max_magnitude": zmag, "accepted": accepted})
         if accepted:
-            diags = _martingale_residuals(paths, y, z, drift)
-            diags["terminal_mismatch"] = 0.0
-            diags["truncation_level"] = float(level)
-            diags["truncation_margin"] = 1.0 - zmag / level
             spec = LinearBsdeSpec(None, terminal_fn)  # driver recorded separately
-            sol = SolutionEnsemble(spec, paths, y, z, f"quadratic[{driver.kind}]", diags)
+            sol = _finish(spec, paths, f"quadratic[{driver.kind}]", y, z, None,
+                          {"drift": drift, "truncation_level": float(level),
+                           "truncation_margin": 1.0 - zmag / level})
             return QuadraticSolveReport(sol, float(level), log, 1.0 - zmag / level)
     raise TruncationEscalationError(
         f"no self-consistent truncation level found; escalation log: {log}")

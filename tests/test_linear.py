@@ -498,3 +498,300 @@ def test_solver_diagnostics_match_recomputed_drift(small_paths, instance, solver
             np.abs(np.einsum("j,mkjd->mkd", fld.b, sol.z) - v).mean())
     if "scheme" in keys:
         assert sol.diagnostics["scheme"] == "closed_form"
+
+
+def test_solve_auto_passes_method_to_perturbed_base(small_paths):
+    spec = _perturbed_spec("right-outer-3d")
+    got = solve_auto(spec, small_paths, method="regression")
+    want = solve_perturbed(spec, small_paths, base="regression")
+    _assert_same_solution(got, want)
+    structural = solve_perturbed(spec, small_paths, base="right_outer")
+    assert got.y.tobytes() != structural.y.tobytes()
+
+
+# --------------------------- frozen reference: the linear cores as they were
+# The solver cores before they were built from shared pieces (one
+# representation step, one scalar exponential, one backward loop), kept
+# verbatim so that every later refactor shows it keeps each output bit.
+
+def _ref_beta_array(spec, paths):
+    if spec.beta is None:
+        return None
+    return np.stack([np.asarray(spec.beta(paths, k), dtype=float)
+                     for k in range(paths.grid.steps)], axis=1)
+
+
+def _ref_beta_prefix(beta, paths, n):
+    m, ksteps = paths.paths, paths.grid.steps
+    out = np.zeros((m, ksteps + 1, n))
+    if beta is not None:
+        np.cumsum(beta * paths.grid.dt[None, :, None], axis=1, out=out[:, 1:])
+    return out
+
+
+def _ref_regression_core(spec, paths, degree):
+    from bsde_lab.linear import _increment_regression
+    from bsde_lab.tensors import contract_az
+    m, ksteps, n, d = paths.paths, paths.grid.steps, spec.n, paths.d
+    dt = paths.grid.dt
+    beta = _ref_beta_array(spec, paths)
+    reg = RegressionConditional.of(paths, degree)
+    y = np.empty((m, ksteps + 1, n))
+    z = np.empty((m, ksteps, n, d))
+    y[:, ksteps] = np.asarray(spec.terminal(paths), dtype=float).reshape(m, n)
+    drift = np.empty((m, ksteps, n))
+    for k in range(ksteps - 1, -1, -1):
+        ey = reg.fit_predict(k, y[:, k + 1])
+        z[:, k] = _increment_regression(reg, paths, y[:, k + 1], k, base_values=ey)
+        a_k = spec.field.values(paths, k)
+        drift[:, k] = contract_az(a_k, z[:, k])
+        if beta is not None:
+            drift[:, k] += beta[:, k]
+        y[:, k] = ey + drift[:, k] * dt[k]
+    return y, z, beta
+
+
+def _ref_expo_core(spec, expo, degree):
+    from bsde_lab.linear import _increment_regression
+    paths = expo.paths
+    m, ksteps, n, d = paths.paths, paths.grid.steps, spec.n, paths.d
+    beta = _ref_beta_array(spec, paths)
+    prefix = _ref_beta_prefix(beta, paths, n)
+    xi = np.asarray(spec.terminal(paths), dtype=float).reshape(m, n)
+
+    h = np.einsum("mij,mj->mi", expo.s[:, -1], xi)
+    if beta is not None:
+        h += np.einsum("mkij,mkj->mi", expo.s[:, :-1],
+                       beta * paths.grid.dt[None, :, None])
+
+    reg = RegressionConditional.of(paths, degree)
+    n_fit = np.empty((m, ksteps + 1, n))
+    n_fit[:, ksteps] = h
+    for k in range(ksteps):
+        n_fit[:, k] = reg.fit_predict(k, h)
+
+    y = np.einsum("mkij,mkj->mki", expo.s_inv, n_fit) - prefix
+    y[:, ksteps] = xi
+
+    z = np.empty((m, ksteps, n, d))
+    for k in range(ksteps):
+        z_tilde = _increment_regression(reg, paths, n_fit[:, k + 1], k,
+                                        base_values=n_fit[:, k])
+        a_k = spec.field.values(paths, k)
+        xn = np.einsum("mij,mj->mi", expo.s_inv[:, k], n_fit[:, k])
+        z[:, k] = (np.einsum("mij,mjd->mid", expo.s_inv[:, k], z_tilde)
+                   - np.einsum("mijd,mj->mid", a_k, xn))
+    return y, z, beta
+
+
+def _ref_scalar_weighted_solve(paths, coeff, xi, beta, degree=3):
+    from bsde_lab.linear import _increment_regression
+    m, ksteps, d = coeff.shape
+    dt = paths.grid.dt
+    log_e = np.zeros((m, ksteps + 1))
+    incr = np.einsum("mkd,mkd->mk", coeff, paths.increments) \
+        - 0.5 * (coeff**2).sum(axis=2) * dt[None, :]
+    np.cumsum(incr, axis=1, out=log_e[:, 1:])
+    weights = np.exp(log_e)
+
+    prefix = np.zeros((m, ksteps + 1))
+    if beta is not None:
+        np.cumsum(beta * dt[None, :], axis=1, out=prefix[:, 1:])
+    h = weights[:, -1] * xi
+    if beta is not None:
+        h += (weights[:, :-1] * beta * dt[None, :]).sum(axis=1)
+
+    reg = RegressionConditional.of(paths, degree)
+    n_fit = np.empty((m, ksteps + 1))
+    n_fit[:, ksteps] = h
+    for k in range(ksteps):
+        n_fit[:, k] = reg.fit_predict(k, h)
+    u = n_fit / weights - prefix
+    u[:, ksteps] = xi
+    v = np.empty((m, ksteps, d))
+    for k in range(ksteps):
+        z_tilde = _increment_regression(reg, paths, n_fit[:, k + 1], k,
+                                        base_values=n_fit[:, k])
+        v[:, k] = z_tilde / weights[:, k, None] \
+            - coeff[:, k] * (n_fit[:, k] / weights[:, k])[:, None]
+    return u, v
+
+
+def _ref_triangular_core(spec, paths, degree):
+    m, ksteps, n, d = paths.paths, paths.grid.steps, spec.n, paths.d
+    a_vals = [spec.field.values(paths, k) for k in range(ksteps)]
+    beta = _ref_beta_array(spec, paths)
+    xi = np.asarray(spec.terminal(paths), dtype=float).reshape(m, n)
+    y = np.empty((m, ksteps + 1, n))
+    z = np.empty((m, ksteps, n, d))
+    for i in range(n):
+        coeff = np.stack([a_vals[k][:, i, i, :] for k in range(ksteps)], axis=1)
+        known = np.zeros((m, ksteps))
+        for j in range(i):
+            known += np.stack(
+                [(a_vals[k][:, i, j, :] * z[:, k, j, :]).sum(axis=1)
+                 for k in range(ksteps)], axis=1)
+        if beta is not None:
+            known += beta[:, :, i]
+        u, v = _ref_scalar_weighted_solve(paths, coeff, xi[:, i], known, degree)
+        y[:, :, i] = u
+        z[:, :, i, :] = v
+    return y, z, beta
+
+
+def _ref_right_outer_core(spec, paths, degree):
+    from bsde_lab.linear import _increment_regression
+    fld = spec.field
+    m, ksteps, n, d = paths.paths, paths.grid.steps, spec.n, paths.d
+    dt = paths.grid.dt
+    b = fld.b
+    a_vals = np.stack([fld.a_values(paths, k) for k in range(ksteps)], axis=1)
+    coeff = np.einsum("i,mkid->mkd", b, a_vals)
+    beta = _ref_beta_array(spec, paths)
+    xi = np.asarray(spec.terminal(paths), dtype=float).reshape(m, n)
+    eta = xi @ b
+    beta_scalar = None if beta is None else np.einsum("mkj,j->mk", beta, b)
+    u, v = _ref_scalar_weighted_solve(paths, coeff, eta, beta_scalar, degree)
+
+    tilde = np.einsum("mkid,mkd->mki", a_vals, v)
+    if beta is not None:
+        tilde += beta
+    h = xi + (tilde * dt[None, :, None]).sum(axis=1)
+    prefix = np.zeros((m, ksteps + 1, n))
+    np.cumsum(tilde * dt[None, :, None], axis=1, out=prefix[:, 1:])
+    reg = RegressionConditional.of(paths, degree)
+    n_fit = np.empty((m, ksteps + 1, n))
+    n_fit[:, ksteps] = h
+    for k in range(ksteps):
+        n_fit[:, k] = reg.fit_predict(k, h)
+    y = n_fit - prefix
+    y[:, ksteps] = xi
+    z = np.empty((m, ksteps, n, d))
+    for k in range(ksteps):
+        z[:, k] = _increment_regression(reg, paths, n_fit[:, k + 1], k,
+                                        base_values=n_fit[:, k])
+    return y, z, beta
+
+
+def _ref_left_outer_exponential(fld, paths):
+    from bsde_lab.exponential import ExponentialEnsemble
+    m, ksteps, n, d = paths.paths, paths.grid.steps, fld.n, paths.d
+    dt = paths.grid.dt
+    a = fld.a
+    b_vals = np.stack([fld.b_values(paths, k) for k in range(ksteps)], axis=1)
+    coeff = np.einsum("i,mkid->mkd", a, b_vals)
+    log_e = np.zeros((m, ksteps + 1))
+    incr = np.einsum("mkd,mkd->mk", coeff, paths.increments) \
+        - 0.5 * (coeff**2).sum(axis=2) * dt[None, :]
+    np.cumsum(incr, axis=1, out=log_e[:, 1:])
+    scal = np.exp(log_e)
+    m_vec = np.zeros((m, ksteps + 1, n))
+    bdb = np.einsum("mkjd,mkd->mkj", b_vals, paths.increments)
+    np.cumsum(scal[:, :-1, None] * bdb, axis=1, out=m_vec[:, 1:])
+    eye = np.eye(n)
+    s = eye[None, None] + np.einsum("i,mkj->mkij", a, m_vec)
+    s_inv = eye[None, None] - np.einsum("i,mkj->mkij", a, m_vec) / scal[:, :, None, None]
+    return ExponentialEnsemble(fld, paths, s, s_inv, scheme="closed_form")
+
+
+def _ref_solver(name):
+    """The frozen core `name` as a solver: the SolutionEnsemble it gives
+    carries the drift A Z + beta of its solution in diagnostics["drift"]."""
+    from bsde_lab.exponential import simulate_exponential
+    from bsde_lab.linear import SolutionEnsemble
+    from bsde_lab.tensors import contract_az
+
+    cores = {
+        "regression": _ref_regression_core,
+        "representation": lambda spec, paths, degree: _ref_expo_core(
+            spec, simulate_exponential(spec.field, paths, inverse=True), degree),
+        "triangular": _ref_triangular_core,
+        "right_outer": _ref_right_outer_core,
+        "left_outer": lambda spec, paths, degree: _ref_expo_core(
+            spec, _ref_left_outer_exponential(spec.field, paths), degree),
+    }
+
+    def solve(spec, paths, degree=3):
+        y, z, beta = cores[name](spec, paths, degree)
+        drift = np.stack([contract_az(spec.field.values(paths, k), z[:, k])
+                          for k in range(paths.grid.steps)], axis=1)
+        if beta is not None:
+            drift += beta
+        return SolutionEnsemble(spec, paths, y, z, name, {"drift": drift})
+    return solve
+
+
+def _generic_2x2():
+    """A constant generic field with d = 2, so that every contraction over
+    the Brownian coordinates sums more than one term."""
+    a0 = np.array([[[0.2, -0.1], [0.1, 0.0]], [[0.0, 0.15], [0.1, 0.3]]])
+    return constant_field(a0, name="generic-2x2")
+
+
+_FROZEN_CASES = {
+    "regression": ("triangular-3d", solve_by_regression),
+    "regression-d2": ("generic-2x2", solve_by_regression),
+    "representation": ("triangular-3d", solve_by_representation),
+    "representation-d2": ("generic-2x2", solve_by_representation),
+    "triangular": ("triangular-3d", solve_triangular),
+    "right_outer": ("right-outer-3d", solve_right_outer),
+    "left_outer": ("left-outer-3d", solve_left_outer),
+}
+
+
+def _frozen_instance(instance):
+    """(field, terminal, beta function, paths) of a frozen-reference case."""
+    if instance == "generic-2x2":
+        fld, terminal = _generic_2x2(), lambda p: np.tanh(p.states[:, -1])
+    else:
+        fld, terminal = _perturbed_spec(instance).field, linear_terminal(instance)
+    weights = np.linspace(1.0, -0.5, fld.n)
+    beta_fn = lambda p, k: 0.2 * np.sin(p.state_at(k)[:, :1]) * weights
+    paths = generate_brownian(TimeGrid(1.0, 8), fld.d, 1200, seed=7)
+    return fld, terminal, beta_fn, paths
+
+
+def _assert_matches_reference(got, want):
+    paths = want.paths
+    assert got.y.tobytes() == want.y.tobytes()
+    assert got.z.tobytes() == want.z.tobytes()
+    mean_r, mean_rdb = _moment_residuals(paths, want.y, want.z, want.diagnostics["drift"])
+    assert got.diagnostics["moment_residual"] == mean_r
+    assert got.diagnostics["moment_db_residual"] == mean_rdb
+
+
+@pytest.mark.parametrize("with_beta", [False, True])
+@pytest.mark.parametrize("case", sorted(_FROZEN_CASES))
+def test_linear_solvers_match_frozen_reference(case, with_beta):
+    instance, solver = _FROZEN_CASES[case]
+    fld, terminal, beta_fn, paths = _frozen_instance(instance)
+    spec = LinearBsdeSpec(fld, terminal, beta=beta_fn if with_beta else None)
+    want = _ref_solver(case.removesuffix("-d2"))(spec, paths)
+    _assert_matches_reference(solver(spec, paths), want)
+
+
+@pytest.mark.parametrize("with_beta", [False, True])
+@pytest.mark.parametrize("instance, base, ref", [
+    ("right-outer-3d", "auto", "right_outer"),
+    ("triangular-3d", "auto", "triangular"),
+    ("left-outer-3d", "auto", "left_outer"),
+    ("triangular-3d", "regression", "regression"),
+    ("generic-3d", "auto", "representation"),
+])
+def test_perturbed_solve_matches_frozen_reference(instance, base, ref, with_beta):
+    spec = _perturbed_spec(instance)
+    if with_beta:
+        spec.beta = lambda p, k: 0.2 * np.sin(p.state_at(k)) * np.array([1.0, -0.5, 0.25])
+    paths = generate_brownian(TimeGrid(1.0, 8), 1, 1200, seed=7)
+    want = _reference_perturbed(spec, paths, _ref_solver(ref))
+    got = solve_perturbed(spec, paths, base=base)
+    assert got.diagnostics["picard_iterations"] == want.diagnostics["picard_iterations"] >= 3
+    _assert_matches_reference(got, want)
+
+
+def test_left_outer_exponential_matches_frozen_reference():
+    fld = left_outer_3d()
+    paths = generate_brownian(TimeGrid(1.0, 8), 1, 1200, seed=7)
+    got, want = left_outer_exponential(fld, paths), _ref_left_outer_exponential(fld, paths)
+    assert got.s.tobytes() == want.s.tobytes()
+    assert got.s_inv.tobytes() == want.s_inv.tobytes()
