@@ -109,15 +109,6 @@ class PathEnsemble:
         inc = self.increments.reshape(self.paths, grid.steps, factor, self.d).sum(axis=2)
         return PathEnsemble(grid, self.d, self.paths, self.seed, inc, self.initial_state)
 
-    def to_csv(self, path) -> None:
-        """Flat CSV dump (path-major, step-minor) for debugging."""
-        m, k, d = self.increments.shape
-        idx = np.repeat(np.arange(m), k), np.tile(np.arange(k), m)
-        cols = [idx[0], idx[1]] + [self.increments[:, :, e].ravel() for e in range(d)]
-        header = "path,step," + ",".join(f"dB{e}" for e in range(d))
-        np.savetxt(path, np.column_stack(cols), delimiter=",", header=header,
-                   comments="", fmt=["%d", "%d"] + ["%.17g"] * d)
-
 
 def generate_brownian(grid: TimeGrid, d: int, paths: int, seed: int,
                       threads: int = 1, initial_state=None) -> PathEnsemble:

@@ -10,6 +10,7 @@ artifacts.  Thread count is an execution knob only and never changes results.
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import json
 import os
@@ -21,14 +22,14 @@ import numpy as np
 
 from . import __version__
 from .brownian import generate_brownian
-from .counterexamples import (EmerySpec, NonexistenceSpec, emery_closed_form,
+from .counterexamples import (NonexistenceSpec, emery_closed_form,
                               emery_defect_at_horizon, exit_time_exponential,
                               nonexistence_blowup)
 from .exponential import (estimate_reverse_holder, martingale_defect,
                           simulate_exponential, terminal_moment_truncation_curve,
                           truncation_curve)
 from .grids import ConfigurationError, TimeGrid
-from .instances import (LINEAR_FIELDS, QUADRATIC_DRIVERS, REGISTRY, describe,
+from .instances import (FIELDS, LINEAR_FIELDS, QUADRATIC_DRIVERS, REGISTRY, describe,
                         linear_terminal, quadratic_terminal)
 from .linear import LinearBsdeSpec, solve_auto
 from .quadratic import solve_quadratic
@@ -37,60 +38,64 @@ from . import tree as tr
 FMT = "%.17g"
 
 
-def _base_properties(extra: dict) -> dict:
-    props = {
-        "kind": {"type": "string"},
-        "seed": {"type": "integer"},
-        "T": {"type": "number", "exclusiveMinimum": 0},
-        "K": {"type": "integer", "minimum": 1},
-        "M": {"type": "integer", "minimum": 2},
-    }
-    props.update(extra)
-    return props
+def _prop(default=None, **spec) -> dict:
+    """One schema property; `default` is its JSON Schema default annotation,
+    which `load_config` fills in when the config leaves the key out."""
+    return spec if default is None else {**spec, "default": default}
 
 
-def _schema(extra: dict, required=("seed",)) -> dict:
+def _schema(T=None, K=None, M=None, **props) -> dict:
+    """Config schema of one experiment kind, with the defaults of its grid
+    (T, K, M) and of its own keys.  Kinds without a grid (oracle,
+    equivalence-suite) accept T, K and M with no default and ignore them."""
     return {
         "$schema": "https://json-schema.org/draft/2020-12/schema",
         "type": "object",
-        "properties": _base_properties(extra),
-        "required": list(required),
+        "properties": {
+            "kind": {"type": "string"},
+            "seed": _prop(0, type="integer"),
+            "T": _prop(T, type="number", exclusiveMinimum=0),
+            "K": _prop(K, type="integer", minimum=1),
+            "M": _prop(M, type="integer", minimum=2),
+            **props,
+        },
+        "required": ["seed"],
         "additionalProperties": False,
     }
 
 
+_FIELD = _prop("scalar-half", type="string", enum=sorted(FIELDS))
+_DEGREE = _prop(3, type="integer", minimum=1)
+
 CONFIG_SCHEMAS = {
-    "exponential": _schema({
-        "field": {"type": "string", "enum": sorted(LINEAR_FIELDS) + ["emery"]},
-    }),
-    "reverse-holder": _schema({
-        "field": {"type": "string", "enum": sorted(LINEAR_FIELDS) + ["emery"]},
-        "p": {"type": "number", "minimum": 1},
-        "method": {"type": "string", "enum": ["regression", "nested"]},
-        "degree": {"type": "integer", "minimum": 1},
-        "inner_paths": {"type": "integer", "minimum": 8},
-    }),
-    "linear": _schema({
-        "instance": {"type": "string", "enum": sorted(LINEAR_FIELDS)},
-        "method": {"type": "string",
-                   "enum": ["auto", "regression", "representation",
-                            "lower_triangular", "right_outer", "left_outer"]},
-        "degree": {"type": "integer", "minimum": 1},
-        "q": {"anyOf": [{"type": "number", "minimum": 1}, {"const": "inf"}]},
-        "perturbation": {
-            "type": "object",
-            "properties": {"scale": {"type": "number"},
-                           "alpha": {"type": "number"}},
-            "additionalProperties": False,
-        },
-    }),
-    "quadratic": _schema({
-        "driver": {"type": "string", "enum": sorted(QUADRATIC_DRIVERS) + ["custom"]},
-        "degree": {"type": "integer", "minimum": 1},
-        "init": {"type": "string", "enum": ["mean", "zero"]},
-        "custom": {
-            "type": "object",
-            "properties": {
+    "exponential": _schema(1.0, 256, 4000, field=_FIELD),
+    "reverse-holder": _schema(
+        1.0, 32, 40000, field=_FIELD,
+        p=_prop(2.0, type="number", minimum=1),
+        method=_prop("regression", type="string", enum=["regression", "nested"]),
+        degree=_DEGREE,
+        inner_paths=_prop(512, type="integer", minimum=8)),
+    "linear": _schema(
+        1.0, 32, 16000,
+        instance=_prop("triangular-3d", type="string", enum=sorted(LINEAR_FIELDS)),
+        method=_prop("auto", type="string",
+                     enum=["auto", "regression", "representation",
+                           "lower_triangular", "right_outer", "left_outer"]),
+        degree=_DEGREE,
+        q=_prop("inf", anyOf=[{"type": "number", "minimum": 1}, {"const": "inf"}]),
+        perturbation=_prop(type="object",
+                           properties={"scale": {"type": "number"},
+                                       "alpha": {"type": "number"}},
+                           additionalProperties=False)),
+    "quadratic": _schema(
+        1.0, 48, 16000,
+        driver=_prop("cole-hopf-1d", type="string",
+                     enum=sorted(QUADRATIC_DRIVERS) + ["custom"]),
+        degree=_DEGREE,
+        init=_prop("mean", type="string", enum=["mean", "zero"]),
+        custom=_prop(
+            type="object",
+            properties={
                 "class": {"type": "string", "enum": ["ql", "unidirectional"]},
                 "n": {"type": "integer", "minimum": 1},
                 "d": {"type": "integer", "minimum": 1},
@@ -101,43 +106,24 @@ CONFIG_SCHEMAS = {
                 "terminal_expr": {"type": "string"},
                 "lipschitz": {"type": "number"},
             },
-            "required": ["class", "n", "d"],
-            "additionalProperties": False,
-        },
-    }),
-    "counterexample": _schema({
-        "which": {"type": "string", "enum": ["emery", "exit-time", "nonexistence"]},
-        "b": {"type": "number"},
-        "levels": {"type": "array", "items": {"type": "number"}},
-        "dt": {"type": "number", "exclusiveMinimum": 0},
-        "j_max": {"type": "integer", "minimum": 1},
-        "paths_per_level": {"type": "integer", "minimum": 8},
-        "effective_horizon": {"type": "number"},
-    }),
-    "oracle": _schema({
-        "which": {"type": "string", "enum": ["bsde", "duality", "rp"]},
-        "instances": {"type": "integer", "minimum": 1},
-    }),
-    "equivalence-suite": _schema({
-        "p": {"type": "number", "minimum": 1},
-        "depths": {"type": "array", "items": {"type": "integer"}},
-    }),
-}
-
-DEFAULTS = {
-    "exponential": {"field": "scalar-half", "T": 1.0, "K": 256, "M": 4000},
-    "reverse-holder": {"field": "scalar-half", "p": 2.0, "T": 1.0, "K": 32,
-                       "M": 40000, "method": "regression", "degree": 3,
-                       "inner_paths": 512},
-    "linear": {"instance": "triangular-3d", "method": "auto", "T": 1.0, "K": 32,
-               "M": 16000, "degree": 3, "q": "inf"},
-    "quadratic": {"driver": "cole-hopf-1d", "T": 1.0, "K": 48, "M": 16000,
-                  "degree": 3, "init": "mean"},
-    "counterexample": {"which": "exit-time", "b": float(np.pi / 3), "M": 20000,
-                       "dt": 1e-4, "j_max": 4, "paths_per_level": 5000,
-                       "effective_horizon": 48.0, "T": 8.0, "K": 800},
-    "oracle": {"which": "bsde", "instances": 25},
-    "equivalence-suite": {"p": 2.0, "depths": [2, 3, 4, 5]},
+            required=["class", "n", "d"],
+            additionalProperties=False)),
+    "counterexample": _schema(
+        8.0, 800, 20000,
+        which=_prop("exit-time", type="string",
+                    enum=["emery", "exit-time", "nonexistence"]),
+        b=_prop(float(np.pi / 3), type="number"),
+        levels=_prop(type="array", items={"type": "number"}),
+        dt=_prop(1e-4, type="number", exclusiveMinimum=0),
+        j_max=_prop(4, type="integer", minimum=1),
+        paths_per_level=_prop(5000, type="integer", minimum=8),
+        effective_horizon=_prop(48.0, type="number", exclusiveMinimum=0)),
+    "oracle": _schema(
+        which=_prop("bsde", type="string", enum=["bsde", "duality", "rp"]),
+        instances=_prop(25, type="integer", minimum=1)),
+    "equivalence-suite": _schema(
+        p=_prop(2.0, type="number", minimum=1),
+        depths=_prop([2, 3, 4, 5], type="array", items={"type": "integer"})),
 }
 
 
@@ -195,13 +181,21 @@ def schema_errors(schema: dict, value, path: str = "") -> list[str]:
 
 
 def load_config(path: str | None, kind: str, seed_override=None) -> dict:
+    """The config of one run: the schema defaults of `kind`, updated by the
+    JSON object in the file at `path`, then validated."""
     raw = {}
     if path:
-        text = Path(path).read_text()
-        text = re.sub(r"^\s*//.*$", "", text, flags=re.MULTILINE)
-        raw = json.loads(text)
-    cfg = dict(DEFAULTS[kind])
-    cfg["seed"] = 0
+        try:
+            raw = json.loads(re.sub(r"^\s*//.*$", "", Path(path).read_text(),
+                                    flags=re.MULTILINE))
+        except (OSError, ValueError) as exc:
+            raise ConfigurationError(f"cannot read config file {path}: {exc}") from None
+        if not isinstance(raw, dict):
+            raise ConfigurationError(f"config file {path} must hold a JSON object, "
+                                     f"not {type(raw).__name__}")
+    props = CONFIG_SCHEMAS[kind]["properties"]
+    cfg = copy.deepcopy({key: prop["default"] for key, prop in props.items()
+                         if "default" in prop})
     cfg.update(raw)
     cfg["kind"] = kind
     if seed_override is not None:
@@ -263,19 +257,16 @@ def write_outputs(out_dir: Path, cfg: dict, results: dict, tables: dict) -> None
     (out_dir / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=1))
 
 
-def _get_field(name: str):
-    if name == "emery":
-        return EmerySpec().field()
-    return LINEAR_FIELDS[name]()
-
-
 _EXPR_NAMES = {"np": np, "pi": np.pi, "abs": np.abs, "tanh": np.tanh,
                "sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt}
 
 
 def _compile_expr(expr: str, argnames: tuple):
     """Restricted numpy expression: names limited to arguments and _EXPR_NAMES."""
-    code = compile(expr, "<config>", "eval")
+    try:
+        code = compile(expr, "<config>", "eval")
+    except SyntaxError as exc:
+        raise ConfigurationError(f"config expression {expr!r} is not valid: {exc.msg}") from None
     for name in code.co_names:
         if name not in _EXPR_NAMES and name not in argnames:
             raise ConfigurationError(f"name {name!r} not allowed in config expression")
@@ -323,10 +314,15 @@ def build_custom_driver(custom: dict):
 # experiment runners
 
 
-def run_exponential(cfg: dict, out: Path, threads: int = 1) -> int:
-    fld = _get_field(cfg["field"])
+def _paths(cfg: dict, d: int, threads: int):
+    """The config's time grid and its M d-dimensional Brownian paths."""
     grid = TimeGrid(cfg["T"], cfg["K"])
-    paths = generate_brownian(grid, fld.d, cfg["M"], cfg["seed"], threads=threads)
+    return grid, generate_brownian(grid, d, cfg["M"], cfg["seed"], threads=threads)
+
+
+def run_exponential(cfg: dict, out: Path, threads: int = 1) -> int:
+    fld = FIELDS[cfg["field"]]()
+    grid, paths = _paths(cfg, fld.d, threads)
     expo = simulate_exponential(fld, paths)
     defect = martingale_defect(expo)
     resid = expo.inverse_residual_profile()
@@ -344,9 +340,11 @@ def run_exponential(cfg: dict, out: Path, threads: int = 1) -> int:
 
 
 def run_reverse_holder(cfg: dict, out: Path, threads: int = 1) -> int:
-    fld = _get_field(cfg["field"])
-    grid = TimeGrid(cfg["T"], cfg["K"])
-    paths = generate_brownian(grid, fld.d, cfg["M"], cfg["seed"], threads=threads)
+    fld = FIELDS[cfg["field"]]()
+    if cfg["method"] == "nested" and not fld.markovian:
+        raise ConfigurationError(f"method 'nested' needs a Markovian field; field "
+                                 f"{cfg['field']!r} is path-dependent, use 'regression'")
+    grid, paths = _paths(cfg, fld.d, threads)
     # Only the regression estimator reads S^{-1} (for S_t^{-1} S_T).
     expo = simulate_exponential(fld, paths, inverse=cfg["method"] == "regression")
     rep = estimate_reverse_holder(expo, cfg["p"], method=cfg["method"],
@@ -396,8 +394,7 @@ def _solution_table(sol, grid: TimeGrid, *extra) -> tuple:
 
 def run_linear(cfg: dict, out: Path, threads: int = 1) -> int:
     fld = LINEAR_FIELDS[cfg["instance"]]()
-    grid = TimeGrid(cfg["T"], cfg["K"])
-    paths = generate_brownian(grid, fld.d, cfg["M"], cfg["seed"], threads=threads)
+    grid, paths = _paths(cfg, fld.d, threads)
     pert = cfg.get("perturbation")
     delta, alpha = None, None
     if pert:
@@ -437,8 +434,7 @@ def run_quadratic(cfg: dict, out: Path, threads: int = 1) -> int:
     else:
         drv = QUADRATIC_DRIVERS[cfg["driver"]]()
         term = quadratic_terminal(cfg["driver"])
-    grid = TimeGrid(cfg["T"], cfg["K"])
-    paths = generate_brownian(grid, drv.d, cfg["M"], cfg["seed"], threads=threads)
+    grid, paths = _paths(cfg, drv.d, threads)
     rep = solve_quadratic(drv, term, paths, degree=cfg["degree"], init=cfg["init"])
     sol = rep.solution
     norms = sol.norm_report(np.inf)
@@ -472,8 +468,7 @@ def run_counterexample(cfg: dict, out: Path, threads: int = 1) -> int:
                 "truncated_paths": r.truncated_paths})
         tables = {"exit_time": ("b,estimate,std_error,exact,relative_error", rows)}
     elif which == "emery":
-        grid = TimeGrid(cfg["T"], cfg["K"])
-        paths = generate_brownian(grid, 1, min(cfg["M"], 4000), cfg["seed"])
+        grid, paths = _paths({**cfg, "M": min(cfg["M"], 4000)}, 1, threads)
         expo = emery_closed_form(paths, inverse=False)
         defect = martingale_defect(expo)
         horizon = emery_defect_at_horizon(cfg["M"], cfg["effective_horizon"],
@@ -519,41 +514,36 @@ def _random_tree(rng: np.random.Generator):
     return filt, a_nodes, beta, xi
 
 
+_ORACLE_HEADERS = {"bsde": "instance,steps,d,n,identity_error",
+                   "duality": "instance,p,level,lhs,rhs,gap",
+                   "rp": "instance,p,rp,expected"}
+
+
 def run_oracle(cfg: dict, out: Path, threads: int = 1) -> int:
+    """Exact tree identities on random trees: the linear BSDE solve against
+    its representation (bsde), the duality lemma (duality), or R_2 after the
+    hand example R_2 = 1.25, skipping singular exponentials (rp)."""
     rng = np.random.default_rng(cfg["seed"])
     which = cfg["which"]
-    rows, results = [], {}
-    if which == "bsde":
-        worst = 0.0
-        for i in range(cfg["instances"]):
-            filt, a_nodes, beta, xi = _random_tree(rng)
+    rows, mono_ok = [], True
+    if which == "rp":
+        filt = tr.FiniteFiltration(1, 1, 0.25)
+        s = tr.discrete_exponential(filt, [np.full((1, 1, 1, 1), 1.0)])
+        rows.append([0, 2.0, tr.discrete_reverse_holder(filt, s, 2.0)["rp"], 1.25])
+    for i in range(cfg["instances"]):
+        filt, a_nodes, beta, xi = _random_tree(rng)
+        if which == "bsde":
             y, _ = tr.discrete_linear_bsde_solve(filt, xi, beta, a_nodes)
             y_rep = tr.representation_solution(filt, a_nodes, xi, beta)
             err = max(float(np.abs(y[k] - y_rep[k]).max())
                       for k in range(filt.steps + 1))
             rows.append([i, filt.steps, filt.d, xi.shape[1], err])
-            worst = max(worst, err)
-        results = {"worst_identity_error": worst, "instances": cfg["instances"]}
-        tables = {"oracle_bsde": ("instance,steps,d,n,identity_error", rows)}
-    elif which == "duality":
-        worst = 0.0
-        for i in range(cfg["instances"]):
-            filt, a_nodes, beta, xi = _random_tree(rng)
+        elif which == "duality":
             level = int(rng.integers(0, filt.steps))
             p = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
             res = tr.verify_duality_lemma(filt, xi, level, p, rng=rng)
             rows.append([i, p, level, res["lhs"], res["rhs"], res["gap"]])
-            worst = max(worst, abs(res["gap"]))
-        results = {"worst_gap": worst, "instances": cfg["instances"]}
-        tables = {"oracle_duality": ("instance,p,level,lhs,rhs,gap", rows)}
-    else:
-        filt = tr.FiniteFiltration(1, 1, 0.25)
-        s = tr.discrete_exponential(filt, [np.full((1, 1, 1, 1), 1.0)])
-        r2 = tr.discrete_reverse_holder(filt, s, 2.0)
-        rows.append([0, 2.0, r2["rp"], 1.25])
-        mono_ok = True
-        for i in range(cfg["instances"]):
-            filt, a_nodes, _, _ = _random_tree(rng)
+        else:
             s = tr.discrete_exponential(filt, a_nodes)
             if s.singular:
                 continue
@@ -561,9 +551,13 @@ def run_oracle(cfg: dict, out: Path, threads: int = 1) -> int:
                    for p in (1.0, 1.5, 2.0, 3.0)]
             mono_ok &= all(rps[j] <= rps[j + 1] + 1e-12 for j in range(3))
             rows.append([i + 1, 2.0, rps[2], np.nan])
-        results = {"hand_example_r2": r2["rp"], "monotone_in_p": bool(mono_ok)}
-        tables = {"oracle_rp": ("instance,p,rp,expected", rows)}
-    write_outputs(out, cfg, results, tables)
+    if which == "rp":
+        results = {"hand_example_r2": rows[0][2], "monotone_in_p": bool(mono_ok)}
+    else:
+        key, col = ("worst_identity_error", 4) if which == "bsde" else ("worst_gap", 5)
+        results = {key: max([0.0] + [abs(row[col]) for row in rows]),
+                   "instances": cfg["instances"]}
+    write_outputs(out, cfg, results, {f"oracle_{which}": (_ORACLE_HEADERS[which], rows)})
     return 0
 
 
@@ -623,13 +617,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bsde-lab",
         description="stochastic exponential / BSDE numerical laboratory")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in RUNNERS:
+    for name, (kind, _) in RUNNERS.items():
         sp = sub.add_parser(name)
-        if name in ("counterexample",):
-            sp.add_argument("which", choices=["emery", "exit-time", "nonexistence"],
-                            nargs="?")
-        if name == "oracle":
-            sp.add_argument("which", choices=["bsde", "duality", "rp"], nargs="?")
+        which = CONFIG_SCHEMAS[kind]["properties"].get("which")
+        if which:
+            sp.add_argument("which", choices=which["enum"], nargs="?")
         sp.add_argument("--config", default=None)
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--threads", type=int,

@@ -47,17 +47,6 @@ class TimeGrid:
         """Step sizes t_{k+1} - t_k, length `steps`."""
         return np.diff(self.nodes)
 
-    def refined(self, factor: int) -> "TimeGrid":
-        """Grid with each step split into `factor` equal pieces."""
-        if factor < 1:
-            raise ConfigurationError("refinement factor must be >= 1")
-        fine = np.empty(self.steps * factor + 1)
-        for k in range(self.steps):
-            fine[k * factor : (k + 1) * factor + 1] = np.linspace(
-                self.nodes[k], self.nodes[k + 1], factor + 1
-            )
-        return TimeGrid(self.horizon, self.steps * factor, fine)
-
     def coarsened(self, factor: int) -> "TimeGrid":
         """Grid keeping every `factor`-th node; `steps` must be divisible."""
         if self.steps % factor != 0:

@@ -28,6 +28,11 @@ class InstanceInfo:
     description: str
     build: Callable
     parameters: dict
+    terminal: Callable | None = None     # xi(paths) of a linear or quadratic instance
+
+
+def _final_state(paths):
+    return paths.states[:, -1]
 
 
 def _bounded_terminal_3(paths):
@@ -112,102 +117,83 @@ def unidirectional_2d() -> UnidirectionalDriver:
     return UnidirectionalDriver(2, 1, g, [1.0, 0.0], h, 1.0, name="unidirectional-2d")
 
 
-def quadratic_terminal(name: str):
-    if name in ("cole-hopf-1d", "cole-hopf-1d-ud"):
-        return lambda paths: paths.states[:, -1]
-    if name == "ql-coupled-2d":
-        return _bounded_terminal_2
-    if name == "unidirectional-2d":
-        return _bounded_terminal_2
-    raise ConfigurationError(f"no terminal registered for {name!r}")
+REGISTRY: dict[str, InstanceInfo] = {info.name: info for info in (
+    InstanceInfo(
+        "scalar-half", "field",
+        "n=1 constant coefficient a=0.5: scalar exponential with lognormal "
+        "reverse Holder moments exp((p^2-p) a^2 (T-t)/2)",
+        scalar_half, {"n": 1, "d": 1, "a": 0.5}, _final_state),
+    InstanceInfo(
+        "emery", "counterexample",
+        "2x2 rotation exponential stopped at the exit of |B| from pi/2: "
+        "S_t = exp((tau^t)/2) [[cos,sin],[-sin,cos]](B_{tau^t}); strict local "
+        "martingale, E|S_stopped| infinite, diagonal of the stopped terminal is 0",
+        EmerySpec, {"level": float(np.pi / 2), "effective_horizon": 48.0,
+                    "n": 2, "d": 1}),
+    InstanceInfo(
+        "exit-time", "counterexample",
+        "E[exp(sigma_b/2)] = 1/cos(b) for the exit time sigma_b of |W| from b",
+        None, {"b": float(np.pi / 3)}),
+    InstanceInfo(
+        "nonexistence", "counterexample",
+        "partition mixture of stopped rotations whose weighted exit-time sums "
+        "diverge while the per-term remainder bound vanishes: the associated "
+        "homogeneous linear system has no bounded solution",
+        NonexistenceSpec, {"levels": "cos(b_k) = 0.9 (k+1) 2^{-k}", "j_max": 12}),
+    InstanceInfo(
+        "triangular-3d", "linear",
+        "lower-triangular n=3 bounded field; sequential scalar reduction applies",
+        triangular_3d, {"n": 3, "d": 1}, _bounded_terminal_3),
+    InstanceInfo(
+        "right-outer-3d", "linear",
+        "A = a-field b^T with b = (0.5, -0.3, 0.2); scalar equation in b^T Y",
+        right_outer_3d, {"n": 3, "d": 1}, _bounded_terminal_3),
+    InstanceInfo(
+        "left-outer-3d", "linear",
+        "A = a b-field^T with a = (0.4, 0.2, -0.3); closed-form exponential "
+        "S = I + a m^T",
+        left_outer_3d, {"n": 3, "d": 1}, _bounded_terminal_3),
+    InstanceInfo(
+        "cole-hopf-1d", "quadratic",
+        "n=1 quadratic-linear driver f = |z|^2/2 (b = 1/2, g = 0) with xi = B_T: "
+        "exp(2 b Y) is a martingale, Y_0 = T/2",
+        cole_hopf_1d, {"n": 1, "d": 1, "b": 0.5, "y0_exact_at_T1": 0.5}, _final_state),
+    InstanceInfo(
+        "cole-hopf-1d-ud", "quadratic",
+        "unidirectional twin of cole-hopf-1d: a = 1, h = |z|^2/2",
+        cole_hopf_1d_ud, {"n": 1, "d": 1}, _final_state),
+    InstanceInfo(
+        "ql-coupled-2d", "quadratic",
+        "n=2 quadratic-linear driver, bounded coupling g through y, b=(0.5,0.25)",
+        ql_coupled_2d, {"n": 2, "d": 1}, _bounded_terminal_2),
+    InstanceInfo(
+        "unidirectional-2d", "quadratic",
+        "n=2 unidirectional driver a = e_1, h = |z^1|^2/2, bounded g; satisfies "
+        "condition (AB) with {+-e_1, +-e_2} and rho = sup|g|",
+        unidirectional_2d, {"n": 2, "d": 1, "ab_vectors": "{+-e_1, +-e_2}"},
+        _bounded_terminal_2),
+)}
+
+LINEAR_FIELDS = {name: info.build for name, info in REGISTRY.items()
+                 if info.kind in ("field", "linear")}
+QUADRATIC_DRIVERS = {name: info.build for name, info in REGISTRY.items()
+                     if info.kind == "quadratic"}
+# Every field a forward command accepts: the linear fields and the Emery rotation.
+FIELDS = {**LINEAR_FIELDS, "emery": lambda: EmerySpec().field()}
+
+
+def _terminal(name: str, table: dict):
+    if name not in table:
+        raise ConfigurationError(f"no terminal registered for {name!r}")
+    return REGISTRY[name].terminal
 
 
 def linear_terminal(name: str):
-    if name in ("triangular-3d", "right-outer-3d", "left-outer-3d"):
-        return _bounded_terminal_3
-    if name == "scalar-half":
-        return lambda paths: paths.states[:, -1]
-    if name == "emery":
-        spec = NonexistenceSpec()
-        return lambda paths: spec.terminal_vector(
-            np.clip(paths.states[:, -1, 0], -np.pi / 2, np.pi / 2))
-    raise ConfigurationError(f"no terminal registered for {name!r}")
+    return _terminal(name, LINEAR_FIELDS)
 
 
-REGISTRY: dict[str, InstanceInfo] = {}
-
-
-def _register(info: InstanceInfo) -> None:
-    REGISTRY[info.name] = info
-
-
-_register(InstanceInfo(
-    "scalar-half", "field",
-    "n=1 constant coefficient a=0.5: scalar exponential with lognormal "
-    "reverse Holder moments exp((p^2-p) a^2 (T-t)/2)",
-    scalar_half, {"n": 1, "d": 1, "a": 0.5}))
-_register(InstanceInfo(
-    "emery", "counterexample",
-    "2x2 rotation exponential stopped at the exit of |B| from pi/2: "
-    "S_t = exp((tau^t)/2) [[cos,sin],[-sin,cos]](B_{tau^t}); strict local "
-    "martingale, E|S_stopped| infinite, diagonal of the stopped terminal is 0",
-    EmerySpec, {"level": float(np.pi / 2), "effective_horizon": 48.0,
-                "n": 2, "d": 1}))
-_register(InstanceInfo(
-    "exit-time", "counterexample",
-    "E[exp(sigma_b/2)] = 1/cos(b) for the exit time sigma_b of |W| from b",
-    None, {"b": float(np.pi / 3)}))
-_register(InstanceInfo(
-    "nonexistence", "counterexample",
-    "partition mixture of stopped rotations whose weighted exit-time sums "
-    "diverge while the per-term remainder bound vanishes: the associated "
-    "homogeneous linear system has no bounded solution",
-    NonexistenceSpec, {"levels": "cos(b_k) = 0.9 (k+1) 2^{-k}", "j_max": 12}))
-_register(InstanceInfo(
-    "triangular-3d", "linear",
-    "lower-triangular n=3 bounded field; sequential scalar reduction applies",
-    triangular_3d, {"n": 3, "d": 1}))
-_register(InstanceInfo(
-    "right-outer-3d", "linear",
-    "A = a-field b^T with b = (0.5, -0.3, 0.2); scalar equation in b^T Y",
-    right_outer_3d, {"n": 3, "d": 1}))
-_register(InstanceInfo(
-    "left-outer-3d", "linear",
-    "A = a b-field^T with a = (0.4, 0.2, -0.3); closed-form exponential "
-    "S = I + a m^T",
-    left_outer_3d, {"n": 3, "d": 1}))
-_register(InstanceInfo(
-    "cole-hopf-1d", "quadratic",
-    "n=1 quadratic-linear driver f = |z|^2/2 (b = 1/2, g = 0) with xi = B_T: "
-    "exp(2 b Y) is a martingale, Y_0 = T/2",
-    cole_hopf_1d, {"n": 1, "d": 1, "b": 0.5, "y0_exact_at_T1": 0.5}))
-_register(InstanceInfo(
-    "cole-hopf-1d-ud", "quadratic",
-    "unidirectional twin of cole-hopf-1d: a = 1, h = |z|^2/2",
-    cole_hopf_1d_ud, {"n": 1, "d": 1}))
-_register(InstanceInfo(
-    "ql-coupled-2d", "quadratic",
-    "n=2 quadratic-linear driver, bounded coupling g through y, b=(0.5,0.25)",
-    ql_coupled_2d, {"n": 2, "d": 1}))
-_register(InstanceInfo(
-    "unidirectional-2d", "quadratic",
-    "n=2 unidirectional driver a = e_1, h = |z^1|^2/2, bounded g; satisfies "
-    "condition (AB) with {+-e_1, +-e_2} and rho = sup|g|",
-    unidirectional_2d, {"n": 2, "d": 1, "ab_vectors": "{+-e_1, +-e_2}"}))
-
-LINEAR_FIELDS = {
-    "scalar-half": scalar_half,
-    "triangular-3d": triangular_3d,
-    "right-outer-3d": right_outer_3d,
-    "left-outer-3d": left_outer_3d,
-}
-
-QUADRATIC_DRIVERS = {
-    "cole-hopf-1d": cole_hopf_1d,
-    "cole-hopf-1d-ud": cole_hopf_1d_ud,
-    "ql-coupled-2d": ql_coupled_2d,
-    "unidirectional-2d": unidirectional_2d,
-}
+def quadratic_terminal(name: str):
+    return _terminal(name, QUADRATIC_DRIVERS)
 
 
 def describe(name: str) -> InstanceInfo:

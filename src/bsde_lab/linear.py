@@ -576,14 +576,9 @@ def estimate_solution_operator_norm(solver, make_spec, family, paths: PathEnsemb
         sol = solver(spec, paths, **kw)
         xi = np.asarray(term(paths), dtype=float).reshape(paths.paths, -1)
         xi_size = np.sqrt((xi * xi).sum(axis=1))
-        if np.isinf(q):
-            xin = float(xi_size.max())
-            ynorm = estimate_norm("sup_p", sol.y, paths, q=np.inf).value
-            znorm = estimate_norm("bmo", sol.z, paths).value
-        else:
-            xin = float((xi_size**q).mean() ** (1.0 / q))
-            ynorm = estimate_norm("sup_p", sol.y, paths, q=q).value
-            znorm = estimate_norm("l2q", sol.z, paths, q=q).value
+        xin = float(xi_size.max() if np.isinf(q) else (xi_size**q).mean() ** (1.0 / q))
+        norms = sol.norm_report(q)
+        ynorm, znorm = norms["y"].value, norms["z"].value
         bnorm = 0.0
         if beta_fn is not None:
             bnorm = estimate_norm("l1q", _per_step(beta_fn, paths), paths, q=q).value

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -204,6 +205,83 @@ def test_single_path_run_writes_nothing(tmp_path):
     cfg.write_text('{"seed": 1, "M": 1, "K": 4}')
     out = tmp_path / "never"
     assert run(["simulate-exponential", "--config", cfg, "--out", out]) == 2
+    assert not out.exists()
+
+
+# Every kind's defaults, written out apart from the schemas that state them.
+_KIND_DEFAULTS = {
+    "exponential": {"field": "scalar-half", "T": 1.0, "K": 256, "M": 4000},
+    "reverse-holder": {"field": "scalar-half", "p": 2.0, "T": 1.0, "K": 32,
+                       "M": 40000, "method": "regression", "degree": 3,
+                       "inner_paths": 512},
+    "linear": {"instance": "triangular-3d", "method": "auto", "T": 1.0, "K": 32,
+               "M": 16000, "degree": 3, "q": "inf"},
+    "quadratic": {"driver": "cole-hopf-1d", "T": 1.0, "K": 48, "M": 16000,
+                  "degree": 3, "init": "mean"},
+    "counterexample": {"which": "exit-time", "b": float(np.pi / 3), "M": 20000,
+                       "dt": 1e-4, "j_max": 4, "paths_per_level": 5000,
+                       "effective_horizon": 48.0, "T": 8.0, "K": 800},
+    "oracle": {"which": "bsde", "instances": 25},
+    "equivalence-suite": {"p": 2.0, "depths": [2, 3, 4, 5]},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CONFIG_SCHEMAS))
+def test_schema_defaults_are_the_config_defaults(kind):
+    assert sorted(_KIND_DEFAULTS) == sorted(CONFIG_SCHEMAS)
+    assert load_config(None, kind) == {**_KIND_DEFAULTS[kind], "seed": 0, "kind": kind}
+
+
+def test_loaded_config_does_not_share_defaults():
+    load_config(None, "equivalence-suite")["depths"].append(9)
+    assert load_config(None, "equivalence-suite")["depths"] == [2, 3, 4, 5]
+
+
+def test_which_choices_are_the_schema_enum():
+    from bsde_lab.cli import RUNNERS, build_parser
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    for name, (kind, _) in RUNNERS.items():
+        which = [a.choices for a in commands[name]._actions if a.dest == "which"]
+        enum = CONFIG_SCHEMAS[kind]["properties"].get("which", {}).get("enum")
+        assert which == ([enum] if enum else [])
+
+
+def test_every_instance_has_a_terminal():
+    from bsde_lab.brownian import generate_brownian
+    from bsde_lab.grids import TimeGrid
+    from bsde_lab.instances import (LINEAR_FIELDS, QUADRATIC_DRIVERS, linear_terminal,
+                                    quadratic_terminal)
+    paths = generate_brownian(TimeGrid(1.0, 4), 1, 5, seed=1)
+    for table, terminal in ((LINEAR_FIELDS, linear_terminal),
+                            (QUADRATIC_DRIVERS, quadratic_terminal)):
+        for name, build in table.items():
+            xi = np.asarray(terminal(name)(paths))
+            assert xi.shape == (5, build().n), name
+    with pytest.raises(ConfigurationError, match="no terminal"):
+        linear_terminal("cole-hopf-1d")
+    with pytest.raises(ConfigurationError, match="no terminal"):
+        quadratic_terminal("emery")
+
+
+@pytest.mark.parametrize("command,body,named", [
+    ("counterexample", '{"which": "emery", "M": 50, "effective_horizon": -1}',
+     "effective_horizon"),
+    ("simulate-exponential", "[1, 2]", "bad.json"),
+    ("simulate-exponential", '{"M": 50,', "bad.json"),
+    ("simulate-exponential", None, "bad.json"),
+    ("solve-quadratic", '{"M": 50, "K": 4, "driver": "custom", "custom": '
+                        '{"class": "ql", "n": 1, "d": 1, "g_expr": "y +"}}', "'y +'"),
+    ("estimate-rp", '{"M": 50, "K": 4, "field": "emery", "method": "nested"}', "nested"),
+], ids=["negative-horizon", "array-file", "unparsable-file", "missing-file",
+        "bad-expression", "nested-emery"])
+def test_bad_config_refused_before_any_output(tmp_path, capsys, command, body, named):
+    cfg = tmp_path / "bad.json"
+    if body is not None:
+        cfg.write_text(body)
+    out = tmp_path / "never"
+    assert run([command, "--config", cfg, "--out", out]) == 2
+    assert named in capsys.readouterr().err
     assert not out.exists()
 
 
