@@ -44,21 +44,20 @@ def _prop(default=None, **spec) -> dict:
     return spec if default is None else {**spec, "default": default}
 
 
-def _schema(T=None, K=None, M=None, **props) -> dict:
-    """Config schema of one experiment kind, with the defaults of its grid
-    (T, K, M) and of its own keys.  Kinds without a grid (oracle,
-    equivalence-suite) accept T, K and M with no default and ignore them."""
+def _grid(T, K, M) -> dict:
+    """Properties of the time grid (T, K steps) and path count M, with their
+    defaults; only kinds that simulate paths on a grid have them."""
+    return {"T": _prop(T, type="number", exclusiveMinimum=0),
+            "K": _prop(K, type="integer", minimum=1),
+            "M": _prop(M, type="integer", minimum=2)}
+
+
+def _schema(**props) -> dict:
+    """Config schema of one experiment kind, with the defaults of its keys."""
     return {
         "$schema": "https://json-schema.org/draft/2020-12/schema",
         "type": "object",
-        "properties": {
-            "kind": {"type": "string"},
-            "seed": _prop(0, type="integer"),
-            "T": _prop(T, type="number", exclusiveMinimum=0),
-            "K": _prop(K, type="integer", minimum=1),
-            "M": _prop(M, type="integer", minimum=2),
-            **props,
-        },
+        "properties": {"kind": {"type": "string"}, "seed": _prop(0, type="integer"), **props},
         "required": ["seed"],
         "additionalProperties": False,
     }
@@ -68,15 +67,15 @@ _FIELD = _prop("scalar-half", type="string", enum=sorted(FIELDS))
 _DEGREE = _prop(3, type="integer", minimum=1)
 
 CONFIG_SCHEMAS = {
-    "exponential": _schema(1.0, 256, 4000, field=_FIELD),
+    "exponential": _schema(**_grid(1.0, 256, 4000), field=_FIELD),
     "reverse-holder": _schema(
-        1.0, 32, 40000, field=_FIELD,
+        **_grid(1.0, 32, 40000), field=_FIELD,
         p=_prop(2.0, type="number", minimum=1),
         method=_prop("regression", type="string", enum=["regression", "nested"]),
         degree=_DEGREE,
         inner_paths=_prop(512, type="integer", minimum=8)),
     "linear": _schema(
-        1.0, 32, 16000,
+        **_grid(1.0, 32, 16000),
         instance=_prop("triangular-3d", type="string", enum=sorted(LINEAR_FIELDS)),
         method=_prop("auto", type="string",
                      enum=["auto", "regression", "representation",
@@ -88,7 +87,7 @@ CONFIG_SCHEMAS = {
                                        "alpha": {"type": "number"}},
                            additionalProperties=False)),
     "quadratic": _schema(
-        1.0, 48, 16000,
+        **_grid(1.0, 48, 16000),
         driver=_prop("cole-hopf-1d", type="string",
                      enum=sorted(QUADRATIC_DRIVERS) + ["custom"]),
         degree=_DEGREE,
@@ -109,7 +108,7 @@ CONFIG_SCHEMAS = {
             required=["class", "n", "d"],
             additionalProperties=False)),
     "counterexample": _schema(
-        8.0, 800, 20000,
+        **_grid(8.0, 800, 20000),
         which=_prop("exit-time", type="string",
                     enum=["emery", "exit-time", "nonexistence"]),
         b=_prop(float(np.pi / 3), type="number"),
@@ -279,24 +278,44 @@ def _compile_expr(expr: str, argnames: tuple):
     return fn
 
 
+def _probe(key: str, expr: str, fn, args: tuple, target: tuple) -> None:
+    """Refuse the expression `expr` of config key `key` unless its value on
+    the zero inputs `args` broadcasts to the shape `target` unchanged."""
+    try:
+        with np.errstate(all="ignore"):
+            shape = np.shape(fn(*args))
+    except Exception as exc:   # any error of the expression itself
+        raise ConfigurationError(f"{key}: {expr!r} fails on zero inputs: {exc}") from None
+    if len(shape) > len(target) or any(a not in (1, b) for a, b in zip(shape[::-1], target[::-1])):
+        raise ConfigurationError(f"{key}: {expr!r} has shape {shape} on zero inputs, "
+                                 f"which does not broadcast to {target}")
+
+
 def build_custom_driver(custom: dict):
     """Driver (and terminal) from config expressions.
 
     Expressions see y (M, n), z (M, n, d), t, x (M, d) for the driver parts
-    and b (M, K+1, d) Brownian states for the terminal.
+    and b (M, K+1, d) Brownian states for the terminal.  Before any path is
+    simulated, h must give one value per path (or a constant) and g an array
+    that adds to the (M, n) z-part as (M, n), probed on zero inputs.
     """
     from .quadratic import QuadraticLinearDriver, UnidirectionalDriver
     n, d = custom["n"], custom["d"]
     lip = custom.get("lipschitz", 1.0)
+    m = n + 1   # probe paths: a per-path value never passes for an n-vector
+    zeros = (0.0, np.zeros((m, d)), np.zeros((m, n)), np.zeros((m, n, d)))
     g = None
     if custom.get("g_expr"):
         g_fn = _compile_expr(custom["g_expr"], ("t", "x", "y", "z"))
+        _probe("custom/g_expr", custom["g_expr"], g_fn, zeros, (m, n))
         g = lambda t, x, y, z: np.asarray(g_fn(t, x, y, z), dtype=float)
     if custom["class"] == "ql":
         drv = QuadraticLinearDriver(n, d, g, custom.get("b", [0.0] * n), lip,
                                     name="custom")
     else:
-        h_fn = _compile_expr(custom.get("h_expr", "0.0 * z[:, 0, 0]"), ("z",))
+        h_expr = custom.get("h_expr", "0.0 * z[:, 0, 0]")
+        h_fn = _compile_expr(h_expr, ("z",))
+        _probe("custom/h_expr", h_expr, h_fn, zeros[3:], (m,))
         drv = UnidirectionalDriver(n, d, g, custom.get("a", [1.0] + [0.0] * (n - 1)),
                                    lambda z: np.asarray(h_fn(z), dtype=float),
                                    lip, name="custom")
@@ -393,6 +412,7 @@ def _solution_table(sol, grid: TimeGrid, *extra) -> tuple:
 
 
 def run_linear(cfg: dict, out: Path, threads: int = 1) -> int:
+    q = _q_value(cfg["q"])   # the --q flag is text that the schema has not seen
     fld = LINEAR_FIELDS[cfg["instance"]]()
     grid, paths = _paths(cfg, fld.d, threads)
     pert = cfg.get("perturbation")
@@ -408,7 +428,6 @@ def run_linear(cfg: dict, out: Path, threads: int = 1) -> int:
     spec = LinearBsdeSpec(fld, linear_terminal(cfg["instance"]),
                           alpha=alpha, delta_field=delta)
     sol = solve_auto(spec, paths, degree=cfg["degree"], method=cfg["method"])
-    q = _q_value(cfg["q"])
     norms = sol.norm_report(q)
     results = {
         "solver": sol.solver,
@@ -612,6 +631,14 @@ RUNNERS = {
 }
 
 
+_STRUCTURE_TO_INSTANCE = {
+    "generic": "scalar-half",
+    "triangular": "triangular-3d",
+    "left-outer": "left-outer-3d",
+    "right-outer": "right-outer-3d",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="bsde-lab",
@@ -628,11 +655,8 @@ def build_parser() -> argparse.ArgumentParser:
                         default=int(os.environ.get("BSDE_LAB_THREADS", "1")))
         sp.add_argument("--out", default="out")
         if name == "solve-linear":
-            sp.add_argument("--structure", default=None,
-                            choices=["generic", "triangular", "left-outer",
-                                     "right-outer"])
-            sp.add_argument("--method", default=None,
-                            choices=["representation", "regression", "auto"])
+            sp.add_argument("--structure", choices=list(_STRUCTURE_TO_INSTANCE))
+            sp.add_argument("--method", choices=["representation", "regression", "auto"])
             sp.add_argument("--q", default=None)
             sp.add_argument("--perturbation", action="store_true")
     lp = sub.add_parser("list")
@@ -640,14 +664,6 @@ def build_parser() -> argparse.ArgumentParser:
     dp = sub.add_parser("describe")
     dp.add_argument("name")
     return ap
-
-
-_STRUCTURE_TO_INSTANCE = {
-    "triangular": "triangular-3d",
-    "left-outer": "left-outer-3d",
-    "right-outer": "right-outer-3d",
-    "generic": "scalar-half",
-}
 
 
 def main(argv=None) -> int:
@@ -683,7 +699,6 @@ def main(argv=None) -> int:
             if args.method:
                 cfg["method"] = args.method
             if args.q:
-                _q_value(args.q)
                 cfg["q"] = args.q
             if args.perturbation and "perturbation" not in cfg:
                 cfg["perturbation"] = {"scale": 0.05, "alpha": 0.1}

@@ -38,7 +38,6 @@ class EmerySpec:
     """Rotation exponential stopped at +-level; n = 2, d = 1."""
 
     level: float = np.pi / 2
-    effective_horizon: float = 48.0
 
     def field(self) -> StoppedRotationField:
         return StoppedRotationField(self.level)
@@ -93,12 +92,11 @@ def emery_closed_form(paths: PathEnsemble, level: float = np.pi / 2,
 
 
 def emery_defect_at_horizon(paths: int, horizon: float = 48.0, dt: float = 0.01,
-                            seed: int = 0, level: float = np.pi / 2,
-                            chunk: int = 256) -> dict:
+                            seed: int = 0) -> dict:
     """Diagonal martingale defect of the stopped rotation exponential at a
     long horizon, without storing paths.
 
-    Exited paths contribute exactly 0 to the diagonal (cos(+-level) = 0 after
+    Exited paths contribute exactly 0 to the diagonal (cos(+-pi/2) = 0 after
     clamping); survivors contribute exp(horizon/2) cos(B).  The empirical
     mean collapses to 0 once the horizon is long enough that no sampled path
     survives, which is the numerical signature of the uniform-integrability
@@ -106,8 +104,8 @@ def emery_defect_at_horizon(paths: int, horizon: float = 48.0, dt: float = 0.01,
     vanishing probability, while the stopped terminal has expectation 0.
     """
     max_steps = int(np.ceil(horizon / dt))
-    exit_steps, alive, w = _exit_walk(substream(seed, 23), paths, level, dt, max_steps,
-                                      chunk, bridge=False)
+    exit_steps, alive, w = _exit_walk(substream(seed, 23), paths, np.pi / 2, dt,
+                                      max_steps, 256, bridge=False)
     contrib = np.zeros(paths)
     contrib[alive] = np.exp(horizon / 2.0) * np.cos(w)
     mean = float(contrib.mean())
@@ -257,8 +255,7 @@ def _exit_result(b: float, vals: np.ndarray, dt: float, truncated: int,
 
 
 def exit_time_exponential(b: float, paths: int, dt: float, seed: int = 0,
-                          horizon: float | None = None, bridge: bool = True,
-                          chunk: int = 64) -> ExitTimeResult:
+                          horizon: float | None = None, bridge: bool = True) -> ExitTimeResult:
     """Monte Carlo estimate of E[exp(sigma_b / 2)], sigma_b = exit of |W| from b.
 
     The walk is monitored at resolution dt, with the Brownian bridge
@@ -277,7 +274,7 @@ def exit_time_exponential(b: float, paths: int, dt: float, seed: int = 0,
         horizon = _default_horizon(b)
     max_steps = int(np.ceil(horizon / dt))
     exit_steps, alive, _ = _exit_walk(substream(seed, 11), paths, b, dt, max_steps,
-                                      chunk, bridge)
+                                      64, bridge)
     return _exit_result(b, np.exp(exit_steps * dt / 2.0), dt, alive.size, horizon)
 
 
@@ -352,18 +349,16 @@ def exit_time_exact(b: float, paths: int, seed: int = 0) -> ExitTimeResult:
     return _exit_result(b, np.exp(b * b / 2.0 * j), 0.0, 0, np.inf)
 
 
-def default_level_sequence(count: int, c: float = 0.9) -> np.ndarray:
+def default_level_sequence(count: int) -> np.ndarray:
     """Admissible exit-level sequence b_k increasing to pi/2.
 
-    cos(b_k) = c (k+1) 2^{-k}, so the partition-weighted terms
-    2^{-k} / cos(b_k) = 1 / (c (k+1)) vanish while their sum diverges
+    cos(b_k) = 0.9 (k+1) 2^{-k}, so the partition-weighted terms
+    2^{-k} / cos(b_k) = 1 / (0.9 (k+1)) vanish while their sum diverges
     (harmonic).  One admissible choice; nothing in the construction pins a
     particular sequence.
     """
-    if not 0 < c < 1:
-        raise ConfigurationError("scale c must lie in (0, 1) so that b_1 > 0")
     k = np.arange(1, count + 1)
-    cos_b = c * (k + 1) * 0.5**k
+    cos_b = 0.9 * (k + 1) * 0.5**k
     return np.arccos(cos_b)
 
 

@@ -23,7 +23,6 @@ STRUCTURES = (
     "diagonal",
     "right_outer",
     "left_outer",
-    "outer_plus_diagonal",
 )
 
 
@@ -35,7 +34,6 @@ class CoefficientField:
     d: int
     eval: Callable[[float, np.ndarray], np.ndarray]
     structure: str = "generic"
-    bmo_bound: float | None = None
     markovian: bool = True
     name: str = ""
 
@@ -77,18 +75,16 @@ def constant_field(a0: np.ndarray, structure: str = "generic",
     if a0.ndim != 3 or a0.shape[0] != a0.shape[1]:
         raise ConfigurationError(f"constant field needs shape (n, n, d), got {a0.shape}")
     n, _, d = a0.shape
-    bound = float(np.sqrt((a0 ** 2).sum()))
-    return CoefficientField(n, d, lambda t, x: a0, structure, bound, True, name)
+    return CoefficientField(n, d, lambda t, x: a0, structure, True, name)
 
 
 def zero_field(n: int, d: int) -> CoefficientField:
     return constant_field(np.zeros((n, n, d)), name="zero")
 
 
-def scalar_field(a: float, d: int = 1, name: str = "scalar") -> CoefficientField:
-    """n = 1 field with constant entry a in every Brownian coordinate slot."""
-    a0 = np.full((1, 1, d), float(a))
-    return constant_field(a0, structure="diagonal", name=name)
+def scalar_field(a: float, name: str = "scalar") -> CoefficientField:
+    """n = d = 1 field with constant entry a."""
+    return constant_field(np.full((1, 1, 1), float(a)), structure="diagonal", name=name)
 
 
 def _vecd_at(fn: Callable, t: float, x: np.ndarray, n: int, d: int) -> np.ndarray:
@@ -118,10 +114,7 @@ def right_outer_field(a_eval, b, d: int, name: str = "right_outer") -> RightOute
     def ev(t, x):
         return np.einsum("mie,j->mije", _vecd_at(a_eval, t, x, n, d), b)
 
-    fld = RightOuterField(n, d, ev, "right_outer", None, True, name)
-    fld.a_eval = a_eval
-    fld.b = b
-    return fld
+    return RightOuterField(n, d, ev, "right_outer", True, name, a_eval, b)
 
 
 @dataclass
@@ -143,10 +136,7 @@ def left_outer_field(a, b_eval, d: int, name: str = "left_outer") -> LeftOuterFi
     def ev(t, x):
         return np.einsum("i,mje->mije", a, _vecd_at(b_eval, t, x, n, d))
 
-    fld = LeftOuterField(n, d, ev, "left_outer", None, True, name)
-    fld.a = a
-    fld.b_eval = b_eval
-    return fld
+    return LeftOuterField(n, d, ev, "left_outer", True, name, a, b_eval)
 
 
 class StoppedRotationField(CoefficientField):
@@ -158,7 +148,7 @@ class StoppedRotationField(CoefficientField):
     """
 
     def __init__(self, level: float = np.pi / 2):
-        super().__init__(2, 1, None, "generic", None, False, "stopped_rotation")
+        super().__init__(2, 1, None, "generic", False, "stopped_rotation")
         self.level = level
         self._j = np.array([[0.0, 1.0], [-1.0, 0.0]])
         self._cache = weakref.WeakKeyDictionary()

@@ -58,7 +58,7 @@ def _triangular_eval(t, x):
 
 def triangular_3d() -> CoefficientField:
     return CoefficientField(3, 1, _triangular_eval, structure="lower_triangular",
-                            bmo_bound=0.6, name="triangular-3d")
+                            name="triangular-3d")
 
 
 def right_outer_3d():

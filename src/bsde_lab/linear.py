@@ -272,17 +272,16 @@ def _expo_core(spec: LinearBsdeSpec, expo: ExponentialEnsemble, degree: int) -> 
 
 
 def _gated_exponential(fld: CoefficientField, paths: PathEnsemble,
-                       expo: ExponentialEnsemble | None = None, defect_tol: float = 0.1,
-                       force: bool = False) -> tuple:
+                       expo: ExponentialEnsemble | None = None) -> tuple:
     """(S with S^{-1}, worst group defect), simulated unless `expo` is given;
-    raises RepresentationInvalidError past `defect_tol` unless `force`."""
+    raises RepresentationInvalidError past a defect of 0.1."""
     if expo is None:
         expo = simulate_exponential(fld, paths, inverse=True)
     worst = float(martingale_defect(expo).group_defect.max())
-    if worst > defect_tol and not force:
+    if worst > 0.1:
         raise RepresentationInvalidError(
             f"representation invalid: S not a martingale at tolerance "
-            f"(median group defect {worst:.4f} > {defect_tol})")
+            f"(median group defect {worst:.4f} > 0.1)")
     return expo, worst
 
 
@@ -297,17 +296,15 @@ def _representation_core(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int,
 
 def solve_by_representation(spec: LinearBsdeSpec, paths: PathEnsemble,
                             expo: ExponentialEnsemble | None = None,
-                            degree: int = 3, defect_tol: float = 0.1,
-                            force: bool = False) -> SolutionEnsemble:
+                            degree: int = 3) -> SolutionEnsemble:
     """Solve via Y_t = S_t^{-1} E_t[S_T (xi + int_t^T beta du)].
 
     Refuses when the simulated exponential shows a median-of-groups
-    martingale defect beyond `defect_tol` (the formula then solves the wrong
-    equation); pass force=True to bypass for diagnostics.
+    martingale defect beyond 0.1 (the formula then solves the wrong equation).
     """
     return _finish(spec, paths, "representation",
                    *_representation_core(spec, paths, degree, _gated_exponential(
-                       spec.field, paths, expo, defect_tol, force)))
+                       spec.field, paths, expo)))
 
 
 def _scalar_weighted_solve(paths: PathEnsemble, coeff: np.ndarray, xi: np.ndarray,

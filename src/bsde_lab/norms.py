@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ class NormEstimate:
     kind: str
     value: float
     std_error: float
-    grid_times_used: list = field(default_factory=list)
     attaining_index: int | None = None
 
     def __post_init__(self):
@@ -138,7 +137,7 @@ def _max_order_stat(samples: np.ndarray) -> tuple[float, float]:
 
 
 def estimate_norm(kind: str, values: np.ndarray, paths: PathEnsemble,
-                  q: float | None = None, times=None, degree: int = 3) -> NormEstimate:
+                  q: float | None = None, degree: int = 3) -> NormEstimate:
     """Estimate a path-space norm from sampled process values.
 
     kind:
@@ -157,57 +156,41 @@ def estimate_norm(kind: str, values: np.ndarray, paths: PathEnsemble,
         raise ValueError(f"unknown norm kind {kind!r}")
     k_steps = paths.grid.steps
     dt = paths.grid.dt
+    power = 2.0 if kind in ("bmo", "l2q") else 1.0
 
-    if kind in ("sup_p",):
-        if q is None or q < 1:
-            raise ValueError("sup_p requires q >= 1")
-        v = np.asarray(values, dtype=float)
-        if v.shape[0] != paths.paths or v.shape[1] != k_steps + 1:
-            raise ValueError(f"expected node values (paths, {k_steps + 1}, ...), got {v.shape}")
-        sizes = np.sqrt((v * v).reshape(v.shape[0], v.shape[1], -1).sum(axis=-1))
-        per_path = sizes.max(axis=1)
-        if np.isinf(q):
-            value, se = _max_order_stat(per_path)
-        else:
-            value, se = _lp_mean(per_path, q)
-        return NormEstimate(kind, value, se, list(paths.grid.nodes))
-
-    sizes = _integrand_sizes(values, k_steps)
-
-    if kind in ("l2q", "l1q"):
+    if kind in ("sup_p", "l2q", "l1q"):
         if q is None or q < 1:
             raise ValueError(f"{kind} requires q >= 1")
-        power = 2.0 if kind == "l2q" else 1.0
-        path_integral = (sizes**power * dt[None, :]).sum(axis=1)
-        per_path = np.sqrt(path_integral) if kind == "l2q" else path_integral
-        if np.isinf(q):
-            value, se = _max_order_stat(per_path)
+        if kind == "sup_p":
+            v = np.asarray(values, dtype=float)
+            if v.shape[0] != paths.paths or v.shape[1] != k_steps + 1:
+                raise ValueError(
+                    f"expected node values (paths, {k_steps + 1}, ...), got {v.shape}")
+            sizes = np.sqrt((v * v).reshape(v.shape[0], v.shape[1], -1).sum(axis=-1))
+            per_path = sizes.max(axis=1)
         else:
-            value, se = _lp_mean(per_path, q)
-        return NormEstimate(kind, value, se, list(paths.grid.nodes))
+            path_integral = (_integrand_sizes(values, k_steps)**power * dt[None, :]).sum(axis=1)
+            per_path = np.sqrt(path_integral) if kind == "l2q" else path_integral
+        value, se = _max_order_stat(per_path) if np.isinf(q) else _lp_mean(per_path, q)
+        return NormEstimate(kind, value, se)
 
     # bmo kinds: grid-time max over estimated conditional remainders.
-    power = 2.0 if kind == "bmo" else 1.0
-    contrib = sizes**power * dt[None, :]
+    contrib = _integrand_sizes(values, k_steps)**power * dt[None, :]
     # remaining[:, k] = sum_{j >= k} contrib_j, with remaining[:, K] = 0
     remaining = np.zeros((paths.paths, k_steps + 1))
     remaining[:, :-1] = contrib[:, ::-1].cumsum(axis=1)[:, ::-1]
-    if times is None:
-        times = range(k_steps + 1)
     reg = RegressionConditional.of(paths, degree)
     best, best_k, best_se = 0.0, 0, 0.0
-    used = []
-    for k in times:
-        used.append(float(paths.grid.nodes[k]))
+    for k in range(k_steps + 1):
         fitted = reg.fit_predict(k, remaining[:, k])
         node = float(np.max(fitted))
         if node > best:
             resid = remaining[:, k] - fitted
-            best, best_k = node, int(k)
+            best, best_k = node, k
             best_se = float(np.std(resid, ddof=1) / np.sqrt(max(paths.paths - 1, 1)))
     if kind == "bmo":
         value = float(np.sqrt(max(best, 0.0)))
         se = best_se / (2.0 * value) if value > 0 else best_se
     else:
         value, se = max(best, 0.0), best_se
-    return NormEstimate(kind, value, se, used, attaining_index=best_k)
+    return NormEstimate(kind, value, se, attaining_index=best_k)

@@ -102,17 +102,16 @@ def evaluate_driver(driver, t, x, y, z) -> np.ndarray:
     return np.asarray(driver(t, x, y, z), dtype=float)
 
 
-def sampled_lipschitz(driver, rng: np.random.Generator, samples: int = 200,
-                      scale: float = 2.0) -> float:
+def sampled_lipschitz(driver, rng: np.random.Generator) -> float:
     """Crude sampled Lipschitz constant of the driver's g-part in (y, z)."""
     g = driver.g
     if g is None:
         return 0.0
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(200):
         x = rng.normal(size=(1, driver.d))
-        y1, y2 = rng.normal(scale=scale, size=(2, 1, driver.n))
-        z1, z2 = rng.normal(scale=scale, size=(2, 1, driver.n, driver.d))
+        y1, y2 = rng.normal(scale=2.0, size=(2, 1, driver.n))
+        z1, z2 = rng.normal(scale=2.0, size=(2, 1, driver.n, driver.d))
         num = np.linalg.norm(g(0.0, x, y1, z1) - g(0.0, x, y2, z2))
         den = np.linalg.norm(y1 - y2) + np.linalg.norm(z1 - z2)
         if den > 1e-12:
@@ -372,8 +371,7 @@ def positively_spans(vectors: np.ndarray) -> tuple[bool, dict]:
     return True, cert
 
 
-def check_ab_condition(cond: AbCondition, driver, paths_or_rng, samples: int = 400,
-                       y_scale: float = 2.0, z_scale: float = 3.0) -> dict:
+def check_ab_condition(cond: AbCondition, driver, paths_or_rng, samples: int = 400) -> dict:
     """Report on condition (AB) for a driver: spanning certificate plus the
     worst sampled margin of a_m^T f <= rho + |a_m^T z|^2 / 2."""
     rng = paths_or_rng if isinstance(paths_or_rng, np.random.Generator) \
@@ -383,8 +381,8 @@ def check_ab_condition(cond: AbCondition, driver, paths_or_rng, samples: int = 4
     violations = []
     for s in range(samples):
         x = rng.normal(size=(1, driver.d))
-        y = rng.normal(scale=y_scale, size=(1, driver.n))
-        z = rng.normal(scale=z_scale, size=(1, driver.n, driver.d))
+        y = rng.normal(scale=2.0, size=(1, driver.n))
+        z = rng.normal(scale=3.0, size=(1, driver.n, driver.d))
         f_val = evaluate_driver(driver, 0.0, x, y, z)[0]
         for m_i, a_m in enumerate(cond.vectors):
             am_z = np.einsum("j,jd->d", a_m, z[0])
@@ -436,7 +434,6 @@ def _validate_pair(pair: LyapunovPair, n: int) -> None:
 
 
 def check_lyapunov(pair: LyapunovPair, driver, rng: np.random.Generator,
-                   samples: int = 400, z_scale: float = 2.0,
                    solution: SolutionEnsemble | None = None) -> dict:
     """Pointwise margins of the Lyapunov inequality, plus the implied bmo
     bound ||Z||^2 <= k T + 2 sup_{|y| <= c} |h| checked on a solved instance.
@@ -448,11 +445,11 @@ def check_lyapunov(pair: LyapunovPair, driver, rng: np.random.Generator,
     _validate_pair(pair, n)
     worst = np.inf
     worst_at = None
-    for _ in range(samples):
+    for _ in range(400):
         y = rng.normal(size=n)
         if np.linalg.norm(y) > pair.radius:
             y = y * (pair.radius * rng.random() / np.linalg.norm(y))
-        z = rng.normal(scale=z_scale, size=(n, d))
+        z = rng.normal(scale=2.0, size=(n, d))
         x = rng.normal(size=(1, d))
         f_val = evaluate_driver(driver, 0.0, x, y[None], z[None])[0]
         hess = np.asarray(pair.hessian(y), dtype=float)

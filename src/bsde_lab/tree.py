@@ -182,7 +182,7 @@ def discrete_linear_bsde_solve(filt: FiniteFiltration, xi_leaf: np.ndarray,
 
 
 def representation_solution(filt: FiniteFiltration, a_nodes: list, xi_leaf: np.ndarray,
-                            beta_nodes=None, s_levels=None) -> list:
+                            beta_nodes=None) -> list:
     """Y by the exponential representation, exactly, at every node.
 
     Y_k = S_k^{-1} ( E_k[S_K xi + sum_{j<K} S_j beta_j dt] - sum_{j<k} S_j beta_j dt ),
@@ -192,12 +192,11 @@ def representation_solution(filt: FiniteFiltration, a_nodes: list, xi_leaf: np.n
     if xi.ndim == 1:
         xi = xi[:, None]
     n = xi.shape[1]
-    if s_levels is None:
-        s_levels = discrete_exponential(filt, a_nodes)
-        if s_levels.singular:
-            raise ConfigurationError(
-                f"exponential singular at levels {s_levels.singular}; "
-                "representation needs invertibility")
+    s_levels = discrete_exponential(filt, a_nodes)
+    if s_levels.singular:
+        raise ConfigurationError(
+            f"exponential singular at levels {s_levels.singular}; "
+            "representation needs invertibility")
     # prefix[k][i] = sum_{j < k} S_j beta_j dt along node i's history
     prefix = [np.zeros((filt.nodes_at(k), n)) for k in range(filt.steps + 1)]
     if beta_nodes is not None:

@@ -189,7 +189,11 @@ def test_linear_config_rejects_bad_q(tmp_path, q):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("kind", sorted(CONFIG_SCHEMAS))
+# The kinds that simulate paths on a time grid, the only ones with T, K and M.
+_GRID_KINDS = ["counterexample", "exponential", "linear", "quadratic", "reverse-holder"]
+
+
+@pytest.mark.parametrize("kind", _GRID_KINDS)
 def test_single_path_config_refused(tmp_path, kind):
     # Every standard error divides by M - 1, so M = 1 is refused up front.
     cfg = tmp_path / "one_path.json"
@@ -273,9 +277,24 @@ def test_every_instance_has_a_terminal():
     ("solve-quadratic", '{"M": 50, "K": 4, "driver": "custom", "custom": '
                         '{"class": "ql", "n": 1, "d": 1, "g_expr": "y +"}}', "'y +'"),
     ("estimate-rp", '{"M": 50, "K": 4, "field": "emery", "method": "nested"}', "nested"),
+    ("oracle", '{"instances": 2, "T": 1.0}', "unknown key 'T'"),
+    ("oracle", '{"instances": 2, "K": 4}', "unknown key 'K'"),
+    ("equivalence-suite", '{"depths": [2], "M": 50}', "unknown key 'M'"),
+    ("solve-quadratic", '{"M": 50, "K": 4, "driver": "custom", "custom": {"class": '
+                        '"unidirectional", "n": 2, "d": 1, "h_expr": "z"}}', "custom/h_expr"),
+    ("solve-quadratic", '{"M": 50, "K": 4, "driver": "custom", "custom": '
+                        '{"class": "ql", "n": 2, "d": 1, "g_expr": "y[:, 0]"}}', "custom/g_expr"),
+    ("solve-quadratic", '{"M": 50, "K": 4, "driver": "custom", "custom": '
+                        '{"class": "ql", "n": 1, "d": 1, "g_expr": "y[:, 0]"}}', "custom/g_expr"),
 ], ids=["negative-horizon", "array-file", "unparsable-file", "missing-file",
-        "bad-expression", "nested-emery"])
-def test_bad_config_refused_before_any_output(tmp_path, capsys, command, body, named):
+        "bad-expression", "nested-emery", "oracle-T", "oracle-K", "equivalence-M",
+        "h-not-per-path", "g-per-path-n2", "g-per-path-n1"])
+def test_bad_config_refused_before_any_output(tmp_path, capsys, monkeypatch, command, body,
+                                              named):
+    def no_paths(*args, **kwargs):
+        raise AssertionError("paths simulated before the config was refused")
+
+    monkeypatch.setattr(bsde_lab.cli, "generate_brownian", no_paths)
     cfg = tmp_path / "bad.json"
     if body is not None:
         cfg.write_text(body)

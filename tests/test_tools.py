@@ -1,5 +1,9 @@
 import importlib.util
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -67,3 +71,32 @@ def test_main_prints_peak_rss_of_each_tree(capsys):
               for part in rss[0].removeprefix("quadratic-cole-hopf: peak RSS ").split(", ")]
     assert len(values) == 2 and all(v > 0 for v in values)
     assert lines[-1] == "0 differing output(s) in 1 case(s), seed 3, threads 1"
+
+
+def _bench_python(*args, cwd):
+    """Run python with the package and the bench harness importable."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")]))
+    return subprocess.run([sys.executable, *map(str, args)], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_bench_harness_wraps_the_package(tmp_path):
+    # The harness looks package names up with getattr and binds parameters
+    # by name, so a renamed function, parameter or runner breaks it.
+    check = _bench_python("-c", textwrap.dedent("""
+        import child
+        from bsde_lab.cli import CONFIG_SCHEMAS, RUNNERS
+        child.install(child.Tracer("t"))
+        for command, entry in RUNNERS.items():
+            assert type(entry) is tuple and len(entry) == 2, command
+            assert entry[0] in CONFIG_SCHEMAS and callable(entry[1]), command
+    """), cwd=tmp_path)
+    assert check.returncode == 0, check.stderr
+    cfg = tmp_path / "rp.json"
+    cfg.write_text('{"method": "nested", "K": 4, "M": 20, "inner_paths": 16}')
+    record = tmp_path / "record.json"
+    run = _bench_python(ROOT / "bench" / "child.py", record, 1, "estimate-rp",
+                        "--config", cfg, "--seed", 1, "--out", tmp_path / "out", cwd=tmp_path)
+    assert run.returncode == 0, run.stderr
+    counts = json.loads(record.read_text())["counts"]
+    assert counts["exponential.nested_paths"] == 4 * 20 * 16
