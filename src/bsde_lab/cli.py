@@ -17,6 +17,7 @@ import os
 import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -234,7 +235,26 @@ def _to_jsonable(obj):
     return obj
 
 
+class NanResultError(RuntimeError):
+    """A NaN among the results of a run, which would reach summary.json."""
+
+
+def _nan_keys(obj, path: str) -> list[str]:
+    """Key paths of the NaN values in a results tree."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (dict, list, tuple)):
+        items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+        return [p for key, value in items for p in _nan_keys(value, f"{path}/{key}")]
+    return [path] if isinstance(obj, (float, np.floating)) and np.isnan(obj) else []
+
+
 def write_outputs(out_dir: Path, cfg: dict, results: dict, tables: dict) -> None:
+    """Write the tables and summary.json; a NaN in `results` is refused with
+    NanResultError before any file is written (an infinity is allowed)."""
+    nan = _nan_keys(results, "results")
+    if nan:
+        raise NanResultError(f"NaN result at {', '.join(nan)}; nothing written")
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = []
     for name, (header, rows) in tables.items():
@@ -278,26 +298,33 @@ def _compile_expr(expr: str, argnames: tuple):
     return fn
 
 
+def _on_zeros(key: str, expr: str, fn, args: tuple):
+    """fn(*args) on zero inputs, refusing the expression `expr` of config key
+    `key` if that raises."""
+    try:
+        with np.errstate(all="ignore"):
+            return fn(*args)
+    except Exception as exc:   # any error of the expression itself
+        raise ConfigurationError(f"{key}: {expr!r} fails on zero inputs: {exc}") from None
+
+
 def _probe(key: str, expr: str, fn, args: tuple, target: tuple) -> None:
     """Refuse the expression `expr` of config key `key` unless its value on
     the zero inputs `args` broadcasts to the shape `target` unchanged."""
-    try:
-        with np.errstate(all="ignore"):
-            shape = np.shape(fn(*args))
-    except Exception as exc:   # any error of the expression itself
-        raise ConfigurationError(f"{key}: {expr!r} fails on zero inputs: {exc}") from None
+    shape = np.shape(_on_zeros(key, expr, fn, args))
     if len(shape) > len(target) or any(a not in (1, b) for a, b in zip(shape[::-1], target[::-1])):
         raise ConfigurationError(f"{key}: {expr!r} has shape {shape} on zero inputs, "
                                  f"which does not broadcast to {target}")
 
 
-def build_custom_driver(custom: dict):
-    """Driver (and terminal) from config expressions.
+def build_custom_driver(custom: dict, steps: int):
+    """Driver (and terminal) from config expressions, for a grid of `steps` steps.
 
     Expressions see y (M, n), z (M, n, d), t, x (M, d) for the driver parts
     and b (M, K+1, d) Brownian states for the terminal.  Before any path is
     simulated, h must give one value per path (or a constant) and g an array
-    that adds to the (M, n) z-part as (M, n), probed on zero inputs.
+    that adds to the (M, n) z-part as (M, n), probed on zero inputs, and the
+    terminal must run on zero Brownian states.
     """
     from .quadratic import QuadraticLinearDriver, UnidirectionalDriver
     n, d = custom["n"], custom["d"]
@@ -326,6 +353,8 @@ def build_custom_driver(custom: dict):
         out = np.asarray(t_fn(paths.states), dtype=float)
         return np.broadcast_to(out.reshape(paths.paths, -1), (paths.paths, n)).copy()
 
+    _on_zeros("custom/terminal_expr", term_expr, terminal,
+              (SimpleNamespace(paths=m, states=np.zeros((m, steps + 1, d))),))
     return drv, terminal
 
 
@@ -449,7 +478,7 @@ def run_quadratic(cfg: dict, out: Path, threads: int = 1) -> int:
     if cfg["driver"] == "custom":
         if "custom" not in cfg:
             raise ConfigurationError("driver 'custom' needs a 'custom' block")
-        drv, term = build_custom_driver(cfg["custom"])
+        drv, term = build_custom_driver(cfg["custom"], cfg["K"])
     else:
         drv = QUADRATIC_DRIVERS[cfg["driver"]]()
         term = quadratic_terminal(cfg["driver"])

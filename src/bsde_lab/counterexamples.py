@@ -88,7 +88,7 @@ def emery_closed_form(paths: PathEnsemble, level: float = np.pi / 2,
             np.divide(np.swapaxes(blk, -1, -2), scale[..., None, None], out=s_inv[:, lo:hi])
     # bad paths never exited: truncation bias contributors
     return ExponentialEnsemble(StoppedRotationField(level), paths, s, s_inv,
-                               scheme="closed_form", bad_paths=~exited)
+                               bad_paths=~exited)
 
 
 def emery_defect_at_horizon(paths: int, horizon: float = 48.0, dt: float = 0.01,

@@ -52,7 +52,6 @@ class ExponentialEnsemble:
     paths: PathEnsemble
     s: np.ndarray
     s_inv: np.ndarray | None = None
-    scheme: str = "euler"
     bad_paths: np.ndarray = None
 
     def __post_init__(self):
@@ -144,7 +143,7 @@ def simulate_exponential(field: CoefficientField, paths: PathEnsemble,
                          inverse: bool = True) -> ExponentialEnsemble:
     s = integrate_exponential(field, paths)
     x = integrate_inverse(field, paths) if inverse else None
-    return ExponentialEnsemble(field, paths, s, x, "euler")
+    return ExponentialEnsemble(field, paths, s, x)
 
 
 @dataclass
@@ -153,7 +152,6 @@ class ReverseHolderReport:
     at the attaining time; it does not bound the upward bias of a maximum over
     fitted values (README sketch: 1.61 +- 0.011 against the exact 1.28)."""
 
-    p: float
     rp_estimate: float
     std_error: float
     attaining_index: int
@@ -210,7 +208,7 @@ def estimate_reverse_holder(expo: ExponentialEnsemble, p: float,
 
     best_k = int(np.argmax(profile))
     return ReverseHolderReport(
-        p=p, rp_estimate=float(max(profile[best_k], 1.0)), std_error=float(profile_se[best_k]),
+        rp_estimate=float(max(profile[best_k], 1.0)), std_error=float(profile_se[best_k]),
         attaining_index=best_k, profile=profile, profile_std_error=profile_se,
         estimator=method)
 

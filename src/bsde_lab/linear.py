@@ -13,7 +13,10 @@ are built from the same pieces: one martingale-representation step
 (`_represent`: N_k = E_k[h] and the centred increment regression Z~), one
 scalar exponential (`_scalar_exponential`) for the triangular, right-outer
 and left-outer reductions, and one backward-induction loop (`_backward`),
-which the quadratic solver runs with its inner Picard step.
+which the quadratic solver runs with its inner Picard step.  Each method in
+`_METHODS` checks its field and does its per-solve work once, then returns a
+core that takes the terminal (M, n) and the inhomogeneity (M, K, n) as
+arrays, formed once per solve.
 """
 
 from __future__ import annotations
@@ -69,7 +72,6 @@ class SolutionEnsemble:
     diagnostics["terminal_mismatch"].
     """
 
-    spec: LinearBsdeSpec
     paths: PathEnsemble
     y: np.ndarray                  # (M, K+1, n)
     z: np.ndarray                  # (M, K, n, d)
@@ -114,7 +116,7 @@ def _scalar_exponential(paths: PathEnsemble, coeff: np.ndarray) -> np.ndarray:
 
 def _increment_regression(reg: RegressionConditional, paths: PathEnsemble,
                           next_values: np.ndarray, k: int,
-                          base_values: np.ndarray | None = None) -> np.ndarray:
+                          base_values: np.ndarray) -> np.ndarray:
     """Fitted E_k[next_values dB_k] / dt, shape (M, ..., d).
 
     Subtracting `base_values` (any F_{t_k}-measurable centering, typically
@@ -122,7 +124,7 @@ def _increment_regression(reg: RegressionConditional, paths: PathEnsemble,
     and cuts the target variance from Var(next)/dt to O(|Z|^2).
     """
     db = paths.increments[:, k]                      # (M, d)
-    centered = next_values if base_values is None else next_values - base_values
+    centered = next_values - base_values
     target = centered[..., None] * db[(slice(None),) + (None,) * (centered.ndim - 1)]
     return reg.fit_predict(k, target) / paths.grid.dt[k]
 
@@ -186,25 +188,25 @@ def _martingale_residuals(paths: PathEnsemble, y: np.ndarray, z: np.ndarray,
     return {"moment_residual": float(mean_r), "moment_db_residual": float(mean_rdb)}
 
 
-def _finish(spec: LinearBsdeSpec, paths: PathEnsemble, solver: str, y: np.ndarray,
+def _finish(fld: CoefficientField | None, paths: PathEnsemble, solver: str, y: np.ndarray,
             z: np.ndarray, beta: np.ndarray | None, extras: dict) -> SolutionEnsemble:
     """Drift A Z + beta, moment residuals and terminal mismatch of a solve.
 
-    Every solver is a core, which returns (y, z, beta, extras), followed by
-    this step; the Picard loop of `solve_perturbed` runs the core once per
-    pass and this step once.  Keys of `extras` that it reads: "drift" (a
-    drift the core already formed), "a_vals" (field values the core already
-    holds, one array per step), "terminal_mismatch" (0 if absent) and
-    "scalar_v" (the scalar V = b^T Z of the right-outer reduction, checked
-    on the solution as "outer_identity_residual").  Every other key is a
-    diagnostic of its own.
+    Every solve runs a core, which returns (y, z, extras), then this step;
+    the Picard loop of `solve_perturbed` runs the core once per pass and this
+    step once.  Keys of `extras` that it reads: "drift" (a drift the core
+    already formed, with which `fld` may be None), "a_vals" (field values the
+    core already holds, one array per step), "terminal_mismatch" (0 if
+    absent) and "scalar_v" (the scalar V = b^T Z of the right-outer
+    reduction, checked on the solution as "outer_identity_residual").  Every
+    other key is a diagnostic of its own.
     """
     extras = dict(extras)
     drift = extras.pop("drift", None)
     a_vals = extras.pop("a_vals", None)
     if drift is None:
         if a_vals is None:
-            a_vals = (spec.field.values(paths, k) for k in range(paths.grid.steps))
+            a_vals = (fld.values(paths, k) for k in range(paths.grid.steps))
         drift = np.stack([contract_az(a_k, z[:, k]) for k, a_k in enumerate(a_vals)], axis=1)
         if beta is not None:
             drift += beta
@@ -212,69 +214,57 @@ def _finish(spec: LinearBsdeSpec, paths: PathEnsemble, solver: str, y: np.ndarra
     diags["terminal_mismatch"] = extras.pop("terminal_mismatch", 0.0)
     if "scalar_v" in extras:
         diags["outer_identity_residual"] = float(np.abs(
-            np.einsum("j,mkjd->mkd", spec.field.b, z) - extras["scalar_v"]).mean())
+            np.einsum("j,mkjd->mkd", fld.b, z) - extras["scalar_v"]).mean())
     diags.update(extras)
-    return SolutionEnsemble(spec, paths, y, z, solver, diags)
+    return SolutionEnsemble(paths, y, z, solver, diags)
 
 
-def _regression_core(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int) -> tuple:
-    m, n = paths.paths, spec.n
+# A method takes (field, paths, degree), does the work that no Picard pass
+# changes, and returns its core: (xi (M, n), beta (M, K, n) | None) -> (y, z, extras).
+
+def _regression(fld: CoefficientField, paths: PathEnsemble, degree: int) -> Callable:
     dt = paths.grid.dt
-    beta = _beta_array(spec, paths)
 
-    def step(k, ey, z_k):
-        drift = contract_az(spec.field.values(paths, k), z_k)
-        if beta is not None:
-            drift += beta[:, k]
-        return ey + drift * dt[k], drift
+    def core(xi, beta):
+        def step(k, ey, z_k):
+            drift = contract_az(fld.values(paths, k), z_k)
+            if beta is not None:
+                drift += beta[:, k]
+            return ey + drift * dt[k], drift
 
-    y, z, drift = _backward(paths, degree,
-                            np.asarray(spec.terminal(paths), dtype=float).reshape(m, n), step)
-    return y, z, beta, {"drift": drift}
-
-
-def solve_by_regression(spec: LinearBsdeSpec, paths: PathEnsemble,
-                        degree: int = 3) -> SolutionEnsemble:
-    """Backward least-squares induction on the discretized equation.
-
-    Z_k = fitted E_k[(Y_{k+1} - E_k[Y_{k+1}]) dB_k]/dt (centered target for
-    variance), Y_k = fitted E_k[Y_{k+1}] + (A_k Z_k + beta_k) dt; terminal
-    condition exact by construction.
-    """
-    return _finish(spec, paths, "regression", *_regression_core(spec, paths, degree))
+        y, z, drift = _backward(paths, degree, xi, step)
+        return y, z, {"drift": drift}
+    return core
 
 
-def _expo_core(spec: LinearBsdeSpec, expo: ExponentialEnsemble, degree: int) -> tuple:
-    """Representation core given simulated (S, S^{-1})."""
+def _expo_core(fld: CoefficientField, expo: ExponentialEnsemble, degree: int, diags: dict,
+               xi: np.ndarray, beta: np.ndarray | None) -> tuple:
+    """Representation core given (S, S^{-1}); `diags` are added to its extras."""
     paths = expo.paths
-    m, ksteps, n = paths.paths, paths.grid.steps, spec.n
-    if expo.s_inv is None:
-        raise ConfigurationError("representation solve needs the inverse ensemble")
-    beta = _beta_array(spec, paths)
-    xi = np.asarray(spec.terminal(paths), dtype=float).reshape(m, n)
-
+    ksteps = paths.grid.steps
     h = np.einsum("mij,mj->mi", expo.s[:, -1], xi)
     if beta is not None:
         h += np.einsum("mkij,mkj->mi", expo.s[:, :-1],
                        beta * paths.grid.dt[None, :, None])
     n_fit, z = _represent(paths, degree, h)
 
-    y = np.einsum("mkij,mkj->mki", expo.s_inv, n_fit) - _prefix(paths, beta, (n,))
+    y = np.einsum("mkij,mkj->mki", expo.s_inv, n_fit) - _prefix(paths, beta, (fld.n,))
     terminal_mismatch = float(np.abs(y[:, ksteps] - xi).max())
     y[:, ksteps] = xi
 
     for k in range(ksteps):
-        a_k = spec.field.values(paths, k)                                # (M, n, n, d)
+        a_k = fld.values(paths, k)                                       # (M, n, n, d)
         xn = np.einsum("mij,mj->mi", expo.s_inv[:, k], n_fit[:, k])      # Y + int beta
         z[:, k] = (np.einsum("mij,mjd->mid", expo.s_inv[:, k], z[:, k])
                    - np.einsum("mijd,mj->mid", a_k, xn))
-    return y, z, beta, {"terminal_mismatch": terminal_mismatch}
+    return y, z, {"terminal_mismatch": terminal_mismatch, **diags}
 
 
-def _gated_exponential(fld: CoefficientField, paths: PathEnsemble,
-                       expo: ExponentialEnsemble | None = None) -> tuple:
-    """(S with S^{-1}, worst group defect), simulated unless `expo` is given;
-    raises RepresentationInvalidError past a defect of 0.1."""
+def _representation(fld: CoefficientField, paths: PathEnsemble, degree: int,
+                    expo: ExponentialEnsemble | None = None) -> Callable:
+    """The representation core bound to S with S^{-1}, simulated unless `expo`
+    is given and gated here, once: RepresentationInvalidError past a worst
+    group martingale defect of 0.1."""
     if expo is None:
         expo = simulate_exponential(fld, paths, inverse=True)
     worst = float(martingale_defect(expo).group_defect.max())
@@ -282,16 +272,9 @@ def _gated_exponential(fld: CoefficientField, paths: PathEnsemble,
         raise RepresentationInvalidError(
             f"representation invalid: S not a martingale at tolerance "
             f"(median group defect {worst:.4f} > 0.1)")
-    return expo, worst
-
-
-def _representation_core(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int,
-                         gated: tuple) -> tuple:
-    """Representation core given `_gated_exponential`'s (S, worst defect)."""
-    expo, worst = gated
-    y, z, beta, extras = _expo_core(spec, expo, degree)
-    extras["martingale_defect"] = worst
-    return y, z, beta, extras
+    if expo.s_inv is None:
+        raise ConfigurationError("representation solve needs the inverse ensemble")
+    return partial(_expo_core, fld, expo, degree, {"martingale_defect": worst})
 
 
 def solve_by_representation(spec: LinearBsdeSpec, paths: PathEnsemble,
@@ -302,14 +285,11 @@ def solve_by_representation(spec: LinearBsdeSpec, paths: PathEnsemble,
     Refuses when the simulated exponential shows a median-of-groups
     martingale defect beyond 0.1 (the formula then solves the wrong equation).
     """
-    return _finish(spec, paths, "representation",
-                   *_representation_core(spec, paths, degree, _gated_exponential(
-                       spec.field, paths, expo)))
+    return _solve(spec, paths, degree, "representation", expo=expo)
 
 
 def _scalar_weighted_solve(paths: PathEnsemble, coeff: np.ndarray, xi: np.ndarray,
-                           beta: np.ndarray | None, degree: int = 3
-                           ) -> tuple[np.ndarray, np.ndarray]:
+                           beta: np.ndarray | None, degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Scalar linear BSDE by exponential weights (no measure change).
 
     coeff: (M, K, d) bmo integrand; xi: (M,); beta: (M, K) or None.
@@ -329,32 +309,32 @@ def _scalar_weighted_solve(paths: PathEnsemble, coeff: np.ndarray, xi: np.ndarra
     return u, v
 
 
-def _triangular_core(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int) -> tuple:
-    if spec.field.structure != "lower_triangular":
+def _triangular(fld: CoefficientField, paths: PathEnsemble, degree: int) -> Callable:
+    if fld.structure != "lower_triangular":
         raise ConfigurationError(
-            f"triangular solver needs a lower_triangular field, got "
-            f"{spec.field.structure!r}")
-    m, ksteps, n, d = paths.paths, paths.grid.steps, spec.n, paths.d
-    a_vals = [spec.field.values(paths, k) for k in range(ksteps)]
-    if not spec.field.check_structure(a_vals[0], atol=1e-10):
-        raise ConfigurationError("field values are not lower triangular")
-    beta = _beta_array(spec, paths)
-    xi = np.asarray(spec.terminal(paths), dtype=float).reshape(m, n)
-    y = np.empty((m, ksteps + 1, n))
-    z = np.empty((m, ksteps, n, d))
-    for i in range(n):
-        coeff = np.stack([a_vals[k][:, i, i, :] for k in range(ksteps)], axis=1)
-        known = np.zeros((m, ksteps))
-        for j in range(i):
-            known += np.stack(
-                [(a_vals[k][:, i, j, :] * z[:, k, j, :]).sum(axis=1)
-                 for k in range(ksteps)], axis=1)
-        if beta is not None:
-            known += beta[:, :, i]
-        u, v = _scalar_weighted_solve(paths, coeff, xi[:, i], known, degree)
-        y[:, :, i] = u
-        z[:, :, i, :] = v
-    return y, z, beta, {"a_vals": a_vals}
+            f"triangular solver needs a lower_triangular field, got {fld.structure!r}")
+    m, ksteps, n, d = paths.paths, paths.grid.steps, fld.n, paths.d
+
+    def core(xi, beta):
+        a_vals = [fld.values(paths, k) for k in range(ksteps)]
+        if not fld.check_structure(a_vals[0], atol=1e-10):
+            raise ConfigurationError("field values are not lower triangular")
+        y = np.empty((m, ksteps + 1, n))
+        z = np.empty((m, ksteps, n, d))
+        for i in range(n):
+            coeff = np.stack([a_vals[k][:, i, i, :] for k in range(ksteps)], axis=1)
+            known = np.zeros((m, ksteps))
+            for j in range(i):
+                known += np.stack(
+                    [(a_vals[k][:, i, j, :] * z[:, k, j, :]).sum(axis=1)
+                     for k in range(ksteps)], axis=1)
+            if beta is not None:
+                known += beta[:, :, i]
+            u, v = _scalar_weighted_solve(paths, coeff, xi[:, i], known, degree)
+            y[:, :, i] = u
+            z[:, :, i, :] = v
+        return y, z, {"a_vals": a_vals}
+    return core
 
 
 def solve_triangular(spec: LinearBsdeSpec, paths: PathEnsemble,
@@ -364,33 +344,32 @@ def solve_triangular(spec: LinearBsdeSpec, paths: PathEnsemble,
     Row i sees sum_{j<i} A^i_j . Z^j as a known inhomogeneity, so each
     component is a scalar equation solved by exponential weights.
     """
-    return _finish(spec, paths, "triangular", *_triangular_core(spec, paths, degree))
+    return _solve(spec, paths, degree, "lower_triangular")
 
 
-def _right_outer_core(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int) -> tuple:
-    fld = spec.field
+def _right_outer(fld: CoefficientField, paths: PathEnsemble, degree: int) -> Callable:
     if not isinstance(fld, RightOuterField) or fld.structure != "right_outer":
         raise ConfigurationError("right-outer solver needs a RightOuterField")
-    m, ksteps, n = paths.paths, paths.grid.steps, spec.n
+    ksteps, n = paths.grid.steps, fld.n
     dt = paths.grid.dt
-    b = fld.b
-    a_vals = _per_step(fld.a_values, paths)                          # (M, K, n, d)
-    coeff = np.einsum("i,mkid->mkd", b, a_vals)
-    beta = _beta_array(spec, paths)
-    xi = np.asarray(spec.terminal(paths), dtype=float).reshape(m, n)
-    eta = xi @ b
-    beta_scalar = None if beta is None else np.einsum("mkj,j->mk", beta, b)
-    u, v = _scalar_weighted_solve(paths, coeff, eta, beta_scalar, degree)
 
-    # lifted equation: Y = xi + int (a V + beta) dt - int Z dB
-    tilde = np.einsum("mkid,mkd->mki", a_vals, v)
-    if beta is not None:
-        tilde += beta
-    h = xi + (tilde * dt[None, :, None]).sum(axis=1)
-    n_fit, z = _represent(paths, degree, h)
-    y = n_fit - _prefix(paths, tilde, (n,))
-    y[:, ksteps] = xi
-    return y, z, beta, {"scalar_v": v}
+    def core(xi, beta):
+        a_vals = _per_step(fld.a_values, paths)                      # (M, K, n, d)
+        coeff = np.einsum("i,mkid->mkd", fld.b, a_vals)
+        eta = xi @ fld.b
+        beta_scalar = None if beta is None else np.einsum("mkj,j->mk", beta, fld.b)
+        u, v = _scalar_weighted_solve(paths, coeff, eta, beta_scalar, degree)
+
+        # lifted equation: Y = xi + int (a V + beta) dt - int Z dB
+        tilde = np.einsum("mkid,mkd->mki", a_vals, v)
+        if beta is not None:
+            tilde += beta
+        h = xi + (tilde * dt[None, :, None]).sum(axis=1)
+        n_fit, z = _represent(paths, degree, h)
+        y = n_fit - _prefix(paths, tilde, (n,))
+        y[:, ksteps] = xi
+        return y, z, {"scalar_v": v}
+    return core
 
 
 def solve_right_outer(spec: LinearBsdeSpec, paths: PathEnsemble,
@@ -401,7 +380,7 @@ def solve_right_outer(spec: LinearBsdeSpec, paths: PathEnsemble,
     The identity V = b^T Z is re-checked on the produced solution and
     reported in diagnostics["outer_identity_residual"].
     """
-    return _finish(spec, paths, "right_outer", *_right_outer_core(spec, paths, degree))
+    return _solve(spec, paths, degree, "right_outer")
 
 
 def left_outer_exponential(fld: LeftOuterField, paths: PathEnsemble) -> ExponentialEnsemble:
@@ -421,44 +400,55 @@ def left_outer_exponential(fld: LeftOuterField, paths: PathEnsemble) -> Exponent
     eye = np.eye(n)
     s = eye[None, None] + np.einsum("i,mkj->mkij", a, m_vec)
     s_inv = eye[None, None] - np.einsum("i,mkj->mkij", a, m_vec) / scal[:, :, None, None]
-    expo = ExponentialEnsemble(fld, paths, s, s_inv, scheme="closed_form")
-    return expo
+    return ExponentialEnsemble(fld, paths, s, s_inv)
 
 
-def _left_outer_core(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int) -> tuple:
-    fld = spec.field
+def _left_outer(fld: CoefficientField, paths: PathEnsemble, degree: int) -> Callable:
     if not isinstance(fld, LeftOuterField) or fld.structure != "left_outer":
         raise ConfigurationError("left-outer solver needs a LeftOuterField")
-    y, z, beta, extras = _expo_core(spec, left_outer_exponential(fld, paths), degree)
-    extras["scheme"] = "closed_form"
-    return y, z, beta, extras
+    return partial(_expo_core, fld, left_outer_exponential(fld, paths), degree,
+                   {"scheme": "closed_form"})
 
 
 def solve_left_outer(spec: LinearBsdeSpec, paths: PathEnsemble,
                      degree: int = 3) -> SolutionEnsemble:
     """Representation solve with the closed-form exponential of a left-outer field."""
-    return _finish(spec, paths, "left_outer", *_left_outer_core(spec, paths, degree))
+    return _solve(spec, paths, degree, "left_outer")
 
 
-# The core of each structural method and of regression; its public solver is
-# the core followed by `_finish`.  The representation core also takes the
-# gated exponential, which `solve_perturbed` forms once per solve.  No
-# structure tag is called "regression", so `structure in _CORES` asks whether
-# the field has a structural solver.
-_CORES = {
-    "regression": _regression_core,
-    "lower_triangular": _triangular_core,
-    "right_outer": _right_outer_core,
-    "left_outer": _left_outer_core,
+# method -> (solver tag of its solution, method).  The structural methods are
+# keyed by the structure tag they need, so "auto" takes the field's own.
+_STRUCTURAL = {
+    "lower_triangular": ("triangular", _triangular),
+    "right_outer": ("right_outer", _right_outer),
+    "left_outer": ("left_outer", _left_outer),
 }
+_METHODS = {"regression": ("regression", _regression),
+            "representation": ("representation", _representation), **_STRUCTURAL}
 
-_SOLVERS = {
-    "regression": solve_by_regression,
-    "representation": solve_by_representation,
-    "lower_triangular": solve_triangular,
-    "right_outer": solve_right_outer,
-    "left_outer": solve_left_outer,
-}
+
+def _terminal(spec: LinearBsdeSpec, paths: PathEnsemble) -> np.ndarray:
+    return np.asarray(spec.terminal(paths), dtype=float).reshape(paths.paths, spec.n)
+
+
+def _solve(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int, method: str,
+           **kw) -> SolutionEnsemble:
+    """One solve by `method`, whose keyword arguments are `kw`."""
+    tag, make = _METHODS[method]
+    beta = _beta_array(spec, paths)
+    y, z, extras = make(spec.field, paths, degree, **kw)(_terminal(spec, paths), beta)
+    return _finish(spec.field, paths, tag, y, z, beta, extras)
+
+
+def solve_by_regression(spec: LinearBsdeSpec, paths: PathEnsemble,
+                        degree: int = 3) -> SolutionEnsemble:
+    """Backward least-squares induction on the discretized equation.
+
+    Z_k = fitted E_k[(Y_{k+1} - E_k[Y_{k+1}]) dB_k]/dt (centered target for
+    variance), Y_k = fitted E_k[Y_{k+1}] + (A_k Z_k + beta_k) dt; terminal
+    condition exact by construction.
+    """
+    return _solve(spec, paths, degree, "regression")
 
 
 def solve_perturbed(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int = 3,
@@ -466,28 +456,24 @@ def solve_perturbed(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int = 3,
                     base: str = "auto") -> SolutionEnsemble:
     """Picard iteration for BSDE(A + dA) with an optional alpha Y term.
 
-    Each pass solves BSDE(A) with inhomogeneity beta + alpha Y^m + dA Z^m
-    using the core of the structural solver matched to A's tag; the drift
-    and the residual diagnostics are computed once, for the last pass, and
-    a representation base simulates and gates its exponential once.
-    Stops at relative residual < tol; a growing residual raises
-    PicardDivergenceError, which is the numerical mirror of the perturbation
-    being too large to slice.
+    Each pass hands the core of the method `base` ("auto": the structural
+    method of A's tag, else representation) the inhomogeneity array
+    beta + alpha Y^m + dA Z^m; the method's own work (a representation base
+    simulates and gates S) and the drift and residual diagnostics of the
+    last pass are done once.  Stops at relative residual < tol; a growing
+    residual raises PicardDivergenceError, which is the numerical mirror of
+    the perturbation being too large to slice.
     """
+    fld = spec.field
     if base == "auto":
-        base = spec.field.structure if spec.field.structure in _CORES \
-            else "representation"
-    if base == "representation":
-        # S and its defect gate do not depend on the pass
-        core = partial(_representation_core, gated=_gated_exponential(spec.field, paths))
-    else:
-        core = _CORES[base]
+        base = fld.structure if fld.structure in _STRUCTURAL else "representation"
+    core = _METHODS[base][1](fld, paths, degree)
     m, ksteps, n, d = paths.paths, paths.grid.steps, spec.n, paths.d
+    xi = _terminal(spec, paths)
     beta = _beta_array(spec, paths)
     alpha = None if spec.alpha is None else _per_step(spec.alpha, paths)
-    da_vals = None
-    if spec.delta_field is not None:
-        da_vals = [spec.delta_field.values(paths, k) for k in range(ksteps)]
+    da_vals = None if spec.delta_field is None else [
+        spec.delta_field.values(paths, k) for k in range(ksteps)]
 
     y_prev = np.zeros((m, ksteps + 1, n))
     z_prev = np.zeros((m, ksteps, n, d))
@@ -501,9 +487,7 @@ def solve_perturbed(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int = 3,
         if da_vals is not None:
             for k in range(ksteps):
                 mod[:, k] += contract_az(da_vals[k], z_prev[:, k])
-        mod_spec = LinearBsdeSpec(spec.field, spec.terminal,
-                                  beta=lambda p, k, _m=mod: _m[:, k])
-        y, z, mod_beta, extras = core(mod_spec, paths, degree)
+        y, z, extras = core(xi, mod)
         resid = float(np.abs(y - y_prev).max() / (1.0 + np.abs(y).max()))
         history.append(resid)
         if resid < tol:
@@ -518,7 +502,7 @@ def solve_perturbed(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int = 3,
             raise PicardDivergenceError(
                 f"no convergence in {max_iters} iterations; history tail "
                 f"{history[-3:]}")
-    sol = _finish(mod_spec, paths, "perturbed", y, z, mod_beta, extras)
+    sol = _finish(fld, paths, "perturbed", y, z, mod, extras)
     sol.diagnostics["picard_history"] = history
     sol.diagnostics["picard_iterations"] = len(history)
     return sol
@@ -534,8 +518,8 @@ def solve_auto(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int = 3,
     if spec.delta_field is not None or spec.alpha is not None:
         return solve_perturbed(spec, paths, degree=degree, base=method)
     if method == "auto":
-        method = spec.field.structure if spec.field.structure in _CORES else "regression"
-    return _SOLVERS[method](spec, paths, degree=degree)
+        method = spec.field.structure if spec.field.structure in _STRUCTURAL else "regression"
+    return _solve(spec, paths, degree, method)
 
 
 def batch_y0(solver, spec: LinearBsdeSpec, paths: PathEnsemble, batches: int = 8,

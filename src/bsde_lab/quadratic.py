@@ -1,11 +1,13 @@
 """Quadratic BSDE systems: quadratic-linear and unidirectional drivers.
 
-The solver is backward Euler with an inner per-step fixed-point iteration,
-run on a truncated driver; the truncation level k escalates until the solved
-Z stays inside the identity region of the clamp with margin, at which point
-the computed pair solves the untruncated equation on every sampled path.
-Condition checkers (positively spanning a-priori bound, Lyapunov pairs) and
-the finite-difference linearization check live here as well.
+Each driver class states its clamp rule once (`_ClampRule`); the
+untruncated driver is that rule at level k = inf.  The solver is backward
+Euler with an inner per-step fixed-point iteration, run on a truncated
+driver; the truncation level k escalates until the solved Z stays inside the
+identity region of the clamp with margin, at which point the computed pair
+solves the untruncated equation on every sampled path.  Condition checkers
+(positively spanning a-priori bound, Lyapunov pairs) and the
+finite-difference linearization check live here as well.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ import numpy as np
 
 from .brownian import PathEnsemble
 from .grids import ConfigurationError
-from .linear import (LinearBsdeSpec, SolutionEnsemble, _backward, _finish,
-                     _martingale_residuals)
+from .linear import SolutionEnsemble, _backward, _finish, _martingale_residuals
 from .norms import RegressionConditional, estimate_norm
 from .tensors import contract_az
 
@@ -26,13 +27,36 @@ from .tensors import contract_az
 # ---------------------------------------------------------------------------
 # drivers
 
+class _ClampRule:
+    """f = (z-part) + g, with each driver class's rule for the radial clamp.
+
+    A class gives `z_part(z, level)`, the z-part clamped at level k and the z
+    that g sees; `magnitude(z)`, the norm the clamp acts on; and
+    `structural(z1, z2, dz)`, the structural matrix of the linearized
+    difference.  The untruncated driver is the rule at k = inf.
+    """
+
+    def at_z(self, z: np.ndarray, level: float) -> Callable:
+        """f at level k and a fixed z, as a function of (t, x, y): the clamp
+        and the z-part are computed here, once; each call adds only g."""
+        z = np.asarray(z, dtype=float)
+        part, z_eff = self.z_part(z, level)
+        if self.g is None:
+            return lambda t, x, y: part
+        return lambda t, x, y: part + self.g(t, x, y, z_eff)
+
+    def __call__(self, t, x, y, z):
+        return self.at_z(z, np.inf)(t, x, y)
+
+
 @dataclass
-class QuadraticLinearDriver:
+class QuadraticLinearDriver(_ClampRule):
     """f(t, omega, y, z) = g(t, omega, y, z) + z b^T z.
 
     The quadratic term is (z b^T z)_i = z^i . (sum_j b_j z^j).  g is a
     Lipschitz driver with constant `lipschitz`; |b| <= lipschitz is the class
-    convention and is checked at construction.
+    convention and is checked at construction.  Truncation clamps only b^T z:
+    z phi_k(b^T z) + g is globally Lipschitz.
     """
 
     n: int
@@ -51,20 +75,30 @@ class QuadraticLinearDriver:
         if np.linalg.norm(self.b) > self.lipschitz + 1e-12:
             raise ConfigurationError("|b| exceeds the declared Lipschitz constant")
 
-    def quadratic_part(self, z: np.ndarray) -> np.ndarray:
-        bz = np.einsum("j,...jd->...d", self.b, z)
-        return np.einsum("...id,...d->...i", z, bz)
+    def _bz(self, z: np.ndarray) -> np.ndarray:
+        return np.einsum("j,...jd->...d", self.b, z)
 
-    def __call__(self, t, x, y, z):
-        out = self.quadratic_part(z)
-        if self.g is not None:
-            out = out + self.g(t, x, y, z)
-        return out
+    def z_part(self, z: np.ndarray, level: float) -> tuple:
+        return np.einsum("...id,...d->...i", z, clamp_vector(self._bz(z), level)), z
+
+    def magnitude(self, z: np.ndarray) -> np.ndarray:
+        return np.sqrt((self._bz(z) ** 2).sum(axis=-1))
+
+    def structural(self, z1: np.ndarray, z2: np.ndarray, dz: np.ndarray) -> np.ndarray:
+        """A = Z^2 b^T + Diag(b^T Z^1), shape (M, n, n, d)."""
+        struct = np.einsum("mid,j->mijd", z2, self.b)
+        idx = np.arange(self.n)
+        struct[:, idx, idx, :] += self._bz(z1)[:, None, :]
+        return struct
 
 
 @dataclass
-class UnidirectionalDriver:
-    """f(t, omega, y, z) = g(t, omega, y, z) + a h(z), h of quadratic growth."""
+class UnidirectionalDriver(_ClampRule):
+    """f(t, omega, y, z) = g(t, omega, y, z) + a h(z), h of quadratic growth.
+
+    Truncation clamps the z of both g and h, which keeps the spanning
+    a-priori bound because the clamp is radial with |phi_k(z)| <= |z|.
+    """
 
     n: int
     d: int
@@ -84,12 +118,19 @@ class UnidirectionalDriver:
         if abs(h0) > self.lipschitz + 1e-12:
             raise ConfigurationError("|h(0)| exceeds the declared constant")
 
-    def __call__(self, t, x, y, z):
-        hv = np.asarray(self.h(z), dtype=float)
-        out = hv[..., None] * self.a
-        if self.g is not None:
-            out = out + self.g(t, x, y, z)
-        return out
+    def z_part(self, z: np.ndarray, level: float) -> tuple:
+        z_eff = clamp_vecd(z, level)
+        return np.asarray(self.h(z_eff), dtype=float)[..., None] * self.a, z_eff
+
+    def magnitude(self, z: np.ndarray) -> np.ndarray:
+        return _vecd_norm(z)
+
+    def structural(self, z1: np.ndarray, z2: np.ndarray, dz: np.ndarray) -> np.ndarray:
+        """A = a (dh/dZ)^T with dh/dZ the rank-one difference quotient of h."""
+        dh = np.asarray(self.h(z1), dtype=float) - np.asarray(self.h(z2), dtype=float)
+        denom = (dz * dz).reshape(len(dz), -1).sum(axis=1)
+        safe = np.where(denom > 0, denom, 1.0)
+        return np.einsum("i,mjd->mijd", self.a, dz * (dh / safe)[:, None, None])
 
 
 def evaluate_driver(driver, t, x, y, z) -> np.ndarray:
@@ -160,8 +201,7 @@ def _apply_radial(v: np.ndarray, r: np.ndarray, k: float) -> np.ndarray:
 def clamp_vector(v: np.ndarray, k: float) -> np.ndarray:
     """Radial clamp of batched plain vectors (..., d)."""
     v = np.asarray(v, dtype=float)
-    r = np.sqrt((v * v).sum(axis=-1))
-    return _apply_radial(v, r, k)
+    return _apply_radial(v, np.sqrt((v * v).sum(axis=-1)), k)
 
 
 def clamp_vecd(z: np.ndarray, k: float) -> np.ndarray:
@@ -172,18 +212,8 @@ def clamp_vecd(z: np.ndarray, k: float) -> np.ndarray:
 
 @dataclass
 class TruncatedDriver:
-    """Driver composed with the radial clamp at level k, per class rules.
-
-    Quadratic-linear: only the quadratic factor b^T z is clamped (the
-    truncated driver is z phi_k(b^T z) + g, globally Lipschitz).
-    Unidirectional: the whole z argument of both g and h is clamped, which
-    preserves the spanning a-priori bound because the clamp is radial with
-    |phi_k(z)| <= |z|.
-
-    `at_z(z)` fixes z and returns f(t, x, y): the clamp and the z-part are
-    paid once per z, which is what a backward step with its inner y
-    iteration needs.  `__call__` is `at_z(z)(t, x, y)`, the same code path.
-    """
+    """The driver `base` clamped at level k by its class's rule; `at_z(z)`
+    fixes z for a backward step's inner y iteration, as `__call__` does."""
 
     base: object
     level: float
@@ -196,40 +226,11 @@ class TruncatedDriver:
     def d(self):
         return self.base.d
 
-    @property
-    def kind(self):
-        return self.base.kind
-
     def at_z(self, z: np.ndarray) -> Callable:
-        """The truncated driver at a fixed z, as a function of (t, x, y).
-
-        The clamp and the z-part (z phi_k(b^T z), or h(phi_k(z)) a) are
-        computed here, once; each call adds only g(t, x, y, z_eff), with
-        z_eff the z that g sees (z for ql, the clamped z otherwise).
-        """
-        z = np.asarray(z, dtype=float)
-        if self.base.kind == "ql":
-            bz = np.einsum("j,...jd->...d", self.base.b, z)
-            part = np.einsum("...id,...d->...i", z, clamp_vector(bz, self.level))
-            z_eff = z
-        else:
-            z_eff = clamp_vecd(z, self.level)
-            hv = np.asarray(self.base.h(z_eff), dtype=float)
-            part = hv[..., None] * self.base.a
-        g = self.base.g
-        if g is None:
-            return lambda t, x, y: part
-        return lambda t, x, y: part + g(t, x, y, z_eff)
+        return self.base.at_z(z, self.level)
 
     def __call__(self, t, x, y, z):
         return self.at_z(z)(t, x, y)
-
-    def active_magnitude(self, z: np.ndarray) -> np.ndarray:
-        """The norm the clamp acts on: |b^T z| (ql) or |z| (unidirectional)."""
-        if self.base.kind == "ql":
-            bz = np.einsum("j,...jd->...d", self.base.b, z)
-            return np.sqrt((bz * bz).sum(axis=-1))
-        return _vecd_norm(z)
 
 
 def truncate_driver(driver, level: float) -> TruncatedDriver:
@@ -315,12 +316,11 @@ def solve_quadratic(driver, terminal_fn, paths: PathEnsemble, degree: int = 3,
         trunc = truncate_driver(driver, float(level))
         y, z, drift = _backward_quadratic(trunc, terminal_fn, paths, degree,
                                           picard_tol, max_picard, init)
-        zmag = float(trunc.active_magnitude(z).max())
+        zmag = float(driver.magnitude(z).max())
         accepted = zmag < (1.0 - margin) * level
         log.append({"level": float(level), "max_magnitude": zmag, "accepted": accepted})
         if accepted:
-            spec = LinearBsdeSpec(None, terminal_fn)  # driver recorded separately
-            sol = _finish(spec, paths, f"quadratic[{driver.kind}]", y, z, None,
+            sol = _finish(None, paths, f"quadratic[{driver.kind}]", y, z, None,
                           {"drift": drift, "truncation_level": float(level),
                            "truncation_margin": 1.0 - zmag / level})
             return QuadraticSolveReport(sol, float(level), log, 1.0 - zmag / level)
@@ -497,9 +497,9 @@ def linearized_difference_check(driver, sol1: SolutionEnsemble, sol2: SolutionEn
     """Verify that dY = Y1 - Y2 solves the linear equation with the
     finite-difference coefficients assembled per driver class.
 
-    alpha = dg/dY, dA = dg/dZ, and the structural matrix is
-    A = Z^2 b^T + Diag(b^T Z^1) for quadratic-linear drivers or
-    A = a (dh/dZ)^T for unidirectional ones.  The reported residual is the
+    alpha = dg/dY, dA = dg/dZ, and the structural matrix A is the driver
+    class's `structural`: Z^2 b^T + Diag(b^T Z^1) for quadratic-linear
+    drivers, a (dh/dZ)^T for unidirectional ones.  The reported residual is the
     conditional-moment residual of the difference equation, which vanishes
     to solver tolerance because both solutions share the regression operator.
     """
@@ -528,20 +528,7 @@ def linearized_difference_check(driver, sol1: SolutionEnsemble, sol2: SolutionEn
         g_22 = g(t_k, x_k, y2, z2)
         alpha = _difference_quotient(g_11 - g_21, dy[:, k])
         da = _difference_quotient(g_21 - g_22, dz[:, k])
-        if driver.kind == "ql":
-            b = driver.b
-            bz1 = np.einsum("j,mjd->md", b, z1)
-            struct = np.einsum("mid,j->mijd", z2, b)
-            idx = np.arange(n)
-            struct[:, idx, idx, :] += bz1[:, None, :]
-        else:
-            h1 = np.asarray(driver.h(z1), dtype=float)
-            h2 = np.asarray(driver.h(z2), dtype=float)
-            flat = dz[:, k].reshape(m, -1)
-            denom = (flat * flat).sum(axis=1)
-            safe = np.where(denom > 0, denom, 1.0)
-            bvec = dz[:, k] * ((h1 - h2) / safe)[:, None, None]   # dh/dZ, (M, n, d)
-            struct = np.einsum("i,mjd->mijd", driver.a, bvec)
+        struct = driver.structural(z1, z2, dz[:, k])
         alpha_all[:, k], da_all[:, k], struct_all[:, k] = alpha, da, struct
         drift[:, k] = (np.einsum("mij,mj->mi", alpha, dy[:, k])
                        + contract_az(struct + da, dz[:, k]))

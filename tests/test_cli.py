@@ -286,9 +286,12 @@ def test_every_instance_has_a_terminal():
                         '{"class": "ql", "n": 2, "d": 1, "g_expr": "y[:, 0]"}}', "custom/g_expr"),
     ("solve-quadratic", '{"M": 50, "K": 4, "driver": "custom", "custom": '
                         '{"class": "ql", "n": 1, "d": 1, "g_expr": "y[:, 0]"}}', "custom/g_expr"),
+    ("solve-quadratic", '{"M": 50, "K": 4, "driver": "custom", "custom": {"class": "ql", '
+                        '"n": 2, "d": 1, "terminal_expr": "b[0, -1, :]"}}',
+     "custom/terminal_expr"),
 ], ids=["negative-horizon", "array-file", "unparsable-file", "missing-file",
         "bad-expression", "nested-emery", "oracle-T", "oracle-K", "equivalence-M",
-        "h-not-per-path", "g-per-path-n2", "g-per-path-n1"])
+        "h-not-per-path", "g-per-path-n2", "g-per-path-n1", "terminal-not-per-path"])
 def test_bad_config_refused_before_any_output(tmp_path, capsys, monkeypatch, command, body,
                                               named):
     def no_paths(*args, **kwargs):
@@ -302,6 +305,28 @@ def test_bad_config_refused_before_any_output(tmp_path, capsys, monkeypatch, com
     assert run([command, "--config", cfg, "--out", out]) == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command,body,named", [
+    ("estimate-rp", '{"M": 200, "K": 8, "p": 1e6}', "results/rp_estimate"),
+    ("solve-linear", '{"M": 200, "K": 8, "T": 1e6}', "results/y0_mean/1"),
+], ids=["rp-huge-p", "linear-huge-T"])
+def test_nan_result_refused_before_any_output(tmp_path, capsys, command, body, named):
+    cfg = tmp_path / "nan.json"
+    cfg.write_text(body)
+    out = tmp_path / "never"
+    assert run([command, "--config", cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "NanResultError" in err and named in err
+    assert not out.exists()
+
+
+def test_infinite_result_is_written(tmp_path):
+    from bsde_lab.cli import write_outputs
+    write_outputs(tmp_path, {"kind": "oracle", "seed": 0}, {"significance": np.inf}, {})
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["results"] == {"significance": "inf"}
 
 
 @pytest.mark.parametrize("q", ['"inf"', "1", "2.5"])

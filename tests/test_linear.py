@@ -691,7 +691,7 @@ def _ref_left_outer_exponential(fld, paths):
     eye = np.eye(n)
     s = eye[None, None] + np.einsum("i,mkj->mkij", a, m_vec)
     s_inv = eye[None, None] - np.einsum("i,mkj->mkij", a, m_vec) / scal[:, :, None, None]
-    return ExponentialEnsemble(fld, paths, s, s_inv, scheme="closed_form")
+    return ExponentialEnsemble(fld, paths, s, s_inv)
 
 
 def _ref_solver(name):
@@ -717,7 +717,7 @@ def _ref_solver(name):
                           for k in range(paths.grid.steps)], axis=1)
         if beta is not None:
             drift += beta
-        return SolutionEnsemble(spec, paths, y, z, name, {"drift": drift})
+        return SolutionEnsemble(paths, y, z, name, {"drift": drift})
     return solve
 
 

@@ -471,6 +471,32 @@ _PER_Z_DRIVERS = {
 }
 
 
+# The untruncated drivers' __call__ as they were before both classes shared
+# one clamp rule evaluated at level infinity, kept verbatim (self: the driver).
+
+def _ref_ql_quadratic_part(self, z):
+    bz = np.einsum("j,...jd->...d", self.b, z)
+    return np.einsum("...id,...d->...i", z, bz)
+
+
+def _ref_ql_call(self, t, x, y, z):
+    out = _ref_ql_quadratic_part(self, z)
+    if self.g is not None:
+        out = out + self.g(t, x, y, z)
+    return out
+
+
+def _ref_unidirectional_call(self, t, x, y, z):
+    hv = np.asarray(self.h(z), dtype=float)
+    out = hv[..., None] * self.a
+    if self.g is not None:
+        out = out + self.g(t, x, y, z)
+    return out
+
+
+_REF_CALLS = {"ql": _ref_ql_call, "unidirectional": _ref_unidirectional_call}
+
+
 @pytest.mark.parametrize("name", sorted(_PER_Z_DRIVERS))
 def test_per_z_driver_equals_call(name):
     drv = _PER_Z_DRIVERS[name]()
@@ -487,6 +513,15 @@ def test_per_z_driver_equals_call(name):
             assert _same_bits(f(0.3, x, 2.0 * y), _ref_truncated_call(drv, level, 0.3, x,
                                                                       2.0 * y, z))
             assert _same_bits(trunc(0.3, x, y, z), want)
+    # the untruncated driver, on rows beyond every truncation level above
+    rng = np.random.default_rng(19)
+    for scale in (0.1, 1.0, 5.0, 50.0):
+        z = rng.normal(scale=scale, size=(64, drv.n, drv.d))
+        y = rng.normal(size=(64, drv.n))
+        x = rng.normal(size=(64, drv.d))
+        if scale == 50.0:
+            assert (np.sqrt((z * z).sum(axis=(1, 2))) > 2 * 8.0).any()
+        assert _same_bits(drv(0.3, x, y, z), _REF_CALLS[drv.kind](drv, 0.3, x, y, z))
 
 
 def _rows_at_radii(radii, width, rng):

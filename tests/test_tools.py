@@ -100,3 +100,56 @@ def test_bench_harness_wraps_the_package(tmp_path):
     assert run.returncode == 0, run.stderr
     counts = json.loads(record.read_text())["counts"]
     assert counts["exponential.nested_paths"] == 4 * 20 * 16
+
+
+def _src_stats():
+    spec = importlib.util.spec_from_file_location("src_stats", ROOT / "tools" / "src_stats.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_STATS_MODULE = '''\
+"""Module doc
+on two lines."""
+
+from dataclasses import dataclass
+
+# a comment
+STRUCTURES = ("a", "b", "c")
+CONFIG_SCHEMAS = {"x": {"properties": {"p": {}, "q": {}}}, "y": {"properties": {"r": {}}}}
+
+
+@dataclass
+class Box:
+    """Doc."""
+    size: int
+    name: str = "box"
+    kind = "plain"
+
+
+def f(a, b=1, *, c=2, d):
+    return a + b + c + d  # a trailing comment is code
+'''
+
+
+def test_src_stats_counts_a_synthetic_package(tmp_path, capsys):
+    tool = _src_stats()
+    pkg = tmp_path / "src_stats_demo_pkg"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text('"""Demo package."""\n')
+    (pkg / "mod.py").write_text(_STATS_MODULE)
+    stats = tool.tree_stats(tmp_path)
+    assert list(stats) == ["src_stats_demo_pkg/__init__.py", "src_stats_demo_pkg/mod.py"]
+    assert stats["src_stats_demo_pkg/mod.py"] == {
+        "code": 10, "docstring": 3, "comment": 1, "blank": 6,
+        "defaulted_parameters": 2, "dataclass_fields": 2, "config_properties": 3,
+        "structure_tags": 3}
+    assert tool.main([str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2].split() == ["total", "10", "4", "1", "6", "21", "10"]
+    assert lines[-1] == ("settable values: defaulted parameters 2, dataclass fields 2, "
+                         "config properties 3, structure tags 3")
+    shipped = tool.total(tool.tree_stats(ROOT / "src"))
+    assert shipped["code"] > 0 and shipped["config_properties"] > 0
+    assert shipped["structure_tags"] > 0
