@@ -37,16 +37,19 @@ def block_increments(grid: TimeGrid, d: int, seed: int, block: int,
     return out
 
 
-def substream(seed: int, *tags: int) -> np.random.Generator:
+def substream(seed: int, *tags: int, bit_generator: str = "Philox") -> np.random.Generator:
     """Independent generator for auxiliary draws keyed by (seed, *tags).
 
     Used by nested conditional estimators so inner simulations at different
-    (path, time) anchors draw from disjoint streams.
+    (path, time) anchors draw from disjoint streams, and by the exit walk,
+    one stream per block of paths on the numpy bit generator "SFC64".  The
+    name, not the class, is the default: naming np.random here would import
+    it with the package.
     """
     ss = np.random.SeedSequence(entropy=int(seed) & 0xFFFFFFFFFFFFFFFF, spawn_key=tuple(
         int(t) & 0xFFFFFFFFFFFFFFFF for t in tags
     ))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(getattr(np.random, bit_generator)(ss))
 
 
 @dataclass(frozen=True, eq=False)

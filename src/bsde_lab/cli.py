@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .brownian import generate_brownian
-from .counterexamples import (NonexistenceSpec, emery_closed_form,
+from .counterexamples import (NonexistenceSpec, check_exit_walks, emery_closed_form,
                               emery_defect_at_horizon, exit_time_exponential,
                               nonexistence_blowup)
 from .exponential import (estimate_reverse_holder, martingale_defect,
@@ -180,6 +180,17 @@ def schema_errors(schema: dict, value, path: str = "") -> list[str]:
     return errors
 
 
+def _float_keys(obj, path: str, bad) -> list[str]:
+    """Key paths of the floats x in a results or config tree with bad(x)."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (dict, list, tuple)):
+        items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+        return [p for key, value in items
+                for p in _float_keys(value, f"{path}/{key}" if path else str(key), bad)]
+    return [path] if isinstance(obj, (float, np.floating)) and bad(obj) else []
+
+
 def load_config(path: str | None, kind: str, seed_override=None) -> dict:
     """The config of one run: the schema defaults of `kind`, updated by the
     JSON object in the file at `path`, then validated."""
@@ -193,6 +204,11 @@ def load_config(path: str | None, kind: str, seed_override=None) -> dict:
         if not isinstance(raw, dict):
             raise ConfigurationError(f"config file {path} must hold a JSON object, "
                                      f"not {type(raw).__name__}")
+        # json reads the literals NaN and Infinity, which no key accepts
+        bad = _float_keys(raw, "", lambda x: not np.isfinite(x))
+        if bad:
+            raise ConfigurationError(f"config file {path}: NaN or Infinity at "
+                                     f"{', '.join(bad)}; every number must be finite")
     props = CONFIG_SCHEMAS[kind]["properties"]
     cfg = copy.deepcopy({key: prop["default"] for key, prop in props.items()
                          if "default" in prop})
@@ -239,20 +255,10 @@ class NanResultError(RuntimeError):
     """A NaN among the results of a run, which would reach summary.json."""
 
 
-def _nan_keys(obj, path: str) -> list[str]:
-    """Key paths of the NaN values in a results tree."""
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    if isinstance(obj, (dict, list, tuple)):
-        items = obj.items() if isinstance(obj, dict) else enumerate(obj)
-        return [p for key, value in items for p in _nan_keys(value, f"{path}/{key}")]
-    return [path] if isinstance(obj, (float, np.floating)) and np.isnan(obj) else []
-
-
 def write_outputs(out_dir: Path, cfg: dict, results: dict, tables: dict) -> None:
     """Write the tables and summary.json; a NaN in `results` is refused with
     NanResultError before any file is written (an infinity is allowed)."""
-    nan = _nan_keys(results, "results")
+    nan = _float_keys(results, "results", np.isnan)
     if nan:
         raise NanResultError(f"NaN result at {', '.join(nan)}; nothing written")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -324,7 +330,8 @@ def build_custom_driver(custom: dict, steps: int):
     and b (M, K+1, d) Brownian states for the terminal.  Before any path is
     simulated, h must give one value per path (or a constant) and g an array
     that adds to the (M, n) z-part as (M, n), probed on zero inputs, and the
-    terminal must run on zero Brownian states.
+    terminal must run on zero Brownian states.  The terminal gives a row per
+    path or a constant, broadcast to (M, n).
     """
     from .quadratic import QuadraticLinearDriver, UnidirectionalDriver
     n, d = custom["n"], custom["d"]
@@ -351,7 +358,9 @@ def build_custom_driver(custom: dict, steps: int):
 
     def terminal(paths):
         out = np.asarray(t_fn(paths.states), dtype=float)
-        return np.broadcast_to(out.reshape(paths.paths, -1), (paths.paths, n)).copy()
+        if out.ndim:   # a constant broadcasts as it stands
+            out = out.reshape(paths.paths, -1)
+        return np.broadcast_to(out, (paths.paths, n)).copy()
 
     _on_zeros("custom/terminal_expr", term_expr, terminal,
               (SimpleNamespace(paths=m, states=np.zeros((m, steps + 1, d))),))
@@ -501,16 +510,17 @@ def run_quadratic(cfg: dict, out: Path, threads: int = 1) -> int:
 def run_counterexample(cfg: dict, out: Path, threads: int = 1) -> int:
     which = cfg["which"]
     if which == "exit-time":
-        levels = cfg.get("levels") or [cfg["b"]]
+        levels = [float(b) for b in cfg.get("levels") or [cfg["b"]]]
+        check_exit_walks(levels, cfg["M"], cfg["dt"])
         rows = []
         results = {"levels": []}
         for i, b in enumerate(levels):
-            r = exit_time_exponential(float(b), cfg["M"], cfg["dt"],
-                                      seed=cfg["seed"] + 13 * i)
+            r = exit_time_exponential(b, cfg["M"], cfg["dt"], seed=cfg["seed"] + 13 * i,
+                                      threads=threads)
             rel = abs(r.estimate / r.exact - 1.0)
             rows.append([b, r.estimate, r.std_error, r.exact, rel])
             results["levels"].append({
-                "b": float(b), "estimate": r.estimate, "std_error": r.std_error,
+                "b": b, "estimate": r.estimate, "std_error": r.std_error,
                 "exact": r.exact, "relative_error": rel,
                 "heavy_tail_warning": r.heavy_tail_warning,
                 "truncated_paths": r.truncated_paths})
@@ -520,7 +530,7 @@ def run_counterexample(cfg: dict, out: Path, threads: int = 1) -> int:
         expo = emery_closed_form(paths, inverse=False)
         defect = martingale_defect(expo)
         horizon = emery_defect_at_horizon(cfg["M"], cfg["effective_horizon"],
-                                          seed=cfg["seed"] + 1)
+                                          seed=cfg["seed"] + 1, threads=threads)
         curve = truncation_curve(horizon["terminal_opnorm_samples"])
         results = {
             "diag_defect_at_horizon": horizon["diag_defect"],

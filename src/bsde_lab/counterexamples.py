@@ -92,7 +92,7 @@ def emery_closed_form(paths: PathEnsemble, level: float = np.pi / 2,
 
 
 def emery_defect_at_horizon(paths: int, horizon: float = 48.0, dt: float = 0.01,
-                            seed: int = 0) -> dict:
+                            seed: int = 0, threads: int = 1) -> dict:
     """Diagonal martingale defect of the stopped rotation exponential at a
     long horizon, without storing paths.
 
@@ -102,10 +102,11 @@ def emery_defect_at_horizon(paths: int, horizon: float = 48.0, dt: float = 0.01,
     survives, which is the numerical signature of the uniform-integrability
     failure: the true per-time expectation stays 1, carried by survivors of
     vanishing probability, while the stopped terminal has expectation 0.
+    `threads` workers share the walk without moving a bit (`_exit_walk`).
     """
     max_steps = int(np.ceil(horizon / dt))
-    exit_steps, alive, w = _exit_walk(substream(seed, 23), paths, np.pi / 2, dt,
-                                      max_steps, 256, bridge=False)
+    exit_steps, alive, w = _exit_walk(seed, 23, paths, np.pi / 2, dt, max_steps, 256,
+                                      bridge=False, threads=threads)
     contrib = np.zeros(paths)
     contrib[alive] = np.exp(horizon / 2.0) * np.cos(w)
     mean = float(contrib.mean())
@@ -147,14 +148,123 @@ def _default_horizon(b: float) -> float:
     return float(min(18.0 / rate, 2000.0))
 
 
-# Paths per block of the exit walk.  A block's normals and their time-major
-# copy, _WALK_BLOCK x chunk doubles each (1 MB apiece at chunk 64), stay in
-# cache while the block is summed and screened.
+# Paths per block of the exit walk.  Block k holds paths [k _WALK_BLOCK,
+# (k + 1) _WALK_BLOCK) and draws from its own stream, so, like
+# brownian._BLOCK, the constant is part of the draw order: changing it
+# changes every output bit.  Blocks are summed in groups of at most
+# _WALK_BLOCK live paths, whose normals (1 MB at chunk 64) stay in cache.
 _WALK_BLOCK = 2048
 
+# Below this many live paths in a group, one cumsum down the time axis is
+# faster than a loop of row additions.  Both add in the same order, so the
+# choice moves no bit.
+_ROW_SUM_MIN = 300
 
-def _exit_walk(rng: np.random.Generator, paths: int, b: float, dt: float,
-               max_steps: int, chunk: int, bridge: bool):
+# With threads, the walk runs in rounds of _ROUND chunks, each worker on a
+# contiguous range of blocks, while at least _THREAD_MIN paths are alive.
+# Below that a chunk is mostly interpreter work, which threads only contend
+# for, so one thread finishes the walk.
+_ROUND, _THREAD_MIN = 16, 1024
+
+
+def _groups(counts: list) -> list:
+    """Runs of consecutive blocks with at most _WALK_BLOCK live paths in all,
+    as lists of (block, first row, rows) over the live rows in block order;
+    blocks without live paths are left out."""
+    groups, size, start = [], _WALK_BLOCK, 0
+    for k, rows in enumerate(counts):
+        if not rows:
+            continue
+        if size + rows > _WALK_BLOCK:
+            groups.append([])
+            size = 0
+        groups[-1].append((k, start, rows))
+        size += rows
+        start += rows
+    return groups
+
+
+def _walk(rngs: list, alive: np.ndarray, w: np.ndarray, step: int, stop: int,
+          exit_steps: np.ndarray, b: float, dt: float, chunk: int, bridge: bool):
+    """Walk the live paths `alive`, at W = w after `step` steps, until `stop`
+    steps or until all have exited; record exits in `exit_steps` and return
+    the survivors and their W."""
+    sqdt = np.sqrt(dt)
+    # The bridge test only matters within ~5 sqrt(dt) of a barrier: beyond
+    # that the crossing probability is below exp(-50).
+    band = 5.0 * sqdt if bridge else 0.0
+    walk_buf = np.empty(min(alive.size, _WALK_BLOCK) * min(chunk, stop - step))
+    scratch = np.empty_like(walk_buf)
+    while alive.size and step < stop:
+        n_now = min(chunk, stop - step)
+        w_end = np.empty(alive.size)
+        keep = np.ones(alive.size, dtype=bool)
+        for group in _groups(np.bincount(alive // _WALK_BLOCK).tolist()):
+            g0 = group[0][1]
+            g1 = group[-1][1] + group[-1][2]
+            # Time-major: a step's normals are one row, so the running sum
+            # is n_now vectorised row additions.
+            walk = walk_buf[:n_now * (g1 - g0)].reshape(n_now, g1 - g0)
+            if len(group) == 1:
+                rngs[group[0][0]].standard_normal(out=walk)
+                walk *= sqdt
+            else:
+                for k, start, rows in group:
+                    z = scratch[:n_now * rows].reshape(n_now, rows)
+                    rngs[k].standard_normal(out=z)
+                    np.multiply(z, sqdt, out=walk[:, start - g0:start - g0 + rows])
+            if g1 - g0 < _ROW_SUM_MIN:
+                np.cumsum(walk, axis=0, out=walk)
+            else:
+                for j in range(1, n_now):
+                    np.add(walk[j - 1], walk[j], out=walk[j])
+            # W = w + running sum.  Rounding is monotone, so the extremes of
+            # W are w + the extremes of the running sum, bit for bit, and W
+            # itself is formed only where it is needed.
+            w_grp = w[g0:g1]
+            w_end[g0:g1] = walk[-1] + w_grp
+            hi = np.maximum(walk.max(axis=0) + w_grp, w_grp)
+            lo = np.minimum(walk.min(axis=0) + w_grp, w_grp)
+            # Only a path that comes within `band` of a barrier, its start
+            # included, can cross or need the bridge test (about 1% of paths
+            # per chunk at b = pi/3); the tests below run on those alone.
+            near_rows = np.flatnonzero((hi >= b - band) | (lo <= band - b))
+            if not near_rows.size:
+                continue
+            near_path = walk[:, near_rows].T + w_grp[near_rows, None]
+            crossed = np.abs(near_path) >= b
+            if bridge:
+                prev = np.concatenate([w_grp[near_rows, None], near_path[:, :-1]], axis=1)
+                near = ((np.maximum(prev, near_path) > b - band)
+                        | (np.minimum(prev, near_path) < band - b)) & ~crossed
+                sel = np.nonzero(near)
+                if sel[0].size:
+                    wp, wn = prev[sel], near_path[sel]
+                    p_up = np.exp(-2.0 * np.maximum(b - wp, 0) * np.maximum(b - wn, 0) / dt)
+                    p_dn = np.exp(-2.0 * np.maximum(b + wp, 0) * np.maximum(b + wn, 0) / dt)
+                    # each block's uniforms from its own stream, in the
+                    # row-major order of its (path, step) pairs
+                    u = np.empty(sel[0].size)
+                    ends = np.searchsorted(near_rows[sel[0]],
+                                           [start - g0 + rows for _, start, rows in group])
+                    u_lo = 0
+                    for (k, _, _), u_hi in zip(group, ends.tolist()):
+                        if u_hi > u_lo:
+                            rngs[k].random(out=u[u_lo:u_hi])
+                        u_lo = u_hi
+                    crossed[sel] |= u < p_up + p_dn
+            hit = crossed.any(axis=1)
+            rows_hit = g0 + near_rows[hit]
+            exit_steps[alive[rows_hit]] = step + crossed[hit].argmax(axis=1) + 1
+            keep[rows_hit] = False
+        w = w_end[keep]
+        alive = alive[keep]
+        step += n_now
+    return alive, w
+
+
+def _exit_walk(seed: int, tag: int, paths: int, b: float, dt: float, max_steps: int,
+               chunk: int, bridge: bool, threads: int):
     """Random walks W on the grid dt, run until |W| reaches b or max_steps.
 
     Returns (exit_steps, alive, w): the exit step of every path as a float
@@ -166,81 +276,64 @@ def _exit_walk(rng: np.random.Generator, paths: int, b: float, dt: float,
     (-b, b) at both ends still crosses with probability
     exp(-2 (b - w0)(b - w1) / dt) + exp(-2 (b + w0)(b + w1) / dt).
 
-    Draw order, which fixes every output bit: each chunk of at most `chunk`
-    steps draws alive x steps normals, row-major over the alive paths in
+    Draw order, which fixes every output bit: block k of _WALK_BLOCK paths
+    (the last one may hold fewer) draws from its own generator,
+    `substream(seed, tag, k)` on SFC64.  Each chunk of at most `chunk` steps
+    it draws steps x live normals, time-major over its live paths in
     increasing index order; with `bridge` on it then draws one uniform per
-    uncrossed increment within 5 sqrt(dt) of a barrier, row-major as well.
+    uncrossed increment within 5 sqrt(dt) of a barrier, row-major over its
+    (path, step) pairs.  A block's draws depend on its own paths alone and
+    the arithmetic is per path, so neither the grouping of blocks nor the
+    `threads` workers that share them out move a bit.
     """
-    sqdt = np.sqrt(dt)
-    # The bridge test only matters within ~5 sqrt(dt) of a barrier: beyond
-    # that the crossing probability is below exp(-50).
-    band = 5.0 * sqdt if bridge else 0.0
+    blocks = -(-paths // _WALK_BLOCK)
+    rngs = [substream(seed, tag, k, bit_generator="SFC64") for k in range(blocks)]
     exit_steps = np.full(paths, max_steps, dtype=float)
-    alive = np.arange(paths)
-    w = np.zeros(paths)
-    normals = np.empty(min(paths, _WALK_BLOCK) * min(chunk, max_steps))
-    columns = np.empty_like(normals)
+    alive, w = np.arange(paths), np.zeros(paths)
+    threads = min(threads, blocks)
     step = 0
-    while alive.size and step < max_steps:
-        n_now = min(chunk, max_steps - step)
-        w_end = np.empty(alive.size)
-        rows, near_paths = [], []
-        for start in range(0, alive.size, _WALK_BLOCK):
-            w_blk = w[start:start + _WALK_BLOCK]
-            z = normals[:w_blk.size * n_now].reshape(w_blk.size, n_now)
-            rng.standard_normal(out=z)
-            if w_blk.size >= n_now:
-                # Time-major copy: the running sum is then n_now vectorised
-                # row additions instead of one short accumulate per path.
-                walk = columns[:z.size].reshape(n_now, w_blk.size)
-                np.copyto(walk, z.T)
-                walk *= sqdt
-                for j in range(1, n_now):
-                    np.add(walk[j - 1], walk[j], out=walk[j])
-            else:
-                z *= sqdt
-                walk = np.cumsum(z, axis=1, out=z).T
-            # W = w + running sum.  Rounding is monotone, so the extremes of
-            # W are w + the extremes of the running sum, bit for bit, and W
-            # itself is formed only where it is needed.
-            w_end[start:start + w_blk.size] = walk[-1] + w_blk
-            hi = np.maximum(walk.max(axis=0) + w_blk, w_blk)
-            lo = np.minimum(walk.min(axis=0) + w_blk, w_blk)
-            # Only a path that comes within `band` of a barrier, its start
-            # included, can cross or need the bridge test (about 1% of paths
-            # per chunk at b = pi/3); the tests below run on those alone.
-            near_rows = np.flatnonzero((hi >= b - band) | (lo <= band - b))
-            rows.append(near_rows + start)
-            near_paths.append(walk[:, near_rows].T + w_blk[near_rows, None])
-        rows = np.concatenate(rows)
-        keep = np.ones(alive.size, dtype=bool)
-        if rows.size:
-            near_path = np.concatenate(near_paths)
-            crossed = np.abs(near_path) >= b
-            if bridge:
-                prev = np.concatenate([w[rows, None], near_path[:, :-1]], axis=1)
-                near = ((np.maximum(prev, near_path) > b - band)
-                        | (np.minimum(prev, near_path) < band - b)) & ~crossed
-                sel = np.nonzero(near)
-                if sel[0].size:
-                    wp, wn = prev[sel], near_path[sel]
-                    p_up = np.exp(-2.0 * np.maximum(b - wp, 0) * np.maximum(b - wn, 0) / dt)
-                    p_dn = np.exp(-2.0 * np.maximum(b + wp, 0) * np.maximum(b + wn, 0) / dt)
-                    u = rng.random(sel[0].size)
-                    crossed[sel] |= u < p_up + p_dn
-            hit = crossed.any(axis=1)
-            exit_steps[alive[rows[hit]]] = step + crossed[hit].argmax(axis=1) + 1
-            keep[rows[hit]] = False
-        w = w_end[keep]
-        alive = alive[keep]
-        step += n_now
+    if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor   # off the start-up path
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            while alive.size >= _THREAD_MIN and step < max_steps:
+                stop = min(max_steps, step + _ROUND * chunk)
+                # cut at block boundaries into ranges of about equal live paths
+                live = np.cumsum(np.bincount(alive // _WALK_BLOCK))
+                cuts = [0, *live[np.searchsorted(live, np.arange(1, threads) * alive.size
+                                                 / threads)], alive.size]
+                parts = list(pool.map(
+                    lambda lo, hi: _walk(rngs, alive[lo:hi], w[lo:hi], step, stop,
+                                         exit_steps, b, dt, chunk, bridge),
+                    cuts[:-1], cuts[1:]))
+                alive = np.concatenate([a for a, _ in parts])
+                w = np.concatenate([x for _, x in parts])
+                step = stop
+    alive, w = _walk(rngs, alive, w, step, max_steps, exit_steps, b, dt, chunk, bridge)
     return exit_steps, alive, w
 
 
 def _check_level(b: float) -> None:
     if not 0 < b < np.pi / 2:
-        raise ConfigurationError("exit level must lie in (0, pi/2); "
+        raise ConfigurationError(f"exit level {b!r} must lie in (0, pi/2); "
                                  "E[exp(sigma/2)] diverges at pi/2")
+
+
+# Most normals the exit walks of one run may be expected to draw, the sum
+# over its levels of M b^2 / dt (E[sigma_b] = b^2): six times acceptance
+# criterion 01, which draws 1.7e9 in under a minute at one thread.
+MAX_EXIT_NORMALS = 1e10
+
+
+def check_exit_walks(levels: list, paths: int, dt: float) -> None:
+    """Refuse exit walks over `levels` before any of them runs: a level
+    outside (0, pi/2), or more than MAX_EXIT_NORMALS expected normals."""
+    for b in levels:
+        _check_level(b)
+    normals = sum(paths * b * b / dt for b in levels)
+    if normals > MAX_EXIT_NORMALS:
+        raise ConfigurationError(
+            f"dt = {dt!r} and M = {paths} ask the exit walk for about {normals:.3g} "
+            f"normals, above its limit of {MAX_EXIT_NORMALS:.0e}; raise dt or lower M")
 
 
 def _exit_result(b: float, vals: np.ndarray, dt: float, truncated: int,
@@ -255,13 +348,15 @@ def _exit_result(b: float, vals: np.ndarray, dt: float, truncated: int,
 
 
 def exit_time_exponential(b: float, paths: int, dt: float, seed: int = 0,
-                          horizon: float | None = None, bridge: bool = True) -> ExitTimeResult:
+                          horizon: float | None = None, bridge: bool = True,
+                          threads: int = 1) -> ExitTimeResult:
     """Monte Carlo estimate of E[exp(sigma_b / 2)], sigma_b = exit of |W| from b.
 
     The walk is monitored at resolution dt, with the Brownian bridge
     correction when `bridge` is on; `_exit_walk` gives the draw order that
-    fixes every output bit.  Paths alive at the horizon contribute the floor
-    exp(horizon/2) and are counted in `truncated_paths`.
+    fixes every output bit, whatever the number of `threads`.  Paths alive
+    at the horizon contribute the floor exp(horizon/2) and are counted in
+    `truncated_paths`.
 
     The estimator has finite variance only for b < pi / (2 sqrt 2) ~ 1.11,
     since E[exp(sigma_b)] = 1/cos(b sqrt 2), and its standard error is
@@ -273,8 +368,8 @@ def exit_time_exponential(b: float, paths: int, dt: float, seed: int = 0,
     if horizon is None:
         horizon = _default_horizon(b)
     max_steps = int(np.ceil(horizon / dt))
-    exit_steps, alive, _ = _exit_walk(substream(seed, 11), paths, b, dt, max_steps,
-                                      64, bridge)
+    exit_steps, alive, _ = _exit_walk(seed, 11, paths, b, dt, max_steps, 64, bridge,
+                                      threads)
     return _exit_result(b, np.exp(exit_steps * dt / 2.0), dt, alive.size, horizon)
 
 

@@ -278,24 +278,7 @@ def verify_duality_lemma(filt: FiniteFiltration, x_leaf: np.ndarray, level: int,
     lhs = float(cond_p.max()) ** (1.0 / p)
 
     n_nodes = filt.nodes_at(level)
-    group = lambda leaf_vals: leaf_vals.reshape((n_nodes, -1) + leaf_vals.shape[1:])
     node_of_leaf = np.repeat(np.arange(n_nodes), filt.leaves // n_nodes)
-
-    def ratio(y: np.ndarray) -> float:
-        # ||E[X.Y | F_level]||_q / ||Y||_q, with q = conjugate of p
-        xy = (x * y).sum(axis=1)
-        cond = np.abs(group(xy).mean(axis=1))
-        ynorm_leaf = np.sqrt((y * y).sum(axis=1))
-        if p == 1.0:  # q = infinity
-            denom = float(ynorm_leaf.max())
-            num = float(cond.max())
-        else:
-            q = p / (p - 1.0)
-            weights = np.full(n_nodes, 1.0 / n_nodes)
-            num = float((weights * cond**q).sum() ** (1.0 / q))
-            denom = float((ynorm_leaf**q).mean() ** (1.0 / q))
-        return num / denom if denom > 0 else 0.0
-
     witnesses = []
     safe = np.where(sizes > 0, sizes, 1.0)
     if p == 1.0:
@@ -309,9 +292,22 @@ def verify_duality_lemma(filt: FiniteFiltration, x_leaf: np.ndarray, level: int,
                 witnesses.append(w)
         witnesses.append(base)
     if rng is not None:
-        for _ in range(random_draws):
-            witnesses.append(rng.standard_normal(x.shape))
-    rhs = max(ratio(w) for w in witnesses)
+        witnesses.extend(rng.standard_normal((random_draws,) + x.shape))
+
+    # ||E[X.Y | F_level]||_q / ||Y||_q for every witness Y at once, q the
+    # conjugate of p.  Each reduction runs along the last axis, as it would
+    # for one witness, and the q-th roots are taken on scalars: an array
+    # power differs from a scalar one in the last bit.
+    y = np.stack(witnesses)
+    cond = np.abs((x * y).sum(axis=2).reshape(len(y), n_nodes, -1).mean(axis=2))
+    ynorm = np.sqrt((y * y).sum(axis=2))
+    if p == 1.0:  # q = infinity
+        nums, denoms = cond.max(axis=1), ynorm.max(axis=1)
+    else:
+        weights = np.full(n_nodes, 1.0 / n_nodes)
+        nums = [s ** (1.0 / q) for s in (weights * cond**q).sum(axis=1)]
+        denoms = [s ** (1.0 / q) for s in (ynorm**q).mean(axis=1)]
+    rhs = max(float(num) / float(den) if den > 0 else 0.0 for num, den in zip(nums, denoms))
     return {"lhs": lhs, "rhs": rhs, "gap": lhs - rhs, "p": p, "level": level}
 
 

@@ -71,6 +71,12 @@ def test_import_does_not_load_scipy():
     assert _loaded_by_import("scipy") == "[]"
 
 
+def test_import_does_not_load_numpy_random():
+    # numpy imports numpy.random on first use; naming it at import time, even
+    # in a default argument, adds about 10 ms to the start of every run
+    assert "'numpy.random'" not in _loaded_by_import("numpy")
+
+
 def test_import_loads_no_jsonschema_or_thread_pool():
     # the config validator is cli.schema_errors; the thread pool is imported
     # only when generate_brownian runs with threads > 1
@@ -305,6 +311,72 @@ def test_bad_config_refused_before_any_output(tmp_path, capsys, monkeypatch, com
     assert run([command, "--config", cfg, "--out", out]) == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_constant_terminal_expr_runs(tmp_path):
+    cfg = tmp_path / "const.json"
+    cfg.write_text('{"M": 50, "K": 4, "driver": "custom", "custom": {"class": "ql", '
+                   '"n": 2, "d": 1, "terminal_expr": "0.5"}}')
+    out = tmp_path / "const"
+    assert run(["solve-quadratic", "--config", cfg, "--out", out]) == 0
+    rows = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(rows[-1, 1:3], [0.5, 0.5])   # Y_T, both components
+
+
+@pytest.mark.parametrize("command,body,named", [
+    ("simulate-exponential", '{"M": 50, "K": 4, "T": NaN}', "at T;"),
+    ("counterexample", '{"levels": [0.5, -Infinity], "M": 50}', "at levels/1;"),
+    ("solve-quadratic", '{"M": 50, "K": 4, "driver": "custom", "custom": {"class": "ql", '
+                        '"n": 1, "d": 1, "lipschitz": Infinity}}', "at custom/lipschitz;"),
+], ids=["nan-T", "infinite-level", "infinite-lipschitz"])
+def test_non_finite_json_literal_refused(tmp_path, capsys, command, body, named):
+    cfg = tmp_path / "nonfinite.json"
+    cfg.write_text(body)
+    out = tmp_path / "never"
+    assert run([command, "--config", cfg, "--out", out]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("body,named", [
+    ('{"levels": [0.5, 2.0], "M": 50, "dt": 1e-3}', ["exit level 2.0"]),
+    ('{"b": 1.0, "M": 100000, "dt": 1e-6}', ["dt = 1e-06", "M = 100000"]),
+], ids=["bad-second-level", "over-work-limit"])
+def test_exit_time_config_refused_before_any_walk(tmp_path, capsys, monkeypatch, body,
+                                                  named):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("an exit walk ran before the config was refused")
+
+    monkeypatch.setattr(bsde_lab.cli, "exit_time_exponential", no_walk)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(body)
+    out = tmp_path / "never"
+    assert run(["counterexample", "exit-time", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert all(word in err for word in named)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("which,body", [
+    ("exit-time", {"M": 5000, "dt": 1e-3, "b": 1.0}),
+    ("emery", {"M": 5000, "T": 1.0, "K": 40, "effective_horizon": 2.0}),
+])
+def test_counterexample_outputs_identical_across_threads(tmp_path, which, body):
+    # 5000 paths are three walk blocks; at horizon 2 some Emery paths survive
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**body, "seed": 6}))
+    outs = [tmp_path / f"t{t}" for t in (1, 2, 4)]
+    for t, out in zip((1, 2, 4), outs):
+        assert run(["counterexample", which, "--config", cfg, "--out", out,
+                    "--threads", t]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    for out in outs[1:]:
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            assert (out / name).read_bytes() == (outs[0] / name).read_bytes()
+    if which == "emery":
+        summary = json.loads((outs[0] / "summary.json").read_text())
+        assert 0 < summary["results"]["survivors_at_horizon"] < 5000
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

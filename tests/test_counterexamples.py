@@ -162,48 +162,55 @@ def test_emery_spec_field_roundtrip():
     assert fld.n == 2 and fld.d == 1 and not fld.markovian
 
 
-def _reference_walk(b, paths, dt, seed, horizon, bridge, chunk=64, substream_id=11):
-    """The chunked exit walk as first written: every chunk gathers, scans
-    and tests the whole (alive, chunk) block.  Frozen here as the
-    bit-for-bit reference for the lean walk."""
-    from bsde_lab.brownian import substream
+def _reference_walk(b, paths, dt, seed, horizon, bridge, chunk=64, tag=11):
+    """The chunked exit walk as first written, run block by block: block k,
+    paths [2048 k, 2048 (k + 1)), draws from its own SFC64 stream keyed
+    (seed, tag, k), each chunk its live paths' normals time-major and then
+    its bridge uniforms, and gathers, scans and tests its whole (alive,
+    chunk) array.  Frozen here as the bit-for-bit reference for the lean
+    walk."""
     max_steps = int(np.ceil(horizon / dt))
     sqdt = np.sqrt(dt)
-    rng = substream(seed, substream_id)
-    exit_steps = np.full(paths, max_steps, dtype=float)
-    alive_idx = np.arange(paths)
-    w = np.zeros(paths)
-    step = 0
     band = 5.0 * sqdt
-    while alive_idx.size and step < max_steps:
-        n_now = min(chunk, max_steps - step)
-        z = rng.standard_normal((alive_idx.size, n_now)) * sqdt
-        w_path = w[alive_idx, None] + np.cumsum(z, axis=1)
-        crossed = np.abs(w_path) >= b
-        if bridge:
-            w_prev = np.concatenate([w[alive_idx, None], w_path[:, :-1]], axis=1)
-            near = ((np.maximum(w_prev, w_path) > b - band)
-                    | (np.minimum(w_prev, w_path) < band - b)) & ~crossed
-            sel = np.nonzero(near)
-            if sel[0].size:
-                wp, wn = w_prev[sel], w_path[sel]
-                p_up = np.exp(-2.0 * np.maximum(b - wp, 0) * np.maximum(b - wn, 0) / dt)
-                p_dn = np.exp(-2.0 * np.maximum(b + wp, 0) * np.maximum(b + wn, 0) / dt)
-                u = rng.random(sel[0].size)
-                crossed[sel] |= u < p_up + p_dn
-        any_cross = crossed.any(axis=1)
-        first = crossed.argmax(axis=1)
-        newly = np.nonzero(any_cross)[0]
-        exit_steps[alive_idx[newly]] = step + first[newly] + 1
-        keep = ~any_cross
-        w[alive_idx[keep]] = w_path[keep, -1]
-        alive_idx = alive_idx[keep]
-        step += n_now
+    exit_steps = np.full(paths, max_steps, dtype=float)
+    w = np.zeros(paths)
+    survivors = []
+    for first in range(0, paths, 2048):
+        rng = np.random.Generator(np.random.SFC64(
+            np.random.SeedSequence(seed, spawn_key=(tag, first // 2048))))
+        alive_idx = np.arange(first, min(paths, first + 2048))
+        step = 0
+        while alive_idx.size and step < max_steps:
+            n_now = min(chunk, max_steps - step)
+            z = rng.standard_normal((n_now, alive_idx.size)).T * sqdt
+            w_path = w[alive_idx, None] + np.cumsum(z, axis=1)
+            crossed = np.abs(w_path) >= b
+            if bridge:
+                w_prev = np.concatenate([w[alive_idx, None], w_path[:, :-1]], axis=1)
+                near = ((np.maximum(w_prev, w_path) > b - band)
+                        | (np.minimum(w_prev, w_path) < band - b)) & ~crossed
+                sel = np.nonzero(near)
+                if sel[0].size:
+                    wp, wn = w_prev[sel], w_path[sel]
+                    p_up = np.exp(-2.0 * np.maximum(b - wp, 0) * np.maximum(b - wn, 0) / dt)
+                    p_dn = np.exp(-2.0 * np.maximum(b + wp, 0) * np.maximum(b + wn, 0) / dt)
+                    u = rng.random(sel[0].size)
+                    crossed[sel] |= u < p_up + p_dn
+            any_cross = crossed.any(axis=1)
+            first_hit = crossed.argmax(axis=1)
+            newly = np.nonzero(any_cross)[0]
+            exit_steps[alive_idx[newly]] = step + first_hit[newly] + 1
+            keep = ~any_cross
+            w[alive_idx[keep]] = w_path[keep, -1]
+            alive_idx = alive_idx[keep]
+            step += n_now
+        survivors.append(alive_idx)
+    alive_idx = np.concatenate(survivors)
     return exit_steps, alive_idx, w[alive_idx]
 
 
 @pytest.mark.parametrize("b, paths, dt, horizon, bridge", [
-    (np.pi / 3, 3000, 1e-4, None, True),    # the bench case: some chunks span two blocks
+    (np.pi / 3, 3000, 1e-4, None, True),    # the bench case: two blocks, the last part full
     (np.pi / 3, 300, 1e-3, None, False),
     (1.2, 400, 1e-3, 3.0, True),            # the horizon truncates some paths
     (1.2, 400, 1e-3, 3.0, False),
@@ -238,7 +245,7 @@ def test_exit_walk_matches_frozen_reference(b, paths, dt, horizon, bridge):
 def test_emery_walk_matches_frozen_reference(paths, horizon):
     res = emery_defect_at_horizon(paths, horizon=horizon, seed=3)
     exit_steps, alive, w = _reference_walk(np.pi / 2, paths, 0.01, 3, horizon,
-                                           bridge=False, chunk=256, substream_id=23)
+                                           bridge=False, chunk=256, tag=23)
     contrib = np.zeros(paths)
     contrib[alive] = np.exp(horizon / 2.0) * np.cos(w)
     assert res["survivors"] == alive.size
@@ -248,6 +255,28 @@ def test_emery_walk_matches_frozen_reference(paths, horizon):
                                   np.exp(np.minimum(exit_steps * 0.01, horizon) / 2.0))
     if horizon == 2.0:
         assert 0 < res["survivors"] < paths
+
+
+@pytest.mark.parametrize("tag, b, dt, max_steps, chunk, bridge", [
+    (11, 1.2, 1e-3, 3000, 64, True),           # the horizon truncates some paths
+    (11, np.pi / 3, 1e-3, 30_000, 64, True),   # every path exits
+    (23, np.pi / 2, 1e-2, 200, 256, False),    # the Emery walk, some survivors
+])
+def test_exit_walk_identical_across_threads(tag, b, dt, max_steps, chunk, bridge):
+    # 5000 paths are three blocks, the last part full.  Workers write exits
+    # into one shared array; a short switch interval interleaves them finely.
+    from bsde_lab.counterexamples import _exit_walk
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = [_exit_walk(8, tag, 5000, b, dt, max_steps, chunk, bridge, threads)
+                for threads in (1, 2, 4)]
+    finally:
+        sys.setswitchinterval(interval)
+    for run in runs[1:]:
+        for got, want in zip(run, runs[0]):
+            np.testing.assert_array_equal(got, want)
+    assert (runs[0][1].size > 0) == (b != np.pi / 3)
 
 
 # ------------------------------------------------ exact exit-time sampling
