@@ -26,7 +26,6 @@ from .exponential import (
     simulate_exponential,
 )
 from .counterexamples import (
-    EmerySpec,
     NonexistenceSpec,
     emery_closed_form,
     exit_time_exact,

@@ -191,9 +191,10 @@ def _float_keys(obj, path: str, bad) -> list[str]:
     return [path] if isinstance(obj, (float, np.floating)) and bad(obj) else []
 
 
-def load_config(path: str | None, kind: str, seed_override=None) -> dict:
+def load_config(path: str | None, kind: str, overrides: dict | None = None) -> dict:
     """The config of one run: the schema defaults of `kind`, updated by the
-    JSON object in the file at `path`, then validated."""
+    JSON object in the file at `path`, then by `overrides` (the command-line
+    flags), then validated."""
     raw = {}
     if path:
         try:
@@ -213,9 +214,8 @@ def load_config(path: str | None, kind: str, seed_override=None) -> dict:
     cfg = copy.deepcopy({key: prop["default"] for key, prop in props.items()
                          if "default" in prop})
     cfg.update(raw)
+    cfg.update(overrides or {})
     cfg["kind"] = kind
-    if seed_override is not None:
-        cfg["seed"] = int(seed_override)
     errors = schema_errors(CONFIG_SCHEMAS[kind], cfg)
     if errors:
         raise ConfigurationError(f"invalid config for {kind}: {'; '.join(errors)}")
@@ -377,7 +377,7 @@ def _paths(cfg: dict, d: int, threads: int):
     return grid, generate_brownian(grid, d, cfg["M"], cfg["seed"], threads=threads)
 
 
-def run_exponential(cfg: dict, out: Path, threads: int = 1) -> int:
+def run_exponential(cfg: dict, out: Path, threads: int) -> int:
     fld = FIELDS[cfg["field"]]()
     grid, paths = _paths(cfg, fld.d, threads)
     expo = simulate_exponential(fld, paths)
@@ -396,7 +396,7 @@ def run_exponential(cfg: dict, out: Path, threads: int = 1) -> int:
     return 0
 
 
-def run_reverse_holder(cfg: dict, out: Path, threads: int = 1) -> int:
+def run_reverse_holder(cfg: dict, out: Path, threads: int) -> int:
     fld = FIELDS[cfg["field"]]()
     if cfg["method"] == "nested" and not fld.markovian:
         raise ConfigurationError(f"method 'nested' needs a Markovian field; field "
@@ -425,17 +425,6 @@ def run_reverse_holder(cfg: dict, out: Path, threads: int = 1) -> int:
     return 0
 
 
-def _q_value(q) -> float:
-    """The norm exponent: a number >= 1 or "inf" (the --q flag gives text)."""
-    try:
-        value = float(q)
-    except (TypeError, ValueError):
-        value = np.nan
-    if not value >= 1.0:
-        raise ConfigurationError(f"q must be a number >= 1 or 'inf', got {q!r}")
-    return value
-
-
 def _solution_table(sol, grid: TimeGrid, *extra) -> tuple:
     """solution.csv of a solve: t, the path means of Y and of Z (NaN at T),
     then one column per (name, values) pair of `extra`."""
@@ -449,8 +438,7 @@ def _solution_table(sol, grid: TimeGrid, *extra) -> tuple:
                                     *(values for _, values in extra)])
 
 
-def run_linear(cfg: dict, out: Path, threads: int = 1) -> int:
-    q = _q_value(cfg["q"])   # the --q flag is text that the schema has not seen
+def run_linear(cfg: dict, out: Path, threads: int) -> int:
     fld = LINEAR_FIELDS[cfg["instance"]]()
     grid, paths = _paths(cfg, fld.d, threads)
     pert = cfg.get("perturbation")
@@ -466,7 +454,7 @@ def run_linear(cfg: dict, out: Path, threads: int = 1) -> int:
     spec = LinearBsdeSpec(fld, linear_terminal(cfg["instance"]),
                           alpha=alpha, delta_field=delta)
     sol = solve_auto(spec, paths, degree=cfg["degree"], method=cfg["method"])
-    norms = sol.norm_report(q)
+    norms = sol.norm_report(float(cfg["q"]))
     results = {
         "solver": sol.solver,
         "y0_mean": sol.y[:, 0].mean(axis=0),
@@ -483,7 +471,7 @@ def run_linear(cfg: dict, out: Path, threads: int = 1) -> int:
     return 0
 
 
-def run_quadratic(cfg: dict, out: Path, threads: int = 1) -> int:
+def run_quadratic(cfg: dict, out: Path, threads: int) -> int:
     if cfg["driver"] == "custom":
         if "custom" not in cfg:
             raise ConfigurationError("driver 'custom' needs a 'custom' block")
@@ -507,7 +495,12 @@ def run_quadratic(cfg: dict, out: Path, threads: int = 1) -> int:
     return 0
 
 
-def run_counterexample(cfg: dict, out: Path, threads: int = 1) -> int:
+# `counterexample emery` takes its defect profile on the first min(M, this)
+# grid paths, its horizon statistics on all M walk paths; summary.json has M.
+EMERY_GRID_PATHS = 4000
+
+
+def run_counterexample(cfg: dict, out: Path, threads: int) -> int:
     which = cfg["which"]
     if which == "exit-time":
         levels = [float(b) for b in cfg.get("levels") or [cfg["b"]]]
@@ -526,7 +519,7 @@ def run_counterexample(cfg: dict, out: Path, threads: int = 1) -> int:
                 "truncated_paths": r.truncated_paths})
         tables = {"exit_time": ("b,estimate,std_error,exact,relative_error", rows)}
     elif which == "emery":
-        grid, paths = _paths({**cfg, "M": min(cfg["M"], 4000)}, 1, threads)
+        grid, paths = _paths({**cfg, "M": min(cfg["M"], EMERY_GRID_PATHS)}, 1, threads)
         expo = emery_closed_form(paths, inverse=False)
         defect = martingale_defect(expo)
         horizon = emery_defect_at_horizon(cfg["M"], cfg["effective_horizon"],
@@ -577,7 +570,7 @@ _ORACLE_HEADERS = {"bsde": "instance,steps,d,n,identity_error",
                    "rp": "instance,p,rp,expected"}
 
 
-def run_oracle(cfg: dict, out: Path, threads: int = 1) -> int:
+def run_oracle(cfg: dict, out: Path, threads: int) -> int:
     """Exact tree identities on random trees: the linear BSDE solve against
     its representation (bsde), the duality lemma (duality), or R_2 after the
     hand example R_2 = 1.25, skipping singular exponentials (rp)."""
@@ -619,7 +612,7 @@ def run_oracle(cfg: dict, out: Path, threads: int = 1) -> int:
     return 0
 
 
-def run_equivalence_suite(cfg: dict, out: Path, threads: int = 1) -> int:
+def run_equivalence_suite(cfg: dict, out: Path, threads: int) -> int:
     """Desk-scale form of the well-posedness equivalence on trees.
 
     For bounded structural fields, exact R_p and the exact solution-operator
@@ -678,6 +671,21 @@ _STRUCTURE_TO_INSTANCE = {
 }
 
 
+def _q_value(text: str):
+    """The --q flag's text as a config value: "inf" or a number >= 1."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not value >= 1.0:
+        raise ConfigurationError(f"q must be a number >= 1 or 'inf', got {text!r}")
+    return "inf" if value == np.inf else value
+
+
+# The config value of a flag whose text is not that value itself, by config key.
+_FLAG_VALUE = {"instance": _STRUCTURE_TO_INSTANCE.__getitem__, "q": _q_value}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="bsde-lab",
@@ -685,19 +693,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     for name, (kind, _) in RUNNERS.items():
         sp = sub.add_parser(name)
-        which = CONFIG_SCHEMAS[kind]["properties"].get("which")
-        if which:
-            sp.add_argument("which", choices=which["enum"], nargs="?")
+        props = CONFIG_SCHEMAS[kind]["properties"]
+        if "which" in props:
+            sp.add_argument("which", choices=props["which"]["enum"], nargs="?")
         sp.add_argument("--config", default=None)
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--threads", type=int,
                         default=int(os.environ.get("BSDE_LAB_THREADS", "1")))
         sp.add_argument("--out", default="out")
-        if name == "solve-linear":
-            sp.add_argument("--structure", choices=list(_STRUCTURE_TO_INSTANCE))
-            sp.add_argument("--method", choices=["representation", "regression", "auto"])
-            sp.add_argument("--q", default=None)
-            sp.add_argument("--perturbation", action="store_true")
+        if name == "solve-linear":   # each flag's dest is the config key it sets
+            sp.add_argument("--structure", dest="instance",
+                            choices=list(_STRUCTURE_TO_INSTANCE))
+            sp.add_argument("--method", choices=props["method"]["enum"])
+            sp.add_argument("--q")
+            sp.add_argument("--perturbation", action="store_const",
+                            const={"scale": 0.05, "alpha": 0.1})
     lp = sub.add_parser("list")
     lp.add_argument("--kind", default=None)
     dp = sub.add_parser("describe")
@@ -729,18 +739,11 @@ def main(argv=None) -> int:
 
     kind, runner = RUNNERS[args.command]
     try:
-        cfg = load_config(args.config, kind, seed_override=args.seed)
-        if getattr(args, "which", None):
-            cfg["which"] = args.which
-        if args.command == "solve-linear":
-            if args.structure:
-                cfg["instance"] = _STRUCTURE_TO_INSTANCE[args.structure]
-            if args.method:
-                cfg["method"] = args.method
-            if args.q:
-                cfg["q"] = args.q
-            if args.perturbation and "perturbation" not in cfg:
-                cfg["perturbation"] = {"scale": 0.05, "alpha": 0.1}
+        # every flag named after a config key sets it; an unset flag is None
+        flags = {key: _FLAG_VALUE.get(key, lambda v: v)(value)
+                 for key, value in vars(args).items()
+                 if value is not None and key in CONFIG_SCHEMAS[kind]["properties"]}
+        cfg = load_config(args.config, kind, flags)
         return runner(cfg, Path(args.out), threads=max(1, args.threads))
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -33,16 +33,6 @@ from .grids import ConfigurationError
 HEAVY_TAIL_LEVEL = np.pi / 3
 
 
-@dataclass(frozen=True)
-class EmerySpec:
-    """Rotation exponential stopped at +-level; n = 2, d = 1."""
-
-    level: float = np.pi / 2
-
-    def field(self) -> StoppedRotationField:
-        return StoppedRotationField(self.level)
-
-
 def emery_closed_form(paths: PathEnsemble, level: float = np.pi / 2,
                       inverse: bool = True) -> ExponentialEnsemble:
     """Exact rotation-times-scalar form of the stopped exponential.

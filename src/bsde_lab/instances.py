@@ -14,9 +14,9 @@ from typing import Callable
 
 import numpy as np
 
-from .counterexamples import EmerySpec, NonexistenceSpec
-from .fields import (CoefficientField, left_outer_field, right_outer_field,
-                     scalar_field)
+from .counterexamples import NonexistenceSpec
+from .fields import (CoefficientField, StoppedRotationField, left_outer_field,
+                     right_outer_field, scalar_field)
 from .grids import ConfigurationError
 from .quadratic import QuadraticLinearDriver, UnidirectionalDriver
 
@@ -128,7 +128,7 @@ REGISTRY: dict[str, InstanceInfo] = {info.name: info for info in (
         "2x2 rotation exponential stopped at the exit of |B| from pi/2: "
         "S_t = exp((tau^t)/2) [[cos,sin],[-sin,cos]](B_{tau^t}); strict local "
         "martingale, E|S_stopped| infinite, diagonal of the stopped terminal is 0",
-        EmerySpec, {"level": float(np.pi / 2), "effective_horizon": 48.0,
+        StoppedRotationField, {"level": float(np.pi / 2), "effective_horizon": 48.0,
                     "n": 2, "d": 1}),
     InstanceInfo(
         "exit-time", "counterexample",
@@ -179,7 +179,7 @@ LINEAR_FIELDS = {name: info.build for name, info in REGISTRY.items()
 QUADRATIC_DRIVERS = {name: info.build for name, info in REGISTRY.items()
                      if info.kind == "quadratic"}
 # Every field a forward command accepts: the linear fields and the Emery rotation.
-FIELDS = {**LINEAR_FIELDS, "emery": lambda: EmerySpec().field()}
+FIELDS = {**LINEAR_FIELDS, "emery": StoppedRotationField}
 
 
 def _terminal(name: str, table: dict):

@@ -469,9 +469,8 @@ def check_lyapunov(pair: LyapunovPair, driver, rng: np.random.Generator,
     return out
 
 
-def _sup_h_on_ball(pair: LyapunovPair, n: int, rng: np.random.Generator,
-                   draws: int = 512) -> float:
-    pts = rng.normal(size=(draws, n))
+def _sup_h_on_ball(pair: LyapunovPair, n: int, rng: np.random.Generator) -> float:
+    pts = rng.normal(size=(512, n))
     pts = pts / np.linalg.norm(pts, axis=1, keepdims=True) * pair.radius
     return float(max(abs(float(pair.value(p))) for p in pts))
 

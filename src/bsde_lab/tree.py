@@ -74,18 +74,15 @@ class FiniteFiltration:
         return np.stack([leaves >> (self.d * (self.steps - k))
                          for k in range(self.steps + 1)], axis=1)
 
-    def to_json(self, processes: dict | None = None) -> str:
+    def to_json(self, processes: dict) -> str:
         payload = {
             "steps": self.steps,
             "d": self.d,
             "dt": self.dt,
             "states": [lv.tolist() for lv in self.states()],
+            "processes": {name: [np.asarray(lv).tolist() for lv in levels]
+                          for name, levels in processes.items()},
         }
-        if processes:
-            payload["processes"] = {
-                name: [np.asarray(lv).tolist() for lv in levels]
-                for name, levels in processes.items()
-            }
         return json.dumps(payload, sort_keys=True)
 
 

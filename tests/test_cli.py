@@ -166,7 +166,7 @@ def test_schema_errors_name_each_broken_key():
 def test_config_comments_and_seed_override(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text('// comment line\n{"seed": 5, "M": 100, "K": 8}')
-    loaded = load_config(str(cfg), "exponential", seed_override=9)
+    loaded = load_config(str(cfg), "exponential", {"seed": 9})
     assert loaded["seed"] == 9 and loaded["M"] == 100
 
 
@@ -414,6 +414,43 @@ def test_linear_q_flag_refused_up_front(tmp_path, capsys):
         assert run(["solve-linear", "--q", bad, "--out", out]) == 2
         assert "q must be" in capsys.readouterr().err
     assert not out.exists()
+
+
+_SMALL_GRID = {"T": 1.0, "K": 8, "M": 300}
+# Every command, and every solve-linear flag: arguments and config file body.
+_RERUN_CASES = [
+    (["simulate-exponential"], _SMALL_GRID),
+    (["estimate-rp"], _SMALL_GRID),
+    (["solve-linear"], _SMALL_GRID),
+    (["solve-linear", "--structure", "left-outer"], _SMALL_GRID),
+    (["solve-linear", "--method", "regression"], _SMALL_GRID),
+    (["solve-linear", "--q", "2"], _SMALL_GRID),
+    (["solve-linear", "--q", "inf"], _SMALL_GRID),
+    (["solve-linear", "--perturbation"], _SMALL_GRID),
+    (["solve-quadratic"], _SMALL_GRID),
+    (["counterexample", "exit-time"], {"M": 300, "dt": 1e-3}),
+    (["counterexample", "emery"], {"T": 1.0, "K": 16, "M": 300, "effective_horizon": 2.0}),
+    (["counterexample", "nonexistence"], {"j_max": 2, "paths_per_level": 50}),
+    (["oracle", "bsde"], {"instances": 3}),
+    (["equivalence-suite"], {"depths": [2, 3]}),
+]
+
+
+@pytest.mark.parametrize("args,body", _RERUN_CASES,
+                         ids=[" ".join(args) for args, _ in _RERUN_CASES])
+def test_summary_config_reruns_to_identical_bytes(tmp_path, args, body):
+    # the config a summary embeds, flags included, re-runs to the same files
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(body))
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run(args + ["--config", cfg, "--seed", 3, "--out", first]) == 0
+    embedded = json.loads((first / "summary.json").read_text())["config"]
+    cfg.write_text(json.dumps(embedded))
+    assert run([args[0], "--config", cfg, "--out", again]) == 0
+    names = sorted(p.name for p in first.iterdir())
+    assert sorted(p.name for p in again.iterdir()) == names
+    for name in names:
+        assert (again / name).read_bytes() == (first / name).read_bytes(), name
 
 
 def test_exponential_run_byte_reproducible(tmp_path):

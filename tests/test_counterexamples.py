@@ -12,11 +12,11 @@ from hypothesis import given, settings, strategies as st
 import bsde_lab
 from bsde_lab import ConfigurationError, TimeGrid, generate_brownian
 from bsde_lab.brownian import substream
-from bsde_lab.counterexamples import (EmerySpec, NonexistenceSpec,
-                                      default_level_sequence, emery_closed_form,
-                                      emery_defect_at_horizon, exit_time_exact,
-                                      exit_time_exponential, exit_time_quantile,
-                                      nonexistence_blowup)
+from bsde_lab.counterexamples import (NonexistenceSpec, default_level_sequence,
+                                      emery_closed_form, emery_defect_at_horizon,
+                                      exit_time_exact, exit_time_exponential,
+                                      exit_time_quantile, nonexistence_blowup)
+from bsde_lab.fields import StoppedRotationField
 
 
 @pytest.fixture(scope="module")
@@ -158,7 +158,7 @@ def test_blowup_j1_with_pi_third_level():
 
 
 def test_emery_spec_field_roundtrip():
-    fld = EmerySpec().field()
+    fld = StoppedRotationField()
     assert fld.n == 2 and fld.d == 1 and not fld.markovian
 
 

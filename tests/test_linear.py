@@ -4,8 +4,7 @@ import pytest
 from bsde_lab import TimeGrid, generate_brownian, scalar_field
 from bsde_lab import norms
 from bsde_lab.brownian import PathEnsemble
-from bsde_lab.counterexamples import EmerySpec
-from bsde_lab.fields import constant_field
+from bsde_lab.fields import StoppedRotationField, constant_field
 from bsde_lab.grids import ConfigurationError
 from bsde_lab.instances import (left_outer_3d, linear_terminal, right_outer_3d,
                                 triangular_3d)
@@ -71,7 +70,7 @@ def test_representation_refuses_emery(paths):
     from bsde_lab.counterexamples import emery_closed_form
     grid = TimeGrid(24.0, 600)
     p = generate_brownian(grid, 1, 2000, seed=103)
-    fld = EmerySpec().field()
+    fld = StoppedRotationField()
     expo = emery_closed_form(p)
     expo.bad_paths[:] = False          # keep stragglers in: gate must still trip
     spec = LinearBsdeSpec(fld, lambda pp: np.tanh(pp.states[:, -1]).repeat(2, axis=1))
