@@ -1,9 +1,10 @@
 """Forward integration of matrix stochastic exponentials and diagnostics.
 
-The exponential S solves dS = S (A dB) from the identity; its inverse X is
-integrated separately from dX = A^2 X dt - (A dB) X (never by per-step matrix
-inversion).  Diagnostics cover reverse Holder constants, martingale defect,
-and the Doob-maximal comparison.
+The exponential S solves dS = S (A dB) from the identity; its inverse X
+solves dX = A^2 X dt - (A dB) X in the same Euler pass, which forms A and
+A dB once per step for both (never by per-step matrix inversion).
+Diagnostics cover reverse Holder constants, martingale defect, and the
+Doob-maximal comparison.
 """
 
 from __future__ import annotations
@@ -21,6 +22,15 @@ from .tensors import contract_adb, mat_square, operator_norm
 
 # Working-memory budget of one block of grid nodes in the forward diagnostics.
 _NODE_BLOCK_BYTES = 4 << 20
+
+# Budget of each node-major Euler block and reverse-Holder ratio block.
+_STEP_BLOCK_BYTES = 1 << 18
+
+
+def _step_blocks(nodes: int, node_bytes: int) -> list:
+    """(lo, hi) ranges covering `nodes` nodes, about _STEP_BLOCK_BYTES each."""
+    step = max(1, _STEP_BLOCK_BYTES // node_bytes)
+    return [(lo, min(lo + step, nodes)) for lo in range(0, nodes, step)]
 
 
 def node_blocks(nodes: int, node_bytes: int, node_entries: int):
@@ -78,18 +88,7 @@ class ExponentialEnsemble:
 
 def integrate_exponential(field: CoefficientField, paths: PathEnsemble) -> np.ndarray:
     """Euler-Maruyama path of S: S_{k+1} = S_k + S_k (A_k dB_k), S_0 = I."""
-    m, k_steps = paths.paths, paths.grid.steps
-    n = field.n
-    s = np.empty((m, k_steps + 1, n, n))
-    s[:, 0] = np.eye(n)
-    inc = paths.increments
-    for k in range(k_steps):
-        a_db = contract_adb(field.values(paths, k), inc[:, k])
-        # the product lands in node k + 1, then S_k is added: IEEE addition
-        # commutes, so this is S_k + S_k (A dB) bit for bit
-        np.matmul(s[:, k], a_db, out=s[:, k + 1])
-        s[:, k + 1] += s[:, k]
-    return s
+    return simulate_exponential(field, paths, inverse=False).s
 
 
 def integrate_terminal(field: CoefficientField, grid: TimeGrid, inc: np.ndarray,
@@ -121,29 +120,47 @@ def integrate_terminal(field: CoefficientField, grid: TimeGrid, inc: np.ndarray,
 
 def integrate_inverse(field: CoefficientField, paths: PathEnsemble) -> np.ndarray:
     """Euler path of the inverse dynamics dX = A^2 X dt - (A dB) X, X_0 = I."""
-    m, k_steps = paths.paths, paths.grid.steps
-    n = field.n
-    dt = paths.grid.dt
-    x = np.empty((m, k_steps + 1, n, n))
-    x[:, 0] = np.eye(n)
-    drift = np.empty((m, n, n))
-    noise = np.empty((m, n, n))
-    inc = paths.increments
-    for k in range(k_steps):
-        a = field.values(paths, k)
-        np.matmul(mat_square(a), x[:, k], out=drift)
-        drift *= dt[k]
-        np.matmul(contract_adb(a, inc[:, k]), x[:, k], out=noise)
-        np.add(x[:, k], drift, out=x[:, k + 1])
-        x[:, k + 1] -= noise
-    return x
+    return simulate_exponential(field, paths).s_inv
 
 
 def simulate_exponential(field: CoefficientField, paths: PathEnsemble,
                          inverse: bool = True) -> ExponentialEnsemble:
-    s = integrate_exponential(field, paths)
-    x = integrate_inverse(field, paths) if inverse else None
-    return ExponentialEnsemble(field, paths, s, x)
+    """S, and with `inverse` X = S^{-1}, in one Euler pass from S_0 = X_0 = I.
+
+    A_k and A_k dB_k are formed once per step for both.  The steps run on
+    node-major blocks of about _STEP_BLOCK_BYTES per array, so every node is
+    contiguous; each finished block is copied into the path-major arrays, and
+    its last node starts the next block.
+    """
+    m, k_steps, n = paths.paths, paths.grid.steps, field.n
+    dt, inc = paths.grid.dt, paths.increments
+    blocks = _step_blocks(k_steps, m * n * n * 8)
+    outs = [np.empty((m, k_steps + 1, n, n)) for _ in range(1 + inverse)]
+    work = [np.empty((blocks[0][1] + 1, m, n, n)) for _ in outs]
+    for out, w in zip(outs, work):
+        out[:, 0] = w[0] = np.eye(n)
+    s, x = work[0], work[-1]
+    drift, noise = np.empty((m, n, n)), np.empty((m, n, n))
+    bad = np.zeros(m, dtype=bool)
+    for lo, hi in blocks:
+        for j, k in enumerate(range(lo, hi)):
+            a = field.values(paths, k)
+            a_db = contract_adb(a, inc[:, k])
+            # the product lands in node j + 1, then S_k is added: IEEE
+            # addition commutes, so this is S_k + S_k (A dB) bit for bit
+            np.matmul(s[j], a_db, out=s[j + 1])
+            s[j + 1] += s[j]
+            if inverse:
+                np.matmul(mat_square(a), x[j], out=drift)
+                drift *= dt[k]
+                np.matmul(a_db, x[j], out=noise)
+                np.add(x[j], drift, out=x[j + 1])
+                x[j + 1] -= noise
+        bad |= ~np.isfinite(s[1:hi - lo + 1]).all(axis=(0, 2, 3))
+        for out, w in zip(outs, work):
+            out[:, lo + 1:hi + 1] = w[1:hi - lo + 1].swapaxes(0, 1)
+            w[0] = w[hi - lo]
+    return ExponentialEnsemble(field, paths, *outs, bad_paths=bad)
 
 
 @dataclass
@@ -160,12 +177,12 @@ class ReverseHolderReport:
     estimator: str
 
 
-def _ratio_matrices(expo: ExponentialEnsemble, k: int) -> np.ndarray:
-    """S_{t_k}^{-1} S_T for every path, via the integrated inverse if present."""
+def _ratio_matrices(expo: ExponentialEnsemble, lo: int, hi: int) -> np.ndarray:
+    """S_{t_k}^{-1} S_T, node-major for lo <= k < hi, via the inverse if present."""
     s_t = expo.s[:, -1]
     if expo.s_inv is not None:
-        return expo.s_inv[:, k] @ s_t
-    return np.linalg.solve(expo.s[:, k], s_t)
+        return expo.s_inv[:, lo:hi].swapaxes(0, 1) @ s_t
+    return np.linalg.solve(expo.s[:, lo:hi].swapaxes(0, 1), s_t)
 
 
 def estimate_reverse_holder(expo: ExponentialEnsemble, p: float,
@@ -192,19 +209,21 @@ def estimate_reverse_holder(expo: ExponentialEnsemble, p: float,
     profile[k_grid] = 1.0  # E_T[|I|^p] exactly
 
     reg = RegressionConditional.of(paths, degree)
-    for k in range(k_grid):
-        if method == "regression":
-            target = operator_norm(_ratio_matrices(expo, k)) ** p
-            fitted = reg.fit_predict(k, target)
-            profile[k] = float(fitted.max())
-            profile_se[k] = float(np.std(target - fitted, ddof=1) / np.sqrt(paths.paths))
-        elif method == "nested":
+    if method == "regression":
+        for lo, hi in _step_blocks(k_grid, paths.paths * expo.n * expo.n * 8):
+            targets = operator_norm(_ratio_matrices(expo, lo, hi)) ** p
+            for k, target in enumerate(targets, lo):
+                fitted = reg.fit_predict(k, target)
+                profile[k] = float(fitted.max())
+                profile_se[k] = float(np.std(target - fitted, ddof=1) / np.sqrt(paths.paths))
+    elif method == "nested":
+        for k in range(k_grid):
             means, ses = _nested_ratio_moment(expo, k, p, inner_paths, 7_001)
             j = int(np.argmax(means))
             profile[k] = float(means[j])
             profile_se[k] = float(ses[j])
-        else:
-            raise ValueError(f"unknown conditional estimator {method!r}")
+    else:
+        raise ValueError(f"unknown conditional estimator {method!r}")
 
     best_k = int(np.argmax(profile))
     return ReverseHolderReport(

@@ -1,5 +1,5 @@
-"""Node-blocked forward diagnostics: the same bits as whole-array forms, in
-bounded working memory."""
+"""Node-blocked forward integration and diagnostics: the same bits as
+whole-array forms, in bounded working memory."""
 
 import tracemalloc
 
@@ -10,9 +10,10 @@ from bsde_lab import (TimeGrid, generate_brownian, martingale_defect,
                       simulate_exponential)
 from bsde_lab import exponential as ex
 from bsde_lab.counterexamples import emery_closed_form
-from bsde_lab.fields import StoppedRotationField
+from bsde_lab.fields import CoefficientField, StoppedRotationField
 from bsde_lab.instances import scalar_half, triangular_3d
-from bsde_lab.tensors import operator_norm
+from bsde_lab.norms import RegressionConditional
+from bsde_lab.tensors import contract_adb, mat_square, operator_norm
 
 K = 50   # 51 nodes: neither 2 nor 4 nodes per block divide them
 
@@ -64,6 +65,109 @@ def _emery_reference(paths, level=np.pi / 2):
     return s, s_inv, ~stopped[:, -1]
 
 
+def _two_loop_reference(field, paths, inverse=True):
+    """(S, S^{-1}) by separate path-major Euler loops, one for each."""
+    m, k_steps, n = paths.paths, paths.grid.steps, field.n
+    dt, inc = paths.grid.dt, paths.increments
+    s = np.empty((m, k_steps + 1, n, n))
+    s[:, 0] = np.eye(n)
+    for k in range(k_steps):
+        a_db = contract_adb(field.values(paths, k), inc[:, k])
+        np.matmul(s[:, k], a_db, out=s[:, k + 1])
+        s[:, k + 1] += s[:, k]
+    if not inverse:
+        return s, None
+    x = np.empty_like(s)
+    x[:, 0] = np.eye(n)
+    drift = np.empty((m, n, n))
+    noise = np.empty((m, n, n))
+    for k in range(k_steps):
+        a = field.values(paths, k)
+        np.matmul(mat_square(a), x[:, k], out=drift)
+        drift *= dt[k]
+        np.matmul(contract_adb(a, inc[:, k]), x[:, k], out=noise)
+        np.add(x[:, k], drift, out=x[:, k + 1])
+        x[:, k + 1] -= noise
+    return s, x
+
+
+def _rp_reference(expo, p, degree=3):
+    """estimate_reverse_holder's regression profile, one node at a time."""
+    reg = RegressionConditional.of(expo.paths, degree)
+    k_grid = expo.paths.grid.steps
+    profile, se = np.zeros(k_grid + 1), np.zeros(k_grid + 1)
+    profile[k_grid] = 1.0
+    for k in range(k_grid):
+        if expo.s_inv is not None:
+            ratio = expo.s_inv[:, k] @ expo.s[:, -1]
+        else:
+            ratio = np.linalg.solve(expo.s[:, k], expo.s[:, -1])
+        target = operator_norm(ratio) ** p
+        fitted = reg.fit_predict(k, target)
+        profile[k] = float(fitted.max())
+        se[k] = float(np.std(target - fitted, ddof=1) / np.sqrt(expo.paths.paths))
+    return profile, se
+
+
+def _blow_up_field():
+    """n = d = 1, A = 1e200 once B > 0: the paths that go positive overflow."""
+    return CoefficientField(1, 1, lambda t, x: np.where(
+        x[:, :1, None, None] > 0, 1e200, 0.5), name="blow-up")
+
+
+def _integration_cases():
+    grid = TimeGrid(1.0, K)
+    p1 = generate_brownian(grid, 1, 400, seed=5)
+    pe = generate_brownian(TimeGrid(3.0, K), 1, 400, seed=6)
+    return {
+        "scalar-half": (scalar_half(), p1),
+        "triangular-3d": (triangular_3d(), p1),
+        "stopped-rotation": (StoppedRotationField(0.8), pe),
+        "triangular-3d-coarsened": (triangular_3d(), p1.coarsened(5)),
+        "triangular-3d-two-paths": (triangular_3d(), generate_brownian(grid, 1, 2, seed=7)),
+        "blow-up": (_blow_up_field(), p1),
+    }
+
+
+@pytest.mark.parametrize("name", list(_integration_cases()))
+@pytest.mark.parametrize("inverse", [True, False])
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")   # blow-up
+def test_fused_integration_matches_two_loop_reference(name, inverse, monkeypatch):
+    field, paths = _integration_cases()[name]
+    s_ref, x_ref = _two_loop_reference(field, paths, inverse)
+    bad_ref = ~np.isfinite(s_ref.reshape(paths.paths, -1)).all(axis=1)
+    if name == "blow-up":
+        assert 0 < bad_ref.sum() < paths.paths
+    for budget in _budgets(paths.paths, field.n) + [ex._STEP_BLOCK_BYTES, 1 << 30]:
+        monkeypatch.setattr(ex, "_STEP_BLOCK_BYTES", budget)
+        expo = simulate_exponential(field, paths, inverse=inverse)
+        assert np.array_equal(expo.s, s_ref, equal_nan=True), budget
+        if inverse:
+            assert np.array_equal(expo.s_inv, x_ref, equal_nan=True), budget
+        else:
+            assert expo.s_inv is None
+        assert np.array_equal(expo.bad_paths, bad_ref), budget
+    if inverse:
+        assert np.array_equal(ex.integrate_inverse(field, paths), x_ref, equal_nan=True)
+    else:
+        assert np.array_equal(ex.integrate_exponential(field, paths), s_ref, equal_nan=True)
+
+
+@pytest.mark.parametrize("name", ["scalar-half", "triangular-3d", "stopped-rotation",
+                                  "triangular-3d-two-paths"])
+@pytest.mark.parametrize("inverse", [True, False])
+@pytest.mark.filterwarnings("ignore:regression basis rank-deficient")
+def test_blocked_reverse_holder_matches_per_node(name, inverse, monkeypatch):
+    field, paths = _integration_cases()[name]
+    expo = simulate_exponential(field, paths, inverse=inverse)
+    profile, se = _rp_reference(expo, 2.0)
+    for budget in _budgets(paths.paths, field.n) + [ex._STEP_BLOCK_BYTES]:
+        monkeypatch.setattr(ex, "_STEP_BLOCK_BYTES", budget)
+        rep = ex.estimate_reverse_holder(expo, 2.0)
+        assert np.array_equal(rep.profile, profile), budget
+        assert np.array_equal(rep.profile_std_error, se), budget
+
+
 @pytest.fixture(scope="module")
 def ensembles():
     grid = TimeGrid(1.0, K)
@@ -79,7 +183,7 @@ def ensembles():
 
 
 def _budgets(rows: int, n: int) -> list:
-    """_NODE_BLOCK_BYTES giving one node per block, then four per block."""
+    """A block budget giving one node per block, then four per block."""
     return [1, 4 * rows * n * n * 8]
 
 
@@ -159,3 +263,19 @@ def test_emery_without_inverse_memory_is_bounded():
     s_bytes = 2000 * 801 * 2 * 2 * 8
     peak = _peak_bytes(lambda: emery_closed_form(paths, inverse=False))
     assert peak <= 1.25 * s_bytes, peak / s_bytes
+
+
+def test_fused_integration_memory_is_bounded():
+    """Beyond S and S^{-1}: two node-major blocks and a few (M, n, n) buffers."""
+    fld = triangular_3d()
+    m, n = 300, 3
+    node = m * n * n * 8
+    extra = {}
+    for k_steps in (800, 1600):
+        paths = generate_brownian(TimeGrid(1.0, k_steps), 1, m, seed=9)
+        paths.states   # cached before tracing: the field reads it
+        extra[k_steps] = (_peak_bytes(lambda: simulate_exponential(fld, paths))
+                          - 2 * (k_steps + 1) * node)
+        del paths
+    assert extra[800] < 2 * (ex._STEP_BLOCK_BYTES + node) + 16 * node, extra
+    assert extra[1600] < 1.1 * extra[800], extra
