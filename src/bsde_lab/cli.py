@@ -23,8 +23,8 @@ import numpy as np
 
 from . import __version__
 from .brownian import generate_brownian
-from .counterexamples import (NonexistenceSpec, check_exit_walks, emery_closed_form,
-                              emery_defect_at_horizon, exit_time_exponential,
+from .counterexamples import (NonexistenceSpec, check_exit_walks, emery_defect_at_horizon,
+                              emery_defect_profile, exit_time_exponential,
                               nonexistence_blowup)
 from .exponential import (estimate_reverse_holder, martingale_defect,
                           simulate_exponential, terminal_moment_truncation_curve,
@@ -380,7 +380,8 @@ def _paths(cfg: dict, d: int, threads: int):
 def run_exponential(cfg: dict, out: Path, threads: int) -> int:
     fld = FIELDS[cfg["field"]]()
     grid, paths = _paths(cfg, fld.d, threads)
-    expo = simulate_exponential(fld, paths)
+    # the residual is measured inside the Euler pass, so S^{-1} is not kept
+    expo = simulate_exponential(fld, paths, inverse=False, residual=True)
     defect = martingale_defect(expo)
     resid = expo.inverse_residual_profile()
     results = {
@@ -520,8 +521,7 @@ def run_counterexample(cfg: dict, out: Path, threads: int) -> int:
         tables = {"exit_time": ("b,estimate,std_error,exact,relative_error", rows)}
     elif which == "emery":
         grid, paths = _paths({**cfg, "M": min(cfg["M"], EMERY_GRID_PATHS)}, 1, threads)
-        expo = emery_closed_form(paths, inverse=False)
-        defect = martingale_defect(expo)
+        defect = emery_defect_profile(paths)
         horizon = emery_defect_at_horizon(cfg["M"], cfg["effective_horizon"],
                                           seed=cfg["seed"] + 1, threads=threads)
         curve = truncation_curve(horizon["terminal_opnorm_samples"])

@@ -22,7 +22,8 @@ from functools import cache
 import numpy as np
 
 from .brownian import PathEnsemble, substream
-from .exponential import ExponentialEnsemble, node_blocks, truncation_curve
+from .exponential import (ExponentialEnsemble, MartingaleDefectReport, defect_profile,
+                          node_blocks, truncation_curve)
 from .fields import StoppedRotationField
 from .grids import ConfigurationError
 
@@ -31,6 +32,52 @@ from .grids import ConfigurationError
 # b < pi / (2 sqrt 2) ~ 1.11, and the estimated standard error is unreliable
 # from pi/4 on; pi/3 sits between the two.  The flag is part of summary.json.
 HEAVY_TAIL_LEVEL = np.pi / 3
+
+
+def _emery_exits(paths: PathEnsemble, level: float) -> tuple:
+    """(stop, exit angle, exit time) per path: stop is the first grid node
+    where |B| >= level, or the node count if there is none; the angle is the
+    state clamped to +-level there and the time that node's time.
+
+    The grid is scanned in node blocks, so no (M, K+1) temporary exists.
+    """
+    if paths.d != 1:
+        raise ConfigurationError("the rotation example lives on a 1-d Brownian motion")
+    b = paths.states[:, :, 0]
+    m, k1 = b.shape
+    stop = np.full(m, k1)
+    for lo, hi in node_blocks(k1, m * 8, 1):
+        hit = np.abs(b[:, lo:hi]) >= level
+        new = (stop == k1) & hit.any(axis=1)
+        stop[new] = lo + hit[new].argmax(axis=1)
+    first = np.minimum(stop, k1 - 1)
+    exit_angle = np.sign(b[np.arange(m), first]) * level
+    return stop, exit_angle, paths.grid.nodes[first]
+
+
+def _emery_block(paths: PathEnsemble, exits: tuple, rows, lo: int, hi: int,
+                 s: np.ndarray, s_inv: np.ndarray | None = None) -> None:
+    """Fill s, the (rows, hi - lo, 2, 2) block of the closed form at nodes
+    lo <= k < hi for the paths `rows` (an index or a mask), and with s_inv
+    the same block of S^{-1}.  Every entry is elementwise in the path's
+    own state, so a block's bits do not depend on which rows it holds."""
+    stop, exit_angle, exit_time = (e[rows][:, None] for e in exits)
+    # state frozen at the (clamped) exit value once stopped
+    stopped = np.arange(lo, hi)[None, :] >= stop
+    angle = np.where(stopped, exit_angle, paths.states[rows, lo:hi, 0])
+    scale = np.where(stopped, exit_time, paths.grid.nodes[None, lo:hi])  # tau ^ t
+    del stopped
+    scale /= 2.0
+    np.exp(scale, out=scale)
+    # cos, then sin over the angle buffer; -scale sin is exactly -(scale sin)
+    np.multiply(scale, np.cos(angle), out=s[..., 0, 0])
+    s[..., 1, 1] = s[..., 0, 0]
+    np.sin(angle, out=angle)
+    np.multiply(scale, angle, out=s[..., 0, 1])
+    np.negative(s[..., 0, 1], out=s[..., 1, 0])
+    if s_inv is not None:
+        np.square(scale, out=scale)
+        np.divide(np.swapaxes(s, -1, -2), scale[..., None, None], out=s_inv)
 
 
 def emery_closed_form(paths: PathEnsemble, level: float = np.pi / 2,
@@ -42,43 +89,37 @@ def emery_closed_form(paths: PathEnsemble, level: float = np.pi / 2,
     then on, so every S_t is exactly a scalar multiple of an orthogonal
     matrix.  With `inverse`, S^{-1} = exp(-(tau ^ t)) S^T is filled in closed
     form as well.  Paths that never exit within the grid horizon are flagged
-    (truncation bias), not dropped.
+    (truncation bias), not dropped.  The arrays are filled one node block at
+    a time by the block rule that `emery_defect_profile` streams without
+    storing S.
     """
-    if paths.d != 1:
-        raise ConfigurationError("the rotation example lives on a 1-d Brownian motion")
-    b = paths.states[:, :, 0]
-    hit = np.abs(b) >= level
-    exited = hit.any(axis=1)
-    m = paths.paths
-    k1 = paths.grid.steps + 1
-    first = np.where(exited, hit.argmax(axis=1), k1 - 1)
-    del hit
-    stop = np.where(exited, first, k1)       # stopped at nodes k >= stop
-    exit_angle = (np.sign(b[np.arange(m), first]) * level)[:, None]
-    exit_time = paths.grid.nodes[first][:, None]
+    exits = _emery_exits(paths, level)
+    m, k1 = paths.paths, paths.grid.steps + 1
     s = np.empty((m, k1, 2, 2))
     s_inv = np.empty_like(s) if inverse else None
     for lo, hi in node_blocks(k1, m * 4 * 8, 4):
-        # state frozen at the (clamped) exit value once stopped
-        stopped = np.arange(lo, hi)[None, :] >= stop[:, None]
-        angle = np.where(stopped, exit_angle, b[:, lo:hi])
-        scale = np.where(stopped, exit_time, paths.grid.nodes[None, lo:hi])  # tau ^ t
-        del stopped
-        scale /= 2.0
-        np.exp(scale, out=scale)
-        # cos, then sin over the angle buffer; -scale sin is exactly -(scale sin)
-        blk = s[:, lo:hi]
-        np.multiply(scale, np.cos(angle), out=blk[..., 0, 0])
-        blk[..., 1, 1] = blk[..., 0, 0]
-        np.sin(angle, out=angle)
-        np.multiply(scale, angle, out=blk[..., 0, 1])
-        np.negative(blk[..., 0, 1], out=blk[..., 1, 0])
-        if inverse:
-            np.square(scale, out=scale)
-            np.divide(np.swapaxes(blk, -1, -2), scale[..., None, None], out=s_inv[:, lo:hi])
+        _emery_block(paths, exits, slice(None), lo, hi, s[:, lo:hi],
+                     None if s_inv is None else s_inv[:, lo:hi])
     # bad paths never exited: truncation bias contributors
     return ExponentialEnsemble(StoppedRotationField(level), paths, s, s_inv,
-                               bad_paths=~exited)
+                               bad_paths=exits[0] == k1)
+
+
+def emery_defect_profile(paths: PathEnsemble, level: float = np.pi / 2) -> MartingaleDefectReport:
+    """martingale_defect(emery_closed_form(paths, level)), bit for bit, without
+    S: the exited paths are known before the first node block, so each block
+    of S is formed for them alone and reduced at once."""
+    exits = _emery_exits(paths, level)
+    k1 = paths.grid.steps + 1
+    keep = exits[0] < k1
+    kept = int(keep.sum())
+
+    def kept_block(lo: int, hi: int) -> np.ndarray:
+        s = np.empty((kept, hi - lo, 2, 2))
+        _emery_block(paths, exits, keep, lo, hi, s)
+        return s
+
+    return defect_profile(keep, 2, k1, kept_block)
 
 
 def emery_defect_at_horizon(paths: int, horizon: float = 48.0, dt: float = 0.01,

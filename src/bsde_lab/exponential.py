@@ -2,9 +2,11 @@
 
 The exponential S solves dS = S (A dB) from the identity; its inverse X
 solves dX = A^2 X dt - (A dB) X in the same Euler pass, which forms A and
-A dB once per step for both (never by per-step matrix inversion).
-Diagnostics cover reverse Holder constants, martingale defect, and the
-Doob-maximal comparison.
+A dB once per step for both (never by per-step matrix inversion).  The pass
+can measure the inverse residual |S X - I| on its node blocks as they are
+finished, so X is stored only for callers that read it.  Diagnostics cover
+reverse Holder constants, martingale defect (from node blocks of S, which
+need not come from a stored array), and the Doob-maximal comparison.
 """
 
 from __future__ import annotations
@@ -55,7 +57,8 @@ class ExponentialEnsemble:
     """Simulated S (and optionally S^{-1}) along a path ensemble.
 
     s[m, k] is the n x n matrix at node k of path m; s[all, 0] = I.  The
-    inverse residual |S_k X_k - I| is measured per grid node, not assumed.
+    inverse residual |S_k X_k - I| is measured per grid node, not assumed:
+    `residual` holds it when the Euler pass measured it.
     """
 
     field: CoefficientField
@@ -63,27 +66,47 @@ class ExponentialEnsemble:
     s: np.ndarray
     s_inv: np.ndarray | None = None
     bad_paths: np.ndarray = None
+    residual: np.ndarray | None = None
 
     def __post_init__(self):
         if self.bad_paths is None:
-            self.bad_paths = ~np.isfinite(self.s.reshape(self.s.shape[0], -1)).all(axis=1)
+            m, k1 = self.s.shape[:2]
+            self.bad_paths = np.zeros(m, dtype=bool)
+            for lo, hi in _step_blocks(k1, self.s[:, 0].nbytes):
+                self.bad_paths |= ~np.isfinite(self.s[:, lo:hi]).all(axis=(1, 2, 3))
 
     @property
     def n(self) -> int:
         return self.field.n
 
     def inverse_residual_profile(self) -> np.ndarray:
-        """Mean over paths of |S_k X_k - I| (operator norm) at each grid node."""
+        """Mean over paths of |S_k X_k - I| (operator norm) at each grid node:
+        the profile the Euler pass measured, or else one from s and s_inv."""
+        if self.residual is not None:
+            return self.residual
         if self.s_inv is None:
             raise ValueError("ensemble was integrated without the inverse part")
         m, k1 = self.s.shape[:2]
-        idx = np.arange(self.n)
         out = np.empty(k1)
         for lo, hi in node_blocks(k1, m * self.n * self.n * 8, 1):
-            prod = self.s[:, lo:hi] @ self.s_inv[:, lo:hi]
-            prod[..., idx, idx] -= 1.0
-            out[lo:hi] = operator_norm(prod).mean(axis=0)
+            out[lo:hi] = _residual_means(self.s[:, lo:hi].swapaxes(0, 1),
+                                         self.s_inv[:, lo:hi].swapaxes(0, 1))
         return out
+
+
+def _residual_means(s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Mean over paths of |S X - I| per node of node-major (nodes, paths, n, n)
+    blocks of S and X.
+
+    The paths are added in order, by a running sum along them: a plain mean
+    over a contiguous path axis would add them pairwise, and then the bits
+    would depend on how the nodes were blocked.
+    """
+    prod = s @ x
+    idx = np.arange(s.shape[-1])
+    prod[..., idx, idx] -= 1.0
+    norms = operator_norm(prod)
+    return np.cumsum(norms, axis=1)[:, -1] / norms.shape[1]
 
 
 def integrate_exponential(field: CoefficientField, paths: PathEnsemble) -> np.ndarray:
@@ -105,6 +128,10 @@ def integrate_terminal(field: CoefficientField, grid: TimeGrid, inc: np.ndarray,
     s = np.empty((inc.shape[0], n, n))
     s[:] = np.eye(n)
     tmp = np.empty_like(s)
+    # A 1 x 1 product is a plain multiply.  matmul writes +0.0 where the
+    # product is -0.0, but S never is -0.0 (it starts at 1), so s + tmp and
+    # every later value keep their bits.
+    product = np.multiply if n == 1 else np.matmul
     # -0.0 + y == y for every y, so run is the cumsum of the increments exactly
     run = np.full_like(x0, -0.0)
     x = x0.copy()
@@ -113,7 +140,7 @@ def integrate_terminal(field: CoefficientField, grid: TimeGrid, inc: np.ndarray,
             run += inc[:, k - 1]
             np.add(run, x0, out=x)
         a = field.at(float(grid.nodes[k]), x)
-        np.matmul(s, contract_adb(a, inc[:, k]), out=tmp)
+        product(s, contract_adb(a, inc[:, k]), out=tmp)
         s += tmp
     return s
 
@@ -124,24 +151,30 @@ def integrate_inverse(field: CoefficientField, paths: PathEnsemble) -> np.ndarra
 
 
 def simulate_exponential(field: CoefficientField, paths: PathEnsemble,
-                         inverse: bool = True) -> ExponentialEnsemble:
+                         inverse: bool = True, residual: bool = False) -> ExponentialEnsemble:
     """S, and with `inverse` X = S^{-1}, in one Euler pass from S_0 = X_0 = I.
 
     A_k and A_k dB_k are formed once per step for both.  The steps run on
     node-major blocks of about _STEP_BLOCK_BYTES per array, so every node is
-    contiguous; each finished block is copied into the path-major arrays, and
-    its last node starts the next block.
+    contiguous; each finished block of S (and of X with `inverse`) is copied
+    into a path-major array, and its last node starts the next block.  With
+    `residual`, X is integrated whether or not it is kept, and the mean of
+    |S_k X_k - I| is measured on each finished block into `residual`.
     """
     m, k_steps, n = paths.paths, paths.grid.steps, field.n
     dt, inc = paths.grid.dt, paths.increments
     blocks = _step_blocks(k_steps, m * n * n * 8)
+    # outs: S, and X if kept; work: S, and X if integrated
     outs = [np.empty((m, k_steps + 1, n, n)) for _ in range(1 + inverse)]
-    work = [np.empty((blocks[0][1] + 1, m, n, n)) for _ in outs]
-    for out, w in zip(outs, work):
-        out[:, 0] = w[0] = np.eye(n)
-    s, x = work[0], work[-1]
+    work = [np.empty((blocks[0][1] + 1, m, n, n)) for _ in range(1 + (inverse or residual))]
+    for arr in outs:
+        arr[:, 0] = np.eye(n)
+    for w in work:
+        w[0] = np.eye(n)
+    s, x = work[0], work[1] if len(work) > 1 else None
     drift, noise = np.empty((m, n, n)), np.empty((m, n, n))
     bad = np.zeros(m, dtype=bool)
+    resid = np.zeros(k_steps + 1) if residual else None   # S_0 X_0 - I = 0
     for lo, hi in blocks:
         for j, k in enumerate(range(lo, hi)):
             a = field.values(paths, k)
@@ -150,17 +183,21 @@ def simulate_exponential(field: CoefficientField, paths: PathEnsemble,
             # addition commutes, so this is S_k + S_k (A dB) bit for bit
             np.matmul(s[j], a_db, out=s[j + 1])
             s[j + 1] += s[j]
-            if inverse:
+            if x is not None:
                 np.matmul(mat_square(a), x[j], out=drift)
                 drift *= dt[k]
                 np.matmul(a_db, x[j], out=noise)
                 np.add(x[j], drift, out=x[j + 1])
                 x[j + 1] -= noise
-        bad |= ~np.isfinite(s[1:hi - lo + 1]).all(axis=(0, 2, 3))
+        done = slice(1, hi - lo + 1)
+        bad |= ~np.isfinite(s[done]).all(axis=(0, 2, 3))
+        if residual:
+            resid[lo + 1:hi + 1] = _residual_means(s[done], x[done])
         for out, w in zip(outs, work):
-            out[:, lo + 1:hi + 1] = w[1:hi - lo + 1].swapaxes(0, 1)
+            out[:, lo + 1:hi + 1] = w[done].swapaxes(0, 1)
+        for w in work:
             w[0] = w[hi - lo]
-    return ExponentialEnsemble(field, paths, *outs, bad_paths=bad)
+    return ExponentialEnsemble(field, paths, *outs, bad_paths=bad, residual=resid)
 
 
 @dataclass
@@ -300,17 +337,28 @@ def martingale_defect(expo: ExponentialEnsemble) -> MartingaleDefectReport:
     inflates both the plain defect and its error bar, but not the median.
     """
     keep = ~expo.bad_paths
+    # boolean indexing: a private copy of the block
+    return defect_profile(keep, expo.n, expo.s.shape[1], lambda lo, hi: expo.s[keep, lo:hi])
+
+
+def defect_profile(keep: np.ndarray, n: int, nodes: int, kept_block) -> MartingaleDefectReport:
+    """martingale_defect of the paths `keep`, from S one node block at a time.
+
+    kept_block(lo, hi) returns the (kept paths, hi - lo, n, n) block of S at
+    nodes lo <= k < hi, a private copy that the reduction overwrites.  The
+    blocks are node_blocks of the kept paths, whatever produces them: a
+    stored ensemble or a closed form that never stores S.
+    """
     m = int(keep.sum())
     if m == 0:
         raise ValueError("no finite paths in the ensemble")
-    n, k1 = expo.n, expo.s.shape[1]
-    mean = np.empty((k1, n, n))
-    se = np.empty((k1, n, n))
-    group = np.empty(k1)
+    mean = np.empty((nodes, n, n))
+    se = np.empty((nodes, n, n))
+    group = np.empty(nodes)
     eye = np.eye(n)
     parts = np.array_split(np.arange(m), min(8, m))
-    for lo, hi in node_blocks(k1, m * n * n * 8, n * n):
-        s = expo.s[keep, lo:hi]  # boolean indexing: a private copy of the block
+    for lo, hi in node_blocks(nodes, m * n * n * 8, n * n):
+        s = kept_block(lo, hi)
         mean[lo:hi] = s.mean(axis=0)
         group[lo:hi] = np.median(np.stack(
             [operator_norm(s[g].mean(axis=0) - eye) for g in parts]), axis=0)
@@ -318,10 +366,11 @@ def martingale_defect(expo: ExponentialEnsemble) -> MartingaleDefectReport:
         s -= mean[lo:hi]
         s *= s
         se[lo:hi] = np.sqrt(s.sum(axis=0) / (m - 1)) / np.sqrt(m)
+        del s   # before the next block is formed
     idx = np.arange(n)
     diag_gap = np.abs(mean[:, idx, idx] - 1.0)
     which = diag_gap.argmax(axis=1)
-    rows = np.arange(k1)
+    rows = np.arange(nodes)
     return MartingaleDefectReport(
         defect=operator_norm(mean - eye),
         std_error=np.sqrt((se**2).sum(axis=(1, 2))),

@@ -1,6 +1,9 @@
 import argparse
+import hashlib
+import importlib.util
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -451,6 +454,67 @@ def test_summary_config_reruns_to_identical_bytes(tmp_path, args, body):
     assert sorted(p.name for p in again.iterdir()) == names
     for name in names:
         assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
+
+# The rerun cases at one thread, then two commands whose work splits across
+# threads: 20000 paths fill two Brownian blocks, 5000 walk paths three walk
+# blocks.  tools/update_goldens.py records every case at one thread, so the
+# threaded cases also pin thread invariance.
+GOLDEN_CASES = [(args, body, 1) for args, body in _RERUN_CASES] + [
+    (["simulate-exponential"], {"T": 1.0, "K": 8, "M": 20000}, 2),
+    (["counterexample", "exit-time"], {"M": 5000, "dt": 1e-3}, 2),
+]
+GOLDEN_MANIFEST = Path(__file__).parent / "data" / "outputs.json"
+
+
+def golden_case_id(args: list, threads: int) -> str:
+    return " ".join(args + (["--threads", str(threads)] if threads > 1 else []))
+
+
+def golden_environment() -> dict:
+    """What the manifest's bits may depend on beyond the package source."""
+    return {"numpy": np.__version__, "platform": f"{platform.system()}-{platform.machine()}"}
+
+
+def run_golden_case(args: list, body: dict, threads: int, out: Path) -> dict:
+    """{artifact name: bytes} of one case run at seed 3 into `out`."""
+    cfg = out.parent / f"{out.name}.json"
+    cfg.write_text(json.dumps(body))
+    assert run(args + ["--config", cfg, "--seed", 3, "--threads", threads, "--out", out]) == 0
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def _compare_outputs():
+    spec = importlib.util.spec_from_file_location(
+        "compare_outputs", Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("args,body,threads", GOLDEN_CASES,
+                         ids=[golden_case_id(args, t) for args, _, t in GOLDEN_CASES])
+def test_outputs_match_golden_manifest(tmp_path, args, body, threads):
+    # the manifest keeps each artifact's text beside its sha256, so that a
+    # mismatch reports the largest relative difference of its numbers
+    manifest = json.loads(GOLDEN_MANIFEST.read_text())
+    case = golden_case_id(args, threads)
+    want = manifest["cases"][case]
+    got = run_golden_case(args, body, threads, tmp_path / "out")
+    failures = []
+    for name in sorted(set(want) | set(got)):
+        if name not in got or name not in want:
+            failures.append(f"{case}/{name}: {'not written' if name in want else 'new'}")
+        elif hashlib.sha256(got[name]).hexdigest() != want[name]["sha256"]:
+            golden = tmp_path / "golden" / name
+            golden.parent.mkdir(exist_ok=True)
+            golden.write_text(want[name]["text"])
+            verdict = _compare_outputs().compare_file(golden, tmp_path / "out" / name)
+            failures.append(f"{case}/{name}: {verdict}")
+    if failures and manifest["environment"] != golden_environment():
+        failures.append(f"manifest made with {manifest['environment']}, "
+                        f"this run has {golden_environment()}")
+    assert not failures, "\n".join(failures)
 
 
 def test_exponential_run_byte_reproducible(tmp_path):

@@ -228,6 +228,48 @@ def test_streamed_nested_matches_whole_ensemble_bitwise(name):
                 assert a.tobytes() == b.tobytes()
 
 
+def _terminal_by_matmul(field, grid, inc, x0):
+    """integrate_terminal with every 1 x 1 product taken by matmul, and the
+    number of products that matmul gives as +0.0 where a multiply gives -0.0."""
+    from bsde_lab.tensors import contract_adb
+    s = np.ones((inc.shape[0], 1, 1))
+    tmp = np.empty_like(s)
+    run = np.full_like(x0, -0.0)
+    x = x0.copy()
+    flips = 0
+    for k in range(grid.steps):
+        if k:
+            run += inc[:, k - 1]
+            np.add(run, x0, out=x)
+        a_db = contract_adb(field.at(float(grid.nodes[k]), x), inc[:, k])
+        np.matmul(s, a_db, out=tmp)
+        flips += int((np.signbit(s * a_db) != np.signbit(tmp)).sum())
+        s += tmp
+    return s, flips
+
+
+@pytest.mark.parametrize("name", ["scalar-half", "zero", "sign-switch"])
+def test_scalar_terminal_multiply_matches_matmul(name):
+    from bsde_lab.exponential import integrate_terminal
+    from bsde_lab.fields import CoefficientField
+    from bsde_lab.instances import scalar_half
+    fields = {
+        "scalar-half": scalar_half(),
+        "zero": scalar_field(0.0),
+        # A = 3 drives some S below 0, then A = 0 once B >= 0.2: a zero
+        # product S (A dB) that a multiply signs -0.0 and matmul +0.0
+        "sign-switch": CoefficientField(1, 1, lambda t, x: np.where(
+            x[:, :1, None, None] < 0.2, 3.0, 0.0)),
+    }
+    grid = TimeGrid(1.0, 16)
+    paths = generate_brownian(grid, 1, 2000, seed=8)
+    x0 = paths.state_at(0)
+    got = integrate_terminal(fields[name], grid, paths.increments, x0)
+    want, flips = _terminal_by_matmul(fields[name], grid, paths.increments, x0)
+    assert got.tobytes() == want.tobytes()
+    assert (flips > 0) == (name == "sign-switch")
+
+
 def test_streamed_nested_memory_grows_by_one_float_per_inner_path():
     import tracemalloc
     from bsde_lab.exponential import _nested_ratio_moment

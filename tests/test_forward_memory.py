@@ -9,9 +9,10 @@ import pytest
 from bsde_lab import (TimeGrid, generate_brownian, martingale_defect,
                       simulate_exponential)
 from bsde_lab import exponential as ex
-from bsde_lab.counterexamples import emery_closed_form
-from bsde_lab.fields import CoefficientField, StoppedRotationField
+from bsde_lab.counterexamples import emery_closed_form, emery_defect_profile
+from bsde_lab.fields import CoefficientField, StoppedRotationField, left_outer_field
 from bsde_lab.instances import scalar_half, triangular_3d
+from bsde_lab.linear import left_outer_exponential
 from bsde_lab.norms import RegressionConditional
 from bsde_lab.tensors import contract_adb, mat_square, operator_norm
 
@@ -216,6 +217,56 @@ def test_blocked_emery_closed_form_matches_whole_arrays(monkeypatch):
         assert np.array_equal(expo.bad_paths, bad_ref)
 
 
+@pytest.mark.parametrize("level,horizon", [(0.8, 3.0), (np.pi / 2, 1.0)])
+def test_streamed_emery_profile_matches_closed_form_defect(level, horizon, monkeypatch):
+    # level 0.8 on [0, 3]: most paths exit; pi/2 on [0, 1]: most do not
+    paths = generate_brownian(TimeGrid(horizon, K), 1, 400, seed=6)
+    expo = emery_closed_form(paths, level)
+    kept = int((~expo.bad_paths).sum())
+    assert 0 < kept < paths.paths
+    want = _defect_reference(expo)
+    for budget in _budgets(kept, 2) + [ex._NODE_BLOCK_BYTES]:
+        monkeypatch.setattr(ex, "_NODE_BLOCK_BYTES", budget)
+        rep = emery_defect_profile(paths, level)
+        for key, ref in want.items():
+            assert np.array_equal(getattr(rep, key), ref), (budget, key)
+
+
+@pytest.mark.parametrize("name", list(_integration_cases()))
+@pytest.mark.parametrize("inverse", [True, False])
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")   # blow-up
+def test_in_pass_residual_matches_whole_arrays(name, inverse, monkeypatch):
+    field, paths = _integration_cases()[name]
+    full = simulate_exponential(field, paths)
+    want = _residual_reference(full)
+    if name == "blow-up":
+        assert np.isnan(want).any()
+    for budget in _budgets(paths.paths, field.n) + [ex._STEP_BLOCK_BYTES]:
+        monkeypatch.setattr(ex, "_STEP_BLOCK_BYTES", budget)
+        expo = simulate_exponential(field, paths, inverse=inverse, residual=True)
+        assert np.array_equal(expo.inverse_residual_profile(), want, equal_nan=True), budget
+        assert np.array_equal(expo.s, full.s, equal_nan=True), budget
+        assert np.array_equal(expo.bad_paths, full.bad_paths), budget
+        if inverse:
+            assert np.array_equal(expo.s_inv, full.s_inv, equal_nan=True), budget
+        else:
+            assert expo.s_inv is None
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value", "ignore:divide by zero")
+def test_bad_paths_by_node_block_follow_the_finite_rule(monkeypatch):
+    # b = 1e308 once B > 0.3: S = I + a m^T overflows on those paths
+    fld = left_outer_field([10.0, 1.0], lambda t, x: np.where(
+        x[:, :1, None] > 0.3, 1e308, 0.4) * np.ones((1, 2, 1)), 1)
+    paths = generate_brownian(TimeGrid(1.0, K), 1, 400, seed=5)
+    for budget in _budgets(paths.paths, fld.n) + [ex._STEP_BLOCK_BYTES]:
+        monkeypatch.setattr(ex, "_STEP_BLOCK_BYTES", budget)
+        expo = left_outer_exponential(fld, paths)
+        rule = ~np.isfinite(expo.s.reshape(paths.paths, -1)).all(axis=1)
+        assert 0 < rule.sum() < paths.paths
+        assert np.array_equal(expo.bad_paths, rule), budget
+
+
 def test_node_blocks_cover_the_grid_with_two_entries_per_path(monkeypatch):
     monkeypatch.setattr(ex, "_NODE_BLOCK_BYTES", 1)
     for nodes, entries in [(51, 1), (52, 1), (51, 4), (2, 1)]:
@@ -278,4 +329,24 @@ def test_fused_integration_memory_is_bounded():
                           - 2 * (k_steps + 1) * node)
         del paths
     assert extra[800] < 2 * (ex._STEP_BLOCK_BYTES + node) + 16 * node, extra
+    assert extra[1600] < 1.1 * extra[800], extra
+
+
+def test_streamed_profiles_memory_does_not_grow_with_k():
+    """The Emery defect profile holds no S, and the residual pass no S^{-1}."""
+    fld, m = triangular_3d(), 300
+    node = m * fld.n * fld.n * 8
+    emery, extra = {}, {}
+    for k_steps in (800, 1600):
+        paths = generate_brownian(TimeGrid(6.0, k_steps), 1, 2000, seed=3)
+        paths.states   # cached before tracing: the closed form reads it
+        emery[k_steps] = _peak_bytes(lambda: emery_defect_profile(paths))
+        paths = generate_brownian(TimeGrid(1.0, k_steps), 1, m, seed=9)
+        paths.states
+        extra[k_steps] = (_peak_bytes(lambda: simulate_exponential(
+            fld, paths, inverse=False, residual=True)) - (k_steps + 1) * node)
+        del paths
+    assert emery[800] < 0.25 * 2000 * 801 * 2 * 2 * 8, emery
+    assert extra[800] < 0.25 * 801 * node, extra
+    assert emery[1600] < 1.1 * emery[800], emery
     assert extra[1600] < 1.1 * extra[800], extra

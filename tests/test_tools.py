@@ -27,6 +27,15 @@ def test_compare_outputs_same_tree_is_identical(tmp_path):
     assert rows == [("solution.csv", "identical"), ("summary.json", "identical")]
 
 
+def test_update_goldens_rewrites_the_committed_manifest():
+    spec = importlib.util.spec_from_file_location(
+        "update_goldens", ROOT / "tools" / "update_goldens.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    cli = tool._test_cli()
+    assert tool.manifest(cli) == json.loads(cli.GOLDEN_MANIFEST.read_text())
+
+
 def test_compare_file_reports_largest_relative_difference(tmp_path):
     tool = _compare_outputs()
     a, b, c = (tmp_path / f"{n}.csv" for n in "abc")
