@@ -690,6 +690,11 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="bsde-lab",
         description="stochastic exponential / BSDE numerical laboratory")
+    env_threads = os.environ.get("BSDE_LAB_THREADS", "1")
+    try:
+        threads = int(env_threads)
+    except ValueError:
+        ap.error(f"BSDE_LAB_THREADS must be an integer, got {env_threads!r}")
     sub = ap.add_subparsers(dest="command", required=True)
     for name, (kind, _) in RUNNERS.items():
         sp = sub.add_parser(name)
@@ -698,8 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("which", choices=props["which"]["enum"], nargs="?")
         sp.add_argument("--config", default=None)
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--threads", type=int,
-                        default=int(os.environ.get("BSDE_LAB_THREADS", "1")))
+        sp.add_argument("--threads", type=int, default=threads)
         sp.add_argument("--out", default="out")
         if name == "solve-linear":   # each flag's dest is the config key it sets
             sp.add_argument("--structure", dest="instance",

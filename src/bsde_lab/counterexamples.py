@@ -35,23 +35,14 @@ HEAVY_TAIL_LEVEL = np.pi / 3
 
 
 def _emery_exits(paths: PathEnsemble, level: float) -> tuple:
-    """(stop, exit angle, exit time) per path: stop is the first grid node
-    where |B| >= level, or the node count if there is none; the angle is the
-    state clamped to +-level there and the time that node's time.
-
-    The grid is scanned in node blocks, so no (M, K+1) temporary exists.
-    """
+    """(stop, exit angle, exit time) per path: stop is the stopping node of
+    `StoppedRotationField(level)`, the angle is the state clamped to +-level
+    there and the time that node's time."""
     if paths.d != 1:
         raise ConfigurationError("the rotation example lives on a 1-d Brownian motion")
-    b = paths.states[:, :, 0]
-    m, k1 = b.shape
-    stop = np.full(m, k1)
-    for lo, hi in node_blocks(k1, m * 8, 1):
-        hit = np.abs(b[:, lo:hi]) >= level
-        new = (stop == k1) & hit.any(axis=1)
-        stop[new] = lo + hit[new].argmax(axis=1)
-    first = np.minimum(stop, k1 - 1)
-    exit_angle = np.sign(b[np.arange(m), first]) * level
+    stop = StoppedRotationField(level).stop(paths)
+    first = np.minimum(stop, paths.grid.steps)
+    exit_angle = np.sign(paths.states[np.arange(paths.paths), first, 0]) * level
     return stop, exit_angle, paths.grid.nodes[first]
 
 
@@ -586,7 +577,7 @@ def nonexistence_blowup(spec: NonexistenceSpec, j_max: int, paths_per_level: int
     est = np.array([r.estimate for r in per_level])
     ses = np.array([r.std_error for r in per_level])
     j = np.arange(1, j_max + 1)
-    w = 0.5 ** np.arange(1, j_max + 1)
+    w = spec.partition_weights(j_max)
     partial = np.array([spec.partial_sum(int(x)) for x in j])
     sim = np.cumsum(w * est)
     sim_se = np.sqrt(np.cumsum((w * ses) ** 2))     # levels are independent

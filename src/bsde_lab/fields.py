@@ -20,7 +20,6 @@ from .grids import ConfigurationError
 STRUCTURES = (
     "generic",
     "lower_triangular",
-    "diagonal",
     "right_outer",
     "left_outer",
 )
@@ -57,25 +56,14 @@ class CoefficientField:
                 f"({m}, {self.n}, {self.n}, {self.d})")
         return out
 
-    def check_structure(self, sample: np.ndarray, atol: float = 1e-12) -> bool:
-        """True when a sampled MatD batch is consistent with the declared tag."""
-        if self.structure == "lower_triangular":
-            i, j = np.triu_indices(self.n, k=1)
-            return bool(np.all(np.abs(sample[..., i, j, :]) <= atol))
-        if self.structure == "diagonal":
-            off = ~np.eye(self.n, dtype=bool)
-            return bool(np.all(np.abs(sample[..., off, :]) <= atol))
-        return True
 
-
-def constant_field(a0: np.ndarray, structure: str = "generic",
-                   name: str = "constant") -> CoefficientField:
+def constant_field(a0: np.ndarray, name: str = "constant") -> CoefficientField:
     """Field with A(t, x) identically equal to a0 (shape (n, n, d))."""
     a0 = np.asarray(a0, dtype=float)
     if a0.ndim != 3 or a0.shape[0] != a0.shape[1]:
         raise ConfigurationError(f"constant field needs shape (n, n, d), got {a0.shape}")
     n, _, d = a0.shape
-    return CoefficientField(n, d, lambda t, x: a0, structure, True, name)
+    return CoefficientField(n, d, lambda t, x: a0, "generic", True, name)
 
 
 def zero_field(n: int, d: int) -> CoefficientField:
@@ -84,7 +72,7 @@ def zero_field(n: int, d: int) -> CoefficientField:
 
 def scalar_field(a: float, name: str = "scalar") -> CoefficientField:
     """n = d = 1 field with constant entry a."""
-    return constant_field(np.full((1, 1, 1), float(a)), structure="diagonal", name=name)
+    return constant_field(np.full((1, 1, 1), float(a)), name=name)
 
 
 def _vecd_at(fn: Callable, t: float, x: np.ndarray, n: int, d: int) -> np.ndarray:
@@ -142,9 +130,10 @@ def left_outer_field(a, b_eval, d: int, name: str = "left_outer") -> LeftOuterFi
 class StoppedRotationField(CoefficientField):
     """2x2 rotation generator switched off at the exit of |B| from a level.
 
-    A(t) = [[0, 1], [-1, 0]] while max_{j <= k} |B_{t_j}| < level, then 0.
-    Path-dependent, so conditional estimators must use regression on the
-    (state, alive) pair rather than sub-simulation restarts.
+    A(t) = [[0, 1], [-1, 0]] at nodes k before the stopping node, the first
+    node where |B| >= level, then 0.  Path-dependent, so conditional
+    estimators must use regression on the (state, stopping node) pair rather
+    than sub-simulation restarts.
     """
 
     def __init__(self, level: float = np.pi / 2):
@@ -153,15 +142,23 @@ class StoppedRotationField(CoefficientField):
         self._j = np.array([[0.0, 1.0], [-1.0, 0.0]])
         self._cache = weakref.WeakKeyDictionary()
 
-    def alive(self, paths: PathEnsemble) -> np.ndarray:
-        """alive[m, k] = path m has not touched +-level at nodes 0..k."""
+    def stop(self, paths: PathEnsemble) -> np.ndarray:
+        """(paths,) first grid node where |B| >= level, or the node count if
+        there is none.  The grid is scanned in node blocks, so no
+        (paths, nodes) temporary exists."""
         if paths not in self._cache:
-            hit = np.abs(paths.states[:, :, 0]) >= self.level
-            self._cache[paths] = ~np.maximum.accumulate(hit, axis=1)
+            from .exponential import node_blocks     # exponential imports this module
+            b = paths.states[:, :, 0]
+            m, k1 = b.shape
+            stop = np.full(m, k1)
+            for lo, hi in node_blocks(k1, m * 8, 1):
+                hit = np.abs(b[:, lo:hi]) >= self.level
+                new = (stop == k1) & hit.any(axis=1)
+                stop[new] = lo + hit[new].argmax(axis=1)
+            self._cache[paths] = stop
         return self._cache[paths]
 
     def values(self, paths: PathEnsemble, k: int) -> np.ndarray:
-        alive = self.alive(paths)[:, k]
         out = np.zeros((paths.paths, 2, 2, 1))
-        out[alive, :, :, 0] = self._j
+        out[self.stop(paths) > k, :, :, 0] = self._j
         return out

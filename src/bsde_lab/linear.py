@@ -317,7 +317,8 @@ def _triangular(fld: CoefficientField, paths: PathEnsemble, degree: int) -> Call
 
     def core(xi, beta):
         a_vals = [fld.values(paths, k) for k in range(ksteps)]
-        if not fld.check_structure(a_vals[0], atol=1e-10):
+        upper = np.triu_indices(n, k=1)
+        if not np.all(np.abs(a_vals[0][:, upper[0], upper[1], :]) <= 1e-10):
             raise ConfigurationError("field values are not lower triangular")
         y = np.empty((m, ksteps + 1, n))
         z = np.empty((m, ksteps, n, d))
@@ -538,34 +539,3 @@ def batch_y0(solver, spec: LinearBsdeSpec, paths: PathEnsemble, batches: int = 8
         vals.append(sol.y[:, 0].mean(axis=0))
     vals = np.stack(vals)
     return vals.mean(axis=0), vals.std(axis=0, ddof=1) / np.sqrt(batches)
-
-
-def estimate_solution_operator_norm(solver, make_spec, family, paths: PathEnsemble,
-                                    q: float = np.inf, **kw) -> dict:
-    """Empirical lower bound on the solution-operator norm over a test family.
-
-    family: iterable of (name, terminal_fn, beta_fn-or-None).  The reported
-    value max (||Y||_{S^q} + ||Z||) / (||xi||_{L^q} + ||beta||_{L^{1,q}}) is a
-    lower bound on the true operator norm and is labeled as such.
-    """
-    family = list(family)
-    if not family:
-        raise ConfigurationError("empty test family")
-    rows = []
-    for name, term, beta_fn in family:
-        spec = make_spec(term, beta_fn)
-        sol = solver(spec, paths, **kw)
-        xi = np.asarray(term(paths), dtype=float).reshape(paths.paths, -1)
-        xi_size = np.sqrt((xi * xi).sum(axis=1))
-        xin = float(xi_size.max() if np.isinf(q) else (xi_size**q).mean() ** (1.0 / q))
-        norms = sol.norm_report(q)
-        ynorm, znorm = norms["y"].value, norms["z"].value
-        bnorm = 0.0
-        if beta_fn is not None:
-            bnorm = estimate_norm("l1q", _per_step(beta_fn, paths), paths, q=q).value
-        denom = xin + bnorm
-        rows.append({"name": name, "ratio": (ynorm + znorm) / denom if denom else np.inf,
-                     "y_norm": ynorm, "z_norm": znorm, "xi_norm": xin, "beta_norm": bnorm})
-    best = max(rows, key=lambda r: r["ratio"])
-    return {"operator_norm_lower_bound": best["ratio"], "attained_by": best["name"],
-            "q": q, "rows": rows}

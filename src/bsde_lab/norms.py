@@ -109,13 +109,12 @@ class RegressionConditional:
         return (q @ (q.T @ flat)).reshape(y.shape)
 
 
-def _integrand_sizes(values: np.ndarray, grid_steps: int) -> np.ndarray:
-    """|values| per (path, step), reducing any trailing component axes."""
+def _integrand_sizes(values: np.ndarray, paths: int, nodes: int) -> np.ndarray:
+    """|values| per (path, node), reducing any trailing component axes."""
     v = np.asarray(values, dtype=float)
-    if v.ndim < 2 or v.shape[1] != grid_steps:
-        raise ValueError(
-            f"expected per-step values with shape (paths, {grid_steps}, ...), got {v.shape}")
-    return np.sqrt((v * v).reshape(v.shape[0], grid_steps, -1).sum(axis=-1))
+    if v.ndim < 2 or v.shape[:2] != (paths, nodes):
+        raise ValueError(f"expected values with shape ({paths}, {nodes}, ...), got {v.shape}")
+    return np.sqrt((v * v).reshape(paths, nodes, -1).sum(axis=-1))
 
 
 def _lp_mean(samples: np.ndarray, q: float) -> tuple[float, float]:
@@ -162,20 +161,16 @@ def estimate_norm(kind: str, values: np.ndarray, paths: PathEnsemble,
         if q is None or q < 1:
             raise ValueError(f"{kind} requires q >= 1")
         if kind == "sup_p":
-            v = np.asarray(values, dtype=float)
-            if v.shape[0] != paths.paths or v.shape[1] != k_steps + 1:
-                raise ValueError(
-                    f"expected node values (paths, {k_steps + 1}, ...), got {v.shape}")
-            sizes = np.sqrt((v * v).reshape(v.shape[0], v.shape[1], -1).sum(axis=-1))
-            per_path = sizes.max(axis=1)
+            per_path = _integrand_sizes(values, paths.paths, k_steps + 1).max(axis=1)
         else:
-            path_integral = (_integrand_sizes(values, k_steps)**power * dt[None, :]).sum(axis=1)
+            path_integral = (_integrand_sizes(values, paths.paths, k_steps)**power
+                             * dt[None, :]).sum(axis=1)
             per_path = np.sqrt(path_integral) if kind == "l2q" else path_integral
         value, se = _max_order_stat(per_path) if np.isinf(q) else _lp_mean(per_path, q)
         return NormEstimate(kind, value, se)
 
     # bmo kinds: grid-time max over estimated conditional remainders.
-    contrib = _integrand_sizes(values, k_steps)**power * dt[None, :]
+    contrib = _integrand_sizes(values, paths.paths, k_steps)**power * dt[None, :]
     # remaining[:, k] = sum_{j >= k} contrib_j, with remaining[:, K] = 0
     remaining = np.zeros((paths.paths, k_steps + 1))
     remaining[:, :-1] = contrib[:, ::-1].cumsum(axis=1)[:, ::-1]

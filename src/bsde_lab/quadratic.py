@@ -143,36 +143,12 @@ def evaluate_driver(driver, t, x, y, z) -> np.ndarray:
     return np.asarray(driver(t, x, y, z), dtype=float)
 
 
-def sampled_lipschitz(driver, rng: np.random.Generator) -> float:
-    """Crude sampled Lipschitz constant of the driver's g-part in (y, z)."""
-    g = driver.g
-    if g is None:
-        return 0.0
-    worst = 0.0
-    for _ in range(200):
-        x = rng.normal(size=(1, driver.d))
-        y1, y2 = rng.normal(scale=2.0, size=(2, 1, driver.n))
-        z1, z2 = rng.normal(scale=2.0, size=(2, 1, driver.n, driver.d))
-        num = np.linalg.norm(g(0.0, x, y1, z1) - g(0.0, x, y2, z2))
-        den = np.linalg.norm(y1 - y2) + np.linalg.norm(z1 - z2)
-        if den > 1e-12:
-            worst = max(worst, num / den)
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # truncation
 
 def _vecd_norm(z: np.ndarray) -> np.ndarray:
     """Full (Frobenius) norm of batched VecD arrays (..., n, d)."""
     return np.sqrt((z * z).reshape(z.shape[:-2] + (-1,)).sum(axis=-1))
-
-
-def radial_clamp(v: np.ndarray, k: float) -> np.ndarray:
-    """Smooth radial clamp: identity for |v| <= k, C^2 flattening to radius
-    1.5 k by |v| = 2k; 1-Lipschitz and |clamp(v)| <= |v|."""
-    v = np.asarray(v, dtype=float)
-    return _apply_radial(v, _vecd_norm(v) if v.ndim >= 2 else np.abs(v), k)
 
 
 def _clamp_profile(r: np.ndarray, k: float) -> np.ndarray:
@@ -199,7 +175,9 @@ def _apply_radial(v: np.ndarray, r: np.ndarray, k: float) -> np.ndarray:
 
 
 def clamp_vector(v: np.ndarray, k: float) -> np.ndarray:
-    """Radial clamp of batched plain vectors (..., d)."""
+    """Radial clamp of batched plain vectors (..., d): identity for |v| <= k,
+    C^2 flattening to radius 1.5 k by |v| = 2k; 1-Lipschitz and
+    |clamp(v)| <= |v|."""
     v = np.asarray(v, dtype=float)
     return _apply_radial(v, np.sqrt((v * v).sum(axis=-1)), k)
 
@@ -371,11 +349,10 @@ def positively_spans(vectors: np.ndarray) -> tuple[bool, dict]:
     return True, cert
 
 
-def check_ab_condition(cond: AbCondition, driver, paths_or_rng, samples: int = 400) -> dict:
+def check_ab_condition(cond: AbCondition, driver, rng: np.random.Generator,
+                       samples: int = 400) -> dict:
     """Report on condition (AB) for a driver: spanning certificate plus the
     worst sampled margin of a_m^T f <= rho + |a_m^T z|^2 / 2."""
-    rng = paths_or_rng if isinstance(paths_or_rng, np.random.Generator) \
-        else np.random.default_rng(0)
     spanning, cert = positively_spans(cond.vectors)
     worst = np.inf
     violations = []

@@ -92,9 +92,7 @@ def conditional_expectation(filt: FiniteFiltration, leaf_values: np.ndarray,
     vals = np.asarray(leaf_values, dtype=float)
     if vals.shape[0] != filt.leaves:
         raise ConfigurationError(f"expected {filt.leaves} leaf values, got {vals.shape[0]}")
-    for k in range(filt.steps, level, -1):
-        vals = vals.reshape((filt.nodes_at(k - 1), filt.branching) + vals.shape[1:]).mean(axis=1)
-    return vals
+    return all_conditional_expectations(filt, vals)[level]
 
 
 def all_conditional_expectations(filt: FiniteFiltration, leaf_values: np.ndarray) -> list:

@@ -419,13 +419,23 @@ def test_linear_q_flag_refused_up_front(tmp_path, capsys):
     assert not out.exists()
 
 
+def golden_case_id(args: list, body: dict, threads: int) -> str:
+    # a field chosen in the config body is named, as no flag sets it
+    field = [f"field={body['field']}"] if "field" in body else []
+    return " ".join(args + field + (["--threads", str(threads)] if threads > 1 else []))
+
+
 _SMALL_GRID = {"T": 1.0, "K": 8, "M": 300}
-# Every command, and every solve-linear flag: arguments and config file body.
+# Every command, every solve-linear flag, the emery field and every oracle:
+# arguments and config file body.
 _RERUN_CASES = [
     (["simulate-exponential"], _SMALL_GRID),
+    (["simulate-exponential"], {**_SMALL_GRID, "field": "emery"}),
     (["estimate-rp"], _SMALL_GRID),
+    (["estimate-rp"], {**_SMALL_GRID, "field": "emery"}),
     (["solve-linear"], _SMALL_GRID),
     (["solve-linear", "--structure", "left-outer"], _SMALL_GRID),
+    (["solve-linear", "--structure", "right-outer"], _SMALL_GRID),
     (["solve-linear", "--method", "regression"], _SMALL_GRID),
     (["solve-linear", "--q", "2"], _SMALL_GRID),
     (["solve-linear", "--q", "inf"], _SMALL_GRID),
@@ -435,12 +445,14 @@ _RERUN_CASES = [
     (["counterexample", "emery"], {"T": 1.0, "K": 16, "M": 300, "effective_horizon": 2.0}),
     (["counterexample", "nonexistence"], {"j_max": 2, "paths_per_level": 50}),
     (["oracle", "bsde"], {"instances": 3}),
+    (["oracle", "duality"], {"instances": 3}),
+    (["oracle", "rp"], {"instances": 3}),
     (["equivalence-suite"], {"depths": [2, 3]}),
 ]
 
 
 @pytest.mark.parametrize("args,body", _RERUN_CASES,
-                         ids=[" ".join(args) for args, _ in _RERUN_CASES])
+                         ids=[golden_case_id(args, body, 1) for args, body in _RERUN_CASES])
 def test_summary_config_reruns_to_identical_bytes(tmp_path, args, body):
     # the config a summary embeds, flags included, re-runs to the same files
     cfg = tmp_path / "cfg.json"
@@ -467,10 +479,6 @@ GOLDEN_CASES = [(args, body, 1) for args, body in _RERUN_CASES] + [
 GOLDEN_MANIFEST = Path(__file__).parent / "data" / "outputs.json"
 
 
-def golden_case_id(args: list, threads: int) -> str:
-    return " ".join(args + (["--threads", str(threads)] if threads > 1 else []))
-
-
 def golden_environment() -> dict:
     """What the manifest's bits may depend on beyond the package source."""
     return {"numpy": np.__version__, "platform": f"{platform.system()}-{platform.machine()}"}
@@ -493,12 +501,12 @@ def _compare_outputs():
 
 
 @pytest.mark.parametrize("args,body,threads", GOLDEN_CASES,
-                         ids=[golden_case_id(args, t) for args, _, t in GOLDEN_CASES])
+                         ids=[golden_case_id(args, body, t) for args, body, t in GOLDEN_CASES])
 def test_outputs_match_golden_manifest(tmp_path, args, body, threads):
     # the manifest keeps each artifact's text beside its sha256, so that a
     # mismatch reports the largest relative difference of its numbers
     manifest = json.loads(GOLDEN_MANIFEST.read_text())
-    case = golden_case_id(args, threads)
+    case = golden_case_id(args, body, threads)
     want = manifest["cases"][case]
     got = run_golden_case(args, body, threads, tmp_path / "out")
     failures = []
@@ -605,6 +613,14 @@ def test_threads_env_var_default(monkeypatch):
     monkeypatch.delenv("BSDE_LAB_THREADS")
     args = build_parser().parse_args(["simulate-exponential", "--threads", "2"])
     assert args.threads == 2
+
+
+def test_threads_env_var_not_an_integer_refused(monkeypatch, capsys):
+    monkeypatch.setenv("BSDE_LAB_THREADS", "abc")
+    with pytest.raises(SystemExit) as exc:
+        run(["list"])
+    assert exc.value.code == 2
+    assert "BSDE_LAB_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
 
 
 def test_equivalence_suite_exit_code(tmp_path):

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 import bsde_lab
 from bsde_lab import ConfigurationError, TimeGrid, generate_brownian
-from bsde_lab.brownian import substream
-from bsde_lab.counterexamples import (NonexistenceSpec, default_level_sequence,
+from bsde_lab.brownian import PathEnsemble, substream
+from bsde_lab.counterexamples import (NonexistenceSpec, _emery_exits, default_level_sequence,
                                       emery_closed_form, emery_defect_at_horizon,
                                       exit_time_exact, exit_time_exponential,
                                       exit_time_quantile, nonexistence_blowup)
@@ -160,6 +160,19 @@ def test_blowup_j1_with_pi_third_level():
 def test_emery_spec_field_roundtrip():
     fld = StoppedRotationField()
     assert fld.n == 2 and fld.d == 1 and not fld.markovian
+    # B hits +level exactly at node 2, jumps past -level between nodes 2
+    # and 3, and never exits: stop is 2, 3 and the node count 5
+    fld = StoppedRotationField(level=1.0)
+    inc = np.array([[0.5, 0.5, -0.5, -0.3], [-0.5, 0.75, -1.5, 1.25],
+                    [0.25, -0.5, 0.75, 0.25]])[:, :, None]
+    paths = PathEnsemble(TimeGrid(1.0, 4), 1, 3, 0, inc)
+    assert fld.stop(paths).tolist() == [2, 3, 5]
+    alive = ~np.maximum.accumulate(np.abs(paths.states[:, :, 0]) >= fld.level, axis=1)
+    rotation = np.array([[0.0, 1.0], [-1.0, 0.0]])[None, :, :, None]
+    for k in range(5):
+        want = np.where(alive[:, k, None, None, None], rotation, 0.0)
+        assert np.array_equal(fld.values(paths, k), want)
+    assert np.array_equal(_emery_exits(paths, fld.level)[0], fld.stop(paths))
 
 
 def _reference_walk(b, paths, dt, seed, horizon, bridge, chunk=64, tag=11):

@@ -4,14 +4,13 @@ import pytest
 from bsde_lab import TimeGrid, generate_brownian, scalar_field
 from bsde_lab import norms
 from bsde_lab.brownian import PathEnsemble
-from bsde_lab.fields import StoppedRotationField, constant_field
+from bsde_lab.fields import CoefficientField, StoppedRotationField, constant_field
 from bsde_lab.grids import ConfigurationError
 from bsde_lab.instances import (left_outer_3d, linear_terminal, right_outer_3d,
                                 triangular_3d)
 from bsde_lab.norms import RegressionConditional, poly_features
 from bsde_lab.linear import (LinearBsdeSpec, PicardDivergenceError,
-                             RepresentationInvalidError, batch_y0,
-                             estimate_solution_operator_norm, left_outer_exponential,
+                             RepresentationInvalidError, batch_y0, left_outer_exponential,
                              solve_auto, solve_by_regression, solve_by_representation,
                              solve_left_outer, solve_perturbed, solve_right_outer,
                              solve_triangular)
@@ -102,6 +101,12 @@ def test_right_outer_identity_and_guards(paths):
         solve_left_outer(LinearBsdeSpec(right_outer_3d(), TERMINAL3), paths)
     with pytest.raises(ConfigurationError):
         solve_triangular(LinearBsdeSpec(left_outer_3d(), TERMINAL3), paths)
+    # a field tagged lower triangular whose values are not
+    upper = np.zeros((3, 3, 1))
+    upper[0, 2, 0] = 1e-9
+    fld = CoefficientField(3, 1, lambda t, x: upper, structure="lower_triangular")
+    with pytest.raises(ConfigurationError, match="not lower triangular"):
+        solve_triangular(LinearBsdeSpec(fld, TERMINAL3), paths)
 
 
 def test_right_outer_zero_afield(paths):
@@ -138,7 +143,6 @@ def test_triangular_diagonal_decouples(paths):
         a[:, 1, 1, 0] = -0.2
         return a
 
-    from bsde_lab.fields import CoefficientField
     fld = CoefficientField(2, 1, diag_eval, structure="lower_triangular")
     xi_fn = lambda p: np.stack([p.states[:, -1, 0], np.tanh(p.states[:, -1, 0])], axis=1)
     sol = solve_triangular(LinearBsdeSpec(fld, xi_fn), paths)
@@ -291,24 +295,6 @@ def test_solve_auto_dispatch(paths):
     sol2 = solve_auto(LinearBsdeSpec(scalar_field(0.2), lambda p: p.states[:, -1]),
                       paths, method="representation")
     assert sol2.solver == "representation"
-
-
-def test_operator_norm_family(paths):
-    fld = triangular_3d()
-    family = [
-        ("constant", lambda p: np.ones((p.paths, 3)), None),
-        ("bounded", TERMINAL3, None),
-        ("with-beta", TERMINAL3, lambda p, k: 0.5 * np.ones((p.paths, 3))),
-    ]
-    res = estimate_solution_operator_norm(
-        solve_triangular, lambda t, b: LinearBsdeSpec(fld, t, beta=b),
-        family, paths.subset(np.arange(4000)), q=np.inf)
-    assert res["operator_norm_lower_bound"] >= 1.0
-    assert len(res["rows"]) == 3
-    with pytest.raises(ConfigurationError):
-        estimate_solution_operator_norm(
-            solve_triangular, lambda t, b: LinearBsdeSpec(fld, t, beta=b),
-            [], paths, q=np.inf)
 
 
 def test_solution_norm_report(paths):

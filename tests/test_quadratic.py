@@ -10,7 +10,7 @@ from bsde_lab.quadratic import (AbCondition, InvalidLyapunovPair, LyapunovPair,
                                 check_ab_condition, check_lyapunov, clamp_vecd,
                                 clamp_vector, cole_hopf_reference, evaluate_driver,
                                 linearized_difference_check, positively_spans,
-                                sampled_lipschitz, solve_quadratic, truncate_driver)
+                                solve_quadratic, truncate_driver)
 
 
 @pytest.fixture(scope="module")
@@ -52,12 +52,6 @@ def test_driver_shape_guards():
                         np.zeros((1, 2, 1)))
     with pytest.raises(ConfigurationError):
         QuadraticLinearDriver(2, 1, None, [5.0, 0.0], 1.0)   # |b| > L
-
-
-def test_sampled_lipschitz_flags_mismatch():
-    drv = ql_coupled_2d()
-    est = sampled_lipschitz(drv, np.random.default_rng(0))
-    assert est <= drv.lipschitz + 0.05
 
 
 # ---------------------------------------------------------------- clamp
@@ -562,11 +556,6 @@ def test_row_subset_clamp_matches_full_formula():
     z = _rows_at_radii(radii * 3, 6, rng).reshape(3, 2 * len(radii), 3, 2)
     z[:, 0, 1, 0] = np.nan                      # a NaN in an otherwise zero row
     assert clamp_vecd(z, k).tobytes() == _ref_clamp_vecd(z, k).tobytes()
-    # entrywise radial_clamp of a plain vector
-    from bsde_lab.quadratic import radial_clamp
-    flat = np.array([0.0, -0.0, 0.5 * k, -k, k, 1.5 * k, -2 * k, 3 * k, np.inf, np.nan])
-    assert radial_clamp(flat, k).tobytes() == \
-        _ref_apply_radial(flat, np.abs(flat), k).tobytes()
     # many random sizes: the subset has every length and alignment
     for size in range(1, 40):
         v = rng.normal(scale=2 * k, size=(size, 2))

@@ -172,6 +172,13 @@ def test_norm_rejects_bad_inputs(unit_paths):
         estimate_norm("bmo", np.ones((unit_paths.paths, 3, 1)), unit_paths)
 
 
+@pytest.mark.parametrize("kind,nodes,q", [("sup_p", 9, np.inf), ("l2q", 8, 2.0),
+                                          ("l1q", 8, 2.0), ("bmo", 8, None)])
+def test_norm_rejects_wrong_path_count(unit_paths, kind, nodes, q):
+    with pytest.raises(ValueError, match="expected values"):
+        estimate_norm(kind, np.ones((unit_paths.paths - 1, nodes, 1)), unit_paths, q=q)
+
+
 def test_bmo_markovian_nonconstant(unit_paths):
     # Z_t = B_t: E_t[int_t^T B_s^2 ds] = B_t^2 (T-t) + (T-t)^2/2; the sup over
     # grid nodes of the fitted values tracks the largest sampled |B_t|

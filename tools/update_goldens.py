@@ -35,7 +35,7 @@ def manifest(cli) -> dict:
     with tempfile.TemporaryDirectory(prefix="goldens-") as tmp:
         for i, (args, body, threads) in enumerate(cli.GOLDEN_CASES):
             files = cli.run_golden_case(args, body, 1, Path(tmp) / str(i))
-            cases[cli.golden_case_id(args, threads)] = {
+            cases[cli.golden_case_id(args, body, threads)] = {
                 name: {"sha256": hashlib.sha256(data).hexdigest(), "text": data.decode()}
                 for name, data in files.items()}
     return {"environment": cli.golden_environment(), "cases": cases}
