@@ -686,15 +686,25 @@ def _q_value(text: str):
 _FLAG_VALUE = {"instance": _STRUCTURE_TO_INSTANCE.__getitem__, "q": _q_value}
 
 
+def _thread_count(text: str) -> int:
+    """A thread count: an integer of at least 1."""
+    try:
+        threads = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if threads < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {threads}")
+    return threads
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="bsde-lab",
         description="stochastic exponential / BSDE numerical laboratory")
-    env_threads = os.environ.get("BSDE_LAB_THREADS", "1")
     try:
-        threads = int(env_threads)
-    except ValueError:
-        ap.error(f"BSDE_LAB_THREADS must be an integer, got {env_threads!r}")
+        threads = _thread_count(os.environ.get("BSDE_LAB_THREADS", "1"))
+    except argparse.ArgumentTypeError as exc:
+        ap.error(f"BSDE_LAB_THREADS {exc}")
     sub = ap.add_subparsers(dest="command", required=True)
     for name, (kind, _) in RUNNERS.items():
         sp = sub.add_parser(name)
@@ -703,7 +713,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("which", choices=props["which"]["enum"], nargs="?")
         sp.add_argument("--config", default=None)
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--threads", type=int, default=threads)
+        sp.add_argument("--threads", type=_thread_count, default=threads)
         sp.add_argument("--out", default="out")
         if name == "solve-linear":   # each flag's dest is the config key it sets
             sp.add_argument("--structure", dest="instance",
@@ -748,7 +758,7 @@ def main(argv=None) -> int:
                  for key, value in vars(args).items()
                  if value is not None and key in CONFIG_SCHEMAS[kind]["properties"]}
         cfg = load_config(args.config, kind, flags)
-        return runner(cfg, Path(args.out), threads=max(1, args.threads))
+        return runner(cfg, Path(args.out), threads=args.threads)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -13,10 +13,14 @@ are built from the same pieces: one martingale-representation step
 (`_represent`: N_k = E_k[h] and the centred increment regression Z~), one
 scalar exponential (`_scalar_exponential`) for the triangular, right-outer
 and left-outer reductions, and one backward-induction loop (`_backward`),
-which the quadratic solver runs with its inner Picard step.  Each method in
-`_METHODS` checks its field and does its per-solve work once, then returns a
-core that takes the terminal (M, n) and the inhomogeneity (M, K, n) as
-arrays, formed once per solve.
+which the quadratic solver runs with its inner Picard step.  The last two
+hold their working arrays node-major, (K+1, M, ...), so each per-step fit
+reads and writes one contiguous node, and return C-contiguous path-major
+copies.  Each method in `_METHODS` checks its field and does its per-solve
+work once (the gated exponential; the field values, coefficients and scalar
+exponential weights of the triangular and right-outer reductions), then
+returns a core that takes the terminal (M, n) and the inhomogeneity
+(M, K, n) as arrays, formed once per solve.
 """
 
 from __future__ import annotations
@@ -134,18 +138,23 @@ def _represent(paths: PathEnsemble, degree: int, h: np.ndarray) -> tuple:
 
     N_k is the fitted E_k[h] with N_K = h, shape (M, K+1, ...), and Z~_k is
     the increment regression of N_{k+1} centred at N_k, written into one
-    (M, K, ..., d) array that callers turn into their Z in place.
+    (M, K, ..., d) array that callers turn into their Z in place.  Both are
+    built node-major, so each fit reads and writes one contiguous node, then
+    each is copied once into the C-contiguous path-major array returned, its
+    node-major buffer freed before the next copy: at most one array is held
+    twice.
     """
-    m, ksteps = paths.paths, paths.grid.steps
+    ksteps = paths.grid.steps
     reg = RegressionConditional.of(paths, degree)
-    n_fit = np.empty((m, ksteps + 1) + h.shape[1:])
-    n_fit[:, ksteps] = h
+    n_fit = np.empty((ksteps + 1,) + h.shape)
+    n_fit[ksteps] = h
     for k in range(ksteps):
-        n_fit[:, k] = reg.fit_predict(k, h)
-    z_tilde = np.empty((m, ksteps) + h.shape[1:] + (paths.d,))
+        n_fit[k] = reg.fit_predict(k, h)
+    z_tilde = np.empty((ksteps,) + h.shape + (paths.d,))
     for k in range(ksteps):
-        z_tilde[:, k] = _increment_regression(reg, paths, n_fit[:, k + 1], k,
-                                              base_values=n_fit[:, k])
+        z_tilde[k] = _increment_regression(reg, paths, n_fit[k + 1], k, base_values=n_fit[k])
+    n_fit = np.ascontiguousarray(n_fit.swapaxes(0, 1))
+    z_tilde = np.ascontiguousarray(z_tilde.swapaxes(0, 1))
     return n_fit, z_tilde
 
 
@@ -155,18 +164,25 @@ def _backward(paths: PathEnsemble, degree: int, terminal: np.ndarray,
 
     At each k from K-1 down, Z_k is the increment regression of Y_{k+1}
     centred at E_k[Y_{k+1}], and `step(k, E_k[Y_{k+1}], Z_k)` returns
-    (Y_k, drift_k).
+    (Y_k, drift_k).  Y, Z and the drift are held node-major, (K+1, M, n),
+    (K, M, n, d) and (K, M, n), so each step reads and writes contiguous
+    nodes; then each is copied once into the C-contiguous path-major array
+    returned, its node-major buffer freed before the next copy: at most one
+    array is held twice.
     """
     m, ksteps, n = paths.paths, paths.grid.steps, terminal.shape[-1]
     reg = RegressionConditional.of(paths, degree)
-    y = np.empty((m, ksteps + 1, n))
-    z = np.empty((m, ksteps, n, paths.d))
-    drift = np.empty((m, ksteps, n))
-    y[:, ksteps] = terminal
+    y = np.empty((ksteps + 1, m, n))
+    z = np.empty((ksteps, m, n, paths.d))
+    drift = np.empty((ksteps, m, n))
+    y[ksteps] = terminal
     for k in range(ksteps - 1, -1, -1):
-        ey = reg.fit_predict(k, y[:, k + 1])
-        z[:, k] = _increment_regression(reg, paths, y[:, k + 1], k, base_values=ey)
-        y[:, k], drift[:, k] = step(k, ey, z[:, k])
+        ey = reg.fit_predict(k, y[k + 1])
+        z[k] = _increment_regression(reg, paths, y[k + 1], k, base_values=ey)
+        y[k], drift[k] = step(k, ey, z[k])
+    y = np.ascontiguousarray(y.swapaxes(0, 1))
+    z = np.ascontiguousarray(z.swapaxes(0, 1))
+    drift = np.ascontiguousarray(drift.swapaxes(0, 1))
     return y, z, drift
 
 
@@ -220,7 +236,9 @@ def _finish(fld: CoefficientField | None, paths: PathEnsemble, solver: str, y: n
 
 
 # A method takes (field, paths, degree), does the work that no Picard pass
-# changes, and returns its core: (xi (M, n), beta (M, K, n) | None) -> (y, z, extras).
+# changes (checks, field values, exponentials and weights), and returns its
+# core: (xi (M, n), beta (M, K, n) | None) -> (y, z, extras), which
+# `solve_perturbed` runs once per pass.
 
 def _regression(fld: CoefficientField, paths: PathEnsemble, degree: int) -> Callable:
     dt = paths.grid.dt
@@ -288,16 +306,16 @@ def solve_by_representation(spec: LinearBsdeSpec, paths: PathEnsemble,
     return _solve(spec, paths, degree, "representation", expo=expo)
 
 
-def _scalar_weighted_solve(paths: PathEnsemble, coeff: np.ndarray, xi: np.ndarray,
-                           beta: np.ndarray | None, degree: int) -> tuple[np.ndarray, np.ndarray]:
+def _scalar_weighted_solve(paths: PathEnsemble, coeff: np.ndarray, weights: np.ndarray,
+                           xi: np.ndarray, beta: np.ndarray | None,
+                           degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Scalar linear BSDE by exponential weights (no measure change).
 
-    coeff: (M, K, d) bmo integrand; xi: (M,); beta: (M, K) or None.
-    Returns (U (M, K+1), V (M, K, d)).  The weight is the closed-form scalar
-    exponential of int coeff dB, which is strictly positive pathwise.
+    coeff: (M, K, d) bmo integrand; weights: its `_scalar_exponential`
+    (M, K+1), strictly positive pathwise, formed once per solve by the caller;
+    xi: (M,); beta: (M, K) or None.  Returns (U (M, K+1), V (M, K, d)).
     """
     ksteps = paths.grid.steps
-    weights = _scalar_exponential(paths, coeff)
     h = weights[:, -1] * xi
     if beta is not None:
         h += (weights[:, :-1] * beta * paths.grid.dt[None, :]).sum(axis=1)
@@ -314,16 +332,17 @@ def _triangular(fld: CoefficientField, paths: PathEnsemble, degree: int) -> Call
         raise ConfigurationError(
             f"triangular solver needs a lower_triangular field, got {fld.structure!r}")
     m, ksteps, n, d = paths.paths, paths.grid.steps, fld.n, paths.d
+    a_vals = [fld.values(paths, k) for k in range(ksteps)]
+    upper = np.triu_indices(n, k=1)
+    if not np.all(np.abs(a_vals[0][:, upper[0], upper[1], :]) <= 1e-10):
+        raise ConfigurationError("field values are not lower triangular")
+    coeffs = [np.stack([a_k[:, i, i, :] for a_k in a_vals], axis=1) for i in range(n)]
+    weights = [_scalar_exponential(paths, coeff) for coeff in coeffs]
 
     def core(xi, beta):
-        a_vals = [fld.values(paths, k) for k in range(ksteps)]
-        upper = np.triu_indices(n, k=1)
-        if not np.all(np.abs(a_vals[0][:, upper[0], upper[1], :]) <= 1e-10):
-            raise ConfigurationError("field values are not lower triangular")
         y = np.empty((m, ksteps + 1, n))
         z = np.empty((m, ksteps, n, d))
         for i in range(n):
-            coeff = np.stack([a_vals[k][:, i, i, :] for k in range(ksteps)], axis=1)
             known = np.zeros((m, ksteps))
             for j in range(i):
                 known += np.stack(
@@ -331,7 +350,8 @@ def _triangular(fld: CoefficientField, paths: PathEnsemble, degree: int) -> Call
                      for k in range(ksteps)], axis=1)
             if beta is not None:
                 known += beta[:, :, i]
-            u, v = _scalar_weighted_solve(paths, coeff, xi[:, i], known, degree)
+            u, v = _scalar_weighted_solve(paths, coeffs[i], weights[i], xi[:, i], known,
+                                          degree)
             y[:, :, i] = u
             z[:, :, i, :] = v
         return y, z, {"a_vals": a_vals}
@@ -353,13 +373,14 @@ def _right_outer(fld: CoefficientField, paths: PathEnsemble, degree: int) -> Cal
         raise ConfigurationError("right-outer solver needs a RightOuterField")
     ksteps, n = paths.grid.steps, fld.n
     dt = paths.grid.dt
+    a_vals = _per_step(fld.a_values, paths)                          # (M, K, n, d)
+    coeff = np.einsum("i,mkid->mkd", fld.b, a_vals)
+    weights = _scalar_exponential(paths, coeff)
 
     def core(xi, beta):
-        a_vals = _per_step(fld.a_values, paths)                      # (M, K, n, d)
-        coeff = np.einsum("i,mkid->mkd", fld.b, a_vals)
         eta = xi @ fld.b
         beta_scalar = None if beta is None else np.einsum("mkj,j->mk", beta, fld.b)
-        u, v = _scalar_weighted_solve(paths, coeff, eta, beta_scalar, degree)
+        _, v = _scalar_weighted_solve(paths, coeff, weights, eta, beta_scalar, degree)
 
         # lifted equation: Y = xi + int (a V + beta) dt - int Z dB
         tilde = np.einsum("mkid,mkd->mki", a_vals, v)

@@ -623,6 +623,22 @@ def test_threads_env_var_not_an_integer_refused(monkeypatch, capsys):
     assert "BSDE_LAB_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("env, flags, message", [
+    (None, ["--threads", 0], "argument --threads: must be at least 1, got 0"),
+    (None, ["--threads", -2], "argument --threads: must be at least 1, got -2"),
+    ("0", [], "BSDE_LAB_THREADS must be at least 1, got 0"),
+])
+def test_threads_below_one_refused(monkeypatch, tmp_path, capsys, env, flags, message):
+    if env is not None:
+        monkeypatch.setenv("BSDE_LAB_THREADS", env)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run(["simulate-exponential", *flags, "--out", out])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_equivalence_suite_exit_code(tmp_path):
     out = tmp_path / "eq"
     assert run(["equivalence-suite", "--out", out, "--seed", 13]) == 0

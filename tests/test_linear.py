@@ -289,6 +289,32 @@ def test_shared_operator_builds_each_basis_once(monkeypatch):
     assert degrees[-1] == 2 and len(degrees) == built + 2
 
 
+def test_backward_cores_return_contiguous_path_major_arrays():
+    # Both cores work node-major; callers (and the path means of every
+    # diagnostic, whose summation order follows the layout) get C-contiguous
+    # path-major arrays.
+    from bsde_lab.linear import _backward, _represent
+    paths = generate_brownian(TimeGrid(1.0, 4), 2, 200, seed=3)
+    m, ksteps, n, d = paths.paths, paths.grid.steps, 3, paths.d
+    terminal = paths.states[:, -1, :1] * np.arange(1.0, n + 1.0)       # (M, n)
+
+    def step(k, ey, z_k):
+        drift = z_k.sum(axis=-1)
+        return ey + drift * paths.grid.dt[k], drift
+
+    y, z, drift = _backward(paths, 3, terminal, step)
+    for arr, shape in ((y, (m, ksteps + 1, n)), (z, (m, ksteps, n, d)),
+                       (drift, (m, ksteps, n))):
+        assert arr.shape == shape and arr.flags.c_contiguous
+    np.testing.assert_array_equal(y[:, ksteps], terminal)
+    for h in (terminal[:, 0], terminal):
+        n_fit, z_tilde = _represent(paths, 3, h)
+        assert n_fit.shape == (m, ksteps + 1) + h.shape[1:] and n_fit.flags.c_contiguous
+        assert z_tilde.shape == (m, ksteps) + h.shape[1:] + (d,)
+        assert z_tilde.flags.c_contiguous
+        np.testing.assert_array_equal(n_fit[:, ksteps], h)
+
+
 def test_solve_auto_dispatch(paths):
     sol = solve_auto(LinearBsdeSpec(triangular_3d(), TERMINAL3), paths)
     assert sol.solver == "triangular"
@@ -403,24 +429,26 @@ def test_perturbed_loop_matches_per_pass_public_solver(small_paths, instance, ba
 
 
 def test_perturbed_evaluates_base_field_once_per_step(small_paths):
+    # The reductions form their field values once per solve, and `_finish`
+    # forms the drift once: no count grows with the number of passes.
     ksteps = small_paths.grid.steps
-    passes_seen = set()
-    for tol in (1e-2, 1e-6, 1e-9):
-        spec = _perturbed_spec("right-outer-3d")
-        fld, calls = spec.field, {"values": 0, "a_values": 0}
-        for name in calls:
-            method = getattr(fld, name)
+    for instance, names in (("right-outer-3d", ("values", "a_values")),
+                            ("triangular-3d", ("values",))):
+        passes_seen = set()
+        for tol in (1e-2, 1e-6, 1e-9):
+            spec = _perturbed_spec(instance)
+            fld, calls = spec.field, dict.fromkeys(names, 0)
+            for name in names:
+                method = getattr(fld, name)
 
-            def counted(*args, _method=method, _name=name):
-                calls[_name] += 1
-                return _method(*args)
-            setattr(fld, name, counted)
-        sol = solve_perturbed(spec, small_paths, tol=tol)
-        passes = sol.diagnostics["picard_iterations"]
-        passes_seen.add(passes)
-        assert calls["values"] == ksteps            # the drift, once per solve
-        assert calls["a_values"] == ksteps * passes  # the reduction, once per pass
-    assert len(passes_seen) == 3
+                def counted(*args, _method=method, _name=name):
+                    calls[_name] += 1
+                    return _method(*args)
+                setattr(fld, name, counted)
+            sol = solve_perturbed(spec, small_paths, tol=tol)
+            passes_seen.add(sol.diagnostics["picard_iterations"])
+            assert calls == dict.fromkeys(names, ksteps), instance
+        assert len(passes_seen) == 3, instance
 
 
 def test_perturbed_representation_simulates_and_gates_once(small_paths, monkeypatch):
