@@ -23,7 +23,7 @@ import numpy as np
 
 from .brownian import PathEnsemble, substream
 from .exponential import (ExponentialEnsemble, MartingaleDefectReport, defect_profile,
-                          node_blocks, truncation_curve)
+                          node_blocks)
 from .fields import StoppedRotationField
 from .grids import ConfigurationError
 
@@ -113,7 +113,11 @@ def emery_defect_profile(paths: PathEnsemble, level: float = np.pi / 2) -> Marti
     return defect_profile(keep, 2, k1, kept_block)
 
 
-def emery_defect_at_horizon(paths: int, horizon: float = 48.0, dt: float = 0.01,
+# Default time step of the Emery horizon walk, as `counterexample emery` runs it.
+_EMERY_DT = 0.01
+
+
+def emery_defect_at_horizon(paths: int, horizon: float = 48.0, dt: float = _EMERY_DT,
                             seed: int = 0, threads: int = 1) -> dict:
     """Diagonal martingale defect of the stopped rotation exponential at a
     long horizon, without storing paths.
@@ -139,7 +143,6 @@ def emery_defect_at_horizon(paths: int, horizon: float = 48.0, dt: float = 0.01,
         "std_error": se,
         "survivors": int(alive.size),
         "significance_vs_half": float("inf") if se == 0 else (defect - 0.5) / se,
-        "horizon": horizon,
         # |S_{tau ^ horizon}| = exp((tau ^ horizon)/2): rotation times scalar
         "terminal_opnorm_samples": np.exp(np.minimum(exit_steps * dt, horizon) / 2.0),
     }
@@ -150,13 +153,8 @@ class ExitTimeResult:
     level: float
     estimate: float
     std_error: float
-    paths: int
-    dt: float
     truncated_paths: int
-    horizon: float
     heavy_tail_warning: bool
-    truncation_levels: np.ndarray = field(default=None)
-    truncation_curve: np.ndarray = field(default=None)
 
     @property
     def exact(self) -> float:
@@ -341,8 +339,9 @@ def _check_level(b: float) -> None:
 
 
 # Most normals the exit walks of one run may be expected to draw, the sum
-# over its levels of M b^2 / dt (E[sigma_b] = b^2): six times acceptance
-# criterion 01, which draws 1.7e9 in under a minute at one thread.
+# over its levels of M b^2 / dt (E[sigma_b] = b^2), or for the Emery walk
+# M min((pi/2)^2, horizon) / dt: six times acceptance criterion 01, which
+# draws 1.7e9 in under a minute at one thread.
 MAX_EXIT_NORMALS = 1e10
 
 
@@ -358,15 +357,21 @@ def check_exit_walks(levels: list, paths: int, dt: float) -> None:
             f"normals, above its limit of {MAX_EXIT_NORMALS:.0e}; raise dt or lower M")
 
 
-def _exit_result(b: float, vals: np.ndarray, dt: float, truncated: int,
-                 horizon: float) -> ExitTimeResult:
-    """Sample mean, standard error and truncation curve of exp(sigma_b/2)."""
-    paths = vals.size
-    estimate = float(vals.mean())
-    se = float(vals.std(ddof=1) / np.sqrt(paths))
-    trunc = truncation_curve(vals, count=9)
-    return ExitTimeResult(b, estimate, se, paths, dt, truncated, horizon,
-                          bool(b > HEAVY_TAIL_LEVEL), trunc["levels"], trunc["curve"])
+def check_emery_walk(paths: int, horizon: float) -> None:
+    """Refuse emery_defect_at_horizon(paths, horizon) before it runs when its
+    walk may be expected to draw more than MAX_EXIT_NORMALS normals: a path
+    walks until |W| reaches pi/2, E[sigma] = (pi/2)^2, or until `horizon`."""
+    normals = paths * min((np.pi / 2) ** 2, horizon) / _EMERY_DT
+    if normals > MAX_EXIT_NORMALS:
+        raise ConfigurationError(
+            f"M = {paths} asks the Emery walk for about {normals:.3g} normals, "
+            f"above its limit of {MAX_EXIT_NORMALS:.0e}; lower M")
+
+
+def _exit_result(b: float, vals: np.ndarray, truncated: int) -> ExitTimeResult:
+    """Sample mean and standard error of the samples `vals` of exp(sigma_b/2)."""
+    se = float(vals.std(ddof=1) / np.sqrt(vals.size))
+    return ExitTimeResult(b, float(vals.mean()), se, truncated, bool(b > HEAVY_TAIL_LEVEL))
 
 
 def exit_time_exponential(b: float, paths: int, dt: float, seed: int = 0,
@@ -384,7 +389,7 @@ def exit_time_exponential(b: float, paths: int, dt: float, seed: int = 0,
     since E[exp(sigma_b)] = 1/cos(b sqrt 2), and its standard error is
     itself unreliable from b >= pi/4 on (E[exp(2 sigma_b)] = 1/cos(2b) is
     infinite there).  Above HEAVY_TAIL_LEVEL the result carries
-    `heavy_tail_warning`; every result carries a truncation curve.
+    `heavy_tail_warning`.
     """
     _check_level(b)
     if horizon is None:
@@ -392,7 +397,7 @@ def exit_time_exponential(b: float, paths: int, dt: float, seed: int = 0,
     max_steps = int(np.ceil(horizon / dt))
     exit_steps, alive, _ = _exit_walk(seed, 11, paths, b, dt, max_steps, 64, bridge,
                                       threads)
-    return _exit_result(b, np.exp(exit_steps * dt / 2.0), dt, alive.size, horizon)
+    return _exit_result(b, np.exp(exit_steps * dt / 2.0), alive.size)
 
 
 # J, the exit time of a standard Brownian motion from (-1, 1), has the
@@ -457,13 +462,13 @@ def exit_time_exact(b: float, paths: int, seed: int = 0) -> ExitTimeResult:
     By Brownian scaling sigma_b = b^2 J, with J the exit time from (-1, 1);
     each path draws one uniform u from `substream(seed, 29)`, in path order,
     and takes J = `exit_time_quantile(u)`.  There is no time grid, no
-    discretisation bias and no horizon, so `dt` is 0, `horizon` is inf and
-    no path is truncated.  The variance caveats and `heavy_tail_warning` of
-    `exit_time_exponential` apply unchanged.
+    discretisation bias and no horizon, so no path is truncated.  The
+    variance caveats and `heavy_tail_warning` of `exit_time_exponential`
+    apply unchanged.
     """
     _check_level(b)
     j = exit_time_quantile(substream(seed, 29).random(paths))
-    return _exit_result(b, np.exp(b * b / 2.0 * j), 0.0, 0, np.inf)
+    return _exit_result(b, np.exp(b * b / 2.0 * j), 0)
 
 
 def default_level_sequence(count: int) -> np.ndarray:
@@ -486,7 +491,7 @@ class NonexistenceSpec:
     The time-change integrand f vanishes on [0, T/2] and equals 1/(T - s) on
     [T/2, T); in the changed clock u = int f^2 ds each stopping level b_k is a
     plain exit time of a standard Brownian motion, so every expectation below
-    reduces to the exit-time identity.
+    reduces to the exit-time identity, and f itself is never evaluated.
     """
 
     horizon: float = 1.0
@@ -518,13 +523,6 @@ class NonexistenceSpec:
             "terms_vanish": bool(terms[-1] < 0.5 * terms[0]),
         }
 
-    def f(self, s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        out = np.zeros_like(s)
-        late = s >= self.horizon / 2
-        out[late] = 1.0 / (self.horizon - s[late])
-        return out
-
     def partition_weights(self, j: int) -> np.ndarray:
         return 0.5 ** np.arange(1, j + 1)
 
@@ -536,10 +534,6 @@ class NonexistenceSpec:
         """1 / (2^j cos(b_j)), the vanishing gap |Y_0 - E[S_{sigma_j} xi]|."""
         return float(1.0 / (2.0**j * np.cos(self.levels[j - 1])))
 
-    def terminal_vector(self, angles: np.ndarray) -> np.ndarray:
-        """xi = (cos N_tau, sin N_tau); unit length pathwise."""
-        return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-
 
 @dataclass
 class BlowupDiagnostics:
@@ -548,9 +542,7 @@ class BlowupDiagnostics:
     simulated: np.ndarray            # simulated partial sums (same decomposition)
     simulated_std_error: np.ndarray
     remainder_bound: np.ndarray
-    full_value: np.ndarray           # mixture estimate of E[exp(.5 int_0^{sigma_j} f^2)]
     heavy_levels: list
-    per_level: list
 
     def to_rows(self):
         return np.column_stack([self.j, self.partial_sum, self.simulated,
@@ -562,12 +554,12 @@ def nonexistence_blowup(spec: NonexistenceSpec, j_max: int, paths_per_level: int
     """Divergence diagnostics for the no-solution construction.
 
     In the changed clock, E[exp(.5 int_0^{sigma_j} f^2 ds)] =
-    sum_{k <= j} 2^{-k} E[exp(sigma_{b_k}/2)] + 2^{-j} E[exp(sigma_{b_j}/2)],
-    so the mixture estimate combines per-level exit-time estimates; the
-    analytic column uses the identity 1/cos(b_k).  Level k is estimated by
-    `exit_time_exact` with seed `seed + 101 k`: exact draws, so the
-    simulated column carries neither discretisation bias nor horizon
-    truncation.  Levels beyond HEAVY_TAIL_LEVEL carry the heavy-tail
+    sum_{k <= j} 2^{-k} E[exp(sigma_{b_k}/2)] + 2^{-j} E[exp(sigma_{b_j}/2)];
+    the simulated column estimates its partial sums from per-level exit-time
+    estimates, and the analytic column uses the identity 1/cos(b_k).  Level
+    k is estimated by `exit_time_exact` with seed `seed + 101 k`: exact
+    draws, so the simulated column carries neither discretisation bias nor
+    horizon truncation.  Levels beyond HEAVY_TAIL_LEVEL carry the heavy-tail
     warning, since their standard errors are unreliable there.
     """
     if j_max < 1 or j_max > spec.levels.size:
@@ -581,7 +573,6 @@ def nonexistence_blowup(spec: NonexistenceSpec, j_max: int, paths_per_level: int
     partial = np.array([spec.partial_sum(int(x)) for x in j])
     sim = np.cumsum(w * est)
     sim_se = np.sqrt(np.cumsum((w * ses) ** 2))     # levels are independent
-    full = sim + w * est                          # tail of the mixture sits at level j
     remainder = np.array([spec.remainder_bound(int(x)) for x in j])
     heavy = [float(spec.levels[k]) for k in range(j_max) if per_level[k].heavy_tail_warning]
-    return BlowupDiagnostics(j, partial, sim, sim_se, remainder, full, heavy, per_level)
+    return BlowupDiagnostics(j, partial, sim, sim_se, remainder, heavy)

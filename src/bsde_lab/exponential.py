@@ -214,14 +214,6 @@ class ReverseHolderReport:
     estimator: str
 
 
-def _ratio_matrices(expo: ExponentialEnsemble, lo: int, hi: int) -> np.ndarray:
-    """S_{t_k}^{-1} S_T, node-major for lo <= k < hi, via the inverse if present."""
-    s_t = expo.s[:, -1]
-    if expo.s_inv is not None:
-        return expo.s_inv[:, lo:hi].swapaxes(0, 1) @ s_t
-    return np.linalg.solve(expo.s[:, lo:hi].swapaxes(0, 1), s_t)
-
-
 def estimate_reverse_holder(expo: ExponentialEnsemble, p: float,
                             method: str = "regression", degree: int = 3,
                             inner_paths: int = 512) -> ReverseHolderReport:
@@ -232,7 +224,8 @@ def estimate_reverse_holder(expo: ExponentialEnsemble, p: float,
     exact value 1 and is always included.
 
     method "regression": fit |S_{t_k}^{-1} S_T|^p against a polynomial in the
-    Brownian state over the outer paths; ess-sup ~ max fitted value.
+    Brownian state over the outer paths; ess-sup ~ max fitted value.  It
+    reads S^{-1} from the ensemble, which must be simulated with inverse=True.
     method "nested": re-simulate the ratio process from (t_k, B_{t_k}) with
     `inner_paths` sub-paths per outer path (Markovian fields only);
     ess-sup ~ max over outer paths of the inner mean.
@@ -247,8 +240,11 @@ def estimate_reverse_holder(expo: ExponentialEnsemble, p: float,
 
     reg = RegressionConditional.of(paths, degree)
     if method == "regression":
+        if expo.s_inv is None:
+            raise ValueError("the regression estimator reads S^{-1}: simulate the "
+                             "ensemble with inverse=True")
         for lo, hi in _step_blocks(k_grid, paths.paths * expo.n * expo.n * 8):
-            targets = operator_norm(_ratio_matrices(expo, lo, hi)) ** p
+            targets = operator_norm(expo.s_inv[:, lo:hi].swapaxes(0, 1) @ expo.s[:, -1]) ** p
             for k, target in enumerate(targets, lo):
                 fitted = reg.fit_predict(k, target)
                 profile[k] = float(fitted.max())
@@ -383,9 +379,10 @@ def defect_profile(keep: np.ndarray, n: int, nodes: int, kept_block) -> Martinga
 def doob_sup_check(expo: ExponentialEnsemble, p: float, degree: int = 3) -> dict:
     """Compare E_tau[sup_{tau<=t<=T} |S_tau^{-1} S_t|^p] to (p/(p-1))^p R_p.
 
-    Both sides are estimated from the same ensemble (regression conditionals);
-    returns the worst ratio over the grid times before T, which should not
-    exceed 1 beyond Monte Carlo tolerance when S is a true martingale.
+    Both sides are estimated from the same ensemble (regression conditionals),
+    which must hold S^{-1}; returns the worst ratio over the grid times before
+    T, which should not exceed 1 beyond Monte Carlo tolerance when S is a true
+    martingale.
     """
     if p <= 1:
         raise ValueError("the Doob factor requires p > 1")
@@ -395,45 +392,34 @@ def doob_sup_check(expo: ExponentialEnsemble, p: float, degree: int = 3) -> dict
     bound = doob_factor * rp.rp_estimate
 
     reg = RegressionConditional.of(paths, degree)
-    worst, worst_k = 0.0, 0
+    worst = 0.0
     for k in range(paths.grid.steps):
-        if expo.s_inv is not None:
-            ratios = expo.s_inv[:, k, None] @ expo.s[:, k:]
-        else:
-            ratios = np.linalg.solve(expo.s[:, k][:, None], expo.s[:, k:])
+        ratios = expo.s_inv[:, k, None] @ expo.s[:, k:]
         target = (operator_norm(ratios) ** p).max(axis=1)
-        fitted = reg.fit_predict(k, target)
-        val = float(fitted.max())
-        if val > worst:
-            worst, worst_k = val, k
+        worst = max(worst, float(reg.fit_predict(k, target).max()))
     return {
         "p": p,
         "doob_factor": doob_factor,
         "rp_estimate": rp.rp_estimate,
         "sup_estimate": worst,
         "ratio": worst / bound,
-        "attaining_index": worst_k,
     }
 
 
-def truncation_curve(vals: np.ndarray, levels=None, count: int = 13) -> dict:
+def truncation_curve(vals: np.ndarray, levels=None) -> dict:
     """Truncated means E[min(vals, L)] over the levels L.
 
-    The default levels are `count` geometric steps from 1 to max(vals).
+    The default levels are 13 geometric steps from 1 to max(vals).
     `diverging` flags a tail slope that has not flattened between the last
-    two levels, the sign of an infinite underlying moment.
+    two levels (a relative gain above 1%), the sign of an infinite
+    underlying moment.
     """
     if levels is None:
-        levels = np.geomspace(1.0, float(vals.max()), count)
+        levels = np.geomspace(1.0, float(vals.max()), 13)
     levels = np.asarray(levels, dtype=float)
     curve = np.array([np.mean(np.minimum(vals, lv)) for lv in levels])
     tail_gain = (curve[-1] - curve[-2]) / max(curve[-2], 1e-300)
-    return {
-        "levels": levels,
-        "curve": curve,
-        "diverging": bool(tail_gain > 0.01),
-        "tail_gain": float(tail_gain),
-    }
+    return {"levels": levels, "curve": curve, "diverging": bool(tail_gain > 0.01)}
 
 
 def terminal_moment_truncation_curve(expo: ExponentialEnsemble, p: float = 1.0) -> dict:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .brownian import PathEnsemble
 
-NORM_KINDS = ("bmo", "bmo_half", "sup_p", "l2q", "l1q")
+NORM_KINDS = ("bmo", "sup_p", "l2q")
 
 
 @dataclass
@@ -23,11 +23,6 @@ class NormEstimate:
     kind: str
     value: float
     std_error: float
-    attaining_index: int | None = None
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("norm estimate must be nonnegative")
 
 
 def poly_features(x: np.ndarray, degree: int) -> np.ndarray:
@@ -140,52 +135,44 @@ def estimate_norm(kind: str, values: np.ndarray, paths: PathEnsemble,
     """Estimate a path-space norm from sampled process values.
 
     kind:
-      - "bmo":      values are per-step integrands (paths, K, ...);
-                    sup_tk max_omega E_tk[int_tk^T |Z|^2 dt] ^ (1/2)
-      - "bmo_half": same layout; sup_tk max_omega E_tk[int_tk^T |beta| dt]
-      - "sup_p":    values are node values (paths, K+1, ...); ||sup_t |Y|||_{L^q}
-      - "l2q":      per-step integrands; (E[(int |Z|^2 dt)^{q/2}])^{1/q}
-      - "l1q":      per-step integrands; (E[(int |beta| dt)^q])^{1/q}
+      - "bmo":   values are per-step integrands (paths, K, ...);
+                 sup_tk max_omega E_tk[int_tk^T |Z|^2 dt] ^ (1/2)
+      - "sup_p": values are node values (paths, K+1, ...); ||sup_t |Y|||_{L^q}
+      - "l2q":   per-step integrands; (E[(int |Z|^2 dt)^{q/2}])^{1/q}
 
-    `q` is required for sup_p / l2q / l1q (math.inf allowed for sup_p).
-    Conditional expectations for the bmo kinds use polynomial regression on
-    the Brownian state; the essential sup is the max over fitted node values.
+    `q` is required for sup_p / l2q (math.inf allowed for sup_p).
+    Conditional expectations for bmo use polynomial regression on the
+    Brownian state; the essential sup is the max over fitted node values.
     """
     if kind not in NORM_KINDS:
         raise ValueError(f"unknown norm kind {kind!r}")
     k_steps = paths.grid.steps
     dt = paths.grid.dt
-    power = 2.0 if kind in ("bmo", "l2q") else 1.0
 
-    if kind in ("sup_p", "l2q", "l1q"):
+    if kind != "bmo":
         if q is None or q < 1:
             raise ValueError(f"{kind} requires q >= 1")
         if kind == "sup_p":
             per_path = _integrand_sizes(values, paths.paths, k_steps + 1).max(axis=1)
         else:
-            path_integral = (_integrand_sizes(values, paths.paths, k_steps)**power
-                             * dt[None, :]).sum(axis=1)
-            per_path = np.sqrt(path_integral) if kind == "l2q" else path_integral
+            per_path = np.sqrt((_integrand_sizes(values, paths.paths, k_steps)**2.0
+                                * dt[None, :]).sum(axis=1))
         value, se = _max_order_stat(per_path) if np.isinf(q) else _lp_mean(per_path, q)
         return NormEstimate(kind, value, se)
 
-    # bmo kinds: grid-time max over estimated conditional remainders.
-    contrib = _integrand_sizes(values, paths.paths, k_steps)**power * dt[None, :]
+    # grid-time max over estimated conditional remainders
+    contrib = _integrand_sizes(values, paths.paths, k_steps)**2.0 * dt[None, :]
     # remaining[:, k] = sum_{j >= k} contrib_j, with remaining[:, K] = 0
     remaining = np.zeros((paths.paths, k_steps + 1))
     remaining[:, :-1] = contrib[:, ::-1].cumsum(axis=1)[:, ::-1]
     reg = RegressionConditional.of(paths, degree)
-    best, best_k, best_se = 0.0, 0, 0.0
+    best, best_se = 0.0, 0.0
     for k in range(k_steps + 1):
         fitted = reg.fit_predict(k, remaining[:, k])
         node = float(np.max(fitted))
         if node > best:
             resid = remaining[:, k] - fitted
-            best, best_k = node, k
+            best = node
             best_se = float(np.std(resid, ddof=1) / np.sqrt(max(paths.paths - 1, 1)))
-    if kind == "bmo":
-        value = float(np.sqrt(max(best, 0.0)))
-        se = best_se / (2.0 * value) if value > 0 else best_se
-    else:
-        value, se = max(best, 0.0), best_se
-    return NormEstimate(kind, value, se, attaining_index=best_k)
+    value = float(np.sqrt(best))
+    return NormEstimate(kind, value, best_se / (2.0 * value) if value > 0 else best_se)

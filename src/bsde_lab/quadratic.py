@@ -298,9 +298,7 @@ def solve_quadratic(driver, terminal_fn, paths: PathEnsemble, degree: int = 3,
         accepted = zmag < (1.0 - margin) * level
         log.append({"level": float(level), "max_magnitude": zmag, "accepted": accepted})
         if accepted:
-            sol = _finish(None, paths, f"quadratic[{driver.kind}]", y, z, None,
-                          {"drift": drift, "truncation_level": float(level),
-                           "truncation_margin": 1.0 - zmag / level})
+            sol = _finish(None, paths, f"quadratic[{driver.kind}]", y, z, None, {"drift": drift})
             return QuadraticSolveReport(sol, float(level), log, 1.0 - zmag / level)
     raise TruncationEscalationError(
         f"no self-consistent truncation level found; escalation log: {log}")

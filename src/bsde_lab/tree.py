@@ -219,27 +219,20 @@ def discrete_reverse_holder(filt: FiniteFiltration, s_levels: list, p: float) ->
     if p < 1:
         raise ConfigurationError("p >= 1 required")
     s_leaf = np.asarray(s_levels[filt.steps], dtype=float)
-    best, best_level, best_node = 1.0, filt.steps, 0
-    per_level = []
+    best = 1.0
     for k in range(filt.steps + 1):
         s_k = np.asarray(s_levels[k], dtype=float)
         group = s_leaf.reshape((filt.nodes_at(k), -1) + s_leaf.shape[1:])
         ratio = np.linalg.solve(s_k[:, None], group)
-        moments = (operator_norm(ratio) ** p).mean(axis=1)
-        lvl_max = float(moments.max())
-        per_level.append(lvl_max)
-        if lvl_max > best:
-            best, best_level, best_node = lvl_max, k, int(moments.argmax())
-    return {"p": p, "rp": best, "level": best_level, "node": best_node,
-            "per_level": per_level}
+        best = max(best, float((operator_norm(ratio) ** p).mean(axis=1).max()))
+    return {"p": p, "rp": best}
 
 
-def tree_bmo(filt: FiniteFiltration, values_nodes: list, power: float = 2.0) -> float:
-    """Exact bmo-type norm of a per-step node process.
+def tree_bmo(filt: FiniteFiltration, values_nodes: list) -> float:
+    """Exact bmo norm of a per-step node process: the square root of the
+    largest E_v[sum_{j >= k} |Z_j|^2 dt] over nodes v at every level k.
 
-    power 2 gives the bmo norm (square root applied), power 1 the bmo^{1/2}
-    norm.  |.| is the Euclidean norm of whatever trailing shape the node
-    values carry.
+    |.| is the Euclidean norm of whatever trailing shape the node values carry.
     """
     rem = np.zeros(filt.leaves)  # E_node[tail] at level k+1, initially level K
     best = 0.0
@@ -247,9 +240,9 @@ def tree_bmo(filt: FiniteFiltration, values_nodes: list, power: float = 2.0) -> 
         tail = rem.reshape(filt.nodes_at(k), filt.branching).mean(axis=1)
         v = np.asarray(values_nodes[k], dtype=float).reshape(filt.nodes_at(k), -1)
         size = np.sqrt((v * v).sum(axis=1))
-        rem = tail + size**power * filt.dt
+        rem = tail + size**2.0 * filt.dt
         best = max(best, float(rem.max()))
-    return best ** (1.0 / power) if power == 2.0 else best
+    return best ** 0.5
 
 
 def verify_duality_lemma(filt: FiniteFiltration, x_leaf: np.ndarray, level: int,

@@ -280,6 +280,8 @@ def test_every_instance_has_a_terminal():
 @pytest.mark.parametrize("command,body,named", [
     ("counterexample", '{"which": "emery", "M": 50, "effective_horizon": -1}',
      "effective_horizon"),
+    # its horizon walk would draw about 2.5e11 normals
+    ("counterexample", '{"which": "emery", "M": 1000000000}', "M = 1000000000"),
     ("simulate-exponential", "[1, 2]", "bad.json"),
     ("simulate-exponential", '{"M": 50,', "bad.json"),
     ("simulate-exponential", None, "bad.json"),
@@ -298,8 +300,8 @@ def test_every_instance_has_a_terminal():
     ("solve-quadratic", '{"M": 50, "K": 4, "driver": "custom", "custom": {"class": "ql", '
                         '"n": 2, "d": 1, "terminal_expr": "b[0, -1, :]"}}',
      "custom/terminal_expr"),
-], ids=["negative-horizon", "array-file", "unparsable-file", "missing-file",
-        "bad-expression", "nested-emery", "oracle-T", "oracle-K", "equivalence-M",
+], ids=["negative-horizon", "emery-over-work-limit", "array-file", "unparsable-file",
+        "missing-file", "bad-expression", "nested-emery", "oracle-T", "oracle-K", "equivalence-M",
         "h-not-per-path", "g-per-path-n2", "g-per-path-n1", "terminal-not-per-path"])
 def test_bad_config_refused_before_any_output(tmp_path, capsys, monkeypatch, command, body,
                                               named):
@@ -535,6 +537,7 @@ def test_exponential_run_byte_reproducible(tmp_path):
     for name in ("summary.json", "defect_profile.csv", "inverse_residual.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     summary = json.loads((out1 / "summary.json").read_text())
+    assert schema_errors(SUMMARY_SCHEMA, summary) == []
     assert summary["version"]
     assert len(summary["config_hash"]) == 64
     assert summary["results"]["max_defect"] < 0.1

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 import bsde_lab
 from bsde_lab import ConfigurationError, TimeGrid, generate_brownian
 from bsde_lab.brownian import PathEnsemble, substream
-from bsde_lab.counterexamples import (NonexistenceSpec, _emery_exits, default_level_sequence,
+from bsde_lab.counterexamples import (MAX_EXIT_NORMALS, NonexistenceSpec, _emery_exits,
+                                      check_emery_walk, default_level_sequence,
                                       emery_closed_form, emery_defect_at_horizon,
                                       exit_time_exact, exit_time_exponential,
                                       exit_time_quantile, nonexistence_blowup)
@@ -77,10 +78,18 @@ def test_exit_time_monotone_in_level():
     assert vals[0] < vals[1] < vals[2]
 
 
+def test_emery_walk_work_limit():
+    # M min((pi/2)^2, horizon) / 0.01 expected normals, against MAX_EXIT_NORMALS
+    most = int(MAX_EXIT_NORMALS * 0.01 / (np.pi / 2) ** 2)
+    check_emery_walk(most, 48.0)
+    with pytest.raises(ConfigurationError, match=f"M = {most + 1} "):
+        check_emery_walk(most + 1, 48.0)
+    check_emery_walk(2 * most, 1.0)   # the horizon stops the walk first
+
+
 def test_exit_time_heavy_tail_warning_and_rejection():
     res = exit_time_exponential(1.2, paths=500, dt=1e-3, seed=79, horizon=20.0)
     assert res.heavy_tail_warning
-    assert res.truncation_curve is not None
     ok = exit_time_exponential(0.8, paths=500, dt=1e-3, seed=79)
     assert not ok.heavy_tail_warning
     with pytest.raises(ConfigurationError):
@@ -112,20 +121,6 @@ def test_bad_sequence_rejected():
         NonexistenceSpec(levels=bad)
 
 
-def test_terminal_vector_unit_length():
-    spec = NonexistenceSpec()
-    angles = np.random.default_rng(0).uniform(-np.pi / 2, np.pi / 2, size=100)
-    xi = spec.terminal_vector(angles)
-    assert np.allclose((xi**2).sum(axis=1), 1.0)
-
-
-def test_time_change_integrand():
-    spec = NonexistenceSpec(horizon=2.0)
-    s = np.array([0.0, 0.5, 1.0, 1.5])
-    f = spec.f(s)
-    assert np.allclose(f, [0.0, 0.0, 1.0, 2.0])
-
-
 def test_blowup_partial_sums_match_simulation():
     spec = NonexistenceSpec()
     diag = nonexistence_blowup(spec, j_max=3, paths_per_level=4000, seed=83)
@@ -136,14 +131,15 @@ def test_blowup_partial_sums_match_simulation():
         assert abs(diag.simulated[j] - diag.partial_sum[j]) < tol
     assert np.all(np.diff(diag.partial_sum) > 0)
     assert np.all(np.diff(diag.remainder_bound) < 0)
-    assert np.all(diag.full_value >= diag.simulated)
 
 
 def test_blowup_std_error_counts_each_level_once():
     # the levels use independent seeds, so Var(sum_k w_k est_k) = sum_k (w_k se_k)^2
-    diag = nonexistence_blowup(NonexistenceSpec(), j_max=3, paths_per_level=500, seed=5)
+    spec = NonexistenceSpec()
+    diag = nonexistence_blowup(spec, j_max=3, paths_per_level=500, seed=5)
     w = 0.5 ** np.arange(1, 4)
-    se = np.array([r.std_error for r in diag.per_level])
+    se = np.array([exit_time_exact(float(spec.levels[k]), 500, seed=5 + 101 * k).std_error
+                   for k in range(3)])
     assert diag.simulated_std_error[0] == w[0] * se[0]
     assert np.allclose(diag.simulated_std_error, np.sqrt(np.cumsum((w * se) ** 2)),
                        rtol=1e-15, atol=0)
@@ -241,13 +237,9 @@ def test_exit_walk_matches_frozen_reference(b, paths, dt, horizon, bridge):
     exit_steps, alive, _ = _reference_walk(b, paths, dt, 5, horizon, bridge)
     vals = np.exp(exit_steps * dt / 2.0)
     se = vals.std(ddof=1) / np.sqrt(paths)
-    levels = np.geomspace(1.0, vals.max(), 9)
-    curve = np.array([np.mean(np.minimum(vals, lv)) for lv in levels])
     assert res.estimate == vals.mean()
     np.testing.assert_array_equal(res.std_error, se)      # NaN at paths = 1
     assert res.truncated_paths == alive.size
-    np.testing.assert_array_equal(res.truncation_levels, levels)
-    np.testing.assert_array_equal(res.truncation_curve, curve)
     if horizon == 3.0:
         assert 0 < res.truncated_paths < paths
 
@@ -359,8 +351,7 @@ def test_exact_draws_one_uniform_per_path(paths):
     vals = np.exp(b * b / 2.0 * exit_time_quantile(u))
     assert res.estimate == vals.mean()
     np.testing.assert_array_equal(res.std_error, vals.std(ddof=1) / np.sqrt(paths))
-    np.testing.assert_array_equal(res.truncation_levels, np.geomspace(1.0, vals.max(), 9))
-    assert (res.truncated_paths, res.dt, res.horizon) == (0, 0.0, math.inf)
+    assert res.truncated_paths == 0
     # frozen reference: the first uniforms of substream (12, 29) and their
     # exit times, from a scalar bisection on the erfc series
     frozen = [(0.19366700265915593, 0.3627228130370046),

@@ -111,7 +111,7 @@ def test_reverse_holder_scalar_lognormal():
 def test_reverse_holder_nested_estimator():
     fld = scalar_field(0.5)
     p = generate_brownian(TimeGrid(1.0, 8), 1, 64, seed=31)
-    expo = simulate_exponential(fld, p)
+    expo = simulate_exponential(fld, p, inverse=False)   # nested never reads S^{-1}
     rep = estimate_reverse_holder(expo, 2.0, method="nested", inner_paths=4000)
     # max over outer paths of inner means biases upward by ~2.4 inner se
     assert abs(rep.rp_estimate - np.exp(0.25)) < 6 * max(rep.std_error, 1e-3)

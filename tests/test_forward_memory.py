@@ -99,11 +99,7 @@ def _rp_reference(expo, p, degree=3):
     profile, se = np.zeros(k_grid + 1), np.zeros(k_grid + 1)
     profile[k_grid] = 1.0
     for k in range(k_grid):
-        if expo.s_inv is not None:
-            ratio = expo.s_inv[:, k] @ expo.s[:, -1]
-        else:
-            ratio = np.linalg.solve(expo.s[:, k], expo.s[:, -1])
-        target = operator_norm(ratio) ** p
+        target = operator_norm(expo.s_inv[:, k] @ expo.s[:, -1]) ** p
         fitted = reg.fit_predict(k, target)
         profile[k] = float(fitted.max())
         se[k] = float(np.std(target - fitted, ddof=1) / np.sqrt(expo.paths.paths))
@@ -161,6 +157,12 @@ def test_fused_integration_matches_two_loop_reference(name, inverse, monkeypatch
 def test_blocked_reverse_holder_matches_per_node(name, inverse, monkeypatch):
     field, paths = _integration_cases()[name]
     expo = simulate_exponential(field, paths, inverse=inverse)
+    if not inverse:
+        # the regression estimators read S_t^{-1} from the ensemble alone
+        for estimate in (ex.estimate_reverse_holder, ex.doob_sup_check):
+            with pytest.raises(ValueError, match="inverse=True"):
+                estimate(expo, 2.0)
+        return
     profile, se = _rp_reference(expo, 2.0)
     for budget in _budgets(paths.paths, field.n) + [ex._STEP_BLOCK_BYTES]:
         monkeypatch.setattr(ex, "_STEP_BLOCK_BYTES", budget)

@@ -131,13 +131,6 @@ def test_bmo_of_constant_process(unit_paths):
     z = np.ones((unit_paths.paths, 8, 1, 1))
     est = estimate_norm("bmo", z, unit_paths)
     assert abs(est.value - 1.0) < 1e-8
-    assert est.attaining_index == 0
-
-
-def test_bmo_half_of_constant(unit_paths):
-    beta = np.full((unit_paths.paths, 8, 1), 2.5)
-    est = estimate_norm("bmo_half", beta, unit_paths)
-    assert abs(est.value - 2.5) < 1e-8
 
 
 def test_l22_of_constant(unit_paths):
@@ -149,7 +142,7 @@ def test_l22_of_constant(unit_paths):
 def test_positive_homogeneity(unit_paths):
     rng = np.random.default_rng(3)
     z = rng.normal(size=(unit_paths.paths, 8, 1, 1)) ** 2 + 0.1
-    for kind, q in (("bmo", None), ("l2q", 2.0), ("l1q", 3.0)):
+    for kind, q in (("bmo", None), ("l2q", 2.0)):
         base = estimate_norm(kind, z, unit_paths, q=q).value
         scaled = estimate_norm(kind, 2.5 * z, unit_paths, q=q).value
         assert np.isclose(scaled, 2.5 * base, rtol=1e-10)
@@ -173,7 +166,7 @@ def test_norm_rejects_bad_inputs(unit_paths):
 
 
 @pytest.mark.parametrize("kind,nodes,q", [("sup_p", 9, np.inf), ("l2q", 8, 2.0),
-                                          ("l1q", 8, 2.0), ("bmo", 8, None)])
+                                          ("bmo", 8, None)])
 def test_norm_rejects_wrong_path_count(unit_paths, kind, nodes, q):
     with pytest.raises(ValueError, match="expected values"):
         estimate_norm(kind, np.ones((unit_paths.paths - 1, nodes, 1)), unit_paths, q=q)

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import json
 import os
@@ -182,3 +183,24 @@ def test_bench_trace_targets_resolve(monkeypatch):
                   if not callable(getattr(getattr(importlib.import_module(f"bsde_lab.{mod}"),
                                                   cls), attr, None))}
     assert unresolved == STALE_BENCH_METHODS
+
+
+def test_no_unused_module_level_import():
+    """Every name a package module imports at its top level is used in it
+    (`__init__`, which re-exports names, is left out)."""
+    unused = []
+    for path in sorted((ROOT / "src" / "bsde_lab").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                names = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno} {name}" for name in names
+                       if name not in used]
+    assert not unused, unused

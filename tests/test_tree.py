@@ -156,7 +156,6 @@ def test_tree_bmo_constant():
     filt = FiniteFiltration(4, 1, 0.25)
     ones = [np.ones((filt.nodes_at(k), 1, 1)) for k in range(4)]
     assert tree_bmo(filt, ones) == pytest.approx(1.0)
-    assert tree_bmo(filt, ones, power=1.0) == pytest.approx(1.0)
 
 
 def test_duality_lemma_equality():
