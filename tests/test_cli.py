@@ -422,9 +422,9 @@ def test_linear_q_flag_refused_up_front(tmp_path, capsys):
 
 
 def golden_case_id(args: list, body: dict, threads: int) -> str:
-    # a field chosen in the config body is named, as no flag sets it
-    field = [f"field={body['field']}"] if "field" in body else []
-    return " ".join(args + field + (["--threads", str(threads)] if threads > 1 else []))
+    # a field or method chosen in the config body is named, as no flag sets it
+    chosen = [f"{key}={body[key]}" for key in ("field", "method") if key in body]
+    return " ".join(args + chosen + (["--threads", str(threads)] if threads > 1 else []))
 
 
 _SMALL_GRID = {"T": 1.0, "K": 8, "M": 300}
@@ -435,6 +435,7 @@ _RERUN_CASES = [
     (["simulate-exponential"], {**_SMALL_GRID, "field": "emery"}),
     (["estimate-rp"], _SMALL_GRID),
     (["estimate-rp"], {**_SMALL_GRID, "field": "emery"}),
+    (["estimate-rp"], {**_SMALL_GRID, "method": "nested", "inner_paths": 16}),
     (["solve-linear"], _SMALL_GRID),
     (["solve-linear", "--structure", "left-outer"], _SMALL_GRID),
     (["solve-linear", "--structure", "right-outer"], _SMALL_GRID),
