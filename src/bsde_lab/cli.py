@@ -378,8 +378,8 @@ def _paths(cfg: dict, d: int, threads: int):
 def run_exponential(cfg: dict, out: Path, threads: int) -> int:
     fld = FIELDS[cfg["field"]]()
     grid, paths = _paths(cfg, fld.d, threads)
-    # the residual is measured inside the Euler pass, so S^{-1} is not kept
-    expo = simulate_exponential(fld, paths, inverse=False, residual=True)
+    # the defect and the residual are measured inside the Euler pass: no S is kept
+    expo = simulate_exponential(fld, paths, reads=("defect", "residual"))
     defect = martingale_defect(expo)
     resid = expo.inverse_residual_profile()
     results = {
@@ -401,8 +401,10 @@ def run_reverse_holder(cfg: dict, out: Path, threads: int) -> int:
         raise ConfigurationError(f"method 'nested' needs a Markovian field; field "
                                  f"{cfg['field']!r} is path-dependent, use 'regression'")
     grid, paths = _paths(cfg, fld.d, threads)
-    # Only the regression estimator reads S^{-1} (for S_t^{-1} S_T).
-    expo = simulate_exponential(fld, paths, inverse=cfg["method"] == "regression")
+    # The regression estimator reads S_t^{-1} S_T; the nested one restarts
+    # its own inner paths and reads no S of the outer ones.
+    expo = simulate_exponential(fld, paths, reads=(
+        ("s_inv", "s_terminal") if cfg["method"] == "regression" else ()))
     rep = estimate_reverse_holder(expo, cfg["p"], method=cfg["method"],
                                   degree=cfg["degree"], inner_paths=cfg["inner_paths"])
     results = {

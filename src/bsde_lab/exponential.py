@@ -3,10 +3,14 @@
 The exponential S solves dS = S (A dB) from the identity; its inverse X
 solves dX = A^2 X dt - (A dB) X in the same Euler pass, which forms A and
 A dB once per step for both (never by per-step matrix inversion).  The pass
-can measure the inverse residual |S X - I| on its node blocks as they are
-finished, so X is stored only for callers that read it.  Diagnostics cover
-reverse Holder constants, martingale defect (from node blocks of S, which
-need not come from a stored array), and the Doob-maximal comparison.
+keeps only what its caller reads: it can measure the inverse residual
+|S X - I| and reduce the martingale defect on its blocks as they are
+finished, and store the whole path of S, of X, or S_T alone.  So
+`simulate-exponential` holds the paths, two integration blocks and one
+defect block; the regression R_p holds S^{-1} and S_T; the nested R_p
+integrates no S over the outer paths.  Diagnostics cover reverse Holder
+constants, martingale defect (from node blocks of S, which need not come
+from a stored array), and the Doob-maximal comparison.
 """
 
 from __future__ import annotations
@@ -54,21 +58,32 @@ def node_blocks(nodes: int, node_bytes: int, node_entries: int):
 
 @dataclass
 class ExponentialEnsemble:
-    """Simulated S (and optionally S^{-1}) along a path ensemble.
+    """What one simulation of S (and of S^{-1}) along a path ensemble kept.
 
-    s[m, k] is the n x n matrix at node k of path m; s[all, 0] = I.  The
-    inverse residual |S_k X_k - I| is measured per grid node, not assumed:
-    `residual` holds it when the Euler pass measured it.
+    s[m, k] is the n x n matrix at node k of path m; s[all, 0] = I.  Only
+    what a caller reads is kept (see `simulate_exponential`): `s` and `s_inv`
+    are the whole paths, `s_terminal` is S_T (a view of s when s is kept),
+    and `residual` and `defect` are the inverse residual |S_k X_k - I| and
+    the martingale defect as the Euler pass measured them.  `bad_paths`
+    marks the paths that are non-finite at any node; it is None only when
+    nothing was integrated.  A reader of something not kept gets a
+    ValueError that names it.
     """
 
     field: CoefficientField
     paths: PathEnsemble
-    s: np.ndarray
+    s: np.ndarray | None = None
     s_inv: np.ndarray | None = None
-    bad_paths: np.ndarray = None
+    bad_paths: np.ndarray | None = None
     residual: np.ndarray | None = None
+    s_terminal: np.ndarray | None = None
+    defect: MartingaleDefectReport | None = None
 
     def __post_init__(self):
+        if self.s is None:
+            return
+        if self.s_terminal is None:
+            self.s_terminal = self.s[:, -1]
         if self.bad_paths is None:
             m, k1 = self.s.shape[:2]
             self.bad_paths = np.zeros(m, dtype=bool)
@@ -79,18 +94,26 @@ class ExponentialEnsemble:
     def n(self) -> int:
         return self.field.n
 
+    def kept(self, name: str, reader: str) -> np.ndarray:
+        """The attribute `name`, or a ValueError if this ensemble does not hold it."""
+        value = getattr(self, name)
+        if value is None:
+            raise ValueError(f"{reader} reads {name}, which the ensemble does not hold: "
+                             f"simulate it with {name!r} in reads")
+        return value
+
     def inverse_residual_profile(self) -> np.ndarray:
         """Mean over paths of |S_k X_k - I| (operator norm) at each grid node:
         the profile the Euler pass measured, or else one from s and s_inv."""
         if self.residual is not None:
             return self.residual
-        if self.s_inv is None:
-            raise ValueError("ensemble was integrated without the inverse part")
-        m, k1 = self.s.shape[:2]
+        s = self.kept("s", "the inverse residual")
+        s_inv = self.kept("s_inv", "the inverse residual")
+        m, k1 = s.shape[:2]
         out = np.empty(k1)
         for lo, hi in node_blocks(k1, m * self.n * self.n * 8, 1):
-            out[lo:hi] = _residual_means(self.s[:, lo:hi].swapaxes(0, 1),
-                                         self.s_inv[:, lo:hi].swapaxes(0, 1))
+            out[lo:hi] = _residual_means(s[:, lo:hi].swapaxes(0, 1),
+                                         s_inv[:, lo:hi].swapaxes(0, 1))
         return out
 
 
@@ -111,7 +134,7 @@ def _residual_means(s: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def integrate_exponential(field: CoefficientField, paths: PathEnsemble) -> np.ndarray:
     """Euler-Maruyama path of S: S_{k+1} = S_k + S_k (A_k dB_k), S_0 = I."""
-    return simulate_exponential(field, paths, inverse=False).s
+    return simulate_exponential(field, paths, reads=("s",)).s
 
 
 def integrate_terminal(field: CoefficientField, grid: TimeGrid, inc: np.ndarray,
@@ -147,34 +170,28 @@ def integrate_terminal(field: CoefficientField, grid: TimeGrid, inc: np.ndarray,
 
 def integrate_inverse(field: CoefficientField, paths: PathEnsemble) -> np.ndarray:
     """Euler path of the inverse dynamics dX = A^2 X dt - (A dB) X, X_0 = I."""
-    return simulate_exponential(field, paths).s_inv
+    return simulate_exponential(field, paths, reads=("s_inv",)).s_inv
 
 
-def simulate_exponential(field: CoefficientField, paths: PathEnsemble,
-                         inverse: bool = True, residual: bool = False) -> ExponentialEnsemble:
-    """S, and with `inverse` X = S^{-1}, in one Euler pass from S_0 = X_0 = I.
+def _euler_pass(field: CoefficientField, paths: PathEnsemble, inverse: bool):
+    """The Euler pass of S, and with `inverse` of X = S^{-1}, from S_0 = X_0 = I.
 
     A_k and A_k dB_k are formed once per step for both.  The steps run on
     node-major blocks of about _STEP_BLOCK_BYTES per array, so every node is
-    contiguous; each finished block of S (and of X with `inverse`) is copied
-    into a path-major array, and its last node starts the next block.  With
-    `residual`, X is integrated whether or not it is kept, and the mean of
-    |S_k X_k - I| is measured on each finished block into `residual`.
+    contiguous.  Yields (lo, hi, s, x), node-major (hi - lo, M, n, n) views
+    of the nodes lo <= k < hi: node 0 alone, then each finished block (x is
+    None without `inverse`).  A view holds its values until the next block
+    is asked for; then the last node of the block starts the next one.
     """
     m, k_steps, n = paths.paths, paths.grid.steps, field.n
     dt, inc = paths.grid.dt, paths.increments
     blocks = _step_blocks(k_steps, m * n * n * 8)
-    # outs: S, and X if kept; work: S, and X if integrated
-    outs = [np.empty((m, k_steps + 1, n, n)) for _ in range(1 + inverse)]
-    work = [np.empty((blocks[0][1] + 1, m, n, n)) for _ in range(1 + (inverse or residual))]
-    for arr in outs:
-        arr[:, 0] = np.eye(n)
+    work = [np.empty((blocks[0][1] + 1, m, n, n)) for _ in range(1 + inverse)]
     for w in work:
         w[0] = np.eye(n)
-    s, x = work[0], work[1] if len(work) > 1 else None
+    s, x = work[0], work[1] if inverse else None
     drift, noise = np.empty((m, n, n)), np.empty((m, n, n))
-    bad = np.zeros(m, dtype=bool)
-    resid = np.zeros(k_steps + 1) if residual else None   # S_0 X_0 - I = 0
+    yield 0, 1, s[:1], None if x is None else x[:1]
     for lo, hi in blocks:
         for j, k in enumerate(range(lo, hi)):
             a = field.values(paths, k)
@@ -190,14 +207,104 @@ def simulate_exponential(field: CoefficientField, paths: PathEnsemble,
                 np.add(x[j], drift, out=x[j + 1])
                 x[j + 1] -= noise
         done = slice(1, hi - lo + 1)
-        bad |= ~np.isfinite(s[done]).all(axis=(0, 2, 3))
-        if residual:
-            resid[lo + 1:hi + 1] = _residual_means(s[done], x[done])
-        for out, w in zip(outs, work):
-            out[:, lo + 1:hi + 1] = w[done].swapaxes(0, 1)
+        yield lo + 1, hi + 1, s[done], None if x is None else x[done]
         for w in work:
             w[0] = w[hi - lo]
-    return ExponentialEnsemble(field, paths, *outs, bad_paths=bad, residual=resid)
+
+
+def _path_major_blocks(blocks, keep: np.ndarray, n: int):
+    """defect_profile's kept_block for the paths `keep`, fed by `blocks`, a
+    stream of (lo, hi, node-major block of S) in node order such as
+    `_euler_pass` yields.
+
+    Each call copies the nodes it asks for, transposed, into a new path-major
+    (kept paths, nodes, n, n) block: the block a stored S gives, bit for bit.
+    The node-major blocks themselves are not reduced, because numpy would add
+    a contiguous path axis pairwise (n = 1), not in path order.
+    """
+    rows = int(keep.sum())
+    current = (0, 0, None)
+
+    def kept_block(lo: int, hi: int) -> np.ndarray:
+        nonlocal current
+        out = np.empty((rows, hi - lo, n, n))
+        pos = lo
+        while pos < hi:
+            if pos == current[1]:
+                current = next(blocks)
+            c_lo, c_hi, block = current[:3]
+            top = min(hi, c_hi)
+            part = block[pos - c_lo:top - c_lo]
+            out[:, pos - lo:top - lo] = (part if rows == len(keep) else part[:, keep]
+                                         ).swapaxes(0, 1)
+            pos = top
+        return out
+    return kept_block
+
+
+# What a caller of simulate_exponential may read from its ensemble.
+_READS = ("s", "s_inv", "s_terminal", "residual", "defect")
+
+
+def simulate_exponential(field: CoefficientField, paths: PathEnsemble,
+                         reads=("s", "s_inv")) -> ExponentialEnsemble:
+    """S and X = S^{-1} in one Euler pass, keeping only what the caller reads.
+
+    `reads` names the attributes of the ensemble that the caller reads:
+      - "s", "s_inv": the whole path-major (M, K+1, n, n) paths, into which
+        each finished block is copied;
+      - "s_terminal": S_T alone, (M, n, n);
+      - "residual": the mean of |S_k X_k - I| per node, measured on each
+        finished block (X is integrated, not kept);
+      - "defect": `martingale_defect`'s report, reduced from the finished
+        blocks through `defect_profile`.
+    `bad_paths` is always set.  X is integrated only for "s_inv" and
+    "residual", and with nothing to read no pass runs.  The defect leaves
+    out the bad paths, which are known only at the end of the pass: if there
+    are any, S is integrated once more and reduced over the kept paths.  A
+    path's S depends only on its own increments, so the bits are those of
+    the stored S.
+    """
+    reads = set(reads)
+    if reads - set(_READS):
+        raise ValueError(f"simulate_exponential cannot keep {sorted(reads - set(_READS))}; "
+                         f"it keeps {list(_READS)}")
+    if not reads:
+        return ExponentialEnsemble(field, paths)
+    m, k1, n = paths.paths, paths.grid.steps + 1, field.n
+    stored = {name: np.empty((m, k1, n, n)) for name in ("s", "s_inv") if name in reads}
+    bad = np.zeros(m, dtype=bool)
+    resid = np.zeros(k1) if "residual" in reads else None   # S_0 X_0 - I = 0
+    terminal = None
+
+    def finished():
+        """The pass's blocks, each bookkept before it is handed on."""
+        nonlocal terminal
+        for lo, hi, s, x in _euler_pass(field, paths, bool(reads & {"s_inv", "residual"})):
+            bad[:] |= ~np.isfinite(s).all(axis=(0, 2, 3))
+            if resid is not None and lo:
+                resid[lo:hi] = _residual_means(s, x)
+            for name, block in (("s", s), ("s_inv", x)):
+                if name in stored:
+                    stored[name][:, lo:hi] = block.swapaxes(0, 1)
+            if hi == k1 and "s_terminal" in reads:
+                terminal = s[-1].copy()
+            yield lo, hi, s
+
+    blocks = finished()
+    defect = None
+    if "defect" in reads:
+        every = np.ones(m, dtype=bool)
+        defect = defect_profile(every, n, k1, _path_major_blocks(blocks, every, n))
+    for _ in blocks:   # the rest of the pass, where no defect drove it
+        pass
+    if defect is not None and bad.any():
+        keep = ~bad
+        defect = defect_profile(keep, n, k1, _path_major_blocks(
+            _euler_pass(field, paths, False), keep, n))
+    return ExponentialEnsemble(field, paths, stored.get("s"), stored.get("s_inv"),
+                               bad_paths=bad, residual=resid, s_terminal=terminal,
+                               defect=defect)
 
 
 @dataclass
@@ -225,7 +332,7 @@ def estimate_reverse_holder(expo: ExponentialEnsemble, p: float,
 
     method "regression": fit |S_{t_k}^{-1} S_T|^p against a polynomial in the
     Brownian state over the outer paths; ess-sup ~ max fitted value.  It
-    reads S^{-1} from the ensemble, which must be simulated with inverse=True.
+    reads S^{-1} and S_T from the ensemble, which must keep them.
     method "nested": re-simulate the ratio process from (t_k, B_{t_k}) with
     `inner_paths` sub-paths per outer path (Markovian fields only);
     ess-sup ~ max over outer paths of the inner mean.
@@ -240,11 +347,10 @@ def estimate_reverse_holder(expo: ExponentialEnsemble, p: float,
 
     reg = RegressionConditional.of(paths, degree)
     if method == "regression":
-        if expo.s_inv is None:
-            raise ValueError("the regression estimator reads S^{-1}: simulate the "
-                             "ensemble with inverse=True")
+        s_inv = expo.kept("s_inv", "the regression estimator")
+        s_terminal = expo.kept("s_terminal", "the regression estimator")
         for lo, hi in _step_blocks(k_grid, paths.paths * expo.n * expo.n * 8):
-            targets = operator_norm(expo.s_inv[:, lo:hi].swapaxes(0, 1) @ expo.s[:, -1]) ** p
+            targets = operator_norm(s_inv[:, lo:hi].swapaxes(0, 1) @ s_terminal) ** p
             for k, target in enumerate(targets, lo):
                 fitted = reg.fit_predict(k, target)
                 profile[k] = float(fitted.max())
@@ -326,15 +432,19 @@ class MartingaleDefectReport:
 
 
 def martingale_defect(expo: ExponentialEnsemble) -> MartingaleDefectReport:
-    """Monte Carlo profile of |E[S_{t_k}] - S_0| with entrywise error bars.
+    """Monte Carlo profile of |E[S_{t_k}] - S_0| with entrywise error bars:
+    the profile the Euler pass measured, or else one from s.
 
     `group_defect` is the median over 8 path groups of the per-group defect: a
     single wild path (strict-local-martingale ensembles are heavy-tailed)
     inflates both the plain defect and its error bar, but not the median.
     """
+    if expo.defect is not None:
+        return expo.defect
+    s = expo.kept("s", "martingale_defect")
     keep = ~expo.bad_paths
     # boolean indexing: a private copy of the block
-    return defect_profile(keep, expo.n, expo.s.shape[1], lambda lo, hi: expo.s[keep, lo:hi])
+    return defect_profile(keep, expo.n, s.shape[1], lambda lo, hi: s[keep, lo:hi])
 
 
 def defect_profile(keep: np.ndarray, n: int, nodes: int, kept_block) -> MartingaleDefectReport:
@@ -342,8 +452,9 @@ def defect_profile(keep: np.ndarray, n: int, nodes: int, kept_block) -> Martinga
 
     kept_block(lo, hi) returns the (kept paths, hi - lo, n, n) block of S at
     nodes lo <= k < hi, a private copy that the reduction overwrites.  The
-    blocks are node_blocks of the kept paths, whatever produces them: a
-    stored ensemble or a closed form that never stores S.
+    blocks are node_blocks of the kept paths, asked for in node order,
+    whatever produces them: a stored ensemble, the Euler pass as it runs, or
+    a closed form that never stores S.
     """
     m = int(keep.sum())
     if m == 0:
@@ -380,13 +491,14 @@ def doob_sup_check(expo: ExponentialEnsemble, p: float, degree: int = 3) -> dict
     """Compare E_tau[sup_{tau<=t<=T} |S_tau^{-1} S_t|^p] to (p/(p-1))^p R_p.
 
     Both sides are estimated from the same ensemble (regression conditionals),
-    which must hold S^{-1}; returns the worst ratio over the grid times before
-    T, which should not exceed 1 beyond Monte Carlo tolerance when S is a true
-    martingale.
+    which must hold the whole paths of S and S^{-1}; returns the worst ratio
+    over the grid times before T, which should not exceed 1 beyond Monte
+    Carlo tolerance when S is a true martingale.
     """
     if p <= 1:
         raise ValueError("the Doob factor requires p > 1")
     paths = expo.paths
+    s = expo.kept("s", "doob_sup_check")
     rp = estimate_reverse_holder(expo, p, method="regression", degree=degree)
     doob_factor = (p / (p - 1.0)) ** p
     bound = doob_factor * rp.rp_estimate
@@ -394,7 +506,7 @@ def doob_sup_check(expo: ExponentialEnsemble, p: float, degree: int = 3) -> dict
     reg = RegressionConditional.of(paths, degree)
     worst = 0.0
     for k in range(paths.grid.steps):
-        ratios = expo.s_inv[:, k, None] @ expo.s[:, k:]
+        ratios = expo.s_inv[:, k, None] @ s[:, k:]
         target = (operator_norm(ratios) ** p).max(axis=1)
         worst = max(worst, float(reg.fit_predict(k, target).max()))
     return {
@@ -428,5 +540,6 @@ def terminal_moment_truncation_curve(expo: ExponentialEnsemble, p: float = 1.0) 
     When the underlying moment is infinite (the rotation counterexample at
     p = 1) the curve keeps climbing and `diverging` is set.
     """
-    vals = operator_norm(expo.s[:, -1][~expo.bad_paths]) ** p
+    s_terminal = expo.kept("s_terminal", "the truncation curve")
+    vals = operator_norm(s_terminal[~expo.bad_paths]) ** p
     return truncation_curve(vals, np.geomspace(1.0, max(float(vals.max()), 2.0), 13))

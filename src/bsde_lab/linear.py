@@ -210,8 +210,8 @@ def _finish(fld: CoefficientField | None, paths: PathEnsemble, solver: str, y: n
 
     Every solve runs a core, which returns (y, z, extras), then this step;
     the Picard loop of `solve_perturbed` runs the core once per pass and this
-    step once.  Keys of `extras` that it reads: "drift" (a drift the core
-    already formed, with which `fld` may be None), "a_vals" (field values the
+    step once.  Keys of `extras` that it reads: "drift" (A Z + beta as the
+    core already formed it, with which `fld` may be None), "a_vals" (field values the
     core already holds, one array per step), "terminal_mismatch" (0 if
     absent) and "scalar_v" (the scalar V = b^T Z of the right-outer
     reduction, checked on the solution as "outer_identity_residual").  Every
@@ -270,12 +270,17 @@ def _expo_core(fld: CoefficientField, expo: ExponentialEnsemble, degree: int, di
     terminal_mismatch = float(np.abs(y[:, ksteps] - xi).max())
     y[:, ksteps] = xi
 
+    # each node's field values serve Z_k and then the drift A_k Z_k
+    drift = np.empty((paths.paths, ksteps, fld.n))
     for k in range(ksteps):
         a_k = fld.values(paths, k)                                       # (M, n, n, d)
         xn = np.einsum("mij,mj->mi", expo.s_inv[:, k], n_fit[:, k])      # Y + int beta
         z[:, k] = (np.einsum("mij,mjd->mid", expo.s_inv[:, k], z[:, k])
                    - np.einsum("mijd,mj->mid", a_k, xn))
-    return y, z, {"terminal_mismatch": terminal_mismatch, **diags}
+        drift[:, k] = contract_az(a_k, z[:, k])
+    if beta is not None:
+        drift += beta
+    return y, z, {"drift": drift, "terminal_mismatch": terminal_mismatch, **diags}
 
 
 def _representation(fld: CoefficientField, paths: PathEnsemble, degree: int,
@@ -284,7 +289,7 @@ def _representation(fld: CoefficientField, paths: PathEnsemble, degree: int,
     is given and gated here, once: RepresentationInvalidError past a worst
     group martingale defect of 0.1."""
     if expo is None:
-        expo = simulate_exponential(fld, paths, inverse=True)
+        expo = simulate_exponential(fld, paths, reads=("s", "s_inv"))
     worst = float(martingale_defect(expo).group_defect.max())
     if worst > 0.1:
         raise RepresentationInvalidError(
@@ -493,7 +498,8 @@ def solve_perturbed(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int = 3,
     m, ksteps, n, d = paths.paths, paths.grid.steps, spec.n, paths.d
     xi = _terminal(spec, paths)
     beta = _beta_array(spec, paths)
-    alpha = None if spec.alpha is None else _per_step(spec.alpha, paths)
+    alpha = None if spec.alpha is None else [
+        np.asarray(spec.alpha(paths, k), dtype=float) for k in range(ksteps)]
     da_vals = None if spec.delta_field is None else [
         spec.delta_field.values(paths, k) for k in range(ksteps)]
 
@@ -504,10 +510,10 @@ def solve_perturbed(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int = 3,
         mod = np.zeros((m, ksteps, n))
         if beta is not None:
             mod += beta
-        if alpha is not None:
-            mod += np.einsum("mkij,mkj->mki", alpha, y_prev[:, :-1])
-        if da_vals is not None:
-            for k in range(ksteps):
+        for k in range(ksteps):
+            if alpha is not None:
+                mod[:, k] += np.einsum("mij,mj->mi", alpha[k], y_prev[:, k])
+            if da_vals is not None:
                 mod[:, k] += contract_az(da_vals[k], z_prev[:, k])
         y, z, extras = core(xi, mod)
         resid = float(np.abs(y - y_prev).max() / (1.0 + np.abs(y).max()))

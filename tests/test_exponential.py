@@ -111,7 +111,7 @@ def test_reverse_holder_scalar_lognormal():
 def test_reverse_holder_nested_estimator():
     fld = scalar_field(0.5)
     p = generate_brownian(TimeGrid(1.0, 8), 1, 64, seed=31)
-    expo = simulate_exponential(fld, p, inverse=False)   # nested never reads S^{-1}
+    expo = simulate_exponential(fld, p, reads=())   # nested reads no outer S
     rep = estimate_reverse_holder(expo, 2.0, method="nested", inner_paths=4000)
     # max over outer paths of inner means biases upward by ~2.4 inner se
     assert abs(rep.rp_estimate - np.exp(0.25)) < 6 * max(rep.std_error, 1e-3)
@@ -142,7 +142,7 @@ def test_martingale_defect_zero_field(paths_256):
 def test_martingale_defect_scalar_true_martingale():
     fld = scalar_field(0.5)
     p = generate_brownian(TimeGrid(1.0, 64), 1, 40000, seed=41)
-    rep = martingale_defect(simulate_exponential(fld, p, inverse=False))
+    rep = martingale_defect(simulate_exponential(fld, p, reads=("s",)))
     assert np.all(rep.defect <= 4 * rep.std_error + 1e-3)
 
 
@@ -219,7 +219,7 @@ def test_streamed_nested_matches_whole_ensemble_bitwise(name):
     m, inner = 100, 200                 # 20000 inner paths: two Philox blocks
     assert _BLOCK < m * inner < 2 * _BLOCK
     expo = simulate_exponential(fld, generate_brownian(TimeGrid(1.0, 4), fld.d, m, seed=5),
-                                inverse=False)
+                                reads=())
     for k in (0, 2, 3):
         for p in (1.0, 2.5):
             got = _nested_ratio_moment(expo, k, p, inner, 7_001)
@@ -277,7 +277,7 @@ def test_streamed_nested_memory_grows_by_one_float_per_inner_path():
 
     def peak(m):
         expo = simulate_exponential(scalar_field(0.5), generate_brownian(
-            TimeGrid(1.0, 16), 1, m, seed=3), inverse=False)
+            TimeGrid(1.0, 16), 1, m, seed=3), reads=())
         tracemalloc.start()
         try:
             _nested_ratio_moment(expo, 0, 2.0, inner, 7_001)

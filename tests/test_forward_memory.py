@@ -137,7 +137,7 @@ def test_fused_integration_matches_two_loop_reference(name, inverse, monkeypatch
         assert 0 < bad_ref.sum() < paths.paths
     for budget in _budgets(paths.paths, field.n) + [ex._STEP_BLOCK_BYTES, 1 << 30]:
         monkeypatch.setattr(ex, "_STEP_BLOCK_BYTES", budget)
-        expo = simulate_exponential(field, paths, inverse=inverse)
+        expo = simulate_exponential(field, paths, reads=_reads(inverse))
         assert np.array_equal(expo.s, s_ref, equal_nan=True), budget
         if inverse:
             assert np.array_equal(expo.s_inv, x_ref, equal_nan=True), budget
@@ -156,11 +156,11 @@ def test_fused_integration_matches_two_loop_reference(name, inverse, monkeypatch
 @pytest.mark.filterwarnings("ignore:regression basis rank-deficient")
 def test_blocked_reverse_holder_matches_per_node(name, inverse, monkeypatch):
     field, paths = _integration_cases()[name]
-    expo = simulate_exponential(field, paths, inverse=inverse)
+    expo = simulate_exponential(field, paths, reads=_reads(inverse))
     if not inverse:
         # the regression estimators read S_t^{-1} from the ensemble alone
         for estimate in (ex.estimate_reverse_holder, ex.doob_sup_check):
-            with pytest.raises(ValueError, match="inverse=True"):
+            with pytest.raises(ValueError, match="'s_inv' in reads"):
                 estimate(expo, 2.0)
         return
     profile, se = _rp_reference(expo, 2.0)
@@ -183,6 +183,11 @@ def ensembles():
         "emery-closed-form": emery_closed_form(pe, level=0.8),
         "emery-euler": simulate_exponential(StoppedRotationField(0.8), pe),
     }
+
+
+def _reads(inverse: bool) -> tuple:
+    """What the ensemble keeps: S, and S^{-1} with `inverse`."""
+    return ("s", "s_inv") if inverse else ("s",)
 
 
 def _budgets(rows: int, n: int) -> list:
@@ -245,7 +250,7 @@ def test_in_pass_residual_matches_whole_arrays(name, inverse, monkeypatch):
         assert np.isnan(want).any()
     for budget in _budgets(paths.paths, field.n) + [ex._STEP_BLOCK_BYTES]:
         monkeypatch.setattr(ex, "_STEP_BLOCK_BYTES", budget)
-        expo = simulate_exponential(field, paths, inverse=inverse, residual=True)
+        expo = simulate_exponential(field, paths, reads=_reads(inverse) + ("residual",))
         assert np.array_equal(expo.inverse_residual_profile(), want, equal_nan=True), budget
         assert np.array_equal(expo.s, full.s, equal_nan=True), budget
         assert np.array_equal(expo.bad_paths, full.bad_paths), budget
@@ -253,6 +258,53 @@ def test_in_pass_residual_matches_whole_arrays(name, inverse, monkeypatch):
             assert np.array_equal(expo.s_inv, full.s_inv, equal_nan=True), budget
         else:
             assert expo.s_inv is None
+
+
+@pytest.mark.parametrize("name", list(_integration_cases()))
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")   # blow-up
+def test_in_pass_defect_matches_whole_arrays(name, monkeypatch):
+    field, paths = _integration_cases()[name]
+    full = simulate_exponential(field, paths, reads=("s",))
+    want = _defect_reference(full)
+    kept = int((~full.bad_paths).sum())
+    if name == "blow-up":
+        assert 0 < kept < paths.paths
+    node_budgets = _budgets(kept, field.n) + _budgets(paths.paths, field.n)
+    for step in _budgets(paths.paths, field.n) + [ex._STEP_BLOCK_BYTES]:
+        monkeypatch.setattr(ex, "_STEP_BLOCK_BYTES", step)
+        for node in node_budgets + [ex._NODE_BLOCK_BYTES]:
+            monkeypatch.setattr(ex, "_NODE_BLOCK_BYTES", node)
+            expo = simulate_exponential(field, paths, reads=("defect",))
+            assert expo.s is None and expo.s_inv is None
+            assert np.array_equal(expo.bad_paths, full.bad_paths), (step, node)
+            rep = martingale_defect(expo)
+            for key, ref in want.items():
+                assert np.array_equal(getattr(rep, key), ref), (step, node, key)
+        monkeypatch.undo()
+
+
+def test_readers_of_what_was_not_kept_name_it():
+    field, paths = _integration_cases()["triangular-3d"]
+    lean = simulate_exponential(field, paths, reads=("defect", "residual"))
+    assert lean.s is None and lean.s_inv is None and lean.s_terminal is None
+    lean.inverse_residual_profile()   # measured in the pass
+    for reader, name in ((ex.doob_sup_check, "s"),
+                         (ex.terminal_moment_truncation_curve, "s_terminal")):
+        with pytest.raises(ValueError, match=f"simulate it with '{name}' in reads"):
+            reader(lean, 2.0)
+    with pytest.raises(ValueError, match="'s' in reads"):
+        martingale_defect(simulate_exponential(field, paths, reads=("s_terminal",)))
+    none = simulate_exponential(field, paths, reads=())
+    assert none.s_terminal is None and none.bad_paths is None
+    with pytest.raises(ValueError, match="cannot keep"):
+        simulate_exponential(field, paths, reads=("x",))
+    regression = simulate_exponential(field, paths, reads=("s_inv", "s_terminal"))
+    full = simulate_exponential(field, paths)
+    assert regression.s is None
+    assert np.array_equal(regression.s_terminal, full.s[:, -1])
+    assert np.array_equal(regression.s_inv, full.s_inv)
+    assert np.array_equal(ex.estimate_reverse_holder(regression, 2.0).profile,
+                          ex.estimate_reverse_holder(full, 2.0).profile)
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value", "ignore:divide by zero")
@@ -334,6 +386,23 @@ def test_fused_integration_memory_is_bounded():
     assert extra[1600] < 1.1 * extra[800], extra
 
 
+def test_simulate_exponential_pass_memory_does_not_grow_with_k():
+    """simulate-exponential's pass keeps no S: beyond the paths, two
+    integration blocks and one defect block.  At 1000 paths S is 14 times
+    the defect block's 4 MiB budget (at 300 paths, only 4 times)."""
+    fld, m = triangular_3d(), 1000
+    node = m * fld.n * fld.n * 8
+    peaks = {}
+    for k_steps in (800, 1600):
+        paths = generate_brownian(TimeGrid(1.0, k_steps), 1, m, seed=9)
+        paths.states   # cached before tracing: the field reads it
+        peaks[k_steps] = _peak_bytes(lambda: simulate_exponential(
+            fld, paths, reads=("defect", "residual")))
+        del paths
+    assert peaks[800] < 0.25 * 801 * node, peaks
+    assert peaks[1600] < 1.1 * peaks[800], peaks
+
+
 def test_streamed_profiles_memory_does_not_grow_with_k():
     """The Emery defect profile holds no S, and the residual pass no S^{-1}."""
     fld, m = triangular_3d(), 300
@@ -346,7 +415,7 @@ def test_streamed_profiles_memory_does_not_grow_with_k():
         paths = generate_brownian(TimeGrid(1.0, k_steps), 1, m, seed=9)
         paths.states
         extra[k_steps] = (_peak_bytes(lambda: simulate_exponential(
-            fld, paths, inverse=False, residual=True)) - (k_steps + 1) * node)
+            fld, paths, reads=("s", "residual"))) - (k_steps + 1) * node)
         del paths
     assert emery[800] < 0.25 * 2000 * 801 * 2 * 2 * 8, emery
     assert extra[800] < 0.25 * 801 * node, extra

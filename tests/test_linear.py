@@ -451,6 +451,25 @@ def test_perturbed_evaluates_base_field_once_per_step(small_paths):
         assert len(passes_seen) == 3, instance
 
 
+def test_representation_cores_evaluate_the_field_once_per_node(small_paths, monkeypatch):
+    # The core forms the drift A_k Z_k from the A_k it evaluated for Z_k,
+    # so `_finish` evaluates no field.
+    from bsde_lab.exponential import simulate_exponential
+    ksteps = small_paths.grid.steps
+    for instance, solve in (("left-outer-3d", solve_left_outer),
+                            ("triangular-3d", solve_by_representation)):
+        spec = _perturbed_spec(instance)
+        spec = LinearBsdeSpec(spec.field, spec.terminal)
+        kw = {}
+        if solve is solve_by_representation:
+            kw["expo"] = simulate_exponential(spec.field, small_paths)
+        calls = []
+        monkeypatch.setattr(spec.field, "values", lambda *args, _v=spec.field.values:
+                            calls.append(args[-1]) or _v(*args))
+        solve(spec, small_paths, **kw)
+        assert sorted(calls) == list(range(ksteps)), instance
+
+
 def test_perturbed_representation_simulates_and_gates_once(small_paths, monkeypatch):
     import bsde_lab.linear as lin
     calls = {"simulate_exponential": 0, "martingale_defect": 0}
@@ -717,7 +736,7 @@ def _ref_solver(name):
     cores = {
         "regression": _ref_regression_core,
         "representation": lambda spec, paths, degree: _ref_expo_core(
-            spec, simulate_exponential(spec.field, paths, inverse=True), degree),
+            spec, simulate_exponential(spec.field, paths, reads=("s", "s_inv")), degree),
         "triangular": _ref_triangular_core,
         "right_outer": _ref_right_outer_core,
         "left_outer": lambda spec, paths, degree: _ref_expo_core(

@@ -69,6 +69,28 @@ def test_case_filter_keeps_only_named_cases(capsys):
         tool.main([src, src, "--workload", "backward", "--seed", "3", "--case", "emery"])
 
 
+def test_set_overrides_the_config_of_every_selected_case(capsys):
+    tool = _compare_outputs()
+    assert tool.parse_setting("M=4000") == ("M", 4000)
+    assert tool.parse_setting('field="emery"') == ("field", "emery")
+    assert tool.parse_setting("depths=[2, 3]") == ("depths", [2, 3])
+    for bad in ("M", "=3", "field=emery"):
+        with pytest.raises(Exception, match="KEY=VALUE|not JSON"):
+            tool.parse_setting(bad)
+    cases = tool.select_cases(["forward"], ["exp-triangular", "rp-regression"],
+                              [("M", 40), ("K", 4)])
+    assert [(c.config["M"], c.config["K"], c.config["field"]) for c in cases] == \
+        [(40, 4, "triangular-3d")] * 2
+    assert tool.WORKLOADS["forward"][0].config["M"] == 300   # the workload is untouched
+    src = str(ROOT / "src")
+    assert tool.main([src, src, "--workload", "forward", "--seed", "3",
+                      "--case", "exp-triangular", "--set", "M=40", "--set", "K=4"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "0 differing output(s) in 1 case(s), seed 3, threads 1"
+    with pytest.raises(SystemExit):
+        tool.main([src, src, "--workload", "forward", "--seed", "3", "--set", "M"])
+
+
 def test_main_prints_peak_rss_of_each_tree(capsys):
     tool = _compare_outputs()
     src = str(ROOT / "src")

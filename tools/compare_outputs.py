@@ -4,12 +4,17 @@
     python3 tools/compare_outputs.py SRC_A SRC_B --workload all --seed 2 --threads 4
     python3 tools/compare_outputs.py SRC_A SRC_B --workload closed-form --seed 1 \
         --case exit-pi4 --case emery
+    python3 tools/compare_outputs.py SRC_A SRC_B --workload forward --seed 1 \
+        --case exp-triangular --set M=4000 --set K=400
 
 SRC_A and SRC_B are directories that hold a `bsde_lab` package (the `src/`
 directory of two checkouts).  Every case of the workload (bench/workloads.py,
 imported read-only) runs once as a `bsde-lab` command from each tree, at the
 given seed and thread count, with BLAS pinned to one thread; repeated
-`--case NAME` options keep only the named cases.  For each output
+`--case NAME` options keep only the named cases, and repeated
+`--set KEY=VALUE` options (VALUE read as JSON) override that key of every
+selected case's config, to compare at sizes the benchmark does not run.
+For each output
 file the script prints `identical` when the bytes agree, and otherwise the
 largest relative difference over the numbers in the file, then one line
 with the peak RSS of the command in each tree, which never counts as a
@@ -134,15 +139,28 @@ def compare_case(case, src_a: Path, src_b: Path, seed: int, threads: int,
     return rows
 
 
-def select_cases(workloads: list, names: list | None) -> list:
-    """The cases of `workloads`, in order, or only those named in `names`."""
+def select_cases(workloads: list, names: list | None, settings: list = ()) -> list:
+    """The cases of `workloads`, in order, or only those named in `names`,
+    with each (key, value) of `settings` set in their configs."""
     cases = [c for w in workloads for c in WORKLOADS[w]]
-    if not names:
-        return cases
-    unknown = sorted(set(names) - {c.name for c in cases})
-    if unknown:
-        raise ValueError(f"no case {', '.join(unknown)} in workload(s) {', '.join(workloads)}")
-    return [c for c in cases if c.name in names]
+    if names:
+        unknown = sorted(set(names) - {c.name for c in cases})
+        if unknown:
+            raise ValueError(f"no case {', '.join(unknown)} in workload(s) "
+                             f"{', '.join(workloads)}")
+        cases = [c for c in cases if c.name in names]
+    return [c.with_config(**dict(settings)) for c in cases]
+
+
+def parse_setting(text: str) -> tuple:
+    """("KEY", VALUE) of a `--set KEY=VALUE` option, VALUE read as JSON."""
+    key, sep, value = text.partition("=")
+    if not (key and sep):
+        raise argparse.ArgumentTypeError(f"expected KEY=VALUE, got {text!r}")
+    try:
+        return key, json.loads(value)
+    except json.JSONDecodeError:
+        raise argparse.ArgumentTypeError(f"the value of {key} is not JSON: {value!r}") from None
 
 
 def main(argv=None) -> int:
@@ -154,10 +172,13 @@ def main(argv=None) -> int:
     ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--case", action="append", metavar="NAME",
                     help="compare only this case (repeatable)")
+    ap.add_argument("--set", action="append", default=[], type=parse_setting,
+                    metavar="KEY=VALUE", dest="settings",
+                    help="set KEY to the JSON VALUE in every case's config (repeatable)")
     args = ap.parse_args(argv)
     names = sorted(WORKLOADS) if args.workload == "all" else [args.workload]
     try:
-        cases = select_cases(names, args.case)
+        cases = select_cases(names, args.case, args.settings)
     except ValueError as err:
         ap.error(str(err))
     workdir = Path(tempfile.mkdtemp(prefix="compare-outputs-"))
