@@ -235,8 +235,9 @@ def _path_major_blocks(blocks, keep: np.ndarray, n: int):
             c_lo, c_hi, block = current[:3]
             top = min(hi, c_hi)
             part = block[pos - c_lo:top - c_lo]
-            out[:, pos - lo:top - lo] = (part if rows == len(keep) else part[:, keep]
-                                         ).swapaxes(0, 1)
+            if rows < len(keep):
+                part = part[:, keep]
+            out[:, pos - lo:top - lo] = part.swapaxes(0, 1)
             pos = top
         return out
     return kept_block

@@ -211,9 +211,9 @@ def _finish(fld: CoefficientField | None, paths: PathEnsemble, solver: str, y: n
     Every solve runs a core, which returns (y, z, extras), then this step;
     the Picard loop of `solve_perturbed` runs the core once per pass and this
     step once.  Keys of `extras` that it reads: "drift" (A Z + beta as the
-    core already formed it, with which `fld` may be None), "a_vals" (field values the
-    core already holds, one array per step), "terminal_mismatch" (0 if
-    absent) and "scalar_v" (the scalar V = b^T Z of the right-outer
+    core already formed it, with which `fld` may be None), "a_vals" (field
+    values the core already holds, one array per step), "terminal_mismatch"
+    (0 if absent) and "scalar_v" (the scalar V = b^T Z of the right-outer
     reduction, checked on the solution as "outer_identity_residual").  Every
     other key is a diagnostic of its own.
     """

@@ -269,10 +269,11 @@ def test_in_pass_defect_matches_whole_arrays(name, monkeypatch):
     kept = int((~full.bad_paths).sum())
     if name == "blow-up":
         assert 0 < kept < paths.paths
-    node_budgets = _budgets(kept, field.n) + _budgets(paths.paths, field.n)
-    for step in _budgets(paths.paths, field.n) + [ex._STEP_BLOCK_BYTES]:
-        monkeypatch.setattr(ex, "_STEP_BLOCK_BYTES", step)
-        for node in node_budgets + [ex._NODE_BLOCK_BYTES]:
+    steps = _budgets(paths.paths, field.n) + [ex._STEP_BLOCK_BYTES]
+    nodes = _budgets(kept, field.n) + _budgets(paths.paths, field.n) + [ex._NODE_BLOCK_BYTES]
+    for step in steps:
+        for node in nodes:
+            monkeypatch.setattr(ex, "_STEP_BLOCK_BYTES", step)
             monkeypatch.setattr(ex, "_NODE_BLOCK_BYTES", node)
             expo = simulate_exponential(field, paths, reads=("defect",))
             assert expo.s is None and expo.s_inv is None
@@ -280,7 +281,6 @@ def test_in_pass_defect_matches_whole_arrays(name, monkeypatch):
             rep = martingale_defect(expo)
             for key, ref in want.items():
                 assert np.array_equal(getattr(rep, key), ref), (step, node, key)
-        monkeypatch.undo()
 
 
 def test_readers_of_what_was_not_kept_name_it():

@@ -456,10 +456,9 @@ def test_representation_cores_evaluate_the_field_once_per_node(small_paths, monk
     # so `_finish` evaluates no field.
     from bsde_lab.exponential import simulate_exponential
     ksteps = small_paths.grid.steps
-    for instance, solve in (("left-outer-3d", solve_left_outer),
-                            ("triangular-3d", solve_by_representation)):
-        spec = _perturbed_spec(instance)
-        spec = LinearBsdeSpec(spec.field, spec.terminal)
+    for instance, make, solve in (("left-outer-3d", left_outer_3d, solve_left_outer),
+                                  ("triangular-3d", triangular_3d, solve_by_representation)):
+        spec = LinearBsdeSpec(make(), linear_terminal(instance))
         kw = {}
         if solve is solve_by_representation:
             kw["expo"] = simulate_exponential(spec.field, small_paths)

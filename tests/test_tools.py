@@ -75,7 +75,7 @@ def test_set_overrides_the_config_of_every_selected_case(capsys):
     assert tool.parse_setting('field="emery"') == ("field", "emery")
     assert tool.parse_setting("depths=[2, 3]") == ("depths", [2, 3])
     for bad in ("M", "=3", "field=emery"):
-        with pytest.raises(Exception, match="KEY=VALUE|not JSON"):
+        with pytest.raises(tool.argparse.ArgumentTypeError, match="KEY=VALUE|not JSON"):
             tool.parse_setting(bad)
     cases = tool.select_cases(["forward"], ["exp-triangular", "rp-regression"],
                               [("M", 40), ("K", 4)])
