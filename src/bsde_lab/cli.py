@@ -401,10 +401,12 @@ def run_reverse_holder(cfg: dict, out: Path, threads: int) -> int:
         raise ConfigurationError(f"method 'nested' needs a Markovian field; field "
                                  f"{cfg['field']!r} is path-dependent, use 'regression'")
     grid, paths = _paths(cfg, fld.d, threads)
-    # The regression estimator reads S_t^{-1} S_T; the nested one restarts
-    # its own inner paths and reads no S of the outer ones.
+    # The regression estimator reads S_T from this pass and integrates S_t^{-1}
+    # a second time, one block per fit, so it holds S_T, the regression bases
+    # and one integration block.  The nested one restarts its own inner paths
+    # and reads no S of the outer ones.
     expo = simulate_exponential(fld, paths, reads=(
-        ("s_inv", "s_terminal") if cfg["method"] == "regression" else ()))
+        ("s_terminal",) if cfg["method"] == "regression" else ()))
     rep = estimate_reverse_holder(expo, cfg["p"], method=cfg["method"],
                                   degree=cfg["degree"], inner_paths=cfg["inner_paths"])
     results = {

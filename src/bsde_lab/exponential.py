@@ -7,10 +7,12 @@ keeps only what its caller reads: it can measure the inverse residual
 |S X - I| and reduce the martingale defect on its blocks as they are
 finished, and store the whole path of S, of X, or S_T alone.  So
 `simulate-exponential` holds the paths, two integration blocks and one
-defect block; the regression R_p holds S^{-1} and S_T; the nested R_p
-integrates no S over the outer paths.  Diagnostics cover reverse Holder
-constants, martingale defect (from node blocks of S, which need not come
-from a stored array), and the Doob-maximal comparison.
+defect block; the regression R_p holds S_T, the regression bases and one
+integration block, integrating S^{-1} a second time (X alone) where the
+ensemble keeps none; the nested R_p integrates no S over the outer paths.
+Diagnostics cover reverse Holder constants, martingale defect (from node
+blocks of S, which need not come from a stored array), and the
+Doob-maximal comparison.
 """
 
 from __future__ import annotations
@@ -173,33 +175,36 @@ def integrate_inverse(field: CoefficientField, paths: PathEnsemble) -> np.ndarra
     return simulate_exponential(field, paths, reads=("s_inv",)).s_inv
 
 
-def _euler_pass(field: CoefficientField, paths: PathEnsemble, inverse: bool):
-    """The Euler pass of S, and with `inverse` of X = S^{-1}, from S_0 = X_0 = I.
+def _euler_pass(field: CoefficientField, paths: PathEnsemble, *, s: bool, inverse: bool):
+    """The Euler pass of S, and with `inverse` of X = S^{-1}, from S_0 = X_0 = I;
+    without `s`, of X alone.
 
     A_k and A_k dB_k are formed once per step for both.  The steps run on
     node-major blocks of about _STEP_BLOCK_BYTES per array, so every node is
     contiguous.  Yields (lo, hi, s, x), node-major (hi - lo, M, n, n) views
-    of the nodes lo <= k < hi: node 0 alone, then each finished block (x is
-    None without `inverse`).  A view holds its values until the next block
-    is asked for; then the last node of the block starts the next one.
+    of the nodes lo <= k < hi: node 0 alone, then each finished block (None
+    for the one not integrated).  A view holds its values until the next
+    block is asked for; then the last node of the block starts the next one.
     """
     m, k_steps, n = paths.paths, paths.grid.steps, field.n
     dt, inc = paths.grid.dt, paths.increments
     blocks = _step_blocks(k_steps, m * n * n * 8)
-    work = [np.empty((blocks[0][1] + 1, m, n, n)) for _ in range(1 + inverse)]
-    for w in work:
+    work = [np.empty((blocks[0][1] + 1, m, n, n)) if on else None for on in (s, inverse)]
+    live = [w for w in work if w is not None]
+    for w in live:
         w[0] = np.eye(n)
-    s, x = work[0], work[1] if inverse else None
+    s, x = work   # the blocks, None for the one not integrated
     drift, noise = np.empty((m, n, n)), np.empty((m, n, n))
-    yield 0, 1, s[:1], None if x is None else x[:1]
+    yield 0, 1, *(None if w is None else w[:1] for w in work)
     for lo, hi in blocks:
         for j, k in enumerate(range(lo, hi)):
             a = field.values(paths, k)
             a_db = contract_adb(a, inc[:, k])
-            # the product lands in node j + 1, then S_k is added: IEEE
-            # addition commutes, so this is S_k + S_k (A dB) bit for bit
-            np.matmul(s[j], a_db, out=s[j + 1])
-            s[j + 1] += s[j]
+            if s is not None:
+                # the product lands in node j + 1, then S_k is added: IEEE
+                # addition commutes, so this is S_k + S_k (A dB) bit for bit
+                np.matmul(s[j], a_db, out=s[j + 1])
+                s[j + 1] += s[j]
             if x is not None:
                 np.matmul(mat_square(a), x[j], out=drift)
                 drift *= dt[k]
@@ -207,8 +212,8 @@ def _euler_pass(field: CoefficientField, paths: PathEnsemble, inverse: bool):
                 np.add(x[j], drift, out=x[j + 1])
                 x[j + 1] -= noise
         done = slice(1, hi - lo + 1)
-        yield lo + 1, hi + 1, s[done], None if x is None else x[done]
-        for w in work:
+        yield lo + 1, hi + 1, *(None if w is None else w[done] for w in work)
+        for w in live:
             w[0] = w[hi - lo]
 
 
@@ -277,11 +282,12 @@ def simulate_exponential(field: CoefficientField, paths: PathEnsemble,
     bad = np.zeros(m, dtype=bool)
     resid = np.zeros(k1) if "residual" in reads else None   # S_0 X_0 - I = 0
     terminal = None
+    inverse = bool(reads & {"s_inv", "residual"})
 
     def finished():
         """The pass's blocks, each bookkept before it is handed on."""
         nonlocal terminal
-        for lo, hi, s, x in _euler_pass(field, paths, bool(reads & {"s_inv", "residual"})):
+        for lo, hi, s, x in _euler_pass(field, paths, s=True, inverse=inverse):
             bad[:] |= ~np.isfinite(s).all(axis=(0, 2, 3))
             if resid is not None and lo:
                 resid[lo:hi] = _residual_means(s, x)
@@ -302,7 +308,7 @@ def simulate_exponential(field: CoefficientField, paths: PathEnsemble,
     if defect is not None and bad.any():
         keep = ~bad
         defect = defect_profile(keep, n, k1, _path_major_blocks(
-            _euler_pass(field, paths, False), keep, n))
+            _euler_pass(field, paths, s=True, inverse=False), keep, n))
     return ExponentialEnsemble(field, paths, stored.get("s"), stored.get("s_inv"),
                                bad_paths=bad, residual=resid, s_terminal=terminal,
                                defect=defect)
@@ -322,6 +328,25 @@ class ReverseHolderReport:
     estimator: str
 
 
+def _inverse_blocks(expo: ExponentialEnsemble):
+    """(lo, x): node-major (nodes, M, n, n) blocks of S^{-1} at the nodes
+    lo <= k < lo + len(x), in node order over every node before T.
+
+    Where the ensemble keeps s_inv (a closed form, or a pass that stored it)
+    the blocks are views of it; else they are the finished blocks of a
+    second Euler pass that integrates X alone.  A path's X depends only on
+    its own increments, so the bits are those of the stored S^{-1}.
+    """
+    k_grid = expo.paths.grid.steps
+    if expo.s_inv is not None:
+        for lo, hi in _step_blocks(k_grid, expo.s_inv[:, 0].nbytes):
+            yield lo, expo.s_inv[:, lo:hi].swapaxes(0, 1)
+        return
+    for lo, hi, _, x in _euler_pass(expo.field, expo.paths, s=False, inverse=True):
+        if lo < k_grid:
+            yield lo, x[:k_grid - lo]
+
+
 def estimate_reverse_holder(expo: ExponentialEnsemble, p: float,
                             method: str = "regression", degree: int = 3,
                             inner_paths: int = 512) -> ReverseHolderReport:
@@ -333,7 +358,12 @@ def estimate_reverse_holder(expo: ExponentialEnsemble, p: float,
 
     method "regression": fit |S_{t_k}^{-1} S_T|^p against a polynomial in the
     Brownian state over the outer paths; ess-sup ~ max fitted value.  It
-    reads S^{-1} and S_T from the ensemble, which must keep them.
+    reads S_T from the ensemble, which must keep it, and S^{-1} one
+    node-major block at a time (`_inverse_blocks`): from the ensemble's
+    s_inv where it is kept, else integrated a second time by an Euler pass
+    of X alone.  Each node's target is fitted and its block dropped, so
+    beyond the ensemble this holds S_T, the regression bases and one
+    integration block.
     method "nested": re-simulate the ratio process from (t_k, B_{t_k}) with
     `inner_paths` sub-paths per outer path (Markovian fields only);
     ess-sup ~ max over outer paths of the inner mean.
@@ -348,10 +378,9 @@ def estimate_reverse_holder(expo: ExponentialEnsemble, p: float,
 
     reg = RegressionConditional.of(paths, degree)
     if method == "regression":
-        s_inv = expo.kept("s_inv", "the regression estimator")
         s_terminal = expo.kept("s_terminal", "the regression estimator")
-        for lo, hi in _step_blocks(k_grid, paths.paths * expo.n * expo.n * 8):
-            targets = operator_norm(s_inv[:, lo:hi].swapaxes(0, 1) @ s_terminal) ** p
+        for lo, x in _inverse_blocks(expo):
+            targets = operator_norm(x @ s_terminal) ** p
             for k, target in enumerate(targets, lo):
                 fitted = reg.fit_predict(k, target)
                 profile[k] = float(fitted.max())
@@ -500,6 +529,7 @@ def doob_sup_check(expo: ExponentialEnsemble, p: float, degree: int = 3) -> dict
         raise ValueError("the Doob factor requires p > 1")
     paths = expo.paths
     s = expo.kept("s", "doob_sup_check")
+    s_inv = expo.kept("s_inv", "doob_sup_check")
     rp = estimate_reverse_holder(expo, p, method="regression", degree=degree)
     doob_factor = (p / (p - 1.0)) ** p
     bound = doob_factor * rp.rp_estimate
@@ -507,7 +537,7 @@ def doob_sup_check(expo: ExponentialEnsemble, p: float, degree: int = 3) -> dict
     reg = RegressionConditional.of(paths, degree)
     worst = 0.0
     for k in range(paths.grid.steps):
-        ratios = expo.s_inv[:, k, None] @ s[:, k:]
+        ratios = s_inv[:, k, None] @ s[:, k:]
         target = (operator_norm(ratios) ** p).max(axis=1)
         worst = max(worst, float(reg.fit_predict(k, target).max()))
     return {

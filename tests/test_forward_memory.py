@@ -11,7 +11,7 @@ from bsde_lab import (TimeGrid, generate_brownian, martingale_defect,
 from bsde_lab import exponential as ex
 from bsde_lab.counterexamples import emery_closed_form, emery_defect_profile
 from bsde_lab.fields import CoefficientField, StoppedRotationField, left_outer_field
-from bsde_lab.instances import scalar_half, triangular_3d
+from bsde_lab.instances import left_outer_3d, scalar_half, triangular_3d
 from bsde_lab.linear import left_outer_exponential
 from bsde_lab.norms import RegressionConditional
 from bsde_lab.tensors import contract_adb, mat_square, operator_norm
@@ -156,15 +156,37 @@ def test_fused_integration_matches_two_loop_reference(name, inverse, monkeypatch
 @pytest.mark.filterwarnings("ignore:regression basis rank-deficient")
 def test_blocked_reverse_holder_matches_per_node(name, inverse, monkeypatch):
     field, paths = _integration_cases()[name]
-    expo = simulate_exponential(field, paths, reads=_reads(inverse))
-    if not inverse:
-        # the regression estimators read S_t^{-1} from the ensemble alone
-        for estimate in (ex.estimate_reverse_holder, ex.doob_sup_check):
-            with pytest.raises(ValueError, match="'s_inv' in reads"):
-                estimate(expo, 2.0)
-        return
-    profile, se = _rp_reference(expo, 2.0)
+    full = simulate_exponential(field, paths)
+    profile, se = _rp_reference(full, 2.0)
+    if inverse:
+        ensembles = [full]
+    else:
+        # no S^{-1} kept: the regression R_p integrates it again, block by block
+        ensembles = [simulate_exponential(field, paths, reads=reads)
+                     for reads in (("s_terminal",), ("s",))]
+        # Doob's check reads the whole S^{-1} from the ensemble alone
+        with pytest.raises(ValueError, match="'s_inv' in reads"):
+            ex.doob_sup_check(ensembles[1], 2.0)
     for budget in _budgets(paths.paths, field.n) + [ex._STEP_BLOCK_BYTES]:
+        monkeypatch.setattr(ex, "_STEP_BLOCK_BYTES", budget)
+        for expo in ensembles:
+            rep = ex.estimate_reverse_holder(expo, 2.0)
+            assert np.array_equal(rep.profile, profile), budget
+            assert np.array_equal(rep.profile_std_error, se), budget
+
+
+@pytest.mark.parametrize("closed_form", ["left-outer", "emery"])
+def test_regression_rp_reads_the_inverse_the_ensemble_keeps(closed_form, monkeypatch):
+    """A closed form's S^{-1} is not the Euler one, so R_p must read it as kept."""
+    if closed_form == "left-outer":
+        expo = left_outer_exponential(left_outer_3d(), generate_brownian(
+            TimeGrid(1.0, K), 1, 400, seed=5))
+    else:
+        expo = emery_closed_form(generate_brownian(TimeGrid(3.0, K), 1, 400, seed=6), 0.8)
+    profile, se = _rp_reference(expo, 2.0)
+    euler, _ = _rp_reference(simulate_exponential(expo.field, expo.paths), 2.0)
+    assert not np.array_equal(profile, euler)
+    for budget in _budgets(expo.paths.paths, expo.n) + [ex._STEP_BLOCK_BYTES]:
         monkeypatch.setattr(ex, "_STEP_BLOCK_BYTES", budget)
         rep = ex.estimate_reverse_holder(expo, 2.0)
         assert np.array_equal(rep.profile, profile), budget
@@ -298,11 +320,12 @@ def test_readers_of_what_was_not_kept_name_it():
     assert none.s_terminal is None and none.bad_paths is None
     with pytest.raises(ValueError, match="cannot keep"):
         simulate_exponential(field, paths, reads=("x",))
-    regression = simulate_exponential(field, paths, reads=("s_inv", "s_terminal"))
+    with pytest.raises(ValueError, match="'s_terminal' in reads"):
+        ex.estimate_reverse_holder(none, 2.0)
+    regression = simulate_exponential(field, paths, reads=("s_terminal",))
     full = simulate_exponential(field, paths)
-    assert regression.s is None
+    assert regression.s is None and regression.s_inv is None
     assert np.array_equal(regression.s_terminal, full.s[:, -1])
-    assert np.array_equal(regression.s_inv, full.s_inv)
     assert np.array_equal(ex.estimate_reverse_holder(regression, 2.0).profile,
                           ex.estimate_reverse_holder(full, 2.0).profile)
 
@@ -340,10 +363,16 @@ def test_emery_without_inverse_forms_no_inverse():
 
 
 def _peak_bytes(fn) -> int:
+    return _traced_bytes(fn)[0]
+
+
+def _traced_bytes(fn) -> tuple:
+    """(peak, still held once fn has returned) bytes that fn allocated."""
     tracemalloc.start()
     try:
         fn()
-        return tracemalloc.get_traced_memory()[1]
+        current, peak = tracemalloc.get_traced_memory()
+        return peak, current
     finally:
         tracemalloc.stop()
 
@@ -421,3 +450,22 @@ def test_streamed_profiles_memory_does_not_grow_with_k():
     assert extra[800] < 0.25 * 801 * node, extra
     assert emery[1600] < 1.1 * emery[800], emery
     assert extra[1600] < 1.1 * extra[800], extra
+
+
+def test_regression_rp_memory_grows_only_by_the_bases():
+    """Regression R_p as `estimate-rp` runs it (S_T kept, S^{-1} integrated
+    a second time) holds no whole S^{-1}: doubling K adds the regression
+    bases of the new nodes, which stay cached on the paths, and at most one
+    integration block."""
+    fld, m = triangular_3d(), 1000
+    node = m * fld.n * fld.n * 8
+    peaks, cached = {}, {}
+    for k_steps in (400, 800):
+        paths = generate_brownian(TimeGrid(1.0, k_steps), 1, m, seed=9)
+        paths.states   # cached before tracing: the field reads it
+        peaks[k_steps], cached[k_steps] = _traced_bytes(lambda: ex.estimate_reverse_holder(
+            simulate_exponential(fld, paths, reads=("s_terminal",)), 2.0))
+        del paths
+    assert peaks[800] < 801 * node, peaks
+    assert peaks[800] - peaks[400] <= cached[800] - cached[400] + ex._STEP_BLOCK_BYTES, (
+        peaks, cached)
