@@ -421,9 +421,14 @@ def test_linear_q_flag_refused_up_front(tmp_path, capsys):
     assert not out.exists()
 
 
+_LONG_GRID = 800
+
+
 def golden_case_id(args: list, body: dict, threads: int) -> str:
-    # a field or method chosen in the config body is named, as no flag sets it
+    # a field or method chosen in the config body is named, as no flag sets
+    # it, and so is a grid of at least _LONG_GRID steps
     chosen = [f"{key}={body[key]}" for key in ("field", "method") if key in body]
+    chosen += [f"K={body['K']}"] if body.get("K", 0) >= _LONG_GRID else []
     return " ".join(args + chosen + (["--threads", str(threads)] if threads > 1 else []))
 
 
@@ -474,10 +479,14 @@ def test_summary_config_reruns_to_identical_bytes(tmp_path, args, body):
 # The rerun cases at one thread, then two commands whose work splits across
 # threads: 20000 paths fill two Brownian blocks, 5000 walk paths three walk
 # blocks.  tools/update_goldens.py records every case at one thread, so the
-# threaded cases also pin thread invariance.
+# threaded cases also pin thread invariance.  Last, the Emery counterexample
+# on a grid long enough that its scans and defect profile span many node
+# blocks.
 GOLDEN_CASES = [(args, body, 1) for args, body in _RERUN_CASES] + [
     (["simulate-exponential"], {"T": 1.0, "K": 8, "M": 20000}, 2),
     (["counterexample", "exit-time"], {"M": 5000, "dt": 1e-3}, 2),
+    (["counterexample", "emery"],
+     {"T": 1.0, "K": _LONG_GRID, "M": 2000, "effective_horizon": 0.5}, 1),
 ]
 GOLDEN_MANIFEST = Path(__file__).parent / "data" / "outputs.json"
 
