@@ -56,9 +56,11 @@ def substream(seed: int, *tags: int, bit_generator: str = "Philox") -> np.random
 class PathEnsemble:
     """Batch of d-dimensional Brownian increments on a time grid.
 
-    increments[m, k] is B_{t_{k+1}} - B_{t_k} for path m; states are the
-    cumulative sums with B_0 = `initial_state` (zero unless restarted).
-    Identity-hashed so path-dependent fields can cache per-ensemble state.
+    increments[m, k] is B_{t_{k+1}} - B_{t_k} for path m; the states B_t are
+    their running sums from B_0 = `initial_state` (zero unless restarted),
+    either streamed one node block at a time (`state_blocks`) or held whole
+    (`states`, built on first use and cached).  Identity-hashed so
+    path-dependent fields can cache per-ensemble state.
     """
 
     grid: TimeGrid
@@ -82,14 +84,40 @@ class PathEnsemble:
     def states(self) -> np.ndarray:
         """Brownian states at grid nodes, shape (paths, steps + 1, d).
 
-        Computed once per ensemble and read-only, since every caller shares it.
+        Computed once per ensemble, as the one block of `state_blocks` over
+        every node, and read-only, since every caller shares it.
         """
-        out = np.empty((self.paths, self.grid.steps + 1, self.d))
-        out[:, 0] = self.initial_state
-        np.cumsum(self.increments, axis=1, out=out[:, 1:])
-        out[:, 1:] += self.initial_state[:, None, :]
+        out = next(self.state_blocks([(0, self.grid.steps + 1)]))
         out.setflags(write=False)
         return out
+
+    def state_blocks(self, bounds, rows=slice(None)):
+        """Yield states[rows, lo:hi] for each (lo, hi) of `bounds`, bit for bit,
+        without forming `states`: a new (paths in rows, hi - lo, d) array each,
+        for the paths `rows` (an index or a mask).
+
+        The ranges must follow each other from node 0, as node blocks do; they
+        are read one at a time, as each block is asked for.  The blocks are
+        chained by the running sum of the increments, which starts at -0.0
+        (-0.0 + y == y for every y) and to which the initial state is added:
+        the rule of `exponential.integrate_terminal`.
+        """
+        x0 = self.initial_state[rows][:, None]
+        run, pos = None, 0
+        for lo, hi in bounds:
+            if lo != pos:
+                raise ValueError(f"state block ({lo}, {hi}) does not start at node {pos}")
+            block = np.empty((x0.shape[0], hi - lo, self.d))
+            if lo:
+                np.add(run, self.increments[rows, lo - 1], out=block[:, 0])
+            else:
+                block[:, 0] = -0.0
+            block[:, 1:] = self.increments[rows, lo:hi - 1]
+            np.cumsum(block, axis=1, out=block)
+            run = block[:, -1].copy()
+            block += x0
+            pos = hi
+            yield block
 
     @cached_property
     def conditionals(self) -> dict:

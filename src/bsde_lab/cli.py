@@ -402,7 +402,7 @@ def run_reverse_holder(cfg: dict, out: Path, threads: int) -> int:
                                  f"{cfg['field']!r} is path-dependent, use 'regression'")
     grid, paths = _paths(cfg, fld.d, threads)
     # The regression estimator reads S_T from this pass and integrates S_t^{-1}
-    # a second time, one block per fit, so it holds S_T, the regression bases
+    # a second time, one block per fit, so it holds S_T, one regression basis
     # and one integration block.  The nested one restarts its own inner paths
     # and reads no S of the outer ones.
     expo = simulate_exponential(fld, paths, reads=(
@@ -525,6 +525,7 @@ def run_counterexample(cfg: dict, out: Path, threads: int) -> int:
         check_emery_walk(cfg["M"], cfg["effective_horizon"])
         grid, paths = _paths({**cfg, "M": min(cfg["M"], EMERY_GRID_PATHS)}, 1, threads)
         defect = emery_defect_profile(paths)
+        del paths   # the horizon walk draws its own paths
         horizon = emery_defect_at_horizon(cfg["M"], cfg["effective_horizon"],
                                           seed=cfg["seed"] + 1, threads=threads)
         curve = truncation_curve(horizon["terminal_opnorm_samples"])

@@ -12,6 +12,11 @@ for 0 < b < pi/2, which this module also estimates directly: with a
 bridge-corrected random walk (`exit_time_exponential`, the gated method) and
 by exact sampling, sigma_b = b^2 J with J drawn by inverting its CDF
 (`exit_time_exact`, the engine of the nonexistence diagnostics).
+
+The closed form of the stopped rotation and its defect profile read the
+Brownian states one node block at a time (`PathEnsemble.state_blocks`), so
+on a grid they hold the increments and a few node blocks, never the whole
+states.
 """
 
 from __future__ import annotations
@@ -36,27 +41,28 @@ HEAVY_TAIL_LEVEL = np.pi / 3
 
 def _emery_exits(paths: PathEnsemble, level: float) -> tuple:
     """(stop, exit angle, exit time) per path: stop is the stopping node of
-    `StoppedRotationField(level)`, the angle is the state clamped to +-level
-    there and the time that node's time."""
+    `StoppedRotationField(level)`, the angle is the state there clamped to
+    +-level and the time that node's time (0 and T for a path that does not
+    exit, which no stopped node reads)."""
     if paths.d != 1:
         raise ConfigurationError("the rotation example lives on a 1-d Brownian motion")
-    stop = StoppedRotationField(level).stop(paths)
+    stop, state = StoppedRotationField(level).stop(paths)
     first = np.minimum(stop, paths.grid.steps)
-    exit_angle = np.sign(paths.states[np.arange(paths.paths), first, 0]) * level
-    return stop, exit_angle, paths.grid.nodes[first]
+    return stop, np.sign(state) * level, paths.grid.nodes[first]
 
 
-def _emery_block(paths: PathEnsemble, exits: tuple, rows, lo: int, hi: int,
+def _emery_block(exits: tuple, rows, lo: int, b: np.ndarray, t: np.ndarray,
                  s: np.ndarray, s_inv: np.ndarray | None = None) -> None:
     """Fill s, the (rows, hi - lo, 2, 2) block of the closed form at nodes
-    lo <= k < hi for the paths `rows` (an index or a mask), and with s_inv
-    the same block of S^{-1}.  Every entry is elementwise in the path's
-    own state, so a block's bits do not depend on which rows it holds."""
+    lo <= k < hi for the paths `rows` (an index or a mask), from their
+    (rows, hi - lo) Brownian states b and the node times t; with s_inv, the
+    same block of S^{-1}.  Every entry is elementwise in the path's own
+    state, so a block's bits do not depend on which rows it holds."""
     stop, exit_angle, exit_time = (e[rows][:, None] for e in exits)
     # state frozen at the (clamped) exit value once stopped
-    stopped = np.arange(lo, hi)[None, :] >= stop
-    angle = np.where(stopped, exit_angle, paths.states[rows, lo:hi, 0])
-    scale = np.where(stopped, exit_time, paths.grid.nodes[None, lo:hi])  # tau ^ t
+    stopped = np.arange(lo, lo + t.size)[None, :] >= stop
+    angle = np.where(stopped, exit_angle, b)
+    scale = np.where(stopped, exit_time, t[None, :])  # tau ^ t
     del stopped
     scale /= 2.0
     np.exp(scale, out=scale)
@@ -81,16 +87,17 @@ def emery_closed_form(paths: PathEnsemble, level: float = np.pi / 2,
     matrix.  With `inverse`, S^{-1} = exp(-(tau ^ t)) S^T is filled in closed
     form as well.  Paths that never exit within the grid horizon are flagged
     (truncation bias), not dropped.  The arrays are filled one node block at
-    a time by the block rule that `emery_defect_profile` streams without
-    storing S.
+    a time, from the streamed Brownian states, by the block rule that
+    `emery_defect_profile` streams without storing S.
     """
     exits = _emery_exits(paths, level)
     m, k1 = paths.paths, paths.grid.steps + 1
     s = np.empty((m, k1, 2, 2))
     s_inv = np.empty_like(s) if inverse else None
-    for lo, hi in node_blocks(k1, m * 4 * 8, 4):
-        _emery_block(paths, exits, slice(None), lo, hi, s[:, lo:hi],
-                     None if s_inv is None else s_inv[:, lo:hi])
+    bounds = list(node_blocks(k1, m * 4 * 8, 4))
+    for (lo, hi), b in zip(bounds, paths.state_blocks(bounds)):
+        _emery_block(exits, slice(None), lo, b[:, :, 0], paths.grid.nodes[lo:hi],
+                     s[:, lo:hi], None if s_inv is None else s_inv[:, lo:hi])
     # bad paths never exited: truncation bias contributors
     return ExponentialEnsemble(StoppedRotationField(level), paths, s, s_inv,
                                bad_paths=exits[0] == k1)
@@ -98,16 +105,22 @@ def emery_closed_form(paths: PathEnsemble, level: float = np.pi / 2,
 
 def emery_defect_profile(paths: PathEnsemble, level: float = np.pi / 2) -> MartingaleDefectReport:
     """martingale_defect(emery_closed_form(paths, level)), bit for bit, without
-    S: the exited paths are known before the first node block, so each block
-    of S is formed for them alone and reduced at once."""
+    S or the whole states: the exited paths are known after the stop scan,
+    so each node block of S is formed for them alone, from their streamed
+    states, and reduced at once."""
     exits = _emery_exits(paths, level)
     k1 = paths.grid.steps + 1
     keep = exits[0] < k1
     kept = int(keep.sum())
+    # defect_profile picks the node blocks; each is handed to the state
+    # stream as it is asked for
+    asked = []
+    states = paths.state_blocks(iter(asked.pop, None), keep)
 
     def kept_block(lo: int, hi: int) -> np.ndarray:
+        asked.append((lo, hi))
         s = np.empty((kept, hi - lo, 2, 2))
-        _emery_block(paths, exits, keep, lo, hi, s)
+        _emery_block(exits, keep, lo, next(states)[:, :, 0], paths.grid.nodes[lo:hi], s)
         return s
 
     return defect_profile(keep, 2, k1, kept_block)

@@ -7,7 +7,7 @@ keeps only what its caller reads: it can measure the inverse residual
 |S X - I| and reduce the martingale defect on its blocks as they are
 finished, and store the whole path of S, of X, or S_T alone.  So
 `simulate-exponential` holds the paths, two integration blocks and one
-defect block; the regression R_p holds S_T, the regression bases and one
+defect block; the regression R_p holds S_T, one regression basis and one
 integration block, integrating S^{-1} a second time (X alone) where the
 ensemble keeps none; the nested R_p integrates no S over the outer paths.
 Diagnostics cover reverse Holder constants, martingale defect (from node
@@ -105,18 +105,9 @@ class ExponentialEnsemble:
         return value
 
     def inverse_residual_profile(self) -> np.ndarray:
-        """Mean over paths of |S_k X_k - I| (operator norm) at each grid node:
-        the profile the Euler pass measured, or else one from s and s_inv."""
-        if self.residual is not None:
-            return self.residual
-        s = self.kept("s", "the inverse residual")
-        s_inv = self.kept("s_inv", "the inverse residual")
-        m, k1 = s.shape[:2]
-        out = np.empty(k1)
-        for lo, hi in node_blocks(k1, m * self.n * self.n * 8, 1):
-            out[lo:hi] = _residual_means(s[:, lo:hi].swapaxes(0, 1),
-                                         s_inv[:, lo:hi].swapaxes(0, 1))
-        return out
+        """Mean over paths of |S_k X_k - I| (operator norm) at each grid node,
+        as the Euler pass measured it ("residual" in its reads)."""
+        return self.kept("residual", "the inverse residual profile")
 
 
 def _residual_means(s: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -361,9 +352,11 @@ def estimate_reverse_holder(expo: ExponentialEnsemble, p: float,
     reads S_T from the ensemble, which must keep it, and S^{-1} one
     node-major block at a time (`_inverse_blocks`): from the ensemble's
     s_inv where it is kept, else integrated a second time by an Euler pass
-    of X alone.  Each node's target is fitted and its block dropped, so
-    beyond the ensemble this holds S_T, the regression bases and one
-    integration block.
+    of X alone.  Each node's target is fitted and its block dropped; the
+    fits use the operator shared on the paths if there is one, else their
+    own, which drops each node's basis after its fit.  So beyond the
+    ensemble and its states this holds S_T, one basis and one integration
+    block.
     method "nested": re-simulate the ratio process from (t_k, B_{t_k}) with
     `inner_paths` sub-paths per outer path (Markovian fields only);
     ess-sup ~ max over outer paths of the inner mean.
@@ -376,13 +369,20 @@ def estimate_reverse_holder(expo: ExponentialEnsemble, p: float,
     profile_se = np.zeros(k_grid + 1)
     profile[k_grid] = 1.0  # E_T[|I|^p] exactly
 
-    reg = RegressionConditional.of(paths, degree)
     if method == "regression":
         s_terminal = expo.kept("s_terminal", "the regression estimator")
+        # Where no operator is shared on the paths, each node's basis has
+        # this one reader, so it is dropped after its fit, not cached.
+        reg = paths.conditionals.get(degree)
+        shared = reg is not None
+        if not shared:
+            reg = RegressionConditional(paths.states, degree)
         for lo, x in _inverse_blocks(expo):
             targets = operator_norm(x @ s_terminal) ** p
             for k, target in enumerate(targets, lo):
                 fitted = reg.fit_predict(k, target)
+                if not shared:
+                    reg.forget(k)
                 profile[k] = float(fitted.max())
                 profile_se[k] = float(np.std(target - fitted, ddof=1) / np.sqrt(paths.paths))
     elif method == "nested":
@@ -530,11 +530,11 @@ def doob_sup_check(expo: ExponentialEnsemble, p: float, degree: int = 3) -> dict
     paths = expo.paths
     s = expo.kept("s", "doob_sup_check")
     s_inv = expo.kept("s_inv", "doob_sup_check")
+    reg = RegressionConditional.of(paths, degree)   # shared with the R_p fits
     rp = estimate_reverse_holder(expo, p, method="regression", degree=degree)
     doob_factor = (p / (p - 1.0)) ** p
     bound = doob_factor * rp.rp_estimate
 
-    reg = RegressionConditional.of(paths, degree)
     worst = 0.0
     for k in range(paths.grid.steps):
         ratios = s_inv[:, k, None] @ s[:, k:]

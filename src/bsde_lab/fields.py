@@ -142,23 +142,29 @@ class StoppedRotationField(CoefficientField):
         self._j = np.array([[0.0, 1.0], [-1.0, 0.0]])
         self._cache = weakref.WeakKeyDictionary()
 
-    def stop(self, paths: PathEnsemble) -> np.ndarray:
-        """(paths,) first grid node where |B| >= level, or the node count if
-        there is none.  The grid is scanned in node blocks, so no
-        (paths, nodes) temporary exists."""
+    def stop(self, paths: PathEnsemble) -> tuple:
+        """(stop, exit state) per path: the first grid node where |B| >= level,
+        or the node count if there is none, and B there (0 if there is none).
+
+        One scan of `paths.state_blocks`, whose blocks of about
+        _STEP_BLOCK_BYTES are the largest arrays it forms; it never forms
+        `paths.states`."""
         if paths not in self._cache:
-            from .exponential import node_blocks     # exponential imports this module
-            b = paths.states[:, :, 0]
-            m, k1 = b.shape
-            stop = np.full(m, k1)
-            for lo, hi in node_blocks(k1, m * 8, 1):
-                hit = np.abs(b[:, lo:hi]) >= self.level
-                new = (stop == k1) & hit.any(axis=1)
-                stop[new] = lo + hit[new].argmax(axis=1)
-            self._cache[paths] = stop
+            from .exponential import _step_blocks     # exponential imports this module
+            m, k1 = paths.paths, paths.grid.steps + 1
+            stop, state = np.full(m, k1), np.zeros(m)
+            bounds = _step_blocks(k1, m * 8)
+            for (lo, _), b in zip(bounds, paths.state_blocks(bounds)):
+                b = b[:, :, 0]
+                hit = np.abs(b) >= self.level
+                new = np.flatnonzero((stop == k1) & hit.any(axis=1))
+                at = hit[new].argmax(axis=1)
+                stop[new] = lo + at
+                state[new] = b[new, at]
+            self._cache[paths] = stop, state
         return self._cache[paths]
 
     def values(self, paths: PathEnsemble, k: int) -> np.ndarray:
         out = np.zeros((paths.paths, 2, 2, 1))
-        out[self.stop(paths) > k, :, :, 0] = self._j
+        out[self.stop(paths)[0] > k, :, :, 0] = self._j
         return out

@@ -58,6 +58,8 @@ class RegressionConditional:
     same paths shares the bases, which are freed with the ensemble.  The cache
     holds up to (K+1) * M * r * 8 bytes per ensemble and degree, with r the
     basis rank (at most the number of monomials, C(d + degree, degree)).
+    A reader that fits each step once and shares no operator makes its own
+    and `forget`s each basis after its fit.
     """
 
     def __init__(self, states: np.ndarray, degree: int = 3):
@@ -86,6 +88,10 @@ class RegressionConditional:
                 rank = int(np.count_nonzero(s > cutoff))
                 self._bases[k] = (np.ascontiguousarray(u[:, :rank]), feats.shape[1])
         return self._bases[k]
+
+    def forget(self, k: int) -> None:
+        """Drop the basis of step k; a later fit at k builds it again."""
+        self._bases.pop(k, None)
 
     def fit_predict(self, k: int, y: np.ndarray) -> np.ndarray:
         """Fitted E[y | B_{t_k}] at the sample points.  y may have trailing axes."""

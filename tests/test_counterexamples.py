@@ -15,6 +15,7 @@ from bsde_lab.brownian import PathEnsemble, substream
 from bsde_lab.counterexamples import (MAX_EXIT_NORMALS, NonexistenceSpec, _emery_exits,
                                       check_emery_walk, default_level_sequence,
                                       emery_closed_form, emery_defect_at_horizon,
+                                      emery_defect_profile,
                                       exit_time_exact, exit_time_exponential,
                                       exit_time_quantile, nonexistence_blowup)
 from bsde_lab.fields import StoppedRotationField
@@ -157,18 +158,34 @@ def test_emery_spec_field_roundtrip():
     fld = StoppedRotationField()
     assert fld.n == 2 and fld.d == 1 and not fld.markovian
     # B hits +level exactly at node 2, jumps past -level between nodes 2
-    # and 3, and never exits: stop is 2, 3 and the node count 5
+    # and 3, and never exits: stop is 2, 3 and the node count 5, the exit
+    # states 1, -1.25 and 0
     fld = StoppedRotationField(level=1.0)
     inc = np.array([[0.5, 0.5, -0.5, -0.3], [-0.5, 0.75, -1.5, 1.25],
                     [0.25, -0.5, 0.75, 0.25]])[:, :, None]
     paths = PathEnsemble(TimeGrid(1.0, 4), 1, 3, 0, inc)
-    assert fld.stop(paths).tolist() == [2, 3, 5]
+    stop, state = fld.stop(paths)
+    assert stop.tolist() == [2, 3, 5]
+    assert state.tolist() == [1.0, -1.25, 0.0]
+    assert "states" not in paths.__dict__
     alive = ~np.maximum.accumulate(np.abs(paths.states[:, :, 0]) >= fld.level, axis=1)
     rotation = np.array([[0.0, 1.0], [-1.0, 0.0]])[None, :, :, None]
     for k in range(5):
         want = np.where(alive[:, k, None, None, None], rotation, 0.0)
         assert np.array_equal(fld.values(paths, k), want)
-    assert np.array_equal(_emery_exits(paths, fld.level)[0], fld.stop(paths))
+    exits = _emery_exits(paths, fld.level)
+    assert np.array_equal(exits[0], stop)
+    assert exits[1].tolist() == [1.0, -1.0, 0.0]
+
+
+def test_emery_streams_the_brownian_states():
+    # the closed form, its defect profile and the Euler pass of the field
+    # read B_t one node block at a time and never form the whole states
+    for run in (emery_closed_form, emery_defect_profile,
+                lambda p: bsde_lab.simulate_exponential(StoppedRotationField(), p)):
+        paths = generate_brownian(TimeGrid(3.0, 60), 1, 200, seed=5)
+        run(paths)
+        assert "states" not in paths.__dict__
 
 
 def _reference_walk(b, paths, dt, seed, horizon, bridge, chunk=64, tag=11):

@@ -64,7 +64,7 @@ def test_scalar_strong_error_halves(paths_256):
 def test_scalar_inverse_matches_reciprocal(paths_256):
     a = 0.5
     fld = scalar_field(a)
-    expo = simulate_exponential(fld, paths_256)
+    expo = simulate_exponential(fld, paths_256, reads=("s", "s_inv", "residual"))
     recip = 1.0 / expo.s[:, -1, 0, 0]
     assert np.sqrt(np.mean((expo.s_inv[:, -1, 0, 0] - recip) ** 2)) < 0.06
     assert expo.inverse_residual_profile().max() < 0.03
@@ -75,7 +75,7 @@ def test_inverse_residual_decreases_under_refinement(paths_256):
     resid = []
     for factor in (4, 1):
         p = paths_256.coarsened(factor)
-        expo = simulate_exponential(fld, p)
+        expo = simulate_exponential(fld, p, reads=("residual",))
         resid.append(expo.inverse_residual_profile().max())
     assert resid[1] < resid[0]
 

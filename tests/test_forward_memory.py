@@ -41,7 +41,8 @@ def _defect_reference(expo, groups=8):
 
 
 def _residual_reference(expo):
-    """inverse_residual_profile on the whole (M, K+1, n, n) product at once."""
+    """The mean of |S_k X_k - I| per node from the whole (M, K+1, n, n)
+    product of a stored S and S^{-1} at once."""
     prod = expo.s @ expo.s_inv
     idx = np.arange(expo.n)
     prod[..., idx, idx] -= 1.0
@@ -93,8 +94,9 @@ def _two_loop_reference(field, paths, inverse=True):
 
 
 def _rp_reference(expo, p, degree=3):
-    """estimate_reverse_holder's regression profile, one node at a time."""
-    reg = RegressionConditional.of(expo.paths, degree)
+    """estimate_reverse_holder's regression profile, one node at a time, on
+    an operator of its own: none is shared on the paths."""
+    reg = RegressionConditional(expo.paths.states, degree)
     k_grid = expo.paths.grid.steps
     profile, se = np.zeros(k_grid + 1), np.zeros(k_grid + 1)
     profile[k_grid] = 1.0
@@ -173,6 +175,12 @@ def test_blocked_reverse_holder_matches_per_node(name, inverse, monkeypatch):
             rep = ex.estimate_reverse_holder(expo, 2.0)
             assert np.array_equal(rep.profile, profile), budget
             assert np.array_equal(rep.profile_std_error, se), budget
+    assert paths.conditionals == {}
+    # an operator shared on the paths is fitted through, and keeps its bases
+    shared = RegressionConditional.of(paths, 3)
+    rep = ex.estimate_reverse_holder(ensembles[0], 2.0)
+    assert np.array_equal(rep.profile, profile)
+    assert sorted(shared._bases) == list(range(paths.grid.steps))
 
 
 @pytest.mark.parametrize("closed_form", ["left-outer", "emery"])
@@ -224,14 +232,16 @@ def test_blocked_defect_and_residual_match_whole_arrays(ensembles, name, monkeyp
     if name == "emery-closed-form":
         assert 0 < expo.bad_paths.sum() < expo.paths.paths
     ref_defect = _defect_reference(expo)
-    ref_resid = _residual_reference(expo)
     kept = int((~expo.bad_paths).sum())
     for budget in _budgets(kept, expo.n) + _budgets(expo.paths.paths, expo.n):
         monkeypatch.setattr(ex, "_NODE_BLOCK_BYTES", budget)
         rep = martingale_defect(expo)
         for key, want in ref_defect.items():
             assert np.array_equal(getattr(rep, key), want), (budget, key)
-        assert np.array_equal(expo.inverse_residual_profile(), ref_resid), budget
+    # the residual is measured in the Euler pass alone
+    # (test_in_pass_residual_matches_whole_arrays checks its bits)
+    with pytest.raises(ValueError, match="'residual' in reads"):
+        expo.inverse_residual_profile()
 
 
 def test_blocked_emery_closed_form_matches_whole_arrays(monkeypatch):
@@ -383,8 +393,10 @@ def test_defect_and_residual_memory_is_bounded():
     for k_steps in (800, 1600):
         paths = generate_brownian(TimeGrid(1.0, k_steps), 1, 300, seed=9)
         expo = simulate_exponential(fld, paths)
+        # the residual is measured in a pass of its own, on the cached states
         peaks[k_steps] = (expo.s.nbytes, _peak_bytes(lambda: martingale_defect(expo)),
-                          _peak_bytes(expo.inverse_residual_profile))
+                          _peak_bytes(lambda: simulate_exponential(
+                              fld, paths, reads=("residual",))))
         del expo, paths
     s_bytes, defect, resid = peaks[800]
     assert defect < 0.75 * s_bytes and resid < 0.75 * s_bytes, peaks
@@ -393,7 +405,6 @@ def test_defect_and_residual_memory_is_bounded():
 
 def test_emery_without_inverse_memory_is_bounded():
     paths = generate_brownian(TimeGrid(6.0, 800), 1, 2000, seed=3)
-    paths.states   # cached before tracing: the closed form reads it
     s_bytes = 2000 * 801 * 2 * 2 * 8
     peak = _peak_bytes(lambda: emery_closed_form(paths, inverse=False))
     assert peak <= 1.25 * s_bytes, peak / s_bytes
@@ -433,13 +444,13 @@ def test_simulate_exponential_pass_memory_does_not_grow_with_k():
 
 
 def test_streamed_profiles_memory_does_not_grow_with_k():
-    """The Emery defect profile holds no S, and the residual pass no S^{-1}."""
+    """The Emery defect profile holds no S and no whole Brownian states, and
+    the residual pass no S^{-1}."""
     fld, m = triangular_3d(), 300
     node = m * fld.n * fld.n * 8
     emery, extra = {}, {}
     for k_steps in (800, 1600):
         paths = generate_brownian(TimeGrid(6.0, k_steps), 1, 2000, seed=3)
-        paths.states   # cached before tracing: the closed form reads it
         emery[k_steps] = _peak_bytes(lambda: emery_defect_profile(paths))
         paths = generate_brownian(TimeGrid(1.0, k_steps), 1, m, seed=9)
         paths.states
@@ -454,9 +465,9 @@ def test_streamed_profiles_memory_does_not_grow_with_k():
 
 def test_regression_rp_memory_grows_only_by_the_bases():
     """Regression R_p as `estimate-rp` runs it (S_T kept, S^{-1} integrated
-    a second time) holds no whole S^{-1}: doubling K adds the regression
-    bases of the new nodes, which stay cached on the paths, and at most one
-    integration block."""
+    a second time) holds no whole S^{-1} and caches no regression basis:
+    doubling K adds at most one integration block to its peak, and nothing
+    it built stays on the paths."""
     fld, m = triangular_3d(), 1000
     node = m * fld.n * fld.n * 8
     peaks, cached = {}, {}
@@ -465,7 +476,8 @@ def test_regression_rp_memory_grows_only_by_the_bases():
         paths.states   # cached before tracing: the field reads it
         peaks[k_steps], cached[k_steps] = _traced_bytes(lambda: ex.estimate_reverse_holder(
             simulate_exponential(fld, paths, reads=("s_terminal",)), 2.0))
+        assert paths.conditionals == {}
         del paths
     assert peaks[800] < 801 * node, peaks
-    assert peaks[800] - peaks[400] <= cached[800] - cached[400] + ex._STEP_BLOCK_BYTES, (
-        peaks, cached)
+    assert peaks[800] - peaks[400] <= ex._STEP_BLOCK_BYTES, peaks
+    assert max(cached.values()) < node, cached

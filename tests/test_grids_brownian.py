@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bsde_lab import ConfigurationError, TimeGrid, generate_brownian
+from bsde_lab.brownian import PathEnsemble
 
 
 def test_grid_nodes_uniform():
@@ -99,6 +100,43 @@ def test_states_cached_read_only_and_match_state_at(initial_state):
         assert np.array_equal(p.state_at(k), states[:, k])
         assert np.allclose(p.state_at(k), start + p.increments[:, :k].sum(axis=1),
                            rtol=0.0, atol=1e-14)
+
+
+def _states_reference(p):
+    """states as first written: the cumulative sum of the increments, then
+    the initial state added."""
+    out = np.empty((p.paths, p.grid.steps + 1, p.d))
+    out[:, 0] = p.initial_state
+    np.cumsum(p.increments, axis=1, out=out[:, 1:])
+    out[:, 1:] += p.initial_state[:, None, :]
+    return out
+
+
+def test_state_blocks_match_states_bit_for_bit():
+    rng = np.random.default_rng(3)
+    k_steps, m = 40, 30
+    inc = rng.normal(scale=0.2, size=(m, k_steps, 2))
+    # -0.0 + -0.0 is -0.0 but 0.0 + -0.0 is 0.0: the sign bits pin where
+    # the running sum starts
+    inc[:, 0] = -0.0
+    inc[::3, 7] = -0.0
+    x0 = rng.normal(size=(m, 2))
+    x0[:10], x0[10:20] = -0.0, 0.0
+    p = PathEnsemble(TimeGrid(1.0, k_steps), 2, m, 0, inc, x0)
+    want = _states_reference(p).view(np.int64)
+    cuts = [np.sort(rng.choice(np.arange(1, k_steps + 1), size, replace=False))
+            for size in (1, 5, 20)]
+    partitions = [[(k, k + 1) for k in range(k_steps + 1)], [(0, k_steps + 1)]] + [
+        list(zip([0, *c], [*c, k_steps + 1])) for c in cuts]
+    rows = [slice(None), rng.random(m) < 0.5, np.arange(5, 12)]
+    for bounds in partitions:
+        for r in rows:
+            got = np.concatenate(list(p.state_blocks(bounds, r)), axis=1)
+            assert np.array_equal(got.view(np.int64), want[r]), (bounds, r)
+    assert "states" not in p.__dict__
+    assert np.array_equal(p.states.view(np.int64), want)
+    with pytest.raises(ValueError, match="does not start at node 2"):
+        list(p.state_blocks([(0, 2), (3, k_steps + 1)]))
 
 
 def test_initial_state_offset():
