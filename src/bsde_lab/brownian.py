@@ -4,6 +4,10 @@ Streams are derived from a Philox counter-based generator: path block b uses
 `Philox(key=seed).jumped(b)`, so the draw for a given path never depends on
 how work is partitioned across threads.  Fixed block size keeps regeneration
 bit-identical for any thread count.
+
+The block rule of every streamed reader lives here, beside the states
+streamed in node blocks (`PathEnsemble.state_blocks`): each producer
+iterates `_step_blocks` or `node_blocks` itself and pushes what it forms.
 """
 
 from __future__ import annotations
@@ -18,6 +22,36 @@ from .grids import ConfigurationError, TimeGrid
 # Paths per Philox sub-stream.  Part of the reproducibility contract: changing
 # it changes the sampled numbers, so it is a constant, not a knob.
 _BLOCK = 1 << 14
+
+# Working-memory budget of one block of grid nodes in the forward diagnostics.
+_NODE_BLOCK_BYTES = 4 << 20
+
+# Budget of each node-major Euler block, reverse-Holder ratio block and stop
+# scan block.
+_STEP_BLOCK_BYTES = 1 << 18
+
+
+def _step_blocks(nodes: int, node_bytes: int) -> list:
+    """(lo, hi) ranges covering `nodes` nodes, about _STEP_BLOCK_BYTES each."""
+    step = max(1, _STEP_BLOCK_BYTES // node_bytes)
+    return [(lo, min(lo + step, nodes)) for lo in range(0, nodes, step)]
+
+
+def node_blocks(nodes: int, node_bytes: int, node_entries: int) -> list:
+    """(lo, hi) ranges covering `nodes` grid nodes, about _NODE_BLOCK_BYTES each.
+
+    node_bytes is the size of one node's slice of the block's largest array.
+    Every statistic is per node and an axis-0 reduction adds the paths in
+    order, so results do not depend on the blocks, with one exception: numpy
+    sums a reduction whose rows hold a single entry pairwise, not in path
+    order.  Blocks therefore hold at least two entries per path, where a node
+    holds `node_entries` of them.
+    """
+    step = max(1, _NODE_BLOCK_BYTES // max(node_bytes, 1), -(-2 // node_entries))
+    bounds = list(range(0, nodes, step)) + [nodes]
+    if len(bounds) > 2 and (bounds[-1] - bounds[-2]) * node_entries < 2:
+        del bounds[-2]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -96,11 +130,10 @@ class PathEnsemble:
         without forming `states`: a new (paths in rows, hi - lo, d) array each,
         for the paths `rows` (an index or a mask).
 
-        The ranges must follow each other from node 0, as node blocks do; they
-        are read one at a time, as each block is asked for.  The blocks are
-        chained by the running sum of the increments, which starts at -0.0
-        (-0.0 + y == y for every y) and to which the initial state is added:
-        the rule of `exponential.integrate_terminal`.
+        The ranges must follow each other from node 0, as node blocks do.  The
+        blocks are chained by the running sum of the increments, which starts
+        at -0.0 (-0.0 + y == y for every y) and to which the initial state is
+        added: the rule by which the nested R_p carries its restarted states.
         """
         x0 = self.initial_state[rows][:, None]
         run, pos = None, 0

@@ -13,10 +13,11 @@ bridge-corrected random walk (`exit_time_exponential`, the gated method) and
 by exact sampling, sigma_b = b^2 J with J drawn by inverting its CDF
 (`exit_time_exact`, the engine of the nonexistence diagnostics).
 
-The closed form of the stopped rotation and its defect profile read the
-Brownian states one node block at a time (`PathEnsemble.state_blocks`), so
-on a grid they hold the increments and a few node blocks, never the whole
-states.
+The closed form of the stopped rotation and its defect profile share one
+block loop (`_emery_blocks`): it reads the Brownian states one node block at
+a time (`PathEnsemble.state_blocks`), forms that block of S, and pushes it
+to its reader, which stores it or reduces it at once.  So on a grid they
+hold the increments and a few node blocks, never the whole states.
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ from functools import cache
 
 import numpy as np
 
-from .brownian import PathEnsemble, substream
-from .exponential import (ExponentialEnsemble, MartingaleDefectReport, defect_profile,
-                          node_blocks)
+from .brownian import PathEnsemble, node_blocks, substream
+from .exponential import ExponentialEnsemble, MartingaleDefectReport, defect_profile
 from .fields import StoppedRotationField
 from .grids import ConfigurationError
 
@@ -51,30 +51,39 @@ def _emery_exits(paths: PathEnsemble, level: float) -> tuple:
     return stop, np.sign(state) * level, paths.grid.nodes[first]
 
 
-def _emery_block(exits: tuple, rows, lo: int, b: np.ndarray, t: np.ndarray,
-                 s: np.ndarray, s_inv: np.ndarray | None = None) -> None:
-    """Fill s, the (rows, hi - lo, 2, 2) block of the closed form at nodes
-    lo <= k < hi for the paths `rows` (an index or a mask), from their
-    (rows, hi - lo) Brownian states b and the node times t; with s_inv, the
-    same block of S^{-1}.  Every entry is elementwise in the path's own
-    state, so a block's bits do not depend on which rows it holds."""
+def _emery_blocks(paths: PathEnsemble, exits: tuple, rows, s, s_inv):
+    """Yield the closed form's path-major node blocks of S for the paths
+    `rows` (an index or a mask), over node_blocks in node order: views of
+    the whole `s` (and the same block of `s_inv` filled beside, unless
+    None), or new blocks where `s` is None.  Every entry is elementwise in
+    the path's own streamed state, so a block's bits do not depend on which
+    rows it holds.  No yielded block or temporary is kept here, so a reader
+    may drop the block before the next one is formed."""
     stop, exit_angle, exit_time = (e[rows][:, None] for e in exits)
-    # state frozen at the (clamped) exit value once stopped
-    stopped = np.arange(lo, lo + t.size)[None, :] >= stop
-    angle = np.where(stopped, exit_angle, b)
-    scale = np.where(stopped, exit_time, t[None, :])  # tau ^ t
-    del stopped
-    scale /= 2.0
-    np.exp(scale, out=scale)
-    # cos, then sin over the angle buffer; -scale sin is exactly -(scale sin)
-    np.multiply(scale, np.cos(angle), out=s[..., 0, 0])
-    s[..., 1, 1] = s[..., 0, 0]
-    np.sin(angle, out=angle)
-    np.multiply(scale, angle, out=s[..., 0, 1])
-    np.negative(s[..., 0, 1], out=s[..., 1, 0])
-    if s_inv is not None:
-        np.square(scale, out=scale)
-        np.divide(np.swapaxes(s, -1, -2), scale[..., None, None], out=s_inv)
+    m, nodes = stop.shape[0], paths.grid.nodes
+    bounds = node_blocks(nodes.size, m * 4 * 8, 4)
+    states = paths.state_blocks(bounds, rows)
+    for lo, hi in bounds:
+        block = np.empty((m, hi - lo, 2, 2)) if s is None else s[:, lo:hi]
+        # state frozen at the (clamped) exit value once stopped
+        stopped = np.arange(lo, hi)[None, :] >= stop
+        angle = np.where(stopped, exit_angle, next(states)[:, :, 0])
+        scale = np.where(stopped, exit_time, nodes[None, lo:hi])  # tau ^ t
+        del stopped
+        scale /= 2.0
+        np.exp(scale, out=scale)
+        # cos, then sin over the angle buffer; -scale sin is exactly -(scale sin)
+        np.multiply(scale, np.cos(angle), out=block[..., 0, 0])
+        block[..., 1, 1] = block[..., 0, 0]
+        np.sin(angle, out=angle)
+        np.multiply(scale, angle, out=block[..., 0, 1])
+        np.negative(block[..., 0, 1], out=block[..., 1, 0])
+        if s_inv is not None:
+            np.square(scale, out=scale)
+            np.divide(np.swapaxes(block, -1, -2), scale[..., None, None], out=s_inv[:, lo:hi])
+        del angle, scale
+        yield block
+        del block
 
 
 def emery_closed_form(paths: PathEnsemble, level: float = np.pi / 2,
@@ -87,17 +96,15 @@ def emery_closed_form(paths: PathEnsemble, level: float = np.pi / 2,
     matrix.  With `inverse`, S^{-1} = exp(-(tau ^ t)) S^T is filled in closed
     form as well.  Paths that never exit within the grid horizon are flagged
     (truncation bias), not dropped.  The arrays are filled one node block at
-    a time, from the streamed Brownian states, by the block rule that
-    `emery_defect_profile` streams without storing S.
+    a time by `_emery_blocks`, the loop that `emery_defect_profile` streams
+    without storing S.
     """
     exits = _emery_exits(paths, level)
     m, k1 = paths.paths, paths.grid.steps + 1
     s = np.empty((m, k1, 2, 2))
     s_inv = np.empty_like(s) if inverse else None
-    bounds = list(node_blocks(k1, m * 4 * 8, 4))
-    for (lo, hi), b in zip(bounds, paths.state_blocks(bounds)):
-        _emery_block(exits, slice(None), lo, b[:, :, 0], paths.grid.nodes[lo:hi],
-                     s[:, lo:hi], None if s_inv is None else s_inv[:, lo:hi])
+    for _ in _emery_blocks(paths, exits, slice(None), s, s_inv):
+        pass
     # bad paths never exited: truncation bias contributors
     return ExponentialEnsemble(StoppedRotationField(level), paths, s, s_inv,
                                bad_paths=exits[0] == k1)
@@ -106,24 +113,12 @@ def emery_closed_form(paths: PathEnsemble, level: float = np.pi / 2,
 def emery_defect_profile(paths: PathEnsemble, level: float = np.pi / 2) -> MartingaleDefectReport:
     """martingale_defect(emery_closed_form(paths, level)), bit for bit, without
     S or the whole states: the exited paths are known after the stop scan,
-    so each node block of S is formed for them alone, from their streamed
-    states, and reduced at once."""
+    so `_emery_blocks` forms each node block of S for them alone, from their
+    streamed states, and pushes it to the reduction."""
     exits = _emery_exits(paths, level)
     k1 = paths.grid.steps + 1
     keep = exits[0] < k1
-    kept = int(keep.sum())
-    # defect_profile picks the node blocks; each is handed to the state
-    # stream as it is asked for
-    asked = []
-    states = paths.state_blocks(iter(asked.pop, None), keep)
-
-    def kept_block(lo: int, hi: int) -> np.ndarray:
-        asked.append((lo, hi))
-        s = np.empty((kept, hi - lo, 2, 2))
-        _emery_block(exits, keep, lo, next(states)[:, :, 0], paths.grid.nodes[lo:hi], s)
-        return s
-
-    return defect_profile(keep, 2, k1, kept_block)
+    return defect_profile(keep, 2, k1, _emery_blocks(paths, exits, keep, None, None))
 
 
 # Default time step of the Emery horizon walk, as `counterexample emery` runs it.
@@ -507,7 +502,6 @@ class NonexistenceSpec:
     reduces to the exit-time identity, and f itself is never evaluated.
     """
 
-    horizon: float = 1.0
     levels: np.ndarray = field(default_factory=lambda: default_level_sequence(12))
 
     def __post_init__(self):

@@ -1,17 +1,14 @@
 """Forward integration of matrix stochastic exponentials and diagnostics.
 
-The exponential S solves dS = S (A dB) from the identity; its inverse X
-solves dX = A^2 X dt - (A dB) X in the same Euler pass, which forms A and
-A dB once per step for both (never by per-step matrix inversion).  The pass
-keeps only what its caller reads: it can measure the inverse residual
-|S X - I| and reduce the martingale defect on its blocks as they are
-finished, and store the whole path of S, of X, or S_T alone.  So
-`simulate-exponential` holds the paths, two integration blocks and one
-defect block; the regression R_p holds S_T, one regression basis and one
-integration block, integrating S^{-1} a second time (X alone) where the
-ensemble keeps none; the nested R_p integrates no S over the outer paths.
-Diagnostics cover reverse Holder constants, martingale defect (from node
-blocks of S, which need not come from a stored array), and the
+One Euler loop, `_euler_pass`, integrates the exponential S, dS = S (A dB)
+from the identity, and its inverse X, dX = A^2 X dt - (A dB) X, forming A
+and A dB once per step for both (never by per-step matrix inversion).  It
+reads A_k from a stream: the field along an ensemble, or along the
+restarted inner paths of the nested R_p, which reads S_T alone.  Along an
+ensemble it keeps only what its caller reads (`simulate_exponential`).
+The martingale defect reduces the node blocks of S that a producer pushes
+to it: a stored ensemble, the Euler pass as it runs, or a closed form.
+Diagnostics cover reverse Holder constants, the martingale defect and the
 Doob-maximal comparison.
 """
 
@@ -21,41 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .brownian import _BLOCK, PathEnsemble, block_increments, substream
+from .brownian import (_BLOCK, PathEnsemble, _step_blocks, block_increments, node_blocks,
+                       substream)
 from .fields import CoefficientField
 from .grids import TimeGrid
 from .norms import RegressionConditional
 from .tensors import contract_adb, mat_square, operator_norm
-
-
-# Working-memory budget of one block of grid nodes in the forward diagnostics.
-_NODE_BLOCK_BYTES = 4 << 20
-
-# Budget of each node-major Euler block and reverse-Holder ratio block.
-_STEP_BLOCK_BYTES = 1 << 18
-
-
-def _step_blocks(nodes: int, node_bytes: int) -> list:
-    """(lo, hi) ranges covering `nodes` nodes, about _STEP_BLOCK_BYTES each."""
-    step = max(1, _STEP_BLOCK_BYTES // node_bytes)
-    return [(lo, min(lo + step, nodes)) for lo in range(0, nodes, step)]
-
-
-def node_blocks(nodes: int, node_bytes: int, node_entries: int):
-    """(lo, hi) ranges covering `nodes` grid nodes, about _NODE_BLOCK_BYTES each.
-
-    node_bytes is the size of one node's slice of the block's largest array.
-    Every statistic is per node and an axis-0 reduction adds the paths in
-    order, so results do not depend on the blocks, with one exception: numpy
-    sums a reduction whose rows hold a single entry pairwise, not in path
-    order.  Blocks therefore hold at least two entries per path, where a node
-    holds `node_entries` of them.
-    """
-    step = max(1, _NODE_BLOCK_BYTES // node_bytes, -(-2 // node_entries))
-    bounds = list(range(0, nodes, step)) + [nodes]
-    if len(bounds) > 2 and (bounds[-1] - bounds[-2]) * node_entries < 2:
-        del bounds[-2]
-    return zip(bounds[:-1], bounds[1:])
 
 
 @dataclass
@@ -130,24 +98,16 @@ def integrate_exponential(field: CoefficientField, paths: PathEnsemble) -> np.nd
     return simulate_exponential(field, paths, reads=("s",)).s
 
 
-def integrate_terminal(field: CoefficientField, grid: TimeGrid, inc: np.ndarray,
-                       x0: np.ndarray) -> np.ndarray:
-    """S_T alone, shape (paths, n, n), for the paths with increments `inc`
-    started from the Brownian states x0.
+def integrate_inverse(field: CoefficientField, paths: PathEnsemble) -> np.ndarray:
+    """Euler path of the inverse dynamics dX = A^2 X dt - (A dB) X, X_0 = I."""
+    return simulate_exponential(field, paths, reads=("s_inv",)).s_inv
 
-    integrate_exponential's last node on the PathEnsemble(grid, ..., inc, x0),
-    bit for bit: the state is carried as a running sum instead of the
-    ensemble's (paths, steps + 1, d) states, and one (paths, n, n) state and
-    one product buffer replace the whole path of S.
-    """
-    n = field.n
-    s = np.empty((inc.shape[0], n, n))
-    s[:] = np.eye(n)
-    tmp = np.empty_like(s)
-    # A 1 x 1 product is a plain multiply.  matmul writes +0.0 where the
-    # product is -0.0, but S never is -0.0 (it starts at 1), so s + tmp and
-    # every later value keep their bits.
-    product = np.multiply if n == 1 else np.matmul
+
+def _restart_values(field: CoefficientField, t0: float, grid: TimeGrid,
+                    inc: np.ndarray, x0: np.ndarray):
+    """A_k at times t0 + t_k along paths restarted at t0 from the states x0:
+    its values on the PathEnsemble(grid, ..., inc, x0) without its states,
+    which are carried as a running sum by the rule of `state_blocks`."""
     # -0.0 + y == y for every y, so run is the cumsum of the increments exactly
     run = np.full_like(x0, -0.0)
     x = x0.copy()
@@ -155,46 +115,49 @@ def integrate_terminal(field: CoefficientField, grid: TimeGrid, inc: np.ndarray,
         if k:
             run += inc[:, k - 1]
             np.add(run, x0, out=x)
-        a = field.at(float(grid.nodes[k]), x)
-        product(s, contract_adb(a, inc[:, k]), out=tmp)
-        s += tmp
-    return s
+        yield field.at(t0 + float(grid.nodes[k]), x)
 
 
-def integrate_inverse(field: CoefficientField, paths: PathEnsemble) -> np.ndarray:
-    """Euler path of the inverse dynamics dX = A^2 X dt - (A dB) X, X_0 = I."""
-    return simulate_exponential(field, paths, reads=("s_inv",)).s_inv
+def _ensemble_pass(field: CoefficientField, paths: PathEnsemble, *, s: bool, inverse: bool):
+    """`_euler_pass` along the paths of an ensemble."""
+    values = (field.values(paths, k) for k in range(paths.grid.steps))
+    return _euler_pass(values, paths.increments, paths.grid.dt, field.n, s=s, inverse=inverse)
 
 
-def _euler_pass(field: CoefficientField, paths: PathEnsemble, *, s: bool, inverse: bool):
+def _euler_pass(values, inc: np.ndarray, dt: np.ndarray, n: int, *, s: bool, inverse: bool):
     """The Euler pass of S, and with `inverse` of X = S^{-1}, from S_0 = X_0 = I;
-    without `s`, of X alone.
+    without `s`, of X alone, along M paths with (M, K, d) increments `inc`.
 
-    A_k and A_k dB_k are formed once per step for both.  The steps run on
+    `values` yields A_k, (M, n, n, d), in step order: along an ensemble
+    (`_ensemble_pass`) or along restarted paths (`_restart_values`).  A_k
+    and A_k dB_k are formed once per step for both.  The steps run on
     node-major blocks of about _STEP_BLOCK_BYTES per array, so every node is
     contiguous.  Yields (lo, hi, s, x), node-major (hi - lo, M, n, n) views
     of the nodes lo <= k < hi: node 0 alone, then each finished block (None
-    for the one not integrated).  A view holds its values until the next
-    block is asked for; then the last node of the block starts the next one.
+    for the one not integrated).  A view holds its values until the pass
+    moves on to the next block; the last one keeps them after the pass.
     """
-    m, k_steps, n = paths.paths, paths.grid.steps, field.n
-    dt, inc = paths.grid.dt, paths.increments
+    m, k_steps, _ = inc.shape
     blocks = _step_blocks(k_steps, m * n * n * 8)
     work = [np.empty((blocks[0][1] + 1, m, n, n)) if on else None for on in (s, inverse)]
     live = [w for w in work if w is not None]
     for w in live:
         w[0] = np.eye(n)
     s, x = work   # the blocks, None for the one not integrated
-    drift, noise = np.empty((m, n, n)), np.empty((m, n, n))
+    drift, noise = np.empty((2, m, n, n)) if inverse else (None, None)
+    # A 1 x 1 product is a plain multiply.  matmul writes +0.0 where the
+    # product is -0.0, but S never is -0.0 (it starts at 1, and a sum is -0.0
+    # only when both terms are), so S_k + S_k (A dB) keeps its bits.
+    product = np.multiply if n == 1 else np.matmul
     yield 0, 1, *(None if w is None else w[:1] for w in work)
     for lo, hi in blocks:
         for j, k in enumerate(range(lo, hi)):
-            a = field.values(paths, k)
+            a = next(values)
             a_db = contract_adb(a, inc[:, k])
             if s is not None:
                 # the product lands in node j + 1, then S_k is added: IEEE
                 # addition commutes, so this is S_k + S_k (A dB) bit for bit
-                np.matmul(s[j], a_db, out=s[j + 1])
+                product(s[j], a_db, out=s[j + 1])
                 s[j + 1] += s[j]
             if x is not None:
                 np.matmul(mat_square(a), x[j], out=drift)
@@ -208,35 +171,29 @@ def _euler_pass(field: CoefficientField, paths: PathEnsemble, *, s: bool, invers
             w[0] = w[hi - lo]
 
 
-def _path_major_blocks(blocks, keep: np.ndarray, n: int):
-    """defect_profile's kept_block for the paths `keep`, fed by `blocks`, a
-    stream of (lo, hi, node-major block of S) in node order such as
-    `_euler_pass` yields.
-
-    Each call copies the nodes it asks for, transposed, into a new path-major
-    (kept paths, nodes, n, n) block: the block a stored S gives, bit for bit.
-    The node-major blocks themselves are not reduced, because numpy would add
-    a contiguous path axis pairwise (n = 1), not in path order.
-    """
+def _path_major_blocks(blocks, keep: np.ndarray, n: int, nodes: int):
+    """defect_profile's blocks of S for the paths `keep`, gathered from the
+    stream `blocks` of (lo, hi, node-major S, ...) over `nodes` nodes that
+    `_euler_pass` yields: the stream's nodes, transposed into each new node
+    block, give the blocks of a stored S bit for bit.  The node-major blocks
+    are not reduced themselves: numpy would add a contiguous path axis
+    pairwise (n = 1), not in path order."""
     rows = int(keep.sum())
-    current = (0, 0, None)
-
-    def kept_block(lo: int, hi: int) -> np.ndarray:
-        nonlocal current
+    c_lo = c_hi = 0
+    for lo, hi in node_blocks(nodes, rows * n * n * 8, n * n):
         out = np.empty((rows, hi - lo, n, n))
         pos = lo
         while pos < hi:
-            if pos == current[1]:
-                current = next(blocks)
-            c_lo, c_hi, block = current[:3]
+            if pos == c_hi:
+                c_lo, c_hi, block = next(blocks)[:3]
             top = min(hi, c_hi)
             part = block[pos - c_lo:top - c_lo]
             if rows < len(keep):
                 part = part[:, keep]
             out[:, pos - lo:top - lo] = part.swapaxes(0, 1)
             pos = top
-        return out
-    return kept_block
+        yield out
+        del out   # the reduction drops it before the next block is formed
 
 
 # What a caller of simulate_exponential may read from its ensemble.
@@ -278,7 +235,7 @@ def simulate_exponential(field: CoefficientField, paths: PathEnsemble,
     def finished():
         """The pass's blocks, each bookkept before it is handed on."""
         nonlocal terminal
-        for lo, hi, s, x in _euler_pass(field, paths, s=True, inverse=inverse):
+        for lo, hi, s, x in _ensemble_pass(field, paths, s=True, inverse=inverse):
             bad[:] |= ~np.isfinite(s).all(axis=(0, 2, 3))
             if resid is not None and lo:
                 resid[lo:hi] = _residual_means(s, x)
@@ -293,13 +250,13 @@ def simulate_exponential(field: CoefficientField, paths: PathEnsemble,
     defect = None
     if "defect" in reads:
         every = np.ones(m, dtype=bool)
-        defect = defect_profile(every, n, k1, _path_major_blocks(blocks, every, n))
+        defect = defect_profile(every, n, k1, _path_major_blocks(blocks, every, n, k1))
     for _ in blocks:   # the rest of the pass, where no defect drove it
         pass
     if defect is not None and bad.any():
         keep = ~bad
         defect = defect_profile(keep, n, k1, _path_major_blocks(
-            _euler_pass(field, paths, s=True, inverse=False), keep, n))
+            _ensemble_pass(field, paths, s=True, inverse=False), keep, n, k1))
     return ExponentialEnsemble(field, paths, stored.get("s"), stored.get("s_inv"),
                                bad_paths=bad, residual=resid, s_terminal=terminal,
                                defect=defect)
@@ -333,7 +290,7 @@ def _inverse_blocks(expo: ExponentialEnsemble):
         for lo, hi in _step_blocks(k_grid, expo.s_inv[:, 0].nbytes):
             yield lo, expo.s_inv[:, lo:hi].swapaxes(0, 1)
         return
-    for lo, hi, _, x in _euler_pass(expo.field, expo.paths, s=False, inverse=True):
+    for lo, hi, _, x in _ensemble_pass(expo.field, expo.paths, s=False, inverse=True):
         if lo < k_grid:
             yield lo, x[:k_grid - lo]
 
@@ -422,21 +379,21 @@ def _nested_ratio_moment(expo: ExponentialEnsemble, k: int, p: float,
     rng = substream(paths.seed, salt, k)
     inner_seed = int(rng.integers(0, 2**63 - 1))
 
-    # Shift eval times so the restarted field sees absolute time t_k + s.
-    shifted = CoefficientField(
-        field.n, field.d,
-        lambda t, x, _t0=float(nodes[k]): field.eval(_t0 + t, x),
-        field.structure, True, field.name)
     # Inner path i restarts outer path i // inner_paths.  One Philox block of
     # inner paths at a time: the same draws as generate_brownian over all
-    # m * inner_paths paths, but only S_T and then |S_T|^p are kept.
+    # m * inner_paths paths, integrated by the Euler pass of S alone, whose
+    # last node S_T gives |S_T|^p; the field sees the absolute time t_k + s.
     total = m * inner_paths
     vals = np.empty(total)
     for b, lo in enumerate(range(0, total, _BLOCK)):
         hi = min(lo + _BLOCK, total)
         inc = block_increments(sub_grid, d, inner_seed, b, np.empty((hi - lo, rest_steps, d)))
         x0 = x_k[np.arange(lo, hi) // inner_paths]
-        vals[lo:hi] = operator_norm(integrate_terminal(shifted, sub_grid, inc, x0)) ** p
+        values = _restart_values(field, float(nodes[k]), sub_grid, inc, x0)
+        for _, _, s, _ in _euler_pass(values, inc, sub_grid.dt, field.n, s=True, inverse=False):
+            pass
+        vals[lo:hi] = operator_norm(s[-1]) ** p
+        del values, s   # the pass's buffers, before the next block is drawn
     vals = vals.reshape(m, inner_paths)
     means = vals.mean(axis=1)
     # vals.std(axis=1, ddof=1) step for step, in place to save a second array.
@@ -473,18 +430,21 @@ def martingale_defect(expo: ExponentialEnsemble) -> MartingaleDefectReport:
         return expo.defect
     s = expo.kept("s", "martingale_defect")
     keep = ~expo.bad_paths
-    # boolean indexing: a private copy of the block
-    return defect_profile(keep, expo.n, s.shape[1], lambda lo, hi: s[keep, lo:hi])
+    n, nodes = expo.n, s.shape[1]
+    # boolean indexing: a private copy of each block
+    return defect_profile(keep, n, nodes, (s[keep, lo:hi] for lo, hi in node_blocks(
+        nodes, int(keep.sum()) * n * n * 8, n * n)))
 
 
-def defect_profile(keep: np.ndarray, n: int, nodes: int, kept_block) -> MartingaleDefectReport:
+def defect_profile(keep: np.ndarray, n: int, nodes: int, blocks) -> MartingaleDefectReport:
     """martingale_defect of the paths `keep`, from S one node block at a time.
 
-    kept_block(lo, hi) returns the (kept paths, hi - lo, n, n) block of S at
-    nodes lo <= k < hi, a private copy that the reduction overwrites.  The
-    blocks are node_blocks of the kept paths, asked for in node order,
-    whatever produces them: a stored ensemble, the Euler pass as it runs, or
-    a closed form that never stores S.
+    `blocks` yields the path-major (kept paths, hi - lo, n, n) blocks of S
+    at nodes lo <= k < hi over node_blocks(nodes, kept paths * n * n * 8,
+    n * n), in node order, each a private copy that the reduction
+    overwrites.  Their producer pushes them: a stored ensemble
+    (`martingale_defect`), the Euler pass as it runs (`_path_major_blocks`),
+    or a closed form that never stores S (the Emery profile).
     """
     m = int(keep.sum())
     if m == 0:
@@ -494,15 +454,18 @@ def defect_profile(keep: np.ndarray, n: int, nodes: int, kept_block) -> Martinga
     group = np.empty(nodes)
     eye = np.eye(n)
     parts = np.array_split(np.arange(m), min(8, m))
-    for lo, hi in node_blocks(nodes, m * n * n * 8, n * n):
-        s = kept_block(lo, hi)
+    lo = 0
+    for s in blocks:
+        hi = lo + s.shape[1]
         mean[lo:hi] = s.mean(axis=0)
-        group[lo:hi] = np.median(np.stack(
-            [operator_norm(s[g].mean(axis=0) - eye) for g in parts]), axis=0)
+        # one norm for every group: it is taken matrix by matrix
+        group[lo:hi] = np.median(operator_norm(
+            np.stack([s[g].mean(axis=0) for g in parts]) - eye), axis=0)
         # s.std(axis=0, ddof=1) step for step, in place on the copy
         s -= mean[lo:hi]
         s *= s
         se[lo:hi] = np.sqrt(s.sum(axis=0) / (m - 1)) / np.sqrt(m)
+        lo = hi
         del s   # before the next block is formed
     idx = np.arange(n)
     diag_gap = np.abs(mean[:, idx, idx] - 1.0)

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .brownian import PathEnsemble
+from .brownian import PathEnsemble, _step_blocks
 from .grids import ConfigurationError
 
 STRUCTURES = (
@@ -131,9 +131,10 @@ class StoppedRotationField(CoefficientField):
     """2x2 rotation generator switched off at the exit of |B| from a level.
 
     A(t) = [[0, 1], [-1, 0]] at nodes k before the stopping node, the first
-    node where |B| >= level, then 0.  Path-dependent, so conditional
-    estimators must use regression on the (state, stopping node) pair rather
-    than sub-simulation restarts.
+    node where |B| >= level, then 0.  Path-dependent, so the nested R_p
+    (restarts from the state alone) refuses it.  The regression R_p conditions
+    on B_t alone, not on the stop: it mixes the stopped paths, whose
+    |S_t^{-1} S_T|^p is exactly 1, with the live ones, and reads far too low.
     """
 
     def __init__(self, level: float = np.pi / 2):
@@ -150,7 +151,6 @@ class StoppedRotationField(CoefficientField):
         _STEP_BLOCK_BYTES are the largest arrays it forms; it never forms
         `paths.states`."""
         if paths not in self._cache:
-            from .exponential import _step_blocks     # exponential imports this module
             m, k1 = paths.paths, paths.grid.steps + 1
             stop, state = np.full(m, k1), np.zeros(m)
             bounds = _step_blocks(k1, m * 8)

@@ -478,9 +478,12 @@ def solve_by_regression(spec: LinearBsdeSpec, paths: PathEnsemble,
     return _solve(spec, paths, degree, "regression")
 
 
+# Picard passes solve_perturbed may take before it gives up.
+_MAX_PASSES = 50
+
+
 def solve_perturbed(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int = 3,
-                    tol: float = 1e-6, max_iters: int = 50,
-                    base: str = "auto") -> SolutionEnsemble:
+                    tol: float = 1e-6, base: str = "auto") -> SolutionEnsemble:
     """Picard iteration for BSDE(A + dA) with an optional alpha Y term.
 
     Each pass hands the core of the method `base` ("auto": the structural
@@ -506,7 +509,7 @@ def solve_perturbed(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int = 3,
     y_prev = np.zeros((m, ksteps + 1, n))
     z_prev = np.zeros((m, ksteps, n, d))
     history = []
-    for it in range(max_iters):
+    for it in range(_MAX_PASSES):
         mod = np.zeros((m, ksteps, n))
         if beta is not None:
             mod += beta
@@ -528,7 +531,7 @@ def solve_perturbed(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int = 3,
     else:
         if history[-1] >= tol:
             raise PicardDivergenceError(
-                f"no convergence in {max_iters} iterations; history tail "
+                f"no convergence in {_MAX_PASSES} iterations; history tail "
                 f"{history[-3:]}")
     sol = _finish(fld, paths, "perturbed", y, z, mod, extras)
     sol.diagnostics["picard_history"] = history

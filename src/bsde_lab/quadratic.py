@@ -236,6 +236,13 @@ class QuadraticSolveReport:
     margin: float
 
 
+# solve_quadratic's truncation levels k, tried in order, its margin (accept k
+# once max |z| < (1 - margin) k) and its inner Picard iterations per step.
+_LEVELS = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
+_MARGIN = 0.2
+_MAX_PICARD = 60
+
+
 def _backward_quadratic(driver, terminal_fn, paths: PathEnsemble, degree: int,
                         picard_tol: float, max_picard: int, init: str) -> tuple:
     """Backward Euler for the truncated driver; returns (y, z, drift).
@@ -276,26 +283,24 @@ def _backward_quadratic(driver, terminal_fn, paths: PathEnsemble, degree: int,
 
 
 def solve_quadratic(driver, terminal_fn, paths: PathEnsemble, degree: int = 3,
-                    picard_tol: float = 1e-10, max_picard: int = 60,
-                    levels=(2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0),
-                    margin: float = 0.2, init: str = "mean") -> QuadraticSolveReport:
+                    picard_tol: float = 1e-10, init: str = "mean") -> QuadraticSolveReport:
     """Truncation-escalation solve of the quadratic system.
 
-    For each level k in the schedule, solve with the clamped driver, then
-    measure the largest magnitude the clamp acts on along the solution.  The
-    level is accepted once that magnitude stays below (1 - margin) k: the
+    For each level k in the schedule _LEVELS, solve with the clamped driver,
+    then measure the largest magnitude the clamp acts on along the solution.
+    The level is accepted once that magnitude stays below (1 - _MARGIN) k: the
     clamp is then inactive on every sampled path and the pair solves the
     original equation there.
     """
     if driver.kind not in ("ql", "unidirectional"):
         raise ConfigurationError("driver must be quadratic-linear or unidirectional")
     log = []
-    for level in levels:
+    for level in _LEVELS:
         trunc = truncate_driver(driver, float(level))
         y, z, drift = _backward_quadratic(trunc, terminal_fn, paths, degree,
-                                          picard_tol, max_picard, init)
+                                          picard_tol, _MAX_PICARD, init)
         zmag = float(driver.magnitude(z).max())
-        accepted = zmag < (1.0 - margin) * level
+        accepted = zmag < (1.0 - _MARGIN) * level
         log.append({"level": float(level), "max_magnitude": zmag, "accepted": accepted})
         if accepted:
             sol = _finish(None, paths, f"quadratic[{driver.kind}]", y, z, None, {"drift": drift})

@@ -229,8 +229,9 @@ def test_streamed_nested_matches_whole_ensemble_bitwise(name):
 
 
 def _terminal_by_matmul(field, grid, inc, x0):
-    """integrate_terminal with every 1 x 1 product taken by matmul, and the
-    number of products that matmul gives as +0.0 where a multiply gives -0.0."""
+    """S_T by a path-major Euler loop with every 1 x 1 product taken by
+    matmul, and the number of products that matmul gives as +0.0 where a
+    multiply gives -0.0."""
     from bsde_lab.tensors import contract_adb
     s = np.ones((inc.shape[0], 1, 1))
     tmp = np.empty_like(s)
@@ -250,7 +251,7 @@ def _terminal_by_matmul(field, grid, inc, x0):
 
 @pytest.mark.parametrize("name", ["scalar-half", "zero", "sign-switch"])
 def test_scalar_terminal_multiply_matches_matmul(name):
-    from bsde_lab.exponential import integrate_terminal
+    from bsde_lab.exponential import _euler_pass, _restart_values
     from bsde_lab.fields import CoefficientField
     from bsde_lab.instances import scalar_half
     fields = {
@@ -264,9 +265,14 @@ def test_scalar_terminal_multiply_matches_matmul(name):
     grid = TimeGrid(1.0, 16)
     paths = generate_brownian(grid, 1, 2000, seed=8)
     x0 = paths.state_at(0)
-    got = integrate_terminal(fields[name], grid, paths.increments, x0)
     want, flips = _terminal_by_matmul(fields[name], grid, paths.increments, x0)
-    assert got.tobytes() == want.tobytes()
+    # the one Euler loop, fed as the nested R_p feeds it and along the ensemble
+    values = _restart_values(fields[name], 0.0, grid, paths.increments, x0)
+    for _, _, s, _ in _euler_pass(values, paths.increments, grid.dt, 1, s=True, inverse=False):
+        pass
+    assert s[-1].tobytes() == want.tobytes()
+    expo = simulate_exponential(fields[name], paths, reads=("s_terminal",))
+    assert expo.s_terminal.tobytes() == want.tobytes()
     assert (flips > 0) == (name == "sign-switch")
 
 

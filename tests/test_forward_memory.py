@@ -8,6 +8,7 @@ import pytest
 
 from bsde_lab import (TimeGrid, generate_brownian, martingale_defect,
                       simulate_exponential)
+from bsde_lab import brownian as br
 from bsde_lab import exponential as ex
 from bsde_lab.counterexamples import emery_closed_form, emery_defect_profile
 from bsde_lab.fields import CoefficientField, StoppedRotationField, left_outer_field
@@ -137,8 +138,9 @@ def test_fused_integration_matches_two_loop_reference(name, inverse, monkeypatch
     bad_ref = ~np.isfinite(s_ref.reshape(paths.paths, -1)).all(axis=1)
     if name == "blow-up":
         assert 0 < bad_ref.sum() < paths.paths
-    for budget in _budgets(paths.paths, field.n) + [ex._STEP_BLOCK_BYTES, 1 << 30]:
-        monkeypatch.setattr(ex, "_STEP_BLOCK_BYTES", budget)
+    for budget in _budgets(paths.paths, field.n) + [br._STEP_BLOCK_BYTES, 1 << 30]:
+        _set_budget(monkeypatch, "_STEP_BLOCK_BYTES", budget, paths.grid.steps,
+                    paths.paths * field.n ** 2 * 8)
         expo = simulate_exponential(field, paths, reads=_reads(inverse))
         assert np.array_equal(expo.s, s_ref, equal_nan=True), budget
         if inverse:
@@ -169,8 +171,9 @@ def test_blocked_reverse_holder_matches_per_node(name, inverse, monkeypatch):
         # Doob's check reads the whole S^{-1} from the ensemble alone
         with pytest.raises(ValueError, match="'s_inv' in reads"):
             ex.doob_sup_check(ensembles[1], 2.0)
-    for budget in _budgets(paths.paths, field.n) + [ex._STEP_BLOCK_BYTES]:
-        monkeypatch.setattr(ex, "_STEP_BLOCK_BYTES", budget)
+    for budget in _budgets(paths.paths, field.n) + [br._STEP_BLOCK_BYTES]:
+        _set_budget(monkeypatch, "_STEP_BLOCK_BYTES", budget, paths.grid.steps,
+                    paths.paths * field.n ** 2 * 8)
         for expo in ensembles:
             rep = ex.estimate_reverse_holder(expo, 2.0)
             assert np.array_equal(rep.profile, profile), budget
@@ -194,8 +197,9 @@ def test_regression_rp_reads_the_inverse_the_ensemble_keeps(closed_form, monkeyp
     profile, se = _rp_reference(expo, 2.0)
     euler, _ = _rp_reference(simulate_exponential(expo.field, expo.paths), 2.0)
     assert not np.array_equal(profile, euler)
-    for budget in _budgets(expo.paths.paths, expo.n) + [ex._STEP_BLOCK_BYTES]:
-        monkeypatch.setattr(ex, "_STEP_BLOCK_BYTES", budget)
+    for budget in _budgets(expo.paths.paths, expo.n) + [br._STEP_BLOCK_BYTES]:
+        _set_budget(monkeypatch, "_STEP_BLOCK_BYTES", budget, expo.paths.grid.steps,
+                    expo.paths.paths * expo.n ** 2 * 8)
         rep = ex.estimate_reverse_holder(expo, 2.0)
         assert np.array_equal(rep.profile, profile), budget
         assert np.array_equal(rep.profile_std_error, se), budget
@@ -225,6 +229,22 @@ def _budgets(rows: int, n: int) -> list:
     return [1, 4 * rows * n * n * 8]
 
 
+def _set_budget(monkeypatch, name: str, budget: int, nodes: int, node_bytes: int,
+                entries: int = 1) -> None:
+    """Set the block budget `name` in `brownian`, where the block rule that
+    every streamed reader calls reads it.  The smallest budget a test sets,
+    one byte, must split its `nodes` nodes of `node_bytes` each into more
+    than one block, of at most three nodes (two per block, and a one-node
+    remainder merged): a budget set where the rule does not read it (in
+    another module, or on a copy imported by value) leaves the default
+    blocks, and then the test would pass without testing the blocking."""
+    monkeypatch.setattr(br, name, budget)
+    if budget == 1:
+        blocks = (br._step_blocks(nodes, node_bytes) if name == "_STEP_BLOCK_BYTES"
+                  else br.node_blocks(nodes, node_bytes, entries))
+        assert len(blocks) > 1 and max(hi - lo for lo, hi in blocks) <= 3, (name, blocks)
+
+
 @pytest.mark.parametrize("name", ["scalar-half", "triangular-3d", "emery-closed-form",
                                   "emery-euler"])
 def test_blocked_defect_and_residual_match_whole_arrays(ensembles, name, monkeypatch):
@@ -234,7 +254,8 @@ def test_blocked_defect_and_residual_match_whole_arrays(ensembles, name, monkeyp
     ref_defect = _defect_reference(expo)
     kept = int((~expo.bad_paths).sum())
     for budget in _budgets(kept, expo.n) + _budgets(expo.paths.paths, expo.n):
-        monkeypatch.setattr(ex, "_NODE_BLOCK_BYTES", budget)
+        _set_budget(monkeypatch, "_NODE_BLOCK_BYTES", budget, expo.paths.grid.steps + 1,
+                    kept * expo.n ** 2 * 8, expo.n ** 2)
         rep = martingale_defect(expo)
         for key, want in ref_defect.items():
             assert np.array_equal(getattr(rep, key), want), (budget, key)
@@ -249,7 +270,7 @@ def test_blocked_emery_closed_form_matches_whole_arrays(monkeypatch):
     s_ref, inv_ref, bad_ref = _emery_reference(paths, 0.8)
     assert 0 < bad_ref.sum() < paths.paths
     for budget in _budgets(paths.paths, 2):
-        monkeypatch.setattr(ex, "_NODE_BLOCK_BYTES", budget)
+        _set_budget(monkeypatch, "_NODE_BLOCK_BYTES", budget, K + 1, paths.paths * 32, 4)
         expo = emery_closed_form(paths, 0.8)
         assert np.array_equal(expo.s, s_ref)
         assert np.array_equal(expo.s_inv, inv_ref)
@@ -264,8 +285,8 @@ def test_streamed_emery_profile_matches_closed_form_defect(level, horizon, monke
     kept = int((~expo.bad_paths).sum())
     assert 0 < kept < paths.paths
     want = _defect_reference(expo)
-    for budget in _budgets(kept, 2) + [ex._NODE_BLOCK_BYTES]:
-        monkeypatch.setattr(ex, "_NODE_BLOCK_BYTES", budget)
+    for budget in _budgets(kept, 2) + [br._NODE_BLOCK_BYTES]:
+        _set_budget(monkeypatch, "_NODE_BLOCK_BYTES", budget, K + 1, kept * 32, 4)
         rep = emery_defect_profile(paths, level)
         for key, ref in want.items():
             assert np.array_equal(getattr(rep, key), ref), (budget, key)
@@ -280,8 +301,9 @@ def test_in_pass_residual_matches_whole_arrays(name, inverse, monkeypatch):
     want = _residual_reference(full)
     if name == "blow-up":
         assert np.isnan(want).any()
-    for budget in _budgets(paths.paths, field.n) + [ex._STEP_BLOCK_BYTES]:
-        monkeypatch.setattr(ex, "_STEP_BLOCK_BYTES", budget)
+    for budget in _budgets(paths.paths, field.n) + [br._STEP_BLOCK_BYTES]:
+        _set_budget(monkeypatch, "_STEP_BLOCK_BYTES", budget, paths.grid.steps,
+                    paths.paths * field.n ** 2 * 8)
         expo = simulate_exponential(field, paths, reads=_reads(inverse) + ("residual",))
         assert np.array_equal(expo.inverse_residual_profile(), want, equal_nan=True), budget
         assert np.array_equal(expo.s, full.s, equal_nan=True), budget
@@ -301,12 +323,15 @@ def test_in_pass_defect_matches_whole_arrays(name, monkeypatch):
     kept = int((~full.bad_paths).sum())
     if name == "blow-up":
         assert 0 < kept < paths.paths
-    steps = _budgets(paths.paths, field.n) + [ex._STEP_BLOCK_BYTES]
-    nodes = _budgets(kept, field.n) + _budgets(paths.paths, field.n) + [ex._NODE_BLOCK_BYTES]
+    steps = _budgets(paths.paths, field.n) + [br._STEP_BLOCK_BYTES]
+    nodes = _budgets(kept, field.n) + _budgets(paths.paths, field.n) + [br._NODE_BLOCK_BYTES]
+    node_bytes = field.n ** 2 * 8
     for step in steps:
         for node in nodes:
-            monkeypatch.setattr(ex, "_STEP_BLOCK_BYTES", step)
-            monkeypatch.setattr(ex, "_NODE_BLOCK_BYTES", node)
+            _set_budget(monkeypatch, "_STEP_BLOCK_BYTES", step, paths.grid.steps,
+                        paths.paths * node_bytes)
+            _set_budget(monkeypatch, "_NODE_BLOCK_BYTES", node, paths.grid.steps + 1,
+                        kept * node_bytes, field.n ** 2)
             expo = simulate_exponential(field, paths, reads=("defect",))
             assert expo.s is None and expo.s_inv is None
             assert np.array_equal(expo.bad_paths, full.bad_paths), (step, node)
@@ -346,8 +371,9 @@ def test_bad_paths_by_node_block_follow_the_finite_rule(monkeypatch):
     fld = left_outer_field([10.0, 1.0], lambda t, x: np.where(
         x[:, :1, None] > 0.3, 1e308, 0.4) * np.ones((1, 2, 1)), 1)
     paths = generate_brownian(TimeGrid(1.0, K), 1, 400, seed=5)
-    for budget in _budgets(paths.paths, fld.n) + [ex._STEP_BLOCK_BYTES]:
-        monkeypatch.setattr(ex, "_STEP_BLOCK_BYTES", budget)
+    for budget in _budgets(paths.paths, fld.n) + [br._STEP_BLOCK_BYTES]:
+        _set_budget(monkeypatch, "_STEP_BLOCK_BYTES", budget, paths.grid.steps,
+                    paths.paths * fld.n ** 2 * 8)
         expo = left_outer_exponential(fld, paths)
         rule = ~np.isfinite(expo.s.reshape(paths.paths, -1)).all(axis=1)
         assert 0 < rule.sum() < paths.paths
@@ -355,9 +381,9 @@ def test_bad_paths_by_node_block_follow_the_finite_rule(monkeypatch):
 
 
 def test_node_blocks_cover_the_grid_with_two_entries_per_path(monkeypatch):
-    monkeypatch.setattr(ex, "_NODE_BLOCK_BYTES", 1)
+    _set_budget(monkeypatch, "_NODE_BLOCK_BYTES", 1, 51, 8)
     for nodes, entries in [(51, 1), (52, 1), (51, 4), (2, 1)]:
-        blocks = list(ex.node_blocks(nodes, 8, entries))
+        blocks = br.node_blocks(nodes, 8, entries)
         assert blocks[0][0] == 0 and blocks[-1][1] == nodes
         assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
         assert all((hi - lo) * entries >= 2 for lo, hi in blocks)
@@ -422,7 +448,7 @@ def test_fused_integration_memory_is_bounded():
         extra[k_steps] = (_peak_bytes(lambda: simulate_exponential(fld, paths))
                           - 2 * (k_steps + 1) * node)
         del paths
-    assert extra[800] < 2 * (ex._STEP_BLOCK_BYTES + node) + 16 * node, extra
+    assert extra[800] < 2 * (br._STEP_BLOCK_BYTES + node) + 16 * node, extra
     assert extra[1600] < 1.1 * extra[800], extra
 
 
@@ -479,5 +505,5 @@ def test_regression_rp_memory_grows_only_by_the_bases():
         assert paths.conditionals == {}
         del paths
     assert peaks[800] < 801 * node, peaks
-    assert peaks[800] - peaks[400] <= ex._STEP_BLOCK_BYTES, peaks
+    assert peaks[800] - peaks[400] <= br._STEP_BLOCK_BYTES, peaks
     assert max(cached.values()) < node, cached

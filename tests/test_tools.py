@@ -226,3 +226,36 @@ def test_no_unused_module_level_import():
             unused += [f"{path.name}:{node.lineno} {name}" for name in names
                        if name not in used]
     assert not unused, unused
+
+
+def _package_imports(nodes) -> set:
+    """The package modules that the import statements among `nodes` name."""
+    out = set()
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out.update([node.module.split(".")[0]] if node.module
+                       else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("bsde_lab."):
+            out.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            out.update(a.name.split(".")[1] for a in node.names
+                       if a.name.startswith("bsde_lab."))
+    return out
+
+
+def test_no_function_level_import_dodges_a_cycle():
+    """No package module imports, inside a function, a module that imports it
+    at module level: that import only hides a cycle between the two, which
+    moving the shared code to a module both import removes."""
+    package = ROOT / "src" / "bsde_lab"
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    top = {name: _package_imports(tree.body) for name, tree in trees.items()}
+    dodges = set()
+    for name, tree in trees.items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                dodges.update(f"{name}.py:{node.lineno} imports {target}"
+                              for node in ast.walk(fn)
+                              for target in _package_imports([node])
+                              if name in top.get(target, ()))
+    assert not dodges, sorted(dodges)
