@@ -20,7 +20,12 @@ copies.  Each method in `_METHODS` checks its field and does its per-solve
 work once (the gated exponential; the field values, coefficients and scalar
 exponential weights of the triangular and right-outer reductions), then
 returns a core that takes the terminal (M, n) and the inhomogeneity
-(M, K, n) as arrays, formed once per solve.
+(M, K, n) as arrays, formed once per solve.  A Picard pass holds nothing
+that no pass reads: Z^m is freed once the next inhomogeneity is formed, and
+the cores subtract the drift prefix in place.  The diagnostics after a
+solve (`_martingale_residuals`, and the norms of `norm_report`) reduce one
+block of paths or of nodes at a time, so they add no whole (M, K, ...)
+array to it.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .brownian import PathEnsemble
+from .brownian import PathEnsemble, path_blocks
 from .exponential import ExponentialEnsemble, martingale_defect, simulate_exponential
 from .fields import CoefficientField, LeftOuterField, RightOuterField
 from .grids import ConfigurationError
@@ -100,11 +105,17 @@ def _beta_array(spec: LinearBsdeSpec, paths: PathEnsemble) -> np.ndarray | None:
 
 
 def _prefix(paths: PathEnsemble, x: np.ndarray | None, tail: tuple) -> np.ndarray:
-    """sum_{j < k} x_j dt_j at every node, shape (M, K+1) + tail; zero if x is None."""
+    """sum_{j < k} x_j dt_j at every node, shape (M, K+1) + tail; zero if x is None.
+
+    x dt is written into the output and summed there in place, so the output
+    is the only array formed; callers subtract it in place from an array they
+    own.
+    """
     out = np.zeros((paths.paths, paths.grid.steps + 1) + tail)
     if x is not None:
         dt = paths.grid.dt.reshape((1, -1) + (1,) * len(tail))
-        np.cumsum(x * dt, axis=1, out=out[:, 1:])
+        np.multiply(x, dt, out=out[:, 1:])
+        np.cumsum(out[:, 1:], axis=1, out=out[:, 1:])
     return out
 
 
@@ -191,17 +202,33 @@ def _martingale_residuals(paths: PathEnsemble, y: np.ndarray, z: np.ndarray,
     """Conditional-moment residuals of the backward step, aggregated over paths.
 
     r_k = Y_k - Y_{k+1} - drift_k dt + Z_k dB_k has E_k[r] = 0 and
-    E_k[r dB] = 0 in the exact discrete solution; the sample means of both
-    moments are reported (the pathwise residual contains the unrepresentable
-    part of the one-step martingale increment, which does not vanish).
+    E_k[r dB] = 0 in the exact discrete solution; the largest absolute
+    sample means of both moments over the nodes are reported (the pathwise
+    residual contains the unrepresentable part of the one-step martingale
+    increment, which does not vanish).  r and r dB are formed one block of
+    paths at a time (`path_blocks`), so no whole (M, K, n) array is formed.
+    Each block's buffers lead with the path sums of the blocks before it,
+    so every sum adds the paths in order and the means are those of the
+    whole arrays, bit for bit.
     """
-    dt = paths.grid.dt
-    zdb = np.einsum("mkjd,mkd->mkj", z, paths.increments)
-    r = y[:, :-1] - y[:, 1:] - drift * dt[None, :, None] + zdb
-    mean_r = np.abs(r.mean(axis=0)).max()
-    rdb = np.einsum("mkj,mkd->mkjd", r, paths.increments)
-    mean_rdb = np.abs(rdb.mean(axis=0)).max() / dt.min()
-    return {"moment_residual": float(mean_r), "moment_db_residual": float(mean_rdb)}
+    m, ksteps, n, d = z.shape
+    dt, inc = paths.grid.dt, paths.increments
+    sum_r = sum_rdb = None
+    for lo, hi in path_blocks(m, ksteps * n * (3 + d) * 8, ksteps * n):
+        head = int(sum_r is not None)
+        r = np.empty((head + hi - lo, ksteps, n))
+        rdb = np.empty((head + hi - lo, ksteps, n, d))
+        if head:
+            r[0], rdb[0] = sum_r, sum_rdb
+        block = r[head:]
+        np.subtract(y[lo:hi, :-1], y[lo:hi, 1:], out=block)
+        block -= drift[lo:hi] * dt[None, :, None]
+        block += np.einsum("mkjd,mkd->mkj", z[lo:hi], inc[lo:hi])
+        np.einsum("mkj,mkd->mkjd", block, inc[lo:hi], out=rdb[head:])
+        sum_r, sum_rdb = r.sum(axis=0), rdb.sum(axis=0)
+        del r, rdb, block
+    return {"moment_residual": float(np.abs(sum_r / m).max()),
+            "moment_db_residual": float(np.abs(sum_rdb / m).max() / dt.min())}
 
 
 def _finish(fld: CoefficientField | None, paths: PathEnsemble, solver: str, y: np.ndarray,
@@ -223,7 +250,9 @@ def _finish(fld: CoefficientField | None, paths: PathEnsemble, solver: str, y: n
     if drift is None:
         if a_vals is None:
             a_vals = (fld.values(paths, k) for k in range(paths.grid.steps))
-        drift = np.stack([contract_az(a_k, z[:, k]) for k, a_k in enumerate(a_vals)], axis=1)
+        drift = np.empty(z.shape[:3])
+        for k, a_k in enumerate(a_vals):
+            drift[:, k] = contract_az(a_k, z[:, k])
         if beta is not None:
             drift += beta
     diags = _martingale_residuals(paths, y, z, drift)
@@ -266,7 +295,8 @@ def _expo_core(fld: CoefficientField, expo: ExponentialEnsemble, degree: int, di
                        beta * paths.grid.dt[None, :, None])
     n_fit, z = _represent(paths, degree, h)
 
-    y = np.einsum("mkij,mkj->mki", expo.s_inv, n_fit) - _prefix(paths, beta, (fld.n,))
+    y = np.einsum("mkij,mkj->mki", expo.s_inv, n_fit)
+    y -= _prefix(paths, beta, (fld.n,))
     terminal_mismatch = float(np.abs(y[:, ksteps] - xi).max())
     y[:, ksteps] = xi
 
@@ -324,11 +354,12 @@ def _scalar_weighted_solve(paths: PathEnsemble, coeff: np.ndarray, weights: np.n
     h = weights[:, -1] * xi
     if beta is not None:
         h += (weights[:, :-1] * beta * paths.grid.dt[None, :]).sum(axis=1)
-    n_fit, v = _represent(paths, degree, h)
-    u = n_fit / weights - _prefix(paths, beta, ())
-    u[:, ksteps] = xi
+    u, v = _represent(paths, degree, h)
+    u /= weights                                         # N / w, then U in place
     v /= weights[:, :-1, None]
-    v -= coeff * (n_fit[:, :-1] / weights[:, :-1])[:, :, None]
+    v -= coeff * u[:, :-1, None]
+    u -= _prefix(paths, beta, ())
+    u[:, ksteps] = xi
     return u, v
 
 
@@ -393,9 +424,9 @@ def _right_outer(fld: CoefficientField, paths: PathEnsemble, degree: int) -> Cal
             tilde += beta
         h = xi + (tilde * dt[None, :, None]).sum(axis=1)
         n_fit, z = _represent(paths, degree, h)
-        y = n_fit - _prefix(paths, tilde, (n,))
-        y[:, ksteps] = xi
-        return y, z, {"scalar_v": v}
+        n_fit -= _prefix(paths, tilde, (n,))
+        n_fit[:, ksteps] = xi
+        return n_fit, z, {"scalar_v": v}
     return core
 
 
@@ -415,7 +446,9 @@ def left_outer_exponential(fld: LeftOuterField, paths: PathEnsemble) -> Exponent
 
     S a equals a times the scalar exponential of int (b^T a) dB, hence
     S = I + a m^T with dm = (scalar exponential) b dB; the inverse is the
-    rank-one Sherman-Morrison form I - a m^T / (scalar exponential).
+    rank-one Sherman-Morrison form I - a m^T / (scalar exponential).  Both
+    are built in place: a m^T is written into S and divided into S^{-1},
+    then the identity is added to S and S^{-1} subtracted from it.
     """
     m, ksteps, n = paths.paths, paths.grid.steps, fld.n
     a = fld.a
@@ -423,10 +456,16 @@ def left_outer_exponential(fld: LeftOuterField, paths: PathEnsemble) -> Exponent
     scal = _scalar_exponential(paths, np.einsum("i,mkid->mkd", a, b_vals))      # > 0
     m_vec = np.zeros((m, ksteps + 1, n))
     bdb = np.einsum("mkjd,mkd->mkj", b_vals, paths.increments)
-    np.cumsum(scal[:, :-1, None] * bdb, axis=1, out=m_vec[:, 1:])
+    del b_vals
+    bdb *= scal[:, :-1, None]
+    np.cumsum(bdb, axis=1, out=m_vec[:, 1:])
+    del bdb
     eye = np.eye(n)
-    s = eye[None, None] + np.einsum("i,mkj->mkij", a, m_vec)
-    s_inv = eye[None, None] - np.einsum("i,mkj->mkij", a, m_vec) / scal[:, :, None, None]
+    s = np.einsum("i,mkj->mkij", a, m_vec)
+    del m_vec
+    s_inv = np.divide(s, scal[:, :, None, None])
+    s += eye
+    np.subtract(eye, s_inv, out=s_inv)
     return ExponentialEnsemble(fld, paths, s, s_inv)
 
 
@@ -507,7 +546,7 @@ def solve_perturbed(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int = 3,
         spec.delta_field.values(paths, k) for k in range(ksteps)]
 
     y_prev = np.zeros((m, ksteps + 1, n))
-    z_prev = np.zeros((m, ksteps, n, d))
+    z = np.zeros((m, ksteps, n, d))
     history = []
     for it in range(_MAX_PASSES):
         mod = np.zeros((m, ksteps, n))
@@ -517,7 +556,9 @@ def solve_perturbed(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int = 3,
             if alpha is not None:
                 mod[:, k] += np.einsum("mij,mj->mi", alpha[k], y_prev[:, k])
             if da_vals is not None:
-                mod[:, k] += contract_az(da_vals[k], z_prev[:, k])
+                mod[:, k] += contract_az(da_vals[k], z[:, k])
+        # Z^m and the last pass's extras are read no more: free them first
+        z = extras = None
         y, z, extras = core(xi, mod)
         resid = float(np.abs(y - y_prev).max() / (1.0 + np.abs(y).max()))
         history.append(resid)
@@ -527,7 +568,7 @@ def solve_perturbed(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int = 3,
             raise PicardDivergenceError(
                 f"perturbation too large (not sliceable at this scale); "
                 f"residual history {history}")
-        y_prev, z_prev = y, z
+        y_prev = y
     else:
         if history[-1] >= tol:
             raise PicardDivergenceError(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brownian import PathEnsemble
+from .brownian import PathEnsemble, node_blocks, path_blocks
 
 NORM_KINDS = ("bmo", "sup_p", "l2q")
 
@@ -110,12 +110,18 @@ class RegressionConditional:
         return (q @ (q.T @ flat)).reshape(y.shape)
 
 
-def _integrand_sizes(values: np.ndarray, paths: int, nodes: int) -> np.ndarray:
-    """|values| per (path, node), reducing any trailing component axes."""
+def _size_reader(values: np.ndarray, paths: int, nodes: int) -> tuple:
+    """(width, sizes) for values of shape (paths, nodes, ...): width is the
+    number of components at one (path, node), and sizes(rows, cols) is
+    |values[rows, cols]| per (path, node), formed when it is called."""
     v = np.asarray(values, dtype=float)
     if v.ndim < 2 or v.shape[:2] != (paths, nodes):
         raise ValueError(f"expected values with shape ({paths}, {nodes}, ...), got {v.shape}")
-    return np.sqrt((v * v).reshape(paths, nodes, -1).sum(axis=-1))
+
+    def sizes(rows, cols):
+        block = v[rows, cols]
+        return np.sqrt((block * block).reshape(block.shape[:2] + (-1,)).sum(axis=-1))
+    return int(np.prod(v.shape[2:])), sizes
 
 
 def _lp_mean(samples: np.ndarray, q: float) -> tuple[float, float]:
@@ -148,37 +154,55 @@ def estimate_norm(kind: str, values: np.ndarray, paths: PathEnsemble,
 
     `q` is required for sup_p / l2q (math.inf allowed for sup_p).
     Conditional expectations for bmo use polynomial regression on the
-    Brownian state; the essential sup is the max over fitted node values.
+    Brownian state; the essential sup is the max over fitted node values,
+    the earliest node on a tie.
+
+    |values| is reduced one block at a time, so no whole (paths, nodes, ...)
+    temporary is formed: sup_p and l2q reduce each path's row in blocks of
+    paths (`path_blocks`), and bmo carries the remainder backwards from T in
+    blocks of nodes (`node_blocks`).  Every value is that of the whole-array
+    form, bit for bit.
     """
     if kind not in NORM_KINDS:
         raise ValueError(f"unknown norm kind {kind!r}")
-    k_steps = paths.grid.steps
-    dt = paths.grid.dt
+    m, k_steps, dt = paths.paths, paths.grid.steps, paths.grid.dt
 
     if kind != "bmo":
         if q is None or q < 1:
             raise ValueError(f"{kind} requires q >= 1")
-        if kind == "sup_p":
-            per_path = _integrand_sizes(values, paths.paths, k_steps + 1).max(axis=1)
-        else:
-            per_path = np.sqrt((_integrand_sizes(values, paths.paths, k_steps)**2.0
-                                * dt[None, :]).sum(axis=1))
+        nodes = k_steps + 1 if kind == "sup_p" else k_steps
+        width, sizes = _size_reader(values, m, nodes)
+        per_path = np.empty(m)
+        # each path's statistic is its own row's, so blocks of paths hold every bit
+        for lo, hi in path_blocks(m, nodes * (width + 3) * 8, nodes):
+            block = sizes(slice(lo, hi), slice(None))
+            per_path[lo:hi] = (block.max(axis=1) if kind == "sup_p"
+                               else np.sqrt((block**2.0 * dt[None, :]).sum(axis=1)))
         value, se = _max_order_stat(per_path) if np.isinf(q) else _lp_mean(per_path, q)
         return NormEstimate(kind, value, se)
 
-    # grid-time max over estimated conditional remainders
-    contrib = _integrand_sizes(values, paths.paths, k_steps)**2.0 * dt[None, :]
-    # remaining[:, k] = sum_{j >= k} contrib_j, with remaining[:, K] = 0
-    remaining = np.zeros((paths.paths, k_steps + 1))
-    remaining[:, :-1] = contrib[:, ::-1].cumsum(axis=1)[:, ::-1]
+    # grid-time max over estimated conditional remainders, which need every
+    # path at a node: blocks of nodes, from T back
+    width, sizes = _size_reader(values, m, k_steps)
+
+    def remainders():
+        # run_k = sum_{j >= k} |Z_j|^2 dt_j from run_K = 0 back to node 0, as
+        # the reversed cumsum adds: run_{K-1} = c_{K-1}, run_k = run_{k+1} + c_k
+        run = np.zeros(m)
+        yield k_steps, run
+        for lo, hi in reversed(node_blocks(k_steps, m * (width + 3) * 8, max(width, 1))):
+            contrib = sizes(slice(None), slice(lo, hi))**2.0 * dt[None, lo:hi]
+            for k in range(hi - 1, lo - 1, -1):
+                run = contrib[:, k - lo].copy() if k == k_steps - 1 else run + contrib[:, k - lo]
+                yield k, run
+
     reg = RegressionConditional.of(paths, degree)
     best, best_se = 0.0, 0.0
-    for k in range(k_steps + 1):
-        fitted = reg.fit_predict(k, remaining[:, k])
+    for k, run in remainders():
+        fitted = reg.fit_predict(k, run)
         node = float(np.max(fitted))
-        if node > best:
-            resid = remaining[:, k] - fitted
+        if node > 0.0 and node >= best:      # from T back: a tie keeps the earliest node
             best = node
-            best_se = float(np.std(resid, ddof=1) / np.sqrt(max(paths.paths - 1, 1)))
+            best_se = float(np.std(run - fitted, ddof=1) / np.sqrt(max(m - 1, 1)))
     value = float(np.sqrt(best))
     return NormEstimate(kind, value, best_se / (2.0 * value) if value > 0 else best_se)

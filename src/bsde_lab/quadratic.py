@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .brownian import PathEnsemble
+from .brownian import PathEnsemble, path_blocks
 from .grids import ConfigurationError
 from .linear import SolutionEnsemble, _backward, _finish, _martingale_residuals
 from .norms import RegressionConditional, estimate_norm
@@ -282,6 +282,14 @@ def _backward_quadratic(driver, terminal_fn, paths: PathEnsemble, degree: int,
     return _backward(paths, degree, terminal, step)
 
 
+def _max_magnitude(driver, z: np.ndarray) -> float:
+    """The largest `driver.magnitude` over every path and step of z (M, K, n, d),
+    one block of paths at a time (`path_blocks`); a NaN anywhere gives NaN."""
+    m, ksteps, n, d = z.shape
+    return float(np.max([driver.magnitude(z[lo:hi]).max() for lo, hi in path_blocks(
+        m, ksteps * (n * d + 2 * d + 2) * 8, ksteps * n * d)]))
+
+
 def solve_quadratic(driver, terminal_fn, paths: PathEnsemble, degree: int = 3,
                     picard_tol: float = 1e-10, init: str = "mean") -> QuadraticSolveReport:
     """Truncation-escalation solve of the quadratic system.
@@ -299,12 +307,13 @@ def solve_quadratic(driver, terminal_fn, paths: PathEnsemble, degree: int = 3,
         trunc = truncate_driver(driver, float(level))
         y, z, drift = _backward_quadratic(trunc, terminal_fn, paths, degree,
                                           picard_tol, _MAX_PICARD, init)
-        zmag = float(driver.magnitude(z).max())
+        zmag = _max_magnitude(driver, z)
         accepted = zmag < (1.0 - _MARGIN) * level
         log.append({"level": float(level), "max_magnitude": zmag, "accepted": accepted})
         if accepted:
             sol = _finish(None, paths, f"quadratic[{driver.kind}]", y, z, None, {"drift": drift})
             return QuadraticSolveReport(sol, float(level), log, 1.0 - zmag / level)
+        del y, z, drift          # a rejected level's solution is not read again
     raise TruncationEscalationError(
         f"no self-consistent truncation level found; escalation log: {log}")
 

@@ -102,7 +102,26 @@ def test_main_prints_peak_rss_of_each_tree(capsys):
     values = [float(part.split(" MB in ")[0])
               for part in rss[0].removeprefix("quadratic-cole-hopf: peak RSS ").split(", ")]
     assert len(values) == 2 and all(v > 0 for v in values)
+    assert rss[0].endswith(" (MALLOC_MMAP_THRESHOLD_=131072)")
     assert lines[-1] == "0 differing output(s) in 1 case(s), seed 3, threads 1"
+
+
+def test_compare_outputs_pins_the_malloc_threshold_of_its_children(tmp_path, monkeypatch):
+    tool = _compare_outputs()
+    env = tool.child_env(ROOT / "src")
+    assert env["MALLOC_MMAP_THRESHOLD_"] == "131072"
+    assert env["PYTHONPATH"].split(os.pathsep)[0] == str((ROOT / "src").resolve())
+    seen = []
+    popen = tool.subprocess.Popen
+
+    def recording_popen(argv, env, **kw):
+        seen.append(env)
+        return popen(argv, env=env, **kw)
+    monkeypatch.setattr(tool.subprocess, "Popen", recording_popen)
+    case = next(c for c in tool.WORKLOADS["backward"] if c.name == "quadratic-cole-hopf")
+    proc, _ = tool.run_case(case.with_config(M=200, K=4), ROOT / "src", 3, 1, tmp_path / "a")
+    assert proc.returncode == 0, proc.stderr
+    assert [e["MALLOC_MMAP_THRESHOLD_"] for e in seen] == ["131072"]
 
 
 def _bench_python(*args, cwd):

@@ -20,6 +20,12 @@ largest relative difference over the numbers in the file, then one line
 with the peak RSS of the command in each tree, which never counts as a
 difference.  It exits with status 1 on any difference, a missing file or a
 failed command.
+
+Each command runs with MALLOC_MMAP_THRESHOLD_=131072 in its environment.
+Setting it also stops glibc from raising the threshold as the process frees
+large blocks, so every array of 128 KiB or more is its own mapping and is
+returned when freed: the peak RSS follows the live arrays rather than the
+layout of the heap.  The RSS line names the pin.
 """
 
 from __future__ import annotations
@@ -39,6 +45,19 @@ sys.path.insert(0, str(ROOT / "bench"))
 from workloads import WORKLOADS  # noqa: E402
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+MALLOC_PIN = {"MALLOC_MMAP_THRESHOLD_": "131072"}
+
+
+def child_env(src: Path) -> dict:
+    """The environment of a command run from `src`: the package of `src`
+    first on the module path, BLAS on one thread and the malloc pin set."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(src).resolve())] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env.pop("BSDE_LAB_THREADS", None)
+    env.update({var: "1" for var in THREAD_VARS})
+    env.update(MALLOC_PIN)
+    return env
 
 
 def run_case(case, src: Path, seed: int, threads: int, out: Path):
@@ -49,11 +68,7 @@ def run_case(case, src: Path, seed: int, threads: int, out: Path):
     out.mkdir(parents=True)
     cfg = out.parent / f"{out.name}.cfg.json"
     cfg.write_text(json.dumps(case.config))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(src).resolve())] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    env.pop("BSDE_LAB_THREADS", None)
-    env.update({var: "1" for var in THREAD_VARS})
+    env = child_env(src)
     argv = [sys.executable, "-m", "bsde_lab.cli", *case.command, "--config", str(cfg),
             "--seed", str(seed), "--threads", str(threads), "--out", str(out)]
     # Output goes to files, so the child can be reaped with wait4 rather than
@@ -191,7 +206,8 @@ def main(argv=None) -> int:
                 print(f"{case.name}/{name}: {verdict}", flush=True)
                 differing += verdict != "identical"
             print(f"{case.name}: peak RSS " + ", ".join(
-                f"{mb:.1f} MB in {src}" for mb, src in zip(peaks, (args.src_a, args.src_b))),
+                f"{mb:.1f} MB in {src}" for mb, src in zip(peaks, (args.src_a, args.src_b)))
+                + " (" + " ".join(f"{k}={v}" for k, v in MALLOC_PIN.items()) + ")",
                 flush=True)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
