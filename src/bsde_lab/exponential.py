@@ -328,8 +328,8 @@ def estimate_reverse_holder(expo: ExponentialEnsemble, p: float,
 
     if method == "regression":
         s_terminal = expo.kept("s_terminal", "the regression estimator")
-        # Where no operator is shared on the paths, each node's basis has
-        # this one reader, so it is dropped after its fit, not cached.
+        # Where no operator is shared on the paths, each node's map and basis
+        # have this one reader, so they are dropped after its fit, not cached.
         reg = paths.conditionals.get(degree)
         shared = reg is not None
         if not shared:

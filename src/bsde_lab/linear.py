@@ -14,18 +14,20 @@ are built from the same pieces: one martingale-representation step
 scalar exponential (`_scalar_exponential`) for the triangular, right-outer
 and left-outer reductions, and one backward-induction loop (`_backward`),
 which the quadratic solver runs with its inner Picard step.  The last two
-hold their working arrays node-major, (K+1, M, ...), so each per-step fit
-reads and writes one contiguous node, and return C-contiguous path-major
-copies.  Each method in `_METHODS` checks its field and does its per-solve
-work once (the gated exponential; the field values, coefficients and scalar
-exponential weights of the triangular and right-outer reductions), then
-returns a core that takes the terminal (M, n) and the inhomogeneity
-(M, K, n) as arrays, formed once per solve.  A Picard pass holds nothing
-that no pass reads: Z^m is freed once the next inhomogeneity is formed, and
-the cores subtract the drift prefix in place.  The diagnostics after a
-solve (`_martingale_residuals`, and the norms of `norm_report`) reduce one
-block of paths or of nodes at a time, so they add no whole (M, K, ...)
-array to it.
+run from node K-1 back to 0 and make both fits of a node in one visit, so
+the two share the node's regression basis, which the operator forms from
+its cached map once per visit.  They hold their working arrays node-major,
+(K+1, M, ...), so each per-step fit reads and writes one contiguous node,
+and return C-contiguous path-major copies.  Each method in `_METHODS`
+checks its field and does its per-solve work once (the gated exponential;
+the field values, coefficients and scalar exponential weights of the
+triangular and right-outer reductions), then returns a core that takes
+the terminal (M, n) and the inhomogeneity (M, K, n) as arrays, formed once
+per solve.  A Picard pass holds nothing that no pass reads: Z^m is freed
+once the next inhomogeneity is formed, and the cores subtract the drift
+prefix in place.  The diagnostics after a solve (`_martingale_residuals`,
+and the norms of `norm_report`) reduce one block of paths or of nodes at a
+time, so they add no whole (M, K, ...) array to it.
 """
 
 from __future__ import annotations
@@ -149,20 +151,20 @@ def _represent(paths: PathEnsemble, degree: int, h: np.ndarray) -> tuple:
 
     N_k is the fitted E_k[h] with N_K = h, shape (M, K+1, ...), and Z~_k is
     the increment regression of N_{k+1} centred at N_k, written into one
-    (M, K, ..., d) array that callers turn into their Z in place.  Both are
-    built node-major, so each fit reads and writes one contiguous node, then
-    each is copied once into the C-contiguous path-major array returned, its
-    node-major buffer freed before the next copy: at most one array is held
-    twice.
+    (M, K, ..., d) array that callers turn into their Z in place.  One loop
+    runs from K-1 back to 0 and fits N_k and then Z~_k at each node, so both
+    fits share the node's basis.  Both arrays are built node-major, so each
+    fit reads and writes one contiguous node, then each is copied once into
+    the C-contiguous path-major array returned, its node-major buffer freed
+    before the next copy: at most one array is held twice.
     """
     ksteps = paths.grid.steps
     reg = RegressionConditional.of(paths, degree)
     n_fit = np.empty((ksteps + 1,) + h.shape)
     n_fit[ksteps] = h
-    for k in range(ksteps):
-        n_fit[k] = reg.fit_predict(k, h)
     z_tilde = np.empty((ksteps,) + h.shape + (paths.d,))
-    for k in range(ksteps):
+    for k in range(ksteps - 1, -1, -1):
+        n_fit[k] = reg.fit_predict(k, h)
         z_tilde[k] = _increment_regression(reg, paths, n_fit[k + 1], k, base_values=n_fit[k])
     n_fit = np.ascontiguousarray(n_fit.swapaxes(0, 1))
     z_tilde = np.ascontiguousarray(z_tilde.swapaxes(0, 1))

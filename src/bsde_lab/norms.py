@@ -7,6 +7,7 @@ reported numbers are grid-time lower estimates of the continuous-time norms.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -25,47 +26,70 @@ class NormEstimate:
     std_error: float
 
 
+@functools.lru_cache(maxsize=None)
+def _monomials(d: int, degree: int) -> tuple:
+    """(prefix column, variable) of each non-constant column of
+    `poly_features` for d variables, in its column order.
+
+    The monomials of each degree follow `combinations_with_replacement`, and
+    each is its lower-degree prefix (the same combination without its last
+    variable, an earlier column) times its last variable.
+    """
+    index, table = {(): 0}, []
+    for deg in range(1, degree + 1):
+        for combo in itertools.combinations_with_replacement(range(d), deg):
+            index[combo] = len(index)
+            table.append((index[combo[:-1]], combo[-1]))
+    return tuple(table)
+
+
 def poly_features(x: np.ndarray, degree: int) -> np.ndarray:
     """Monomial features of total degree <= `degree` in the columns of x.
 
-    x: (M, d) -> (M, n_features); the first column is the constant.
+    x: (M, d) -> (M, n_features); the first column is the constant.  Each
+    monomial is one multiply of its lower-degree prefix column by a column
+    of x, which is the product of its variables taken left to right, bit for
+    bit.  The result is column-major, so each column is contiguous.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     m, d = x.shape
-    cols = [np.ones(m)]
-    for deg in range(1, degree + 1):
-        for combo in itertools.combinations_with_replacement(range(d), deg):
-            col = np.ones(m)
-            for j in combo:
-                col = col * x[:, j]
-            cols.append(col)
-    return np.column_stack(cols)
+    table = _monomials(d, degree)
+    out = np.empty((m, len(table) + 1), order="F")
+    out[:, 0] = 1.0
+    for col, (prefix, j) in enumerate(table, 1):
+        np.multiply(out[:, prefix], x[:, j], out=out[:, col])
+    return out
 
 
 class RegressionConditional:
     """Least-squares conditional expectation E[. | B_{t_k}] on one path ensemble.
 
-    Valid for Markovian functionals (dependence through (t, B_t)).  The
-    polynomial basis of each grid step is built once, on first use, as an
-    orthonormal basis Q_k of the column space of `poly_features(B_{t_k})`
-    (thin SVD with lstsq's default cutoff eps * max(M, p), so rank and fitted
-    values match lstsq up to rounding); every fit is then Q_k (Q_k^T y).  A
-    step whose states are all equal (t = 0) fits the sample mean.  A rank
-    deficiency warns once per operator.
+    Valid for Markovian functionals (dependence through (t, B_t)).  At each
+    grid step the fit is Q_k (Q_k^T y), with Q_k = F_k W_k an orthonormal
+    basis of the column space of the features F_k = `poly_features(B_{t_k})`.
+    The (p, r) map W_k = V Sigma^{-1} (its first r = rank columns) comes from
+    the thin SVD F_k = U Sigma V^T with lstsq's default cutoff
+    eps * max(M, p), so rank and fitted values match lstsq up to rounding.
+    W_k is built once per step, on first use, and kept; Q_k is formed from
+    it when a fit at step k needs it, and only the last step's Q_k is held,
+    so consecutive fits at one step share it.  A step whose states are all
+    equal (t = 0) fits the sample mean.  A rank deficiency warns once per
+    operator.
 
     Use `RegressionConditional.of(paths, degree)`: it keeps one operator per
     (ensemble, degree) on the ensemble, so every solver and diagnostic on the
-    same paths shares the bases, which are freed with the ensemble.  The cache
-    holds up to (K+1) * M * r * 8 bytes per ensemble and degree, with r the
-    basis rank (at most the number of monomials, C(d + degree, degree)).
-    A reader that fits each step once and shares no operator makes its own
-    and `forget`s each basis after its fit.
+    same paths shares the maps, which are freed with the ensemble.  The
+    operator holds at most (K+1) * p * r * 8 bytes of maps plus one (M, r)
+    basis, with r <= p the basis rank and p = C(d + degree, degree) the
+    number of monomials.  A reader that fits each step once and shares no
+    operator makes its own and `forget`s each step after its fit.
     """
 
     def __init__(self, states: np.ndarray, degree: int = 3):
         self.states = states            # (M, K+1, d) Brownian states
         self.degree = degree
-        self._bases: dict = {}          # k -> (Q_k, full column count) or None
+        self._bases: dict = {}          # k -> (W_k, full column count) or None
+        self._last = (None, None)       # (k, (Q_k, column count) or None), last fitted
         self._warned = False
 
     @classmethod
@@ -77,21 +101,29 @@ class RegressionConditional:
         return op
 
     def _basis(self, k: int):
-        if k not in self._bases:
+        """(Q_k, full column count) of step k, or None where it fits the mean."""
+        if self._last[0] != k:
+            self._last = (k, None)                  # the last step's Q is read no more
             x = self.states[:, k]
-            if np.allclose(x, x[0]):
-                self._bases[k] = None
-            else:
+            if k not in self._bases and np.allclose(x, x[0]):
+                self._bases[k] = None               # all states equal: fit the mean
+            if k not in self._bases or self._bases[k] is not None:
                 feats = poly_features(x, self.degree)
-                u, s, _ = np.linalg.svd(feats, full_matrices=False)
-                cutoff = np.finfo(float).eps * max(feats.shape) * s[0]
-                rank = int(np.count_nonzero(s > cutoff))
-                self._bases[k] = (np.ascontiguousarray(u[:, :rank]), feats.shape[1])
-        return self._bases[k]
+                if k not in self._bases:
+                    _, s, vt = np.linalg.svd(feats, full_matrices=False)
+                    cutoff = np.finfo(float).eps * max(feats.shape) * s[0]
+                    rank = int(np.count_nonzero(s > cutoff))
+                    self._bases[k] = (vt[:rank].T / s[:rank], feats.shape[1])
+                w, columns = self._bases[k]
+                self._last = (k, (feats @ w, columns))
+        return self._last[1]
 
     def forget(self, k: int) -> None:
-        """Drop the basis of step k; a later fit at k builds it again."""
+        """Drop the map of step k, and its basis if held; a later fit at k
+        builds both again."""
         self._bases.pop(k, None)
+        if self._last[0] == k:
+            self._last = (None, None)
 
     def fit_predict(self, k: int, y: np.ndarray) -> np.ndarray:
         """Fitted E[y | B_{t_k}] at the sample points.  y may have trailing axes."""
@@ -186,14 +218,14 @@ def estimate_norm(kind: str, values: np.ndarray, paths: PathEnsemble,
     width, sizes = _size_reader(values, m, k_steps)
 
     def remainders():
-        # run_k = sum_{j >= k} |Z_j|^2 dt_j from run_K = 0 back to node 0, as
-        # the reversed cumsum adds: run_{K-1} = c_{K-1}, run_k = run_{k+1} + c_k
-        run = np.zeros(m)
-        yield k_steps, run
+        # run_k = sum_{j >= k} |Z_j|^2 dt_j from node K-1 back to node 0, as
+        # the reversed cumsum adds: run_{K-1} = c_{K-1}, run_k = run_{k+1} + c_k.
+        # run_K is zero on every path, so its fit is never chosen: not fitted.
+        run = None
         for lo, hi in reversed(node_blocks(k_steps, m * (width + 3) * 8, max(width, 1))):
             contrib = sizes(slice(None), slice(lo, hi))**2.0 * dt[None, lo:hi]
             for k in range(hi - 1, lo - 1, -1):
-                run = contrib[:, k - lo].copy() if k == k_steps - 1 else run + contrib[:, k - lo]
+                run = contrib[:, k - lo].copy() if run is None else run + contrib[:, k - lo]
                 yield k, run
 
     reg = RegressionConditional.of(paths, degree)

@@ -2,6 +2,7 @@
 time: the same bits as the whole-array expressions they replace, in bounded
 working memory."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -252,7 +253,6 @@ def test_diagnostics_memory_grows_by_at_most_one_node_block():
         paths = generate_brownian(TimeGrid(1.0, k_steps), fld.d, m, seed=5)
         spec = lin.LinearBsdeSpec(fld, linear_terminal("triangular-3d"))
         y, z, extras = lin._regression(fld, paths, 3)(lin._terminal(spec, paths), None)
-        RegressionConditional.of(paths, 3).fit_predict(k_steps, y[:, -1])   # basis at T
 
         def diagnose():
             sol = lin._finish(fld, paths, "regression", y, z, None, extras)
@@ -263,3 +263,32 @@ def test_diagnostics_memory_grows_by_at_most_one_node_block():
         del paths, y, z, extras
     assert peaks[128] - peaks[64] <= br._NODE_BLOCK_BYTES, peaks
     assert peaks[128] < 2 * br._NODE_BLOCK_BYTES, peaks
+
+
+def _held_bytes(op) -> int:
+    """Bytes of the arrays an operator holds, beyond the paths' states."""
+    total, stack = 0, [v for v in vars(op).values() if v is not op.states]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, np.ndarray):
+            total += item.nbytes
+        elif isinstance(item, dict):
+            stack += item.values()
+        elif isinstance(item, (tuple, list)):
+            stack += item
+    return total
+
+
+@pytest.mark.parametrize("k_steps", [64, 128])
+def test_shared_operator_holds_per_node_maps_and_one_basis(k_steps):
+    """After a regression solve and its norm report, the shared operator
+    keeps one (p, r) map per node and at most one (M, r) basis: no basis
+    of a node outlives the visit of that node."""
+    fld, m = triangular_3d(), 4000
+    paths = generate_brownian(TimeGrid(1.0, k_steps), fld.d, m, seed=5)
+    spec = lin.LinearBsdeSpec(fld, linear_terminal("triangular-3d"))
+    lin.solve_by_regression(spec, paths).norm_report()
+    op = RegressionConditional.of(paths, 3)
+    r = math.comb(fld.d + 3, 3)                  # the monomial count bounds the rank
+    assert _held_bytes(op) < (k_steps + 1) * r * r * 8 + m * r * 8
+    assert sorted(op._bases) == list(range(k_steps))       # the bmo fit skips node K

@@ -1,4 +1,5 @@
 import argparse
+import ctypes
 import hashlib
 import importlib.util
 import json
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 from hypothesis import event, given, settings, strategies as st
 
 import bsde_lab
@@ -491,17 +493,98 @@ GOLDEN_CASES = [(args, body, 1) for args, body in _RERUN_CASES] + [
 GOLDEN_MANIFEST = Path(__file__).parent / "data" / "outputs.json"
 
 
+# The golden cases run in one child process whose numpy SIMD dispatch and
+# OpenBLAS kernel are pinned to the x86-64-v2 level that every x86-64 host
+# numpy supports, BLAS on one thread: rounding follows the kernels, so the
+# bits then hold on any x86-64 CPU, not only on one with the host's AVX-512.
+GOLDEN_PINS = {
+    "NPY_ENABLE_CPU_FEATURES": "SSE SSE2 SSE3 SSSE3 SSE41 POPCNT SSE42",
+    "OPENBLAS_CORETYPE": "Nehalem",
+    "OPENBLAS_NUM_THREADS": "1",
+}
+
+
+def _pins_apply() -> bool:
+    return platform.machine().lower() in ("x86_64", "amd64")
+
+
+def _blas_core() -> str:
+    """The kernel the loaded OpenBLAS runs, or "unknown"."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return "unknown"
+    libs = sorted({line.split()[-1] for line in maps.splitlines()
+                   if "openblas" in line.lower() and line.split()[-1].startswith("/")})
+    for lib in libs:
+        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                     "openblas_get_corename"):
+            corename = getattr(ctypes.CDLL(lib), name, None)
+            if corename is not None:
+                corename.restype = ctypes.c_char_p
+                return corename().decode()
+    return "unknown"
+
+
 def golden_environment() -> dict:
-    """What the manifest's bits may depend on beyond the package source."""
-    return {"numpy": np.__version__, "platform": f"{platform.system()}-{platform.machine()}"}
+    """What the manifest's bits may depend on beyond the package source, as
+    read in the process that runs the cases: the pins, the C library, the
+    numpy dispatch targets in use and the BLAS kernel."""
+    machine = platform.machine()
+    return {
+        "numpy": np.__version__,
+        "platform": f"{platform.system()}-{machine}",
+        "glibc": platform.libc_ver()[1],
+        "pins": ({key: os.environ.get(key) for key in GOLDEN_PINS} if _pins_apply()
+                 else f"x86-64 pins not applied on {machine}"),
+        "numpy_dispatch": [t for t in __cpu_dispatch__ if __cpu_features__.get(t)],
+        "blas_core": _blas_core(),
+    }
 
 
-def run_golden_case(args: list, body: dict, threads: int, out: Path) -> dict:
-    """{artifact name: bytes} of one case run at seed 3 into `out`."""
-    cfg = out.parent / f"{out.name}.json"
-    cfg.write_text(json.dumps(body))
-    assert run(args + ["--config", cfg, "--seed", 3, "--threads", threads, "--out", out]) == 0
-    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+def environment_differences(want: dict, have: dict) -> list:
+    """One line for each key of two golden environments that differs."""
+    return [f"environment {key}: manifest {want.get(key)!r}, this run {have.get(key)!r}"
+            for key in sorted(set(want) | set(have)) if want.get(key) != have.get(key)]
+
+
+def golden_child_env() -> dict:
+    """The environment of the golden child: this package first on the module
+    path and, on x86-64, the pins, with any other dispatch setting dropped."""
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("NPY_DISABLE_CPU_FEATURES", "NPY_ENABLE_CPU_FEATURES",
+                          "BSDE_LAB_THREADS")}
+    src = str(Path(bsde_lab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                                                 else []))
+    if _pins_apply():
+        env.update(GOLDEN_PINS)
+    return env
+
+
+def run_golden_cases(cases: list, out: Path) -> tuple:
+    """([{artifact name: bytes} per case], environment) of `cases`, a list of
+    (args, body, threads), each run at seed 3 into its own directory of
+    `out` by one child process under `golden_child_env()`."""
+    jobs = [(args, body, threads, str(out / str(i))) for i, (args, body, threads)
+            in enumerate(cases)]
+    proc = subprocess.run([sys.executable, __file__], input=json.dumps(jobs),
+                          capture_output=True, text=True, env=golden_child_env())
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    files = [{p.name: p.read_bytes() for p in sorted(Path(job[3]).iterdir())} for job in jobs]
+    return files, json.loads(proc.stdout.splitlines()[-1])
+
+
+def _golden_child() -> int:
+    """Run the jobs read from stdin, [(args, body, threads, out)], and print
+    the environment they ran in."""
+    for args, body, threads, out in json.load(sys.stdin):
+        cfg = Path(f"{out}.json")
+        cfg.write_text(json.dumps(body))
+        if run(args + ["--config", cfg, "--seed", 3, "--threads", threads, "--out", out]):
+            return 1
+    print(json.dumps(golden_environment()))
+    return 0
 
 
 def _compare_outputs():
@@ -512,29 +595,49 @@ def _compare_outputs():
     return module
 
 
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    """Every golden case at its thread count, from one pinned child."""
+    files, environment = run_golden_cases(GOLDEN_CASES, tmp_path_factory.mktemp("golden"))
+    ids = [golden_case_id(args, body, threads) for args, body, threads in GOLDEN_CASES]
+    return dict(zip(ids, files)), environment
+
+
 @pytest.mark.parametrize("args,body,threads", GOLDEN_CASES,
                          ids=[golden_case_id(args, body, t) for args, body, t in GOLDEN_CASES])
-def test_outputs_match_golden_manifest(tmp_path, args, body, threads):
+def test_outputs_match_golden_manifest(tmp_path, golden_run, args, body, threads):
     # the manifest keeps each artifact's text beside its sha256, so that a
     # mismatch reports the largest relative difference of its numbers
     manifest = json.loads(GOLDEN_MANIFEST.read_text())
     case = golden_case_id(args, body, threads)
     want = manifest["cases"][case]
-    got = run_golden_case(args, body, threads, tmp_path / "out")
+    got = golden_run[0][case]
     failures = []
     for name in sorted(set(want) | set(got)):
         if name not in got or name not in want:
             failures.append(f"{case}/{name}: {'not written' if name in want else 'new'}")
         elif hashlib.sha256(got[name]).hexdigest() != want[name]["sha256"]:
-            golden = tmp_path / "golden" / name
-            golden.parent.mkdir(exist_ok=True)
-            golden.write_text(want[name]["text"])
-            verdict = _compare_outputs().compare_file(golden, tmp_path / "out" / name)
+            for side, text in (("golden", want[name]["text"].encode()), ("out", got[name])):
+                (tmp_path / side).mkdir(exist_ok=True)
+                (tmp_path / side / name).write_bytes(text)
+            verdict = _compare_outputs().compare_file(tmp_path / "golden" / name,
+                                                      tmp_path / "out" / name)
             failures.append(f"{case}/{name}: {verdict}")
-    if failures and manifest["environment"] != golden_environment():
-        failures.append(f"manifest made with {manifest['environment']}, "
-                        f"this run has {golden_environment()}")
+    if failures:
+        failures += environment_differences(manifest["environment"], golden_run[1])
     assert not failures, "\n".join(failures)
+
+
+def test_golden_child_runs_under_the_pins():
+    env = golden_child_env()
+    assert "NPY_DISABLE_CPU_FEATURES" not in env and "BSDE_LAB_THREADS" not in env
+    assert (GOLDEN_PINS.items() <= env.items()) == _pins_apply()
+    want = {"pins": {"OPENBLAS_CORETYPE": "Nehalem"}, "glibc": "2.36", "numpy": "2.4.6"}
+    have = {"pins": "x86-64 pins not applied on aarch64", "glibc": "2.36", "numpy": "2.4.6"}
+    assert environment_differences(want, want) == []
+    assert environment_differences(want, have) == [
+        "environment pins: manifest {'OPENBLAS_CORETYPE': 'Nehalem'}, "
+        "this run 'x86-64 pins not applied on aarch64'"]
 
 
 def test_exponential_run_byte_reproducible(tmp_path):
@@ -660,3 +763,7 @@ def test_equivalence_suite_exit_code(tmp_path):
     rows = np.loadtxt(out / "equivalence.csv", delimiter=",", skiprows=1)
     rot = rows[rows[:, 1] == 1.0]
     assert rot[-1, 2] > rot[0, 2]       # rotation R_p grows with depth
+
+
+if __name__ == "__main__":
+    sys.exit(_golden_child())

@@ -266,27 +266,32 @@ def test_shared_operator_matches_lstsq_at_every_step(paths):
 
 
 def test_shared_operator_builds_each_basis_once(monkeypatch):
+    # each step's map comes from one SVD of its features, shared by every
+    # solver and diagnostic on the paths; the features themselves are formed
+    # again on each visit of a step
     paths = generate_brownian(TimeGrid(1.0, 8), 1, 2000, seed=7)
-    degrees = []
+    columns = []
+    svd = np.linalg.svd
 
-    def counting(x, degree):
-        degrees.append(degree)
-        return poly_features(x, degree)
+    def counting(a, *args, **kwargs):
+        if a.ndim == 2 and a.shape[0] == paths.paths:
+            columns.append(a.shape[1])
+        return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(norms, "poly_features", counting)
+    monkeypatch.setattr(norms.np.linalg, "svd", counting)
     spec = LinearBsdeSpec(triangular_3d(), TERMINAL3)
     first = solve_triangular(spec, paths)
-    built = len(degrees)
+    built = len(columns)
     assert built == paths.grid.steps - 1       # steps 1..K-1; t = 0 fits the mean
     second = solve_triangular(spec, paths)
     solve_by_regression(spec, paths)
-    assert len(degrees) == built
+    assert len(columns) == built
     np.testing.assert_array_equal(first.y, second.y)
-    first.norm_report()                        # the bmo fit adds step K only
-    assert len(degrees) == built + 1
+    first.norm_report()                        # bmo fits steps 0..K-1 only
+    assert len(columns) == built
     assert RegressionConditional.of(paths, 3) is RegressionConditional.of(paths, 3)
     RegressionConditional.of(paths, 2).fit_predict(1, first.y[:, 2])
-    assert degrees[-1] == 2 and len(degrees) == built + 2
+    assert columns[-1] == 3 and len(columns) == built + 1     # degree 2 in d = 1
 
 
 def test_backward_cores_return_contiguous_path_major_arrays():

@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from bsde_lab import TimeGrid, contract_az, contract_adb, estimate_norm, \
     generate_brownian, mat_square, operator_norm
-from bsde_lab.norms import poly_features
+from bsde_lab.norms import RegressionConditional, poly_features
 
 
 def test_contract_az_plain_arithmetic():
@@ -119,6 +121,59 @@ def test_poly_features_counts():
     f = poly_features(x, 3)
     assert f.shape == (10, 10)  # 1 + 2 + 3 + 4 monomials
     assert np.allclose(f[:, 0], 1.0)
+
+
+def _column_products(x, degree):
+    """The monomials as a loop of column products, left to right: the
+    reference that poly_features must equal bit for bit."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    m, d = x.shape
+    cols = [np.ones(m)]
+    for deg in range(1, degree + 1):
+        for combo in itertools.combinations_with_replacement(range(d), deg):
+            col = np.ones(m)
+            for j in combo:
+                col = col * x[:, j]
+            cols.append(col)
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_poly_features_equals_the_column_product_loop(d):
+    states = np.random.default_rng(d).normal(scale=3.0, size=(257, 4, d))
+    states[:3, 2, 0] = [-0.0, np.inf, 1e-200]       # signed zero, overflow, underflow
+    for degree in range(1, 9):
+        for x in (states[:, 2], np.ascontiguousarray(states[:, 2])):   # strided, contiguous
+            with np.errstate(all="ignore"):
+                got, ref = poly_features(x, degree), _column_products(x, degree)
+            assert got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes(), (d, degree)
+
+
+def _lstsq_fit(x, y, degree):
+    feats = poly_features(x, degree)
+    return feats @ np.linalg.lstsq(feats, y, rcond=None)[0]
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_regression_basis_is_orthonormal_and_fits_as_lstsq(d):
+    # states at t = 1/800, 1 and 3 (nodes 1-3; node 0 fits the mean)
+    times = np.array([1.0 / 800, 1.0, 3.0])
+    rng = np.random.default_rng(11 + d)
+    states = np.zeros((4000, 4, d))
+    states[:, 1:] = rng.standard_normal((4000, 3, d)) * np.sqrt(times)[None, :, None]
+    op = RegressionConditional(states, 3)
+    conds = []
+    for k in range(1, 4):
+        x = states[:, k]
+        y = np.stack([np.sin(x.sum(axis=1)), np.exp(x[:, 0]) + x[:, -1] ** 4], axis=1)
+        fitted = op.fit_predict(k, y)
+        q = op._basis(k)[0]
+        assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-12, (d, k)
+        ref = _lstsq_fit(x, y, 3)
+        assert np.abs(fitted - ref).max() <= 1e-12 * np.abs(ref).max(), (d, k)
+        conds.append(np.linalg.cond(poly_features(x, 3)))
+    assert conds[0] > 5e3      # t = 1/800: about 1e4 at d = 1, 2.4e4 at d = 3
 
 
 @pytest.fixture(scope="module")

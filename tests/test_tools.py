@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib.util
 import json
 import os
@@ -35,6 +36,30 @@ def test_update_goldens_rewrites_the_committed_manifest():
     spec.loader.exec_module(tool)
     cli = tool._test_cli()
     assert tool.manifest(cli) == json.loads(cli.GOLDEN_MANIFEST.read_text())
+
+
+def test_update_goldens_reports_what_moved():
+    spec = importlib.util.spec_from_file_location(
+        "update_goldens", ROOT / "tools" / "update_goldens.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+
+    def entry(text):
+        return {"sha256": hashlib.sha256(text.encode()).hexdigest(), "text": text}
+
+    old = {"cases": {"solve": {"a.csv": entry("t,Y0\n0.0,1.0\n"), "b.csv": entry("t\n1.0\n"),
+                               "gone.csv": entry("t\n0.0\n")},
+                     "walk": {"c.json": entry('{"x": 2.0}')}}}
+    new = {"cases": {"solve": {"a.csv": entry("t,Y0\n0.0,1.0000000002\n"),
+                               "b.csv": entry("t\n1.0\n")},
+                     "walk": {"c.json": entry('{"x": 2.0}'), "d.csv": entry("t\n2.0\n")}}}
+    assert tool.moved(old, new) == [
+        "solve/a.csv: max relative difference 2.000e-10",
+        "solve/gone.csv: removed",
+        "walk/d.csv: new",
+        "2 artifact(s) unchanged",
+    ]
+    assert tool.moved(new, new) == ["4 artifact(s) unchanged"]
 
 
 def test_compare_file_reports_largest_relative_difference(tmp_path):
