@@ -5,10 +5,9 @@ Streams are derived from a Philox counter-based generator: path block b uses
 how work is partitioned across threads.  Fixed block size keeps regeneration
 bit-identical for any thread count.
 
-The block rule of every streamed reader lives here, beside the states
-streamed in node blocks (`PathEnsemble.state_blocks`): each producer
-iterates `_step_blocks` or `node_blocks` itself and pushes what it forms,
-and the backward diagnostics cut path-major arrays into `path_blocks`.
+The block rule of every streamed forward reader lives here, beside the
+states streamed in node blocks (`PathEnsemble.state_blocks`): each producer
+iterates `_step_blocks` or `node_blocks` itself and pushes what it forms.
 """
 
 from __future__ import annotations
@@ -24,8 +23,7 @@ from .grids import ConfigurationError, TimeGrid
 # it changes the sampled numbers, so it is a constant, not a knob.
 _BLOCK = 1 << 14
 
-# Working-memory budget of one block of grid nodes or of paths in the
-# diagnostics.
+# Working-memory budget of one block of grid nodes in the forward diagnostics.
 _NODE_BLOCK_BYTES = 4 << 20
 
 # Budget of each node-major Euler block, reverse-Holder ratio block and stop
@@ -54,23 +52,6 @@ def node_blocks(nodes: int, node_bytes: int, node_entries: int) -> list:
     if len(bounds) > 2 and (bounds[-1] - bounds[-2]) * node_entries < 2:
         del bounds[-2]
     return list(zip(bounds[:-1], bounds[1:]))
-
-
-def path_blocks(paths: int, path_bytes: int, path_entries: int) -> list:
-    """(lo, hi) ranges covering `paths` paths, about _NODE_BLOCK_BYTES each.
-
-    path_bytes is the size of one path's rows of every temporary a block
-    forms.  A block of paths is contiguous in a path-major array, so its
-    operations run over whole rows.  An axis-0 sum over a block that starts
-    with the sum of the blocks before it as a leading row adds the paths in
-    order, as the whole array's reduction does, unless a path holds a
-    single entry (`path_entries`), which numpy sums pairwise: then the one
-    block is every path.
-    """
-    if path_entries < 2:
-        return [(0, paths)]
-    step = max(1, _NODE_BLOCK_BYTES // max(path_bytes, 1))
-    return [(lo, min(lo + step, paths)) for lo in range(0, paths, step)]
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:

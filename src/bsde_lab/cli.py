@@ -32,7 +32,7 @@ from .exponential import (estimate_reverse_holder, martingale_defect,
 from .grids import ConfigurationError, TimeGrid
 from .instances import (FIELDS, LINEAR_FIELDS, QUADRATIC_DRIVERS, REGISTRY, describe,
                         linear_terminal, quadratic_terminal)
-from .linear import LinearBsdeSpec, solve_auto
+from .linear import LinearBsdeSpec, path_means, solve_auto
 from .quadratic import solve_quadratic
 from . import tree as tr
 
@@ -429,15 +429,15 @@ def run_reverse_holder(cfg: dict, out: Path, threads: int) -> int:
 
 
 def _solution_table(sol, grid: TimeGrid, *extra) -> tuple:
-    """solution.csv of a solve: t, the path means of Y and of Z (NaN at T),
-    then one column per (name, values) pair of `extra`."""
+    """solution.csv of a solve: t, the path means of Y and of Z (NaN at T;
+    `path_means`), then one column per (name, values) pair of `extra`."""
     _, ksteps, n, d = sol.z.shape
-    zmean = np.concatenate([sol.z.mean(axis=0).reshape(ksteps, n * d),
+    zmean = np.concatenate([path_means(sol.z).reshape(ksteps, n * d),
                             np.full((1, n * d), np.nan)])
     header = ",".join(["t"] + [f"Y{i}" for i in range(n)]
                       + [f"Z{i}_{e}" for i in range(n) for e in range(d)]
                       + [name for name, _ in extra])
-    return header, np.column_stack([grid.nodes, sol.y.mean(axis=0), zmean,
+    return header, np.column_stack([grid.nodes, path_means(sol.y), zmean,
                                     *(values for _, values in extra)])
 
 

@@ -15,21 +15,16 @@ scalar exponential (`_scalar_exponential`) for the triangular, right-outer
 and left-outer reductions, and one backward-induction loop (`_backward`),
 which the quadratic solver runs with its inner Picard step.  The last two
 run from node K-1 back to 0 and make both fits of a node in one visit, so
-the two share the node's regression basis, which the operator forms from
-its cached map once per visit.  They hold their working arrays node-major,
-(K+1, M, ...), so each per-step fit reads and writes one contiguous node,
-and return C-contiguous path-major copies.  Each method in `_METHODS`
-checks its field and does its per-solve work once (the gated exponential;
-the field values, coefficients and scalar exponential weights of the
-triangular and right-outer reductions), then returns a core that takes
-the terminal (M, n) and the inhomogeneity (M, K, n) as arrays, formed once
-per solve.  A Picard pass holds nothing that no pass reads: Z^m is freed
-once the next inhomogeneity is formed, and the cores subtract the drift
-prefix in place.  The diagnostics after a solve (`_martingale_residuals`,
-and the norms of `norm_report`) reduce one block of paths or of nodes at a
-time, so they add no whole (M, K, ...) array to it.
+the two share the node's regression basis.  Y, Z, the drift and the
+inhomogeneity are stored node-major and passed as path-major views
+(`_by_node`), so each node slice is contiguous and no solution is copied
+between layouts.  Each method in `_METHODS` checks its field and does its
+per-solve work once, then returns a core that takes the terminal (M, n) and
+the inhomogeneity (M, K, n), formed once per solve, and holds only what a
+later step reads.  The diagnostics after a solve read one node at a time and
+add the paths in the order of the path-major whole-array reductions
+(`_path_sum`), so no output depends on the layout.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
@@ -38,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .brownian import PathEnsemble, path_blocks
+from .brownian import PathEnsemble
 from .exponential import ExponentialEnsemble, martingale_defect, simulate_exponential
 from .fields import CoefficientField, LeftOuterField, RightOuterField
 from .grids import ConfigurationError
@@ -84,8 +79,8 @@ class SolutionEnsemble:
     """
 
     paths: PathEnsemble
-    y: np.ndarray                  # (M, K+1, n)
-    z: np.ndarray                  # (M, K, n, d)
+    y: np.ndarray                  # (M, K+1, n), a view of node-major (K+1, M, n)
+    z: np.ndarray                  # (M, K, n, d), a view of node-major (K, M, n, d)
     solver: str
     diagnostics: dict = dc_field(default_factory=dict)
 
@@ -96,29 +91,49 @@ class SolutionEnsemble:
         return {"y": ynorm, "z": znorm}
 
 
+def _by_node(m: int, nodes: int, tail: tuple, make=np.empty) -> np.ndarray:
+    """A new (m, nodes) + tail array stored node-major: the path-major view of
+    a `make`((nodes, m) + tail) array, so each node slice x[:, k] is contiguous."""
+    return make((nodes, m) + tail).swapaxes(0, 1)
+
+
+def _path_sum(x: np.ndarray, row: int) -> np.ndarray:
+    """The axis-0 sum of a node slice x (M, ...) of a path-major array whose
+    path rows hold `row` entries, bit for bit that array's own: numpy adds
+    paths in order where a slice holds two or more entries per path and
+    pairwise where it holds one, so such a slice takes the running sum."""
+    if x[0].size < 2 <= row:
+        return np.cumsum(x, axis=0)[-1]
+    return x.sum(axis=0)
+
+
+def path_means(x: np.ndarray) -> np.ndarray:
+    """Path means of x (M, nodes, ...) at each node, shape (nodes, ...), one
+    node at a time: the bits of x.mean(axis=0) on a path-major copy of x."""
+    return np.stack([_path_sum(x[:, k], x[0].size) for k in range(x.shape[1])]) / x.shape[0]
+
+
 def _per_step(fn, paths: PathEnsemble) -> np.ndarray:
-    """fn(paths, k) for every grid step k, stacked on axis 1: (M, K, ...)."""
-    return np.stack([np.asarray(fn(paths, k), dtype=float)
-                     for k in range(paths.grid.steps)], axis=1)
+    """fn(paths, k) for every grid step k as one (M, K, ...) array (`_by_node`),
+    each step written into it as it is formed."""
+    out = None
+    for k in range(paths.grid.steps):
+        value = np.asarray(fn(paths, k), dtype=float)
+        if out is None:
+            out = _by_node(paths.paths, paths.grid.steps, value.shape[1:])
+        out[:, k] = value
+    return out
 
 
 def _beta_array(spec: LinearBsdeSpec, paths: PathEnsemble) -> np.ndarray | None:
     return None if spec.beta is None else _per_step(spec.beta, paths)
 
 
-def _prefix(paths: PathEnsemble, x: np.ndarray | None, tail: tuple) -> np.ndarray:
-    """sum_{j < k} x_j dt_j at every node, shape (M, K+1) + tail; zero if x is None.
-
-    x dt is written into the output and summed there in place, so the output
-    is the only array formed; callers subtract it in place from an array they
-    own.
-    """
-    out = np.zeros((paths.paths, paths.grid.steps + 1) + tail)
-    if x is not None:
-        dt = paths.grid.dt.reshape((1, -1) + (1,) * len(tail))
-        np.multiply(x, dt, out=out[:, 1:])
-        np.cumsum(out[:, 1:], axis=1, out=out[:, 1:])
-    return out
+def _prefix(x: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """sum_{j <= k} x_j dt_j at every step k, written over x (M, K, ...), which
+    callers read no more: they subtract it from nodes 1..K of their own array."""
+    x *= dt.reshape((1, -1) + (1,) * (x.ndim - 2))
+    return np.cumsum(x, axis=1, out=x)
 
 
 def _scalar_exponential(paths: PathEnsemble, coeff: np.ndarray) -> np.ndarray:
@@ -150,24 +165,20 @@ def _represent(paths: PathEnsemble, degree: int, h: np.ndarray) -> tuple:
     """The martingale representation of an F_T-measurable h: (N, Z~).
 
     N_k is the fitted E_k[h] with N_K = h, shape (M, K+1, ...), and Z~_k is
-    the increment regression of N_{k+1} centred at N_k, written into one
-    (M, K, ..., d) array that callers turn into their Z in place.  One loop
-    runs from K-1 back to 0 and fits N_k and then Z~_k at each node, so both
-    fits share the node's basis.  Both arrays are built node-major, so each
-    fit reads and writes one contiguous node, then each is copied once into
-    the C-contiguous path-major array returned, its node-major buffer freed
-    before the next copy: at most one array is held twice.
+    the increment regression of N_{k+1} centred at N_k, shape (M, K, ..., d);
+    callers turn both into their Y and Z in place.  One loop runs from K-1
+    back to 0 and fits N_k and then Z~_k at each node, so both fits share the
+    node's basis.  Both are `_by_node` arrays.
     """
-    ksteps = paths.grid.steps
+    m, ksteps = paths.paths, paths.grid.steps
     reg = RegressionConditional.of(paths, degree)
-    n_fit = np.empty((ksteps + 1,) + h.shape)
-    n_fit[ksteps] = h
-    z_tilde = np.empty((ksteps,) + h.shape + (paths.d,))
+    n_fit = _by_node(m, ksteps + 1, h.shape[1:])
+    n_fit[:, ksteps] = h
+    z_tilde = _by_node(m, ksteps, h.shape[1:] + (paths.d,))
     for k in range(ksteps - 1, -1, -1):
-        n_fit[k] = reg.fit_predict(k, h)
-        z_tilde[k] = _increment_regression(reg, paths, n_fit[k + 1], k, base_values=n_fit[k])
-    n_fit = np.ascontiguousarray(n_fit.swapaxes(0, 1))
-    z_tilde = np.ascontiguousarray(z_tilde.swapaxes(0, 1))
+        n_fit[:, k] = reg.fit_predict(k, h)
+        z_tilde[:, k] = _increment_regression(reg, paths, n_fit[:, k + 1], k,
+                                              base_values=n_fit[:, k])
     return n_fit, z_tilde
 
 
@@ -177,25 +188,19 @@ def _backward(paths: PathEnsemble, degree: int, terminal: np.ndarray,
 
     At each k from K-1 down, Z_k is the increment regression of Y_{k+1}
     centred at E_k[Y_{k+1}], and `step(k, E_k[Y_{k+1}], Z_k)` returns
-    (Y_k, drift_k).  Y, Z and the drift are held node-major, (K+1, M, n),
-    (K, M, n, d) and (K, M, n), so each step reads and writes contiguous
-    nodes; then each is copied once into the C-contiguous path-major array
-    returned, its node-major buffer freed before the next copy: at most one
-    array is held twice.
+    (Y_k, drift_k).  Y (M, K+1, n), Z (M, K, n, d) and the drift (M, K, n)
+    are `_by_node` arrays, so each step reads and writes contiguous nodes.
     """
     m, ksteps, n = paths.paths, paths.grid.steps, terminal.shape[-1]
     reg = RegressionConditional.of(paths, degree)
-    y = np.empty((ksteps + 1, m, n))
-    z = np.empty((ksteps, m, n, paths.d))
-    drift = np.empty((ksteps, m, n))
-    y[ksteps] = terminal
+    y = _by_node(m, ksteps + 1, (n,))
+    z = _by_node(m, ksteps, (n, paths.d))
+    drift = _by_node(m, ksteps, (n,))
+    y[:, ksteps] = terminal
     for k in range(ksteps - 1, -1, -1):
-        ey = reg.fit_predict(k, y[k + 1])
-        z[k] = _increment_regression(reg, paths, y[k + 1], k, base_values=ey)
-        y[k], drift[k] = step(k, ey, z[k])
-    y = np.ascontiguousarray(y.swapaxes(0, 1))
-    z = np.ascontiguousarray(z.swapaxes(0, 1))
-    drift = np.ascontiguousarray(drift.swapaxes(0, 1))
+        ey = reg.fit_predict(k, y[:, k + 1])
+        z[:, k] = _increment_regression(reg, paths, y[:, k + 1], k, base_values=ey)
+        y[:, k], drift[:, k] = step(k, ey, z[:, k])
     return y, z, drift
 
 
@@ -207,28 +212,19 @@ def _martingale_residuals(paths: PathEnsemble, y: np.ndarray, z: np.ndarray,
     E_k[r dB] = 0 in the exact discrete solution; the largest absolute
     sample means of both moments over the nodes are reported (the pathwise
     residual contains the unrepresentable part of the one-step martingale
-    increment, which does not vanish).  r and r dB are formed one block of
-    paths at a time (`path_blocks`), so no whole (M, K, n) array is formed.
-    Each block's buffers lead with the path sums of the blocks before it,
-    so every sum adds the paths in order and the means are those of the
-    whole arrays, bit for bit.
+    increment, which does not vanish).  r_k and r_k dB_k are formed one node
+    at a time and summed over the paths by `_path_sum`, so the means are
+    those of the whole path-major arrays, bit for bit, in either layout.
     """
     m, ksteps, n, d = z.shape
     dt, inc = paths.grid.dt, paths.increments
-    sum_r = sum_rdb = None
-    for lo, hi in path_blocks(m, ksteps * n * (3 + d) * 8, ksteps * n):
-        head = int(sum_r is not None)
-        r = np.empty((head + hi - lo, ksteps, n))
-        rdb = np.empty((head + hi - lo, ksteps, n, d))
-        if head:
-            r[0], rdb[0] = sum_r, sum_rdb
-        block = r[head:]
-        np.subtract(y[lo:hi, :-1], y[lo:hi, 1:], out=block)
-        block -= drift[lo:hi] * dt[None, :, None]
-        block += np.einsum("mkjd,mkd->mkj", z[lo:hi], inc[lo:hi])
-        np.einsum("mkj,mkd->mkjd", block, inc[lo:hi], out=rdb[head:])
-        sum_r, sum_rdb = r.sum(axis=0), rdb.sum(axis=0)
-        del r, rdb, block
+    sum_r, sum_rdb = np.empty((ksteps, n)), np.empty((ksteps, n, d))
+    for k in range(ksteps):
+        r = y[:, k] - y[:, k + 1]
+        r -= drift[:, k] * dt[k]
+        r += np.einsum("mjd,md->mj", z[:, k], inc[:, k])
+        sum_r[k] = _path_sum(r, ksteps * n)
+        sum_rdb[k] = _path_sum(np.einsum("mj,md->mjd", r, inc[:, k]), ksteps * n * d)
     return {"moment_residual": float(np.abs(sum_r / m).max()),
             "moment_db_residual": float(np.abs(sum_rdb / m).max() / dt.min())}
 
@@ -240,28 +236,27 @@ def _finish(fld: CoefficientField | None, paths: PathEnsemble, solver: str, y: n
     Every solve runs a core, which returns (y, z, extras), then this step;
     the Picard loop of `solve_perturbed` runs the core once per pass and this
     step once.  Keys of `extras` that it reads: "drift" (A Z + beta as the
-    core already formed it, with which `fld` may be None), "a_vals" (field
-    values the core already holds, one array per step), "terminal_mismatch"
-    (0 if absent) and "scalar_v" (the scalar V = b^T Z of the right-outer
+    core already formed it, with which `fld` may be None; otherwise the
+    field is evaluated again, one node at a time), "terminal_mismatch" (0 if
+    absent) and "scalar_v" (the scalar V = b^T Z of the right-outer
     reduction, checked on the solution as "outer_identity_residual").  Every
     other key is a diagnostic of its own.
     """
     extras = dict(extras)
     drift = extras.pop("drift", None)
-    a_vals = extras.pop("a_vals", None)
     if drift is None:
-        if a_vals is None:
-            a_vals = (fld.values(paths, k) for k in range(paths.grid.steps))
-        drift = np.empty(z.shape[:3])
-        for k, a_k in enumerate(a_vals):
-            drift[:, k] = contract_az(a_k, z[:, k])
-        if beta is not None:
-            drift += beta
+        m, ksteps, n, _ = z.shape
+        drift = _by_node(m, ksteps, (n,))
+        for k in range(ksteps):
+            drift[:, k] = contract_az(fld.values(paths, k), z[:, k])
+            if beta is not None:
+                drift[:, k] += beta[:, k]
     diags = _martingale_residuals(paths, y, z, drift)
     diags["terminal_mismatch"] = extras.pop("terminal_mismatch", 0.0)
-    if "scalar_v" in extras:
-        diags["outer_identity_residual"] = float(np.abs(
-            np.einsum("j,mkjd->mkd", fld.b, z) - extras["scalar_v"]).mean())
+    if "scalar_v" in extras:        # path-major: the mean adds in memory order
+        gap = np.einsum("j,mkjd->mkd", fld.b, z, out=np.empty(extras["scalar_v"].shape))
+        gap -= extras["scalar_v"]
+        diags["outer_identity_residual"] = float(np.abs(gap, out=gap).mean())
     diags.update(extras)
     return SolutionEnsemble(paths, y, z, solver, diags)
 
@@ -286,32 +281,39 @@ def _regression(fld: CoefficientField, paths: PathEnsemble, degree: int) -> Call
     return core
 
 
-def _expo_core(fld: CoefficientField, expo: ExponentialEnsemble, degree: int, diags: dict,
-               xi: np.ndarray, beta: np.ndarray | None) -> tuple:
-    """Representation core given (S, S^{-1}); `diags` are added to its extras."""
-    paths = expo.paths
-    ksteps = paths.grid.steps
-    h = np.einsum("mij,mj->mi", expo.s[:, -1], xi)
+def _expo_core(fld: CoefficientField, paths: PathEnsemble, s_at: Callable, inv_at: Callable,
+               degree: int, diags: dict, xi: np.ndarray, beta: np.ndarray | None) -> tuple:
+    """Representation core given S_k = s_at(k) and S_k^{-1} = inv_at(k), (M, n, n)
+    each, read node by node; Y and Z are written over N and Z~, and `diags`
+    are added to its extras."""
+    m, ksteps, n, dt = paths.paths, paths.grid.steps, fld.n, paths.grid.dt
+    h = np.einsum("mij,mj->mi", s_at(ksteps), xi)
     if beta is not None:
-        h += np.einsum("mkij,mkj->mi", expo.s[:, :-1],
-                       beta * paths.grid.dt[None, :, None])
-    n_fit, z = _represent(paths, degree, h)
+        # at n = 1 einsum adds each path's contiguous steps as one dot product,
+        # so S_k and beta dt are gathered into path-major rows; else node by node
+        if n == 1:
+            h += np.einsum("mkij,mkj->mi", np.stack([s_at(k) for k in range(ksteps)], axis=1),
+                           np.multiply(beta, dt[None, :, None], out=np.empty(beta.shape)))
+        else:
+            h += sum((np.einsum("mij,mj->mi", s_at(k), beta[:, k] * dt[k])
+                      for k in range(ksteps)), np.zeros_like(h))
+    y, z = _represent(paths, degree, h)
 
-    y = np.einsum("mkij,mkj->mki", expo.s_inv, n_fit)
-    y -= _prefix(paths, beta, (fld.n,))
-    terminal_mismatch = float(np.abs(y[:, ksteps] - xi).max())
-    y[:, ksteps] = xi
-
-    # each node's field values serve Z_k and then the drift A_k Z_k
-    drift = np.empty((paths.paths, ksteps, fld.n))
+    drift = _by_node(m, ksteps, (n,))
+    run = None                                      # sum_{j < k} beta_j dt_j
     for k in range(ksteps):
-        a_k = fld.values(paths, k)                                       # (M, n, n, d)
-        xn = np.einsum("mij,mj->mi", expo.s_inv[:, k], n_fit[:, k])      # Y + int beta
-        z[:, k] = (np.einsum("mij,mjd->mid", expo.s_inv[:, k], z[:, k])
+        inv, a_k = inv_at(k), fld.values(paths, k)                       # a_k (M, n, n, d)
+        xn = np.einsum("mij,mj->mi", inv, y[:, k])                       # Y + int beta
+        z[:, k] = (np.einsum("mij,mjd->mid", inv, z[:, k])
                    - np.einsum("mijd,mj->mid", a_k, xn))
         drift[:, k] = contract_az(a_k, z[:, k])
-    if beta is not None:
-        drift += beta
+        y[:, k] = xn if run is None else xn - run
+        if beta is not None:
+            drift[:, k] += beta[:, k]
+            run = beta[:, k] * dt[k] if run is None else run + beta[:, k] * dt[k]
+    xn = np.einsum("mij,mj->mi", inv_at(ksteps), y[:, ksteps])
+    terminal_mismatch = float(np.abs((xn if run is None else xn - run) - xi).max())
+    y[:, ksteps] = xi
     return y, z, {"drift": drift, "terminal_mismatch": terminal_mismatch, **diags}
 
 
@@ -329,7 +331,8 @@ def _representation(fld: CoefficientField, paths: PathEnsemble, degree: int,
             f"(median group defect {worst:.4f} > 0.1)")
     if expo.s_inv is None:
         raise ConfigurationError("representation solve needs the inverse ensemble")
-    return partial(_expo_core, fld, expo, degree, {"martingale_defect": worst})
+    return partial(_expo_core, fld, expo.paths, lambda k: expo.s[:, k],
+                   lambda k: expo.s_inv[:, k], degree, {"martingale_defect": worst})
 
 
 def solve_by_representation(spec: LinearBsdeSpec, paths: PathEnsemble,
@@ -350,7 +353,8 @@ def _scalar_weighted_solve(paths: PathEnsemble, coeff: np.ndarray, weights: np.n
 
     coeff: (M, K, d) bmo integrand; weights: its `_scalar_exponential`
     (M, K+1), strictly positive pathwise, formed once per solve by the caller;
-    xi: (M,); beta: (M, K) or None.  Returns (U (M, K+1), V (M, K, d)).
+    xi: (M,); beta: (M, K) C-contiguous (each path's steps sum as one row), or
+    None, spent on the drift prefix.  Returns (U (M, K+1), V (M, K, d)).
     """
     ksteps = paths.grid.steps
     h = weights[:, -1] * xi
@@ -360,39 +364,45 @@ def _scalar_weighted_solve(paths: PathEnsemble, coeff: np.ndarray, weights: np.n
     u /= weights                                         # N / w, then U in place
     v /= weights[:, :-1, None]
     v -= coeff * u[:, :-1, None]
-    u -= _prefix(paths, beta, ())
+    if beta is not None:
+        u[:, 1:] -= _prefix(beta, paths.grid.dt)
     u[:, ksteps] = xi
     return u, v
 
 
 def _triangular(fld: CoefficientField, paths: PathEnsemble, degree: int) -> Callable:
+    """Keeps the diagonal and strictly lower field entries, which the solves
+    read; `_finish` evaluates the field again for the drift."""
     if fld.structure != "lower_triangular":
         raise ConfigurationError(
             f"triangular solver needs a lower_triangular field, got {fld.structure!r}")
     m, ksteps, n, d = paths.paths, paths.grid.steps, fld.n, paths.d
-    a_vals = [fld.values(paths, k) for k in range(ksteps)]
-    upper = np.triu_indices(n, k=1)
-    if not np.all(np.abs(a_vals[0][:, upper[0], upper[1], :]) <= 1e-10):
-        raise ConfigurationError("field values are not lower triangular")
-    coeffs = [np.stack([a_k[:, i, i, :] for a_k in a_vals], axis=1) for i in range(n)]
+    rows, cols = np.tril_indices(n, k=-1)
+    coeffs = np.empty((n, m, ksteps, d))                 # row i: its (M, K, d) coefficient
+    lower = _by_node(m, ksteps, (rows.size, d))          # A^i_j, j < i, in tril order
+    for k in range(ksteps):
+        a_k = fld.values(paths, k)
+        if k == 0 and not np.all(np.abs(a_k[:, cols, rows, :]) <= 1e-10):
+            raise ConfigurationError("field values are not lower triangular")
+        coeffs[:, :, k] = np.einsum("miid->imd", a_k)
+        lower[:, k] = a_k[:, rows, cols, :]
     weights = [_scalar_exponential(paths, coeff) for coeff in coeffs]
 
     def core(xi, beta):
-        y = np.empty((m, ksteps + 1, n))
-        z = np.empty((m, ksteps, n, d))
+        y = _by_node(m, ksteps + 1, (n,))
+        z = _by_node(m, ksteps, (n, d))
         for i in range(n):
             known = np.zeros((m, ksteps))
-            for j in range(i):
-                known += np.stack(
-                    [(a_vals[k][:, i, j, :] * z[:, k, j, :]).sum(axis=1)
-                     for k in range(ksteps)], axis=1)
+            for p in np.flatnonzero(rows == i):
+                for k in range(ksteps):
+                    known[:, k] += (lower[:, k, p] * z[:, k, cols[p]]).sum(axis=1)
             if beta is not None:
                 known += beta[:, :, i]
             u, v = _scalar_weighted_solve(paths, coeffs[i], weights[i], xi[:, i], known,
                                           degree)
             y[:, :, i] = u
             z[:, :, i, :] = v
-        return y, z, {"a_vals": a_vals}
+        return y, z, {}
     return core
 
 
@@ -409,26 +419,26 @@ def solve_triangular(spec: LinearBsdeSpec, paths: PathEnsemble,
 def _right_outer(fld: CoefficientField, paths: PathEnsemble, degree: int) -> Callable:
     if not isinstance(fld, RightOuterField) or fld.structure != "right_outer":
         raise ConfigurationError("right-outer solver needs a RightOuterField")
-    ksteps, n = paths.grid.steps, fld.n
-    dt = paths.grid.dt
+    m, ksteps, n, dt = paths.paths, paths.grid.steps, fld.n, paths.grid.dt
     a_vals = _per_step(fld.a_values, paths)                          # (M, K, n, d)
     coeff = np.einsum("i,mkid->mkd", fld.b, a_vals)
     weights = _scalar_exponential(paths, coeff)
 
     def core(xi, beta):
-        eta = xi @ fld.b
-        beta_scalar = None if beta is None else np.einsum("mkj,j->mk", beta, fld.b)
-        _, v = _scalar_weighted_solve(paths, coeff, weights, eta, beta_scalar, degree)
+        beta_scalar = None if beta is None else np.einsum(
+            "mkj,j->mk", beta, fld.b, out=np.empty((m, ksteps)))
+        _, v = _scalar_weighted_solve(paths, coeff, weights, xi @ fld.b, beta_scalar, degree)
+        del beta_scalar                                  # spent on the scalar prefix
 
-        # lifted equation: Y = xi + int (a V + beta) dt - int Z dB
-        tilde = np.einsum("mkid,mkd->mki", a_vals, v)
+        # lifted equation: Y = xi + int (a V + beta) dt - int Z dB (tilde path-major)
+        tilde = np.einsum("mkid,mkd->mki", a_vals, v, out=np.empty((m, ksteps, n)))
         if beta is not None:
             tilde += beta
         h = xi + (tilde * dt[None, :, None]).sum(axis=1)
-        n_fit, z = _represent(paths, degree, h)
-        n_fit -= _prefix(paths, tilde, (n,))
-        n_fit[:, ksteps] = xi
-        return n_fit, z, {"scalar_v": v}
+        y, z = _represent(paths, degree, h)
+        y[:, 1:] -= _prefix(tilde, dt)                   # in the spent tilde buffer
+        y[:, ksteps] = xi
+        return y, z, {"scalar_v": v}
     return core
 
 
@@ -443,38 +453,52 @@ def solve_right_outer(spec: LinearBsdeSpec, paths: PathEnsemble,
     return _solve(spec, paths, degree, "right_outer")
 
 
-def left_outer_exponential(fld: LeftOuterField, paths: PathEnsemble) -> ExponentialEnsemble:
-    """Closed-form S for A = a b-field^T.
-
-    S a equals a times the scalar exponential of int (b^T a) dB, hence
-    S = I + a m^T with dm = (scalar exponential) b dB; the inverse is the
-    rank-one Sherman-Morrison form I - a m^T / (scalar exponential).  Both
-    are built in place: a m^T is written into S and divided into S^{-1},
-    then the identity is added to S and S^{-1} subtracted from it.
-    """
-    m, ksteps, n = paths.paths, paths.grid.steps, fld.n
-    a = fld.a
+def _left_outer_nodes(fld: LeftOuterField, paths: PathEnsemble) -> tuple:
+    """(s_at, inv_at): S_k = I + a m_k^T and S_k^{-1} = I - a m_k^T / e_k, each
+    (M, n, n), formed when called, from the factors m (M, K+1, n), dm = e b dB
+    from m_0 = 0, and e (M, K+1), the scalar exponential of int (b^T a) dB."""
     b_vals = _per_step(fld.b_values, paths)                          # (M, K, n, d)
-    scal = _scalar_exponential(paths, np.einsum("i,mkid->mkd", a, b_vals))      # > 0
-    m_vec = np.zeros((m, ksteps + 1, n))
+    scal = _scalar_exponential(paths, np.einsum("i,mkid->mkd", fld.a, b_vals))  # > 0
+    m_vec = np.zeros((paths.paths, paths.grid.steps + 1, fld.n))
     bdb = np.einsum("mkjd,mkd->mkj", b_vals, paths.increments)
     del b_vals
     bdb *= scal[:, :-1, None]
     np.cumsum(bdb, axis=1, out=m_vec[:, 1:])
-    del bdb
-    eye = np.eye(n)
-    s = np.einsum("i,mkj->mkij", a, m_vec)
-    del m_vec
-    s_inv = np.divide(s, scal[:, :, None, None])
-    s += eye
-    np.subtract(eye, s_inv, out=s_inv)
+    eye = np.eye(fld.n)
+
+    def s_at(k):
+        s = np.einsum("i,mj->mij", fld.a, m_vec[:, k])
+        s += eye
+        return s
+
+    def inv_at(k):
+        s_inv = np.einsum("i,mj->mij", fld.a, m_vec[:, k])
+        s_inv /= scal[:, k, None, None]
+        return np.subtract(eye, s_inv, out=s_inv)
+    return s_at, inv_at
+
+
+def left_outer_exponential(fld: LeftOuterField, paths: PathEnsemble) -> ExponentialEnsemble:
+    """Closed-form S for A = a b-field^T, as whole (M, K+1, n, n) arrays.
+
+    S a equals a times the scalar exponential e of int (b^T a) dB, hence
+    S = I + a m^T with dm = e b dB; the inverse is the rank-one
+    Sherman-Morrison form I - a m^T / e.  Both are filled node by node by
+    `_left_outer_nodes`, which the left-outer solve reads one node at a time
+    instead, so that it forms neither whole array.
+    """
+    s_at, inv_at = _left_outer_nodes(fld, paths)
+    shape = (paths.paths, paths.grid.steps + 1, fld.n, fld.n)
+    s, s_inv = np.empty(shape), np.empty(shape)
+    for k in range(shape[1]):
+        s[:, k], s_inv[:, k] = s_at(k), inv_at(k)
     return ExponentialEnsemble(fld, paths, s, s_inv)
 
 
 def _left_outer(fld: CoefficientField, paths: PathEnsemble, degree: int) -> Callable:
     if not isinstance(fld, LeftOuterField) or fld.structure != "left_outer":
         raise ConfigurationError("left-outer solver needs a LeftOuterField")
-    return partial(_expo_core, fld, left_outer_exponential(fld, paths), degree,
+    return partial(_expo_core, fld, paths, *_left_outer_nodes(fld, paths), degree,
                    {"scheme": "closed_form"})
 
 
@@ -533,7 +557,8 @@ def solve_perturbed(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int = 3,
     simulates and gates S) and the drift and residual diagnostics of the
     last pass are done once.  Stops at relative residual < tol; a growing
     residual raises PicardDivergenceError, which is the numerical mirror of
-    the perturbation being too large to slice.
+    the perturbation being too large to slice.  Every pass forms the
+    inhomogeneity in one buffer, and |Y - Y^m| and |Y| in the spent Y^m.
     """
     fld = spec.field
     if base == "auto":
@@ -547,11 +572,12 @@ def solve_perturbed(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int = 3,
     da_vals = None if spec.delta_field is None else [
         spec.delta_field.values(paths, k) for k in range(ksteps)]
 
-    y_prev = np.zeros((m, ksteps + 1, n))
-    z = np.zeros((m, ksteps, n, d))
+    y_prev = _by_node(m, ksteps + 1, (n,), np.zeros)
+    z = _by_node(m, ksteps, (n, d), np.zeros)
+    mod = _by_node(m, ksteps, (n,))
     history = []
     for it in range(_MAX_PASSES):
-        mod = np.zeros((m, ksteps, n))
+        mod.fill(0.0)
         if beta is not None:
             mod += beta
         for k in range(ksteps):
@@ -562,7 +588,8 @@ def solve_perturbed(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int = 3,
         # Z^m and the last pass's extras are read no more: free them first
         z = extras = None
         y, z, extras = core(xi, mod)
-        resid = float(np.abs(y - y_prev).max() / (1.0 + np.abs(y).max()))
+        change = np.abs(np.subtract(y, y_prev, out=y_prev), out=y_prev).max()
+        resid = float(change / (1.0 + np.abs(y, out=y_prev).max()))
         history.append(resid)
         if resid < tol:
             break

@@ -11,10 +11,11 @@ import functools
 import itertools
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .brownian import PathEnsemble, node_blocks, path_blocks
+from .brownian import PathEnsemble
 
 NORM_KINDS = ("bmo", "sup_p", "l2q")
 
@@ -142,18 +143,17 @@ class RegressionConditional:
         return (q @ (q.T @ flat)).reshape(y.shape)
 
 
-def _size_reader(values: np.ndarray, paths: int, nodes: int) -> tuple:
-    """(width, sizes) for values of shape (paths, nodes, ...): width is the
-    number of components at one (path, node), and sizes(rows, cols) is
-    |values[rows, cols]| per (path, node), formed when it is called."""
+def _size_reader(values: np.ndarray, paths: int, nodes: int) -> Callable:
+    """sizes(k): |values[:, k]| per path, shape (paths,), for values of shape
+    (paths, nodes, ...), formed one node at a time when it is called."""
     v = np.asarray(values, dtype=float)
     if v.ndim < 2 or v.shape[:2] != (paths, nodes):
         raise ValueError(f"expected values with shape ({paths}, {nodes}, ...), got {v.shape}")
 
-    def sizes(rows, cols):
-        block = v[rows, cols]
-        return np.sqrt((block * block).reshape(block.shape[:2] + (-1,)).sum(axis=-1))
-    return int(np.prod(v.shape[2:])), sizes
+    def sizes(k):
+        node = v[:, k]
+        return np.sqrt((node * node).reshape(paths, -1).sum(axis=-1))
+    return sizes
 
 
 def _lp_mean(samples: np.ndarray, q: float) -> tuple[float, float]:
@@ -189,10 +189,11 @@ def estimate_norm(kind: str, values: np.ndarray, paths: PathEnsemble,
     Brownian state; the essential sup is the max over fitted node values,
     the earliest node on a tie.
 
-    |values| is reduced one block at a time, so no whole (paths, nodes, ...)
-    temporary is formed: sup_p and l2q reduce each path's row in blocks of
-    paths (`path_blocks`), and bmo carries the remainder backwards from T in
-    blocks of nodes (`node_blocks`).  Every value is that of the whole-array
+    |values| is read one node at a time, so no whole (paths, nodes, ...)
+    temporary is formed, and a node-major array (a path-major view) reads
+    contiguous nodes: sup_p keeps a running maximum per path, l2q sums each
+    path's row of |Z|^2 dt, one (paths, nodes) array, and bmo carries the
+    remainder backwards from T.  Every value is that of the whole-array
     form, bit for bit.
     """
     if kind not in NORM_KINDS:
@@ -203,34 +204,26 @@ def estimate_norm(kind: str, values: np.ndarray, paths: PathEnsemble,
         if q is None or q < 1:
             raise ValueError(f"{kind} requires q >= 1")
         nodes = k_steps + 1 if kind == "sup_p" else k_steps
-        width, sizes = _size_reader(values, m, nodes)
-        per_path = np.empty(m)
-        # each path's statistic is its own row's, so blocks of paths hold every bit
-        for lo, hi in path_blocks(m, nodes * (width + 3) * 8, nodes):
-            block = sizes(slice(lo, hi), slice(None))
-            per_path[lo:hi] = (block.max(axis=1) if kind == "sup_p"
-                               else np.sqrt((block**2.0 * dt[None, :]).sum(axis=1)))
+        sizes = _size_reader(values, m, nodes)
+        if kind == "sup_p":
+            per_path = functools.reduce(np.maximum, map(sizes, range(nodes)))
+        else:               # one (paths, nodes) array: each row sums pairwise, as a whole
+            rows = np.stack([sizes(k)**2.0 * dt[k] for k in range(nodes)], axis=1)
+            per_path = np.sqrt(rows.sum(axis=1))
         value, se = _max_order_stat(per_path) if np.isinf(q) else _lp_mean(per_path, q)
         return NormEstimate(kind, value, se)
 
     # grid-time max over estimated conditional remainders, which need every
-    # path at a node: blocks of nodes, from T back
-    width, sizes = _size_reader(values, m, k_steps)
-
-    def remainders():
-        # run_k = sum_{j >= k} |Z_j|^2 dt_j from node K-1 back to node 0, as
-        # the reversed cumsum adds: run_{K-1} = c_{K-1}, run_k = run_{k+1} + c_k.
-        # run_K is zero on every path, so its fit is never chosen: not fitted.
-        run = None
-        for lo, hi in reversed(node_blocks(k_steps, m * (width + 3) * 8, max(width, 1))):
-            contrib = sizes(slice(None), slice(lo, hi))**2.0 * dt[None, lo:hi]
-            for k in range(hi - 1, lo - 1, -1):
-                run = contrib[:, k - lo].copy() if run is None else run + contrib[:, k - lo]
-                yield k, run
-
+    # path at a node: run_k = sum_{j >= k} |Z_j|^2 dt_j from node K-1 back to
+    # node 0, as the reversed cumsum adds: run_{K-1} = c_{K-1}, run_k =
+    # run_{k+1} + c_k.  run_K is zero on every path, so its fit is never
+    # chosen: not fitted.
+    sizes = _size_reader(values, m, k_steps)
     reg = RegressionConditional.of(paths, degree)
-    best, best_se = 0.0, 0.0
-    for k, run in remainders():
+    best, best_se, run = 0.0, 0.0, None
+    for k in range(k_steps - 1, -1, -1):
+        contrib = sizes(k)**2.0 * dt[k]
+        run = contrib if run is None else run + contrib
         fitted = reg.fit_predict(k, run)
         node = float(np.max(fitted))
         if node > 0.0 and node >= best:      # from T back: a tie keeps the earliest node

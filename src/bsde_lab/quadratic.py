@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .brownian import PathEnsemble, path_blocks
+from .brownian import PathEnsemble
 from .grids import ConfigurationError
 from .linear import SolutionEnsemble, _backward, _finish, _martingale_residuals
 from .norms import RegressionConditional, estimate_norm
@@ -284,10 +284,8 @@ def _backward_quadratic(driver, terminal_fn, paths: PathEnsemble, degree: int,
 
 def _max_magnitude(driver, z: np.ndarray) -> float:
     """The largest `driver.magnitude` over every path and step of z (M, K, n, d),
-    one block of paths at a time (`path_blocks`); a NaN anywhere gives NaN."""
-    m, ksteps, n, d = z.shape
-    return float(np.max([driver.magnitude(z[lo:hi]).max() for lo, hi in path_blocks(
-        m, ksteps * (n * d + 2 * d + 2) * 8, ksteps * n * d)]))
+    one step at a time; a NaN anywhere gives NaN."""
+    return float(np.max([driver.magnitude(z[:, k]).max() for k in range(z.shape[1])]))
 
 
 def solve_quadratic(driver, terminal_fn, paths: PathEnsemble, degree: int = 3,

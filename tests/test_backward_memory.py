@@ -1,7 +1,8 @@
-"""Backward-layer diagnostics reduced one block of paths or of nodes at a
-time: the same bits as the whole-array expressions they replace, in bounded
-working memory."""
+"""The backward layer stores its solutions node-major and reads them one
+node at a time: the same bits as the whole path-major expressions that the
+diagnostics replace, in bounded working memory."""
 
+import json
 import math
 import tracemalloc
 
@@ -10,18 +11,21 @@ import pytest
 
 from bsde_lab import TimeGrid, generate_brownian
 from bsde_lab import brownian as br
+from bsde_lab import cli
 from bsde_lab import linear as lin
 from bsde_lab import norms
 from bsde_lab import quadratic as quad
-from bsde_lab.instances import left_outer_3d, linear_terminal, triangular_3d
+from bsde_lab.fields import constant_field
+from bsde_lab.instances import (cole_hopf_1d, left_outer_3d, linear_terminal,
+                                quadratic_terminal, triangular_3d)
 from bsde_lab.norms import NormEstimate, RegressionConditional, estimate_norm
 from bsde_lab.quadratic import QuadraticLinearDriver, UnidirectionalDriver
 
-K = 7            # odd: at two nodes per block, the last block holds one
+K = 7
 M = 200
-BUDGETS = (1, 40 << 10, br._NODE_BLOCK_BYTES)
-# (n, d, K).  With n = K = 1 a path holds one entry of r, whose sum over the
-# paths numpy adds pairwise: the residuals then take every path at once.
+# (n, d, K).  With n = 1 a node holds one entry per path, which numpy would
+# sum pairwise over the paths; with n = K = 1 the whole path-major row is
+# that one entry, and the path-major sum is pairwise too.
 SHAPES = [(1, 1, K), (3, 1, K), (3, 2, K), (1, 1, 1), (1, 2, 1)]
 
 
@@ -80,48 +84,13 @@ def _left_outer_reference(fld, paths):
     return s, s_inv
 
 
-# -- block budgets ----------------------------------------------------------
+# -- both layouts ------------------------------------------------------------
 
-@pytest.fixture
-def used_blocks(monkeypatch):
-    """(rule, entries per path or node, blocks) for each block list that a
-    streamed backward reader asked for, in call order.
-
-    The budget is read where the block rules read it, in `brownian`; the spy
-    records what the readers in `linear`, `norms` and `quadratic` got back.
-    """
-    seen = []
-
-    def spying(rule):
-        def spy(count, size, entries):
-            blocks = getattr(br, rule)(count, size, entries)
-            seen.append((rule, entries, blocks))
-            return blocks
-        return spy
-    for module in (lin, norms, quad):
-        for rule in ("node_blocks", "path_blocks"):
-            if hasattr(module, rule):
-                monkeypatch.setattr(module, rule, spying(rule))
-    return seen
-
-
-def _set_budget(monkeypatch, budget: int, used_blocks: list) -> None:
-    """Set `_NODE_BLOCK_BYTES` in `brownian` and forget earlier blocks."""
-    monkeypatch.setattr(br, "_NODE_BLOCK_BYTES", budget)
-    used_blocks.clear()
-
-
-def _check_split(budget: int, used_blocks: list) -> None:
-    """At the smallest budget, one byte, every reader got more than one block:
-    a budget set where the rule does not read it leaves the default blocks,
-    and then a test would pass without testing the blocking.  The
-    exceptions are one node to split and a sum over paths of one entry
-    each, which takes every path in one block."""
-    assert used_blocks, "no streamed reader asked for blocks"
-    if budget == 1:
-        for rule, entries, blocks in used_blocks:
-            one = blocks == [(0, 1)] or (rule == "path_blocks" and entries < 2)
-            assert (len(blocks) == 1) == one, (rule, entries, blocks)
+def _layouts(*arrays):
+    """The arrays as given (path-major), then as path-major views of node-major
+    copies, as the solvers store them."""
+    yield arrays
+    yield tuple(np.ascontiguousarray(a.swapaxes(0, 1)).swapaxes(0, 1) for a in arrays)
 
 
 def _paths(d, k_steps=K, m=M, seed=3):
@@ -131,41 +100,31 @@ def _paths(d, k_steps=K, m=M, seed=3):
 # -- (a) the same bits as the whole arrays ----------------------------------
 
 @pytest.mark.parametrize("n, d, k_steps", SHAPES)
-def test_streamed_residuals_match_whole_arrays(n, d, k_steps, monkeypatch, used_blocks):
+def test_streamed_residuals_match_whole_arrays(n, d, k_steps):
     paths = _paths(d, k_steps)
     rng = np.random.default_rng(10 * n + d)
     y = rng.normal(size=(M, k_steps + 1, n))
     z = rng.normal(size=(M, k_steps, n, d))
     drift = rng.normal(size=(M, k_steps, n))
     want = _residuals_reference(paths, y, z, drift)
-    for budget in BUDGETS:
-        _set_budget(monkeypatch, budget, used_blocks)
-        assert lin._martingale_residuals(paths, y, z, drift) == want, budget
-        _check_split(budget, used_blocks)
+    for arrays in _layouts(y, z, drift):
+        assert lin._martingale_residuals(paths, *arrays) == want
 
 
 @pytest.mark.parametrize("n, d, k_steps", SHAPES)
-def test_streamed_norms_match_whole_arrays(n, d, k_steps, monkeypatch, used_blocks):
+def test_streamed_norms_match_whole_arrays(n, d, k_steps):
     paths = _paths(d, k_steps)
     rng = np.random.default_rng(20 * n + d)
     y = rng.normal(size=(M, k_steps + 1, n))
     z = rng.normal(size=(M, k_steps, n, d)) * np.exp(paths.states[:, :-1, None, :1])
-    cases = [("sup_p", y, np.inf), ("sup_p", y, 2.0), ("l2q", z, 2.0), ("l2q", z, 3.0),
-             ("bmo", z, None)]
-    want = [_norm_reference(kind, v, paths, q=q) for kind, v, q in cases]
-    last_nodes = set()
-    for budget in BUDGETS:
-        _set_budget(monkeypatch, budget, used_blocks)
-        got = [estimate_norm(kind, v, paths, q=q) for kind, v, q in cases]
-        assert got == want, budget
-        _check_split(budget, used_blocks)
-        last_nodes |= {blocks[-1][1] - blocks[-1][0]
-                       for rule, _, blocks in used_blocks if rule == "node_blocks"}
-    if k_steps > 1:    # a block of nodes holds at least two entries per path
-        assert (1 in last_nodes) == (n * d > 1), last_nodes
+    kinds = [("sup_p", 0, np.inf), ("sup_p", 0, 2.0), ("l2q", 1, 2.0), ("l2q", 1, 3.0),
+             ("bmo", 1, None)]
+    want = [_norm_reference(kind, (y, z)[i], paths, q=q) for kind, i, q in kinds]
+    for arrays in _layouts(y, z):
+        assert [estimate_norm(kind, arrays[i], paths, q=q) for kind, i, q in kinds] == want
 
 
-def test_bmo_tie_at_the_maximum_goes_to_the_earliest_node(monkeypatch, used_blocks):
+def test_bmo_tie_at_the_maximum_goes_to_the_earliest_node(monkeypatch):
     """A fitted profile whose maximum is attained at nodes 2 and 5: the value
     and the standard error are those of node 2, as the forward scan gave."""
     paths = _paths(2)
@@ -181,10 +140,8 @@ def test_bmo_tie_at_the_maximum_goes_to_the_earliest_node(monkeypatch, used_bloc
     se_at = [np.std(remaining[:, k] - profile[k], ddof=1) / np.sqrt(M - 1) for k in (2, 5)]
     assert se_at[0] != se_at[1]
     assert want.value == np.sqrt(3.0) and want.std_error == se_at[0] / (2 * np.sqrt(3.0))
-    for budget in BUDGETS:
-        _set_budget(monkeypatch, budget, used_blocks)
-        assert estimate_norm("bmo", z, paths) == want, budget
-        _check_split(budget, used_blocks)
+    for (values,) in _layouts(z):
+        assert estimate_norm("bmo", values, paths) == want
 
 
 def _drivers(n, d):
@@ -197,27 +154,25 @@ def _drivers(n, d):
 
 
 @pytest.mark.parametrize("n, d, k_steps", SHAPES)
-def test_escalation_magnitude_matches_whole_array(n, d, k_steps, monkeypatch, used_blocks):
+def test_escalation_magnitude_matches_whole_array(n, d, k_steps):
     z = np.random.default_rng(30 * n + d).normal(size=(M, k_steps, n, d))
     z_nan = z.copy()
     z_nan[7, k_steps - 1, 0, 0] = np.nan
     for driver in _drivers(n, d):
         want = float(driver.magnitude(z).max())
-        for budget in BUDGETS:
-            _set_budget(monkeypatch, budget, used_blocks)
-            assert quad._max_magnitude(driver, z) == want, (driver.kind, budget)
-            assert np.isnan(quad._max_magnitude(driver, z_nan))
-            _check_split(budget, used_blocks)
+        for values, with_nan in _layouts(z, z_nan):
+            assert quad._max_magnitude(driver, values) == want, driver.kind
+            assert np.isnan(quad._max_magnitude(driver, with_nan))
 
 
 def test_prefix_matches_whole_array_cumsum():
     paths = _paths(1, k_steps=9)
     x = np.random.default_rng(4).normal(size=(M, 9, 3))
-    want = np.zeros((M, 10, 3))
-    np.cumsum(x * paths.grid.dt[None, :, None], axis=1, out=want[:, 1:])
-    assert np.array_equal(lin._prefix(paths, x, (3,)), want)
-    assert np.array_equal(lin._prefix(paths, x[..., 0], ()), want[..., 0])
-    assert not lin._prefix(paths, None, (3,)).any()
+    want = np.cumsum(x * paths.grid.dt[None, :, None], axis=1)
+    for (values,) in list(_layouts(x.copy())):         # both copies made first
+        got = lin._prefix(values, paths.grid.dt)
+        assert got is values and np.array_equal(got, want)      # in place
+    assert np.array_equal(lin._prefix(x[..., 0].copy(), paths.grid.dt), want[..., 0])
 
 
 def test_left_outer_exponential_in_place_matches_whole_arrays():
@@ -243,9 +198,10 @@ def _peak_bytes(fn) -> int:
 
 def test_diagnostics_memory_grows_by_at_most_one_node_block():
     """On a fixed solution, the residuals, the norm report and the
-    escalation check form no whole (M, K, ...) temporary: doubling K grows
-    their traced peak by at most one block budget, _NODE_BLOCK_BYTES.  At
-    K = 128 one whole (M, K, n) array is 12.3 MB, three budgets."""
+    escalation check read one node at a time and form no whole (M, K, ...)
+    temporary: doubling K grows their traced peak by at most
+    _NODE_BLOCK_BYTES, 4 MB.  At K = 128 one whole (M, K, n) array is
+    12.3 MB."""
     fld, m = triangular_3d(), 4000
     drivers = _drivers(fld.n, fld.d)
     peaks = {}
@@ -292,3 +248,116 @@ def test_shared_operator_holds_per_node_maps_and_one_basis(k_steps):
     r = math.comb(fld.d + 3, 3)                  # the monomial count bounds the rank
     assert _held_bytes(op) < (k_steps + 1) * r * r * 8 + m * r * 8
     assert sorted(op._bases) == list(range(k_steps))       # the bmo fit skips node K
+
+
+def _closure_bytes(fn) -> int:
+    """Bytes of the arrays a closure holds (a view counts its whole base)."""
+    seen, total, stack = set(), 0, [c.cell_contents for c in fn.__closure__ or ()]
+    while stack:
+        item = stack.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            total += (item if item.base is None else item.base).nbytes
+        elif isinstance(item, dict):
+            stack += item.values()
+        elif isinstance(item, (tuple, list)):
+            stack += item
+    return total
+
+
+def test_left_outer_solve_forms_no_whole_exponential():
+    """The left-outer solve reads S_k and S_k^{-1} one node at a time from
+    the rank-one factors: beyond its Y, Z and drift it holds less than one
+    (M, K+1, n, n) array, where whole S and S^{-1} arrays would be two."""
+    fld, m, k_steps = left_outer_3d(), 2000, 64
+    paths = generate_brownian(TimeGrid(1.0, k_steps), fld.d, m, seed=5)
+    paths.states                                   # the paths' own, built before tracing
+    spec = lin.LinearBsdeSpec(fld, linear_terminal("left-outer-3d"))
+    n, d = fld.n, fld.d
+    peak = _peak_bytes(lambda: lin.solve_left_outer(spec, paths))
+    solution = 8 * m * ((k_steps + 1) * n + k_steps * n * d + k_steps * n)
+    assert peak - solution < 8 * m * (k_steps + 1) * n * n, (peak, solution)
+
+
+def test_triangular_core_holds_only_the_entries_it_reads():
+    """The triangular core keeps the diagonal coefficients (n arrays of
+    (M, K, d)), the strictly lower entries (K, M, n(n-1)/2, d) and the n
+    weights (M, K+1): no per-step list of (M, n, n, d) field values."""
+    fld, m, k_steps = triangular_3d(), 2000, 32
+    n, d = fld.n, fld.d
+    paths = generate_brownian(TimeGrid(1.0, k_steps), d, m, seed=5)
+    core = lin._triangular(fld, paths, 3)
+    kept = 8 * (m * k_steps * d * n * (n + 1) // 2 + n * m * (k_steps + 1))
+    assert _closure_bytes(core) <= kept + 4096          # and a few index arrays
+    extras = core(lin._terminal(lin.LinearBsdeSpec(
+        fld, linear_terminal("triangular-3d")), paths), None)[2]
+    assert extras == {}                                 # `_finish` forms the drift
+
+
+def test_picard_pass_forms_no_whole_temporary(monkeypatch):
+    """Beyond its own buffers (Y^m, the inhomogeneity, and the pass's Y and
+    Z), a Picard pass forms no whole (M, K+1, n) temporary: the residual is
+    taken in the spent buffer of Y^m and the inhomogeneity is refilled in
+    place.  The core here returns fixed arrays, so only the loop is traced."""
+    fld, m, k_steps = triangular_3d(), 4000, 64
+    n, d = fld.n, fld.d
+    paths = generate_brownian(TimeGrid(1.0, k_steps), d, m, seed=5)
+    paths.states
+    spec = lin.LinearBsdeSpec(
+        fld, linear_terminal("triangular-3d"),
+        alpha=lambda p, k: np.broadcast_to(0.1 * np.eye(n), (p.paths, n, n)),
+        delta_field=constant_field(np.full((n, n, d), 0.05)))
+    rng = np.random.default_rng(1)
+    y, z = rng.normal(size=(m, k_steps + 1, n)), rng.normal(size=(m, k_steps, n, d))
+    drift = rng.normal(size=(m, k_steps, n))
+
+    def fixed(fld, paths, degree):
+        return lambda xi, beta: (y.copy(), z.copy(), {"drift": drift})
+    monkeypatch.setitem(lin._METHODS, "fixed", ("fixed", fixed))
+    sols = []
+    peak = _peak_bytes(lambda: sols.append(lin.solve_perturbed(spec, paths, base="fixed")))
+    assert sols[0].diagnostics["picard_iterations"] == 2
+    buffers = 8 * m * (2 * (k_steps + 1) * n + k_steps * n * d + k_steps * n + n)
+    assert peak - buffers < 8 * m * (k_steps + 1) * n, (peak, buffers)
+
+
+# -- (c) the n = 1 byte rule -------------------------------------------------
+
+def test_scalar_solution_means_add_the_paths_in_order(tmp_path):
+    """At n = 1 each node of a node-major solution holds one entry per path,
+    which numpy would sum pairwise.  solution.csv's means, y0_mean and
+    batch_y0 keep the bits of the path-major reductions: the means add the
+    paths in order (each path's row holds K+1 entries), while y0_mean and
+    batch_y0 reduce a one-entry slice, pairwise, in either layout."""
+    cfg = {"driver": "cole-hopf-1d", "T": 1.0, "K": 8, "M": 3000, "seed": 3}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main(["solve-quadratic", "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(out)]) == 0
+    drv, term = cole_hopf_1d(), quadratic_terminal("cole-hopf-1d")
+    grid = TimeGrid(cfg["T"], cfg["K"])
+    paths = generate_brownian(grid, 1, cfg["M"], cfg["seed"])
+    sol = quad.solve_quadratic(drv, term, paths).solution
+    y, z = np.ascontiguousarray(sol.y), np.ascontiguousarray(sol.z)     # path-major copies
+    table = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1)
+    assert table[:, 1].tobytes() == y.mean(axis=0)[:, 0].tobytes()
+    assert table[:-1, 2].tobytes() == z.mean(axis=0).reshape(-1).tobytes()
+    # at this size a pairwise sum over the paths of each node moves the means
+    for x in (y, z):
+        node_rows = np.ascontiguousarray(x.swapaxes(0, 1))
+        assert not np.array_equal(node_rows.mean(axis=1), x.mean(axis=0))
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["results"]["y0_mean"] == [float(y[:, 0].mean(axis=0)[0])]
+
+    want = []
+
+    def solver(spec, sub):
+        part = quad.solve_quadratic(drv, term, sub).solution
+        want.append(np.ascontiguousarray(part.y)[:, 0].mean(axis=0))
+        return part
+    mean, se = lin.batch_y0(solver, None, paths)
+    want = np.stack(want)
+    assert mean.tobytes() == want.mean(axis=0).tobytes()
+    assert se.tobytes() == (want.std(axis=0, ddof=1) / np.sqrt(8)).tobytes()

@@ -294,10 +294,10 @@ def test_shared_operator_builds_each_basis_once(monkeypatch):
     assert columns[-1] == 3 and len(columns) == built + 1     # degree 2 in d = 1
 
 
-def test_backward_cores_return_contiguous_path_major_arrays():
-    # Both cores work node-major; callers (and the path means of every
-    # diagnostic, whose summation order follows the layout) get C-contiguous
-    # path-major arrays.
+def test_backward_cores_return_node_major_views():
+    # Both cores work node-major and return path-major views of their
+    # node-major buffers: no solution is copied between layouts, and each
+    # node slice is contiguous.
     from bsde_lab.linear import _backward, _represent
     paths = generate_brownian(TimeGrid(1.0, 4), 2, 200, seed=3)
     m, ksteps, n, d = paths.paths, paths.grid.steps, 3, paths.d
@@ -307,16 +307,19 @@ def test_backward_cores_return_contiguous_path_major_arrays():
         drift = z_k.sum(axis=-1)
         return ey + drift * paths.grid.dt[k], drift
 
+    def node_major(arr, shape):
+        return (arr.shape == shape and arr.swapaxes(0, 1).flags.c_contiguous
+                and all(arr[:, k].flags.c_contiguous for k in range(shape[1])))
+
     y, z, drift = _backward(paths, 3, terminal, step)
     for arr, shape in ((y, (m, ksteps + 1, n)), (z, (m, ksteps, n, d)),
                        (drift, (m, ksteps, n))):
-        assert arr.shape == shape and arr.flags.c_contiguous
+        assert node_major(arr, shape)
     np.testing.assert_array_equal(y[:, ksteps], terminal)
     for h in (terminal[:, 0], terminal):
         n_fit, z_tilde = _represent(paths, 3, h)
-        assert n_fit.shape == (m, ksteps + 1) + h.shape[1:] and n_fit.flags.c_contiguous
-        assert z_tilde.shape == (m, ksteps) + h.shape[1:] + (d,)
-        assert z_tilde.flags.c_contiguous
+        assert node_major(n_fit, (m, ksteps + 1) + h.shape[1:])
+        assert node_major(z_tilde, (m, ksteps) + h.shape[1:] + (d,))
         np.testing.assert_array_equal(n_fit[:, ksteps], h)
 
 
@@ -435,10 +438,12 @@ def test_perturbed_loop_matches_per_pass_public_solver(small_paths, instance, ba
 
 def test_perturbed_evaluates_base_field_once_per_step(small_paths):
     # The reductions form their field values once per solve, and `_finish`
-    # forms the drift once: no count grows with the number of passes.
+    # forms the drift once: no count grows with the number of passes.  The
+    # triangular core keeps only the entries it reads, so `_finish`
+    # evaluates its field a second time, for the drift.
     ksteps = small_paths.grid.steps
-    for instance, names in (("right-outer-3d", ("values", "a_values")),
-                            ("triangular-3d", ("values",))):
+    for instance, names, per_step in (("right-outer-3d", ("values", "a_values"), 1),
+                                      ("triangular-3d", ("values",), 2)):
         passes_seen = set()
         for tol in (1e-2, 1e-6, 1e-9):
             spec = _perturbed_spec(instance)
@@ -452,7 +457,7 @@ def test_perturbed_evaluates_base_field_once_per_step(small_paths):
                 setattr(fld, name, counted)
             sol = solve_perturbed(spec, small_paths, tol=tol)
             passes_seen.add(sol.diagnostics["picard_iterations"])
-            assert calls == dict.fromkeys(names, ksteps), instance
+            assert calls == dict.fromkeys(names, per_step * ksteps), instance
         assert len(passes_seen) == 3, instance
 
 
@@ -516,11 +521,13 @@ def test_solver_diagnostics_match_recomputed_drift(small_paths, instance, solver
     sol = solver(LinearBsdeSpec(fld, linear_terminal(instance), beta=beta_fn), paths)
     assert set(sol.diagnostics) == {"moment_residual", "moment_db_residual",
                                     "terminal_mismatch"} | keys
+    # the whole-array expressions on path-major copies of the solution
+    y, z = np.ascontiguousarray(sol.y), np.ascontiguousarray(sol.z)
     beta = np.stack([beta_fn(paths, k) for k in range(paths.grid.steps)], axis=1)
-    drift = np.stack([contract_az(fld.values(paths, k), sol.z[:, k])
+    drift = np.stack([contract_az(fld.values(paths, k), z[:, k])
                       for k in range(paths.grid.steps)], axis=1)
     drift += beta
-    mean_r, mean_rdb = _moment_residuals(paths, sol.y, sol.z, drift)
+    mean_r, mean_rdb = _moment_residuals(paths, y, z, drift)
     assert sol.diagnostics["moment_residual"] == mean_r
     assert sol.diagnostics["moment_db_residual"] == mean_rdb
     mismatch = sol.diagnostics["terminal_mismatch"]
@@ -529,9 +536,9 @@ def test_solver_diagnostics_match_recomputed_drift(small_paths, instance, solver
     else:
         assert mismatch == 0.0
     if "scalar_v" in keys:
-        v = sol.diagnostics["scalar_v"]
+        v = np.ascontiguousarray(sol.diagnostics["scalar_v"])
         assert sol.diagnostics["outer_identity_residual"] == float(
-            np.abs(np.einsum("j,mkjd->mkd", fld.b, sol.z) - v).mean())
+            np.abs(np.einsum("j,mkjd->mkd", fld.b, z) - v).mean())
     if "scheme" in keys:
         assert sol.diagnostics["scheme"] == "closed_form"
 

@@ -149,6 +149,23 @@ def test_compare_outputs_pins_the_malloc_threshold_of_its_children(tmp_path, mon
     assert [e["MALLOC_MMAP_THRESHOLD_"] for e in seen] == ["131072"]
 
 
+def test_peak_probe_names_the_package_frames_at_the_peak(capsys):
+    spec = importlib.util.spec_from_file_location("peak_probe", ROOT / "tools" / "peak_probe.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.main(["--workload", "backward", "--seed", "3", "--case", "linear-left-outer",
+                      "--set", "M=300", "--set", "K=4", "--depth", "3"]) == 0
+    head, *frames = capsys.readouterr().out.splitlines()
+    assert head.startswith("linear-left-outer: traced peak ") and head.endswith(" MB")
+    assert float(head.split()[3]) > 0
+    modules = {path.name for path in (ROOT / "src" / "bsde_lab").glob("*.py")}
+    assert 1 <= len(frames) <= 3
+    for frame in frames:                       # "module.py:line function", innermost first
+        where, function = frame.split()
+        module, line = where.split(":")
+        assert module in modules and int(line) > 0 and function.isidentifier(), frame
+
+
 def _bench_python(*args, cwd):
     """Run python with the package and the bench harness importable."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")]))
