@@ -5,9 +5,12 @@ Streams are derived from a Philox counter-based generator: path block b uses
 how work is partitioned across threads.  Fixed block size keeps regeneration
 bit-identical for any thread count.
 
-The block rule of every streamed forward reader lives here, beside the
+The one block rule of every streamed forward reader lives here, beside the
 states streamed in node blocks (`PathEnsemble.state_blocks`): each producer
-iterates `_step_blocks` or `node_blocks` itself and pushes what it forms.
+iterates `_step_blocks` itself and pushes the node-major blocks it forms.
+So does the one sum over the paths (`_path_sum`) by which the forward and
+backward diagnostics reduce node-major blocks to the bits of the path-major
+whole-array reductions.
 """
 
 from __future__ import annotations
@@ -23,11 +26,9 @@ from .grids import ConfigurationError, TimeGrid
 # it changes the sampled numbers, so it is a constant, not a knob.
 _BLOCK = 1 << 14
 
-# Working-memory budget of one block of grid nodes in the forward diagnostics.
-_NODE_BLOCK_BYTES = 4 << 20
-
-# Budget of each node-major Euler block, reverse-Holder ratio block and stop
-# scan block.
+# Budget of each node-major block of the forward layer: the Euler pass and
+# the martingale defect it feeds, the Emery closed form, the reverse-Holder
+# ratios and the stop scan.
 _STEP_BLOCK_BYTES = 1 << 18
 
 
@@ -37,21 +38,19 @@ def _step_blocks(nodes: int, node_bytes: int) -> list:
     return [(lo, min(lo + step, nodes)) for lo in range(0, nodes, step)]
 
 
-def node_blocks(nodes: int, node_bytes: int, node_entries: int) -> list:
-    """(lo, hi) ranges covering `nodes` grid nodes, about _NODE_BLOCK_BYTES each.
-
-    node_bytes is the size of one node's slice of the block's largest array.
-    Every statistic is per node and an axis-0 reduction adds the paths in
-    order, so results do not depend on the blocks, with one exception: numpy
-    sums a reduction whose rows hold a single entry pairwise, not in path
-    order.  Blocks therefore hold at least two entries per path, where a node
-    holds `node_entries` of them.
-    """
-    step = max(1, _NODE_BLOCK_BYTES // max(node_bytes, 1), -(-2 // node_entries))
-    bounds = list(range(0, nodes, step)) + [nodes]
-    if len(bounds) > 2 and (bounds[-1] - bounds[-2]) * node_entries < 2:
-        del bounds[-2]
-    return list(zip(bounds[:-1], bounds[1:]))
+def _path_sum(x: np.ndarray, row: int) -> np.ndarray:
+    """The sum over the paths of a node-major block x (nodes, M, ...), bit for
+    bit the axis-0 sum of the path-major (M, ...) array whose path rows hold
+    `row` entries: numpy adds the paths in order where a node holds two or
+    more entries per path and pairwise where it holds one, so such a block
+    takes the running sum, unless the whole rows hold one entry too.  The
+    in-order sum is an einsum: the order of x.sum(axis=1), at a fraction of
+    its cost per path where a node holds a few entries."""
+    if x[0, 0].size >= 2:
+        return np.einsum("ij...->i...", x)
+    if row >= 2:
+        return np.cumsum(x, axis=1)[:, -1]
+    return x.sum(axis=1)
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:

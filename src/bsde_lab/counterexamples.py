@@ -15,9 +15,10 @@ by exact sampling, sigma_b = b^2 J with J drawn by inverting its CDF
 
 The closed form of the stopped rotation and its defect profile share one
 block loop (`_emery_blocks`): it reads the Brownian states one node block at
-a time (`PathEnsemble.state_blocks`), forms that block of S, and pushes it
-to its reader, which stores it or reduces it at once.  So on a grid they
-hold the increments and a few node blocks, never the whole states.
+a time (`PathEnsemble.state_blocks`, over the forward layer's one block rule
+`_step_blocks`), forms that node-major block of S, and pushes it to its
+reader, which stores it or reduces it at once.  So on a grid they hold the
+increments and a few node blocks, never the whole states.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import cache
 
 import numpy as np
 
-from .brownian import PathEnsemble, node_blocks, substream
+from .brownian import PathEnsemble, _step_blocks, substream
 from .exponential import ExponentialEnsemble, MartingaleDefectReport, defect_profile
 from .fields import StoppedRotationField
 from .grids import ConfigurationError
@@ -52,23 +53,24 @@ def _emery_exits(paths: PathEnsemble, level: float) -> tuple:
 
 
 def _emery_blocks(paths: PathEnsemble, exits: tuple, rows, s, s_inv):
-    """Yield the closed form's path-major node blocks of S for the paths
-    `rows` (an index or a mask), over node_blocks in node order: views of
-    the whole `s` (and the same block of `s_inv` filled beside, unless
-    None), or new blocks where `s` is None.  Every entry is elementwise in
-    the path's own streamed state, so a block's bits do not depend on which
-    rows it holds.  No yielded block or temporary is kept here, so a reader
-    may drop the block before the next one is formed."""
-    stop, exit_angle, exit_time = (e[rows][:, None] for e in exits)
-    m, nodes = stop.shape[0], paths.grid.nodes
-    bounds = node_blocks(nodes.size, m * 4 * 8, 4)
+    """Yield the closed form's node-major (hi - lo, paths in rows, 2, 2)
+    blocks of S for the paths `rows` (an index or a mask), over _step_blocks
+    in node order: transposed views of the whole path-major `s` (and the same
+    block of `s_inv` filled beside, unless None), or new blocks where `s` is
+    None.  Every entry is elementwise in the path's own streamed state, so a
+    block's bits do not depend on its layout or on which rows it holds.  No
+    yielded block or temporary is kept here, so a reader may drop the block
+    before the next one is formed."""
+    stop, exit_angle, exit_time = (e[rows][None, :] for e in exits)
+    m, nodes = stop.shape[1], paths.grid.nodes
+    bounds = _step_blocks(nodes.size, m * 4 * 8)
     states = paths.state_blocks(bounds, rows)
     for lo, hi in bounds:
-        block = np.empty((m, hi - lo, 2, 2)) if s is None else s[:, lo:hi]
+        block = np.empty((hi - lo, m, 2, 2)) if s is None else s[:, lo:hi].swapaxes(0, 1)
         # state frozen at the (clamped) exit value once stopped
-        stopped = np.arange(lo, hi)[None, :] >= stop
-        angle = np.where(stopped, exit_angle, next(states)[:, :, 0])
-        scale = np.where(stopped, exit_time, nodes[None, lo:hi])  # tau ^ t
+        stopped = np.arange(lo, hi)[:, None] >= stop
+        angle = np.where(stopped, exit_angle, next(states)[:, :, 0].T)
+        scale = np.where(stopped, exit_time, nodes[lo:hi, None])  # tau ^ t
         del stopped
         scale /= 2.0
         np.exp(scale, out=scale)
@@ -80,7 +82,8 @@ def _emery_blocks(paths: PathEnsemble, exits: tuple, rows, s, s_inv):
         np.negative(block[..., 0, 1], out=block[..., 1, 0])
         if s_inv is not None:
             np.square(scale, out=scale)
-            np.divide(np.swapaxes(block, -1, -2), scale[..., None, None], out=s_inv[:, lo:hi])
+            np.divide(np.swapaxes(block, -1, -2), scale[..., None, None],
+                      out=s_inv[:, lo:hi].swapaxes(0, 1))
         del angle, scale
         yield block
         del block
@@ -96,8 +99,8 @@ def emery_closed_form(paths: PathEnsemble, level: float = np.pi / 2,
     matrix.  With `inverse`, S^{-1} = exp(-(tau ^ t)) S^T is filled in closed
     form as well.  Paths that never exit within the grid horizon are flagged
     (truncation bias), not dropped.  The arrays are filled one node block at
-    a time by `_emery_blocks`, the loop that `emery_defect_profile` streams
-    without storing S.
+    a time by `_emery_blocks`, through transposed views of its node-major
+    blocks: the loop that `emery_defect_profile` streams without storing S.
     """
     exits = _emery_exits(paths, level)
     m, k1 = paths.paths, paths.grid.steps + 1

@@ -6,8 +6,9 @@ and A dB once per step for both (never by per-step matrix inversion).  It
 reads A_k from a stream: the field along an ensemble, or along the
 restarted inner paths of the nested R_p, which reads S_T alone.  Along an
 ensemble it keeps only what its caller reads (`simulate_exponential`).
-The martingale defect reduces the node blocks of S that a producer pushes
-to it: a stored ensemble, the Euler pass as it runs, or a closed form.
+The martingale defect reduces the node-major blocks of S that a producer
+pushes to it: a stored ensemble, the Euler pass's own finished blocks as it
+runs, or a closed form, all over the one block rule `_step_blocks`.
 Diagnostics cover reverse Holder constants, the martingale defect and the
 Doob-maximal comparison.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .brownian import (_BLOCK, PathEnsemble, _step_blocks, block_increments, node_blocks,
+from .brownian import (_BLOCK, PathEnsemble, _path_sum, _step_blocks, block_increments,
                        substream)
 from .fields import CoefficientField
 from .grids import TimeGrid
@@ -78,19 +79,15 @@ class ExponentialEnsemble:
         return self.kept("residual", "the inverse residual profile")
 
 
-def _residual_means(s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Mean over paths of |S X - I| per node of node-major (nodes, paths, n, n)
-    blocks of S and X.
-
-    The paths are added in order, by a running sum along them: a plain mean
-    over a contiguous path axis would add them pairwise, and then the bits
-    would depend on how the nodes were blocked.
+def _residual_means(s: np.ndarray, x: np.ndarray, nodes: int) -> np.ndarray:
+    """Mean over paths of |S X - I| per node of node-major (block nodes, paths,
+    n, n) blocks of S and X, on a grid of `nodes` nodes: added by `_path_sum`,
+    so the bits are those of the mean over a path-major (paths, nodes) array.
     """
     prod = s @ x
     idx = np.arange(s.shape[-1])
     prod[..., idx, idx] -= 1.0
-    norms = operator_norm(prod)
-    return np.cumsum(norms, axis=1)[:, -1] / norms.shape[1]
+    return _path_sum(operator_norm(prod), nodes) / s.shape[1]
 
 
 def integrate_exponential(field: CoefficientField, paths: PathEnsemble) -> np.ndarray:
@@ -171,31 +168,6 @@ def _euler_pass(values, inc: np.ndarray, dt: np.ndarray, n: int, *, s: bool, inv
             w[0] = w[hi - lo]
 
 
-def _path_major_blocks(blocks, keep: np.ndarray, n: int, nodes: int):
-    """defect_profile's blocks of S for the paths `keep`, gathered from the
-    stream `blocks` of (lo, hi, node-major S, ...) over `nodes` nodes that
-    `_euler_pass` yields: the stream's nodes, transposed into each new node
-    block, give the blocks of a stored S bit for bit.  The node-major blocks
-    are not reduced themselves: numpy would add a contiguous path axis
-    pairwise (n = 1), not in path order."""
-    rows = int(keep.sum())
-    c_lo = c_hi = 0
-    for lo, hi in node_blocks(nodes, rows * n * n * 8, n * n):
-        out = np.empty((rows, hi - lo, n, n))
-        pos = lo
-        while pos < hi:
-            if pos == c_hi:
-                c_lo, c_hi, block = next(blocks)[:3]
-            top = min(hi, c_hi)
-            part = block[pos - c_lo:top - c_lo]
-            if rows < len(keep):
-                part = part[:, keep]
-            out[:, pos - lo:top - lo] = part.swapaxes(0, 1)
-            pos = top
-        yield out
-        del out   # the reduction drops it before the next block is formed
-
-
 # What a caller of simulate_exponential may read from its ensemble.
 _READS = ("s", "s_inv", "s_terminal", "residual", "defect")
 
@@ -210,14 +182,14 @@ def simulate_exponential(field: CoefficientField, paths: PathEnsemble,
       - "s_terminal": S_T alone, (M, n, n);
       - "residual": the mean of |S_k X_k - I| per node, measured on each
         finished block (X is integrated, not kept);
-      - "defect": `martingale_defect`'s report, reduced from the finished
-        blocks through `defect_profile`.
+      - "defect": `martingale_defect`'s report, which `defect_profile`
+        reduces from the pass's own finished blocks.
     `bad_paths` is always set.  X is integrated only for "s_inv" and
     "residual", and with nothing to read no pass runs.  The defect leaves
     out the bad paths, which are known only at the end of the pass: if there
-    are any, S is integrated once more and reduced over the kept paths.  A
-    path's S depends only on its own increments, so the bits are those of
-    the stored S.
+    are any, S is integrated once more and each block is reduced over the
+    kept paths, s[:, keep].  A path's S depends only on its own increments,
+    so the bits are those of the stored S.
     """
     reads = set(reads)
     if reads - set(_READS):
@@ -238,7 +210,7 @@ def simulate_exponential(field: CoefficientField, paths: PathEnsemble,
         for lo, hi, s, x in _ensemble_pass(field, paths, s=True, inverse=inverse):
             bad[:] |= ~np.isfinite(s).all(axis=(0, 2, 3))
             if resid is not None and lo:
-                resid[lo:hi] = _residual_means(s, x)
+                resid[lo:hi] = _residual_means(s, x, k1)
             for name, block in (("s", s), ("s_inv", x)):
                 if name in stored:
                     stored[name][:, lo:hi] = block.swapaxes(0, 1)
@@ -249,14 +221,13 @@ def simulate_exponential(field: CoefficientField, paths: PathEnsemble,
     blocks = finished()
     defect = None
     if "defect" in reads:
-        every = np.ones(m, dtype=bool)
-        defect = defect_profile(every, n, k1, _path_major_blocks(blocks, every, n, k1))
+        defect = defect_profile(np.ones(m, dtype=bool), n, k1, (s for _, _, s in blocks))
     for _ in blocks:   # the rest of the pass, where no defect drove it
         pass
     if defect is not None and bad.any():
         keep = ~bad
-        defect = defect_profile(keep, n, k1, _path_major_blocks(
-            _ensemble_pass(field, paths, s=True, inverse=False), keep, n, k1))
+        defect = defect_profile(keep, n, k1, (s[:, keep] for _, _, s, _ in _ensemble_pass(
+            field, paths, s=True, inverse=False)))
     return ExponentialEnsemble(field, paths, stored.get("s"), stored.get("s_inv"),
                                bad_paths=bad, residual=resid, s_terminal=terminal,
                                defect=defect)
@@ -431,53 +402,56 @@ def martingale_defect(expo: ExponentialEnsemble) -> MartingaleDefectReport:
     s = expo.kept("s", "martingale_defect")
     keep = ~expo.bad_paths
     n, nodes = expo.n, s.shape[1]
-    # boolean indexing: a private copy of each block
-    return defect_profile(keep, n, nodes, (s[keep, lo:hi] for lo, hi in node_blocks(
-        nodes, int(keep.sum()) * n * n * 8, n * n)))
+    return defect_profile(keep, n, nodes, (s[keep, lo:hi].swapaxes(0, 1) for lo, hi in
+                                           _step_blocks(nodes, s[:, 0].nbytes)))
 
 
 def defect_profile(keep: np.ndarray, n: int, nodes: int, blocks) -> MartingaleDefectReport:
     """martingale_defect of the paths `keep`, from S one node block at a time.
 
-    `blocks` yields the path-major (kept paths, hi - lo, n, n) blocks of S
-    at nodes lo <= k < hi over node_blocks(nodes, kept paths * n * n * 8,
-    n * n), in node order, each a private copy that the reduction
-    overwrites.  Their producer pushes them: a stored ensemble
-    (`martingale_defect`), the Euler pass as it runs (`_path_major_blocks`),
-    or a closed form that never stores S (the Emery profile).
+    `blocks` yields node-major (hi - lo, kept paths, n, n) blocks of S at
+    nodes lo <= k < hi, in node order over all `nodes` nodes.  Their producer
+    pushes them, each over `_step_blocks`: a stored ensemble
+    (`martingale_defect`), the Euler pass's own finished blocks as it runs
+    (`simulate_exponential`), or a closed form that never stores S (the Emery
+    profile).  A block is read, never written: the deviations of the
+    variance are formed in one scratch copy.  Every sum over the paths is
+    `_path_sum` and every other step is taken node by node, so the bits are
+    those of the whole-array mean and std of the kept path-major S, while
+    only per-node scalars are kept.
     """
     m = int(keep.sum())
     if m == 0:
         raise ValueError("no finite paths in the ensemble")
-    mean = np.empty((nodes, n, n))
-    se = np.empty((nodes, n, n))
-    group = np.empty(nodes)
-    eye = np.eye(n)
-    parts = np.array_split(np.arange(m), min(8, m))
+    defect, std_error, diag, diag_se, group = (np.empty(nodes) for _ in range(5))
+    eye, idx = np.eye(n), np.arange(n)
+    row = nodes * n * n   # entries per path of the path-major S
+    # every path, then 8 groups of them
+    parts = [slice(0, m)] + [slice(g[0], g[-1] + 1)
+                             for g in np.array_split(np.arange(m), min(8, m))]
+    work = np.empty((0, m, n, n))
     lo = 0
     for s in blocks:
-        hi = lo + s.shape[1]
-        mean[lo:hi] = s.mean(axis=0)
-        # one norm for every group: it is taken matrix by matrix
-        group[lo:hi] = np.median(operator_norm(
-            np.stack([s[g].mean(axis=0) for g in parts]) - eye), axis=0)
-        # s.std(axis=0, ddof=1) step for step, in place on the copy
-        s -= mean[lo:hi]
-        s *= s
-        se[lo:hi] = np.sqrt(s.sum(axis=0) / (m - 1)) / np.sqrt(m)
+        hi = lo + len(s)
+        means = np.stack([_path_sum(s[:, g], row) / (g.stop - g.start) for g in parts])
+        # one norm for every mean: it is taken matrix by matrix
+        norms = operator_norm(means - eye)
+        defect[lo:hi] = norms[0]
+        group[lo:hi] = np.median(norms[1:], axis=0)
+        mean = means[0]
+        if len(work) < len(s):
+            work = np.empty_like(s)
+        # s.std(axis=0, ddof=1) step for step, in the scratch copy
+        dev = np.subtract(s, mean[:, None], out=work[:len(s)])
+        dev *= dev
+        se = np.sqrt(_path_sum(dev, row) / (m - 1)) / np.sqrt(m)
+        std_error[lo:hi] = np.sqrt((se**2).sum(axis=(1, 2)))
+        gap = np.abs(mean[:, idx, idx] - 1.0)
+        which, rows = gap.argmax(axis=1), np.arange(hi - lo)
+        diag[lo:hi] = gap[rows, which]
+        diag_se[lo:hi] = se[:, idx, idx][rows, which]
         lo = hi
-        del s   # before the next block is formed
-    idx = np.arange(n)
-    diag_gap = np.abs(mean[:, idx, idx] - 1.0)
-    which = diag_gap.argmax(axis=1)
-    rows = np.arange(nodes)
-    return MartingaleDefectReport(
-        defect=operator_norm(mean - eye),
-        std_error=np.sqrt((se**2).sum(axis=(1, 2))),
-        diagonal_defect=diag_gap[rows, which],
-        diagonal_std_error=se[:, idx, idx][rows, which],
-        group_defect=group,
-    )
+    return MartingaleDefectReport(defect, std_error, diag, diag_se, group)
 
 
 def doob_sup_check(expo: ExponentialEnsemble, p: float, degree: int = 3) -> dict:

@@ -23,7 +23,7 @@ per-solve work once, then returns a core that takes the terminal (M, n) and
 the inhomogeneity (M, K, n), formed once per solve, and holds only what a
 later step reads.  The diagnostics after a solve read one node at a time and
 add the paths in the order of the path-major whole-array reductions
-(`_path_sum`), so no output depends on the layout.
+(`brownian._path_sum`), so no output depends on the layout.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .brownian import PathEnsemble
+from .brownian import PathEnsemble, _path_sum
 from .exponential import ExponentialEnsemble, martingale_defect, simulate_exponential
 from .fields import CoefficientField, LeftOuterField, RightOuterField
 from .grids import ConfigurationError
@@ -97,20 +97,11 @@ def _by_node(m: int, nodes: int, tail: tuple, make=np.empty) -> np.ndarray:
     return make((nodes, m) + tail).swapaxes(0, 1)
 
 
-def _path_sum(x: np.ndarray, row: int) -> np.ndarray:
-    """The axis-0 sum of a node slice x (M, ...) of a path-major array whose
-    path rows hold `row` entries, bit for bit that array's own: numpy adds
-    paths in order where a slice holds two or more entries per path and
-    pairwise where it holds one, so such a slice takes the running sum."""
-    if x[0].size < 2 <= row:
-        return np.cumsum(x, axis=0)[-1]
-    return x.sum(axis=0)
-
-
 def path_means(x: np.ndarray) -> np.ndarray:
     """Path means of x (M, nodes, ...) at each node, shape (nodes, ...), one
     node at a time: the bits of x.mean(axis=0) on a path-major copy of x."""
-    return np.stack([_path_sum(x[:, k], x[0].size) for k in range(x.shape[1])]) / x.shape[0]
+    return np.concatenate([_path_sum(x[None, :, k], x[0].size)
+                           for k in range(x.shape[1])]) / x.shape[0]
 
 
 def _per_step(fn, paths: PathEnsemble) -> np.ndarray:
@@ -223,8 +214,8 @@ def _martingale_residuals(paths: PathEnsemble, y: np.ndarray, z: np.ndarray,
         r = y[:, k] - y[:, k + 1]
         r -= drift[:, k] * dt[k]
         r += np.einsum("mjd,md->mj", z[:, k], inc[:, k])
-        sum_r[k] = _path_sum(r, ksteps * n)
-        sum_rdb[k] = _path_sum(np.einsum("mj,md->mjd", r, inc[:, k]), ksteps * n * d)
+        sum_r[k] = _path_sum(r[None], ksteps * n)[0]
+        sum_rdb[k] = _path_sum(np.einsum("mj,md->mjd", r, inc[:, k])[None], ksteps * n * d)[0]
     return {"moment_residual": float(np.abs(sum_r / m).max()),
             "moment_db_residual": float(np.abs(sum_rdb / m).max() / dt.min())}
 

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from bsde_lab import TimeGrid, generate_brownian
-from bsde_lab import brownian as br
 from bsde_lab import cli
 from bsde_lab import linear as lin
 from bsde_lab import norms
@@ -199,9 +198,8 @@ def _peak_bytes(fn) -> int:
 def test_diagnostics_memory_grows_by_at_most_one_node_block():
     """On a fixed solution, the residuals, the norm report and the
     escalation check read one node at a time and form no whole (M, K, ...)
-    temporary: doubling K grows their traced peak by at most
-    _NODE_BLOCK_BYTES, 4 MB.  At K = 128 one whole (M, K, n) array is
-    12.3 MB."""
+    temporary: doubling K grows their traced peak by at most 4 MiB.  At
+    K = 128 one whole (M, K, n) array is 12.3 MB."""
     fld, m = triangular_3d(), 4000
     drivers = _drivers(fld.n, fld.d)
     peaks = {}
@@ -217,8 +215,8 @@ def test_diagnostics_memory_grows_by_at_most_one_node_block():
                 quad._max_magnitude(driver, z)
         peaks[k_steps] = _peak_bytes(diagnose)
         del paths, y, z, extras
-    assert peaks[128] - peaks[64] <= br._NODE_BLOCK_BYTES, peaks
-    assert peaks[128] < 2 * br._NODE_BLOCK_BYTES, peaks
+    assert peaks[128] - peaks[64] <= 4 << 20, peaks
+    assert peaks[128] < 2 * (4 << 20), peaks
 
 
 def _held_bytes(op) -> int:

@@ -139,7 +139,7 @@ def test_fused_integration_matches_two_loop_reference(name, inverse, monkeypatch
     if name == "blow-up":
         assert 0 < bad_ref.sum() < paths.paths
     for budget in _budgets(paths.paths, field.n) + [br._STEP_BLOCK_BYTES, 1 << 30]:
-        _set_budget(monkeypatch, "_STEP_BLOCK_BYTES", budget, paths.grid.steps,
+        _set_budget(monkeypatch, budget, paths.grid.steps,
                     paths.paths * field.n ** 2 * 8)
         expo = simulate_exponential(field, paths, reads=_reads(inverse))
         assert np.array_equal(expo.s, s_ref, equal_nan=True), budget
@@ -172,7 +172,7 @@ def test_blocked_reverse_holder_matches_per_node(name, inverse, monkeypatch):
         with pytest.raises(ValueError, match="'s_inv' in reads"):
             ex.doob_sup_check(ensembles[1], 2.0)
     for budget in _budgets(paths.paths, field.n) + [br._STEP_BLOCK_BYTES]:
-        _set_budget(monkeypatch, "_STEP_BLOCK_BYTES", budget, paths.grid.steps,
+        _set_budget(monkeypatch, budget, paths.grid.steps,
                     paths.paths * field.n ** 2 * 8)
         for expo in ensembles:
             rep = ex.estimate_reverse_holder(expo, 2.0)
@@ -198,7 +198,7 @@ def test_regression_rp_reads_the_inverse_the_ensemble_keeps(closed_form, monkeyp
     euler, _ = _rp_reference(simulate_exponential(expo.field, expo.paths), 2.0)
     assert not np.array_equal(profile, euler)
     for budget in _budgets(expo.paths.paths, expo.n) + [br._STEP_BLOCK_BYTES]:
-        _set_budget(monkeypatch, "_STEP_BLOCK_BYTES", budget, expo.paths.grid.steps,
+        _set_budget(monkeypatch, budget, expo.paths.grid.steps,
                     expo.paths.paths * expo.n ** 2 * 8)
         rep = ex.estimate_reverse_holder(expo, 2.0)
         assert np.array_equal(rep.profile, profile), budget
@@ -229,20 +229,17 @@ def _budgets(rows: int, n: int) -> list:
     return [1, 4 * rows * n * n * 8]
 
 
-def _set_budget(monkeypatch, name: str, budget: int, nodes: int, node_bytes: int,
-                entries: int = 1) -> None:
-    """Set the block budget `name` in `brownian`, where the block rule that
+def _set_budget(monkeypatch, budget: int, nodes: int, node_bytes: int) -> None:
+    """Set _STEP_BLOCK_BYTES in `brownian`, where the one block rule that
     every streamed reader calls reads it.  The smallest budget a test sets,
-    one byte, must split its `nodes` nodes of `node_bytes` each into more
-    than one block, of at most three nodes (two per block, and a one-node
-    remainder merged): a budget set where the rule does not read it (in
+    one byte, must split its `nodes` nodes of `node_bytes` each into
+    one-node blocks: a budget set where the rule does not read it (in
     another module, or on a copy imported by value) leaves the default
     blocks, and then the test would pass without testing the blocking."""
-    monkeypatch.setattr(br, name, budget)
+    monkeypatch.setattr(br, "_STEP_BLOCK_BYTES", budget)
     if budget == 1:
-        blocks = (br._step_blocks(nodes, node_bytes) if name == "_STEP_BLOCK_BYTES"
-                  else br.node_blocks(nodes, node_bytes, entries))
-        assert len(blocks) > 1 and max(hi - lo for lo, hi in blocks) <= 3, (name, blocks)
+        blocks = br._step_blocks(nodes, node_bytes)
+        assert len(blocks) == nodes and max(hi - lo for lo, hi in blocks) == 1, blocks
 
 
 @pytest.mark.parametrize("name", ["scalar-half", "triangular-3d", "emery-closed-form",
@@ -254,8 +251,8 @@ def test_blocked_defect_and_residual_match_whole_arrays(ensembles, name, monkeyp
     ref_defect = _defect_reference(expo)
     kept = int((~expo.bad_paths).sum())
     for budget in _budgets(kept, expo.n) + _budgets(expo.paths.paths, expo.n):
-        _set_budget(monkeypatch, "_NODE_BLOCK_BYTES", budget, expo.paths.grid.steps + 1,
-                    kept * expo.n ** 2 * 8, expo.n ** 2)
+        _set_budget(monkeypatch, budget, expo.paths.grid.steps + 1,
+                    expo.paths.paths * expo.n ** 2 * 8)
         rep = martingale_defect(expo)
         for key, want in ref_defect.items():
             assert np.array_equal(getattr(rep, key), want), (budget, key)
@@ -270,7 +267,7 @@ def test_blocked_emery_closed_form_matches_whole_arrays(monkeypatch):
     s_ref, inv_ref, bad_ref = _emery_reference(paths, 0.8)
     assert 0 < bad_ref.sum() < paths.paths
     for budget in _budgets(paths.paths, 2):
-        _set_budget(monkeypatch, "_NODE_BLOCK_BYTES", budget, K + 1, paths.paths * 32, 4)
+        _set_budget(monkeypatch, budget, K + 1, paths.paths * 32)
         expo = emery_closed_form(paths, 0.8)
         assert np.array_equal(expo.s, s_ref)
         assert np.array_equal(expo.s_inv, inv_ref)
@@ -285,8 +282,8 @@ def test_streamed_emery_profile_matches_closed_form_defect(level, horizon, monke
     kept = int((~expo.bad_paths).sum())
     assert 0 < kept < paths.paths
     want = _defect_reference(expo)
-    for budget in _budgets(kept, 2) + [br._NODE_BLOCK_BYTES]:
-        _set_budget(monkeypatch, "_NODE_BLOCK_BYTES", budget, K + 1, kept * 32, 4)
+    for budget in _budgets(kept, 2) + [br._STEP_BLOCK_BYTES]:
+        _set_budget(monkeypatch, budget, K + 1, kept * 32)
         rep = emery_defect_profile(paths, level)
         for key, ref in want.items():
             assert np.array_equal(getattr(rep, key), ref), (budget, key)
@@ -302,7 +299,7 @@ def test_in_pass_residual_matches_whole_arrays(name, inverse, monkeypatch):
     if name == "blow-up":
         assert np.isnan(want).any()
     for budget in _budgets(paths.paths, field.n) + [br._STEP_BLOCK_BYTES]:
-        _set_budget(monkeypatch, "_STEP_BLOCK_BYTES", budget, paths.grid.steps,
+        _set_budget(monkeypatch, budget, paths.grid.steps,
                     paths.paths * field.n ** 2 * 8)
         expo = simulate_exponential(field, paths, reads=_reads(inverse) + ("residual",))
         assert np.array_equal(expo.inverse_residual_profile(), want, equal_nan=True), budget
@@ -323,21 +320,16 @@ def test_in_pass_defect_matches_whole_arrays(name, monkeypatch):
     kept = int((~full.bad_paths).sum())
     if name == "blow-up":
         assert 0 < kept < paths.paths
-    steps = _budgets(paths.paths, field.n) + [br._STEP_BLOCK_BYTES]
-    nodes = _budgets(kept, field.n) + _budgets(paths.paths, field.n) + [br._NODE_BLOCK_BYTES]
-    node_bytes = field.n ** 2 * 8
-    for step in steps:
-        for node in nodes:
-            _set_budget(monkeypatch, "_STEP_BLOCK_BYTES", step, paths.grid.steps,
-                        paths.paths * node_bytes)
-            _set_budget(monkeypatch, "_NODE_BLOCK_BYTES", node, paths.grid.steps + 1,
-                        kept * node_bytes, field.n ** 2)
-            expo = simulate_exponential(field, paths, reads=("defect",))
-            assert expo.s is None and expo.s_inv is None
-            assert np.array_equal(expo.bad_paths, full.bad_paths), (step, node)
-            rep = martingale_defect(expo)
-            for key, ref in want.items():
-                assert np.array_equal(getattr(rep, key), ref), (step, node, key)
+    budgets = (_budgets(kept, field.n) + _budgets(paths.paths, field.n)
+               + [br._STEP_BLOCK_BYTES])
+    for budget in budgets:
+        _set_budget(monkeypatch, budget, paths.grid.steps, paths.paths * field.n ** 2 * 8)
+        expo = simulate_exponential(field, paths, reads=("defect",))
+        assert expo.s is None and expo.s_inv is None
+        assert np.array_equal(expo.bad_paths, full.bad_paths), budget
+        rep = martingale_defect(expo)
+        for key, ref in want.items():
+            assert np.array_equal(getattr(rep, key), ref), (budget, key)
 
 
 def test_readers_of_what_was_not_kept_name_it():
@@ -372,21 +364,12 @@ def test_bad_paths_by_node_block_follow_the_finite_rule(monkeypatch):
         x[:, :1, None] > 0.3, 1e308, 0.4) * np.ones((1, 2, 1)), 1)
     paths = generate_brownian(TimeGrid(1.0, K), 1, 400, seed=5)
     for budget in _budgets(paths.paths, fld.n) + [br._STEP_BLOCK_BYTES]:
-        _set_budget(monkeypatch, "_STEP_BLOCK_BYTES", budget, paths.grid.steps,
+        _set_budget(monkeypatch, budget, paths.grid.steps,
                     paths.paths * fld.n ** 2 * 8)
         expo = left_outer_exponential(fld, paths)
         rule = ~np.isfinite(expo.s.reshape(paths.paths, -1)).all(axis=1)
         assert 0 < rule.sum() < paths.paths
         assert np.array_equal(expo.bad_paths, rule), budget
-
-
-def test_node_blocks_cover_the_grid_with_two_entries_per_path(monkeypatch):
-    _set_budget(monkeypatch, "_NODE_BLOCK_BYTES", 1, 51, 8)
-    for nodes, entries in [(51, 1), (52, 1), (51, 4), (2, 1)]:
-        blocks = br.node_blocks(nodes, 8, entries)
-        assert blocks[0][0] == 0 and blocks[-1][1] == nodes
-        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
-        assert all((hi - lo) * entries >= 2 for lo, hi in blocks)
 
 
 def test_emery_without_inverse_forms_no_inverse():
@@ -454,8 +437,8 @@ def test_fused_integration_memory_is_bounded():
 
 def test_simulate_exponential_pass_memory_does_not_grow_with_k():
     """simulate-exponential's pass keeps no S: beyond the paths, two
-    integration blocks and one defect block.  At 1000 paths S is 14 times
-    the defect block's 4 MiB budget (at 300 paths, only 4 times)."""
+    integration blocks and the defect's scratch copy of one of them, each
+    about _STEP_BLOCK_BYTES.  At 1000 paths S is 220 times that budget."""
     fld, m = triangular_3d(), 1000
     node = m * fld.n * fld.n * 8
     peaks = {}
