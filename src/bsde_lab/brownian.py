@@ -43,13 +43,13 @@ def _path_sum(x: np.ndarray, row: int) -> np.ndarray:
     bit the axis-0 sum of the path-major (M, ...) array whose path rows hold
     `row` entries: numpy adds the paths in order where a node holds two or
     more entries per path and pairwise where it holds one, so such a block
-    takes the running sum, unless the whole rows hold one entry too.  The
-    in-order sum is an einsum: the order of x.sum(axis=1), at a fraction of
-    its cost per path where a node holds a few entries."""
+    takes the running sum (a copy of its end), unless the whole rows hold one
+    entry too.  The in-order sum is an einsum: the order of x.sum(axis=1), at
+    a fraction of its cost per path where a node holds a few entries."""
     if x[0, 0].size >= 2:
         return np.einsum("ij...->i...", x)
     if row >= 2:
-        return np.cumsum(x, axis=1)[:, -1]
+        return np.cumsum(x, axis=1)[:, -1].copy()
     return x.sum(axis=1)
 
 

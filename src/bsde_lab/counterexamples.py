@@ -57,36 +57,38 @@ def _emery_blocks(paths: PathEnsemble, exits: tuple, rows, s, s_inv):
     blocks of S for the paths `rows` (an index or a mask), over _step_blocks
     in node order: transposed views of the whole path-major `s` (and the same
     block of `s_inv` filled beside, unless None), or new blocks where `s` is
-    None.  Every entry is elementwise in the path's own streamed state, so a
-    block's bits do not depend on its layout or on which rows it holds.  No
-    yielded block or temporary is kept here, so a reader may drop the block
-    before the next one is formed."""
+    None, cut from the states streamed in the stop scan's larger blocks.
+    Every entry is elementwise in the path's own state, so a block's bits do
+    not depend on its layout, bounds or rows.  No yielded block is kept
+    here, so a reader may drop the block before the next one is formed."""
     stop, exit_angle, exit_time = (e[rows][None, :] for e in exits)
     m, nodes = stop.shape[1], paths.grid.nodes
-    bounds = _step_blocks(nodes.size, m * 4 * 8)
-    states = paths.state_blocks(bounds, rows)
-    for lo, hi in bounds:
-        block = np.empty((hi - lo, m, 2, 2)) if s is None else s[:, lo:hi].swapaxes(0, 1)
-        # state frozen at the (clamped) exit value once stopped
-        stopped = np.arange(lo, hi)[:, None] >= stop
-        angle = np.where(stopped, exit_angle, next(states)[:, :, 0].T)
-        scale = np.where(stopped, exit_time, nodes[lo:hi, None])  # tau ^ t
-        del stopped
-        scale /= 2.0
-        np.exp(scale, out=scale)
-        # cos, then sin over the angle buffer; -scale sin is exactly -(scale sin)
-        np.multiply(scale, np.cos(angle), out=block[..., 0, 0])
-        block[..., 1, 1] = block[..., 0, 0]
-        np.sin(angle, out=angle)
-        np.multiply(scale, angle, out=block[..., 0, 1])
-        np.negative(block[..., 0, 1], out=block[..., 1, 0])
-        if s_inv is not None:
-            np.square(scale, out=scale)
-            np.divide(np.swapaxes(block, -1, -2), scale[..., None, None],
-                      out=s_inv[:, lo:hi].swapaxes(0, 1))
-        del angle, scale
-        yield block
-        del block
+    bounds = _step_blocks(nodes.size, m * 8)
+    for (first, _), states in zip(bounds, paths.state_blocks(bounds, rows)):
+        for lo, hi in _step_blocks(states.shape[1], m * 4 * 8):
+            lo, hi, state = first + lo, first + hi, states[:, lo:hi, 0].T
+            block = np.empty((hi - lo, m, 2, 2)) if s is None else s[:, lo:hi].swapaxes(0, 1)
+            # state frozen at the (clamped) exit value once stopped
+            stopped = np.arange(lo, hi)[:, None] >= stop
+            angle = np.where(stopped, exit_angle, state)
+            scale = np.where(stopped, exit_time, nodes[lo:hi, None])  # tau ^ t
+            del stopped, state
+            scale /= 2.0
+            np.exp(scale, out=scale)
+            # cos, then sin over the angle buffer; -scale sin is exactly -(scale sin)
+            np.multiply(scale, np.cos(angle), out=block[..., 0, 0])
+            block[..., 1, 1] = block[..., 0, 0]
+            np.sin(angle, out=angle)
+            np.multiply(scale, angle, out=block[..., 0, 1])
+            np.negative(block[..., 0, 1], out=block[..., 1, 0])
+            if s_inv is not None:
+                np.square(scale, out=scale)
+                np.divide(np.swapaxes(block, -1, -2), scale[..., None, None],
+                          out=s_inv[:, lo:hi].swapaxes(0, 1))
+            del angle, scale
+            yield block
+            del block
+        del states                  # before the next states block is formed
 
 
 def emery_closed_form(paths: PathEnsemble, level: float = np.pi / 2,

@@ -451,6 +451,7 @@ def defect_profile(keep: np.ndarray, n: int, nodes: int, blocks) -> MartingaleDe
         diag[lo:hi] = gap[rows, which]
         diag_se[lo:hi] = se[:, idx, idx][rows, which]
         lo = hi
+        del s                       # before the producer forms the next block
     return MartingaleDefectReport(defect, std_error, diag, diag_se, group)
 
 

@@ -15,20 +15,21 @@ scalar exponential (`_scalar_exponential`) for the triangular, right-outer
 and left-outer reductions, and one backward-induction loop (`_backward`),
 which the quadratic solver runs with its inner Picard step.  The last two
 run from node K-1 back to 0 and make both fits of a node in one visit, so
-the two share the node's regression basis.  Y, Z, the drift and the
-inhomogeneity are stored node-major and passed as path-major views
-(`_by_node`), so each node slice is contiguous and no solution is copied
-between layouts.  Each method in `_METHODS` checks its field and does its
-per-solve work once, then returns a core that takes the terminal (M, n) and
-the inhomogeneity (M, K, n), formed once per solve, and holds only what a
-later step reads.  The diagnostics after a solve read one node at a time and
-add the paths in the order of the path-major whole-array reductions
-(`brownian._path_sum`), so no output depends on the layout.
+the two share the node's regression basis.  Y, Z and the inhomogeneity are
+stored node-major and passed as path-major views (`_by_node`), so each node
+slice is contiguous and no solution is copied between layouts.  Each method
+in `_METHODS` checks its field and does its per-solve work once, then
+returns a core that takes the terminal (M, n) and the inhomogeneity
+(M, K, n), formed once per solve, and holds only what a later step reads.
+The drift A Z + beta is formed and summed into the moment residuals one node
+at a time (`_MomentSums`), never stored.  The diagnostics add the paths in
+the order of the path-major whole-array reductions (`brownian._path_sum`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import partial
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -75,7 +76,7 @@ class SolutionEnsemble:
 
     y[m, K] equals the terminal sample exactly for every solver; what the
     solver actually produced at the terminal node is kept in
-    diagnostics["terminal_mismatch"].
+    diagnostics["terminal_mismatch"].  No drift is kept (see `_MomentSums`).
     """
 
     paths: PathEnsemble
@@ -120,11 +121,11 @@ def _beta_array(spec: LinearBsdeSpec, paths: PathEnsemble) -> np.ndarray | None:
     return None if spec.beta is None else _per_step(spec.beta, paths)
 
 
-def _prefix(x: np.ndarray, dt: np.ndarray) -> np.ndarray:
-    """sum_{j <= k} x_j dt_j at every step k, written over x (M, K, ...), which
-    callers read no more: they subtract it from nodes 1..K of their own array."""
-    x *= dt.reshape((1, -1) + (1,) * (x.ndim - 2))
-    return np.cumsum(x, axis=1, out=x)
+def _minus_prefix(y: np.ndarray, terms) -> None:
+    """y[:, k+1] -= terms_0 + ... + terms_k for the (M, ...) term of each step
+    k, each formed as it is read and added in order, as np.cumsum adds them."""
+    for k, run in enumerate(accumulate(terms)):
+        y[:, k + 1] -= run
 
 
 def _scalar_exponential(paths: PathEnsemble, coeff: np.ndarray) -> np.ndarray:
@@ -175,80 +176,79 @@ def _represent(paths: PathEnsemble, degree: int, h: np.ndarray) -> tuple:
 
 def _backward(paths: PathEnsemble, degree: int, terminal: np.ndarray,
               step: Callable) -> tuple:
-    """Backward induction from Y_K = terminal (M, n); returns (y, z, drift).
+    """Backward induction from Y_K = terminal (M, n); returns (y, z, moments).
 
     At each k from K-1 down, Z_k is the increment regression of Y_{k+1}
     centred at E_k[Y_{k+1}], and `step(k, E_k[Y_{k+1}], Z_k)` returns
-    (Y_k, drift_k).  Y (M, K+1, n), Z (M, K, n, d) and the drift (M, K, n)
-    are `_by_node` arrays, so each step reads and writes contiguous nodes.
+    (Y_k, drift_k).  Y (M, K+1, n) and Z (M, K, n, d) are `_by_node` arrays,
+    so each step reads and writes contiguous nodes; the drift is not kept.
     """
     m, ksteps, n = paths.paths, paths.grid.steps, terminal.shape[-1]
     reg = RegressionConditional.of(paths, degree)
     y = _by_node(m, ksteps + 1, (n,))
     z = _by_node(m, ksteps, (n, paths.d))
-    drift = _by_node(m, ksteps, (n,))
+    moments = _MomentSums(paths)
     y[:, ksteps] = terminal
     for k in range(ksteps - 1, -1, -1):
         ey = reg.fit_predict(k, y[:, k + 1])
         z[:, k] = _increment_regression(reg, paths, y[:, k + 1], k, base_values=ey)
-        y[:, k], drift[:, k] = step(k, ey, z[:, k])
-    return y, z, drift
+        y[:, k], drift = step(k, ey, z[:, k])
+        moments.add(k, y, z, drift)
+    return y, z, moments.means()
 
 
-def _martingale_residuals(paths: PathEnsemble, y: np.ndarray, z: np.ndarray,
-                          drift: np.ndarray) -> dict:
-    """Conditional-moment residuals of the backward step, aggregated over paths.
+class _MomentSums:
+    """Conditional-moment residuals of the backward step, fed one node at a time.
 
     r_k = Y_k - Y_{k+1} - drift_k dt + Z_k dB_k has E_k[r] = 0 and
-    E_k[r dB] = 0 in the exact discrete solution; the largest absolute
-    sample means of both moments over the nodes are reported (the pathwise
-    residual contains the unrepresentable part of the one-step martingale
-    increment, which does not vanish).  r_k and r_k dB_k are formed one node
-    at a time and summed over the paths by `_path_sum`, so the means are
-    those of the whole path-major arrays, bit for bit, in either layout.
-    """
-    m, ksteps, n, d = z.shape
-    dt, inc = paths.grid.dt, paths.increments
-    sum_r, sum_rdb = np.empty((ksteps, n)), np.empty((ksteps, n, d))
-    for k in range(ksteps):
+    E_k[r dB] = 0 in the exact discrete solution; `means` reports the largest
+    absolute sample means of both over the nodes.  `add(k, ...)` takes node k,
+    in any order, once Y_k and Y_{k+1} are final, and sums over the paths by
+    `_path_sum`: the bits of the whole arrays (a NaN mean stays NaN)."""
+
+    def __init__(self, paths: PathEnsemble):
+        self.paths, self.dt, self.max_r, self.max_rdb = paths, paths.grid.dt, 0.0, 0.0
+
+    def add(self, k: int, y: np.ndarray, z: np.ndarray, drift_k: np.ndarray) -> None:
+        inc, row, m = self.paths.increments[:, k], self.dt.size * y.shape[-1], self.paths.paths
         r = y[:, k] - y[:, k + 1]
-        r -= drift[:, k] * dt[k]
-        r += np.einsum("mjd,md->mj", z[:, k], inc[:, k])
-        sum_r[k] = _path_sum(r[None], ksteps * n)[0]
-        sum_rdb[k] = _path_sum(np.einsum("mj,md->mjd", r, inc[:, k])[None], ksteps * n * d)[0]
-    return {"moment_residual": float(np.abs(sum_r / m).max()),
-            "moment_db_residual": float(np.abs(sum_rdb / m).max() / dt.min())}
+        r -= drift_k * self.dt[k]
+        r += np.einsum("mjd,md->mj", z[:, k], inc)
+        rdb = _path_sum(np.einsum("mj,md->mjd", r, inc)[None], row * inc.shape[-1])[0]
+        self.max_r = np.maximum(self.max_r, np.abs(_path_sum(r[None], row)[0] / m).max())
+        self.max_rdb = np.maximum(self.max_rdb, np.abs(rdb / m).max())
+
+    def means(self) -> dict:
+        return {"moment_residual": float(self.max_r),
+                "moment_db_residual": float(self.max_rdb / self.dt.min())}
 
 
 def _finish(fld: CoefficientField | None, paths: PathEnsemble, solver: str, y: np.ndarray,
             z: np.ndarray, beta: np.ndarray | None, extras: dict) -> SolutionEnsemble:
-    """Drift A Z + beta, moment residuals and terminal mismatch of a solve.
+    """Moment residuals, terminal mismatch and outer identity of a solve.
 
     Every solve runs a core, which returns (y, z, extras), then this step;
     the Picard loop of `solve_perturbed` runs the core once per pass and this
-    step once.  Keys of `extras` that it reads: "drift" (A Z + beta as the
-    core already formed it, with which `fld` may be None; otherwise the
-    field is evaluated again, one node at a time), "terminal_mismatch" (0 if
-    absent) and "scalar_v" (the scalar V = b^T Z of the right-outer
-    reduction, checked on the solution as "outer_identity_residual").  Every
-    other key is a diagnostic of its own.
+    step once.  The extras are diagnostics; those it reads are the moment
+    residuals (`_MomentSums.means`) of a core that formed the drift, with
+    which `fld` may be None (otherwise the field is evaluated again for the
+    drift, one node at a time), "terminal_mismatch" (0 if absent) and
+    "scalar_v" (the scalar V = b^T Z of the right-outer reduction, checked
+    on the solution as "outer_identity_residual").
     """
-    extras = dict(extras)
-    drift = extras.pop("drift", None)
-    if drift is None:
-        m, ksteps, n, _ = z.shape
-        drift = _by_node(m, ksteps, (n,))
-        for k in range(ksteps):
-            drift[:, k] = contract_az(fld.values(paths, k), z[:, k])
+    diags = {"terminal_mismatch": 0.0, **extras}
+    if "moment_residual" not in diags:
+        moments = _MomentSums(paths)
+        for k in range(z.shape[1]):
+            drift = contract_az(fld.values(paths, k), z[:, k])
             if beta is not None:
-                drift[:, k] += beta[:, k]
-    diags = _martingale_residuals(paths, y, z, drift)
-    diags["terminal_mismatch"] = extras.pop("terminal_mismatch", 0.0)
-    if "scalar_v" in extras:        # path-major: the mean adds in memory order
-        gap = np.einsum("j,mkjd->mkd", fld.b, z, out=np.empty(extras["scalar_v"].shape))
-        gap -= extras["scalar_v"]
+                drift += beta[:, k]
+            moments.add(k, y, z, drift)
+        diags.update(moments.means())
+    if "scalar_v" in diags:         # path-major: the mean adds in memory order
+        gap = np.einsum("j,mkjd->mkd", fld.b, z, out=np.empty(diags["scalar_v"].shape))
+        gap -= diags["scalar_v"]
         diags["outer_identity_residual"] = float(np.abs(gap, out=gap).mean())
-    diags.update(extras)
     return SolutionEnsemble(paths, y, z, solver, diags)
 
 
@@ -267,8 +267,7 @@ def _regression(fld: CoefficientField, paths: PathEnsemble, degree: int) -> Call
                 drift += beta[:, k]
             return ey + drift * dt[k], drift
 
-        y, z, drift = _backward(paths, degree, xi, step)
-        return y, z, {"drift": drift}
+        return _backward(paths, degree, xi, step)
     return core
 
 
@@ -277,7 +276,7 @@ def _expo_core(fld: CoefficientField, paths: PathEnsemble, s_at: Callable, inv_a
     """Representation core given S_k = s_at(k) and S_k^{-1} = inv_at(k), (M, n, n)
     each, read node by node; Y and Z are written over N and Z~, and `diags`
     are added to its extras."""
-    m, ksteps, n, dt = paths.paths, paths.grid.steps, fld.n, paths.grid.dt
+    ksteps, n, dt = paths.grid.steps, fld.n, paths.grid.dt
     h = np.einsum("mij,mj->mi", s_at(ksteps), xi)
     if beta is not None:
         # at n = 1 einsum adds each path's contiguous steps as one dot product,
@@ -290,22 +289,25 @@ def _expo_core(fld: CoefficientField, paths: PathEnsemble, s_at: Callable, inv_a
                       for k in range(ksteps)), np.zeros_like(h))
     y, z = _represent(paths, degree, h)
 
-    drift = _by_node(m, ksteps, (n,))
+    moments = _MomentSums(paths)
     run = None                                      # sum_{j < k} beta_j dt_j
     for k in range(ksteps):
         inv, a_k = inv_at(k), fld.values(paths, k)                       # a_k (M, n, n, d)
         xn = np.einsum("mij,mj->mi", inv, y[:, k])                       # Y + int beta
         z[:, k] = (np.einsum("mij,mjd->mid", inv, z[:, k])
                    - np.einsum("mijd,mj->mid", a_k, xn))
-        drift[:, k] = contract_az(a_k, z[:, k])
         y[:, k] = xn if run is None else xn - run
+        if k:                                       # Y_k final: node k-1's moments
+            moments.add(k - 1, y, z, drift)
+        drift = contract_az(a_k, z[:, k])
         if beta is not None:
-            drift[:, k] += beta[:, k]
+            drift += beta[:, k]
             run = beta[:, k] * dt[k] if run is None else run + beta[:, k] * dt[k]
     xn = np.einsum("mij,mj->mi", inv_at(ksteps), y[:, ksteps])
     terminal_mismatch = float(np.abs((xn if run is None else xn - run) - xi).max())
     y[:, ksteps] = xi
-    return y, z, {"drift": drift, "terminal_mismatch": terminal_mismatch, **diags}
+    moments.add(ksteps - 1, y, z, drift)
+    return y, z, {**moments.means(), "terminal_mismatch": terminal_mismatch, **diags}
 
 
 def _representation(fld: CoefficientField, paths: PathEnsemble, degree: int,
@@ -343,27 +345,29 @@ def _scalar_weighted_solve(paths: PathEnsemble, coeff: np.ndarray, weights: np.n
     """Scalar linear BSDE by exponential weights (no measure change).
 
     coeff: (M, K, d) bmo integrand; weights: its `_scalar_exponential`
-    (M, K+1), strictly positive pathwise, formed once per solve by the caller;
+    (M, K+1), strictly positive pathwise, formed by the caller;
     xi: (M,); beta: (M, K) C-contiguous (each path's steps sum as one row), or
-    None, spent on the drift prefix.  Returns (U (M, K+1), V (M, K, d)).
+    None.  Returns (U (M, K+1), V (M, K, d)).
     """
-    ksteps = paths.grid.steps
+    ksteps, dt = paths.grid.steps, paths.grid.dt
     h = weights[:, -1] * xi
     if beta is not None:
-        h += (weights[:, :-1] * beta * paths.grid.dt[None, :]).sum(axis=1)
+        terms = weights[:, :-1] * beta
+        h += np.multiply(terms, dt[None, :], out=terms).sum(axis=1)
+        del terms
     u, v = _represent(paths, degree, h)
     u /= weights                                         # N / w, then U in place
     v /= weights[:, :-1, None]
     v -= coeff * u[:, :-1, None]
     if beta is not None:
-        u[:, 1:] -= _prefix(beta, paths.grid.dt)
+        _minus_prefix(u, (beta[:, k] * dt[k] for k in range(ksteps)))
     u[:, ksteps] = xi
     return u, v
 
 
 def _triangular(fld: CoefficientField, paths: PathEnsemble, degree: int) -> Callable:
     """Keeps the diagonal and strictly lower field entries, which the solves
-    read; `_finish` evaluates the field again for the drift."""
+    read, not their weights; `_finish` evaluates the field again for the drift."""
     if fld.structure != "lower_triangular":
         raise ConfigurationError(
             f"triangular solver needs a lower_triangular field, got {fld.structure!r}")
@@ -377,7 +381,6 @@ def _triangular(fld: CoefficientField, paths: PathEnsemble, degree: int) -> Call
             raise ConfigurationError("field values are not lower triangular")
         coeffs[:, :, k] = np.einsum("miid->imd", a_k)
         lower[:, k] = a_k[:, rows, cols, :]
-    weights = [_scalar_exponential(paths, coeff) for coeff in coeffs]
 
     def core(xi, beta):
         y = _by_node(m, ksteps + 1, (n,))
@@ -389,10 +392,9 @@ def _triangular(fld: CoefficientField, paths: PathEnsemble, degree: int) -> Call
                     known[:, k] += (lower[:, k, p] * z[:, k, cols[p]]).sum(axis=1)
             if beta is not None:
                 known += beta[:, :, i]
-            u, v = _scalar_weighted_solve(paths, coeffs[i], weights[i], xi[:, i], known,
-                                          degree)
-            y[:, :, i] = u
-            z[:, :, i, :] = v
+            y[:, :, i], z[:, :, i, :] = _scalar_weighted_solve(
+                paths, coeffs[i], _scalar_exponential(paths, coeffs[i]), xi[:, i], known,
+                degree)
         return y, z, {}
     return core
 
@@ -418,16 +420,18 @@ def _right_outer(fld: CoefficientField, paths: PathEnsemble, degree: int) -> Cal
     def core(xi, beta):
         beta_scalar = None if beta is None else np.einsum(
             "mkj,j->mk", beta, fld.b, out=np.empty((m, ksteps)))
-        _, v = _scalar_weighted_solve(paths, coeff, weights, xi @ fld.b, beta_scalar, degree)
-        del beta_scalar                                  # spent on the scalar prefix
+        v = _scalar_weighted_solve(paths, coeff, weights, xi @ fld.b, beta_scalar, degree)[1]
+        del beta_scalar                                  # read no more
 
-        # lifted equation: Y = xi + int (a V + beta) dt - int Z dB (tilde path-major)
-        tilde = np.einsum("mkid,mkd->mki", a_vals, v, out=np.empty((m, ksteps, n)))
-        if beta is not None:
-            tilde += beta
-        h = xi + (tilde * dt[None, :, None]).sum(axis=1)
-        y, z = _represent(paths, degree, h)
-        y[:, 1:] -= _prefix(tilde, dt)                   # in the spent tilde buffer
+        # lifted Y = xi + int tilde dt - int Z dB, tilde_k = a_k V_k + beta_k per node
+        def tilde_dt(k):
+            tilde = np.einsum("mid,md->mi", a_vals[:, k], v[:, k])
+            return (tilde if beta is None else tilde + beta[:, k]) * dt[k]
+        # .sum(axis=1) adds a path's steps in order, or pairwise at n = 1
+        h = (sum(map(tilde_dt, range(1, ksteps)), tilde_dt(0)) if n > 1 else
+             np.stack([tilde_dt(k) for k in range(ksteps)], axis=1).sum(axis=1))
+        y, z = _represent(paths, degree, xi + h)
+        _minus_prefix(y, map(tilde_dt, range(ksteps)))
         y[:, ksteps] = xi
         return y, z, {"scalar_v": v}
     return core
@@ -545,11 +549,11 @@ def solve_perturbed(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int = 3,
     Each pass hands the core of the method `base` ("auto": the structural
     method of A's tag, else representation) the inhomogeneity array
     beta + alpha Y^m + dA Z^m; the method's own work (a representation base
-    simulates and gates S) and the drift and residual diagnostics of the
-    last pass are done once.  Stops at relative residual < tol; a growing
-    residual raises PicardDivergenceError, which is the numerical mirror of
-    the perturbation being too large to slice.  Every pass forms the
-    inhomogeneity in one buffer, and |Y - Y^m| and |Y| in the spent Y^m.
+    simulates and gates S) is done once, and `_finish` once, on the last
+    pass.  Stops at relative residual < tol; a growing residual raises
+    PicardDivergenceError, which is the numerical mirror of the perturbation
+    being too large to slice.  Every pass forms the inhomogeneity in one
+    buffer, and |Y - Y^m| and |Y| in the spent Y^m, freed before `_finish`.
     """
     fld = spec.field
     if base == "auto":
@@ -594,6 +598,7 @@ def solve_perturbed(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int = 3,
             raise PicardDivergenceError(
                 f"no convergence in {_MAX_PASSES} iterations; history tail "
                 f"{history[-3:]}")
+    del y_prev, core
     sol = _finish(fld, paths, "perturbed", y, z, mod, extras)
     sol.diagnostics["picard_history"] = history
     sol.diagnostics["picard_iterations"] = len(history)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .brownian import PathEnsemble
 from .grids import ConfigurationError
-from .linear import SolutionEnsemble, _backward, _finish, _martingale_residuals
+from .linear import SolutionEnsemble, _MomentSums, _backward, _finish
 from .norms import RegressionConditional, estimate_norm
 from .tensors import contract_az
 
@@ -245,7 +245,7 @@ _MAX_PICARD = 60
 
 def _backward_quadratic(driver, terminal_fn, paths: PathEnsemble, degree: int,
                         picard_tol: float, max_picard: int, init: str) -> tuple:
-    """Backward Euler for the truncated driver; returns (y, z, drift).
+    """Backward Euler for the truncated driver; returns (y, z, moments).
 
     Z_k is the increment regression of Y_{k+1}; Y_k is the fixed point of
     y = E_k[Y_{k+1}] + f(t_k, X_k, y, Z_k) dt, iterated from E_k[Y_{k+1}]
@@ -303,15 +303,15 @@ def solve_quadratic(driver, terminal_fn, paths: PathEnsemble, degree: int = 3,
     log = []
     for level in _LEVELS:
         trunc = truncate_driver(driver, float(level))
-        y, z, drift = _backward_quadratic(trunc, terminal_fn, paths, degree,
-                                          picard_tol, _MAX_PICARD, init)
+        y, z, moments = _backward_quadratic(trunc, terminal_fn, paths, degree,
+                                            picard_tol, _MAX_PICARD, init)
         zmag = _max_magnitude(driver, z)
         accepted = zmag < (1.0 - _MARGIN) * level
         log.append({"level": float(level), "max_magnitude": zmag, "accepted": accepted})
         if accepted:
-            sol = _finish(None, paths, f"quadratic[{driver.kind}]", y, z, None, {"drift": drift})
+            sol = _finish(None, paths, f"quadratic[{driver.kind}]", y, z, None, moments)
             return QuadraticSolveReport(sol, float(level), log, 1.0 - zmag / level)
-        del y, z, drift          # a rejected level's solution is not read again
+        del y, z                 # a rejected level's solution is not read again
     raise TruncationEscalationError(
         f"no self-consistent truncation level found; escalation log: {log}")
 
@@ -499,7 +499,7 @@ def linearized_difference_check(driver, sol1: SolutionEnsemble, sol2: SolutionEn
     reg = RegressionConditional.of(paths, degree)
 
     equation_residual = 0.0
-    drift = np.empty((m, ksteps, n))
+    moments = _MomentSums(paths)
     alpha_all = np.empty((m, ksteps, n, n))
     da_all = np.empty((m, ksteps, n, n, d))
     struct_all = np.empty((m, ksteps, n, n, d))
@@ -516,14 +516,14 @@ def linearized_difference_check(driver, sol1: SolutionEnsemble, sol2: SolutionEn
         da = _difference_quotient(g_21 - g_22, dz[:, k])
         struct = driver.structural(z1, z2, dz[:, k])
         alpha_all[:, k], da_all[:, k], struct_all[:, k] = alpha, da, struct
-        drift[:, k] = (np.einsum("mij,mj->mi", alpha, dy[:, k])
-                       + contract_az(struct + da, dz[:, k]))
+        drift = np.einsum("mij,mj->mi", alpha, dy[:, k]) + contract_az(struct + da, dz[:, k])
+        moments.add(k, dy, dz, drift)
         # dY_k - E_k[dY_{k+1}] - drift dt vanishes to the per-step fixed-point
         # tolerance because the conditional operator is shared and linear
         fitted = reg.fit_predict(k, dy[:, k + 1])
-        step_res = dy[:, k] - fitted - drift[:, k] * dt[k]
+        step_res = dy[:, k] - fitted - drift * dt[k]
         equation_residual = max(equation_residual, float(np.abs(step_res).max()))
-    resid = _martingale_residuals(paths, dy, dz, drift)
+    resid = moments.means()
     resid["equation_residual"] = equation_residual
     dxi = dy[:, -1]
     dxi_norm = float(np.sqrt((dxi * dxi).sum(axis=1)).max())

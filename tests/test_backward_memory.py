@@ -16,7 +16,7 @@ from bsde_lab import norms
 from bsde_lab import quadratic as quad
 from bsde_lab.fields import constant_field
 from bsde_lab.instances import (cole_hopf_1d, left_outer_3d, linear_terminal,
-                                quadratic_terminal, triangular_3d)
+                                quadratic_terminal, right_outer_3d, triangular_3d)
 from bsde_lab.norms import NormEstimate, RegressionConditional, estimate_norm
 from bsde_lab.quadratic import QuadraticLinearDriver, UnidirectionalDriver
 
@@ -100,14 +100,30 @@ def _paths(d, k_steps=K, m=M, seed=3):
 
 @pytest.mark.parametrize("n, d, k_steps", SHAPES)
 def test_streamed_residuals_match_whole_arrays(n, d, k_steps):
+    """The moment sums fed as the solvers feed them: in backward node order
+    as `_backward` finishes each node, and one node behind as `_expo_core`
+    finishes Y_{k+1}.  The Y they read is NaN wherever not yet final, so a
+    node read too early shows."""
     paths = _paths(d, k_steps)
     rng = np.random.default_rng(10 * n + d)
     y = rng.normal(size=(M, k_steps + 1, n))
     z = rng.normal(size=(M, k_steps, n, d))
     drift = rng.normal(size=(M, k_steps, n))
     want = _residuals_reference(paths, y, z, drift)
-    for arrays in _layouts(y, z, drift):
-        assert lin._martingale_residuals(paths, *arrays) == want
+    for y_, z_, drift_ in _layouts(y, z, drift):
+        backward, lagged = lin._MomentSums(paths), lin._MomentSums(paths)
+        done = np.full_like(y_, np.nan)
+        done[:, k_steps] = y_[:, k_steps]
+        for k in range(k_steps - 1, -1, -1):
+            done[:, k] = y_[:, k]
+            backward.add(k, done, z_, drift_[:, k].copy())
+        done = np.full_like(y_, np.nan)
+        for k in range(k_steps + 1):
+            done[:, k] = y_[:, k]
+            if k:
+                lagged.add(k - 1, done, z_, drift_[:, k - 1].copy())
+        assert backward.means() == want
+        assert lagged.means() == want
 
 
 @pytest.mark.parametrize("n, d, k_steps", SHAPES)
@@ -165,13 +181,19 @@ def test_escalation_magnitude_matches_whole_array(n, d, k_steps):
 
 
 def test_prefix_matches_whole_array_cumsum():
+    """Subtracting the running sum of terms formed one step at a time gives
+    the bits of subtracting the whole array's cumsum, in place."""
     paths = _paths(1, k_steps=9)
-    x = np.random.default_rng(4).normal(size=(M, 9, 3))
-    want = np.cumsum(x * paths.grid.dt[None, :, None], axis=1)
-    for (values,) in list(_layouts(x.copy())):         # both copies made first
-        got = lin._prefix(values, paths.grid.dt)
-        assert got is values and np.array_equal(got, want)      # in place
-    assert np.array_equal(lin._prefix(x[..., 0].copy(), paths.grid.dt), want[..., 0])
+    dt, rng = paths.grid.dt, np.random.default_rng(4)
+    x, y = rng.normal(size=(M, 9, 3)), rng.normal(size=(M, 10, 3))
+    want = y.copy()
+    want[:, 1:] -= np.cumsum(x * dt[None, :, None], axis=1)
+    for y_, x_ in list(_layouts(y.copy(), x)):         # both copies made first
+        lin._minus_prefix(y_, (x_[:, k] * dt[k] for k in range(9)))
+        assert np.array_equal(y_, want)
+    scalar = y[..., 0].copy()                           # one entry per path and step
+    lin._minus_prefix(scalar, (x[:, k, 0] * dt[k] for k in range(9)))
+    assert np.array_equal(scalar, want[..., 0])
 
 
 def test_left_outer_exponential_in_place_matches_whole_arrays():
@@ -294,6 +316,55 @@ def test_triangular_core_holds_only_the_entries_it_reads():
     assert extras == {}                                 # `_finish` forms the drift
 
 
+def test_quadratic_solve_keeps_no_drift():
+    """Beyond Y and Z, a quadratic solve holds less than half of one
+    (M, K, n) array at its traced peak: no level keeps a drift array, and a
+    rejected level's solution is freed before the next level is tried.  The
+    paths' increments and states are built before tracing."""
+    m, k_steps = 4000, 64
+    paths = generate_brownian(TimeGrid(1.0, k_steps), 1, m, seed=5)
+    paths.states
+    reports = []
+    peak = _peak_bytes(lambda: reports.append(quad.solve_quadratic(
+        cole_hopf_1d(), quadratic_terminal("cole-hopf-1d"), paths)))
+    sol = reports[0].solution
+    assert len(reports[0].escalation_log) >= 2           # a rejected level was freed
+    solution = sol.y.base.nbytes + sol.z.base.nbytes
+    assert peak - solution < 8 * m * k_steps // 2, (peak, solution)
+
+
+def test_right_outer_picard_pass_keeps_no_lifted_drift():
+    """A right-outer Picard pass forms the lifted drift a_k V_k + beta_k one
+    node at a time: beyond the Picard buffers (Y^m, the inhomogeneity), the
+    pass's Y, Z and V and the core's coefficients (the a values, b^T a and
+    the weights), the traced peak holds less than one (M, K, n) array."""
+    fld, m, k_steps = right_outer_3d(), 4000, 64
+    n, d = fld.n, fld.d
+    paths = generate_brownian(TimeGrid(1.0, k_steps), d, m, seed=5)
+    paths.states
+    spec = lin.LinearBsdeSpec(
+        fld, linear_terminal("right-outer-3d"),
+        alpha=lambda p, k: np.broadcast_to(0.1 * np.eye(n), (p.paths, n, n)),
+        delta_field=constant_field(np.full((n, n, d), 0.05)))
+    sols = []
+    peak = _peak_bytes(lambda: sols.append(lin.solve_perturbed(spec, paths)))
+    assert sols[0].diagnostics["picard_iterations"] >= 3
+    picard = 8 * m * ((k_steps + 1) * n + k_steps * n)
+    solution = 8 * m * ((k_steps + 1) * n + k_steps * n * d + k_steps * d)
+    coefficients = 8 * m * (k_steps * n * d + k_steps * d + k_steps + 1)
+    held = picard + solution + coefficients
+    assert peak - held < 8 * m * k_steps * n, (peak, held)
+
+
+def test_path_means_hold_one_node_at_a_time():
+    """At n = 1 each node's mean is a running sum over the paths, of which
+    only the last entry is kept: the peak stays under four (M,) rows, where
+    K+1 whole running sums would be kept until the means are joined."""
+    m, k_steps = 4000, 64
+    x = np.random.default_rng(6).normal(size=(m, k_steps + 1, 1))
+    assert _peak_bytes(lambda: lin.path_means(x)) < 4 * 8 * m
+
+
 def test_picard_pass_forms_no_whole_temporary(monkeypatch):
     """Beyond its own buffers (Y^m, the inhomogeneity, and the pass's Y and
     Z), a Picard pass forms no whole (M, K+1, n) temporary: the residual is
@@ -309,10 +380,9 @@ def test_picard_pass_forms_no_whole_temporary(monkeypatch):
         delta_field=constant_field(np.full((n, n, d), 0.05)))
     rng = np.random.default_rng(1)
     y, z = rng.normal(size=(m, k_steps + 1, n)), rng.normal(size=(m, k_steps, n, d))
-    drift = rng.normal(size=(m, k_steps, n))
 
     def fixed(fld, paths, degree):
-        return lambda xi, beta: (y.copy(), z.copy(), {"drift": drift})
+        return lambda xi, beta: (y.copy(), z.copy(), {})
     monkeypatch.setitem(lin._METHODS, "fixed", ("fixed", fixed))
     sols = []
     peak = _peak_bytes(lambda: sols.append(lin.solve_perturbed(spec, paths, base="fixed")))

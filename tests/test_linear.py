@@ -311,10 +311,10 @@ def test_backward_cores_return_node_major_views():
         return (arr.shape == shape and arr.swapaxes(0, 1).flags.c_contiguous
                 and all(arr[:, k].flags.c_contiguous for k in range(shape[1])))
 
-    y, z, drift = _backward(paths, 3, terminal, step)
-    for arr, shape in ((y, (m, ksteps + 1, n)), (z, (m, ksteps, n, d)),
-                       (drift, (m, ksteps, n))):
+    y, z, moments = _backward(paths, 3, terminal, step)
+    for arr, shape in ((y, (m, ksteps + 1, n)), (z, (m, ksteps, n, d))):
         assert node_major(arr, shape)
+    assert sorted(moments) == ["moment_db_residual", "moment_residual"]   # no drift
     np.testing.assert_array_equal(y[:, ksteps], terminal)
     for h in (terminal[:, 0], terminal):
         n_fit, z_tilde = _represent(paths, 3, h)
@@ -771,6 +771,15 @@ def _generic_2x2():
     return constant_field(a0, name="generic-2x2")
 
 
+def _right_outer_square(n):
+    """A right-outer field with n = d: at n = 1 each path's steps sum
+    pairwise in the lifted drift's `.sum(axis=1)`, and at d = 2 the a V
+    contraction sums two terms."""
+    from bsde_lab.fields import right_outer_field
+    return right_outer_field(lambda t, x: 0.3 * np.tanh(x[:, None, :] + np.arange(n)[:, None]),
+                             np.linspace(0.5, -0.3, n), d=n, name=f"right-outer-{n}x{n}")
+
+
 _FROZEN_CASES = {
     "regression": ("triangular-3d", solve_by_regression),
     "regression-d2": ("generic-2x2", solve_by_regression),
@@ -778,6 +787,8 @@ _FROZEN_CASES = {
     "representation-d2": ("generic-2x2", solve_by_representation),
     "triangular": ("triangular-3d", solve_triangular),
     "right_outer": ("right-outer-3d", solve_right_outer),
+    "right_outer-n1": ("right-outer-1x1", solve_right_outer),
+    "right_outer-d2": ("right-outer-2x2", solve_right_outer),
     "left_outer": ("left-outer-3d", solve_left_outer),
 }
 
@@ -786,6 +797,8 @@ def _frozen_instance(instance):
     """(field, terminal, beta function, paths) of a frozen-reference case."""
     if instance == "generic-2x2":
         fld, terminal = _generic_2x2(), lambda p: np.tanh(p.states[:, -1])
+    elif instance.startswith("right-outer-") and instance != "right-outer-3d":
+        fld, terminal = _right_outer_square(int(instance[-1])), lambda p: np.tanh(p.states[:, -1])
     else:
         fld, terminal = _perturbed_spec(instance).field, linear_terminal(instance)
     weights = np.linspace(1.0, -0.5, fld.n)
@@ -809,7 +822,7 @@ def test_linear_solvers_match_frozen_reference(case, with_beta):
     instance, solver = _FROZEN_CASES[case]
     fld, terminal, beta_fn, paths = _frozen_instance(instance)
     spec = LinearBsdeSpec(fld, terminal, beta=beta_fn if with_beta else None)
-    want = _ref_solver(case.removesuffix("-d2"))(spec, paths)
+    want = _ref_solver(case.split("-")[0])(spec, paths)
     _assert_matches_reference(solver(spec, paths), want)
 
 

@@ -419,10 +419,18 @@ _DRIVERS = {"cole-hopf-1d": cole_hopf_1d, "cole-hopf-1d-ud": cole_hopf_1d_ud,
             "ql-coupled-2d": ql_coupled_2d, "unidirectional-2d": unidirectional_2d}
 
 
+def _moments(paths, y, z, drift):
+    """The moment residuals of a solution whose drift is a whole array."""
+    from bsde_lab.linear import _MomentSums
+    sums = _MomentSums(paths)
+    for k in range(z.shape[1]):
+        sums.add(k, y, z, drift[:, k])
+    return sums.means()
+
+
 @pytest.mark.parametrize("init", ["mean", "zero"])
 @pytest.mark.parametrize("name", sorted(_DRIVERS))
 def test_quadratic_solve_matches_frozen_reference(name, init):
-    from bsde_lab.linear import _martingale_residuals
     from bsde_lab.quadratic import _backward_quadratic
 
     paths = generate_brownian(TimeGrid(1.0, 16), 1, 1500, seed=1)
@@ -434,12 +442,13 @@ def test_quadratic_solve_matches_frozen_reference(name, init):
     assert rep.escalation_log == log
     assert _same_bits(rep.solution.y, y) and _same_bits(rep.solution.z, z)
     assert rep.solution.diagnostics["moment_residual"] == \
-        _martingale_residuals(paths, y, z, drift)["moment_residual"]
-    for entry in log:                 # every level tried, drift included
-        got = _backward_quadratic(truncate_driver(drv, entry["level"]), term, paths,
-                                  3, 1e-10, 60, init)
+        _moments(paths, y, z, drift)["moment_residual"]
+    for entry in log:                 # every level tried, with its drift's residuals
+        got_y, got_z, moments = _backward_quadratic(truncate_driver(drv, entry["level"]),
+                                                    term, paths, 3, 1e-10, 60, init)
         want = _ref_backward(drv, entry["level"], term, paths, 3, 1e-10, 60, init)
-        assert all(_same_bits(g, w) for g, w in zip(got, want))
+        assert _same_bits(got_y, want[0]) and _same_bits(got_z, want[1])
+        assert moments == _moments(paths, *want)
 
 
 def test_quadratic_bench_size_escalation_matches_frozen_reference():

@@ -166,6 +166,35 @@ def test_peak_probe_names_the_package_frames_at_the_peak(capsys):
         assert module in modules and int(line) > 0 and function.isidentifier(), frame
 
 
+def test_peak_probe_lists_the_largest_sites_live_at_the_peak(capsys, monkeypatch):
+    # `--sites N` adds "MB module.py:line" lines, largest first, from the last
+    # snapshot, which the hook takes only once the peak has risen by
+    # SNAPSHOT_STEP since the one before.  The step is cut here to 64 KiB,
+    # since this case peaks near 1 MB.
+    spec = importlib.util.spec_from_file_location("peak_probe", ROOT / "tools" / "peak_probe.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.setattr(tool, "SNAPSHOT_STEP", 1 << 16)
+    snapshots, take = [], tool.tracemalloc.take_snapshot
+    monkeypatch.setattr(tool.tracemalloc, "take_snapshot",
+                        lambda: snapshots.append(None) or take())
+    assert tool.main(["--workload", "backward", "--seed", "3", "--case", "linear-left-outer",
+                      "--set", "M=300", "--set", "K=4", "--depth", "1", "--sites", "4"]) == 0
+    head, *lines = capsys.readouterr().out.splitlines()
+    peak_mb = float(head.split()[3])
+    sites = [line.split() for line in lines if line.split()[1] == "MB"]
+    assert len(lines) == 1 + len(sites) and 1 <= len(sites) <= 4
+    modules = {path.name for path in (ROOT / "src" / "bsde_lab").glob("*.py")}
+    sizes = []
+    for size, _, where in sites:
+        module, line = where.split(":")
+        assert module in modules and int(line) > 0, where
+        sizes.append(float(size))
+    assert sizes == sorted(sizes, reverse=True) and sizes[0] > 0
+    assert sum(sizes) <= peak_mb + 0.05 + 0.005 * len(sizes)
+    assert 1 <= len(snapshots) <= peak_mb * 2**20 / (1 << 16) + 2
+
+
 def _bench_python(*args, cwd):
     """Run python with the package and the bench harness importable."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")]))
