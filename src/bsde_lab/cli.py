@@ -342,15 +342,13 @@ def build_custom_driver(custom: dict, steps: int):
         _probe("custom/g_expr", custom["g_expr"], g_fn, zeros, (m, n))
         g = lambda t, x, y, z: np.asarray(g_fn(t, x, y, z), dtype=float)
     if custom["class"] == "ql":
-        drv = QuadraticLinearDriver(n, d, g, custom.get("b", [0.0] * n), lip,
-                                    name="custom")
+        drv = QuadraticLinearDriver(n, d, g, custom.get("b", [0.0] * n), lip)
     else:
         h_expr = custom.get("h_expr", "0.0 * z[:, 0, 0]")
         h_fn = _compile_expr(h_expr, ("z",))
         _probe("custom/h_expr", h_expr, h_fn, zeros[3:], (m,))
         drv = UnidirectionalDriver(n, d, g, custom.get("a", [1.0] + [0.0] * (n - 1)),
-                                   lambda z: np.asarray(h_fn(z), dtype=float),
-                                   lip, name="custom")
+                                   lambda z: np.asarray(h_fn(z), dtype=float), lip)
     term_expr = custom.get("terminal_expr", "tanh(b[:, -1, :1]) + 0 * b[:, -1, :1]")
     t_fn = _compile_expr(term_expr, ("b",))
 

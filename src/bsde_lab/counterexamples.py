@@ -1,9 +1,10 @@
 """Closed-form counterexample machinery.
 
 Two constructions in dimension n = 2, d = 1: the rotation exponential stopped
-at the exit of |B| from pi/2, which is a strict local martingale with infinite
-first moment at the stopped horizon, and the partition-mixture refinement of
-it for which the associated homogeneous linear BSDE has no bounded solution.
+at the exit of |B| from `fields.EMERY_LEVEL` (pi/2), which is a strict local
+martingale with infinite first moment at the stopped horizon, and the
+partition-mixture refinement of it for which the associated homogeneous
+linear BSDE has no bounded solution.
 Both reduce computationally to the exit-time identity
 
     E[exp(sigma_b / 2)] = 1 / cos(b),   sigma_b = exit time of |W| from b,
@@ -30,7 +31,7 @@ import numpy as np
 
 from .brownian import PathEnsemble, _step_blocks, substream
 from .exponential import ExponentialEnsemble, MartingaleDefectReport, defect_profile
-from .fields import StoppedRotationField
+from .fields import EMERY_LEVEL, StoppedRotationField
 from .grids import ConfigurationError
 
 # Exit level above which an exit-time estimate carries `heavy_tail_warning`.
@@ -91,7 +92,7 @@ def _emery_blocks(paths: PathEnsemble, exits: tuple, rows, s, s_inv):
         del states                  # before the next states block is formed
 
 
-def emery_closed_form(paths: PathEnsemble, level: float = np.pi / 2,
+def emery_closed_form(paths: PathEnsemble, level: float = EMERY_LEVEL,
                       inverse: bool = True) -> ExponentialEnsemble:
     """Exact rotation-times-scalar form of the stopped exponential.
 
@@ -115,7 +116,7 @@ def emery_closed_form(paths: PathEnsemble, level: float = np.pi / 2,
                                bad_paths=exits[0] == k1)
 
 
-def emery_defect_profile(paths: PathEnsemble, level: float = np.pi / 2) -> MartingaleDefectReport:
+def emery_defect_profile(paths: PathEnsemble, level: float = EMERY_LEVEL) -> MartingaleDefectReport:
     """martingale_defect(emery_closed_form(paths, level)), bit for bit, without
     S or the whole states: the exited paths are known after the stop scan,
     so `_emery_blocks` forms each node block of S for them alone, from their
@@ -130,21 +131,22 @@ def emery_defect_profile(paths: PathEnsemble, level: float = np.pi / 2) -> Marti
 _EMERY_DT = 0.01
 
 
-def emery_defect_at_horizon(paths: int, horizon: float = 48.0, dt: float = _EMERY_DT,
+def emery_defect_at_horizon(paths: int, horizon: float, dt: float = _EMERY_DT,
                             seed: int = 0, threads: int = 1) -> dict:
     """Diagonal martingale defect of the stopped rotation exponential at a
     long horizon, without storing paths.
 
-    Exited paths contribute exactly 0 to the diagonal (cos(+-pi/2) = 0 after
-    clamping); survivors contribute exp(horizon/2) cos(B).  The empirical
-    mean collapses to 0 once the horizon is long enough that no sampled path
-    survives, which is the numerical signature of the uniform-integrability
-    failure: the true per-time expectation stays 1, carried by survivors of
-    vanishing probability, while the stopped terminal has expectation 0.
+    The walk runs to EMERY_LEVEL.  Exited paths contribute exactly 0 to the
+    diagonal (cos(+-EMERY_LEVEL) = 0 after clamping); survivors contribute
+    exp(horizon/2) cos(B).  The empirical mean collapses to 0 once the
+    horizon is long enough that no sampled path survives, which is the
+    numerical signature of the uniform-integrability failure: the true
+    per-time expectation stays 1, carried by survivors of vanishing
+    probability, while the stopped terminal has expectation 0.
     `threads` workers share the walk without moving a bit (`_exit_walk`).
     """
     max_steps = int(np.ceil(horizon / dt))
-    exit_steps, alive, w = _exit_walk(seed, 23, paths, np.pi / 2, dt, max_steps, 256,
+    exit_steps, alive, w = _exit_walk(seed, 23, paths, EMERY_LEVEL, dt, max_steps, 256,
                                       bridge=False, threads=threads)
     contrib = np.zeros(paths)
     contrib[alive] = np.exp(horizon / 2.0) * np.cos(w)
@@ -353,7 +355,7 @@ def _check_level(b: float) -> None:
 
 # Most normals the exit walks of one run may be expected to draw, the sum
 # over its levels of M b^2 / dt (E[sigma_b] = b^2), or for the Emery walk
-# M min((pi/2)^2, horizon) / dt: six times acceptance criterion 01, which
+# M min(EMERY_LEVEL^2, horizon) / dt: six times acceptance criterion 01, which
 # draws 1.7e9 in under a minute at one thread.
 MAX_EXIT_NORMALS = 1e10
 
@@ -373,8 +375,9 @@ def check_exit_walks(levels: list, paths: int, dt: float) -> None:
 def check_emery_walk(paths: int, horizon: float) -> None:
     """Refuse emery_defect_at_horizon(paths, horizon) before it runs when its
     walk may be expected to draw more than MAX_EXIT_NORMALS normals: a path
-    walks until |W| reaches pi/2, E[sigma] = (pi/2)^2, or until `horizon`."""
-    normals = paths * min((np.pi / 2) ** 2, horizon) / _EMERY_DT
+    walks until |W| reaches EMERY_LEVEL, E[sigma] = EMERY_LEVEL^2, or until
+    `horizon`."""
+    normals = paths * min(EMERY_LEVEL ** 2, horizon) / _EMERY_DT
     if normals > MAX_EXIT_NORMALS:
         raise ConfigurationError(
             f"M = {paths} asks the Emery walk for about {normals:.3g} normals, "
@@ -561,7 +564,7 @@ class BlowupDiagnostics:
                                 self.simulated_std_error, self.remainder_bound])
 
 
-def nonexistence_blowup(spec: NonexistenceSpec, j_max: int, paths_per_level: int = 20_000,
+def nonexistence_blowup(spec: NonexistenceSpec, j_max: int, paths_per_level: int,
                         *, seed: int = 0) -> BlowupDiagnostics:
     """Divergence diagnostics for the no-solution construction.
 

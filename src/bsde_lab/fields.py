@@ -127,6 +127,12 @@ def left_outer_field(a, b_eval, d: int, name: str = "left_outer") -> LeftOuterFi
     return LeftOuterField(n, d, ev, "left_outer", True, name, a, b_eval)
 
 
+# The exit level of the Emery counterexample: at pi/2, E[exp(sigma/2)] of
+# the exit time sigma of |B| diverges, so the stopped rotation is a strict
+# local martingale.
+EMERY_LEVEL = np.pi / 2
+
+
 class StoppedRotationField(CoefficientField):
     """2x2 rotation generator switched off at the exit of |B| from a level.
 
@@ -137,7 +143,7 @@ class StoppedRotationField(CoefficientField):
     |S_t^{-1} S_T|^p is exactly 1, with the live ones, and reads far too low.
     """
 
-    def __init__(self, level: float = np.pi / 2):
+    def __init__(self, level: float = EMERY_LEVEL):
         super().__init__(2, 1, None, "generic", False, "stopped_rotation")
         self.level = level
         self._j = np.array([[0.0, 1.0], [-1.0, 0.0]])

@@ -15,8 +15,8 @@ from typing import Callable
 import numpy as np
 
 from .counterexamples import NonexistenceSpec
-from .fields import (CoefficientField, StoppedRotationField, left_outer_field,
-                     right_outer_field, scalar_field)
+from .fields import (EMERY_LEVEL, CoefficientField, StoppedRotationField,
+                     left_outer_field, right_outer_field, scalar_field)
 from .grids import ConfigurationError
 from .quadratic import QuadraticLinearDriver, UnidirectionalDriver
 
@@ -86,7 +86,7 @@ def scalar_half() -> CoefficientField:
 
 
 def cole_hopf_1d() -> QuadraticLinearDriver:
-    return QuadraticLinearDriver(1, 1, None, [0.5], 0.5, name="cole-hopf-1d")
+    return QuadraticLinearDriver(1, 1, None, [0.5], 0.5)
 
 
 def cole_hopf_1d_ud() -> UnidirectionalDriver:
@@ -94,14 +94,14 @@ def cole_hopf_1d_ud() -> UnidirectionalDriver:
         z = np.asarray(z, dtype=float)
         return 0.5 * (z * z).reshape(z.shape[0], -1).sum(axis=1)
 
-    return UnidirectionalDriver(1, 1, None, [1.0], h, 1.0, name="cole-hopf-1d-ud")
+    return UnidirectionalDriver(1, 1, None, [1.0], h, 1.0)
 
 
 def ql_coupled_2d() -> QuadraticLinearDriver:
     def g(t, x, y, z):
         return 0.3 * np.stack([np.tanh(y[:, 1]), np.sin(y[:, 0])], axis=1)
 
-    return QuadraticLinearDriver(2, 1, g, [0.5, 0.25], 1.0, name="ql-coupled-2d")
+    return QuadraticLinearDriver(2, 1, g, [0.5, 0.25], 1.0)
 
 
 def unidirectional_2d() -> UnidirectionalDriver:
@@ -114,7 +114,7 @@ def unidirectional_2d() -> UnidirectionalDriver:
         z = np.asarray(z, dtype=float)
         return 0.5 * (z[:, 0, :] ** 2).sum(axis=1)
 
-    return UnidirectionalDriver(2, 1, g, [1.0, 0.0], h, 1.0, name="unidirectional-2d")
+    return UnidirectionalDriver(2, 1, g, [1.0, 0.0], h, 1.0)
 
 
 REGISTRY: dict[str, InstanceInfo] = {info.name: info for info in (
@@ -128,7 +128,7 @@ REGISTRY: dict[str, InstanceInfo] = {info.name: info for info in (
         "2x2 rotation exponential stopped at the exit of |B| from pi/2: "
         "S_t = exp((tau^t)/2) [[cos,sin],[-sin,cos]](B_{tau^t}); strict local "
         "martingale, E|S_stopped| infinite, diagonal of the stopped terminal is 0",
-        StoppedRotationField, {"level": float(np.pi / 2), "effective_horizon": 48.0,
+        StoppedRotationField, {"level": EMERY_LEVEL, "effective_horizon": 48.0,
                     "n": 2, "d": 1}),
     InstanceInfo(
         "exit-time", "counterexample",

@@ -503,15 +503,14 @@ def solve_left_outer(spec: LinearBsdeSpec, paths: PathEnsemble,
     return _solve(spec, paths, degree, "left_outer")
 
 
-# method -> (solver tag of its solution, method).  The structural methods are
-# keyed by the structure tag they need, so "auto" takes the field's own.
-_STRUCTURAL = {
-    "lower_triangular": ("triangular", _triangular),
-    "right_outer": ("right_outer", _right_outer),
-    "left_outer": ("left_outer", _left_outer),
-}
+# method -> (solver tag of its solution, method).  A structural method is
+# keyed by the structure tag it needs, and no structure tag names another
+# method, so "auto" is the field's tag if it is a key here.
 _METHODS = {"regression": ("regression", _regression),
-            "representation": ("representation", _representation), **_STRUCTURAL}
+            "representation": ("representation", _representation),
+            "lower_triangular": ("triangular", _triangular),
+            "right_outer": ("right_outer", _right_outer),
+            "left_outer": ("left_outer", _left_outer)}
 
 
 def _terminal(spec: LinearBsdeSpec, paths: PathEnsemble) -> np.ndarray:
@@ -546,18 +545,20 @@ def solve_perturbed(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int = 3,
                     tol: float = 1e-6, base: str = "auto") -> SolutionEnsemble:
     """Picard iteration for BSDE(A + dA) with an optional alpha Y term.
 
-    Each pass hands the core of the method `base` ("auto": the structural
-    method of A's tag, else representation) the inhomogeneity array
+    Each pass hands the core of the method `base` ("auto": A's structure
+    tag if `_METHODS` has it, else representation) the inhomogeneity array
     beta + alpha Y^m + dA Z^m; the method's own work (a representation base
     simulates and gates S) is done once, and `_finish` once, on the last
     pass.  Stops at relative residual < tol; a growing residual raises
     PicardDivergenceError, which is the numerical mirror of the perturbation
-    being too large to slice.  Every pass forms the inhomogeneity in one
-    buffer, and |Y - Y^m| and |Y| in the spent Y^m, freed before `_finish`.
+    being too large to slice, and so do a non-finite residual, on its own
+    pass, and _MAX_PASSES passes without a stop.  Every pass forms the
+    inhomogeneity in one buffer, and |Y - Y^m| and |Y| in the spent Y^m,
+    freed before `_finish`.
     """
     fld = spec.field
     if base == "auto":
-        base = fld.structure if fld.structure in _STRUCTURAL else "representation"
+        base = fld.structure if fld.structure in _METHODS else "representation"
     core = _METHODS[base][1](fld, paths, degree)
     m, ksteps, n, d = paths.paths, paths.grid.steps, spec.n, paths.d
     xi = _terminal(spec, paths)
@@ -571,7 +572,7 @@ def solve_perturbed(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int = 3,
     z = _by_node(m, ksteps, (n, d), np.zeros)
     mod = _by_node(m, ksteps, (n,))
     history = []
-    for it in range(_MAX_PASSES):
+    for _ in range(_MAX_PASSES):
         mod.fill(0.0)
         if beta is not None:
             mod += beta
@@ -588,16 +589,17 @@ def solve_perturbed(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int = 3,
         history.append(resid)
         if resid < tol:
             break
+        if not np.isfinite(resid):
+            raise PicardDivergenceError(
+                f"residual is non-finite on pass {len(history)}; residual history {history}")
         if len(history) >= 4 and history[-1] > history[-3] > history[-4]:
             raise PicardDivergenceError(
                 f"perturbation too large (not sliceable at this scale); "
                 f"residual history {history}")
         y_prev = y
     else:
-        if history[-1] >= tol:
-            raise PicardDivergenceError(
-                f"no convergence in {_MAX_PASSES} iterations; history tail "
-                f"{history[-3:]}")
+        raise PicardDivergenceError(
+            f"no convergence in {_MAX_PASSES} iterations; history tail {history[-3:]}")
     del y_prev, core
     sol = _finish(fld, paths, "perturbed", y, z, mod, extras)
     sol.diagnostics["picard_history"] = history
@@ -607,7 +609,8 @@ def solve_perturbed(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int = 3,
 
 def solve_auto(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int = 3,
                method: str = "auto") -> SolutionEnsemble:
-    """Dispatch on the declared structure / requested method.
+    """Dispatch on the requested method ("auto": the field's structure tag if
+    `_METHODS` has it, else regression).
 
     A spec with a perturbation (alpha or delta_field) is solved by
     `solve_perturbed` with the requested method as its base.
@@ -615,7 +618,7 @@ def solve_auto(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int = 3,
     if spec.delta_field is not None or spec.alpha is not None:
         return solve_perturbed(spec, paths, degree=degree, base=method)
     if method == "auto":
-        method = spec.field.structure if spec.field.structure in _STRUCTURAL else "regression"
+        method = spec.field.structure if spec.field.structure in _METHODS else "regression"
     return _solve(spec, paths, degree, method)
 
 

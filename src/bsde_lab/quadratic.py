@@ -56,7 +56,8 @@ class QuadraticLinearDriver(_ClampRule):
     The quadratic term is (z b^T z)_i = z^i . (sum_j b_j z^j).  g is a
     Lipschitz driver with constant `lipschitz`; |b| <= lipschitz is the class
     convention and is checked at construction.  Truncation clamps only b^T z:
-    z phi_k(b^T z) + g is globally Lipschitz.
+    z phi_k(b^T z) + g is globally Lipschitz.  `instances.REGISTRY`, not
+    the driver, holds the name of each shipped driver.
     """
 
     n: int
@@ -64,7 +65,6 @@ class QuadraticLinearDriver(_ClampRule):
     g: Callable
     b: np.ndarray
     lipschitz: float
-    name: str = "ql"
 
     kind = "ql"
 
@@ -98,6 +98,8 @@ class UnidirectionalDriver(_ClampRule):
 
     Truncation clamps the z of both g and h, which keeps the spanning
     a-priori bound because the clamp is radial with |phi_k(z)| <= |z|.
+    `instances.REGISTRY`, not the driver, holds the name of each shipped
+    driver.
     """
 
     n: int
@@ -106,7 +108,6 @@ class UnidirectionalDriver(_ClampRule):
     a: np.ndarray
     h: Callable
     lipschitz: float
-    name: str = "unidirectional"
 
     kind = "unidirectional"
 

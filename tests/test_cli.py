@@ -1,7 +1,9 @@
 import argparse
 import ctypes
 import hashlib
+import importlib
 import importlib.util
+import inspect
 import json
 import os
 import platform
@@ -245,6 +247,37 @@ _KIND_DEFAULTS = {
 def test_schema_defaults_are_the_config_defaults(kind):
     assert sorted(_KIND_DEFAULTS) == sorted(CONFIG_SCHEMAS)
     assert load_config(None, kind) == {**_KIND_DEFAULTS[kind], "seed": 0, "kind": kind}
+
+
+# Each library parameter that a runner feeds from a config key, as
+# (function, parameter, kind, key, bare): the parameter has the config's
+# default or none, and none at all where `bare`.
+_FED_PARAMETERS = [
+    ("linear.solve_auto", "degree", "linear", "degree", False),
+    ("linear.solve_auto", "method", "linear", "method", False),
+    ("quadratic.solve_quadratic", "degree", "quadratic", "degree", False),
+    ("quadratic.solve_quadratic", "init", "quadratic", "init", False),
+    ("exponential.estimate_reverse_holder", "method", "reverse-holder", "method", False),
+    ("exponential.estimate_reverse_holder", "degree", "reverse-holder", "degree", False),
+    ("exponential.estimate_reverse_holder", "inner_paths", "reverse-holder", "inner_paths",
+     False),
+    ("counterexamples.nonexistence_blowup", "paths_per_level", "counterexample",
+     "paths_per_level", True),
+    ("counterexamples.emery_defect_at_horizon", "horizon", "counterexample",
+     "effective_horizon", True),
+]
+
+
+@pytest.mark.parametrize("function,param,kind,key,bare", _FED_PARAMETERS,
+                         ids=[f"{f}-{p}" for f, p, *_ in _FED_PARAMETERS])
+def test_library_defaults_are_the_config_defaults(function, param, kind, key, bare):
+    module, name = function.split(".")
+    fn = getattr(importlib.import_module(f"bsde_lab.{module}"), name)
+    default = inspect.signature(fn).parameters[param].default
+    allowed = [inspect.Parameter.empty]
+    if not bare:
+        allowed.append(CONFIG_SCHEMAS[kind]["properties"][key]["default"])
+    assert default in allowed
 
 
 def test_loaded_config_does_not_share_defaults():

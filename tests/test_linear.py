@@ -178,6 +178,26 @@ def test_perturbed_large_delta_diverges(paths):
         solve_perturbed(spec, paths.subset(np.arange(2000)))
 
 
+def test_perturbed_nan_residual_raises_on_its_first_pass(monkeypatch):
+    # NaN fails both `resid < tol` and the growth test; the stop must still
+    # refuse it, at once, instead of returning an all-NaN solution.
+    import bsde_lab.linear as lin
+    tag, make = lin._METHODS["lower_triangular"]
+    passes = []
+
+    def counted(*args):
+        core = make(*args)
+        return lambda xi, beta: passes.append(1) or core(xi, beta)
+
+    monkeypatch.setitem(lin._METHODS, "lower_triangular", (tag, counted))
+    delta = constant_field(np.full((3, 3, 1), 0.05), name="delta")
+    spec = LinearBsdeSpec(triangular_3d(), lambda p: np.full((p.paths, 3), np.nan),
+                          delta_field=delta)
+    with pytest.raises(PicardDivergenceError, match="non-finite on pass 1;"):
+        solve_perturbed(spec, generate_brownian(TimeGrid(1.0, 8), 1, 500, seed=1))
+    assert len(passes) == 1
+
+
 def exhaustive_tree_paths(filt: FiniteFiltration) -> PathEnsemble:
     """Every tree path once: regression on the Brownian state with full
     degree reproduces nodewise conditional expectations exactly."""
