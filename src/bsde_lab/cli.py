@@ -26,14 +26,15 @@ from .brownian import generate_brownian
 from .counterexamples import (NonexistenceSpec, check_emery_walk, check_exit_walks,
                               emery_defect_at_horizon, emery_defect_profile,
                               exit_time_exponential, nonexistence_blowup)
-from .exponential import (estimate_reverse_holder, martingale_defect,
+from .exponential import (RP_METHODS, estimate_reverse_holder, martingale_defect,
                           simulate_exponential, terminal_moment_truncation_curve,
                           truncation_curve)
-from .grids import ConfigurationError, TimeGrid
-from .instances import (FIELDS, LINEAR_FIELDS, QUADRATIC_DRIVERS, REGISTRY, describe,
-                        linear_terminal, quadratic_terminal)
-from .linear import LinearBsdeSpec, path_means, solve_auto
-from .quadratic import solve_quadratic
+from .grids import ConfigurationError, TimeGrid, check_choice
+from .instances import (CONFIG_DEFAULT, FIELDS, LINEAR_FIELDS, QUADRATIC_DRIVERS, REGISTRY,
+                        describe, linear_terminal, quadratic_terminal)
+from .linear import _METHODS, LinearBsdeSpec, path_means, solve_auto
+from .quadratic import (DRIVER_KINDS, INITS, QuadraticLinearDriver, UnidirectionalDriver,
+                        solve_quadratic)
 from . import tree as tr
 
 FMT = "%.17g"
@@ -64,6 +65,13 @@ def _schema(**props) -> dict:
     }
 
 
+# The table header of each oracle, by `which`.
+_ORACLE_HEADERS = {"bsde": "instance,steps,d,n,identity_error",
+                   "duality": "instance,p,level,lhs,rhs,gap",
+                   "rp": "instance,p,rp,expected"}
+
+# Each closed choice below is the key set of the table or tuple that the
+# library dispatches on, in its order, so the two cannot drift apart.
 _FIELD = _prop("scalar-half", type="string", enum=sorted(FIELDS))
 _DEGREE = _prop(3, type="integer", minimum=1)
 
@@ -72,15 +80,13 @@ CONFIG_SCHEMAS = {
     "reverse-holder": _schema(
         **_grid(1.0, 32, 40000), field=_FIELD,
         p=_prop(2.0, type="number", minimum=1),
-        method=_prop("regression", type="string", enum=["regression", "nested"]),
+        method=_prop("regression", type="string", enum=list(RP_METHODS)),
         degree=_DEGREE,
         inner_paths=_prop(512, type="integer", minimum=8)),
     "linear": _schema(
         **_grid(1.0, 32, 16000),
         instance=_prop("triangular-3d", type="string", enum=sorted(LINEAR_FIELDS)),
-        method=_prop("auto", type="string",
-                     enum=["auto", "regression", "representation",
-                           "lower_triangular", "right_outer", "left_outer"]),
+        method=_prop("auto", type="string", enum=["auto", *_METHODS]),
         degree=_DEGREE,
         q=_prop("inf", anyOf=[{"type": "number", "minimum": 1}, {"const": "inf"}]),
         perturbation=_prop(type="object",
@@ -92,11 +98,11 @@ CONFIG_SCHEMAS = {
         driver=_prop("cole-hopf-1d", type="string",
                      enum=sorted(QUADRATIC_DRIVERS) + ["custom"]),
         degree=_DEGREE,
-        init=_prop("mean", type="string", enum=["mean", "zero"]),
+        init=_prop("mean", type="string", enum=list(INITS)),
         custom=_prop(
             type="object",
             properties={
-                "class": {"type": "string", "enum": ["ql", "unidirectional"]},
+                "class": {"type": "string", "enum": list(DRIVER_KINDS)},
                 "n": {"type": "integer", "minimum": 1},
                 "d": {"type": "integer", "minimum": 1},
                 "b": {"type": "array", "items": {"type": "number"}},
@@ -110,8 +116,8 @@ CONFIG_SCHEMAS = {
             additionalProperties=False)),
     "counterexample": _schema(
         **_grid(8.0, 800, 20000),
-        which=_prop("exit-time", type="string",
-                    enum=["emery", "exit-time", "nonexistence"]),
+        which=_prop("exit-time", type="string", enum=sorted(
+            name for name, info in REGISTRY.items() if info.kind == "counterexample")),
         b=_prop(float(np.pi / 3), type="number"),
         levels=_prop(type="array", items={"type": "number"}),
         dt=_prop(1e-4, type="number", exclusiveMinimum=0),
@@ -119,7 +125,7 @@ CONFIG_SCHEMAS = {
         paths_per_level=_prop(5000, type="integer", minimum=8),
         effective_horizon=_prop(48.0, type="number", exclusiveMinimum=0)),
     "oracle": _schema(
-        which=_prop("bsde", type="string", enum=["bsde", "duality", "rp"]),
+        which=_prop("bsde", type="string", enum=list(_ORACLE_HEADERS)),
         instances=_prop(25, type="integer", minimum=1)),
     "equivalence-suite": _schema(
         p=_prop(2.0, type="number", minimum=1),
@@ -329,9 +335,10 @@ def build_custom_driver(custom: dict, steps: int):
     simulated, h must give one value per path (or a constant) and g an array
     that adds to the (M, n) z-part as (M, n), probed on zero inputs, and the
     terminal must run on zero Brownian states.  The terminal gives a row per
-    path or a constant, broadcast to (M, n).
+    path or a constant, broadcast to (M, n).  A `class` outside
+    `quadratic.DRIVER_KINDS` is refused.
     """
-    from .quadratic import QuadraticLinearDriver, UnidirectionalDriver
+    check_choice("custom/class", custom["class"], DRIVER_KINDS)
     n, d = custom["n"], custom["d"]
     lip = custom.get("lipschitz", 1.0)
     m = n + 1   # probe paths: a per-path value never passes for an n-vector
@@ -341,7 +348,7 @@ def build_custom_driver(custom: dict, steps: int):
         g_fn = _compile_expr(custom["g_expr"], ("t", "x", "y", "z"))
         _probe("custom/g_expr", custom["g_expr"], g_fn, zeros, (m, n))
         g = lambda t, x, y, z: np.asarray(g_fn(t, x, y, z), dtype=float)
-    if custom["class"] == "ql":
+    if custom["class"] == QuadraticLinearDriver.kind:
         drv = QuadraticLinearDriver(n, d, g, custom.get("b", [0.0] * n), lip)
     else:
         h_expr = custom.get("h_expr", "0.0 * z[:, 0, 0]")
@@ -567,11 +574,6 @@ def _random_tree(rng: np.random.Generator):
     return filt, a_nodes, beta, xi
 
 
-_ORACLE_HEADERS = {"bsde": "instance,steps,d,n,identity_error",
-                   "duality": "instance,p,level,lhs,rhs,gap",
-                   "rp": "instance,p,rp,expected"}
-
-
 def run_oracle(cfg: dict, out: Path, threads: int) -> int:
     """Exact tree identities on random trees: the linear BSDE solve against
     its representation (bsde), the duality lemma (duality), or R_2 after the
@@ -747,9 +749,15 @@ def main(argv=None) -> int:
         except ConfigurationError as exc:
             print(str(exc), file=sys.stderr)
             return 2
+        # a config key (`instances.CONFIG_DEFAULT`) at its schema default, and
+        # the n and d of the built instance where it has them
+        params = {key: CONFIG_SCHEMAS[info.kind]["properties"][key]["default"]
+                  if value == CONFIG_DEFAULT else value for key, value in info.parameters.items()}
+        built = info.build() if info.build else None
+        params.update({dim: getattr(built, dim) for dim in ("n", "d") if hasattr(built, dim)})
         print(json.dumps({"name": info.name, "kind": info.kind,
                           "description": info.description,
-                          "parameters": _to_jsonable(info.parameters)},
+                          "parameters": _to_jsonable(params)},
                          sort_keys=True, indent=1))
         return 0
 

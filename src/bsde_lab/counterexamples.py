@@ -360,16 +360,22 @@ def _check_level(b: float) -> None:
 MAX_EXIT_NORMALS = 1e10
 
 
+def _check_normals(normals: float, asker: str, remedy: str) -> None:
+    """Refuse a walk expected to draw more than MAX_EXIT_NORMALS normals;
+    the message names what `asker` asks for and the `remedy`."""
+    if normals > MAX_EXIT_NORMALS:
+        raise ConfigurationError(
+            f"{asker} for about {normals:.3g} normals, "
+            f"above its limit of {MAX_EXIT_NORMALS:.0e}; {remedy}")
+
+
 def check_exit_walks(levels: list, paths: int, dt: float) -> None:
     """Refuse exit walks over `levels` before any of them runs: a level
     outside (0, pi/2), or more than MAX_EXIT_NORMALS expected normals."""
     for b in levels:
         _check_level(b)
-    normals = sum(paths * b * b / dt for b in levels)
-    if normals > MAX_EXIT_NORMALS:
-        raise ConfigurationError(
-            f"dt = {dt!r} and M = {paths} ask the exit walk for about {normals:.3g} "
-            f"normals, above its limit of {MAX_EXIT_NORMALS:.0e}; raise dt or lower M")
+    _check_normals(sum(paths * b * b / dt for b in levels),
+                   f"dt = {dt!r} and M = {paths} ask the exit walk", "raise dt or lower M")
 
 
 def check_emery_walk(paths: int, horizon: float) -> None:
@@ -377,11 +383,8 @@ def check_emery_walk(paths: int, horizon: float) -> None:
     walk may be expected to draw more than MAX_EXIT_NORMALS normals: a path
     walks until |W| reaches EMERY_LEVEL, E[sigma] = EMERY_LEVEL^2, or until
     `horizon`."""
-    normals = paths * min(EMERY_LEVEL ** 2, horizon) / _EMERY_DT
-    if normals > MAX_EXIT_NORMALS:
-        raise ConfigurationError(
-            f"M = {paths} asks the Emery walk for about {normals:.3g} normals, "
-            f"above its limit of {MAX_EXIT_NORMALS:.0e}; lower M")
+    _check_normals(paths * min(EMERY_LEVEL ** 2, horizon) / _EMERY_DT,
+                   f"M = {paths} asks the Emery walk", "lower M")
 
 
 def _exit_result(b: float, vals: np.ndarray, truncated: int) -> ExitTimeResult:

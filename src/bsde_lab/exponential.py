@@ -22,7 +22,7 @@ import numpy as np
 from .brownian import (_BLOCK, PathEnsemble, _path_sum, _step_blocks, block_increments,
                        substream)
 from .fields import CoefficientField
-from .grids import TimeGrid
+from .grids import TimeGrid, check_choice
 from .norms import RegressionConditional
 from .tensors import contract_adb, mat_square, operator_norm
 
@@ -266,6 +266,11 @@ def _inverse_blocks(expo: ExponentialEnsemble):
             yield lo, x[:k_grid - lo]
 
 
+# The conditional estimators of estimate_reverse_holder, in the order the
+# reverse-holder config lists them (`cli.CONFIG_SCHEMAS`).
+RP_METHODS = ("regression", "nested")
+
+
 def estimate_reverse_holder(expo: ExponentialEnsemble, p: float,
                             method: str = "regression", degree: int = 3,
                             inner_paths: int = 512) -> ReverseHolderReport:
@@ -288,9 +293,11 @@ def estimate_reverse_holder(expo: ExponentialEnsemble, p: float,
     method "nested": re-simulate the ratio process from (t_k, B_{t_k}) with
     `inner_paths` sub-paths per outer path (Markovian fields only);
     ess-sup ~ max over outer paths of the inner mean.
+    Any other method is refused, naming RP_METHODS.
     """
     if p < 1:
         raise ValueError("reverse Holder requires p >= 1")
+    check_choice("conditional estimator", method, RP_METHODS)
     paths = expo.paths
     k_grid = paths.grid.steps
     profile = np.zeros(k_grid + 1)
@@ -313,14 +320,12 @@ def estimate_reverse_holder(expo: ExponentialEnsemble, p: float,
                     reg.forget(k)
                 profile[k] = float(fitted.max())
                 profile_se[k] = float(np.std(target - fitted, ddof=1) / np.sqrt(paths.paths))
-    elif method == "nested":
+    else:
         for k in range(k_grid):
             means, ses = _nested_ratio_moment(expo, k, p, inner_paths, 7_001)
             j = int(np.argmax(means))
             profile[k] = float(means[j])
             profile_se[k] = float(ses[j])
-    else:
-        raise ValueError(f"unknown conditional estimator {method!r}")
 
     best_k = int(np.argmax(profile))
     return ReverseHolderReport(

@@ -11,6 +11,13 @@ class ConfigurationError(ValueError):
     """Raised when a simulation object is constructed with invalid parameters."""
 
 
+def check_choice(what: str, value, choices) -> None:
+    """Refuse `value` unless it is one of `choices` (a table or tuple the
+    caller dispatches on), naming every choice in its order."""
+    if value not in tuple(choices):
+        raise ConfigurationError(f"{what} {value!r} is not one of {list(choices)}")
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Partition 0 = t_0 < t_1 < ... < t_K = T of the horizon [0, T].

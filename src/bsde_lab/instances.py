@@ -21,13 +21,18 @@ from .grids import ConfigurationError
 from .quadratic import QuadraticLinearDriver, UnidirectionalDriver
 
 
+# The value of a parameter that is a config key of the instance's kind:
+# `bsde-lab describe` prints the key's default in `cli.CONFIG_SCHEMAS`.
+CONFIG_DEFAULT = "config default"
+
+
 @dataclass(frozen=True)
 class InstanceInfo:
     name: str
     kind: str            # field | linear | quadratic | counterexample | tree
     description: str
     build: Callable
-    parameters: dict
+    parameters: dict     # fixed facts; `describe` adds n and d of the built instance
     terminal: Callable | None = None     # xi(paths) of a linear or quadratic instance
 
 
@@ -122,55 +127,54 @@ REGISTRY: dict[str, InstanceInfo] = {info.name: info for info in (
         "scalar-half", "field",
         "n=1 constant coefficient a=0.5: scalar exponential with lognormal "
         "reverse Holder moments exp((p^2-p) a^2 (T-t)/2)",
-        scalar_half, {"n": 1, "d": 1, "a": 0.5}, _final_state),
+        scalar_half, {"a": 0.5}, _final_state),
     InstanceInfo(
         "emery", "counterexample",
         "2x2 rotation exponential stopped at the exit of |B| from pi/2: "
         "S_t = exp((tau^t)/2) [[cos,sin],[-sin,cos]](B_{tau^t}); strict local "
         "martingale, E|S_stopped| infinite, diagonal of the stopped terminal is 0",
-        StoppedRotationField, {"level": EMERY_LEVEL, "effective_horizon": 48.0,
-                    "n": 2, "d": 1}),
+        StoppedRotationField, {"level": EMERY_LEVEL, "effective_horizon": CONFIG_DEFAULT}),
     InstanceInfo(
         "exit-time", "counterexample",
         "E[exp(sigma_b/2)] = 1/cos(b) for the exit time sigma_b of |W| from b",
-        None, {"b": float(np.pi / 3)}),
+        None, {"b": CONFIG_DEFAULT}),
     InstanceInfo(
         "nonexistence", "counterexample",
         "partition mixture of stopped rotations whose weighted exit-time sums "
         "diverge while the per-term remainder bound vanishes: the associated "
         "homogeneous linear system has no bounded solution",
-        NonexistenceSpec, {"levels": "cos(b_k) = 0.9 (k+1) 2^{-k}", "j_max": 12}),
+        NonexistenceSpec, {"levels": "cos(b_k) = 0.9 (k+1) 2^{-k}", "j_max": CONFIG_DEFAULT}),
     InstanceInfo(
         "triangular-3d", "linear",
         "lower-triangular n=3 bounded field; sequential scalar reduction applies",
-        triangular_3d, {"n": 3, "d": 1}, _bounded_terminal_3),
+        triangular_3d, {}, _bounded_terminal_3),
     InstanceInfo(
         "right-outer-3d", "linear",
         "A = a-field b^T with b = (0.5, -0.3, 0.2); scalar equation in b^T Y",
-        right_outer_3d, {"n": 3, "d": 1}, _bounded_terminal_3),
+        right_outer_3d, {}, _bounded_terminal_3),
     InstanceInfo(
         "left-outer-3d", "linear",
         "A = a b-field^T with a = (0.4, 0.2, -0.3); closed-form exponential "
         "S = I + a m^T",
-        left_outer_3d, {"n": 3, "d": 1}, _bounded_terminal_3),
+        left_outer_3d, {}, _bounded_terminal_3),
     InstanceInfo(
         "cole-hopf-1d", "quadratic",
         "n=1 quadratic-linear driver f = |z|^2/2 (b = 1/2, g = 0) with xi = B_T: "
         "exp(2 b Y) is a martingale, Y_0 = T/2",
-        cole_hopf_1d, {"n": 1, "d": 1, "b": 0.5, "y0_exact_at_T1": 0.5}, _final_state),
+        cole_hopf_1d, {"b": 0.5, "y0_exact_at_T1": 0.5}, _final_state),
     InstanceInfo(
         "cole-hopf-1d-ud", "quadratic",
         "unidirectional twin of cole-hopf-1d: a = 1, h = |z|^2/2",
-        cole_hopf_1d_ud, {"n": 1, "d": 1}, _final_state),
+        cole_hopf_1d_ud, {}, _final_state),
     InstanceInfo(
         "ql-coupled-2d", "quadratic",
         "n=2 quadratic-linear driver, bounded coupling g through y, b=(0.5,0.25)",
-        ql_coupled_2d, {"n": 2, "d": 1}, _bounded_terminal_2),
+        ql_coupled_2d, {}, _bounded_terminal_2),
     InstanceInfo(
         "unidirectional-2d", "quadratic",
         "n=2 unidirectional driver a = e_1, h = |z^1|^2/2, bounded g; satisfies "
         "condition (AB) with {+-e_1, +-e_2} and rho = sup|g|",
-        unidirectional_2d, {"n": 2, "d": 1, "ab_vectors": "{+-e_1, +-e_2}"},
+        unidirectional_2d, {"ab_vectors": "{+-e_1, +-e_2}"},
         _bounded_terminal_2),
 )}
 

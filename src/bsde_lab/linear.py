@@ -37,7 +37,7 @@ import numpy as np
 from .brownian import PathEnsemble, _path_sum
 from .exponential import ExponentialEnsemble, martingale_defect, simulate_exponential
 from .fields import CoefficientField, LeftOuterField, RightOuterField
-from .grids import ConfigurationError
+from .grids import ConfigurationError, check_choice
 from .norms import RegressionConditional, estimate_norm
 from .tensors import contract_az
 
@@ -503,7 +503,9 @@ def solve_left_outer(spec: LinearBsdeSpec, paths: PathEnsemble,
     return _solve(spec, paths, degree, "left_outer")
 
 
-# method -> (solver tag of its solution, method).  A structural method is
+# method -> (solver tag of its solution, method).  Its keys, in this order,
+# are the linear config's methods after "auto" (`cli.CONFIG_SCHEMAS`), and a
+# solve by any other name is refused with them.  A structural method is
 # keyed by the structure tag it needs, and no structure tag names another
 # method, so "auto" is the field's tag if it is a key here.
 _METHODS = {"regression": ("regression", _regression),
@@ -520,6 +522,7 @@ def _terminal(spec: LinearBsdeSpec, paths: PathEnsemble) -> np.ndarray:
 def _solve(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int, method: str,
            **kw) -> SolutionEnsemble:
     """One solve by `method`, whose keyword arguments are `kw`."""
+    check_choice("linear method", method, _METHODS)
     tag, make = _METHODS[method]
     beta = _beta_array(spec, paths)
     y, z, extras = make(spec.field, paths, degree, **kw)(_terminal(spec, paths), beta)
@@ -559,6 +562,7 @@ def solve_perturbed(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int = 3,
     fld = spec.field
     if base == "auto":
         base = fld.structure if fld.structure in _METHODS else "representation"
+    check_choice("linear method", base, _METHODS)
     core = _METHODS[base][1](fld, paths, degree)
     m, ksteps, n, d = paths.paths, paths.grid.steps, spec.n, paths.d
     xi = _terminal(spec, paths)

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .brownian import PathEnsemble
-from .grids import ConfigurationError
+from .grids import ConfigurationError, check_choice
 from .linear import SolutionEnsemble, _MomentSums, _backward, _finish
 from .norms import RegressionConditional, estimate_norm
 from .tensors import contract_az
@@ -134,6 +134,11 @@ class UnidirectionalDriver(_ClampRule):
         return np.einsum("i,mjd->mijd", self.a, dz * (dh / safe)[:, None, None])
 
 
+# The driver classes solve_quadratic takes, by `kind`: the custom driver's
+# `class` choices (`cli.CONFIG_SCHEMAS`).
+DRIVER_KINDS = (QuadraticLinearDriver.kind, UnidirectionalDriver.kind)
+
+
 def evaluate_driver(driver, t, x, y, z) -> np.ndarray:
     """Driver value with shape checks; y: (M, n), z: (M, n, d) -> (M, n)."""
     y = np.asarray(y, dtype=float)
@@ -242,6 +247,9 @@ class QuadraticSolveReport:
 _LEVELS = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 _MARGIN = 0.2
 _MAX_PICARD = 60
+# solve_quadratic's starts of the inner Picard iteration: the quadratic
+# config's `init` choices.
+INITS = ("mean", "zero")
 
 
 def _backward_quadratic(driver, terminal_fn, paths: PathEnsemble, degree: int,
@@ -297,10 +305,12 @@ def solve_quadratic(driver, terminal_fn, paths: PathEnsemble, degree: int = 3,
     then measure the largest magnitude the clamp acts on along the solution.
     The level is accepted once that magnitude stays below (1 - _MARGIN) k: the
     clamp is then inactive on every sampled path and the pair solves the
-    original equation there.
+    original equation there.  A driver whose `kind` is not in DRIVER_KINDS,
+    or an `init` not in INITS, is refused before any level is tried, naming
+    the choices.
     """
-    if driver.kind not in ("ql", "unidirectional"):
-        raise ConfigurationError("driver must be quadratic-linear or unidirectional")
+    check_choice("driver kind", getattr(driver, "kind", None), DRIVER_KINDS)
+    check_choice("init", init, INITS)
     log = []
     for level in _LEVELS:
         trunc = truncate_driver(driver, float(level))

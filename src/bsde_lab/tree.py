@@ -13,7 +13,6 @@ Coordinate e of child c moves up when bit e of c is 0, down when it is 1.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,17 +72,6 @@ class FiniteFiltration:
         leaves = np.arange(self.leaves)
         return np.stack([leaves >> (self.d * (self.steps - k))
                          for k in range(self.steps + 1)], axis=1)
-
-    def to_json(self, processes: dict) -> str:
-        payload = {
-            "steps": self.steps,
-            "d": self.d,
-            "dt": self.dt,
-            "states": [lv.tolist() for lv in self.states()],
-            "processes": {name: [np.asarray(lv).tolist() for lv in levels]
-                          for name, levels in processes.items()},
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 def conditional_expectation(filt: FiniteFiltration, leaf_values: np.ndarray,

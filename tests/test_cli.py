@@ -7,6 +7,7 @@ import inspect
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,8 +18,10 @@ from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 from hypothesis import event, given, settings, strategies as st
 
 import bsde_lab
-from bsde_lab.cli import CONFIG_SCHEMAS, SUMMARY_SCHEMA, load_config, main, schema_errors
+from bsde_lab.cli import (CONFIG_SCHEMAS, SUMMARY_SCHEMA, build_custom_driver, load_config,
+                          main, schema_errors)
 from bsde_lab.grids import ConfigurationError
+from bsde_lab.instances import REGISTRY
 
 
 def run(args):
@@ -45,6 +48,28 @@ def test_describe_unknown_suggests(capsys):
     assert run(["describe", "cole-hopf"]) == 2
     err = capsys.readouterr().err
     assert "did you mean" in err
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_describe_prints_only_values_that_match_their_sources(name, capsys):
+    info = REGISTRY[name]
+    assert run(["describe", name]) == 0
+    params = json.loads(capsys.readouterr().out)["parameters"]
+    built = info.build() if info.build else None
+    dims = [dim for dim in ("n", "d") if hasattr(built, dim)]
+    assert {dim: params.get(dim) for dim in dims} == {dim: getattr(built, dim) for dim in dims}
+    # a parameter named after a config key of its kind is that key's default;
+    # nonexistence's "levels" describes its own sequence, and the key has none
+    props = CONFIG_SCHEMAS.get(info.kind, {}).get("properties", {})
+    for key, value in params.items():
+        if "default" in props.get(key, {}):
+            assert value == props[key]["default"], key
+
+
+def test_custom_driver_class_is_refused_by_name():
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "custom/class 'QL' is not one of ['ql', 'unidirectional']")):
+        build_custom_driver({"class": "QL", "n": 1, "d": 1}, 4)
 
 
 def test_unknown_config_key_rejected(tmp_path):

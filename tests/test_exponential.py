@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from bsde_lab import (TimeGrid, doob_sup_check, estimate_reverse_holder,
 from bsde_lab.counterexamples import emery_closed_form
 from bsde_lab.exponential import terminal_moment_truncation_curve
 from bsde_lab.fields import StoppedRotationField, left_outer_field
+from bsde_lab.grids import ConfigurationError
 from bsde_lab.instances import left_outer_3d
 
 
@@ -131,6 +134,13 @@ def test_reverse_holder_rejects_p_below_one(paths_256):
     expo = simulate_exponential(zero_field(1, 1), paths_256.coarsened(32))
     with pytest.raises(ValueError):
         estimate_reverse_holder(expo, 0.5)
+
+
+def test_reverse_holder_refuses_an_unknown_method_by_name(paths_256):
+    expo = simulate_exponential(zero_field(1, 1), paths_256.coarsened(32))
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "conditional estimator 'Nested' is not one of ['regression', 'nested']")):
+        estimate_reverse_holder(expo, 2.0, method="Nested")
 
 
 def test_martingale_defect_zero_field(paths_256):

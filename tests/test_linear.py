@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -349,6 +351,20 @@ def test_solve_auto_dispatch(paths):
     sol2 = solve_auto(LinearBsdeSpec(scalar_field(0.2), lambda p: p.states[:, -1]),
                       paths, method="representation")
     assert sol2.solver == "representation"
+
+
+def test_unknown_method_is_refused_naming_the_methods(paths):
+    named = re.escape("linear method 'Regression' is not one of ['regression', "
+                      "'representation', 'lower_triangular', 'right_outer', 'left_outer']")
+    spec = LinearBsdeSpec(triangular_3d(), TERMINAL3)
+    perturbed = LinearBsdeSpec(triangular_3d(), TERMINAL3,
+                               delta_field=constant_field(np.zeros((3, 3, 1))))
+    with pytest.raises(ConfigurationError, match=named):
+        solve_auto(spec, paths, method="Regression")
+    with pytest.raises(ConfigurationError, match=named):
+        solve_auto(perturbed, paths, method="Regression")
+    with pytest.raises(ConfigurationError, match=named):
+        solve_perturbed(perturbed, paths, base="Regression")
 
 
 def test_solution_norm_report(paths):

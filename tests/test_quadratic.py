@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,20 @@ def test_uniqueness_probe_initializations(paths):
     b = solve_quadratic(cole_hopf_1d(), term, paths, init="zero")
     gap = np.abs(a.solution.y - b.solution.y).max()
     assert gap < 1e-3
+
+
+def test_unknown_init_or_driver_kind_is_refused_by_name(paths):
+    term = quadratic_terminal("cole-hopf-1d")
+    with pytest.raises(ConfigurationError,
+                       match=re.escape("init 'Zero' is not one of ['mean', 'zero']")):
+        solve_quadratic(cole_hopf_1d(), term, paths, init="Zero")
+
+    class OtherKind(QuadraticLinearDriver):
+        kind = "linear"
+
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "driver kind 'linear' is not one of ['ql', 'unidirectional']")):
+        solve_quadratic(OtherKind(1, 1, None, [0.5], 0.5), term, paths)
 
 
 def test_cole_hopf_exponential_is_martingale(paths):
