@@ -57,8 +57,7 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed).jumped(block))
 
 
-def block_increments(grid: TimeGrid, d: int, seed: int, block: int,
-                     out: np.ndarray) -> np.ndarray:
+def block_increments(grid: TimeGrid, seed: int, block: int, out: np.ndarray) -> np.ndarray:
     """Fill `out` with the increments of path block `block`, in place.
 
     out has shape (paths in the block, grid.steps, d): _BLOCK paths, or fewer
@@ -186,7 +185,7 @@ def generate_brownian(grid: TimeGrid, d: int, paths: int, seed: int,
     blocks = range((paths + _BLOCK - 1) // _BLOCK)
 
     def fill(b: int) -> None:
-        block_increments(grid, d, seed, b, inc[b * _BLOCK:(b + 1) * _BLOCK])
+        block_increments(grid, seed, b, inc[b * _BLOCK:(b + 1) * _BLOCK])
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor   # off the start-up path

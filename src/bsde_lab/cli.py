@@ -454,8 +454,7 @@ def run_linear(cfg: dict, out: Path, threads: int) -> int:
     if pert:
         from .fields import constant_field
         if pert.get("scale"):
-            delta = constant_field(
-                np.full((fld.n, fld.n, fld.d), float(pert["scale"])), name="delta")
+            delta = constant_field(np.full((fld.n, fld.n, fld.d), float(pert["scale"])))
         if pert.get("alpha"):
             alpha = lambda p, k, _a=float(pert["alpha"]): np.broadcast_to(
                 _a * np.eye(fld.n), (p.paths, fld.n, fld.n))
@@ -546,7 +545,7 @@ def run_counterexample(cfg: dict, out: Path, threads: int) -> int:
                                  np.column_stack([curve["levels"], curve["curve"]])),
         }
     else:
-        spec = NonexistenceSpec()
+        spec = NonexistenceSpec(cfg["levels"]) if cfg.get("levels") else NonexistenceSpec()
         diag = nonexistence_blowup(spec, cfg["j_max"], cfg["paths_per_level"],
                                    seed=cfg["seed"])
         results = {

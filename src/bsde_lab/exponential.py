@@ -363,7 +363,7 @@ def _nested_ratio_moment(expo: ExponentialEnsemble, k: int, p: float,
     vals = np.empty(total)
     for b, lo in enumerate(range(0, total, _BLOCK)):
         hi = min(lo + _BLOCK, total)
-        inc = block_increments(sub_grid, d, inner_seed, b, np.empty((hi - lo, rest_steps, d)))
+        inc = block_increments(sub_grid, inner_seed, b, np.empty((hi - lo, rest_steps, d)))
         x0 = x_k[np.arange(lo, hi) // inner_paths]
         values = _restart_values(field, float(nodes[k]), sub_grid, inc, x0)
         for _, _, s, _ in _euler_pass(values, inc, sub_grid.dt, field.n, s=True, inverse=False):
@@ -508,7 +508,7 @@ def truncation_curve(vals: np.ndarray, levels=None) -> dict:
     return {"levels": levels, "curve": curve, "diverging": bool(tail_gain > 0.01)}
 
 
-def terminal_moment_truncation_curve(expo: ExponentialEnsemble, p: float = 1.0) -> dict:
+def terminal_moment_truncation_curve(expo: ExponentialEnsemble, p: float) -> dict:
     """Truncation curve E[min(|S_T|^p, L)] for increasing L.
 
     When the underlying moment is infinite (the rotation counterexample at

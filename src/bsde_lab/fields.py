@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .brownian import PathEnsemble, _step_blocks
-from .grids import ConfigurationError
+from .grids import ConfigurationError, check_choice
 
 STRUCTURES = (
     "generic",
@@ -33,12 +33,11 @@ class CoefficientField:
     d: int
     eval: Callable[[float, np.ndarray], np.ndarray]
     structure: str = "generic"
-    markovian: bool = True
-    name: str = ""
+    markovian = True    # A is a function of (t, B_t): the nested R_p may restart it
+    name = ""           # the acceptance gates label a field `name or type(field).__name__`
 
     def __post_init__(self):
-        if self.structure not in STRUCTURES:
-            raise ConfigurationError(f"unknown structure tag {self.structure!r}")
+        check_choice("structure tag", self.structure, STRUCTURES)
 
     def values(self, paths: PathEnsemble, k: int) -> np.ndarray:
         """A at grid step k for every path, shape (paths, n, n, d)."""
@@ -57,22 +56,22 @@ class CoefficientField:
         return out
 
 
-def constant_field(a0: np.ndarray, name: str = "constant") -> CoefficientField:
+def constant_field(a0: np.ndarray) -> CoefficientField:
     """Field with A(t, x) identically equal to a0 (shape (n, n, d))."""
     a0 = np.asarray(a0, dtype=float)
     if a0.ndim != 3 or a0.shape[0] != a0.shape[1]:
         raise ConfigurationError(f"constant field needs shape (n, n, d), got {a0.shape}")
     n, _, d = a0.shape
-    return CoefficientField(n, d, lambda t, x: a0, "generic", True, name)
+    return CoefficientField(n, d, lambda t, x: a0)
 
 
 def zero_field(n: int, d: int) -> CoefficientField:
-    return constant_field(np.zeros((n, n, d)), name="zero")
+    return constant_field(np.zeros((n, n, d)))
 
 
-def scalar_field(a: float, name: str = "scalar") -> CoefficientField:
+def scalar_field(a: float) -> CoefficientField:
     """n = d = 1 field with constant entry a."""
-    return constant_field(np.full((1, 1, 1), float(a)), name=name)
+    return constant_field(np.full((1, 1, 1), float(a)))
 
 
 def _vecd_at(fn: Callable, t: float, x: np.ndarray, n: int, d: int) -> np.ndarray:
@@ -95,14 +94,14 @@ class RightOuterField(CoefficientField):
                         self.n, self.d)
 
 
-def right_outer_field(a_eval, b, d: int, name: str = "right_outer") -> RightOuterField:
+def right_outer_field(a_eval, b, d: int) -> RightOuterField:
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
 
     def ev(t, x):
         return np.einsum("mie,j->mije", _vecd_at(a_eval, t, x, n, d), b)
 
-    return RightOuterField(n, d, ev, "right_outer", True, name, a_eval, b)
+    return RightOuterField(n, d, ev, "right_outer", a_eval, b)
 
 
 @dataclass
@@ -117,14 +116,14 @@ class LeftOuterField(CoefficientField):
                         self.n, self.d)
 
 
-def left_outer_field(a, b_eval, d: int, name: str = "left_outer") -> LeftOuterField:
+def left_outer_field(a, b_eval, d: int) -> LeftOuterField:
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
 
     def ev(t, x):
         return np.einsum("i,mje->mije", a, _vecd_at(b_eval, t, x, n, d))
 
-    return LeftOuterField(n, d, ev, "left_outer", True, name, a, b_eval)
+    return LeftOuterField(n, d, ev, "left_outer", a, b_eval)
 
 
 # The exit level of the Emery counterexample: at pi/2, E[exp(sigma/2)] of
@@ -143,8 +142,10 @@ class StoppedRotationField(CoefficientField):
     |S_t^{-1} S_T|^p is exactly 1, with the live ones, and reads far too low.
     """
 
+    markovian = False
+
     def __init__(self, level: float = EMERY_LEVEL):
-        super().__init__(2, 1, None, "generic", False, "stopped_rotation")
+        super().__init__(2, 1, None)
         self.level = level
         self._j = np.array([[0.0, 1.0], [-1.0, 0.0]])
         self._cache = weakref.WeakKeyDictionary()

@@ -62,8 +62,7 @@ def _triangular_eval(t, x):
 
 
 def triangular_3d() -> CoefficientField:
-    return CoefficientField(3, 1, _triangular_eval, structure="lower_triangular",
-                            name="triangular-3d")
+    return CoefficientField(3, 1, _triangular_eval, structure="lower_triangular")
 
 
 def right_outer_3d():
@@ -73,7 +72,7 @@ def right_outer_3d():
         return 0.3 * np.stack([np.tanh(x[:, 0:1]), np.sin(x[:, 0:1]),
                                np.cos(x[:, 0:1])], axis=1)
 
-    return right_outer_field(a_eval, b, d=1, name="right-outer-3d")
+    return right_outer_field(a_eval, b, d=1)
 
 
 def left_outer_3d():
@@ -83,11 +82,11 @@ def left_outer_3d():
         return 0.3 * np.stack([np.cos(x[:, 0:1]), np.tanh(x[:, 0:1]),
                                np.sin(x[:, 0:1])], axis=1)
 
-    return left_outer_field(a, b_eval, d=1, name="left-outer-3d")
+    return left_outer_field(a, b_eval, d=1)
 
 
 def scalar_half() -> CoefficientField:
-    return scalar_field(0.5, name="scalar-half")
+    return scalar_field(0.5)
 
 
 def cole_hopf_1d() -> QuadraticLinearDriver:

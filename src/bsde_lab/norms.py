@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .brownian import PathEnsemble
+from .grids import check_choice
 
 NORM_KINDS = ("bmo", "sup_p", "l2q")
 
@@ -86,7 +87,7 @@ class RegressionConditional:
     operator makes its own and `forget`s each step after its fit.
     """
 
-    def __init__(self, states: np.ndarray, degree: int = 3):
+    def __init__(self, states: np.ndarray, degree: int):
         self.states = states            # (M, K+1, d) Brownian states
         self.degree = degree
         self._bases: dict = {}          # k -> (W_k, full column count) or None
@@ -94,7 +95,7 @@ class RegressionConditional:
         self._warned = False
 
     @classmethod
-    def of(cls, paths: PathEnsemble, degree: int = 3) -> "RegressionConditional":
+    def of(cls, paths: PathEnsemble, degree: int) -> "RegressionConditional":
         """The operator of `paths` at `degree`, created on first use."""
         op = paths.conditionals.get(degree)
         if op is None:
@@ -196,8 +197,7 @@ def estimate_norm(kind: str, values: np.ndarray, paths: PathEnsemble,
     remainder backwards from T.  Every value is that of the whole-array
     form, bit for bit.
     """
-    if kind not in NORM_KINDS:
-        raise ValueError(f"unknown norm kind {kind!r}")
+    check_choice("norm kind", kind, NORM_KINDS)
     m, k_steps, dt = paths.paths, paths.grid.steps, paths.grid.dt
 
     if kind != "bmo":

@@ -290,6 +290,7 @@ _FED_PARAMETERS = [
      "paths_per_level", True),
     ("counterexamples.emery_defect_at_horizon", "horizon", "counterexample",
      "effective_horizon", True),
+    ("exponential.terminal_moment_truncation_curve", "p", "reverse-holder", "p", False),
 ]
 
 
@@ -348,6 +349,7 @@ def test_every_instance_has_a_terminal():
     ("solve-quadratic", '{"M": 50, "K": 4, "driver": "custom", "custom": '
                         '{"class": "ql", "n": 1, "d": 1, "g_expr": "y +"}}', "'y +'"),
     ("estimate-rp", '{"M": 50, "K": 4, "field": "emery", "method": "nested"}', "nested"),
+    ("estimate-rp", '{"M": 50, "K": 4, "field": "emery", "method": "nested"}', "'emery'"),
     ("oracle", '{"instances": 2, "T": 1.0}', "unknown key 'T'"),
     ("oracle", '{"instances": 2, "K": 4}', "unknown key 'K'"),
     ("equivalence-suite", '{"depths": [2], "M": 50}', "unknown key 'M'"),
@@ -361,8 +363,9 @@ def test_every_instance_has_a_terminal():
                         '"n": 2, "d": 1, "terminal_expr": "b[0, -1, :]"}}',
      "custom/terminal_expr"),
 ], ids=["negative-horizon", "emery-over-work-limit", "array-file", "unparsable-file",
-        "missing-file", "bad-expression", "nested-emery", "oracle-T", "oracle-K", "equivalence-M",
-        "h-not-per-path", "g-per-path-n2", "g-per-path-n1", "terminal-not-per-path"])
+        "missing-file", "bad-expression", "nested-emery", "nested-emery-field", "oracle-T",
+        "oracle-K", "equivalence-M", "h-not-per-path", "g-per-path-n2", "g-per-path-n1",
+        "terminal-not-per-path"])
 def test_bad_config_refused_before_any_output(tmp_path, capsys, monkeypatch, command, body,
                                               named):
     def no_paths(*args, **kwargs):
@@ -534,6 +537,33 @@ def test_summary_config_reruns_to_identical_bytes(tmp_path, args, body):
     assert sorted(p.name for p in again.iterdir()) == names
     for name in names:
         assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
+
+def test_nonexistence_reads_the_config_levels(tmp_path):
+    import io
+    from bsde_lab.cli import FMT
+    from bsde_lab.counterexamples import (NonexistenceSpec, default_level_sequence,
+                                          nonexistence_blowup)
+    levels = [float(np.pi / 3), *default_level_sequence(8)[3:]]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"levels": levels, "j_max": 3, "paths_per_level": 50}))
+    out = tmp_path / "out"
+    assert run(["counterexample", "nonexistence", "--config", cfg, "--seed", 3,
+                "--out", out]) == 0
+    want = io.StringIO()
+    np.savetxt(want, nonexistence_blowup(NonexistenceSpec(levels), 3, 50, seed=3).to_rows(),
+               delimiter=",", header="j,partial_sum,simulated_estimate,std_error,"
+               "remainder_bound", comments="", fmt=FMT)
+    assert (out / "blowup.csv").read_text() == want.getvalue()
+
+
+def test_nonexistence_refuses_decreasing_levels(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"levels": [1.2, 1.0, 0.8], "j_max": 2}))
+    out = tmp_path / "never"
+    assert run(["counterexample", "nonexistence", "--config", cfg, "--out", out]) == 2
+    assert "range_and_increasing" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # The rerun cases at one thread, then two commands whose work splits across

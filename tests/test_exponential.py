@@ -143,6 +143,29 @@ def test_reverse_holder_refuses_an_unknown_method_by_name(paths_256):
         estimate_reverse_holder(expo, 2.0, method="Nested")
 
 
+def test_nested_estimator_refuses_a_path_dependent_field(paths_256):
+    expo = emery_closed_form(paths_256.coarsened(32))
+    assert not expo.field.markovian
+    with pytest.raises(ValueError, match="Markovian"):
+        estimate_reverse_holder(expo, 2.0, method="nested", inner_paths=8)
+
+
+def test_every_field_but_the_stopped_rotation_is_markovian():
+    from bsde_lab.fields import constant_field
+    from bsde_lab.instances import FIELDS
+    assert {name: build().markovian for name, build in FIELDS.items()} == {
+        name: name != "emery" for name in FIELDS}
+    assert constant_field(np.zeros((2, 2, 1))).markovian
+
+
+def test_field_refuses_an_unknown_structure_tag_by_name():
+    from bsde_lab.fields import CoefficientField
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "structure tag 'upper' is not one of "
+            "['generic', 'lower_triangular', 'right_outer', 'left_outer']")):
+        CoefficientField(1, 1, lambda t, x: np.zeros((1, 1, 1)), structure="upper")
+
+
 def test_martingale_defect_zero_field(paths_256):
     expo = simulate_exponential(zero_field(2, 1), paths_256.coarsened(16))
     rep = martingale_defect(expo)

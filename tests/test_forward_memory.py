@@ -112,7 +112,7 @@ def _rp_reference(expo, p, degree=3):
 def _blow_up_field():
     """n = d = 1, A = 1e200 once B > 0: the paths that go positive overflow."""
     return CoefficientField(1, 1, lambda t, x: np.where(
-        x[:, :1, None, None] > 0, 1e200, 0.5), name="blow-up")
+        x[:, :1, None, None] > 0, 1e200, 0.5))
 
 
 def _integration_cases():

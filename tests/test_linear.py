@@ -161,7 +161,7 @@ def test_perturbed_zero_perturbation_single_pass(paths):
 
 
 def test_perturbed_small_delta_converges(paths):
-    delta = constant_field(np.full((3, 3, 1), 0.05), name="delta")
+    delta = constant_field(np.full((3, 3, 1), 0.05))
     spec = LinearBsdeSpec(triangular_3d(), TERMINAL3, delta_field=delta,
                           alpha=lambda p, k: np.broadcast_to(
                               0.1 * np.eye(3), (p.paths, 3, 3)))
@@ -174,7 +174,7 @@ def test_perturbed_small_delta_converges(paths):
 
 
 def test_perturbed_large_delta_diverges(paths):
-    delta = constant_field(np.full((3, 3, 1), 3.0), name="delta-big")
+    delta = constant_field(np.full((3, 3, 1), 3.0))
     spec = LinearBsdeSpec(triangular_3d(), TERMINAL3, delta_field=delta)
     with pytest.raises(PicardDivergenceError):
         solve_perturbed(spec, paths.subset(np.arange(2000)))
@@ -192,7 +192,7 @@ def test_perturbed_nan_residual_raises_on_its_first_pass(monkeypatch):
         return lambda xi, beta: passes.append(1) or core(xi, beta)
 
     monkeypatch.setitem(lin._METHODS, "lower_triangular", (tag, counted))
-    delta = constant_field(np.full((3, 3, 1), 0.05), name="delta")
+    delta = constant_field(np.full((3, 3, 1), 0.05))
     spec = LinearBsdeSpec(triangular_3d(), lambda p: np.full((p.paths, 3), np.nan),
                           delta_field=delta)
     with pytest.raises(PicardDivergenceError, match="non-finite on pass 1;"):
@@ -425,7 +425,7 @@ def _generic_3d():
     """A constant field with no structural tag: `auto` picks the
     representation base for it."""
     a0 = np.array([[0.2, 0.1, 0.0], [0.0, 0.1, 0.2], [0.1, 0.0, 0.3]])[..., None]
-    return constant_field(a0, name="generic")
+    return constant_field(a0)
 
 
 def _perturbed_spec(instance):
@@ -433,7 +433,7 @@ def _perturbed_spec(instance):
     fld = {"right-outer-3d": right_outer_3d, "triangular-3d": triangular_3d,
            "left-outer-3d": left_outer_3d, "generic-3d": _generic_3d}[instance]()
     terminal = linear_terminal("triangular-3d" if instance == "generic-3d" else instance)
-    delta = constant_field(np.full((3, 3, 1), 0.05), name="delta")
+    delta = constant_field(np.full((3, 3, 1), 0.05))
     return LinearBsdeSpec(fld, terminal, delta_field=delta,
                           alpha=lambda p, k: np.broadcast_to(
                               0.1 * np.eye(3), (p.paths, 3, 3)))
@@ -804,7 +804,7 @@ def _generic_2x2():
     """A constant generic field with d = 2, so that every contraction over
     the Brownian coordinates sums more than one term."""
     a0 = np.array([[[0.2, -0.1], [0.1, 0.0]], [[0.0, 0.15], [0.1, 0.3]]])
-    return constant_field(a0, name="generic-2x2")
+    return constant_field(a0)
 
 
 def _right_outer_square(n):
@@ -813,7 +813,7 @@ def _right_outer_square(n):
     contraction sums two terms."""
     from bsde_lab.fields import right_outer_field
     return right_outer_field(lambda t, x: 0.3 * np.tanh(x[:, None, :] + np.arange(n)[:, None]),
-                             np.linspace(0.5, -0.3, n), d=n, name=f"right-outer-{n}x{n}")
+                             np.linspace(0.5, -0.3, n), d=n)
 
 
 _FROZEN_CASES = {

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -212,7 +213,8 @@ def test_sup_norm_kinds(unit_paths):
 
 
 def test_norm_rejects_bad_inputs(unit_paths):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(
+            "norm kind 'nope' is not one of ['bmo', 'sup_p', 'l2q']")):
         estimate_norm("nope", np.ones((10, 8, 1)), unit_paths)
     with pytest.raises(ValueError):
         estimate_norm("l2q", np.ones((unit_paths.paths, 8, 1)), unit_paths, q=0.5)

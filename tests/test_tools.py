@@ -318,6 +318,55 @@ def test_no_unused_module_level_import():
     assert not unused, unused
 
 
+# Parameters that a caller's signature fixes: the runners' shared
+# (cfg, out, threads), the (z1, z2, dz) of every driver's `structural`, and
+# the (t, x[, y], z) of a field or driver callback.
+UNREAD_BY_SIGNATURE = {
+    "cli.py run_oracle threads",
+    "cli.py run_equivalence_suite threads",
+    "quadratic.py QuadraticLinearDriver.structural dz",
+    "instances.py _triangular_eval t",
+    "instances.py right_outer_3d.a_eval t",
+    "instances.py left_outer_3d.b_eval t",
+    "instances.py ql_coupled_2d.g t",
+    "instances.py ql_coupled_2d.g x",
+    "instances.py ql_coupled_2d.g z",
+    "instances.py unidirectional_2d.g t",
+    "instances.py unidirectional_2d.g x",
+    "instances.py unidirectional_2d.g z",
+}
+
+
+def _unread_parameters(node, path: Path, scope: str = "") -> list:
+    """'module qualified.name parameter' of every `def` under `node` whose
+    body never loads that parameter (`self` and `cls` are left out)."""
+    unread = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = child.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                      + [a for a in (args.vararg, args.kwarg) if a]]
+            loads = {n.id for stmt in child.body for n in ast.walk(stmt)
+                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{path.name} {scope}{child.name} {p}" for p in params
+                       if p not in loads and p not in ("self", "cls")]
+            unread += _unread_parameters(child, path, f"{scope}{child.name}.")
+        elif isinstance(child, ast.ClassDef):
+            unread += _unread_parameters(child, path, f"{scope}{child.name}.")
+        else:
+            unread += _unread_parameters(child, path, scope)
+    return unread
+
+
+def test_no_unread_parameter():
+    """Every parameter of a package `def` is read in its body, but for the
+    ones a caller's signature fixes (UNREAD_BY_SIGNATURE)."""
+    unread = set()
+    for path in sorted((ROOT / "src" / "bsde_lab").glob("*.py")):
+        unread.update(_unread_parameters(ast.parse(path.read_text()), path))
+    assert unread == UNREAD_BY_SIGNATURE
+
+
 def _package_imports(nodes) -> set:
     """The package modules that the import statements among `nodes` name."""
     out = set()
