@@ -13,7 +13,6 @@ import argparse
 import copy
 import hashlib
 import json
-import os
 import re
 import sys
 from pathlib import Path
@@ -469,8 +468,7 @@ def run_linear(cfg: dict, out: Path, threads: int) -> int:
                    "std_error": norms["y"].std_error},
         "z_norm": {"kind": norms["z"].kind, "value": norms["z"].value,
                    "std_error": norms["z"].std_error},
-        "diagnostics": {k: v for k, v in sol.diagnostics.items()
-                        if isinstance(v, (int, float, str, list))},
+        "diagnostics": sol.diagnostics,
     }
     resid = np.full(grid.steps + 1, sol.diagnostics["moment_residual"])
     write_outputs(out, cfg, results,
@@ -704,10 +702,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="bsde-lab",
         description="stochastic exponential / BSDE numerical laboratory")
-    try:
-        threads = _thread_count(os.environ.get("BSDE_LAB_THREADS", "1"))
-    except argparse.ArgumentTypeError as exc:
-        ap.error(f"BSDE_LAB_THREADS {exc}")
     sub = ap.add_subparsers(dest="command", required=True)
     for name, (kind, _) in RUNNERS.items():
         sp = sub.add_parser(name)
@@ -716,7 +710,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("which", choices=props["which"]["enum"], nargs="?")
         sp.add_argument("--config", default=None)
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--threads", type=_thread_count, default=threads)
+        sp.add_argument("--threads", type=_thread_count, default=1)
         sp.add_argument("--out", default="out")
         if name == "solve-linear":   # each flag's dest is the config key it sets
             sp.add_argument("--structure", dest="instance",

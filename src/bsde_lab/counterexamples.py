@@ -127,26 +127,26 @@ def emery_defect_profile(paths: PathEnsemble, level: float = EMERY_LEVEL) -> Mar
     return defect_profile(keep, 2, k1, _emery_blocks(paths, exits, keep, None, None))
 
 
-# Default time step of the Emery horizon walk, as `counterexample emery` runs it.
+# Time step of the Emery horizon walk.
 _EMERY_DT = 0.01
 
 
-def emery_defect_at_horizon(paths: int, horizon: float, dt: float = _EMERY_DT,
-                            seed: int = 0, threads: int = 1) -> dict:
+def emery_defect_at_horizon(paths: int, horizon: float, seed: int = 0,
+                            threads: int = 1) -> dict:
     """Diagonal martingale defect of the stopped rotation exponential at a
     long horizon, without storing paths.
 
-    The walk runs to EMERY_LEVEL.  Exited paths contribute exactly 0 to the
-    diagonal (cos(+-EMERY_LEVEL) = 0 after clamping); survivors contribute
-    exp(horizon/2) cos(B).  The empirical mean collapses to 0 once the
-    horizon is long enough that no sampled path survives, which is the
-    numerical signature of the uniform-integrability failure: the true
-    per-time expectation stays 1, carried by survivors of vanishing
-    probability, while the stopped terminal has expectation 0.
+    The walk runs to EMERY_LEVEL in steps of _EMERY_DT.  Exited paths
+    contribute exactly 0 to the diagonal (cos(+-EMERY_LEVEL) = 0 after
+    clamping); survivors contribute exp(horizon/2) cos(B).  The empirical
+    mean collapses to 0 once the horizon is long enough that no sampled path
+    survives, which is the numerical signature of the uniform-integrability
+    failure: the true per-time expectation stays 1, carried by survivors of
+    vanishing probability, while the stopped terminal has expectation 0.
     `threads` workers share the walk without moving a bit (`_exit_walk`).
     """
-    max_steps = int(np.ceil(horizon / dt))
-    exit_steps, alive, w = _exit_walk(seed, 23, paths, EMERY_LEVEL, dt, max_steps, 256,
+    max_steps = int(np.ceil(horizon / _EMERY_DT))
+    exit_steps, alive, w = _exit_walk(seed, 23, paths, EMERY_LEVEL, _EMERY_DT, max_steps, 256,
                                       bridge=False, threads=threads)
     contrib = np.zeros(paths)
     contrib[alive] = np.exp(horizon / 2.0) * np.cos(w)
@@ -159,7 +159,7 @@ def emery_defect_at_horizon(paths: int, horizon: float, dt: float = _EMERY_DT,
         "survivors": int(alive.size),
         "significance_vs_half": float("inf") if se == 0 else (defect - 0.5) / se,
         # |S_{tau ^ horizon}| = exp((tau ^ horizon)/2): rotation times scalar
-        "terminal_opnorm_samples": np.exp(np.minimum(exit_steps * dt, horizon) / 2.0),
+        "terminal_opnorm_samples": np.exp(np.minimum(exit_steps * _EMERY_DT, horizon) / 2.0),
     }
 
 
@@ -517,6 +517,9 @@ class NonexistenceSpec:
 
     def __post_init__(self):
         b = np.asarray(self.levels, dtype=float)
+        if b.ndim != 1 or b.size == 0:
+            raise ConfigurationError(f"the level sequence is empty or not one-dimensional "
+                                     f"(shape {b.shape}); give a list of at least one level")
         checks = self.condition_report()
         bad = [name for name, ok in checks.items() if not ok]
         if bad:

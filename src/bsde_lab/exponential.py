@@ -322,7 +322,7 @@ def estimate_reverse_holder(expo: ExponentialEnsemble, p: float,
                 profile_se[k] = float(np.std(target - fitted, ddof=1) / np.sqrt(paths.paths))
     else:
         for k in range(k_grid):
-            means, ses = _nested_ratio_moment(expo, k, p, inner_paths, 7_001)
+            means, ses = _nested_ratio_moment(expo, k, p, inner_paths)
             j = int(np.argmax(means))
             profile[k] = float(means[j])
             profile_se[k] = float(ses[j])
@@ -335,7 +335,7 @@ def estimate_reverse_holder(expo: ExponentialEnsemble, p: float,
 
 
 def _nested_ratio_moment(expo: ExponentialEnsemble, k: int, p: float,
-                         inner_paths: int, salt: int) -> tuple[np.ndarray, np.ndarray]:
+                         inner_paths: int) -> tuple[np.ndarray, np.ndarray]:
     """Inner-MC estimates of E_{t_k}[|S_{t_k}^{-1} S_T|^p] per outer path.
 
     The ratio R = S_{t_k}^{-1} S solves the same exponential SDE restarted at
@@ -352,7 +352,7 @@ def _nested_ratio_moment(expo: ExponentialEnsemble, k: int, p: float,
     sub_grid = TimeGrid(nodes[-1] - nodes[k], rest_steps, nodes[k:] - nodes[k])
     x_k = paths.state_at(k)
 
-    rng = substream(paths.seed, salt, k)
+    rng = substream(paths.seed, 7_001, k)
     inner_seed = int(rng.integers(0, 2**63 - 1))
 
     # Inner path i restarts outer path i // inner_paths.  One Philox block of

@@ -34,7 +34,6 @@ class CoefficientField:
     eval: Callable[[float, np.ndarray], np.ndarray]
     structure: str = "generic"
     markovian = True    # A is a function of (t, B_t): the nested R_p may restart it
-    name = ""           # the acceptance gates label a field `name or type(field).__name__`
 
     def __post_init__(self):
         check_choice("structure tag", self.structure, STRUCTURES)

@@ -234,7 +234,8 @@ def _finish(fld: CoefficientField | None, paths: PathEnsemble, solver: str, y: n
     which `fld` may be None (otherwise the field is evaluated again for the
     drift, one node at a time), "terminal_mismatch" (0 if absent) and
     "scalar_v" (the scalar V = b^T Z of the right-outer reduction, checked
-    on the solution as "outer_identity_residual").
+    on the solution as "outer_identity_residual" and then dropped, so that
+    the diagnostics hold no array).
     """
     diags = {"terminal_mismatch": 0.0, **extras}
     if "moment_residual" not in diags:
@@ -246,8 +247,9 @@ def _finish(fld: CoefficientField | None, paths: PathEnsemble, solver: str, y: n
             moments.add(k, y, z, drift)
         diags.update(moments.means())
     if "scalar_v" in diags:         # path-major: the mean adds in memory order
-        gap = np.einsum("j,mkjd->mkd", fld.b, z, out=np.empty(diags["scalar_v"].shape))
-        gap -= diags["scalar_v"]
+        scalar_v = diags.pop("scalar_v")
+        gap = np.einsum("j,mkjd->mkd", fld.b, z, out=np.empty(scalar_v.shape))
+        gap -= scalar_v
         diags["outer_identity_residual"] = float(np.abs(gap, out=gap).mean())
     return SolutionEnsemble(paths, y, z, solver, diags)
 
@@ -310,13 +312,11 @@ def _expo_core(fld: CoefficientField, paths: PathEnsemble, s_at: Callable, inv_a
     return y, z, {**moments.means(), "terminal_mismatch": terminal_mismatch, **diags}
 
 
-def _representation(fld: CoefficientField, paths: PathEnsemble, degree: int,
-                    expo: ExponentialEnsemble | None = None) -> Callable:
-    """The representation core bound to S with S^{-1}, simulated unless `expo`
-    is given and gated here, once: RepresentationInvalidError past a worst
-    group martingale defect of 0.1."""
-    if expo is None:
-        expo = simulate_exponential(fld, paths, reads=("s", "s_inv"))
+def _representation(fld: CoefficientField, paths: PathEnsemble, degree: int) -> Callable:
+    """The representation core bound to the simulated S with S^{-1}, gated
+    here, once: RepresentationInvalidError past a worst group martingale
+    defect of 0.1."""
+    expo = simulate_exponential(fld, paths, reads=("s", "s_inv"))
     worst = float(martingale_defect(expo).group_defect.max())
     if worst > 0.1:
         raise RepresentationInvalidError(
@@ -329,14 +329,14 @@ def _representation(fld: CoefficientField, paths: PathEnsemble, degree: int,
 
 
 def solve_by_representation(spec: LinearBsdeSpec, paths: PathEnsemble,
-                            expo: ExponentialEnsemble | None = None,
                             degree: int = 3) -> SolutionEnsemble:
-    """Solve via Y_t = S_t^{-1} E_t[S_T (xi + int_t^T beta du)].
+    """Solve via Y_t = S_t^{-1} E_t[S_T (xi + int_t^T beta du)], with S and
+    S^{-1} simulated on `paths`.
 
     Refuses when the simulated exponential shows a median-of-groups
     martingale defect beyond 0.1 (the formula then solves the wrong equation).
     """
-    return _solve(spec, paths, degree, "representation", expo=expo)
+    return _solve(spec, paths, degree, "representation")
 
 
 def _scalar_weighted_solve(paths: PathEnsemble, coeff: np.ndarray, weights: np.ndarray,
@@ -515,17 +515,17 @@ _METHODS = {"regression": ("regression", _regression),
             "left_outer": ("left_outer", _left_outer)}
 
 
-def _terminal(spec: LinearBsdeSpec, paths: PathEnsemble) -> np.ndarray:
-    return np.asarray(spec.terminal(paths), dtype=float).reshape(paths.paths, spec.n)
+def _terminal(terminal_fn: Callable, paths: PathEnsemble, n: int) -> np.ndarray:
+    return np.asarray(terminal_fn(paths), dtype=float).reshape(paths.paths, n)
 
 
-def _solve(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int, method: str,
-           **kw) -> SolutionEnsemble:
-    """One solve by `method`, whose keyword arguments are `kw`."""
+def _solve(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int,
+           method: str) -> SolutionEnsemble:
+    """One solve by `method`."""
     check_choice("linear method", method, _METHODS)
     tag, make = _METHODS[method]
     beta = _beta_array(spec, paths)
-    y, z, extras = make(spec.field, paths, degree, **kw)(_terminal(spec, paths), beta)
+    y, z, extras = make(spec.field, paths, degree)(_terminal(spec.terminal, paths, spec.n), beta)
     return _finish(spec.field, paths, tag, y, z, beta, extras)
 
 
@@ -565,7 +565,7 @@ def solve_perturbed(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int = 3,
     check_choice("linear method", base, _METHODS)
     core = _METHODS[base][1](fld, paths, degree)
     m, ksteps, n, d = paths.paths, paths.grid.steps, spec.n, paths.d
-    xi = _terminal(spec, paths)
+    xi = _terminal(spec.terminal, paths, spec.n)
     beta = _beta_array(spec, paths)
     alpha = None if spec.alpha is None else [
         np.asarray(spec.alpha(paths, k), dtype=float) for k in range(ksteps)]
@@ -626,19 +626,18 @@ def solve_auto(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int = 3,
     return _solve(spec, paths, degree, method)
 
 
-def batch_y0(solver, spec: LinearBsdeSpec, paths: PathEnsemble, batches: int = 8,
-             **kw) -> tuple[np.ndarray, np.ndarray]:
+def batch_y0(solver, spec: LinearBsdeSpec, paths: PathEnsemble) -> tuple[np.ndarray, np.ndarray]:
     """Y_0 estimate with a batch-split standard error.
 
-    Runs the solver on `batches` disjoint path groups; returns
+    Runs the solver on 8 disjoint path groups; returns
     (mean Y_0 over batches, std error per component).
     """
     m = paths.paths
-    idx = np.array_split(np.arange(m), batches)
+    idx = np.array_split(np.arange(m), 8)
     vals = []
     for part in idx:
         sub = paths.subset(part)
-        sol = solver(spec, sub, **kw)
+        sol = solver(spec, sub)
         vals.append(sol.y[:, 0].mean(axis=0))
     vals = np.stack(vals)
-    return vals.mean(axis=0), vals.std(axis=0, ddof=1) / np.sqrt(batches)
+    return vals.mean(axis=0), vals.std(axis=0, ddof=1) / np.sqrt(len(idx))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .brownian import PathEnsemble
 from .grids import ConfigurationError, check_choice
-from .linear import SolutionEnsemble, _MomentSums, _backward, _finish
+from .linear import SolutionEnsemble, _MomentSums, _backward, _finish, _terminal
 from .norms import RegressionConditional, estimate_norm
 from .tensors import contract_az
 
@@ -196,8 +196,9 @@ def clamp_vecd(z: np.ndarray, k: float) -> np.ndarray:
 
 @dataclass
 class TruncatedDriver:
-    """The driver `base` clamped at level k by its class's rule; `at_z(z)`
-    fixes z for a backward step's inner y iteration, as `__call__` does."""
+    """The driver `base` clamped at level k by its class's rule, as a driver
+    of its own; `at_z(z)` fixes z, as `__call__` does.  `solve_quadratic`
+    does not build one: its steps call `base.at_z(z, level)`."""
 
     base: object
     level: float
@@ -243,43 +244,47 @@ class QuadraticSolveReport:
 
 
 # solve_quadratic's truncation levels k, tried in order, its margin (accept k
-# once max |z| < (1 - margin) k) and its inner Picard iterations per step.
+# once max |z| < (1 - margin) k), and the stop of its inner Picard iteration
+# per step: a sup change below _PICARD_TOL within _MAX_PICARD iterations.
 _LEVELS = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 _MARGIN = 0.2
+_PICARD_TOL = 1e-10
 _MAX_PICARD = 60
 # solve_quadratic's starts of the inner Picard iteration: the quadratic
 # config's `init` choices.
 INITS = ("mean", "zero")
 
 
-def _backward_quadratic(driver, terminal_fn, paths: PathEnsemble, degree: int,
-                        picard_tol: float, max_picard: int, init: str) -> tuple:
-    """Backward Euler for the truncated driver; returns (y, z, moments).
+def _backward_quadratic(driver, level: float, terminal: np.ndarray, paths: PathEnsemble,
+                        degree: int, init: str) -> tuple:
+    """Backward Euler for `driver` clamped at `level`, from Y_K = terminal
+    (M, n); returns (y, z, moments).
 
     Z_k is the increment regression of Y_{k+1}; Y_k is the fixed point of
     y = E_k[Y_{k+1}] + f(t_k, X_k, y, Z_k) dt, iterated from E_k[Y_{k+1}]
-    (init "mean") or 0 (init "zero") and damped by 1/2 once the update
-    grows.  Z_k is fixed within a step, so the driver's clamp and z-part are
-    computed once per step (`TruncatedDriver.at_z`) and each inner iteration
-    pays only for g.
+    (init "mean") or 0 (init "zero"), damped by 1/2 once the update grows,
+    until the sup change is below _PICARD_TOL; StepPicardError after
+    _MAX_PICARD iterations.  Z_k is fixed within a step, so the driver's
+    clamp and z-part are computed once per step (`driver.at_z(Z_k, level)`)
+    and each inner iteration pays only for g.
     """
     dt = paths.grid.dt
 
     def step(k, ey, z_k):
         x_k = paths.state_at(k)
         t_k = float(paths.grid.nodes[k])
-        f_k = driver.at_z(z_k)
+        f_k = driver.at_z(z_k, level)
         cur = np.zeros_like(ey) if init == "zero" else ey.copy()
         damp = 1.0
         prev_delta = np.inf
-        for it in range(max_picard):
+        for it in range(_MAX_PICARD):
             f_val = f_k(t_k, x_k, cur)
             nxt = ey + f_val * dt[k]
             delta = float(np.abs(nxt - cur).max())
             if delta > prev_delta:            # oscillation / growth: damp updates
                 damp = 0.5
             cur = cur + damp * (nxt - cur)
-            if delta < picard_tol:
+            if delta < _PICARD_TOL:
                 break
             prev_delta = delta
         else:
@@ -287,7 +292,6 @@ def _backward_quadratic(driver, terminal_fn, paths: PathEnsemble, degree: int,
                 f"inner Picard did not converge at step {k} (last delta {delta:.3e})")
         return cur, f_k(t_k, x_k, cur)
 
-    terminal = np.asarray(terminal_fn(paths), dtype=float).reshape(paths.paths, driver.n)
     return _backward(paths, degree, terminal, step)
 
 
@@ -298,11 +302,13 @@ def _max_magnitude(driver, z: np.ndarray) -> float:
 
 
 def solve_quadratic(driver, terminal_fn, paths: PathEnsemble, degree: int = 3,
-                    picard_tol: float = 1e-10, init: str = "mean") -> QuadraticSolveReport:
+                    init: str = "mean") -> QuadraticSolveReport:
     """Truncation-escalation solve of the quadratic system.
 
-    For each level k in the schedule _LEVELS, solve with the clamped driver,
-    then measure the largest magnitude the clamp acts on along the solution.
+    The terminal terminal_fn(paths) is formed once.  For each level k in the
+    schedule _LEVELS, solve with the driver clamped at k (`_backward_quadratic`,
+    inner Picard stop _PICARD_TOL), then measure the largest magnitude the
+    clamp acts on along the solution.
     The level is accepted once that magnitude stays below (1 - _MARGIN) k: the
     clamp is then inactive on every sampled path and the pair solves the
     original equation there.  A driver whose `kind` is not in DRIVER_KINDS,
@@ -311,11 +317,10 @@ def solve_quadratic(driver, terminal_fn, paths: PathEnsemble, degree: int = 3,
     """
     check_choice("driver kind", getattr(driver, "kind", None), DRIVER_KINDS)
     check_choice("init", init, INITS)
+    terminal = _terminal(terminal_fn, paths, driver.n)
     log = []
     for level in _LEVELS:
-        trunc = truncate_driver(driver, float(level))
-        y, z, moments = _backward_quadratic(trunc, terminal_fn, paths, degree,
-                                            picard_tol, _MAX_PICARD, init)
+        y, z, moments = _backward_quadratic(driver, float(level), terminal, paths, degree, init)
         zmag = _max_magnitude(driver, z)
         accepted = zmag < (1.0 - _MARGIN) * level
         log.append({"level": float(level), "max_magnitude": zmag, "accepted": accepted})

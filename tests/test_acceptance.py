@@ -14,7 +14,7 @@ from bsde_lab.counterexamples import (NonexistenceSpec, emery_closed_form,
                                       emery_defect_at_horizon, exit_time_exact,
                                       exit_time_exponential)
 from bsde_lab.fields import StoppedRotationField
-from bsde_lab.instances import (cole_hopf_1d, cole_hopf_1d_ud, left_outer_3d,
+from bsde_lab.instances import (FIELDS, cole_hopf_1d, cole_hopf_1d_ud, left_outer_3d,
                                 linear_terminal, ql_coupled_2d, quadratic_terminal,
                                 right_outer_3d, scalar_half, triangular_3d,
                                 unidirectional_2d)
@@ -68,7 +68,7 @@ def test_criterion_02_scalar_reverse_holder():
 
 def test_criterion_03_emery_detection_and_order():
     # (a) diagonal defect >= 0.5 at the effective horizon with >= 5 sigma
-    res = emery_defect_at_horizon(20_000, horizon=48.0, dt=0.01, seed=77)
+    res = emery_defect_at_horizon(20_000, horizon=48.0, seed=77)
     sig = res["significance_vs_half"]
     ok_defect = res["diag_defect"] >= 0.5 and sig >= 5.0
     # (b) Euler vs closed form: RMSE halving rate consistent with order 0.5
@@ -148,8 +148,8 @@ def test_criterion_06_structural_cross_solver():
     identity_resid = None
     for name, fld, solver in pairs:
         spec = LinearBsdeSpec(fld, terminal)
-        mean_a, se_a = batch_y0(solver, spec, paths, batches=8)
-        mean_b, se_b = batch_y0(solve_by_regression, spec, paths, batches=8)
+        mean_a, se_a = batch_y0(solver, spec, paths)
+        mean_b, se_b = batch_y0(solve_by_regression, spec, paths)
         combined = 3 * np.sqrt(se_a**2 + se_b**2) + 1e-4
         ok = bool(np.all(np.abs(mean_a - mean_b) <= combined))
         all_ok &= ok
@@ -164,10 +164,9 @@ def test_criterion_06_structural_cross_solver():
 
 def test_criterion_07_inverse_dynamics():
     fine = bl.generate_brownian(bl.TimeGrid(1.0, 800), 1, 1000, seed=707)
-    fields = [scalar_half(), triangular_3d(), right_outer_3d(), left_outer_3d(),
-              StoppedRotationField()]
     all_ok, details = True, []
-    for fld in fields:
+    for name in ("scalar-half", "triangular-3d", "right-outer-3d", "left-outer-3d", "emery"):
+        fld = FIELDS[name]()
         res = {}
         for label, factor in (("coarse", 4), ("fine", 1)):
             pc = fine.coarsened(factor) if factor > 1 else fine
@@ -175,7 +174,7 @@ def test_criterion_07_inverse_dynamics():
             res[label] = float(expo.inverse_residual_profile().max())
         ok = res["fine"] <= 0.05 and res["fine"] < res["coarse"]
         all_ok &= ok
-        details.append(f"{fld.name or type(fld).__name__}:{res['fine']:.4f}")
+        details.append(f"{name}:{res['fine']:.4f}")
     gate(7, all_ok, "max_t mean|S X - I| at K=800: " + "; ".join(details))
 
 
@@ -235,11 +234,10 @@ def test_criterion_11_linearized_stability():
     paths = bl.generate_brownian(bl.TimeGrid(1.0, 32), 1, 8000, seed=1111)
     drv = ql_coupled_2d()
     term = quadratic_terminal("ql-coupled-2d")
-    base = solve_quadratic(drv, term, paths, picard_tol=1e-10)
+    base = solve_quadratic(drv, term, paths)
     ratios, worst_res = [], 0.0
     for eps in (0.1, 0.05, 0.025):
-        other = solve_quadratic(drv, lambda p, e=eps: term(p) + np.array([e, 0.0]),
-                                paths, picard_tol=1e-10)
+        other = solve_quadratic(drv, lambda p, e=eps: term(p) + np.array([e, 0.0]), paths)
         res = linearized_difference_check(drv, other.solution, base.solution)
         worst_res = max(worst_res, res["residual"]["equation_residual"])
         ratios.append(res["stability_ratio"])

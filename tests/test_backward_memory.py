@@ -228,7 +228,8 @@ def test_diagnostics_memory_grows_by_at_most_one_node_block():
     for k_steps in (64, 128):
         paths = generate_brownian(TimeGrid(1.0, k_steps), fld.d, m, seed=5)
         spec = lin.LinearBsdeSpec(fld, linear_terminal("triangular-3d"))
-        y, z, extras = lin._regression(fld, paths, 3)(lin._terminal(spec, paths), None)
+        y, z, extras = lin._regression(fld, paths, 3)(
+            lin._terminal(spec.terminal, paths, spec.n), None)
 
         def diagnose():
             sol = lin._finish(fld, paths, "regression", y, z, None, extras)
@@ -311,8 +312,7 @@ def test_triangular_core_holds_only_the_entries_it_reads():
     core = lin._triangular(fld, paths, 3)
     kept = 8 * (m * k_steps * d * n * (n + 1) // 2 + n * m * (k_steps + 1))
     assert _closure_bytes(core) <= kept + 4096          # and a few index arrays
-    extras = core(lin._terminal(lin.LinearBsdeSpec(
-        fld, linear_terminal("triangular-3d")), paths), None)[2]
+    extras = core(lin._terminal(linear_terminal("triangular-3d"), paths, n), None)[2]
     assert extras == {}                                 # `_finish` forms the drift
 
 

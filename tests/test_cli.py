@@ -809,37 +809,22 @@ def test_oracle_duality_and_rp(tmp_path):
             assert res["monotone_in_p"]
 
 
-def test_threads_env_var_default(monkeypatch):
+def test_threads_flag_is_the_only_setter(monkeypatch):
     from bsde_lab.cli import build_parser
-    monkeypatch.setenv("BSDE_LAB_THREADS", "5")
-    args = build_parser().parse_args(["simulate-exponential"])
-    assert args.threads == 5
-    monkeypatch.delenv("BSDE_LAB_THREADS")
+    monkeypatch.setenv("BSDE_LAB_THREADS", "abc")       # no environment variable is read
+    assert run(["list"]) == 0
+    assert build_parser().parse_args(["simulate-exponential"]).threads == 1
     args = build_parser().parse_args(["simulate-exponential", "--threads", "2"])
     assert args.threads == 2
 
 
-def test_threads_env_var_not_an_integer_refused(monkeypatch, capsys):
-    monkeypatch.setenv("BSDE_LAB_THREADS", "abc")
-    with pytest.raises(SystemExit) as exc:
-        run(["list"])
-    assert exc.value.code == 2
-    assert "BSDE_LAB_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("env, flags, message", [
-    (None, ["--threads", 0], "argument --threads: must be at least 1, got 0"),
-    (None, ["--threads", -2], "argument --threads: must be at least 1, got -2"),
-    ("0", [], "BSDE_LAB_THREADS must be at least 1, got 0"),
-])
-def test_threads_below_one_refused(monkeypatch, tmp_path, capsys, env, flags, message):
-    if env is not None:
-        monkeypatch.setenv("BSDE_LAB_THREADS", env)
+@pytest.mark.parametrize("threads", [0, -2])
+def test_threads_below_one_refused(tmp_path, capsys, threads):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
-        run(["simulate-exponential", *flags, "--out", out])
+        run(["simulate-exponential", "--threads", threads, "--out", out])
     assert exc.value.code == 2
-    assert message in capsys.readouterr().err
+    assert f"argument --threads: must be at least 1, got {threads}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -52,7 +52,7 @@ def test_closed_form_diagonal_zero_after_exit(emery_paths):
 
 
 def test_defect_at_horizon_collapses():
-    res = emery_defect_at_horizon(4000, horizon=48.0, dt=0.01, seed=3)
+    res = emery_defect_at_horizon(4000, horizon=48.0, seed=3)
     assert res["survivors"] == 0
     assert res["diag_defect"] >= 0.999
     assert res["significance_vs_half"] == float("inf")
@@ -120,6 +120,9 @@ def test_bad_sequence_rejected():
     bad = np.arccos(np.minimum(1.0 / (k * 2.0**k), 0.99))
     with pytest.raises(ConfigurationError):
         NonexistenceSpec(levels=bad)
+    for levels in ([], 0.5, [[0.1, 0.2], [0.3, 0.4]]):
+        with pytest.raises(ConfigurationError, match="level sequence is empty or not one-dim"):
+            NonexistenceSpec(levels=levels)
 
 
 def test_blowup_partial_sums_match_simulation():

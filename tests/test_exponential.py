@@ -255,7 +255,7 @@ def test_streamed_nested_matches_whole_ensemble_bitwise(name):
                                 reads=())
     for k in (0, 2, 3):
         for p in (1.0, 2.5):
-            got = _nested_ratio_moment(expo, k, p, inner, 7_001)
+            got = _nested_ratio_moment(expo, k, p, inner)
             want = _nested_reference(expo, k, p, inner)
             for a, b in zip(got, want):
                 assert a.tobytes() == b.tobytes()
@@ -319,7 +319,7 @@ def test_streamed_nested_memory_grows_by_one_float_per_inner_path():
             TimeGrid(1.0, 16), 1, m, seed=3), reads=())
         tracemalloc.start()
         try:
-            _nested_ratio_moment(expo, 0, 2.0, inner, 7_001)
+            _nested_ratio_moment(expo, 0, 2.0, inner)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -64,19 +64,21 @@ def test_inhomogeneous_beta(paths):
     assert abs(sol2.y[:, 0].mean() - exact0) < 0.02
 
 
-def test_representation_refuses_emery(paths):
+def test_representation_refuses_emery(paths, monkeypatch):
     # long-horizon stopped rotation: S is not a uniformly integrable
     # martingale; the median-of-groups defect gate must trip (the plain
     # sample defect carries huge error bars from straggler paths)
+    from bsde_lab import linear
     from bsde_lab.counterexamples import emery_closed_form
     grid = TimeGrid(24.0, 600)
     p = generate_brownian(grid, 1, 2000, seed=103)
     fld = StoppedRotationField()
     expo = emery_closed_form(p)
     expo.bad_paths[:] = False          # keep stragglers in: gate must still trip
+    monkeypatch.setattr(linear, "simulate_exponential", lambda *args, **kwargs: expo)
     spec = LinearBsdeSpec(fld, lambda pp: np.tanh(pp.states[:, -1]).repeat(2, axis=1))
     with pytest.raises(RepresentationInvalidError, match="not a martingale"):
-        solve_by_representation(spec, p, expo=expo)
+        solve_by_representation(spec, p)
 
 
 def test_structural_solvers_match_regression(paths):
@@ -87,8 +89,8 @@ def test_structural_solvers_match_regression(paths):
     }
     for name, (mk, solver) in builders.items():
         spec = LinearBsdeSpec(mk(), TERMINAL3)
-        mean_a, se_a = batch_y0(solver, spec, paths, batches=8)
-        mean_b, se_b = batch_y0(solve_by_regression, spec, paths, batches=8)
+        mean_a, se_a = batch_y0(solver, spec, paths)
+        mean_b, se_b = batch_y0(solve_by_regression, spec, paths)
         combined = np.sqrt(se_a**2 + se_b**2)
         assert np.all(np.abs(mean_a - mean_b) <= 3 * combined + 5e-3), name
 
@@ -499,19 +501,22 @@ def test_perturbed_evaluates_base_field_once_per_step(small_paths):
 
 def test_representation_cores_evaluate_the_field_once_per_node(small_paths, monkeypatch):
     # The core forms the drift A_k Z_k from the A_k it evaluated for Z_k,
-    # so `_finish` evaluates no field.
+    # so `_finish` evaluates no field.  The representation solve's S is
+    # simulated before the count starts.
+    from bsde_lab import linear
     from bsde_lab.exponential import simulate_exponential
     ksteps = small_paths.grid.steps
     for instance, make, solve in (("left-outer-3d", left_outer_3d, solve_left_outer),
                                   ("triangular-3d", triangular_3d, solve_by_representation)):
         spec = LinearBsdeSpec(make(), linear_terminal(instance))
-        kw = {}
         if solve is solve_by_representation:
-            kw["expo"] = simulate_exponential(spec.field, small_paths)
+            expo = simulate_exponential(spec.field, small_paths)
+            monkeypatch.setattr(linear, "simulate_exponential",
+                                lambda *args, _e=expo, **kwargs: _e)
         calls = []
         monkeypatch.setattr(spec.field, "values", lambda *args, _v=spec.field.values:
                             calls.append(args[-1]) or _v(*args))
-        solve(spec, small_paths, **kw)
+        solve(spec, small_paths)
         assert sorted(calls) == list(range(ksteps)), instance
 
 
@@ -546,7 +551,7 @@ def _moment_residuals(paths, y, z, drift):
     ("triangular-3d", solve_by_regression, set()),
     ("triangular-3d", solve_triangular, set()),
     ("triangular-3d", solve_by_representation, {"martingale_defect"}),
-    ("right-outer-3d", solve_right_outer, {"outer_identity_residual", "scalar_v"}),
+    ("right-outer-3d", solve_right_outer, {"outer_identity_residual"}),
     ("left-outer-3d", solve_left_outer, {"scheme"}),
 ])
 def test_solver_diagnostics_match_recomputed_drift(small_paths, instance, solver, keys):
@@ -557,6 +562,8 @@ def test_solver_diagnostics_match_recomputed_drift(small_paths, instance, solver
     sol = solver(LinearBsdeSpec(fld, linear_terminal(instance), beta=beta_fn), paths)
     assert set(sol.diagnostics) == {"moment_residual", "moment_db_residual",
                                     "terminal_mismatch"} | keys
+    # numbers, strings and lists only: no array outlives the solve in them
+    assert all(isinstance(v, (int, float, str, list)) for v in sol.diagnostics.values())
     # the whole-array expressions on path-major copies of the solution
     y, z = np.ascontiguousarray(sol.y), np.ascontiguousarray(sol.z)
     beta = np.stack([beta_fn(paths, k) for k in range(paths.grid.steps)], axis=1)
@@ -571,8 +578,12 @@ def test_solver_diagnostics_match_recomputed_drift(small_paths, instance, solver
         assert np.isfinite(mismatch) and mismatch >= 0.0   # formed by the core
     else:
         assert mismatch == 0.0
-    if "scalar_v" in keys:
-        v = np.ascontiguousarray(sol.diagnostics["scalar_v"])
+    if "outer_identity_residual" in keys:
+        coeff = np.einsum("i,mkid->mkd", fld.b, np.stack(
+            [fld.a_values(paths, k) for k in range(paths.grid.steps)], axis=1))
+        xi = np.asarray(linear_terminal(instance)(paths), dtype=float).reshape(paths.paths, -1)
+        v = _ref_scalar_weighted_solve(paths, coeff, xi @ fld.b,
+                                       np.einsum("mkj,j->mk", beta, fld.b))[1]
         assert sol.diagnostics["outer_identity_residual"] == float(
             np.abs(np.einsum("j,mkjd->mkd", fld.b, z) - v).mean())
     if "scheme" in keys:

@@ -459,9 +459,10 @@ def test_quadratic_solve_matches_frozen_reference(name, init):
     assert _same_bits(rep.solution.y, y) and _same_bits(rep.solution.z, z)
     assert rep.solution.diagnostics["moment_residual"] == \
         _moments(paths, y, z, drift)["moment_residual"]
+    terminal = np.asarray(term(paths), dtype=float).reshape(paths.paths, drv.n)
     for entry in log:                 # every level tried, with its drift's residuals
-        got_y, got_z, moments = _backward_quadratic(truncate_driver(drv, entry["level"]),
-                                                    term, paths, 3, 1e-10, 60, init)
+        got_y, got_z, moments = _backward_quadratic(drv, entry["level"], terminal, paths, 3,
+                                                    init)
         want = _ref_backward(drv, entry["level"], term, paths, 3, 1e-10, 60, init)
         assert _same_bits(got_y, want[0]) and _same_bits(got_z, want[1])
         assert moments == _moments(paths, *want)
@@ -475,6 +476,25 @@ def test_quadratic_bench_size_escalation_matches_frozen_reference():
     rep = solve_quadratic(drv, term, paths)
     assert rep.escalation_log == log
     assert _same_bits(rep.solution.y, y) and _same_bits(rep.solution.z, z)
+
+
+def test_quadratic_solve_forms_terminal_once():
+    paths = generate_brownian(TimeGrid(1.0, 16), 1, 1500, seed=1)
+    term, calls = quadratic_terminal("unidirectional-2d"), []
+    rep = solve_quadratic(unidirectional_2d(), lambda p: calls.append(p) or term(p), paths)
+    assert len(rep.escalation_log) == 2 and calls == [paths]
+
+
+def test_quadratic_solve_builds_no_truncated_driver(monkeypatch):
+    from bsde_lab import quadratic
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_quadratic built a TruncatedDriver")
+
+    monkeypatch.setattr(quadratic, "TruncatedDriver", refuse)
+    paths = generate_brownian(TimeGrid(1.0, 16), 1, 1500, seed=1)
+    rep = solve_quadratic(unidirectional_2d(), quadratic_terminal("unidirectional-2d"), paths)
+    assert len(rep.escalation_log) == 2
 
 
 def _z_dependent_g(t, x, y, z):

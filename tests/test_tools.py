@@ -235,6 +235,7 @@ _STATS_MODULE = '''\
 """Module doc
 on two lines."""
 
+import os
 from dataclasses import dataclass
 
 # a comment
@@ -252,6 +253,11 @@ class Box:
 
 def f(a, b=1, *, c=2, d):
     return a + b + c + d  # a trailing comment is code
+
+
+def env(key):
+    # A and B once each, and the read by a computed name
+    return os.environ.get("A"), os.environ["A"], os.getenv("B", "1"), os.environ[key]
 '''
 
 
@@ -264,17 +270,18 @@ def test_src_stats_counts_a_synthetic_package(tmp_path, capsys):
     stats = tool.tree_stats(tmp_path)
     assert list(stats) == ["src_stats_demo_pkg/__init__.py", "src_stats_demo_pkg/mod.py"]
     assert stats["src_stats_demo_pkg/mod.py"] == {
-        "code": 10, "docstring": 3, "comment": 1, "blank": 6,
+        "code": 13, "docstring": 3, "comment": 2, "blank": 8,
         "defaulted_parameters": 2, "dataclass_fields": 2, "config_properties": 3,
-        "structure_tags": 3}
+        "structure_tags": 3, "environment_variables": 3}
     assert tool.main([str(tmp_path)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-2].split() == ["total", "10", "4", "1", "6", "21", "10"]
+    assert lines[-2].split() == ["total", "13", "4", "2", "8", "27", "13"]
     assert lines[-1] == ("settable values: defaulted parameters 2, dataclass fields 2, "
-                         "config properties 3, structure tags 3")
+                         "config properties 3, structure tags 3, environment variables 3")
     shipped = tool.total(tool.tree_stats(ROOT / "src"))
     assert shipped["code"] > 0 and shipped["config_properties"] > 0
     assert shipped["structure_tags"] > 0
+    assert shipped["environment_variables"] == 0       # command-line flags set the runs
 
 
 # METHODS entries of bench/child.py that name no method of the package:

@@ -17,9 +17,12 @@ Settable values are the values a caller or a config can set:
     decorated with `dataclass`;
   - config properties: the `properties` of every schema in a top-level
     `CONFIG_SCHEMAS` mapping, summed over its kinds;
-  - structure tags: the entries of a top-level `STRUCTURES`.
-The last two are read by importing the module that assigns them, with SRC
-first on the module path.
+  - structure tags: the entries of a top-level `STRUCTURES`;
+  - environment variables: the distinct names a module reads by
+    `os.environ[name]`, `os.environ.get(name)` or `os.getenv(name)` (a name
+    that is not a string literal counts once per read).
+Config properties and structure tags are read by importing the module that
+assigns them, with SRC first on the module path.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from pathlib import Path
 
 LINE_KINDS = ("code", "docstring", "comment", "blank")
 SETTABLE_KINDS = ("defaulted_parameters", "dataclass_fields", "config_properties",
-                  "structure_tags")
+                  "structure_tags", "environment_variables")
 
 
 def _docstring_lines(tree: ast.Module) -> set[int]:
@@ -65,6 +68,30 @@ def _assigned_names(tree: ast.Module) -> set[str]:
     return names
 
 
+def _is_os_attr(node: ast.AST, attr: str) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == attr \
+        and isinstance(node.value, ast.Name) and node.value.id == "os"
+
+
+def _environment_reads(tree: ast.Module) -> set:
+    """The variables read by os.environ[name], os.environ.get(name) and
+    os.getenv(name): a string literal name itself, any other its read site."""
+    names = set()
+    for node in ast.walk(tree):
+        key = None
+        if isinstance(node, ast.Subscript) and _is_os_attr(node.value, "environ"):
+            key = node.slice
+        elif isinstance(node, ast.Call) and node.args and (
+                _is_os_attr(node.func, "getenv") or (
+                    isinstance(node.func, ast.Attribute) and node.func.attr == "get"
+                    and _is_os_attr(node.func.value, "environ"))):
+            key = node.args[0]
+        if key is not None:
+            literal = isinstance(key, ast.Constant) and isinstance(key.value, str)
+            names.add(key.value if literal else (node.lineno, node.col_offset))
+    return names
+
+
 def module_stats(path: Path, module_name: str) -> dict:
     """Line kinds and settable values of one module."""
     text = path.read_text()
@@ -84,6 +111,7 @@ def module_stats(path: Path, module_name: str) -> dict:
         elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
             stats["dataclass_fields"] += sum(isinstance(item, ast.AnnAssign)
                                              for item in node.body)
+    stats["environment_variables"] = len(_environment_reads(tree))
     assigned = _assigned_names(tree) & {"CONFIG_SCHEMAS", "STRUCTURES"}
     if assigned:
         module = importlib.import_module(module_name)
