@@ -385,7 +385,7 @@ class MartingaleDefectReport:
     std_error: np.ndarray         # Frobenius aggregate of entrywise std errors
     diagonal_defect: np.ndarray   # max_i |E[S^ii_{t_k}] - 1|
     diagonal_std_error: np.ndarray
-    group_defect: np.ndarray = None   # median over path groups: robust to heavy tails
+    group_defect: np.ndarray      # median over path groups: robust to heavy tails
 
     def table(self, grid: TimeGrid) -> tuple:
         """The profile per grid node as a (header, rows) table."""

@@ -15,28 +15,22 @@ from typing import Callable
 import numpy as np
 
 from .brownian import PathEnsemble, _step_blocks
-from .grids import ConfigurationError, check_choice
-
-STRUCTURES = (
-    "generic",
-    "lower_triangular",
-    "right_outer",
-    "left_outer",
-)
+from .grids import ConfigurationError
 
 
 @dataclass
 class CoefficientField:
-    """Markovian matrix coefficient A(t, x) with a declared structure tag."""
+    """Markovian matrix coefficient A(t, x).
+
+    The structure the solvers exploit is a fact of the class: `structure`
+    is "generic" here and names the structural solve of each subclass that
+    has one (`linear._METHODS`)."""
 
     n: int
     d: int
     eval: Callable[[float, np.ndarray], np.ndarray]
-    structure: str = "generic"
+    structure = "generic"
     markovian = True    # A is a function of (t, B_t): the nested R_p may restart it
-
-    def __post_init__(self):
-        check_choice("structure tag", self.structure, STRUCTURES)
 
     def values(self, paths: PathEnsemble, k: int) -> np.ndarray:
         """A at grid step k for every path, shape (paths, n, n, d)."""
@@ -73,6 +67,13 @@ def scalar_field(a: float) -> CoefficientField:
     return constant_field(np.full((1, 1, 1), float(a)))
 
 
+class LowerTriangularField(CoefficientField):
+    """A field whose A^i_j vanishes for j > i: the triangular solve reduces it
+    to n scalar equations, row by row."""
+
+    structure = "lower_triangular"
+
+
 def _vecd_at(fn: Callable, t: float, x: np.ndarray, n: int, d: int) -> np.ndarray:
     """fn(t, x) as a VecD batch (paths, n, d); a constant (n, d) is broadcast."""
     v = np.asarray(fn(t, x), dtype=float)
@@ -85,8 +86,9 @@ def _vecd_at(fn: Callable, t: float, x: np.ndarray, n: int, d: int) -> np.ndarra
 class RightOuterField(CoefficientField):
     """A^i_j = a^i b_j with an adapted VecD a-field and constant b in R^n."""
 
-    a_eval: Callable[[float, np.ndarray], np.ndarray] = None
-    b: np.ndarray = None
+    a_eval: Callable[[float, np.ndarray], np.ndarray]
+    b: np.ndarray
+    structure = "right_outer"
 
     def a_values(self, paths: PathEnsemble, k: int) -> np.ndarray:
         return _vecd_at(self.a_eval, float(paths.grid.nodes[k]), paths.state_at(k),
@@ -100,15 +102,16 @@ def right_outer_field(a_eval, b, d: int) -> RightOuterField:
     def ev(t, x):
         return np.einsum("mie,j->mije", _vecd_at(a_eval, t, x, n, d), b)
 
-    return RightOuterField(n, d, ev, "right_outer", a_eval, b)
+    return RightOuterField(n, d, ev, a_eval, b)
 
 
 @dataclass
 class LeftOuterField(CoefficientField):
     """A^i_j = a_i b^j with constant a in R^n and an adapted VecD b-field."""
 
-    a: np.ndarray = None
-    b_eval: Callable[[float, np.ndarray], np.ndarray] = None
+    a: np.ndarray
+    b_eval: Callable[[float, np.ndarray], np.ndarray]
+    structure = "left_outer"
 
     def b_values(self, paths: PathEnsemble, k: int) -> np.ndarray:
         return _vecd_at(self.b_eval, float(paths.grid.nodes[k]), paths.state_at(k),
@@ -122,7 +125,7 @@ def left_outer_field(a, b_eval, d: int) -> LeftOuterField:
     def ev(t, x):
         return np.einsum("i,mje->mije", a, _vecd_at(b_eval, t, x, n, d))
 
-    return LeftOuterField(n, d, ev, "left_outer", a, b_eval)
+    return LeftOuterField(n, d, ev, a, b_eval)
 
 
 # The exit level of the Emery counterexample: at pi/2, E[exp(sigma/2)] of

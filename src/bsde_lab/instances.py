@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .counterexamples import NonexistenceSpec
-from .fields import (EMERY_LEVEL, CoefficientField, StoppedRotationField,
+from .fields import (EMERY_LEVEL, CoefficientField, LowerTriangularField, StoppedRotationField,
                      left_outer_field, right_outer_field, scalar_field)
 from .grids import ConfigurationError
 from .quadratic import QuadraticLinearDriver, UnidirectionalDriver
@@ -61,8 +61,8 @@ def _triangular_eval(t, x):
     return a
 
 
-def triangular_3d() -> CoefficientField:
-    return CoefficientField(3, 1, _triangular_eval, structure="lower_triangular")
+def triangular_3d() -> LowerTriangularField:
+    return LowerTriangularField(3, 1, _triangular_eval)
 
 
 def right_outer_3d():

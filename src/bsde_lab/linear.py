@@ -36,7 +36,7 @@ import numpy as np
 
 from .brownian import PathEnsemble, _path_sum
 from .exponential import ExponentialEnsemble, martingale_defect, simulate_exponential
-from .fields import CoefficientField, LeftOuterField, RightOuterField
+from .fields import CoefficientField, LeftOuterField, LowerTriangularField, RightOuterField
 from .grids import ConfigurationError, check_choice
 from .norms import RegressionConditional, estimate_norm
 from .tensors import contract_az
@@ -72,23 +72,26 @@ class LinearBsdeSpec:
 
 @dataclass
 class SolutionEnsemble:
-    """(Y, Z) paths with solver tag and residual diagnostics.
+    """(Y, Z) paths with solver tag, regression degree and residual diagnostics.
 
     y[m, K] equals the terminal sample exactly for every solver; what the
     solver actually produced at the terminal node is kept in
     diagnostics["terminal_mismatch"].  No drift is kept (see `_MomentSums`).
+    `degree` is that of the solve's least-squares fits, and every fit made
+    on the solution (the bmo norm, the linearized check) takes it.
     """
 
     paths: PathEnsemble
     y: np.ndarray                  # (M, K+1, n), a view of node-major (K+1, M, n)
     z: np.ndarray                  # (M, K, n, d), a view of node-major (K, M, n, d)
     solver: str
+    degree: int
     diagnostics: dict = dc_field(default_factory=dict)
 
     def norm_report(self, q: float = np.inf) -> dict:
         ynorm = estimate_norm("sup_p", self.y, self.paths, q=q)
         znorm = estimate_norm("bmo" if np.isinf(q) else "l2q", self.z, self.paths,
-                              q=None if np.isinf(q) else q)
+                              q=None if np.isinf(q) else q, degree=self.degree)
         return {"y": ynorm, "z": znorm}
 
 
@@ -223,8 +226,8 @@ class _MomentSums:
                 "moment_db_residual": float(self.max_rdb / self.dt.min())}
 
 
-def _finish(fld: CoefficientField | None, paths: PathEnsemble, solver: str, y: np.ndarray,
-            z: np.ndarray, beta: np.ndarray | None, extras: dict) -> SolutionEnsemble:
+def _finish(fld: CoefficientField | None, paths: PathEnsemble, solver: str, degree: int,
+            y: np.ndarray, z: np.ndarray, beta: np.ndarray | None, extras: dict) -> SolutionEnsemble:
     """Moment residuals, terminal mismatch and outer identity of a solve.
 
     Every solve runs a core, which returns (y, z, extras), then this step;
@@ -251,7 +254,7 @@ def _finish(fld: CoefficientField | None, paths: PathEnsemble, solver: str, y: n
         gap = np.einsum("j,mkjd->mkd", fld.b, z, out=np.empty(scalar_v.shape))
         gap -= scalar_v
         diags["outer_identity_residual"] = float(np.abs(gap, out=gap).mean())
-    return SolutionEnsemble(paths, y, z, solver, diags)
+    return SolutionEnsemble(paths, y, z, solver, degree, diags)
 
 
 # A method takes (field, paths, degree), does the work that no Picard pass
@@ -322,8 +325,6 @@ def _representation(fld: CoefficientField, paths: PathEnsemble, degree: int) -> 
         raise RepresentationInvalidError(
             f"representation invalid: S not a martingale at tolerance "
             f"(median group defect {worst:.4f} > 0.1)")
-    if expo.s_inv is None:
-        raise ConfigurationError("representation solve needs the inverse ensemble")
     return partial(_expo_core, fld, expo.paths, lambda k: expo.s[:, k],
                    lambda k: expo.s_inv[:, k], degree, {"martingale_defect": worst})
 
@@ -368,9 +369,8 @@ def _scalar_weighted_solve(paths: PathEnsemble, coeff: np.ndarray, weights: np.n
 def _triangular(fld: CoefficientField, paths: PathEnsemble, degree: int) -> Callable:
     """Keeps the diagonal and strictly lower field entries, which the solves
     read, not their weights; `_finish` evaluates the field again for the drift."""
-    if fld.structure != "lower_triangular":
-        raise ConfigurationError(
-            f"triangular solver needs a lower_triangular field, got {fld.structure!r}")
+    if not isinstance(fld, LowerTriangularField):
+        raise ConfigurationError("triangular solver needs a LowerTriangularField")
     m, ksteps, n, d = paths.paths, paths.grid.steps, fld.n, paths.d
     rows, cols = np.tril_indices(n, k=-1)
     coeffs = np.empty((n, m, ksteps, d))                 # row i: its (M, K, d) coefficient
@@ -410,7 +410,7 @@ def solve_triangular(spec: LinearBsdeSpec, paths: PathEnsemble,
 
 
 def _right_outer(fld: CoefficientField, paths: PathEnsemble, degree: int) -> Callable:
-    if not isinstance(fld, RightOuterField) or fld.structure != "right_outer":
+    if not isinstance(fld, RightOuterField):
         raise ConfigurationError("right-outer solver needs a RightOuterField")
     m, ksteps, n, dt = paths.paths, paths.grid.steps, fld.n, paths.grid.dt
     a_vals = _per_step(fld.a_values, paths)                          # (M, K, n, d)
@@ -491,7 +491,7 @@ def left_outer_exponential(fld: LeftOuterField, paths: PathEnsemble) -> Exponent
 
 
 def _left_outer(fld: CoefficientField, paths: PathEnsemble, degree: int) -> Callable:
-    if not isinstance(fld, LeftOuterField) or fld.structure != "left_outer":
+    if not isinstance(fld, LeftOuterField):
         raise ConfigurationError("left-outer solver needs a LeftOuterField")
     return partial(_expo_core, fld, paths, *_left_outer_nodes(fld, paths), degree,
                    {"scheme": "closed_form"})
@@ -506,8 +506,9 @@ def solve_left_outer(spec: LinearBsdeSpec, paths: PathEnsemble,
 # method -> (solver tag of its solution, method).  Its keys, in this order,
 # are the linear config's methods after "auto" (`cli.CONFIG_SCHEMAS`), and a
 # solve by any other name is refused with them.  A structural method is
-# keyed by the structure tag it needs, and no structure tag names another
-# method, so "auto" is the field's tag if it is a key here.
+# keyed by the `structure` of the field class it needs, and no class's
+# `structure` names another method, so "auto" is the field's `structure` if
+# it is a key here.
 _METHODS = {"regression": ("regression", _regression),
             "representation": ("representation", _representation),
             "lower_triangular": ("triangular", _triangular),
@@ -516,7 +517,13 @@ _METHODS = {"regression": ("regression", _regression),
 
 
 def _terminal(terminal_fn: Callable, paths: PathEnsemble, n: int) -> np.ndarray:
-    return np.asarray(terminal_fn(paths), dtype=float).reshape(paths.paths, n)
+    """xi = terminal_fn(paths) as an (M, n) array; (M,) is taken as (M, 1) when
+    n = 1, and any other shape is refused, naming it and the one expected."""
+    xi, m = np.asarray(terminal_fn(paths), dtype=float), paths.paths
+    if xi.shape != (m, n) and not (n == 1 and xi.shape == (m,)):
+        raise ConfigurationError(f"terminal returned shape {xi.shape}, expected ({m}, {n})"
+                                 + (f" or ({m},)" if n == 1 else ""))
+    return xi.reshape(m, n)
 
 
 def _solve(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int,
@@ -526,7 +533,7 @@ def _solve(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int,
     tag, make = _METHODS[method]
     beta = _beta_array(spec, paths)
     y, z, extras = make(spec.field, paths, degree)(_terminal(spec.terminal, paths, spec.n), beta)
-    return _finish(spec.field, paths, tag, y, z, beta, extras)
+    return _finish(spec.field, paths, tag, degree, y, z, beta, extras)
 
 
 def solve_by_regression(spec: LinearBsdeSpec, paths: PathEnsemble,
@@ -548,8 +555,8 @@ def solve_perturbed(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int = 3,
                     tol: float = 1e-6, base: str = "auto") -> SolutionEnsemble:
     """Picard iteration for BSDE(A + dA) with an optional alpha Y term.
 
-    Each pass hands the core of the method `base` ("auto": A's structure
-    tag if `_METHODS` has it, else representation) the inhomogeneity array
+    Each pass hands the core of the method `base` ("auto": A's `structure`
+    if `_METHODS` has it, else representation) the inhomogeneity array
     beta + alpha Y^m + dA Z^m; the method's own work (a representation base
     simulates and gates S) is done once, and `_finish` once, on the last
     pass.  Stops at relative residual < tol; a growing residual raises
@@ -605,7 +612,7 @@ def solve_perturbed(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int = 3,
         raise PicardDivergenceError(
             f"no convergence in {_MAX_PASSES} iterations; history tail {history[-3:]}")
     del y_prev, core
-    sol = _finish(fld, paths, "perturbed", y, z, mod, extras)
+    sol = _finish(fld, paths, "perturbed", degree, y, z, mod, extras)
     sol.diagnostics["picard_history"] = history
     sol.diagnostics["picard_iterations"] = len(history)
     return sol
@@ -613,7 +620,7 @@ def solve_perturbed(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int = 3,
 
 def solve_auto(spec: LinearBsdeSpec, paths: PathEnsemble, degree: int = 3,
                method: str = "auto") -> SolutionEnsemble:
-    """Dispatch on the requested method ("auto": the field's structure tag if
+    """Dispatch on the requested method ("auto": the field's `structure` if
     `_METHODS` has it, else regression).
 
     A spec with a perturbation (alpha or delta_field) is solved by

@@ -325,7 +325,7 @@ def solve_quadratic(driver, terminal_fn, paths: PathEnsemble, degree: int = 3,
         accepted = zmag < (1.0 - _MARGIN) * level
         log.append({"level": float(level), "max_magnitude": zmag, "accepted": accepted})
         if accepted:
-            sol = _finish(None, paths, f"quadratic[{driver.kind}]", y, z, None, moments)
+            sol = _finish(None, paths, f"quadratic[{driver.kind}]", degree, y, z, None, moments)
             return QuadraticSolveReport(sol, float(level), log, 1.0 - zmag / level)
         del y, z                 # a rejected level's solution is not read again
     raise TruncationEscalationError(
@@ -465,7 +465,7 @@ def check_lyapunov(pair: LyapunovPair, driver, rng: np.random.Generator,
     if solution is not None:
         t_total = float(solution.paths.grid.horizon)
         sup_h = _sup_h_on_ball(pair, n, rng)
-        zn = estimate_norm("bmo", solution.z, solution.paths)
+        zn = estimate_norm("bmo", solution.z, solution.paths, degree=solution.degree)
         out["bmo_sq_estimate"] = zn.value**2
         out["bound"] = pair.k * t_total + 2.0 * sup_h
         out["bound_satisfied"] = bool(zn.value**2 <= out["bound"] + 3 * zn.std_error)
@@ -494,8 +494,7 @@ def _difference_quotient(num: np.ndarray, dvar: np.ndarray) -> np.ndarray:
     return quot
 
 
-def linearized_difference_check(driver, sol1: SolutionEnsemble, sol2: SolutionEnsemble,
-                                degree: int = 3) -> dict:
+def linearized_difference_check(driver, sol1: SolutionEnsemble, sol2: SolutionEnsemble) -> dict:
     """Verify that dY = Y1 - Y2 solves the linear equation with the
     finite-difference coefficients assembled per driver class.
 
@@ -503,13 +502,17 @@ def linearized_difference_check(driver, sol1: SolutionEnsemble, sol2: SolutionEn
     class's `structural`: Z^2 b^T + Diag(b^T Z^1) for quadratic-linear
     drivers, a (dh/dZ)^T for unidirectional ones.  The reported residual is the
     conditional-moment residual of the difference equation, which vanishes
-    to solver tolerance because both solutions share the regression operator.
+    to solver tolerance because both solutions share the regression operator:
+    both must live on the same paths and have been fitted at the same
+    degree, which every fit here takes.
     """
-    paths = sol1.paths
+    paths, degree = sol1.paths, sol1.degree
     if sol2.paths is not paths:
         raise ConfigurationError("both solutions must live on the same paths")
-    m, ksteps, n, d = paths.paths, paths.grid.steps, driver.n, driver.d
-    dt = paths.grid.dt
+    if sol2.degree != degree:
+        raise ConfigurationError(
+            f"both solutions must be fitted at the same degree, got {degree} and {sol2.degree}")
+    m, ksteps, n, d, dt = paths.paths, paths.grid.steps, driver.n, driver.d, paths.grid.dt
     dy = sol1.y - sol2.y
     dz = sol1.z - sol2.z
     reg = RegressionConditional.of(paths, degree)
@@ -544,7 +547,7 @@ def linearized_difference_check(driver, sol1: SolutionEnsemble, sol2: SolutionEn
     dxi = dy[:, -1]
     dxi_norm = float(np.sqrt((dxi * dxi).sum(axis=1)).max())
     dy_norm = estimate_norm("sup_p", dy, paths, q=np.inf).value
-    dz_norm = estimate_norm("bmo", dz, paths).value
+    dz_norm = estimate_norm("bmo", dz, paths, degree=degree).value
     return {
         "residual": resid,
         "dxi_norm": dxi_norm,

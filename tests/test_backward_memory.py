@@ -232,7 +232,7 @@ def test_diagnostics_memory_grows_by_at_most_one_node_block():
             lin._terminal(spec.terminal, paths, spec.n), None)
 
         def diagnose():
-            sol = lin._finish(fld, paths, "regression", y, z, None, extras)
+            sol = lin._finish(fld, paths, "regression", 3, y, z, None, extras)
             sol.norm_report()
             for driver in drivers:
                 quad._max_magnitude(driver, z)

@@ -158,14 +158,6 @@ def test_every_field_but_the_stopped_rotation_is_markovian():
     assert constant_field(np.zeros((2, 2, 1))).markovian
 
 
-def test_field_refuses_an_unknown_structure_tag_by_name():
-    from bsde_lab.fields import CoefficientField
-    with pytest.raises(ConfigurationError, match=re.escape(
-            "structure tag 'upper' is not one of "
-            "['generic', 'lower_triangular', 'right_outer', 'left_outer']")):
-        CoefficientField(1, 1, lambda t, x: np.zeros((1, 1, 1)), structure="upper")
-
-
 def test_martingale_defect_zero_field(paths_256):
     expo = simulate_exponential(zero_field(2, 1), paths_256.coarsened(16))
     rep = martingale_defect(expo)

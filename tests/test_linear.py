@@ -6,7 +6,8 @@ import pytest
 from bsde_lab import TimeGrid, generate_brownian, scalar_field
 from bsde_lab import norms
 from bsde_lab.brownian import PathEnsemble
-from bsde_lab.fields import CoefficientField, StoppedRotationField, constant_field
+from bsde_lab.fields import (CoefficientField, LowerTriangularField, StoppedRotationField,
+                             constant_field)
 from bsde_lab.grids import ConfigurationError
 from bsde_lab.instances import (left_outer_3d, linear_terminal, right_outer_3d,
                                 triangular_3d)
@@ -105,10 +106,10 @@ def test_right_outer_identity_and_guards(paths):
         solve_left_outer(LinearBsdeSpec(right_outer_3d(), TERMINAL3), paths)
     with pytest.raises(ConfigurationError):
         solve_triangular(LinearBsdeSpec(left_outer_3d(), TERMINAL3), paths)
-    # a field tagged lower triangular whose values are not
+    # a lower-triangular field whose values are not
     upper = np.zeros((3, 3, 1))
     upper[0, 2, 0] = 1e-9
-    fld = CoefficientField(3, 1, lambda t, x: upper, structure="lower_triangular")
+    fld = LowerTriangularField(3, 1, lambda t, x: upper)
     with pytest.raises(ConfigurationError, match="not lower triangular"):
         solve_triangular(LinearBsdeSpec(fld, TERMINAL3), paths)
 
@@ -147,7 +148,7 @@ def test_triangular_diagonal_decouples(paths):
         a[:, 1, 1, 0] = -0.2
         return a
 
-    fld = CoefficientField(2, 1, diag_eval, structure="lower_triangular")
+    fld = LowerTriangularField(2, 1, diag_eval)
     xi_fn = lambda p: np.stack([p.states[:, -1, 0], np.tanh(p.states[:, -1, 0])], axis=1)
     sol = solve_triangular(LinearBsdeSpec(fld, xi_fn), paths)
     # component 0 is the scalar Girsanov instance: Y*0 = a T
@@ -377,6 +378,58 @@ def test_solution_norm_report(paths):
     # only by regression tails at extreme states
     assert 0.5 < rep["y"].value <= 2.5
     assert rep["z"].value > 0
+
+
+def test_solution_fits_its_norms_at_the_degree_of_its_solve():
+    paths = generate_brownian(TimeGrid(1.0, 8), 1, 400, seed=3)
+    sol = solve_auto(LinearBsdeSpec(triangular_3d(), TERMINAL3), paths, degree=2)
+    assert sol.degree == 2
+    bmo = sol.norm_report()["z"]
+    assert list(paths.conditionals) == [2]
+    ref = norms.estimate_norm("bmo", sol.z, paths, degree=2)
+    assert (bmo.value, bmo.std_error) == (ref.value, ref.std_error)
+
+
+def test_field_structure_is_a_fact_of_its_class():
+    from bsde_lab.fields import LeftOuterField, RightOuterField
+    ev = lambda t, x: np.zeros((3, 3, 1))
+    with pytest.raises(TypeError, match="structure"):
+        CoefficientField(3, 1, ev, structure="lower_triangular")
+    with pytest.raises(TypeError, match="a_eval"):
+        RightOuterField(3, 1, ev)
+    with pytest.raises(TypeError, match="b_eval"):
+        LeftOuterField(3, 1, ev)
+
+
+def test_each_structural_method_is_one_field_class(paths):
+    from bsde_lab import fields
+    from bsde_lab.instances import LINEAR_FIELDS
+    from bsde_lab.linear import _METHODS
+    classes = [c for c in vars(fields).values()
+               if isinstance(c, type) and issubclass(c, CoefficientField)]
+    for method in set(_METHODS) - {"regression", "representation"}:
+        assert [c.structure for c in classes].count(method) == 1, method
+    small = paths.subset(np.arange(400))
+    for name, build in LINEAR_FIELDS.items():
+        fld = build()
+        tag = _METHODS[fld.structure][0] if fld.structure in _METHODS else "regression"
+        sol = solve_auto(LinearBsdeSpec(fld, linear_terminal(name)), small)
+        assert sol.solver == tag, name
+
+
+def test_terminal_of_the_wrong_shape_is_refused():
+    paths = generate_brownian(TimeGrid(1.0, 4), 1, 50, seed=1)
+    spec = LinearBsdeSpec(triangular_3d(), lambda p: TERMINAL3(p).T)
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "terminal returned shape (3, 50), expected (50, 3)")):
+        solve_auto(spec, paths)
+    # at n = 1 a terminal of shape (M,) is the (M, 1) column
+    flat = solve_auto(LinearBsdeSpec(scalar_field(0.5), lambda p: p.states[:, -1, 0]), paths)
+    column = solve_auto(LinearBsdeSpec(scalar_field(0.5), lambda p: p.states[:, -1]), paths)
+    assert np.array_equal(flat.y, column.y)
+    with pytest.raises(ConfigurationError, match=re.escape("expected (50, 1) or (50,)")):
+        solve_auto(LinearBsdeSpec(scalar_field(0.5), lambda p: p.states[:, -1, [0, 0]]),
+                   paths)
 
 
 # ------------------------------------- perturbed loop and shared finish step
@@ -807,7 +860,7 @@ def _ref_solver(name):
                           for k in range(paths.grid.steps)], axis=1)
         if beta is not None:
             drift += beta
-        return SolutionEnsemble(paths, y, z, name, {"drift": drift})
+        return SolutionEnsemble(paths, y, z, name, degree, {"drift": drift})
     return solve
 
 

@@ -326,6 +326,25 @@ def test_fd_coefficients_approach_derivatives(paths):
     assert errs[1] < max(errs[0], 0.05)
 
 
+def test_fits_after_a_solve_take_the_degree_of_the_solve():
+    from bsde_lab.norms import estimate_norm
+    paths = generate_brownian(TimeGrid(1.0, 16), 1, 2000, seed=1111)
+    drv, term = ql_coupled_2d(), quadratic_terminal("ql-coupled-2d")
+    base = solve_quadratic(drv, term, paths, degree=2).solution
+    assert base.degree == 2
+    bmo = base.norm_report()["z"]
+    ref = estimate_norm("bmo", base.z, paths, degree=2)
+    assert (bmo.value, bmo.std_error) == (ref.value, ref.std_error)
+    shifted = solve_quadratic(drv, lambda p: term(p) + np.array([0.05, 0.0]), paths,
+                              degree=2).solution
+    res = linearized_difference_check(drv, shifted, base)
+    assert res["residual"]["equation_residual"] < 1e-9
+    assert list(paths.conditionals) == [2]
+    cubic = solve_quadratic(drv, term, paths, degree=3).solution
+    with pytest.raises(ConfigurationError, match="same degree, got 2 and 3"):
+        linearized_difference_check(drv, shifted, cubic)
+
+
 # ------------------------------------------------ frozen reference of the loop
 # The backward loop, the truncated driver and the radial clamp as they were
 # before the per-step z-part and the row-subset clamp; the solver must keep

@@ -280,7 +280,7 @@ def test_src_stats_counts_a_synthetic_package(tmp_path, capsys):
                          "config properties 3, structure tags 3, environment variables 3")
     shipped = tool.total(tool.tree_stats(ROOT / "src"))
     assert shipped["code"] > 0 and shipped["config_properties"] > 0
-    assert shipped["structure_tags"] > 0
+    assert shipped["structure_tags"] == 0              # a field's class states its structure
     assert shipped["environment_variables"] == 0       # command-line flags set the runs
 
 
@@ -372,6 +372,41 @@ def test_no_unread_parameter():
     for path in sorted((ROOT / "src" / "bsde_lab").glob("*.py")):
         unread.update(_unread_parameters(ast.parse(path.read_text()), path))
     assert unread == UNREAD_BY_SIGNATURE
+
+
+def _attribute_reads(tree) -> set:
+    """The attribute names `tree` reads: `obj.name` loads, and the string
+    literal handed to `getattr(obj, name)` or to `ExponentialEnsemble.kept`,
+    which reads its attribute by name."""
+    reads = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            reads.add(n.attr)
+        elif isinstance(n, ast.Call):
+            named = (n.args[1:2] if isinstance(n.func, ast.Name) and n.func.id == "getattr"
+                     else n.args[:1] if isinstance(n.func, ast.Attribute)
+                     and n.func.attr == "kept" else [])
+            reads.update(a.value for a in named
+                         if isinstance(a, ast.Constant) and isinstance(a.value, str))
+    return reads
+
+
+def test_no_write_only_dataclass_field():
+    """Every annotated field of a package dataclass is read as an attribute
+    somewhere in the package (`_attribute_reads`): a field nothing reads is
+    a value a caller can set to no effect."""
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "bsde_lab").glob("*.py"))}
+    reads = set().union(*map(_attribute_reads, trees.values()))
+    fields = set()
+    for name, tree in trees.items():
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(dec) for dec in cls.decorator_list):
+                fields.update((f"{name} {cls.name}.{item.target.id}", item.target.id)
+                              for item in cls.body if isinstance(item, ast.AnnAssign))
+    assert fields, "no dataclass field found"
+    assert sorted(field for field, attr in fields if attr not in reads) == []
 
 
 def _package_imports(nodes) -> set:
